@@ -28,7 +28,12 @@ from repro.aggregation.krum import (
     pairwise_squared_distances_batched,
 )
 from repro.aggregation.bulyan import Bulyan
-from repro.aggregation.decision import GarDecision, attacker_acceptance_rate, decide
+from repro.aggregation.decision import (
+    GarDecision,
+    attacker_acceptance_rate,
+    decide,
+    record_decision,
+)
 from repro.aggregation.geometric_median import GeometricMedian
 from repro.aggregation.registry import available_rules, get_rule, register_rule
 from repro.aggregation.resilience import (
@@ -53,6 +58,7 @@ __all__ = [
     "Bulyan",
     "GarDecision",
     "decide",
+    "record_decision",
     "attacker_acceptance_rate",
     "GeometricMedian",
     "get_rule",

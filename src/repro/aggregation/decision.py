@@ -17,13 +17,16 @@ them cannot perturb a run (they are gated behind
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Container, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.aggregation.base import GradientAggregationRule, VectorList, check_vectors
+from repro.obs.telemetry import get_registry
+from repro.obs.tracer import get_tracer
 
-__all__ = ["GarDecision", "decide", "attacker_acceptance_rate"]
+__all__ = ["GarDecision", "decide", "record_decision",
+           "attacker_acceptance_rate"]
 
 
 @dataclass
@@ -117,6 +120,46 @@ def decide(rule: GradientAggregationRule, vectors: VectorList,
                        attacker_indices=attackers,
                        attackers_selected=attackers_selected,
                        acceptance_rate=acceptance)
+
+
+def record_decision(event: str, rule: GradientAggregationRule,
+                    vectors: VectorList, senders: Sequence,
+                    attackers: Container, **attrs: Any) -> None:
+    """Emit one decision record, if the ambient tracer asks for them.
+
+    The one instrumentation point both simulated engines call from their
+    aggregate phase: ``event`` is the trace event name
+    (``"seq.gar.decision"`` / ``"batch.gar.decision"``), ``senders`` names
+    the sender of each vector in quorum order, ``attackers`` holds the
+    actually-Byzantine senders, and ``attrs`` carry the step, node and
+    (batched) replica the record belongs to.  The selection is
+    recomputed on the side from the payloads the server aggregates —
+    nothing here feeds back into the update — and the recomputation stays
+    gated behind ``Tracer.record_decisions``; the metrics registry only
+    folds the result into its per-rule ``repro_gar_*`` acceptance series.
+    """
+    tracer = get_tracer()
+    if not (tracer.enabled and tracer.record_decisions):
+        return
+    decision = decide(rule, vectors, attacker_indices=[
+        index for index, sender in enumerate(senders) if sender in attackers])
+    tracer.event(event, **attrs, **decision.to_dict())
+    registry = get_registry()
+    if not registry.enabled:
+        return
+    name = decision.rule
+    registry.inc("repro_gar_decisions_total", rule=name)
+    if decision.attacker_indices:
+        registry.inc("repro_gar_attackers_offered_total",
+                     len(decision.attacker_indices), rule=name)
+        registry.inc("repro_gar_attackers_selected_total",
+                     decision.attackers_selected, rule=name)
+        offered = registry.counter(
+            "repro_gar_attackers_offered_total").value(rule=name)
+        admitted = registry.counter(
+            "repro_gar_attackers_selected_total").value(rule=name)
+        registry.set_gauge("repro_gar_attacker_acceptance",
+                           admitted / offered if offered else 0.0, rule=name)
 
 
 def attacker_acceptance_rate(decisions: Iterable[GarDecision]) -> float:

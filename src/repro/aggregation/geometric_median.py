@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 
 from repro.aggregation.base import GradientAggregationRule
+from repro.kernels import active_backend
 
 
 class GeometricMedian(GradientAggregationRule):
@@ -53,7 +54,7 @@ class GeometricMedian(GradientAggregationRule):
         return 2 * self.num_byzantine + 1
 
     def _aggregate(self, stacked: np.ndarray) -> np.ndarray:
-        estimate = np.median(stacked, axis=0)
+        estimate = active_backend().median(stacked, axis=0)
         self.converged = False
         self.iterations = 0
         for iteration in range(self.max_iterations):

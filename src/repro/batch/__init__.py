@@ -7,6 +7,9 @@ leading axis instead (parameters ``(R, D)``, aggregation inputs
 ``(R, n, D)``) and executes them in lock-step, bit-identical per seed to
 the sequential :class:`~repro.core.trainer.GuanYuTrainer`.
 
+A lone scenario is the R = 1 case: :func:`repro.runtime.run` sends every
+dense-model GuanYu spec here as a one-lane group.
+
 See ``docs/performance.md`` for the memory model, the supported scenario
 envelope, and how the campaign engine routes seed-only sweeps here.
 """

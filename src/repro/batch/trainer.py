@@ -24,8 +24,10 @@ Scenarios the batched formulation cannot express (convolutional models,
 non-``guanyu`` trainers) raise :class:`BatchingUnsupported`; transient
 conditions a single replica would have failed on (quorum starvation under
 heavy message loss) raise :class:`BatchedExecutionError`.  The campaign
-engine responds to either by falling back to sequential execution, so
-``--batch-seeds`` is always safe to request.
+engine re-runs a failed group one scenario at a time, and
+:func:`repro.runtime.run` re-runs a failed one-lane scenario on the
+sequential trainer, so neither ``--batch-seeds`` nor the default R = 1
+dispatch can change an outcome.
 """
 
 from __future__ import annotations
@@ -36,7 +38,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.aggregation import get_rule, pairwise_squared_distances_batched
+from repro.aggregation import (
+    get_rule,
+    pairwise_squared_distances_batched,
+    record_decision,
+)
 from repro.kernels import active_backend
 from repro.batch.models import (
     BATCHABLE_MODELS,
@@ -63,8 +69,9 @@ from repro.network.message import MessageKind
 class BatchedExecutionError(RuntimeError):
     """A replica hit a condition the batched runtime cannot isolate.
 
-    The campaign engine catches this and re-runs the affected scenarios
-    sequentially, where per-scenario failure isolation applies.
+    The campaign engine re-runs the affected group scenario by scenario,
+    and :func:`repro.runtime.run` re-runs a lone scenario on the
+    sequential trainer, where per-scenario failure isolation applies.
     """
 
 
@@ -146,8 +153,10 @@ class _PhaseBuffer:
             payload_rows
 
     def collect(self, recipient_index: int, recipient_id: str, quorum: int,
-                not_before: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """First-``quorum`` payload stack ``(R, q, D)`` and completion times."""
+                not_before: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """First-``quorum`` payload stack ``(R, q, D)``, completion times
+        ``(R,)`` and the quorum's sender indices ``(q, R)`` in quorum order."""
         times = self.times[recipient_index]  # (S, R)
         order = np.argsort(times, axis=0, kind="stable")
         selected = order[:quorum]  # (q, R)
@@ -168,7 +177,7 @@ class _PhaseBuffer:
             if hits.any():
                 row_pos, lane_pos = np.nonzero(hits)
                 stacked[row_pos, lane_pos] = rows[lane_pos]
-        return stacked.transpose(1, 0, 2), completion
+        return stacked.transpose(1, 0, 2), completion, selected
 
 
 # --------------------------------------------------------------------------- #
@@ -311,6 +320,9 @@ class BatchedGuanYuTrainer:
         self._correct_server_idx = [
             index for index, server_id in enumerate(self.server_ids)
             if server_id not in self.attacking_servers]
+        self._attacking_worker_idx = {
+            index for index, worker_id in enumerate(self.worker_ids)
+            if worker_id in self.attacking_workers}
 
         shared_config = {
             **self.config.as_dict(),
@@ -603,12 +615,21 @@ class BatchedGuanYuTrainer:
         trace_on = tracer.enabled
         tele_on = registry.enabled
         obs_on = trace_on or tele_on
+        decisions_on = trace_on and tracer.record_decisions
         mark = time.perf_counter() if obs_on else 0.0
 
         if self.has_faults:
             for lane in self.lanes:
                 lane.fault_controller.on_step(step_index)
         active_workers, active_servers = self._participants(step_index)
+        if trace_on:
+            stalled = [node_id for node_id in self.worker_ids
+                       if node_id not in active_workers] \
+                + [node_id for node_id in self.server_ids
+                   if node_id not in active_servers]
+            if stalled:
+                tracer.event("batch.fault.stalled", step=step_index,
+                             nodes=stalled)
         if self.has_faults:
             server_alive = self.lanes[0].fault_controller.alive_mask(
                 self.server_ids, step_index)
@@ -672,7 +693,7 @@ class BatchedGuanYuTrainer:
                                  if worker_id in active_workers]
         for w_index in active_worker_indices:
             worker_id = self.worker_ids[w_index]
-            stacked, completion = buffer1.collect(
+            stacked, completion, _ = buffer1.collect(
                 w_index, worker_id, config.model_quorum,
                 not_before=self.worker_clock[w_index])
             aggregated = self.model_rule.aggregate_batched(stacked)
@@ -792,9 +813,16 @@ class BatchedGuanYuTrainer:
             if self.server_ids[index] in active_servers]
         learning_rate = self.schedule(step_index)
         for s_index in active_correct_server_idx:
-            stacked, completion = buffer2.collect(
+            stacked, completion, senders = buffer2.collect(
                 s_index, self.server_ids[s_index], config.gradient_quorum,
                 not_before=self.server_clock[s_index])
+            if decisions_on:
+                for r, lane in enumerate(self.lanes):
+                    record_decision(
+                        "batch.gar.decision", self.gradient_rule, stacked[r],
+                        senders[:, r].tolist(), self._attacking_worker_idx,
+                        step=step_index, node=self.server_ids[s_index],
+                        replica=r, scenario=lane.spec.name)
             aggregated = self.gradient_rule.aggregate_batched(stacked)
             self.theta[s_index] = self.theta[s_index] \
                 - learning_rate * aggregated
@@ -846,7 +874,7 @@ class BatchedGuanYuTrainer:
             self._flush_merged(buffer3, merged, len(self.server_ids))
 
         for s_index in active_correct_server_idx:
-            stacked, completion = buffer3.collect(
+            stacked, completion, _ = buffer3.collect(
                 s_index, self.server_ids[s_index], config.model_quorum,
                 not_before=self.server_clock[s_index])
             self.theta[s_index] = self.model_rule.aggregate_batched(stacked)
@@ -895,7 +923,8 @@ class BatchedGuanYuTrainer:
     # ------------------------------------------------------------------ #
     def global_parameters(self) -> np.ndarray:
         """``(R, D)`` observer view: per-replica median of correct servers."""
-        return np.median(self.theta[self._correct_server_idx], axis=0)
+        return active_backend().median(
+            self.theta[self._correct_server_idx], axis=0)
 
     def _evaluate(self, lane: _Lane, parameters: np.ndarray,
                   max_samples: Optional[int]) -> float:
@@ -960,7 +989,8 @@ def run_batched_scenarios(specs: Sequence, lanes: Optional[int] = None,
 
     ``specs`` must be :class:`~repro.campaign.spec.ScenarioSpec` instances
     identical except for ``name``/``seed``.  Returns one history per spec,
-    in order, each bit-identical to ``execute_scenario`` on that spec.
+    in order, each bit-identical to the sequential
+    :class:`~repro.core.trainer.GuanYuTrainer` run of that spec.
 
     With ``lanes > 1`` the replica lanes are split into contiguous chunks
     of ``lane_chunk`` specs (default ``ceil(len(specs) / lanes)``), each

@@ -2,22 +2,25 @@
 
 Times ``R`` seeds of the small-scale GuanYu scenario twice — once as one
 vectorised multi-replica execution (:mod:`repro.batch`), once as ``R``
-sequential simulations — verifies the histories are bit-identical, and
+runs of the sequential simulator
+(:func:`repro.testing.sequential_history`: ``repro.run`` would send each
+seed to the vectorised engine as an R = 1 lane, and the gate would compare
+that engine with itself) — verifies the histories are bit-identical, and
 writes the result as ``BENCH_campaign.json``.  CI uploads the file as an
 artifact on every run, populating the repository's performance trajectory;
 ``--min-speedup`` turns it into a gate.
 
 ``--lanes`` shards the batched side's replica lanes over a process pool
 and ``--kernel-backend`` selects the :mod:`repro.kernels` backend for both
-sides; the report records both (plus the host's core count) so multicore
-artifacts such as ``BENCH_campaign_multicore.json`` are self-describing.
+sides; the report records both (plus the host's core count) so the
+artifact is self-describing.
 
 Usage::
 
     python -m repro.benchtools.bench_campaign --replicas 16 \
         --output BENCH_campaign.json --min-speedup 5.0
     python -m repro.benchtools.bench_campaign --replicas 16 --lanes 4 \
-        --kernel-backend numpy-opt --output BENCH_campaign_multicore.json
+        --kernel-backend numpy-opt --output BENCH_campaign_lanes.json
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ def run_benchmark(replicas: int = 16, steps: int = 60, repeats: int = 1,
     from repro.batch import run_batched_scenarios
     from repro.campaign.spec import ScenarioSpec
     from repro.kernels import active_backend, use_backend
-    from repro.runtime import run as run_scenario
+    from repro.testing import sequential_history
 
     repeats = max(repeats, 1)
     specs = [ScenarioSpec(name=f"seed={seed}", seed=seed, num_steps=steps)
@@ -57,12 +60,10 @@ def run_benchmark(replicas: int = 16, steps: int = 60, repeats: int = 1,
         batched_seconds, batched = best_of(
             repeats, lambda: run_batched_scenarios(specs, lanes=lanes))
         sequential_seconds, sequential = best_of(
-            repeats, lambda: [run_scenario(spec).history for spec in specs])
+            repeats, lambda: [sequential_history(spec) for spec in specs])
 
-    bit_identical = all(
-        batched_history.to_dict() == sequential_history.to_dict()
-        for batched_history, sequential_history
-        in zip(batched, sequential))
+    bit_identical = all(got.to_dict() == expected.to_dict()
+                        for got, expected in zip(batched, sequential))
 
     return {
         "benchmark": "campaign_seed_sweep",

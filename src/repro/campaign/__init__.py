@@ -7,8 +7,8 @@ declarative, hashable :class:`ScenarioSpec`:
 * :mod:`repro.campaign.spec` — :class:`ScenarioSpec` (one run) and
   :class:`CampaignSpec` (grid/zip expansion of many runs) with JSON
   round-trip and admissibility validation;
-* :mod:`repro.campaign.engine` — executes expanded scenarios through the
-  existing simulated and threaded trainers, optionally in parallel via a
+* :mod:`repro.campaign.engine` — executes expanded scenarios through
+  :func:`repro.runtime.run`, optionally in parallel via a
   ``multiprocessing`` pool, with per-scenario failure isolation;
 * :mod:`repro.campaign.store` — a content-addressed on-disk
   :class:`ResultStore` (spec hash → serialised history + metadata) giving
@@ -37,7 +37,6 @@ from repro.campaign.engine import (
     CampaignResult,
     ScenarioOutcome,
     build_trainer,
-    execute_scenario,
     run_campaign,
 )
 from repro.campaign.index import StoreIndex
@@ -60,7 +59,6 @@ __all__ = [
     "ScenarioOutcome",
     "CampaignResult",
     "build_trainer",
-    "execute_scenario",
     "run_campaign",
     "ResultStore",
     "StoredResult",

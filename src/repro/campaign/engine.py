@@ -6,9 +6,10 @@ Turns expanded :class:`~repro.campaign.spec.ScenarioSpec` lists into
 * scenarios already present in the optional :class:`ResultStore` are served
   from cache (this is what makes interrupted campaigns resumable — re-run
   the same campaign and only the missing cells execute);
-* missing scenarios run through the existing simulated / threaded trainers,
-  serially or on a ``multiprocessing`` pool, each with the deterministic
-  seed carried by its spec;
+* missing scenarios run through :func:`repro.runtime.run` — which picks
+  the vectorised engine, the sequential simulator or a live runtime from
+  the spec — serially or on a ``multiprocessing`` pool, each with the
+  deterministic seed carried by its spec;
 * a failing scenario never takes the campaign down: its traceback is
   captured into a ``failed`` outcome and the remaining scenarios proceed.
 
@@ -38,7 +39,6 @@ from repro.obs.history import TrainingHistory
 from repro.kernels import use_backend
 from repro.obs.telemetry import MetricsRegistry, get_registry, use_registry
 from repro.obs.tracer import Tracer, get_tracer, use_tracer
-from repro.runtime.facade import _warn_deprecated
 from repro.runtime.facade import run as run_scenario
 from repro.runtime.threads import ThreadedClusterRuntime
 
@@ -61,7 +61,8 @@ class ScenarioOutcome:
     traceback: Optional[str] = None
     duration_seconds: float = 0.0
     store_key: Optional[str] = None
-    #: whether the scenario executed on the batched multi-replica runtime
+    #: whether the scenario ran as one lane of a multi-replica seed group
+    #: (``batch_seeds``); a lone scenario's own R = 1 lane does not count
     batched: bool = False
 
 
@@ -190,8 +191,9 @@ def _execute_validated(spec: ScenarioSpec) -> TrainingHistory:
 
     This is the sequential/threaded/cluster execution body behind
     :func:`repro.runtime.run` (which owns validation, runtime resolution
-    and kernel-backend selection).  The batched runtime never reaches
-    here — the facade dispatches it to :mod:`repro.batch` directly.
+    and kernel-backend selection).  The facade dispatches the batched
+    runtime to :mod:`repro.batch` directly; a dense-model ``guanyu`` spec
+    reaches here only as that engine's sequential fallback.
     """
     from repro.runtime.cluster.supervisor import ClusterRuntime  # lazy
 
@@ -202,18 +204,6 @@ def _execute_validated(spec: ScenarioSpec) -> TrainingHistory:
         return history
     return trainer.run(spec.num_steps, eval_every=spec.eval_every,
                        max_eval_samples=spec.max_eval_samples)
-
-
-def execute_scenario(spec: ScenarioSpec) -> TrainingHistory:
-    """Deprecated: call :func:`repro.runtime.run` instead.
-
-    Kept as a shim for older scripts; identical behaviour (validate, build,
-    run, return the history) but without the facade's richer
-    :class:`~repro.runtime.facade.ScenarioResult` and store integration.
-    """
-    _warn_deprecated("repro.campaign.engine.execute_scenario",
-                     "repro.runtime.run")
-    return run_scenario(spec).history
 
 
 def _run_payload(payload: Dict) -> Dict:
@@ -271,13 +261,15 @@ def _run_batched_payloads(payloads: List[Dict],
     not cross the pool boundary.  Any problem — an unsupported scenario
     slipping through, a replica starving a quorum under message loss, a
     genuine training error — makes the whole group fall back to isolated
-    sequential execution, which yields the canonical per-scenario outcome
-    (the batched runtime is bit-identical where it runs at all, so the
-    fallback only costs time).
+    per-scenario :func:`repro.runtime.run` calls, which own the one
+    fallback to the sequential trainer and so yield the canonical
+    per-scenario outcome (the engines are bit-identical where both run,
+    so the fallback only costs time).
     """
     started = time.perf_counter()
     outer = get_tracer()
-    local = Tracer(capacity=50_000)
+    local = Tracer(capacity=50_000,
+                   record_decisions=getattr(outer, "record_decisions", False))
     metrics = MetricsRegistry()
     try:
         specs = [ScenarioSpec.from_dict(payload) for payload in payloads]

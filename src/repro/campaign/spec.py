@@ -265,10 +265,12 @@ class ScenarioSpec:
     #: threaded runtime only: delivery jitter bound and per-quorum deadline
     jitter: float = 0.0
     quorum_timeout: float = 60.0
-    #: explicit execution runtime.  ``None`` means the legacy default for
-    #: the trainer (simulated event loop, or node threads for
-    #: ``guanyu_threaded``).  ``"batched"`` (trainer ``guanyu`` only) runs
-    #: the scenario as a one-replica lane on the vectorised runtime;
+    #: explicit execution runtime.  ``None`` lets
+    #: :func:`repro.runtime.resolve_runtime` choose from the trainer and
+    #: model (node threads for ``guanyu_threaded``, the vectorised engine
+    #: for dense-model ``guanyu``, the simulated event loop otherwise —
+    #: histories are bit-identical either way).  ``"batched"`` (trainer
+    #: ``guanyu`` only) names the vectorised runtime explicitly;
     #: ``"cluster"`` (trainer ``guanyu_threaded`` only) runs one OS
     #: process per node over real sockets, under a supervisor.  Absent ≡
     #: legacy for content addressing, so pre-cluster stores stay valid.

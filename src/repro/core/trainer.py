@@ -32,7 +32,8 @@ from repro.data.datasets import Dataset
 from repro.data.loader import DataLoader, partition_dataset
 from repro.faults import FaultController, FaultSchedule
 from repro.hetero import DEFAULT_PROFILE, HeteroSpec, WorkerProfile
-from repro.aggregation.decision import decide
+from repro.kernels import active_backend
+from repro.aggregation.decision import record_decision
 from repro.metrics.accuracy import evaluate_accuracy
 from repro.obs.history import StepRecord, TrainingHistory
 from repro.obs.telemetry import get_registry
@@ -381,7 +382,7 @@ class GuanYuTrainer(DistributedTrainer):
     def global_parameters(self) -> np.ndarray:
         """Coordinate-wise median of the correct servers' models (paper Eq. 1)."""
         vectors = [server.current_parameters() for server in self.correct_servers]
-        return np.median(np.stack(vectors), axis=0)
+        return active_backend().median(np.stack(vectors), axis=0)
 
     def server_spread(self) -> float:
         """``max_{a,b} ||θ^(a) − θ^(b)||`` over correct servers."""
@@ -547,41 +548,10 @@ class GuanYuTrainer(DistributedTrainer):
                     server.node_id, MessageKind.GRADIENT_TO_SERVER, step_index,
                     quorum=config.gradient_quorum,
                     not_before=self._server_clock[server.node_id])
-                if tracer.enabled and tracer.record_decisions:
-                    # Decision provenance is derived on the side from the
-                    # same payloads the server aggregates; nothing below
-                    # feeds back into the update.
-                    attacker_positions = [
-                        i for i, sender in enumerate(record.senders)
-                        if sender in byzantine_worker_ids]
-                    decision = decide(server.gradient_aggregator,
-                                      record.payloads,
-                                      attacker_indices=attacker_positions)
-                    tracer.event("seq.gar.decision", step=step_index,
-                                 node=server.node_id, **decision.to_dict())
-                    if registry.enabled:
-                        # The recomputation stays gated behind decision
-                        # records; telemetry only folds the result into
-                        # its per-rule acceptance gauges.
-                        rule = decision.rule
-                        registry.inc("repro_gar_decisions_total", rule=rule)
-                        if decision.attacker_indices:
-                            registry.inc("repro_gar_attackers_offered_total",
-                                         len(decision.attacker_indices),
-                                         rule=rule)
-                            registry.inc("repro_gar_attackers_selected_total",
-                                         decision.attackers_selected,
-                                         rule=rule)
-                            offered = registry.counter(
-                                "repro_gar_attackers_offered_total"
-                            ).value(rule=rule)
-                            admitted = registry.counter(
-                                "repro_gar_attackers_selected_total"
-                            ).value(rule=rule)
-                            registry.set_gauge(
-                                "repro_gar_attacker_acceptance",
-                                admitted / offered if offered else 0.0,
-                                rule=rule)
+                record_decision(
+                    "seq.gar.decision", server.gradient_aggregator,
+                    record.payloads, record.senders, byzantine_worker_ids,
+                    step=step_index, node=server.node_id)
                 server.apply_gradients(record.payloads, step_index)
                 compute_time = (cost.aggregation_time(self.gradient_rule_name,
                                                       config.gradient_quorum, d)

@@ -5,7 +5,8 @@ Krum/Multi-Krum/Bulyan, the mean/trimmed-mean/median reductions, and the
 replica-batched dense forward/backward — live behind the
 :class:`~repro.kernels.base.KernelBackend` interface.  Two backends ship:
 ``reference`` (the extracted original code, the bitwise fixed point) and
-``numpy-opt`` (partition-based selections, preallocated buffers).  Select
+``numpy-opt`` (partition-based Krum sums, preallocated buffers); the
+sort-based mean / trimmed-mean / median reductions are shared.  Select
 one with :func:`use_backend`/:func:`set_backend`, the
 ``REPRO_KERNEL_BACKEND`` environment variable, ``ScenarioSpec.kernels``,
 or the ``--kernel-backend`` CLI flag.  See ``docs/kernels.md``.

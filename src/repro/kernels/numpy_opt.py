@@ -1,23 +1,26 @@
 """The ``numpy-opt`` kernel backend.
 
-Same bits, less work: every method is bit-identical to the ``reference``
-backend (the property suite in ``tests/test_kernels.py`` enforces this for
-all registered GARs) but avoids the expensive parts of the reference
-expressions:
+Same bits, different memory traffic: every method is bit-identical to the
+``reference`` backend (the property suite in ``tests/test_kernels.py``
+enforces this for all registered GARs).  It overrides two things:
 
-* **Selection via ``np.partition``** — Krum neighbour sums, the trimmed
-  mean and the coordinate-wise median only need the k smallest (or the
-  middle block) in order, not a fully sorted axis.  Partitioning to the
-  boundary and ascending-sorting just the selected block feeds the exact
-  same summands in the exact same order into the same pairwise-summation
-  reduction, so the result is bitwise unchanged.  For the median this also
-  skips ``np.median``'s ``_ureduce`` dispatch overhead, which profiles as
-  the dominant cost at campaign sizes.
+* **Krum neighbour sums via a single-``kth`` ``np.partition``** — only the
+  k smallest are needed, in order.  Partitioning to the boundary and
+  ascending-sorting just the selected block feeds the exact same summands
+  in the exact same order into the same pairwise-summation reduction, so
+  the result is bitwise unchanged.
 * **Preallocated scratch buffers + ``out=`` ufuncs** — the Gram/pairwise
   kernel and the replica-batched dense forward/backward reuse per-shape
   buffers instead of allocating fresh intermediates every step.  The
   floating-point operations and their order are identical; only the
   destination memory changes.
+
+It is *not* uniformly faster than ``reference``.  Its former trimmed-mean
+and even-length median (two-``kth`` ``np.partition`` plus a sort of the
+middle block) measured 3-7x slower than a full sort at D = 30,730 and
+were deleted; both backends now share the sort reductions of
+:class:`~repro.kernels.base.KernelBackend`.  See ``docs/kernels.md`` for
+the numbers.
 
 Buffer-lifetime caveat: arrays returned by the pairwise-distance methods
 are views into reusable scratch storage and are only valid until this
@@ -36,7 +39,7 @@ from repro.kernels.base import DensePlan, KernelBackend
 
 
 class NumpyOptBackend(KernelBackend):
-    """Partition-based selections and buffer-reusing dense kernels."""
+    """Partition-based Krum sums and buffer-reusing Gram/dense kernels."""
 
     name = "numpy-opt"
 
@@ -112,35 +115,6 @@ class NumpyOptBackend(KernelBackend):
                                axis=axis)[tuple(window)]
         nearest.sort(axis=axis)  # ascending, like the reference's full sort
         return nearest.sum(axis=axis)
-
-    # ------------------------------------------------------------------ #
-    # Reductions
-    # ------------------------------------------------------------------ #
-    def mean(self, stacked: np.ndarray, axis: int) -> np.ndarray:
-        return stacked.mean(axis=axis)
-
-    def trimmed_mean(self, stacked: np.ndarray, trim: int,
-                     axis: int) -> np.ndarray:
-        if trim == 0:
-            return stacked.mean(axis=axis)
-        length = stacked.shape[axis]
-        part = np.partition(stacked, (trim - 1, length - trim), axis=axis)
-        window = [slice(None)] * part.ndim
-        window[axis] = slice(trim, length - trim)
-        middle = part[tuple(window)]
-        middle.sort(axis=axis)  # ascending so the mean sums like reference
-        return middle.mean(axis=axis)
-
-    def median(self, stacked: np.ndarray, axis: int) -> np.ndarray:
-        length = stacked.shape[axis]
-        half = length // 2
-        if length % 2:
-            part = np.partition(stacked, half, axis=axis)
-            return np.take(part, half, axis=axis)
-        part = np.partition(stacked, (half - 1, half), axis=axis)
-        low = np.take(part, half - 1, axis=axis)
-        high = np.take(part, half, axis=axis)
-        return (low + high) / 2.0
 
     # ------------------------------------------------------------------ #
     # Replica-batched dense forward/backward

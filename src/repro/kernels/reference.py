@@ -3,10 +3,11 @@
 This is the code every other backend is measured against: the hot-kernel
 implementations extracted verbatim from where they grew up —
 ``repro.aggregation.krum`` (the Gram/pairwise kernel and Krum neighbour
-sums), the mean/median rule bodies, and
-``repro.batch.models.BatchedDenseStack`` (the replica-batched dense
-forward/backward).  It is bit-identical to the pre-backend code *by
-construction*: the expressions are the same, only their home moved.
+sums) and ``repro.batch.models.BatchedDenseStack`` (the replica-batched
+dense forward/backward).  It is bit-identical to the pre-backend code *by
+construction*: the expressions are the same, only their home moved.  The
+mean / trimmed-mean / median reductions are the sort kernels of
+:class:`~repro.kernels.base.KernelBackend`, shared with every backend.
 
 Keep this backend boring.  Optimisations belong in ``numpy-opt`` (or a
 future backend); the reference exists so the bitwise property suite has a
@@ -57,24 +58,6 @@ class ReferenceBackend(KernelBackend):
                                    num_neighbors: int) -> np.ndarray:
         nearest = np.sort(squared, axis=2)[:, :, :num_neighbors]
         return nearest.sum(axis=2)
-
-    # ------------------------------------------------------------------ #
-    # Reductions
-    # ------------------------------------------------------------------ #
-    def mean(self, stacked: np.ndarray, axis: int) -> np.ndarray:
-        return stacked.mean(axis=axis)
-
-    def trimmed_mean(self, stacked: np.ndarray, trim: int,
-                     axis: int) -> np.ndarray:
-        if trim == 0:
-            return stacked.mean(axis=axis)
-        ordered = np.sort(stacked, axis=axis)
-        window = [slice(None)] * ordered.ndim
-        window[axis] = slice(trim, -trim)
-        return ordered[tuple(window)].mean(axis=axis)
-
-    def median(self, stacked: np.ndarray, axis: int) -> np.ndarray:
-        return np.median(stacked, axis=axis)
 
     # ------------------------------------------------------------------ #
     # Replica-batched dense forward/backward

@@ -5,11 +5,15 @@
 describes and executes it, returning a :class:`ScenarioResult`.  Four
 runtimes sit behind it:
 
+* the **batched runtime** (:mod:`repro.batch`) — replica lanes stacked and
+  vectorised in one process; the default for every dense-model GuanYu
+  scenario, a lone one being an R = 1 lane;
 * the **simulated runtime** (driven by :mod:`repro.core.trainer` over
   :class:`repro.network.NetworkSimulator`) — deterministic, seeded, with a
   simulated clock used for the time-axis of the Figure 3 reproduction;
-* the **batched runtime** (:mod:`repro.batch`) — replica lanes stacked and
-  vectorised in one process, bit-identical per seed to the simulator;
+  bit-identical per seed to the batched runtime, its reference and its
+  fallback, and the only engine for conv models and the single-server
+  baselines;
 * the **threaded runtime** (:mod:`repro.runtime.threads`) — every node runs
   in its own Python thread and exchanges messages over real queues, which
   exercises genuine concurrency, out-of-order delivery and wall-clock timing;

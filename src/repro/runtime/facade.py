@@ -11,12 +11,18 @@ collapses them behind a single call::
     result.runtime                     # "sequential" | "batched" | ...
 
 Dispatch is driven entirely by the spec: ``ScenarioSpec.runtime`` when
-explicit (``"batched"``, ``"cluster"``), the trainer's legacy default
-otherwise (``guanyu_threaded`` → threaded, everything else → the
-sequential simulator).  The run executes under the spec's kernel backend
-(``ScenarioSpec.kernels``, via :func:`repro.kernels.use_backend`) and,
-when given a store, is served from cache / persisted under the spec's
-content address exactly like the campaign engine does.
+explicit (``"batched"``, ``"cluster"``); otherwise ``guanyu_threaded`` →
+threaded, a ``guanyu`` scenario over a dense model → the vectorised
+engine as a one-lane (R = 1) group, and everything else (conv models, the
+single-server baselines) → the sequential simulator.  A one-lane run the
+vectorised engine cannot finish (a quorum-starved step, any error) is
+re-run on the sequential :class:`~repro.core.trainer.GuanYuTrainer`, which
+is bit-identical where both run and owns the canonical outcome and error
+text.  Tracer and registry state never enter the choice.  The run
+executes under the spec's kernel backend (``ScenarioSpec.kernels``, via
+:func:`repro.kernels.use_backend`) and, when given a store, is served from
+cache / persisted under the spec's content address exactly like the
+campaign engine does.
 
 This module must not import :mod:`repro.campaign` (or anything that
 imports it) at module level — campaign specs import
@@ -26,13 +32,12 @@ imports it) at module level — campaign specs import
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.kernels import use_backend
 from repro.obs.telemetry import get_registry
-from repro.obs.tracer import use_tracer
+from repro.obs.tracer import get_tracer, use_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (cycles otherwise)
     from repro.campaign.spec import ScenarioSpec
@@ -60,12 +65,19 @@ class ScenarioResult:
 
 
 def resolve_runtime(spec: "ScenarioSpec") -> str:
-    """The runtime kind a spec dispatches to (without running anything)."""
+    """The runtime kind a spec dispatches to (without running anything).
+
+    A lone dense-model GuanYu scenario is an R = 1 lane of the batched
+    engine; :attr:`ScenarioResult.runtime` reports ``"sequential"`` instead
+    when that lane had to fall back.
+    """
     if spec.runtime is not None:
         return spec.runtime  # "batched" | "cluster" (validated by the spec)
     if spec.trainer == "guanyu_threaded":
         return "threaded"
-    return "sequential"
+    from repro.batch import spec_supports_batching  # lazy: import cycle
+
+    return "batched" if spec_supports_batching(spec) else "sequential"
 
 
 def run(spec: "ScenarioSpec", *, store: Optional["ResultStore"] = None,
@@ -108,7 +120,7 @@ def run(spec: "ScenarioSpec", *, store: Optional["ResultStore"] = None,
     started = time.perf_counter()
     tracer_scope = use_tracer(tracer) if tracer is not None else _noop()
     with tracer_scope, use_backend(spec.kernels):
-        history = _execute(spec, kind)
+        history, kind = _execute(spec, kind)
     duration = time.perf_counter() - started
     if store is not None:
         store_key = store.put(spec, history, duration_seconds=duration)
@@ -117,16 +129,32 @@ def run(spec: "ScenarioSpec", *, store: Optional["ResultStore"] = None,
                           duration_seconds=duration)
 
 
-def _execute(spec: "ScenarioSpec", kind: str) -> "TrainingHistory":
+def _execute(spec: "ScenarioSpec",
+             kind: str) -> Tuple["TrainingHistory", str]:
+    """Run ``spec`` on ``kind``; returns the history and the kind that ran."""
     if kind == "batched":
         from repro.batch import run_batched_scenarios  # lazy: import cycle
 
-        return run_batched_scenarios([spec])[0]
+        try:
+            return run_batched_scenarios([spec])[0], kind
+        except Exception as exc:  # noqa: BLE001 - re-run on the reference
+            if spec.runtime is not None:
+                raise  # the spec asked for this engine by name
+            # The one sequential fallback (a failed seed group reaches it
+            # through per-scenario ``run`` calls).  Whatever stopped the
+            # lane — ``BatchingUnsupported``, the ``BatchedExecutionError``
+            # of a quorum-starved run, a genuine training error — the
+            # reference trainer owns the canonical outcome and error text;
+            # where both engines run they are bit-identical, so this only
+            # costs time.
+            get_tracer().event("runtime.fallback", scenario=spec.name,
+                               reason=f"{type(exc).__name__}: {exc}")
+            kind = "sequential"
     # Sequential, threaded and cluster construction lives with the
     # campaign engine's trainer factory.
     from repro.campaign.engine import _execute_validated  # lazy: cycle
 
-    return _execute_validated(spec)
+    return _execute_validated(spec), kind
 
 
 class _noop:
@@ -135,10 +163,3 @@ class _noop:
 
     def __exit__(self, *exc_info: object) -> bool:
         return False
-
-
-def _warn_deprecated(old: str, replacement: str) -> None:
-    """One shared shim warning so every legacy entrypoint reads the same."""
-    warnings.warn(
-        f"{old} is deprecated; use {replacement} instead",
-        DeprecationWarning, stacklevel=3)

@@ -32,6 +32,7 @@ from repro.data.loader import DataLoader, partition_dataset
 from repro.faults import FaultController, FaultSchedule
 from repro.hetero import DEFAULT_PROFILE, HeteroSpec
 from repro.aggregation import get_rule
+from repro.kernels import active_backend
 from repro.obs.history import StepRecord, TrainingHistory
 from repro.obs.telemetry import get_registry
 from repro.obs.tracer import get_tracer
@@ -353,7 +354,7 @@ class ThreadedClusterRuntime:
 
     def global_parameters(self) -> np.ndarray:
         vectors = [server.current_parameters() for server in self.correct_servers]
-        return np.median(np.stack(vectors), axis=0)
+        return active_backend().median(np.stack(vectors), axis=0)
 
     # ------------------------------------------------------------------ #
     def _expected_publishers(self, step: int) -> List[str]:

@@ -24,9 +24,10 @@ import pytest
 from repro.adversary import AdversaryCoordinator, get_adversary, make_binding
 from repro.batch import run_batched_scenarios
 from repro.byzantine.base import AttackContext
-from repro.campaign.engine import execute_scenario
 from repro.campaign.spec import ScenarioSpec
+from repro.runtime import run
 from repro.runtime.threads import ThreadedClusterRuntime
+from repro.testing import sequential_history
 
 ADVERSARY_SPECS = [
     {"name": "omniscient_descent", "kwargs": {"num_amplitudes": 4}},
@@ -49,16 +50,17 @@ class TestSequentialVsBatched:
                              ids=lambda a: a["name"])
     def test_histories_bit_identical(self, adversary):
         specs = _specs(adversary)
-        sequential = [execute_scenario(spec.replace()) for spec in specs]
+        sequential = [sequential_history(spec.replace()) for spec in specs]
         batched = run_batched_scenarios([spec.replace() for spec in specs])
         for seq_history, bat_history in zip(sequential, batched):
             assert seq_history.to_dict() == bat_history.to_dict()
 
     def test_adversary_actually_changes_training(self):
-        honest = execute_scenario(ScenarioSpec(name="h", num_steps=6,
-                                               dataset_size=240, seed=11))
-        attacked = execute_scenario(_specs(
-            {"name": "omniscient_descent", "kwargs": {}}, seeds=(11,))[0])
+        honest = run(ScenarioSpec(name="h", num_steps=6, dataset_size=240,
+                                  seed=11)).history
+        attacked = run(_specs(
+            {"name": "omniscient_descent", "kwargs": {}},
+            seeds=(11,))[0]).history
         assert honest.to_dict() != attacked.to_dict()
 
 
@@ -214,9 +216,9 @@ class TestSleeperTiming:
             adversary={"name": "sleeper",
                        "kwargs": {"wake_step": 3, "inner": "collusion"}})
         dormant_losses = [r.train_loss
-                          for r in execute_scenario(base).records]
+                          for r in run(base).history.records]
         sleeper_losses = [r.train_loss
-                          for r in execute_scenario(sleeper).records]
+                          for r in run(sleeper).history.records]
         # Corruption first lands in the parameters used at step wake+1, so
         # the loss trajectories agree up to and including the wake step.
         assert sleeper_losses[:4] == dormant_losses[:4]

@@ -17,10 +17,11 @@ from repro.batch import (
     run_batched_scenarios,
     spec_supports_batching,
 )
-from repro.campaign.engine import execute_scenario, run_campaign
+from repro.campaign.engine import run_campaign
 from repro.campaign.spec import AttackSpec, ScenarioSpec
 from repro.campaign.store import ResultStore
 from repro.faults import FaultEvent, FaultSchedule
+from repro.testing import sequential_history
 
 SEEDS = (0, 1, 7)
 
@@ -35,9 +36,9 @@ def _small(**overrides):
 
 def assert_bit_identical(specs):
     batched = run_batched_scenarios(specs)
-    sequential = [execute_scenario(spec) for spec in specs]
-    for batched_history, sequential_history in zip(batched, sequential):
-        assert batched_history.to_dict() == sequential_history.to_dict()
+    sequential = [sequential_history(spec) for spec in specs]
+    for got, expected in zip(batched, sequential):
+        assert got.to_dict() == expected.to_dict()
     return batched
 
 
@@ -131,7 +132,7 @@ class TestFailureParity:
         spec = ScenarioSpec(name="starved", seed=0,
                             faults=schedule.to_dict(), **_small(num_steps=14))
         with pytest.raises(RuntimeError):
-            execute_scenario(spec)
+            sequential_history(spec)
         with pytest.raises(RuntimeError):
             run_batched_scenarios([spec])
 
@@ -187,7 +188,7 @@ class TestEngineRouting:
         for spec in specs:
             stored = store.get(spec.spec_hash())
             assert stored.history.to_dict() == \
-                execute_scenario(spec).to_dict()
+                sequential_history(spec).to_dict()
 
     def test_batched_store_entries_resume_a_sequential_campaign(self,
                                                                 tmp_path):
@@ -244,7 +245,7 @@ class TestBatchedInternals:
         specs = [ScenarioSpec(name=f"s{seed}", seed=seed, **_small())
                  for seed in (0, 1)]
         histories = run_batched_scenarios(specs)
-        sequential = execute_scenario(specs[0])
+        sequential = sequential_history(specs[0])
         assert histories[0].config == sequential.config
         assert histories[0].label == "s0" and histories[1].label == "s1"
 

@@ -8,7 +8,6 @@ from repro.campaign import (
     ResultStore,
     ScenarioSpec,
     build_trainer,
-    execute_scenario,
     run_campaign,
 )
 from repro.byzantine import RandomGradientAttack
@@ -20,6 +19,7 @@ from repro.experiments.common import (
     make_model_factory,
     make_schedule,
 )
+from repro.runtime import run
 
 
 def tiny_spec(**overrides) -> ScenarioSpec:
@@ -274,7 +274,7 @@ class TestResultStore:
     def test_put_get_round_trip(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         spec = tiny_spec()
-        history = execute_scenario(spec)
+        history = run(spec).history
         key = store.put(spec, history, duration_seconds=0.5)
         assert key == spec.spec_hash()
         assert store.contains(key) and key in store
@@ -289,7 +289,7 @@ class TestResultStore:
 
     def test_keys_len_delete(self, tmp_path):
         store = ResultStore(tmp_path)
-        history = execute_scenario(tiny_spec())
+        history = run(tiny_spec()).history
         keys = {store.put(tiny_spec(seed=seed), history) for seed in (0, 1)}
         assert set(store.keys()) == keys and len(store) == 2
         assert store.delete(store.keys()[0])
@@ -298,7 +298,7 @@ class TestResultStore:
 
     def test_query_matches_spec_fields_and_attack_names(self, tmp_path):
         store = ResultStore(tmp_path)
-        history = execute_scenario(tiny_spec())
+        history = run(tiny_spec()).history
         store.put(tiny_spec(gradient_rule="median"), history)
         store.put(tiny_spec(worker_attack="sign_flip"), history)
         assert len(store.query(gradient_rule="median")) == 1
@@ -320,7 +320,7 @@ class TestResultStore:
         the store simply returns no results.
         """
         store = ResultStore(tmp_path)
-        history = execute_scenario(tiny_spec())
+        history = run(tiny_spec()).history
         store.put(tiny_spec(name="adv",
                             adversary={"name": "collusion",
                                        "kwargs": {"attack": "sign_flip"}}),
@@ -351,13 +351,13 @@ class TestResultStore:
     def test_summary_rows_include_adversary(self, tmp_path):
         store = ResultStore(tmp_path)
         spec = tiny_spec(adversary="collusion")
-        store.put(spec, execute_scenario(spec))
+        store.put(spec, run(spec).history)
         assert store.summary_rows()[0]["adversary"] == "collusion"
 
     def test_summary_rows_render(self, tmp_path):
         from repro.plotting import format_table
         store = ResultStore(tmp_path)
-        store.put(tiny_spec(), execute_scenario(tiny_spec()))
+        store.put(tiny_spec(), run(tiny_spec()).history)
         rows = store.summary_rows()
         assert rows[0]["scenario"] == "tiny"
         assert "final_accuracy" in format_table(rows)
@@ -372,7 +372,7 @@ class TestEngine:
         spec = tiny_spec(gradient_rule="median",
                          worker_attack=AttackSpec("random_gradient",
                                                   {"scale": 100.0}))
-        engine_history = execute_scenario(spec)
+        engine_history = run(spec).history
 
         scale = spec.to_scale()
         train, test, in_features, num_classes = build_workload(scale)
@@ -444,7 +444,7 @@ class TestEngine:
     def test_threaded_trainer_scenario(self, tmp_path):
         spec = tiny_spec(trainer="guanyu_threaded", num_steps=3,
                          quorum_timeout=30.0)
-        history = execute_scenario(spec)
+        history = run(spec).history
         assert len(history) == 3
         assert history.label == spec.name
 

@@ -404,7 +404,7 @@ class TestObservability:
         kinds = {record.kind for record in records}
         assert "span" in kinds
         # --trace enables decision records.
-        assert any(record.name == "seq.gar.decision" for record in records)
+        assert any(record.name == "batch.gar.decision" for record in records)
 
     def test_trace_and_report_subcommands_render(self, capsys, tmp_path):
         trace_path = tmp_path / "trace.jsonl"
@@ -417,13 +417,13 @@ class TestObservability:
         code, out = _run(capsys, ["trace", str(trace_path)])
         assert code == 0
         assert "span(s)" in out
-        assert "seq.step.compute" in out
+        assert "batch.step.compute" in out
 
         code, out = _run(capsys, ["report", str(trace_path)])
         assert code == 0
         assert "Phase breakdown" in out
         assert "Span timeline" in out
-        assert "seq.step.aggregate" in out
+        assert "batch.step.aggregate" in out
 
     def test_trace_subcommand_missing_file_exits_2(self, capsys):
         code, _ = _run(capsys, ["trace", "/nonexistent/trace.jsonl"])

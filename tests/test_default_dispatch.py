@@ -1,0 +1,137 @@
+"""Tier-1 guarantee: the default path is the vectorised engine, and it is
+the sequential simulator bit for bit.
+
+``repro.run`` sends every dense-model GuanYu scenario to the batched
+engine as a one-lane group.  The grid below is the perf ledger's
+``seq_grid`` workload (``bench/workloads.py``): 4 GARs x 4 threats x 2
+delay models x 2 environments, generated, not hand-picked — every cell
+must equal :func:`repro.testing.sequential_history` on the full serialised
+history and must really have run on the engine.  The rest pins the
+fallback contract and the store address.
+"""
+
+import itertools
+
+import pytest
+
+from repro.campaign import ResultStore, ScenarioSpec, run_campaign
+from repro.faults import FaultSchedule
+from repro.obs import Tracer
+from repro.runtime import resolve_runtime, run
+from repro.testing import sequential_history
+
+GARS = ("multi_krum", "median", "trimmed_mean", "geometric_median")
+THREATS = (
+    {},
+    {"worker_attack": "sign_flip"},
+    {"worker_attack": "little_is_enough", "server_attack": "corrupted_model"},
+    {"adversary": "collusion"},
+)
+DELAYS = ({}, {"delay_model": "exponential"})
+STEPS = 6
+# The ledger's environment, its fault steps scaled into a 6-step run so
+# the crash, the recovery and the slowdown all happen.
+ENVIRONMENTS = (
+    {},
+    {"faults": {"events": [
+        {"step": 2, "kind": "crash", "nodes": ["ps/5"]},
+        {"step": 4, "kind": "recover", "nodes": ["ps/5"]},
+        {"step": 1, "kind": "slowdown", "nodes": ["worker/0"],
+         "factor": 3.0}]},
+     "hetero": {"partition": "dirichlet", "alpha": 0.5}},
+)
+
+GRID = [
+    pytest.param(
+        ScenarioSpec(name=f"{rule}-t{t}-d{d}-e{e}", gradient_rule=rule,
+                     num_steps=STEPS, eval_every=2,
+                     seed=1000 + 64 * t + 16 * d + 4 * e + g,
+                     **THREATS[t], **DELAYS[d], **ENVIRONMENTS[e]),
+        id=f"{rule}-t{t}-d{d}-e{e}")
+    for (g, rule), t, d, e in itertools.product(
+        enumerate(GARS), range(4), range(2), range(2))
+]
+
+#: ``ScenarioSpec().spec_hash()`` recorded at the commit before the
+#: dispatch changed: the runtime stays out of the address when it is None.
+PARENT_DEFAULT_HASH = \
+    "f4f9a6fcf4cd36fd58a1805cc69feaab65fc495faa2537e8ed7daaca0ca9aa09"
+
+
+class TestGeneratedGrid:
+    def test_grid_is_the_ledgers(self):
+        assert len(GRID) == 64
+        assert len({param.values[0].spec_hash() for param in GRID}) == 64
+
+    @pytest.mark.parametrize("spec", GRID)
+    def test_run_equals_the_sequential_simulator(self, spec):
+        result = run(spec)
+        assert result.runtime == "batched"
+        assert result.history.to_dict() == sequential_history(spec).to_dict()
+
+
+def starved_spec() -> ScenarioSpec:
+    """5 % message loss starves ps/1's phase-3 quorum at step 1."""
+    return ScenarioSpec(name="starved", seed=0, num_steps=14, eval_every=3,
+                        dataset_size=400, max_eval_samples=64,
+                        faults=FaultSchedule(drop_rate=0.05).to_dict())
+
+
+#: the outcome of ``starved_spec()`` at the parent commit
+STARVED_ERROR = ("RuntimeError: ps/1 needed a quorum of 5 'model_to_server' "
+                 "messages for step 1 but only 4 distinct senders delivered")
+
+
+class TestFallbackContract:
+    def test_conv_model_runs_sequential(self):
+        spec = ScenarioSpec(name="conv", model="small_cnn", dataset="images",
+                            image_size=8, num_steps=2, eval_every=1,
+                            dataset_size=200, max_eval_samples=32)
+        assert resolve_runtime(spec) == "sequential"
+        result = run(spec)
+        assert (result.runtime, result.status) == ("sequential", "ran")
+        assert result.history.to_dict() == sequential_history(spec).to_dict()
+
+    def test_quorum_starved_run_keeps_the_canonical_error(self):
+        spec = starved_spec()
+        assert resolve_runtime(spec) == "batched"
+        with pytest.raises(RuntimeError) as raised:
+            run(spec)
+        assert f"RuntimeError: {raised.value}" == STARVED_ERROR
+        outcome = run_campaign([spec]).outcomes[0]
+        assert (outcome.status, outcome.error) == ("failed", STARVED_ERROR)
+        assert "collect_quorum" in outcome.traceback
+
+    def test_fallback_leaves_a_trace_event(self):
+        tracer = Tracer()
+        with pytest.raises(RuntimeError):
+            run(starved_spec(), tracer=tracer)
+        (event,) = [record for record in tracer.events()
+                    if record.name == "runtime.fallback"]
+        assert event.attrs["scenario"] == "starved"
+        assert event.attrs["reason"].startswith("BatchedExecutionError")
+
+    def test_explicit_batched_runtime_does_not_fall_back(self):
+        with pytest.raises(RuntimeError, match="falling back"):
+            run(starved_spec().replace(runtime="batched"))
+
+    def test_tracer_state_does_not_change_the_engine(self):
+        spec = GRID[0].values[0]
+        assert run(spec).runtime == "batched"
+        assert run(spec, tracer=Tracer(record_decisions=True)).runtime \
+            == "batched"
+
+
+class TestStoreAddress:
+    def test_default_spec_hash_is_the_parents(self):
+        assert ScenarioSpec().spec_hash() == PARENT_DEFAULT_HASH
+
+    def test_engine_results_resume_under_the_same_address(self, tmp_path):
+        # An entry the sequential simulator wrote (a store from before the
+        # dispatch changed) is a cache hit for today's default run.
+        spec = GRID[5].values[0]
+        store = ResultStore(tmp_path / "store")
+        store.put(spec, sequential_history(spec))
+        result = run(spec, store=store)
+        assert result.status == "cached"
+        assert result.store_key == spec.spec_hash()

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro import cli
-from repro.campaign import ResultStore, ScenarioSpec, execute_scenario, run_campaign
+from repro.campaign import ResultStore, ScenarioSpec, run_campaign
 from repro.data import make_blobs_dataset, partition_dataset
 from repro.hetero import (
     HeteroSpec,
@@ -27,6 +27,7 @@ from repro.hetero import (
     imbalanced_counts,
     partition_indices,
 )
+from repro.testing import sequential_history
 
 #: spec_hash()/batch_group_hash() of hetero-free specs, recorded on the
 #: commit *before* the hetero field existed.  If these move, every result
@@ -248,7 +249,7 @@ class TestCampaignIntegration:
         assert all(outcome.batched for outcome in result.outcomes)
         for spec in scenarios:
             stored = store.get(spec.spec_hash())
-            sequential = execute_scenario(spec.replace())
+            sequential = sequential_history(spec.replace())
             assert stored.history.to_dict() == sequential.to_dict()
 
     def test_store_summary_and_query_surface_hetero(self, tmp_path):
@@ -273,7 +274,7 @@ class TestCampaignIntegration:
         for outcome, spec in zip(result.outcomes, scenarios):
             assert outcome.status in ("ran", "cached")
             if outcome.status == "ran" and not outcome.batched:
-                sequential = execute_scenario(spec.replace())
+                sequential = sequential_history(spec.replace())
                 assert outcome.history.to_dict() == sequential.to_dict()
 
 

@@ -20,12 +20,14 @@ and all runtimes share the same per-worker seed constants.
 import pytest
 
 from repro.batch import run_batched_scenarios
-from repro.campaign.engine import build_trainer, execute_scenario
+from repro.campaign.engine import build_trainer
 from repro.campaign.spec import ScenarioSpec
 from repro.experiments.heterogeneity import (
     heterogeneity_table,
     run_heterogeneity_study,
 )
+from repro.runtime import run
+from repro.testing import sequential_history
 
 HETERO_CASES = [
     {"partition": "dirichlet", "alpha": 0.5, "min_samples": 16},
@@ -51,17 +53,18 @@ class TestSequentialVsBatched:
                               dataset_size=400, seed=seed,
                               hetero=dict(hetero))
                  for seed in (11, 12)]
-        sequential = [execute_scenario(spec.replace()) for spec in specs]
+        sequential = [sequential_history(spec.replace()) for spec in specs]
         batched = run_batched_scenarios([spec.replace() for spec in specs])
         for seq_history, bat_history in zip(sequential, batched):
             assert seq_history.to_dict() == bat_history.to_dict()
 
     def test_heterogeneity_actually_changes_training(self):
-        homogeneous = execute_scenario(
-            ScenarioSpec(name="iid", num_steps=6, dataset_size=400, seed=11))
-        skewed = execute_scenario(
+        homogeneous = run(
+            ScenarioSpec(name="iid", num_steps=6, dataset_size=400,
+                         seed=11)).history
+        skewed = run(
             ScenarioSpec(name="skew", num_steps=6, dataset_size=400, seed=11,
-                         hetero=HETERO_CASES[0]))
+                         hetero=HETERO_CASES[0])).history
         assert homogeneous.to_dict() != skewed.to_dict()
 
 
@@ -78,7 +81,7 @@ class TestSequentialVsThreaded:
                     gradient_rule="median", model_rule="median",
                     num_steps=5, dataset_size=360, seed=9,
                     hetero=dict(hetero))
-        sequential = execute_scenario(ScenarioSpec(name="seq", **base))
+        sequential = sequential_history(ScenarioSpec(name="seq", **base))
         threaded_spec = ScenarioSpec(name="thr", trainer="guanyu_threaded",
                                      **base).validate()
         threaded = build_trainer(threaded_spec).run(threaded_spec.num_steps)

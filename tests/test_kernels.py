@@ -9,6 +9,7 @@ compare raw bytes via ``==`` on full arrays.
 """
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,81 @@ class TestRegistry:
         finally:
             _FACTORIES.pop("probe", None)
             _INSTANCES.pop("probe", None)
+
+
+# --------------------------------------------------------------------------- #
+# The shared sort-based median against np.median
+# --------------------------------------------------------------------------- #
+def _median_inputs(rng, q, dimension=48):
+    """``(q, D)`` draws covering what reaches the kernel: plain doubles,
+    ties, signed zeros, infinities of both signs (alone and opposed) and
+    columns containing NaN — ``global_parameters()`` of a diverged run
+    hands its θ stack over unvalidated."""
+    plain = rng.normal(size=(q, dimension))
+    ties = rng.integers(-2, 3, size=(q, dimension)).astype(np.float64)
+    zeros = np.where(rng.random((q, dimension)) < 0.5, 0.0, -0.0)
+    infinite = plain.copy()
+    infinite[rng.random((q, dimension)) < 0.3] = np.inf
+    infinite[rng.random((q, dimension)) < 0.3] = -np.inf
+    missing = plain.copy()
+    missing[rng.integers(0, q, size=dimension // 2),
+            rng.integers(0, dimension, size=dimension // 2)] = np.nan
+    mixed = infinite.copy()
+    mixed[rng.random((q, dimension)) < 0.1] = np.nan
+    return {"plain": plain, "ties": ties, "signed_zeros": zeros,
+            "infinite": infinite, "nan_columns": missing, "mixed": mixed}
+
+
+class TestMedianKernel:
+    """One sort-based kernel for both backends; ``np.median`` is the oracle."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 6, 7, 24, 25])
+    @pytest.mark.parametrize("backend_name", available_backends())
+    def test_equals_np_median_on_both_layouts(self, backend_name, q):
+        backend = get_backend(backend_name)
+        rng = np.random.default_rng(100 + q)
+        # inf - inf in an even-length middle is NaN under both; only the
+        # floating-point flag is noise.
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for label, stacked in _median_inputs(rng, q).items():
+                # axis 0 on (q, D): the sequential call sites
+                got = backend.median(stacked, axis=0)
+                assert np.array_equal(got, np.median(stacked, axis=0),
+                                      equal_nan=True), (label, "axis 0")
+                # axis 1 on (R, q, D): the batched call sites
+                replicas = np.stack([stacked, stacked[::-1],
+                                     rng.permutation(stacked)])
+                got = backend.median(replicas, axis=1)
+                assert got.shape == (3, stacked.shape[1])
+                assert np.array_equal(got, np.median(replicas, axis=1),
+                                      equal_nan=True), (label, "axis 1")
+                assert np.array_equal(backend.median(replicas, axis=-2), got,
+                                      equal_nan=True), (label, "axis -2")
+
+    def test_nan_propagates_like_np_median(self):
+        stacked = np.array([[1.0, np.nan, 3.0], [2.0, 5.0, np.nan],
+                            [9.0, 4.0, 1.0]])
+        got = get_backend().median(stacked, axis=0)
+        assert got[0] == 2.0 and np.isnan(got[1]) and np.isnan(got[2])
+
+    def test_opposed_infinities_make_nan_on_even_length(self):
+        stacked = np.array([[-np.inf], [np.inf]])
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(get_backend().median(stacked, axis=0)[0])
+
+    def test_input_is_not_modified(self):
+        stacked = np.random.default_rng(3).normal(size=(7, 11))
+        before = stacked.copy()
+        get_backend().median(stacked, axis=0)
+        assert np.array_equal(stacked, before)
+
+    def test_backends_share_the_reductions(self):
+        for name in ("reference", "numpy-opt"):
+            backend_type = type(get_backend(name))
+            for method in ("mean", "trimmed_mean", "median"):
+                assert getattr(backend_type, method) \
+                    is getattr(KernelBackend, method), (name, method)
 
 
 # --------------------------------------------------------------------------- #

@@ -6,13 +6,17 @@ bit-identity, sequential↔threaded loss-trajectory identity) and plain
 traced-vs-untraced runs are re-asserted here with a live tracer — GAR
 decision records included, since those recompute selection on the side.
 Everything is compared with ``==`` on the serialised histories; nothing
-uses a tolerance.
+uses a tolerance.  The untraced side of every comparison is the
+sequential reference trainer (:func:`repro.testing.sequential_history`),
+never the engine under test.
 """
 
 from repro.batch import run_batched_scenarios
-from repro.campaign.engine import execute_scenario, run_campaign
+from repro.campaign.engine import run_campaign
 from repro.campaign.spec import ScenarioSpec
 from repro.obs import MetricsRegistry, Tracer, use_registry, use_tracer
+from repro.runtime import run
+from repro.testing import sequential_history
 
 SEEDS = (0, 1, 7)
 
@@ -37,22 +41,52 @@ def traced(fn, **tracer_kwargs):
 class TestSequentialUnperturbed:
     def test_traced_history_equals_untraced(self):
         spec = tiny_spec(worker_attack="random_gradient")
-        baseline = execute_scenario(spec)
-        history, tracer = traced(lambda: execute_scenario(spec))
+        baseline = sequential_history(spec)
+        history, tracer = traced(lambda: run(spec).history)
         assert history.to_dict() == baseline.to_dict()
         # ... and the trace actually recorded the run (not vacuous).
         spans = {record.name for record in tracer.events()
                  if record.kind == "span"}
-        assert "seq.step.aggregate" in spans
+        assert "batch.step.aggregate" in spans
         decisions = [record for record in tracer.events()
-                     if record.name == "seq.gar.decision"]
+                     if record.name == "batch.gar.decision"]
         assert decisions, "record_decisions=True must emit decision records"
+
+    def test_traced_reference_trainer_equals_untraced(self):
+        # The fallback / conv-model engine keeps the same contract.
+        spec = tiny_spec(worker_attack="random_gradient")
+        baseline = sequential_history(spec)
+        history, tracer = traced(lambda: sequential_history(spec))
+        assert history.to_dict() == baseline.to_dict()
+        names = {record.name for record in tracer.events()}
+        assert {"seq.step.aggregate", "seq.gar.decision"} <= names
+
+    def test_both_engines_record_the_same_decisions(self):
+        # One helper emits the records for both engines: same selections,
+        # same attacker positions, same scores, per step and server.
+        spec = tiny_spec(worker_attack="random_gradient")
+
+        def decisions(fn, name):
+            _, tracer = traced(fn)
+            rows = []
+            for record in tracer.events():
+                if record.name == name:
+                    attrs = dict(record.attrs)
+                    attrs.pop("replica", None)
+                    attrs.pop("scenario", None)
+                    rows.append((record.step, record.node, attrs))
+            return rows
+
+        engine = decisions(lambda: run(spec), "batch.gar.decision")
+        reference = decisions(lambda: sequential_history(spec),
+                              "seq.gar.decision")
+        assert engine and engine == reference
 
     def test_tiny_ring_buffer_still_unperturbed(self):
         # Heavy truncation exercises the drop path mid-run.
         spec = tiny_spec()
-        baseline = execute_scenario(spec)
-        history, tracer = traced(lambda: execute_scenario(spec), capacity=8)
+        baseline = sequential_history(spec)
+        history, tracer = traced(lambda: run(spec).history, capacity=8)
         assert history.to_dict() == baseline.to_dict()
         assert tracer.dropped > 0
 
@@ -62,10 +96,10 @@ class TestBatchedBitIdentityTraced:
         specs = [ScenarioSpec(name=f"s{seed}", seed=seed, num_steps=8,
                               eval_every=3, dataset_size=400,
                               max_eval_samples=64) for seed in SEEDS]
-        sequential = [execute_scenario(spec) for spec in specs]
+        sequential = [sequential_history(spec) for spec in specs]
         batched, tracer = traced(lambda: run_batched_scenarios(specs))
-        for batched_history, sequential_history in zip(batched, sequential):
-            assert batched_history.to_dict() == sequential_history.to_dict()
+        for got, expected in zip(batched, sequential):
+            assert got.to_dict() == expected.to_dict()
         spans = {record.name for record in tracer.events()
                  if record.kind == "span"}
         assert {"batch.step.broadcast", "batch.step.compute",
@@ -98,8 +132,8 @@ class TestThreadedLossTrajectoryTraced:
         def losses(history):
             return [record.train_loss for record in history.records]
 
-        baseline = execute_scenario(spec)
-        history, tracer = traced(lambda: execute_scenario(spec))
+        baseline = run(spec).history
+        history, tracer = traced(lambda: run(spec).history)
         assert losses(history) == losses(baseline)
         spans = {record.name for record in tracer.events()
                  if record.kind == "span"}
@@ -112,27 +146,27 @@ class TestTelemetryUnperturbed:
 
     def test_sequential_with_telemetry_equals_plain(self):
         spec = tiny_spec(worker_attack="random_gradient")
-        baseline = execute_scenario(spec)
+        baseline = sequential_history(spec)
         registry = MetricsRegistry()
         with use_registry(registry), \
                 use_tracer(Tracer(record_decisions=True)):
-            history = execute_scenario(spec)
+            history = run(spec).history
         assert history.to_dict() == baseline.to_dict()
         # ... and the registry actually measured the run (not vacuous).
         stats = registry.histogram("repro_step_phase_seconds") \
-            .stats(runtime="seq", phase="aggregate")
+            .stats(runtime="batch", phase="aggregate")
         assert stats is not None and stats["count"] == spec.num_steps
 
     def test_batched_equals_sequential_with_telemetry_on(self):
         specs = [ScenarioSpec(name=f"t{seed}", seed=seed, num_steps=8,
                               eval_every=3, dataset_size=400,
                               max_eval_samples=64) for seed in SEEDS]
-        sequential = [execute_scenario(spec) for spec in specs]
+        sequential = [sequential_history(spec) for spec in specs]
         registry = MetricsRegistry()
         with use_registry(registry):
             batched = run_batched_scenarios(specs)
-        for batched_history, sequential_history in zip(batched, sequential):
-            assert batched_history.to_dict() == sequential_history.to_dict()
+        for got, expected in zip(batched, sequential):
+            assert got.to_dict() == expected.to_dict()
         assert registry.histogram("repro_step_phase_seconds") \
             .stats(runtime="batch", phase="compute")["count"] == 8
 
@@ -147,10 +181,10 @@ class TestTelemetryUnperturbed:
         def losses(history):
             return [record.train_loss for record in history.records]
 
-        baseline = execute_scenario(spec)
+        baseline = run(spec).history
         registry = MetricsRegistry()
         with use_registry(registry):
-            history = execute_scenario(spec)
+            history = run(spec).history
         assert losses(history) == losses(baseline)
         assert registry.histogram("repro_step_phase_seconds") \
             .stats(runtime="threads", phase="compute") is not None

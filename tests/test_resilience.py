@@ -8,7 +8,6 @@ from repro.campaign import (
     CampaignSpec,
     ResultStore,
     ScenarioSpec,
-    execute_scenario,
     run_campaign,
 )
 from repro.experiments.resilience import (
@@ -18,6 +17,7 @@ from repro.experiments.resilience import (
 )
 from repro.experiments.common import ExperimentScale
 from repro.faults import FaultSchedule
+from repro.runtime import run
 
 FAULTS = {"events": [
     {"step": 3, "kind": "crash", "nodes": ["ps/2"]},
@@ -89,7 +89,7 @@ class TestScenarioSpecFaults:
         for trainer in ("guanyu", "guanyu_threaded"):
             spec = ScenarioSpec.from_json(text).replace(
                 trainer=trainer, name=f"both-{trainer}")
-            history = execute_scenario(spec)
+            history = run(spec).history
             assert len(history) == spec.num_steps
 
 

@@ -1,8 +1,8 @@
 """The one front door: ``repro.runtime.run`` dispatch and the legacy shims.
 
 Every runtime — sequential simulator, batched lanes, threaded nodes,
-process cluster — is reached through ``run(spec)``; the old entrypoints
-(``execute_scenario``, ``shard_dataset``) remain as deprecation shims.
+process cluster — is reached through ``run(spec)``, the only scenario
+entry point; ``shard_dataset`` remains as a deprecation shim.
 """
 
 import warnings
@@ -10,13 +10,15 @@ import warnings
 import numpy as np
 import pytest
 
+import repro.campaign
+import repro.campaign.engine
 import repro.runtime as runtime_pkg
-from repro.campaign.engine import execute_scenario
 from repro.campaign.spec import ScenarioSpec
 from repro.campaign.store import ResultStore
 from repro.data import make_blobs_dataset, partition_dataset, shard_dataset
 from repro.obs.tracer import Tracer
 from repro.runtime import ScenarioResult, resolve_runtime, run
+from repro.testing import sequential_history
 
 
 def _spec(**overrides):
@@ -28,8 +30,13 @@ def _spec(**overrides):
 
 class TestResolveRuntime:
     def test_default_trainers_resolve_sequential(self):
-        assert resolve_runtime(_spec()) == "sequential"
+        # A lone dense-model GuanYu scenario is an R = 1 lane of the
+        # vectorised engine; what it cannot express stays sequential.
+        assert resolve_runtime(_spec()) == "batched"
+        assert resolve_runtime(_spec(model="mlp")) == "batched"
         assert resolve_runtime(_spec(trainer="vanilla")) == "sequential"
+        assert resolve_runtime(_spec(model="small_cnn",
+                                     dataset="images")) == "sequential"
 
     def test_threaded_trainer_resolves_threaded(self):
         assert resolve_runtime(
@@ -46,15 +53,16 @@ class TestRun:
         result = run(_spec())
         assert isinstance(result, ScenarioResult)
         assert result.status == "ran"
-        assert result.runtime == "sequential"
+        assert result.runtime == "batched"
         assert result.store_key is None
         assert result.duration_seconds > 0
         assert len(result.history.records) == 4
 
     def test_batched_runtime_bit_identical_to_sequential(self):
-        sequential = run(_spec()).history.to_dict()
+        sequential = sequential_history(_spec()).to_dict()
         batched = run(_spec(runtime="batched")).history.to_dict()
         assert sequential == batched
+        assert run(_spec()).history.to_dict() == sequential
 
     def test_threaded_runtime_runs_and_labels(self):
         result = run(_spec(trainer="guanyu_threaded", num_steps=3,
@@ -97,14 +105,14 @@ class TestRun:
 
 
 class TestDeprecationShims:
-    def test_execute_scenario_warns_and_matches_run(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            history = execute_scenario(_spec())
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert "repro.runtime.run" in str(caught[0].message)
-        assert history.to_dict() == run(_spec()).history.to_dict()
+    def test_run_is_the_only_scenario_entry_point(self):
+        # The PR-8 scenario shim was removed once nothing called it: what
+        # the campaign package offers for execution is run_campaign (many)
+        # and build_trainer (construct, not run); one scenario is repro.run.
+        executors = {name for name in repro.campaign.__all__
+                     if name.startswith(("run", "execute", "build"))}
+        assert executors == {"run_campaign", "build_trainer"}
+        assert repro.campaign.engine.run_scenario is run
 
     def test_shard_dataset_warns_and_matches_partition_dataset(self):
         dataset = make_blobs_dataset(num_samples=120, seed=3)

@@ -15,8 +15,8 @@ import multiprocessing
 import pytest
 
 from repro.campaign import ResultStore, ScenarioSpec
-from repro.campaign.engine import execute_scenario
 from repro.obs import TrainingHistory
+from repro.runtime import run
 
 
 def tiny_spec(**overrides) -> ScenarioSpec:
@@ -43,7 +43,7 @@ class TestConcurrentWriters:
     def test_same_and_different_addresses_from_two_processes(self, tmp_path):
         root = str(tmp_path / "store")
         shared = tiny_spec(name="shared")  # both processes write this key
-        history = execute_scenario(shared)
+        history = run(shared).history
         payload = history.to_dict()
 
         # each process also writes its own distinct addresses
@@ -79,7 +79,7 @@ class TestConcurrentWriters:
                                                                  tmp_path):
         root = str(tmp_path / "store")
         spec = tiny_spec(name="idem")
-        history = execute_scenario(spec)
+        history = run(spec).history
         procs = [multiprocessing.Process(
             target=_hammer, args=(root, [spec.to_dict()],
                                   history.to_dict(), 50))

@@ -19,7 +19,6 @@ import urllib.request
 import pytest
 
 from repro.campaign import ResultStore, run_campaign
-from repro.campaign.engine import execute_scenario
 from repro.campaign.spec import ScenarioSpec
 from repro.batch import run_batched_scenarios
 from repro.obs import (
@@ -37,6 +36,7 @@ from repro.obs import (
 )
 from repro.obs.telemetry import METRIC_HELP
 from repro.plotting import render_dashboard, scenarios_completed
+from repro.runtime import run
 from repro.runtime.cluster import cluster_available
 
 needs_sockets = pytest.mark.skipif(
@@ -343,10 +343,10 @@ class TestInstrumentation:
     def test_sequential_run_populates_phase_histograms(self):
         registry = MetricsRegistry()
         with use_registry(registry):
-            execute_scenario(tiny_spec())
+            run(tiny_spec())
         histogram = registry.histogram("repro_step_phase_seconds")
         for phase in ("broadcast", "compute", "gather", "aggregate", "apply"):
-            stats = histogram.stats(runtime="seq", phase=phase)
+            stats = histogram.stats(runtime="batch", phase=phase)
             assert stats is not None and stats["count"] == 4
 
     def test_gar_metrics_require_decision_records(self):
@@ -354,7 +354,7 @@ class TestInstrumentation:
         registry = MetricsRegistry()
         with use_registry(registry), \
                 use_tracer(Tracer(record_decisions=True)):
-            execute_scenario(spec)
+            run(spec)
         decisions = registry.counter("repro_gar_decisions_total")
         assert decisions.value(rule="multi_krum") > 0
         acceptance = registry.gauge("repro_gar_attacker_acceptance") \
