@@ -9,6 +9,10 @@ replica axis:
   through :meth:`GradientAggregationRule.aggregate_batched`,
 * worker gradients come from the replica-batched dense stack
   (:mod:`repro.batch.models`),
+* the nodes of a protocol phase all run the same operation, so they fold
+  into that leading axis too: one quorum collection, one median/GAR call
+  and one forward/backward serve ``J`` nodes as a ``(J·R, ...)`` stack,
+  ``J`` bounded by :data:`_FOLD_BUDGET`,
 * simulated clocks and message delivery times are ``(R,)`` arrays.
 
 Everything that must differ per replica stays per replica: each lane owns
@@ -66,6 +70,12 @@ from repro.obs.tracer import get_tracer
 from repro.network.message import MessageKind
 
 
+#: float64 elements a folded ``(J·R, q, D)`` quorum stack may hold: 2 MiB, an
+#: L2-sized working set.  A larger stack leaves the cache and folding stops
+#: paying, so at D = 30,730 a fold is a single node.
+_FOLD_BUDGET = 1 << 18
+
+
 class BatchedExecutionError(RuntimeError):
     """A replica hit a condition the batched runtime cannot isolate.
 
@@ -106,31 +116,37 @@ class _PhaseBuffer:
 
     ``times[j, s, r]`` is the delivery time of sender ``s``'s message to
     recipient ``j`` in replica ``r`` (``inf`` when suppressed or silent).
-    Honest payloads are stored once per sender (``(R, D)``); Byzantine
-    equivocation stores a per-``(recipient, sender)`` override.  Quorum
-    collection replays the sequential simulator's rule exactly: messages
-    are ranked by delivery time with ties broken by send order, which the
-    stable argsort over the send-ordered sender axis reproduces.
+    Honest payloads are stored once per sender (``(R, D)``); a Byzantine
+    per-recipient (possibly equivocating) send gets a payload row of its
+    own, and ``_rows[j, s]`` names the row recipient ``j`` reads sender
+    ``s`` from.  Quorum collection replays the sequential simulator's rule
+    exactly: messages are ranked by delivery time with ties broken by send
+    order, which the stable argsort over the send-ordered sender axis
+    reproduces.
     """
 
     def __init__(self, num_recipients: int, num_senders: int,
-                 num_replicas: int, dimension: int) -> None:
+                 num_replicas: int, dimension: int,
+                 num_equivocators: int) -> None:
         self.times = np.full((num_recipients, num_senders, num_replicas),
                              np.inf)
-        self.payloads = np.zeros((num_senders, num_replicas, dimension))
-        self._overrides: Dict[int, Dict[int, np.ndarray]] = {}
-        self._num_replicas = num_replicas
+        self.payloads = np.zeros(
+            (num_senders + num_recipients * num_equivocators, num_replicas,
+             dimension))
+        self._rows = np.empty((num_recipients, num_senders), dtype=np.intp)
+        self._lanes = np.arange(num_replicas)
+        self.reset()
 
     def reset(self) -> None:
         """Make the buffer reusable for the next step.
 
-        Only delivery times and overrides carry meaning across collection:
-        stale payload rows belong to senders whose times are ``inf`` and can
-        never enter a quorum (starvation raises first), so the payload
-        storage is reused as-is.
+        Payload storage is reused as-is: a stale row belongs to a sender
+        whose times are ``inf`` (it can never enter a quorum — starvation
+        raises first) or to a directed send no recipient points at.
         """
         self.times.fill(np.inf)
-        self._overrides.clear()
+        self._rows[:] = np.arange(self._rows.shape[1])
+        self._next_row = self._rows.shape[1]
 
     def add_broadcast(self, sender_index: int, payload: np.ndarray,
                       delivered: np.ndarray, times: np.ndarray) -> None:
@@ -149,35 +165,36 @@ class _PhaseBuffer:
         """
         self.times[recipient_index, sender_index, :] = np.where(
             present, times, np.inf)
-        self._overrides.setdefault(recipient_index, {})[sender_index] = \
-            payload_rows
+        self.payloads[self._next_row] = payload_rows
+        self._rows[recipient_index, sender_index] = self._next_row
+        self._next_row += 1
 
-    def collect(self, recipient_index: int, recipient_id: str, quorum: int,
+    def collect(self, recipient_indices: Sequence[int],
+                recipient_ids: Sequence[str], quorum: int,
                 not_before: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """First-``quorum`` payload stack ``(R, q, D)``, completion times
-        ``(R,)`` and the quorum's sender indices ``(q, R)`` in quorum order."""
-        times = self.times[recipient_index]  # (S, R)
-        order = np.argsort(times, axis=0, kind="stable")
-        selected = order[:quorum]  # (q, R)
-        lanes = np.arange(times.shape[1])
-        if not np.all(np.isfinite(times[selected, lanes[None, :]])):
-            starved = np.nonzero(
-                ~np.isfinite(times[selected[quorum - 1], lanes]))[0]
+        """The quorums of ``J`` recipients in one gather: first-``quorum``
+        payload stack ``(J·R, q, D)`` (slice ``j·R + r`` is what recipient
+        ``j`` aggregates in replica ``r``), completion times ``(J, R)`` and
+        the quorums' sender indices ``(J, q, R)`` in quorum order."""
+        recipient_indices = np.asarray(recipient_indices)
+        times = self.times[recipient_indices]  # (J, S, R)
+        selected = np.argsort(times, axis=1, kind="stable")[:, :quorum]
+        last = times[np.arange(len(times))[:, None], selected[:, quorum - 1],
+                     self._lanes]  # (J, R)
+        starved = ~np.isfinite(last)
+        if starved.any():
+            first = int(np.argmax(starved.any(axis=1)))
             raise BatchedExecutionError(
-                f"replica(s) {starved.tolist()}: {recipient_id} needed a "
+                f"replica(s) {np.nonzero(starved[first])[0].tolist()}: "
+                f"{recipient_ids[recipient_indices[first]]} needed a "
                 f"quorum of {quorum} messages but fewer senders delivered; "
                 f"falling back to sequential execution")
-        completion = np.maximum(not_before,
-                                times[selected[quorum - 1], lanes])
-        stacked = self.payloads[selected, lanes[None, :], :]  # (q, R, D)
-        for sender_index, rows in self._overrides.get(recipient_index,
-                                                      {}).items():
-            hits = selected == sender_index
-            if hits.any():
-                row_pos, lane_pos = np.nonzero(hits)
-                stacked[row_pos, lane_pos] = rows[lane_pos]
-        return stacked.transpose(1, 0, 2), completion, selected
+        rows = self._rows[recipient_indices[:, None, None], selected]
+        stacked = self.payloads[rows.transpose(0, 2, 1),
+                                self._lanes[None, :, None]]  # (J, R, q, D)
+        return (stacked.reshape((-1,) + stacked.shape[2:]),
+                np.maximum(not_before, last), selected)
 
 
 # --------------------------------------------------------------------------- #
@@ -300,11 +317,14 @@ class BatchedGuanYuTrainer:
         num_workers = len(self.worker_ids)
         num_servers = len(self.server_ids)
         self._buffer1 = _PhaseBuffer(num_workers, num_servers,
-                                     self.num_replicas, self.num_parameters)
+                                     self.num_replicas, self.num_parameters,
+                                     len(self.attacking_servers))
         self._buffer2 = _PhaseBuffer(num_servers, num_workers,
-                                     self.num_replicas, self.num_parameters)
+                                     self.num_replicas, self.num_parameters,
+                                     len(self.attacking_workers))
         self._buffer3 = _PhaseBuffer(num_servers, num_servers,
-                                     self.num_replicas, self.num_parameters)
+                                     self.num_replicas, self.num_parameters,
+                                     len(self.attacking_servers))
 
         # θ stack: server axis × replica axis × parameter axis.  Every
         # replica starts all of its servers from that replica's θ0.
@@ -557,16 +577,21 @@ class BatchedGuanYuTrainer:
             self.config.gradient_quorum, step)
         return set(workers), set(servers)
 
-    def _forward_backward(self, w_index: int, worker_id: str,
-                          theta: np.ndarray, step_index: int
-                          ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """One replica-batched gradient for worker ``w_index`` at ``theta``.
+    def _folds(self, indices: List[int], quorum: int) -> List[List[int]]:
+        """``indices`` cut into runs of nodes whose shared ``(J·R, q, D)``
+        quorum stack stays within :data:`_FOLD_BUDGET`."""
+        size = max(1, _FOLD_BUDGET // (self.num_replicas * quorum
+                                       * self.num_parameters))
+        return [indices[start:start + size]
+                for start in range(0, len(indices), size)]
 
-        Draws the next mini-batch of every lane (running any data-poisoning
-        hook at the parameters the gradient is computed at, exactly like
-        :meth:`WorkerNode.compute_gradient`) and returns
-        ``(losses (R,), gradients (R, D), samples per lane)``.
-        """
+    def _draw_batches(self, w_index: int, theta: np.ndarray, step_index: int
+                      ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """Worker ``w_index``'s next mini-batch in every lane (per-lane
+        feature and label rows), any data-poisoning hook run at ``theta``
+        ``(R, D)`` — the parameters the gradient is computed at, exactly
+        like :meth:`WorkerNode.compute_gradient`."""
+        worker_id = self.worker_ids[w_index]
         features_rows, labels_rows = [], []
         for r, lane in enumerate(self.lanes):
             features, labels = lane.loaders[w_index].next_batch()
@@ -576,11 +601,63 @@ class BatchedGuanYuTrainer:
                 features, labels)
             features_rows.append(features)
             labels_rows.append(np.asarray(labels, dtype=np.int64))
-        features_batch = np.stack(features_rows)
-        labels_batch = np.stack(labels_rows)
-        losses, gradients = self.dense_stack.forward_backward(
-            theta, features_batch, labels_batch)
-        return losses, gradients, labels_batch.shape[1]
+        return features_rows, labels_rows
+
+    def _worker_gradients(self, workers: List[int], models: np.ndarray,
+                          step_index: int) -> List[tuple]:
+        """``(losses (R,), gradients (R, D), samples)`` of each of
+        ``workers`` at its aggregated model ``models[j]`` ``(R, D)``.
+
+        Mini-batches are drawn node by node, lane by lane — the order the
+        sequential trainer drives loaders, attack generators and adversary
+        hooks in.  Workers taking one local step on equal batch shapes then
+        share one forward/backward over the folded ``J·R`` axis; a worker
+        with ``local_steps > 1`` replays WorkerNode's local-SGD walk op for
+        op (k steps from the aggregated model, mean gradient) on its own.
+        """
+        replicas = self.num_replicas
+        results: List[tuple] = [None] * len(workers)
+        folded: Dict[tuple, Tuple[list, list, list]] = {}
+        for j, w_index in enumerate(workers):
+            local_steps = self.profiles[w_index].local_steps
+            if local_steps == 1:
+                features, labels = self._draw_batches(w_index, models[j],
+                                                      step_index)
+                members = folded.setdefault(features[0].shape, ([], [], []))
+                members[0].append(j)
+                members[1].extend(features)
+                members[2].extend(labels)
+                continue
+            eta = self.schedule(step_index)
+            theta = models[j]
+            gradient_sum = np.zeros_like(theta)
+            lane_losses: List[List[float]] = [[] for _ in range(replicas)]
+            total_samples = 0
+            for _ in range(local_steps):
+                features, labels = self._draw_batches(w_index, theta,
+                                                      step_index)
+                losses, gradients = self.dense_stack.forward_backward(
+                    theta, np.stack(features), np.stack(labels))
+                gradient_sum += gradients
+                for r in range(replicas):
+                    lane_losses[r].append(float(losses[r]))
+                total_samples += labels[0].shape[0]
+                theta = theta - eta * gradients
+            results[j] = (
+                np.array([float(np.mean(entry)) for entry in lane_losses]),
+                gradient_sum / local_steps, total_samples)
+        for rows, features, labels in folded.values():
+            # one batch shape across the fold (the usual case): no copy
+            theta = models if len(rows) == len(workers) else models[rows]
+            losses, gradients = self.dense_stack.forward_backward(
+                theta.reshape(-1, self.num_parameters),
+                np.stack(features), np.stack(labels))
+            for j, worker_losses, worker_gradients in zip(
+                    rows, losses.reshape(len(rows), replicas),
+                    gradients.reshape(len(rows), replicas, -1)):
+                results[j] = (worker_losses, worker_gradients,
+                              labels[0].shape[0])
+        return results
 
     def _corrupt_models(self, server_index: int, step: int,
                         recipient: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -691,48 +768,22 @@ class BatchedGuanYuTrainer:
         active_worker_indices = [index for index, worker_id
                                  in enumerate(self.worker_ids)
                                  if worker_id in active_workers]
-        for w_index in active_worker_indices:
-            worker_id = self.worker_ids[w_index]
+        for fold in self._folds(active_worker_indices, config.model_quorum):
             stacked, completion, _ = buffer1.collect(
-                w_index, worker_id, config.model_quorum,
-                not_before=self.worker_clock[w_index])
-            aggregated = self.model_rule.aggregate_batched(stacked)
-
-            profile = self.profiles[w_index]
-            if profile.local_steps == 1:
-                losses, gradients, samples = self._forward_backward(
-                    w_index, worker_id, aggregated, step_index)
-                gradient_stack[w_index] = gradients
-                loss_stack[w_index] = losses
-                batch_sizes[w_index] = samples
-            else:
-                # Replays WorkerNode's local-SGD walk op-for-op per lane:
-                # k sequential forward/backwards from the aggregated
-                # model, mean gradient along the trajectory.
-                eta = self.schedule(step_index)
-                theta = aggregated
-                gradient_sum = np.zeros_like(aggregated)
-                lane_losses: List[List[float]] = [[] for _ in
-                                                  range(replicas)]
-                total_samples = 0
-                for _ in range(profile.local_steps):
-                    losses, gradients, samples = self._forward_backward(
-                        w_index, worker_id, theta, step_index)
-                    gradient_sum += gradients
-                    for r in range(replicas):
-                        lane_losses[r].append(float(losses[r]))
-                    total_samples += samples
-                    theta = theta - eta * gradients
-                gradient_stack[w_index] = gradient_sum / profile.local_steps
-                loss_stack[w_index] = np.array(
-                    [float(np.mean(entry)) for entry in lane_losses])
-                batch_sizes[w_index] = total_samples
-            if worker_id in self.attacking_workers:
-                model_stack[w_index] = aggregated
-            compute_time = profile.delay_multiplier * (
-                cost.median_time(config.model_quorum, d)
-                + cost.gradient_time(batch_sizes[w_index], d))
-            self.worker_clock[w_index] = completion + compute_time
+                fold, self.worker_ids, config.model_quorum,
+                not_before=self.worker_clock[fold])
+            aggregated = self.model_rule.aggregate_batched(stacked).reshape(
+                len(fold), replicas, -1)
+            results = self._worker_gradients(fold, aggregated, step_index)
+            for j, w_index in enumerate(fold):
+                loss_stack[w_index], gradient_stack[w_index], \
+                    batch_sizes[w_index] = results[j]
+                if self.worker_ids[w_index] in self.attacking_workers:
+                    model_stack[w_index] = aggregated[j]
+                compute_time = self.profiles[w_index].delay_multiplier * (
+                    cost.median_time(config.model_quorum, d)
+                    + cost.gradient_time(batch_sizes[w_index], d))
+                self.worker_clock[w_index] = completion[j] + compute_time
 
         if obs_on:
             now = time.perf_counter()
@@ -812,24 +863,28 @@ class BatchedGuanYuTrainer:
             index for index in alive_correct_idx
             if self.server_ids[index] in active_servers]
         learning_rate = self.schedule(step_index)
-        for s_index in active_correct_server_idx:
+        compute_time = (cost.aggregation_time(self.gradient_rule_name,
+                                              config.gradient_quorum, d)
+                        + cost.update_time(d))
+        for fold in self._folds(active_correct_server_idx,
+                                config.gradient_quorum):
             stacked, completion, senders = buffer2.collect(
-                s_index, self.server_ids[s_index], config.gradient_quorum,
-                not_before=self.server_clock[s_index])
+                fold, self.server_ids, config.gradient_quorum,
+                not_before=self.server_clock[fold])
             if decisions_on:
-                for r, lane in enumerate(self.lanes):
-                    record_decision(
-                        "batch.gar.decision", self.gradient_rule, stacked[r],
-                        senders[:, r].tolist(), self._attacking_worker_idx,
-                        step=step_index, node=self.server_ids[s_index],
-                        replica=r, scenario=lane.spec.name)
+                for j, s_index in enumerate(fold):
+                    for r, lane in enumerate(self.lanes):
+                        record_decision(
+                            "batch.gar.decision", self.gradient_rule,
+                            stacked[j * replicas + r],
+                            senders[j, :, r].tolist(),
+                            self._attacking_worker_idx, step=step_index,
+                            node=self.server_ids[s_index], replica=r,
+                            scenario=lane.spec.name)
             aggregated = self.gradient_rule.aggregate_batched(stacked)
-            self.theta[s_index] = self.theta[s_index] \
-                - learning_rate * aggregated
-            compute_time = (cost.aggregation_time(self.gradient_rule_name,
-                                                  config.gradient_quorum, d)
-                            + cost.update_time(d))
-            self.server_clock[s_index] = completion + compute_time
+            self.theta[fold] -= learning_rate * aggregated.reshape(
+                len(fold), replicas, -1)
+            self.server_clock[fold] = completion + compute_time
         phase2_end = self._mean_over_nodes(self.server_clock,
                                            alive_correct_idx)
         if obs_on:
@@ -873,12 +928,14 @@ class BatchedGuanYuTrainer:
         if merged:
             self._flush_merged(buffer3, merged, len(self.server_ids))
 
-        for s_index in active_correct_server_idx:
+        for fold in self._folds(active_correct_server_idx,
+                                config.model_quorum):
             stacked, completion, _ = buffer3.collect(
-                s_index, self.server_ids[s_index], config.model_quorum,
-                not_before=self.server_clock[s_index])
-            self.theta[s_index] = self.model_rule.aggregate_batched(stacked)
-            self.server_clock[s_index] = completion \
+                fold, self.server_ids, config.model_quorum,
+                not_before=self.server_clock[fold])
+            self.theta[fold] = self.model_rule.aggregate_batched(
+                stacked).reshape(len(fold), replicas, -1)
+            self.server_clock[fold] = completion \
                 + cost.median_time(config.model_quorum, d)
         phase3_end = self._mean_over_nodes(self.server_clock,
                                            alive_correct_idx)

@@ -90,15 +90,16 @@ def set_backend(name: Optional[str]) -> None:
 
 @contextmanager
 def use_backend(name: Optional[str]):
-    """Temporarily select ``name``; ``None`` leaves the selection as-is.
+    """Temporarily select ``name``; ``None`` keeps the current selection.
 
     Tolerating ``None`` lets callers write ``with use_backend(spec.kernels)``
-    without special-casing legacy specs.
+    without special-casing legacy specs.  The current selection is resolved
+    once and pinned for the scope, so the kernels called inside — several
+    per protocol step — do not read the environment again.
     """
     global _ACTIVE
     if name is None:
-        yield active_backend()
-        return
+        name = _resolve_name()
     get_backend(name)  # validate before flipping the override
     previous = _ACTIVE
     _ACTIVE = name

@@ -29,6 +29,8 @@ from repro.obs.telemetry import MetricsRegistry, NullRegistry, get_registry
 __all__ = ["MetricsServer", "PROMETHEUS_CONTENT_TYPE"]
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+#: largest POST body read into memory (a campaign file is a few kB)
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -40,7 +42,17 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch("GET", b"")
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The unread body would be parsed as the next request.
+            self.close_connection = True
+            code, reason = ((400, b"malformed Content-Length\n") if length < 0
+                            else (413, b"request body too large\n"))
+            self._reply(code, "text/plain; charset=utf-8", reason)
+            return
         body = self.rfile.read(length) if length else b""
         self._dispatch("POST", body)
 

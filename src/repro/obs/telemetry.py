@@ -472,6 +472,9 @@ METRIC_HELP: Dict[str, str] = {
         "Sidecar index shards rebuilt from entry payloads",
     "repro_runtime_cache_total":
         "repro.runtime.run() store lookups, by result (hit/miss)",
+    "repro_runtime_fallback_total":
+        "One-lane runs of the vectorised engine re-run on the sequential "
+        "simulator, by reason (the exception class that stopped the lane)",
     "repro_scheduler_jobs_total":
         "Scheduler campaign jobs reaching a terminal state (done/failed)",
     "repro_scheduler_jobs_pending":

@@ -149,6 +149,10 @@ def _execute(spec: "ScenarioSpec",
             # costs time.
             get_tracer().event("runtime.fallback", scenario=spec.name,
                                reason=f"{type(exc).__name__}: {exc}")
+            registry = get_registry()
+            if registry.enabled:
+                registry.inc("repro_runtime_fallback_total",
+                             reason=type(exc).__name__)
             kind = "sequential"
     # Sequential, threaded and cluster construction lives with the
     # campaign engine's trainer factory.

@@ -45,6 +45,7 @@ def _specs(adversary, seeds=(11, 12)):
             for seed in seeds]
 
 
+@pytest.mark.usefixtures("no_fallbacks")
 class TestSequentialVsBatched:
     @pytest.mark.parametrize("adversary", ADVERSARY_SPECS,
                              ids=lambda a: a["name"])

@@ -16,7 +16,7 @@ import pytest
 
 from repro.campaign import ResultStore, ScenarioSpec, run_campaign
 from repro.faults import FaultSchedule
-from repro.obs import Tracer
+from repro.obs import MetricsRegistry, Tracer, use_registry
 from repro.runtime import resolve_runtime, run
 from repro.testing import sequential_history
 
@@ -64,7 +64,7 @@ class TestGeneratedGrid:
         assert len({param.values[0].spec_hash() for param in GRID}) == 64
 
     @pytest.mark.parametrize("spec", GRID)
-    def test_run_equals_the_sequential_simulator(self, spec):
+    def test_run_equals_the_sequential_simulator(self, spec, no_fallbacks):
         result = run(spec)
         assert result.runtime == "batched"
         assert result.history.to_dict() == sequential_history(spec).to_dict()
@@ -110,6 +110,13 @@ class TestFallbackContract:
                     if record.name == "runtime.fallback"]
         assert event.attrs["scenario"] == "starved"
         assert event.attrs["reason"].startswith("BatchedExecutionError")
+
+    def test_fallback_is_counted_by_exception_class(self):
+        registry = MetricsRegistry()
+        with use_registry(registry), pytest.raises(RuntimeError):
+            run(starved_spec())
+        assert registry.counter("repro_runtime_fallback_total").series == {
+            (("reason", "BatchedExecutionError"),): 1.0}
 
     def test_explicit_batched_runtime_does_not_fall_back(self):
         with pytest.raises(RuntimeError, match="falling back"):

@@ -46,6 +46,7 @@ def _case_id(case):
         "+profiles" if case.get("profiles") else "")
 
 
+@pytest.mark.usefixtures("no_fallbacks")
 class TestSequentialVsBatched:
     @pytest.mark.parametrize("hetero", HETERO_CASES, ids=_case_id)
     def test_histories_bit_identical(self, hetero):

@@ -81,6 +81,14 @@ class TestRegistry:
         with use_backend(None) as backend:
             assert backend.name == DEFAULT_BACKEND
 
+    def test_use_backend_none_resolves_the_env_var_once(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "numpy-opt")
+        with use_backend(None) as backend:
+            assert backend.name == "numpy-opt"
+            monkeypatch.setenv(ENV_VAR, "reference")
+            assert get_backend().name == "numpy-opt"  # pinned for the scope
+        assert get_backend().name == "reference"
+
     def test_use_backend_rejects_unknown_before_switching(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ which is what ``sweep --submit`` prints as "already in the store".
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 import urllib.error
@@ -20,6 +21,7 @@ from repro import run
 from repro.campaign import CampaignScheduler, ResultStore, ScenarioSpec
 from repro.campaign.spec import AttackSpec, CampaignSpec
 from repro.obs import MetricsRegistry, MetricsServer, use_registry
+from repro.obs.httpd import MAX_BODY_BYTES
 from repro.runtime.cluster import cluster_available
 
 needs_sockets = pytest.mark.skipif(
@@ -225,3 +227,24 @@ class TestSchedulerOverHTTP:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 self._get(server.url + "/nope")
             assert excinfo.value.code == 404
+
+    @pytest.mark.parametrize("length, code", [
+        (str(MAX_BODY_BYTES + 1), 413), ("-5", 400), ("12abc", 400)])
+    def test_untrusted_content_length(self, tmp_path, length, code):
+        # Only the header is sent: the reply must not wait for (or buffer)
+        # a body of the announced size, and the listener must stay up.
+        store = ResultStore(tmp_path / "store")
+        with CampaignScheduler(store) as scheduler, \
+                MetricsServer(0, status=scheduler.status,
+                              routes=scheduler.handle_route) as server:
+            connection = http.client.HTTPConnection("127.0.0.1", server.port,
+                                                    timeout=10)
+            try:
+                connection.putrequest("POST", "/campaigns")
+                connection.putheader("Content-Length", length)
+                connection.endheaders()
+                assert connection.getresponse().status == code
+            finally:
+                connection.close()
+            assert scheduler.jobs() == []
+            assert self._get(server.url + "/status")[0] == 200
