@@ -308,8 +308,7 @@ def make_binding(adversary: Adversary, *, seed: int,
     """Build the :class:`RunBinding` a trainer hands its adversary.
 
     The controlled nodes are the *last* ids of each role — the same
-    placement convention every runtime applies to legacy attacks
-    (:func:`repro.core.trainer.attacking_node_ids`).  Worker (server)
+    placement :func:`wire_attacks` applies to legacy attacks.  Worker (server)
     attackers are only materialised when the adversary actually corrupts
     that side.
     """
@@ -361,19 +360,15 @@ def wire_attacks(*, config, seed: int,
                  server_attack=None, num_attacking_servers: int = 0,
                  gradient_rule_name: str = "multi_krum",
                  adversary: Optional[Adversary] = None):
-    """The one attack-wiring path shared by all three runtimes.
+    """The one attack-wiring path (called from :mod:`repro.core.wiring`).
 
     Returns ``(coordinator, worker_attack_map, server_attack_map,
     attacking_workers, attacking_servers)``: per-node attack maps (adapter
     attacks for an adversary, the shared legacy instance otherwise, and
     ``None`` for honest nodes) plus the id sets of actually-attacking
     nodes.  Keeping the binding construction and the legacy fallback in
-    one place is what keeps the sequential, threaded and batched runtimes
-    from silently diverging.
+    one place is what keeps the runtimes from silently diverging.
     """
-    from repro.core.trainer import attacking_node_ids  # no module cycle:
-    # core.trainer imports this module lazily inside its constructors
-
     worker_ids = config.worker_ids()
     server_ids = config.server_ids()
     if adversary is not None:
@@ -395,8 +390,10 @@ def wire_attacks(*, config, seed: int,
         return (coordinator, worker_attacks, server_attacks,
                 set(binding.byzantine_workers),
                 set(binding.byzantine_servers))
-    attacking_workers = attacking_node_ids(worker_ids, num_attacking_workers)
-    attacking_servers = attacking_node_ids(server_ids, num_attacking_servers)
+    attacking_workers = set(worker_ids[len(worker_ids)
+                                       - max(num_attacking_workers, 0):])
+    attacking_servers = set(server_ids[len(server_ids)
+                                       - max(num_attacking_servers, 0):])
     worker_attacks = {wid: (worker_attack if wid in attacking_workers
                             else None)
                       for wid in worker_ids}

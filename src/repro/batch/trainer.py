@@ -28,10 +28,11 @@ Scenarios the batched formulation cannot express (convolutional models,
 non-``guanyu`` trainers) raise :class:`BatchingUnsupported`; transient
 conditions a single replica would have failed on (quorum starvation under
 heavy message loss) raise :class:`BatchedExecutionError`.  The campaign
-engine re-runs a failed group one scenario at a time, and
-:func:`repro.runtime.run` re-runs a failed one-lane scenario on the
-sequential trainer, so neither ``--batch-seeds`` nor the default R = 1
-dispatch can change an outcome.
+engine re-runs a failed group one scenario at a time, so one starved seed
+cannot fail its siblings; a lone lane's error *is* the scenario's outcome
+(for quorum starvation, the sequential simulator's sentence word for
+word), so neither ``--batch-seeds`` nor the default R = 1 dispatch can
+change an outcome.
 """
 
 from __future__ import annotations
@@ -59,10 +60,8 @@ from repro.core.nodes import (
     apply_worker_attack,
     poison_worker_batch,
 )
-from repro.core.trainer import attacking_node_ids, validate_attack_counts
-from repro.data.loader import DataLoader, partition_dataset
+from repro.core.wiring import ClusterWiring
 from repro.faults import FaultController
-from repro.hetero import DEFAULT_PROFILE
 from repro.metrics.accuracy import evaluate_accuracy
 from repro.obs.history import StepRecord, TrainingHistory
 from repro.obs.telemetry import get_registry
@@ -79,9 +78,8 @@ _FOLD_BUDGET = 1 << 18
 class BatchedExecutionError(RuntimeError):
     """A replica hit a condition the batched runtime cannot isolate.
 
-    The campaign engine re-runs the affected group scenario by scenario,
-    and :func:`repro.runtime.run` re-runs a lone scenario on the
-    sequential trainer, where per-scenario failure isolation applies.
+    The campaign engine re-runs the affected group scenario by scenario;
+    raised by a lone lane it is that scenario's own failure.
     """
 
 
@@ -171,12 +169,16 @@ class _PhaseBuffer:
 
     def collect(self, recipient_indices: Sequence[int],
                 recipient_ids: Sequence[str], quorum: int,
-                not_before: np.ndarray
+                not_before: np.ndarray, *, kind: MessageKind, step: int
                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The quorums of ``J`` recipients in one gather: first-``quorum``
         payload stack ``(J·R, q, D)`` (slice ``j·R + r`` is what recipient
         ``j`` aggregates in replica ``r``), completion times ``(J, R)`` and
-        the quorums' sender indices ``(J, q, R)`` in quorum order."""
+        the quorums' sender indices ``(J, q, R)`` in quorum order.
+
+        ``kind`` and ``step`` only name the phase in the starvation error;
+        a lone lane's is the sequential simulator's sentence, word for word.
+        """
         recipient_indices = np.asarray(recipient_indices)
         times = self.times[recipient_indices]  # (J, S, R)
         selected = np.argsort(times, axis=1, kind="stable")[:, :quorum]
@@ -185,11 +187,18 @@ class _PhaseBuffer:
         starved = ~np.isfinite(last)
         if starved.any():
             first = int(np.argmax(starved.any(axis=1)))
+            needed = (f"{recipient_ids[recipient_indices[first]]} needed a "
+                      f"quorum of {quorum} '{kind.value}' messages for step "
+                      f"{step}")
+            if len(self._lanes) == 1:
+                raise BatchedExecutionError(
+                    f"{needed} but only "
+                    f"{int(np.isfinite(times[first, :, 0]).sum())} distinct "
+                    f"senders delivered")
             raise BatchedExecutionError(
                 f"replica(s) {np.nonzero(starved[first])[0].tolist()}: "
-                f"{recipient_ids[recipient_indices[first]]} needed a "
-                f"quorum of {quorum} messages but fewer senders delivered; "
-                f"falling back to sequential execution")
+                f"{needed} but fewer senders delivered; falling back to "
+                f"sequential execution")
         rows = self._rows[recipient_indices[:, None, None], selected]
         stacked = self.payloads[rows.transpose(0, 2, 1),
                                 self._lanes[None, :, None]]  # (J, R, q, D)
@@ -244,16 +253,11 @@ class BatchedGuanYuTrainer:
         self.model_rule_name = base.model_rule
         self.cost_model = base.build_cost_model()
         self.delay_model = base.build_delay_model()
-        self.schedule = None  # set from the first lane bundle below
 
         self.worker_ids = self.config.worker_ids()
         self.server_ids = self.config.server_ids()
         num_attacking_workers = base.resolved_num_attacking_workers()
         num_attacking_servers = base.resolved_num_attacking_servers()
-        self.attacking_workers = attacking_node_ids(self.worker_ids,
-                                                    num_attacking_workers)
-        self.attacking_servers = attacking_node_ids(self.server_ids,
-                                                    num_attacking_servers)
 
         self.gradient_rule = get_rule(
             self.gradient_rule_name,
@@ -262,20 +266,20 @@ class BatchedGuanYuTrainer:
             self.model_rule_name,
             num_byzantine=self.config.num_byzantine_servers)
 
-        self.hetero = base.hetero
-        #: per-worker heterogeneity profiles (shared across lanes: the
-        #: hetero spec is seed-independent, only the partitions vary)
-        self.profiles = [
-            self.hetero.profile_for(index) if self.hetero else DEFAULT_PROFILE
-            for index in range(len(self.worker_ids))]
-
         self.lanes: List[_Lane] = []
-        template = None
         for spec in specs:
-            lane, lane_template = self._build_lane(spec)
+            lane, wiring = self._build_lane(spec)
+            if not self.lanes:
+                # Placement, profiles, schedule and fault participation
+                # are seed-independent: lane 0's wiring speaks for the
+                # group.
+                self._wiring = wiring
+                self.attacking_workers = wiring.attacking_workers
+                self.attacking_servers = wiring.attacking_servers
+                self.profiles = wiring.profiles
+                self.schedule = wiring.schedule
+                template = lane.eval_model
             self.lanes.append(lane)
-            if template is None:
-                template = lane_template
 
         # Hetero partitions vary per seed, and a shard smaller than the
         # requested batch size clamps its loader — per-lane batch shapes
@@ -299,8 +303,6 @@ class BatchedGuanYuTrainer:
         self._serialization = self.cost_model.serialization_time(
             self.billed_parameters)
         self.has_faults = base.faults is not None
-        if self.has_faults:
-            base.faults.validate(known_nodes=self.worker_ids + self.server_ids)
         # With no probabilistic drops, every fault decision is a pure
         # function of (schedule, step) — judge lane 0 once and share it.
         self._lane_invariant_faults = self.has_faults and \
@@ -363,70 +365,34 @@ class BatchedGuanYuTrainer:
             lane.history.config = dict(shared_config)
 
     # ------------------------------------------------------------------ #
-    def _build_lane(self, spec) -> Tuple[_Lane, object]:
-        from repro.experiments.common import (  # lazy: avoids import cycle
-            build_scale_bundle,
-        )
+    def _build_lane(self, spec) -> Tuple[_Lane, ClusterWiring]:
+        """One replica's private state from the scenario wiring: loaders,
+        rng streams and (fault-gated) attack maps — no node objects.
 
+        Each replica owns a full, independent attack/adversary set (state
+        and derived randomness keyed by the lane's own seed), replayed in
+        the same order the sequential trainer would have driven it.
+        """
+        wiring, test, model_fn = ClusterWiring.from_spec(spec)
         lane = _Lane()
         lane.spec = spec
         lane.seed = spec.seed
-        train, test, model_fn, schedule = build_scale_bundle(spec.to_scale())
-        if self.schedule is None:
-            self.schedule = schedule
         lane.test_dataset = test
         lane.eval_model = model_fn()
         lane.delay_rng = np.random.default_rng(spec.seed)
-        if spec.faults is not None:
-            lane.fault_controller = FaultController(spec.faults,
-                                                    seed=spec.seed)
-
-        worker_attack = (spec.worker_attack.build()
-                         if spec.worker_attack else None)
-        server_attack = (spec.server_attack.build()
-                         if spec.server_attack else None)
-        adversary = spec.adversary.build() if spec.adversary else None
-        validate_attack_counts(self.config, worker_attack,
-                               spec.resolved_num_attacking_workers(),
-                               server_attack,
-                               spec.resolved_num_attacking_servers(),
-                               adversary=adversary)
-
-        shards = partition_dataset(train, len(self.worker_ids),
-                                   sharding=spec.sharding, hetero=spec.hetero,
-                                   seed=spec.seed)
-        lane.loaders = [
-            DataLoader(shards[index],
-                       batch_size=(self.profiles[index].batch_size
-                                   or spec.batch_size),
-                       seed=spec.seed + 1000 + index)
+        lane.fault_controller = wiring.faults
+        lane.loaders = [wiring.loader(index)
+                        for index in range(len(self.worker_ids))]
+        lane.worker_rngs = [
+            np.random.default_rng(wiring.worker_rng_seed(index))
             for index in range(len(self.worker_ids))]
-        lane.worker_rngs = [np.random.default_rng(spec.seed + 2000 + index)
-                            for index in range(len(self.worker_ids))]
-        lane.server_rngs = [np.random.default_rng(spec.seed + 3000 + index)
-                            for index in range(len(self.server_ids))]
-
-        # Each replica owns a full, independent attack/adversary set (state
-        # and derived randomness keyed by the lane's own seed), replayed in
-        # the same order the sequential trainer would have driven it.
-        from repro.adversary.engine import wire_attacks  # lazy: mirrors trainers
-
-        _, lane.worker_attacks, lane.server_attacks, _, _ = wire_attacks(
-            config=self.config, seed=spec.seed,
-            worker_attack=worker_attack,
-            num_attacking_workers=spec.resolved_num_attacking_workers(),
-            server_attack=server_attack,
-            num_attacking_servers=spec.resolved_num_attacking_servers(),
-            gradient_rule_name=self.gradient_rule_name, adversary=adversary)
-        if lane.fault_controller is not None:
-            for node_id in [*self.worker_ids, *self.server_ids]:
-                attacks = (lane.worker_attacks if node_id in
-                           lane.worker_attacks else lane.server_attacks)
-                attacks[node_id] = lane.fault_controller.gate_attack(
-                    node_id, attacks[node_id])
-
+        lane.server_rngs = [
+            np.random.default_rng(wiring.server_rng_seed(index))
+            for index in range(len(self.server_ids))]
+        lane.worker_attacks = wiring.worker_attacks
+        lane.server_attacks = wiring.server_attacks
         lane.history = TrainingHistory(label=spec.name)
-        return lane, lane.eval_model
+        return lane, wiring
 
     # ------------------------------------------------------------------ #
     # Fault / delay plumbing (per logical message, vectorised over lanes)
@@ -569,14 +535,6 @@ class BatchedGuanYuTrainer:
         """
         return np.mean(np.ascontiguousarray(clock[indices].T), axis=1)
 
-    def _participants(self, step: int) -> Tuple[Set[str], Set[str]]:
-        if not self.has_faults:
-            return set(self.worker_ids), set(self.server_ids)
-        workers, servers = self.lanes[0].fault_controller.participating_nodes(
-            self.worker_ids, self.server_ids, self.config.model_quorum,
-            self.config.gradient_quorum, step)
-        return set(workers), set(servers)
-
     def _folds(self, indices: List[int], quorum: int) -> List[List[int]]:
         """``indices`` cut into runs of nodes whose shared ``(J·R, q, D)``
         quorum stack stays within :data:`_FOLD_BUDGET`."""
@@ -698,7 +656,7 @@ class BatchedGuanYuTrainer:
         if self.has_faults:
             for lane in self.lanes:
                 lane.fault_controller.on_step(step_index)
-        active_workers, active_servers = self._participants(step_index)
+        active_workers, active_servers = self._wiring.participants(step_index)
         if trace_on:
             stalled = [node_id for node_id in self.worker_ids
                        if node_id not in active_workers] \
@@ -771,7 +729,8 @@ class BatchedGuanYuTrainer:
         for fold in self._folds(active_worker_indices, config.model_quorum):
             stacked, completion, _ = buffer1.collect(
                 fold, self.worker_ids, config.model_quorum,
-                not_before=self.worker_clock[fold])
+                not_before=self.worker_clock[fold],
+                kind=MessageKind.MODEL_TO_WORKER, step=step_index)
             aggregated = self.model_rule.aggregate_batched(stacked).reshape(
                 len(fold), replicas, -1)
             results = self._worker_gradients(fold, aggregated, step_index)
@@ -870,7 +829,8 @@ class BatchedGuanYuTrainer:
                                 config.gradient_quorum):
             stacked, completion, senders = buffer2.collect(
                 fold, self.server_ids, config.gradient_quorum,
-                not_before=self.server_clock[fold])
+                not_before=self.server_clock[fold],
+                kind=MessageKind.GRADIENT_TO_SERVER, step=step_index)
             if decisions_on:
                 for j, s_index in enumerate(fold):
                     for r, lane in enumerate(self.lanes):
@@ -932,7 +892,8 @@ class BatchedGuanYuTrainer:
                                 config.model_quorum):
             stacked, completion, _ = buffer3.collect(
                 fold, self.server_ids, config.model_quorum,
-                not_before=self.server_clock[fold])
+                not_before=self.server_clock[fold],
+                kind=MessageKind.MODEL_TO_SERVER, step=step_index)
             self.theta[fold] = self.model_rule.aggregate_batched(
                 stacked).reshape(len(fold), replicas, -1)
             self.server_clock[fold] = completion \

@@ -35,6 +35,7 @@ from repro.core.trainer import (
     SingleServerKrumTrainer,
     VanillaTrainer,
 )
+from repro.core.wiring import scenario_arguments
 from repro.obs.history import TrainingHistory
 from repro.kernels import use_backend
 from repro.obs.telemetry import MetricsRegistry, get_registry, use_registry
@@ -104,85 +105,47 @@ class CampaignResult:
 # --------------------------------------------------------------------------- #
 def build_trainer(spec: ScenarioSpec):
     """Construct the trainer/runtime a scenario describes (not yet run)."""
-    from repro.experiments.common import (  # lazy: avoids an import cycle
-        build_scale_bundle,
-    )
+    if spec.trainer == "guanyu_threaded" and spec.runtime == "cluster":
+        from repro.runtime.cluster.supervisor import (  # lazy: sockets
+            ClusterRuntime,
+            cluster_available,
+        )
 
-    train, test, model_fn, schedule = build_scale_bundle(spec.to_scale())
-    worker_attack = spec.worker_attack.build() if spec.worker_attack else None
-    server_attack = spec.server_attack.build() if spec.server_attack else None
-    adversary = spec.adversary.build() if spec.adversary else None
-
-    if spec.trainer == "guanyu":
-        return GuanYuTrainer(
+        if cluster_available():
+            return ClusterRuntime(spec)
+        # Sockets unusable on this host (sandboxes forbid binding): fall
+        # back to the threaded runtime, whose loss trajectories the tier-1
+        # cluster equivalence gate pins to the cluster's.
+    arguments, test, model_fn = scenario_arguments(spec)
+    if spec.trainer == "guanyu_threaded":
+        return ThreadedClusterRuntime(
             config=spec.cluster_config(), model_fn=model_fn,
-            train_dataset=train, test_dataset=test,
-            worker_attack=worker_attack,
-            num_attacking_workers=spec.resolved_num_attacking_workers(),
-            server_attack=server_attack,
-            num_attacking_servers=spec.resolved_num_attacking_servers(),
-            adversary=adversary,
-            gradient_rule_name=spec.gradient_rule,
-            model_rule_name=spec.model_rule,
-            batch_size=spec.batch_size, schedule=schedule,
-            delay_model=spec.build_delay_model(),
-            cost_model=spec.build_cost_model(),
-            sharding=spec.sharding, seed=spec.seed,
-            cost_num_parameters=spec.billed_parameters,
-            fault_schedule=spec.faults, hetero=spec.hetero, label=spec.name)
+            jitter=spec.jitter, quorum_timeout=spec.quorum_timeout,
+            **arguments)
+    simulated = dict(
+        model_fn=model_fn, test_dataset=test,
+        delay_model=spec.build_delay_model(),
+        cost_model=spec.build_cost_model(),
+        cost_num_parameters=spec.billed_parameters, label=spec.name)
+    if spec.trainer == "guanyu":
+        return GuanYuTrainer(config=spec.cluster_config(), **arguments,
+                             **simulated)
+    # The single-server baselines take the worker side of the vocabulary.
+    simulated.update(
+        (key, arguments[key]) for key in (
+            "train_dataset", "seed", "batch_size", "sharding", "hetero",
+            "schedule", "worker_attack", "num_attacking_workers"))
     if spec.trainer == "vanilla":
         return VanillaTrainer(
-            model_fn=model_fn, train_dataset=train, test_dataset=test,
             num_workers=spec.num_workers,
-            worker_attack=worker_attack,
-            num_attacking_workers=spec.resolved_num_attacking_workers(),
             external_communication=spec.external_communication,
             gradient_rule=get_rule(spec.gradient_rule,
                                    num_byzantine=spec.declared_byzantine_workers),
-            batch_size=spec.batch_size, schedule=schedule,
-            delay_model=spec.build_delay_model(),
-            cost_model=spec.build_cost_model(),
-            sharding=spec.sharding, seed=spec.seed,
-            cost_num_parameters=spec.billed_parameters,
-            hetero=spec.hetero, label=spec.name)
+            **simulated)
     if spec.trainer == "single_server_krum":
         return SingleServerKrumTrainer(
-            model_fn=model_fn, train_dataset=train, test_dataset=test,
             num_byzantine_workers=spec.declared_byzantine_workers,
-            num_workers=spec.num_workers,
-            worker_attack=worker_attack,
-            num_attacking_workers=spec.resolved_num_attacking_workers(),
-            batch_size=spec.batch_size, schedule=schedule,
-            delay_model=spec.build_delay_model(),
-            cost_model=spec.build_cost_model(),
-            sharding=spec.sharding, seed=spec.seed,
-            cost_num_parameters=spec.billed_parameters,
-            hetero=spec.hetero, label=spec.name)
-    if spec.trainer == "guanyu_threaded":
-        if spec.runtime == "cluster":
-            from repro.runtime.cluster.supervisor import (  # lazy: sockets
-                ClusterRuntime,
-                cluster_available,
-            )
-
-            if cluster_available():
-                return ClusterRuntime(spec)
-            # Sockets unusable on this host (sandboxes forbid binding):
-            # fall back to the threaded runtime, whose loss trajectories
-            # the tier-1 cluster equivalence gate pins to the cluster's.
-        return ThreadedClusterRuntime(
-            config=spec.cluster_config(), model_fn=model_fn,
-            train_dataset=train, batch_size=spec.batch_size, schedule=schedule,
-            worker_attack=worker_attack,
-            num_attacking_workers=spec.resolved_num_attacking_workers(),
-            server_attack=server_attack,
-            num_attacking_servers=spec.resolved_num_attacking_servers(),
-            adversary=adversary,
-            gradient_rule_name=spec.gradient_rule,
-            model_rule_name=spec.model_rule,
-            jitter=spec.jitter, quorum_timeout=spec.quorum_timeout,
-            fault_schedule=spec.faults, sharding=spec.sharding,
-            hetero=spec.hetero, seed=spec.seed)
+            num_workers=spec.num_workers, **simulated)
     raise ValueError(f"unknown trainer '{spec.trainer}'")
 
 

@@ -20,18 +20,18 @@ models, seeds) and the same output (:class:`repro.metrics.TrainingHistory`):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.aggregation import ArithmeticMean, CoordinateWiseMedian, MultiKrum, get_rule
+from repro.aggregation import ArithmeticMean, CoordinateWiseMedian, MultiKrum
 from repro.byzantine.base import ServerAttack, WorkerAttack
 from repro.core.config import ClusterConfig
 from repro.core.nodes import GradientResult, ServerNode, WorkerNode, max_pairwise_distance
+from repro.core.wiring import ClusterWiring
 from repro.data.datasets import Dataset
-from repro.data.loader import DataLoader, partition_dataset
-from repro.faults import FaultController, FaultSchedule
-from repro.hetero import DEFAULT_PROFILE, HeteroSpec, WorkerProfile
+from repro.faults import FaultSchedule
+from repro.hetero import HeteroSpec
 from repro.kernels import active_backend
 from repro.aggregation.decision import record_decision
 from repro.metrics.accuracy import evaluate_accuracy
@@ -46,50 +46,6 @@ from repro.nn.schedules import ConstantSchedule, LearningRateSchedule
 from repro.runtime.cost import GRID5000_LIKE, CostModel
 
 ModelFactory = Callable[[], Module]
-
-
-def attacking_node_ids(node_ids: Sequence[str], count: int) -> set:
-    """The ids of the ``count`` actually-attacking nodes (the *last* ids).
-
-    The placement convention is shared by every runtime — sequential,
-    threaded and batched — so that a scenario means the same cluster under
-    each of them.
-    """
-    if count <= 0:
-        return set()
-    return set(node_ids[len(node_ids) - count:])
-
-
-def validate_attack_counts(config: ClusterConfig,
-                           worker_attack: Optional[WorkerAttack],
-                           num_attacking_workers: int,
-                           server_attack: Optional[ServerAttack],
-                           num_attacking_servers: int,
-                           adversary=None) -> None:
-    """Check attack counts against a cluster's declared Byzantine budget.
-
-    An :class:`~repro.adversary.Adversary` satisfies the behaviour
-    requirement for whichever side(s) it attacks, in place of the legacy
-    per-node attacks.
-    """
-    adversary_workers = adversary is not None and adversary.attacks_workers
-    adversary_servers = adversary is not None and adversary.attacks_servers
-    if num_attacking_workers > 0 and worker_attack is None \
-            and not adversary_workers:
-        raise ValueError("num_attacking_workers > 0 requires a worker_attack")
-    if num_attacking_servers > 0 and server_attack is None \
-            and not adversary_servers:
-        raise ValueError("num_attacking_servers > 0 requires a server_attack")
-    if num_attacking_workers > config.num_byzantine_workers:
-        raise ValueError(
-            "more attacking workers than the declared Byzantine count; "
-            "GuanYu's guarantees only cover f̄ declared Byzantine workers"
-        )
-    if num_attacking_servers > config.num_byzantine_servers:
-        raise ValueError(
-            "more attacking servers than the declared Byzantine count; "
-            "GuanYu's guarantees only cover f declared Byzantine servers"
-        )
 
 
 class DistributedTrainer:
@@ -111,7 +67,7 @@ class DistributedTrainer:
         together define the simulated clock.
     sharding:
         ``"iid"``, ``"replicated"`` or ``"by_class"`` (see
-        :func:`repro.data.loader.shard_dataset`).
+        :func:`repro.data.loader.partition_dataset`).
     seed:
         Master seed; every stochastic component is derived from it.
     cost_num_parameters:
@@ -156,54 +112,36 @@ class DistributedTrainer:
         self.seed = seed
         self.label = label
         self.fault_schedule = fault_schedule
-        self.fault_controller = (FaultController(fault_schedule, seed=seed)
-                                 if fault_schedule else None)
 
         self._eval_model = model_fn()
         self.num_parameters = self._eval_model.num_parameters()
         self.billed_parameters = (cost_num_parameters if cost_num_parameters
                                   else self.num_parameters)
-        self.network = NetworkSimulator(delay_model=self.delay_model, seed=seed,
-                                        fault_controller=self.fault_controller)
         self.history = TrainingHistory(label=label)
 
     # ------------------------------------------------------------------ #
     # Helpers shared by subclasses
     # ------------------------------------------------------------------ #
-    def _build_workers(self, worker_ids: Sequence[str],
-                       attacks: Dict[str, Optional[WorkerAttack]],
-                       model_aggregator_fn: Callable[[], object]) -> List[WorkerNode]:
-        shards = partition_dataset(self.train_dataset, len(worker_ids),
-                                   sharding=self.sharding, hetero=self.hetero,
-                                   seed=self.seed)
-        self.worker_profiles: List[WorkerProfile] = [
-            self.hetero.profile_for(index) if self.hetero else DEFAULT_PROFILE
-            for index in range(len(worker_ids))]
+    def _wire(self, config: ClusterConfig, **attacks) -> ClusterWiring:
+        """Derive the fault controller, the network and the workers from
+        the one shared scenario wiring (:mod:`repro.core.wiring`)."""
+        wiring = ClusterWiring(
+            config, self.train_dataset, seed=self.seed,
+            batch_size=self.batch_size, sharding=self.sharding,
+            hetero=self.hetero, schedule=self.schedule,
+            fault_schedule=self.fault_schedule, **attacks)
+        self.fault_controller = wiring.faults
+        self.network = NetworkSimulator(delay_model=self.delay_model,
+                                        seed=self.seed,
+                                        fault_controller=wiring.faults)
+        self.workers: List[WorkerNode] = [
+            wiring.worker(index, self.model_fn())
+            for index in range(len(wiring.worker_ids))]
+        #: straggler factor each worker's profile applies to its compute time
         self._delay_multipliers: Dict[str, float] = {
             worker_id: profile.delay_multiplier
-            for worker_id, profile in zip(worker_ids, self.worker_profiles)}
-        workers = []
-        for index, worker_id in enumerate(worker_ids):
-            profile = self.worker_profiles[index]
-            loader = DataLoader(
-                shards[index],
-                batch_size=profile.batch_size or self.batch_size,
-                seed=self.seed + 1000 + index)
-            workers.append(WorkerNode(
-                node_id=worker_id,
-                model=self.model_fn(),
-                loader=loader,
-                model_aggregator=model_aggregator_fn(),
-                attack=attacks.get(worker_id),
-                seed=self.seed + 2000 + index,
-                local_steps=profile.local_steps,
-                schedule=self.schedule,
-            ))
-        return workers
-
-    def _worker_delay_multiplier(self, worker_id: str) -> float:
-        """Straggler factor a worker profile applies to its compute time."""
-        return self._delay_multipliers.get(worker_id, 1.0)
+            for worker_id, profile in zip(wiring.worker_ids, wiring.profiles)}
+        return wiring
 
     def _evaluate(self, parameters: np.ndarray, max_samples: Optional[int]) -> float:
         if self.test_dataset is None:
@@ -292,50 +230,19 @@ class GuanYuTrainer(DistributedTrainer):
                          test_dataset=test_dataset, label=label, **kwargs)
         self.config = config
         self.adversary = adversary
-        self._validate_attack_counts(worker_attack, num_attacking_workers,
-                                     server_attack, num_attacking_servers,
-                                     adversary=adversary)
         self.gradient_rule_name = gradient_rule_name
         self.model_rule_name = model_rule_name
-
-        from repro.adversary.engine import wire_attacks  # lazy: heavy import
-
-        worker_ids = config.worker_ids()
-        server_ids = config.server_ids()
-        (self.adversary_coordinator, worker_attacks, server_attacks,
-         attacking_workers, attacking_servers) = wire_attacks(
-            config=config, seed=self.seed,
-            worker_attack=worker_attack,
+        self.wiring = self._wire(
+            config, worker_attack=worker_attack,
             num_attacking_workers=num_attacking_workers,
             server_attack=server_attack,
             num_attacking_servers=num_attacking_servers,
-            gradient_rule_name=gradient_rule_name, adversary=adversary)
-        self.workers = self._build_workers(
-            worker_ids, worker_attacks,
-            model_aggregator_fn=lambda: get_rule(
-                model_rule_name, num_byzantine=config.num_byzantine_servers),
-        )
-
-        self.servers: List[ServerNode] = []
-        for index, server_id in enumerate(server_ids):
-            attack = server_attacks[server_id]
-            self.servers.append(ServerNode(
-                node_id=server_id,
-                model=self.model_fn(),
-                gradient_aggregator=get_rule(
-                    gradient_rule_name, num_byzantine=config.num_byzantine_workers),
-                model_aggregator=get_rule(
-                    model_rule_name, num_byzantine=config.num_byzantine_servers),
-                schedule=self.schedule,
-                attack=attack,
-                seed=self.seed + 3000 + index,
-            ))
-
-        if self.fault_controller is not None:
-            self.fault_schedule.validate(known_nodes=worker_ids + server_ids)
-            for node in [*self.workers, *self.servers]:
-                node.attack = self.fault_controller.gate_attack(node.node_id,
-                                                                node.attack)
+            gradient_rule_name=gradient_rule_name,
+            model_rule_name=model_rule_name, adversary=adversary)
+        self.adversary_coordinator = self.wiring.coordinator
+        self.servers: List[ServerNode] = [
+            self.wiring.server(index, self.model_fn())
+            for index in range(len(self.wiring.server_ids))]
 
         self._server_clock = {server.node_id: 0.0 for server in self.servers}
         self._worker_clock = {worker.node_id: 0.0 for worker in self.workers}
@@ -353,14 +260,6 @@ class GuanYuTrainer(DistributedTrainer):
                        if self.fault_schedule else None),
             "hetero": self.hetero.to_dict() if self.hetero else None,
         }
-
-    # ------------------------------------------------------------------ #
-    def _validate_attack_counts(self, worker_attack, num_attacking_workers,
-                                server_attack, num_attacking_servers,
-                                adversary=None) -> None:
-        validate_attack_counts(self.config, worker_attack,
-                               num_attacking_workers, server_attack,
-                               num_attacking_servers, adversary=adversary)
 
     # ------------------------------------------------------------------ #
     @property
@@ -394,23 +293,6 @@ class GuanYuTrainer(DistributedTrainer):
         return (self.fault_controller is None
                 or self.fault_controller.node_alive(node_id, step_index))
 
-    def _participants(self, step_index: int):
-        """``(participating worker ids, participating server ids)`` as sets.
-
-        Crashed nodes sit the step out entirely; nodes that active faults
-        leave short of a quorum — directly or transitively, see
-        :meth:`repro.faults.FaultController.participating_nodes` — stall
-        with frozen state.  Without faults everyone participates.
-        """
-        worker_ids = [worker.node_id for worker in self.workers]
-        server_ids = [server.node_id for server in self.servers]
-        if self.fault_controller is None:
-            return set(worker_ids), set(server_ids)
-        workers, servers = self.fault_controller.participating_nodes(
-            worker_ids, server_ids, self.config.model_quorum,
-            self.config.gradient_quorum, step_index)
-        return set(workers), set(servers)
-
     def step(self, step_index: int) -> StepRecord:
         """One full GuanYu step (the three phases of Figure 2).
 
@@ -429,7 +311,8 @@ class GuanYuTrainer(DistributedTrainer):
         registry = get_registry()
         if self.fault_controller is not None:
             self.fault_controller.on_step(step_index)
-        active_worker_ids, active_server_ids = self._participants(step_index)
+        active_worker_ids, active_server_ids = \
+            self.wiring.participants(step_index)
         if tracer.enabled:
             stalled = ([w.node_id for w in self.workers
                         if w.node_id not in active_worker_ids]
@@ -491,7 +374,7 @@ class GuanYuTrainer(DistributedTrainer):
                     not_before=self._worker_clock[worker.node_id])
                 result = worker.compute_gradient(record.payloads, step_index)
                 results[worker.node_id] = result
-                compute_time = self._worker_delay_multiplier(worker.node_id) * (
+                compute_time = self._delay_multipliers[worker.node_id] * (
                     cost.median_time(config.model_quorum, d)
                     + cost.gradient_time(result.batch_size, d))
                 self._worker_clock[worker.node_id] = \
@@ -626,6 +509,14 @@ class GuanYuTrainer(DistributedTrainer):
 # --------------------------------------------------------------------------- #
 # Single-server baselines
 # --------------------------------------------------------------------------- #
+class _TrustedServerConfig(ClusterConfig):
+    """The baselines' degenerate cluster: one trusted server, so none of the
+    ``3f + 3`` / quorum arithmetic applies and any worker may attack."""
+
+    def __post_init__(self) -> None:
+        self.model_quorum, self.gradient_quorum = 1, self.num_workers
+
+
 class VanillaTrainer(DistributedTrainer):
     """Single trusted parameter server averaging worker gradients.
 
@@ -653,32 +544,26 @@ class VanillaTrainer(DistributedTrainer):
                 "GuanYuTrainer or the threaded runtime")
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
-        if num_attacking_workers > 0 and worker_attack is None:
-            raise ValueError("num_attacking_workers > 0 requires a worker_attack")
         if num_attacking_workers > num_workers:
             raise ValueError("cannot have more attacking workers than workers")
         self.num_workers = num_workers
         self.external_communication = external_communication
         self.gradient_rule = gradient_rule if gradient_rule is not None else ArithmeticMean()
 
-        worker_ids = [f"worker/{index}" for index in range(num_workers)]
-        attacking = set(worker_ids[num_workers - num_attacking_workers:]) \
-            if num_attacking_workers else set()
-        attacks = {wid: (worker_attack if wid in attacking else None)
-                   for wid in worker_ids}
         # With a single trusted server there is no model aggregation at the
         # workers: the "median of one" is the identity.
-        self.workers = self._build_workers(
-            worker_ids, attacks,
-            model_aggregator_fn=lambda: CoordinateWiseMedian(num_byzantine=0))
-
+        wiring = self._wire(
+            _TrustedServerConfig(num_servers=1, num_workers=num_workers,
+                                 num_byzantine_workers=num_attacking_workers),
+            worker_attack=worker_attack,
+            num_attacking_workers=num_attacking_workers)
         self.server = ServerNode(
             node_id=self.SERVER_ID,
             model=self.model_fn(),
             gradient_aggregator=self.gradient_rule,
             model_aggregator=CoordinateWiseMedian(num_byzantine=0),
             schedule=self.schedule,
-            seed=self.seed + 3000,
+            seed=wiring.server_rng_seed(0),
         )
         self._server_clock = 0.0
         self._worker_clock = {worker.node_id: 0.0 for worker in self.workers}
@@ -722,7 +607,7 @@ class VanillaTrainer(DistributedTrainer):
             results[worker.node_id] = result
             self._worker_clock[worker.node_id] = (
                 record.completion_time
-                + self._worker_delay_multiplier(worker.node_id)
+                + self._delay_multipliers[worker.node_id]
                 * cost.gradient_time(result.batch_size, d))
             if not worker.is_byzantine:
                 correct_gradients.append(result.gradient)

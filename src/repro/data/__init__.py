@@ -16,7 +16,7 @@ from repro.data.datasets import (
     make_moons_dataset,
     make_spirals_dataset,
 )
-from repro.data.loader import DataLoader, partition_dataset, shard_dataset
+from repro.data.loader import DataLoader, partition_dataset
 
 __all__ = [
     "Dataset",
@@ -27,5 +27,4 @@ __all__ = [
     "make_moons_dataset",
     "DataLoader",
     "partition_dataset",
-    "shard_dataset",
 ]

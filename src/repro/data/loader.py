@@ -6,13 +6,11 @@ front door every runtime goes through — splits a dataset across workers:
 it dispatches to the heterogeneity engine (:mod:`repro.hetero`) when a
 hetero spec is present and to the legacy strategies (i.i.d. split, full
 replication, by-class skew) otherwise.  :class:`DataLoader` draws
-reproducible mini-batches from a shard.  The old :func:`shard_dataset`
-entrypoint remains as a deprecation shim.
+reproducible mini-batches from a shard.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterator, List, Tuple
 
 import numpy as np
@@ -76,7 +74,11 @@ def partition_dataset(dataset: Dataset, num_workers: int,
     With a truthy :class:`~repro.hetero.HeteroSpec` the split comes from
     the heterogeneity engine — a pure function of ``(seed, num_workers,
     hetero)``, bit-identical across the sequential, threaded and batched
-    runtimes.  Otherwise the legacy :func:`shard_dataset` strategies apply.
+    runtimes.  Otherwise the legacy ``sharding`` strategies apply:
+    ``"iid"`` — shuffle then split evenly (the paper's setting);
+    ``"replicated"`` — every worker sees the full dataset;
+    ``"by_class"`` — pathological non-i.i.d. split where shard ``k``
+    receives classes ``k mod num_classes`` first (used by ablations).
     A hetero spec cannot be combined with a non-default legacy strategy:
     both would claim the partition.
     """
@@ -88,59 +90,25 @@ def partition_dataset(dataset: Dataset, num_workers: int,
         from repro.hetero.partition import hetero_partition  # lazy: no cycle
 
         return hetero_partition(dataset, num_workers, hetero, seed=seed)
-    return _shard_dataset(dataset, num_workers, strategy=sharding, seed=seed)
-
-
-def shard_dataset(dataset: Dataset, num_shards: int, strategy: str = "iid",
-                  seed: int = 0) -> List[Dataset]:
-    """Deprecated: call :func:`partition_dataset` instead.
-
-    ``partition_dataset`` is the partitioner front door every runtime goes
-    through; it covers the legacy strategies (via ``sharding=``) *and* the
-    heterogeneity engine.  This shim keeps older scripts working.
-    """
-    warnings.warn(
-        "repro.data.shard_dataset is deprecated; use "
-        "repro.data.partition_dataset instead",
-        DeprecationWarning, stacklevel=2)
-    return _shard_dataset(dataset, num_shards, strategy=strategy, seed=seed)
-
-
-def _shard_dataset(dataset: Dataset, num_shards: int, strategy: str = "iid",
-                   seed: int = 0) -> List[Dataset]:
-    """Split a dataset into per-worker shards.
-
-    Parameters
-    ----------
-    dataset:
-        The dataset to shard.
-    num_shards:
-        Number of workers.
-    strategy:
-        ``"iid"`` — shuffle then split evenly (the paper's setting);
-        ``"replicated"`` — every worker sees the full dataset;
-        ``"by_class"`` — pathological non-i.i.d. split where shard ``k``
-        receives classes ``k mod num_classes`` first (used by ablations).
-    """
-    if num_shards <= 0:
-        raise ValueError("num_shards must be positive")
-    if strategy == "replicated":
-        return [dataset for _ in range(num_shards)]
+    if num_workers <= 0:
+        raise ValueError("num_workers must be positive")
+    if sharding == "replicated":
+        return [dataset for _ in range(num_workers)]
 
     rng = np.random.default_rng(seed)
-    if strategy == "iid":
+    if sharding == "iid":
         order = rng.permutation(len(dataset))
-    elif strategy == "by_class":
+    elif sharding == "by_class":
         order = np.argsort(dataset.labels, kind="stable")
     else:
-        raise ValueError(f"unknown sharding strategy '{strategy}'")
+        raise ValueError(f"unknown sharding strategy '{sharding}'")
 
     shards = []
-    pieces = np.array_split(order, num_shards)
+    pieces = np.array_split(order, num_workers)
     for index, piece in enumerate(pieces):
         if piece.size == 0:
             raise ValueError(
-                f"dataset of size {len(dataset)} cannot be split into {num_shards} "
+                f"dataset of size {len(dataset)} cannot be split into {num_workers} "
                 "non-empty shards"
             )
         shards.append(dataset.subset(piece, name=f"{dataset.name}[shard{index}]"))

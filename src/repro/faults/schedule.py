@@ -164,9 +164,8 @@ class FaultEvent:
 class FaultSchedule:
     """A whole run's fault plan: timed events plus base loss rates.
 
-    ``drop_rate`` / ``duplicate_rate`` are the controller-backed successors
-    of the old ``NetworkSimulator(drop_probability=..., duplicate_probability=...)``
-    fields: a whole-run, every-link probability of silent loss/duplication.
+    ``drop_rate`` / ``duplicate_rate`` are a whole-run, every-link
+    probability of silent loss/duplication, each in ``[0, 1)``.
     """
 
     events: List[FaultEvent] = field(default_factory=list)

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.faults import FaultController, FaultSchedule
+from repro.faults import FaultController
 from repro.network.delays import ConstantDelay, DelayModel
 from repro.network.message import Message, MessageKind
 
@@ -78,38 +78,18 @@ class NetworkSimulator:
     delay_model:
         Delay distribution applied to every message.
     seed:
-        Seed of the simulator's random generator (delays) and of the
-        implicit fault controller's hash-based sampling.
-    drop_probability:
-        Probability that a message is silently lost.  The GuanYu protocol
-        layer re-reads quorums, so occasional losses only slow progress.
-        Back-compat shorthand for a :class:`FaultSchedule` with the same
-        ``drop_rate``; ignored when ``fault_controller`` is given.
-    duplicate_probability:
-        Probability that a message is delivered twice (the protocol layer
-        deduplicates by sender).  Back-compat shorthand like
-        ``drop_probability``.
+        Seed of the simulator's random generator (delays).
     fault_controller:
-        Full declarative fault injection (crashes, partitions, per-link
-        delay spikes / drop rates, duplication).  Supersedes the two
-        probability shorthands.
+        Declarative fault injection (crashes, partitions, per-link delay
+        spikes / drop rates, and the whole-run ``drop_rate`` /
+        ``duplicate_rate`` of its :class:`~repro.faults.FaultSchedule`).
+        The protocol layer re-reads quorums and deduplicates by sender, so
+        occasional losses and duplicates only slow progress.
     """
 
     def __init__(self, delay_model: Optional[DelayModel] = None, seed: int = 0,
-                 drop_probability: float = 0.0,
-                 duplicate_probability: float = 0.0,
                  fault_controller: Optional[FaultController] = None) -> None:
-        if not 0.0 <= drop_probability < 1.0:
-            raise ValueError("drop_probability must be in [0, 1)")
-        if not 0.0 <= duplicate_probability < 1.0:
-            raise ValueError("duplicate_probability must be in [0, 1)")
         self.delay_model = delay_model if delay_model is not None else ConstantDelay()
-        self.drop_probability = drop_probability
-        self.duplicate_probability = duplicate_probability
-        if fault_controller is None and (drop_probability or duplicate_probability):
-            fault_controller = FaultController(
-                FaultSchedule(drop_rate=drop_probability,
-                              duplicate_rate=duplicate_probability), seed=seed)
         self.faults = fault_controller
         self._rng = np.random.default_rng(seed)
         self._mailboxes: Dict[str, List[Message]] = {}

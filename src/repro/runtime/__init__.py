@@ -11,14 +11,16 @@ runtimes sit behind it:
 * the **simulated runtime** (driven by :mod:`repro.core.trainer` over
   :class:`repro.network.NetworkSimulator`) — deterministic, seeded, with a
   simulated clock used for the time-axis of the Figure 3 reproduction;
-  bit-identical per seed to the batched runtime, its reference and its
-  fallback, and the only engine for conv models and the single-server
-  baselines;
+  bit-identical per seed to the batched runtime, its reference, and the
+  only engine for conv models and the single-server baselines;
 * the **threaded runtime** (:mod:`repro.runtime.threads`) — every node runs
   in its own Python thread and exchanges messages over real queues, which
   exercises genuine concurrency, out-of-order delivery and wall-clock timing;
 * the **cluster runtime** (:mod:`repro.runtime.cluster`) — one OS process
   per node over real sockets, under a supervising daemon.
+
+Every runtime derives its nodes from one :mod:`repro.core.wiring`; the two
+wall-clock ones run them on one loop, :mod:`repro.runtime.live`.
 
 :class:`repro.runtime.cost.CostModel` accounts for local computation time
 (gradient computation, robust aggregation, model updates and the

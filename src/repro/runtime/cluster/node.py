@@ -2,17 +2,16 @@
 
 ``python -m repro.runtime.cluster.node`` reads one JSON configuration
 object from stdin and runs a single GuanYu node — one parameter server or
-one worker — as a real OS process.  The protocol logic is **identical** to
-the threaded runtime's node loops (and reuses :mod:`repro.core.nodes`
-unmodified); only the transport differs: frames over sockets instead of
-in-process queues, and lifecycle/metric frames to the supervising process
-over a persistent control connection.
+one worker — as a real OS process.  The protocol loop is the threaded
+runtime's (:class:`repro.runtime.live.LiveNode`); only the endpoint and
+the four hooks differ: frames over sockets instead of in-process queues,
+reports as control frames to the supervising process over a persistent
+connection, and a scheduled crash that really kills the process.
 
-Every node rebuilds the scenario's workload from the spec it receives —
-datasets, partitions, model factory, attacks, adversary, fault controller —
-using exactly the seed constants the other runtimes use (loader
-``seed+1000+i``, worker rng ``seed+2000+i``, server rng ``seed+3000+i``),
-which is what makes the cross-runtime loss-trajectory equivalence hold.
+Every node derives the scenario's :class:`~repro.core.wiring.ClusterWiring`
+from the spec it receives — the same derivation every other runtime uses,
+which is what makes the cross-runtime loss-trajectory equivalence hold —
+and builds only its own node from it.
 
 Exit codes (collected by the supervisor):
 
@@ -33,19 +32,18 @@ import sys
 import threading
 import time
 import traceback
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
+
+from repro.core.wiring import ClusterWiring
+from repro.runtime.live import LiveNode
 
 EXIT_OK = 0
 EXIT_BIND_FAILED = 11
 EXIT_CONFIG_INVALID = 12
 EXIT_DEBUG_DIED = 13
 EXIT_RUN_FAILED = 14
-
-#: wall-clock seconds one unit of profile delay_multiplier excess adds
-#: (same constant as the threaded runtime)
-HETERO_STRAGGLER_UNIT = 0.002
 
 
 class _ControlChannel:
@@ -70,15 +68,17 @@ class _ControlChannel:
             self._send_frame(self._sock, frame)
 
 
-class ClusterNodeProcess:
-    """Shared machinery of :class:`ClusterWorkerProcess` /
-    :class:`ClusterServerProcess`: workload construction, the control
-    channel, fault bookkeeping, and the readiness handshake."""
+class ClusterNodeProcess(LiveNode):
+    """One worker or parameter server as an OS process: the node built
+    from the scenario wiring, the control channel, the readiness handshake
+    and the resume-after-respawn rules."""
+
+    span_prefix = "clu"
+    runtime_label = "cluster"
 
     def __init__(self, config: Dict) -> None:
         from repro.campaign.spec import ScenarioSpec
 
-        self.node_id: str = config["node_id"]
         self.role: str = config["role"]
         self.index: int = int(config["index"])
         self.num_steps: int = int(config["num_steps"])
@@ -92,115 +92,31 @@ class ClusterNodeProcess:
         self.control_address = config["control"]
         self.spec = ScenarioSpec.from_dict(config["spec"])
         self.control: Optional[_ControlChannel] = None
-        self.transport = None
         self._started = threading.Event()
         self._shutdown = threading.Event()
         self._addresses: Dict[str, Dict] = {}
         self._start_time = 0.0
-        self._build()
 
-    # ------------------------------------------------------------------ #
-    # Workload construction (mirrors ThreadedClusterRuntime.__init__)
-    # ------------------------------------------------------------------ #
-    def _build(self) -> None:
-        from repro.adversary.engine import wire_attacks
-        from repro.aggregation import get_rule
-        from repro.core.nodes import ServerNode, WorkerNode
-        from repro.data.loader import DataLoader, partition_dataset
-        from repro.experiments.common import build_scale_bundle
-        from repro.faults import FaultController
-        from repro.hetero import DEFAULT_PROFILE
-
-        spec = self.spec
-        self.config = spec.cluster_config()
-        train, _test, model_fn, schedule = build_scale_bundle(spec.to_scale())
-        self.schedule = schedule
-        worker_attack = (spec.worker_attack.build()
-                         if spec.worker_attack else None)
-        server_attack = (spec.server_attack.build()
-                         if spec.server_attack else None)
-        self.adversary = spec.adversary.build() if spec.adversary else None
-
-        (self.coordinator, worker_attacks, server_attacks,
-         self.attacking_workers, self.attacking_servers) = wire_attacks(
-            config=self.config, seed=spec.seed,
-            worker_attack=worker_attack,
-            num_attacking_workers=spec.resolved_num_attacking_workers(),
-            server_attack=server_attack,
-            num_attacking_servers=spec.resolved_num_attacking_servers(),
-            gradient_rule_name=spec.gradient_rule, adversary=self.adversary)
-
-        worker_ids = self.config.worker_ids()
-        server_ids = self.config.server_ids()
-        self.faults = None
-        if spec.faults:
-            spec.faults.validate(known_nodes=worker_ids + server_ids)
-            self.faults = FaultController(spec.faults, seed=spec.seed)
-
-        hetero = spec.hetero
-        profiles = [hetero.profile_for(i) if hetero else DEFAULT_PROFILE
-                    for i in range(len(worker_ids))]
-        self.straggler_sleep = 0.0
-
-        if self.role == "worker":
-            shards = partition_dataset(train, len(worker_ids),
-                                       sharding=spec.sharding, hetero=hetero,
-                                       seed=spec.seed)
-            profile = profiles[self.index]
-            if profile.delay_multiplier != 1.0:
-                self.straggler_sleep = ((profile.delay_multiplier - 1.0)
-                                        * HETERO_STRAGGLER_UNIT)
-            loader = DataLoader(shards[self.index],
-                                batch_size=profile.batch_size or spec.batch_size,
-                                seed=spec.seed + 1000 + self.index)
-            self.node = WorkerNode(
-                node_id=self.node_id, model=model_fn(), loader=loader,
-                model_aggregator=get_rule(
-                    spec.model_rule,
-                    num_byzantine=self.config.num_byzantine_servers),
-                attack=worker_attacks[self.node_id],
-                seed=spec.seed + 2000 + self.index,
-                local_steps=profile.local_steps, schedule=schedule)
-        else:
-            self.node = ServerNode(
-                node_id=self.node_id, model=model_fn(),
-                gradient_aggregator=get_rule(
-                    spec.gradient_rule,
-                    num_byzantine=self.config.num_byzantine_workers),
-                model_aggregator=get_rule(
-                    spec.model_rule,
-                    num_byzantine=self.config.num_byzantine_servers),
-                schedule=schedule, attack=server_attacks[self.node_id],
-                seed=spec.seed + 3000 + self.index)
-
-        if self.faults is not None:
-            self.node.attack = self.faults.gate_attack(self.node_id,
-                                                       self.node.attack)
-
+        wiring, _test, model_fn = ClusterWiring.from_spec(self.spec)
+        build = wiring.worker if self.role == "worker" else wiring.server
+        # The endpoint is the socket transport ``start`` binds.
+        super().__init__(
+            wiring, build(self.index, model_fn()), None,
+            quorum_timeout=self.spec.quorum_timeout,
+            straggle=(wiring.straggler_excess(self.index)
+                      if self.role == "worker" else 0.0))
+        if self.node_id != config["node_id"]:
+            raise ValueError(f"node id '{config['node_id']}' is not "
+                             f"{self.role} {self.index} ('{self.node_id}')")
         # Observation board: only the Byzantine worker processes read
         # plans, so only they pay for one.  Honest workers *feed* the
-        # boards with OBSERVE frames instead (see the worker loop).
+        # boards with OBSERVE frames instead (``publish_observation``).
         self._board = None
-        if self.adversary is not None and self.adversary.requires_observation \
-                and self.attacking_workers \
-                and self.node_id in self.attacking_workers:
-            self.coordinator.enable_board(self._expected_publishers,
-                                          timeout=spec.quorum_timeout)
-            self._board = self.coordinator
-
-    def _expected_publishers(self, step: int) -> List[str]:
-        """Honest workers whose gradients are observable at ``step`` —
-        the same participation fixpoint the threaded board uses."""
-        honest = [worker_id for worker_id in self.config.worker_ids()
-                  if worker_id not in self.attacking_workers]
-        if self.faults is None:
-            return honest
-        workers, _ = self.faults.participating_nodes(
-            self.config.worker_ids(), self.config.server_ids(),
-            self.config.model_quorum, self.config.gradient_quorum, step)
-        participating = set(workers)
-        return [worker_id for worker_id in honest
-                if worker_id in participating]
+        if wiring.needs_observation_board \
+                and self.node_id in wiring.attacking_workers:
+            wiring.coordinator.enable_board(wiring.expected_publishers,
+                                            timeout=self.quorum_timeout)
+            self._board = wiring.coordinator
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -223,19 +139,12 @@ class ClusterNodeProcess:
                   file=sys.stderr, flush=True)
             sys.exit(EXIT_BIND_FAILED)
 
-        on_observe = None
-        if self._board is not None:
-            board = self._board
-
-            def on_observe(sender: str, step: int,
-                           gradient: np.ndarray) -> None:
-                board.publish(sender, step, gradient)
-
-        self.transport = SocketTransport(
+        self.endpoint = SocketTransport(
             self.node_id, listener, jitter=self.spec.jitter,
             seed=self.spec.seed + 4000 + self.index,
-            fault_controller=self.faults,
-            send_deadline=self.spec.quorum_timeout, on_observe=on_observe)
+            fault_controller=self.wiring.faults,
+            send_deadline=self.spec.quorum_timeout,
+            on_observe=self._board.publish if self._board is not None else None)
 
         control_sock = connect(self.control_address, timeout=30.0)
         self.control = _ControlChannel(control_sock, self.node_id)
@@ -250,7 +159,7 @@ class ClusterNodeProcess:
                 time.sleep(3600)
         if not self._started.wait(timeout=120.0):
             raise RuntimeError(f"{self.node_id} never received START")
-        self.transport.set_addresses(self._addresses)
+        self.endpoint.set_addresses(self._addresses)
         self._start_time = time.perf_counter()
 
     def _control_loop(self, sock: socket.socket, recv_frame) -> None:
@@ -270,15 +179,27 @@ class ClusterNodeProcess:
             elif frame.kind == "shutdown":
                 self._shutdown.set()
 
-    def _maybe_straggle(self) -> None:
-        if self.straggler_sleep > 0:
-            time.sleep(self.straggler_sleep)
+    # ------------------------------------------------------------------ #
+    # LiveNode hooks
+    # ------------------------------------------------------------------ #
+    def publish_observation(self, step: int, gradient: np.ndarray) -> None:
+        # Copy the honest gradient to every Byzantine worker's observation
+        # board (each controlled process rebuilds the identical round plan
+        # from the same observations).
+        for target in self.wiring.attacking_workers:
+            self.endpoint.send_observation(target, step, gradient)
 
-    def _crashed_now(self, step: int) -> bool:
-        return (self.faults is not None
-                and not self.faults.node_alive(self.node_id, step))
+    def report_loss(self, step: int, loss: float) -> None:
+        self.control.send("loss", step=step, loss=float(loss))
 
-    def _park_for_kill(self, step: int) -> None:
+    def report_step(self, step: int) -> None:
+        self.control.send("step_time", step=step,
+                          elapsed=time.perf_counter() - self._start_time)
+        if self.send_snapshots:
+            self.control.send("snapshot", step=step,
+                              payload=self.node.current_parameters())
+
+    def on_scheduled_crash(self, step: int) -> None:
         """Report the scheduled crash, then wait for the supervisor's
         SIGKILL — the process really dies; a later recover event makes the
         supervisor respawn a fresh incarnation from this step's state.
@@ -289,40 +210,17 @@ class ClusterNodeProcess:
         post-crash-step frame buffered here dies with the process instead
         of being retried into the respawned incarnation's re-bound
         listener."""
-        self.transport.close()
+        self.endpoint.close()
         self.control.send("crashed", step=step)
         while True:
             time.sleep(3600)
-
-    def _sits_out(self, step: int) -> bool:
-        """Non-crash sit-out: the participation fixpoint leaves this node
-        short of a quorum at ``step`` (same rule as the other runtimes)."""
-        if self.faults is None:
-            return False
-        workers, servers = self.faults.participating_nodes(
-            self.config.worker_ids(), self.config.server_ids(),
-            self.config.model_quorum, self.config.gradient_quorum, step)
-        if self.node_id in workers or self.node_id in servers:
-            return False
-        self.transport.abandon_step(step)
-        return True
-
-    def _participated(self, step: int) -> bool:
-        """Whether this node took part in an already-elapsed step (used by
-        respawned workers to fast-forward their data stream)."""
-        if self.faults is None:
-            return True
-        workers, servers = self.faults.participating_nodes(
-            self.config.worker_ids(), self.config.server_ids(),
-            self.config.model_quorum, self.config.gradient_quorum, step)
-        return self.node_id in workers or self.node_id in servers
 
     # ------------------------------------------------------------------ #
     def run(self) -> None:
         from contextlib import ExitStack
 
         from repro.obs.telemetry import MetricsRegistry, use_registry
-        from repro.obs.tracer import Tracer, get_tracer, use_tracer
+        from repro.obs.tracer import Tracer, use_tracer
 
         self._fast_forward()
         tracer = Tracer(capacity=20_000) if self.trace_enabled else None
@@ -332,7 +230,7 @@ class ClusterNodeProcess:
                 stack.enter_context(use_tracer(tracer))
             if registry is not None:
                 stack.enter_context(use_registry(registry))
-            self._loop(get_tracer())
+            self.run_steps(self.resume_step, self.num_steps)
         if tracer is not None:
             self.control.send(
                 "trace",
@@ -344,22 +242,19 @@ class ClusterNodeProcess:
             self.control.send("metrics", snapshot=registry.snapshot())
         self._finish()
         self._shutdown.wait(timeout=30.0)
-        self.transport.close()
+        self.endpoint.close()
 
     def _fast_forward(self) -> None:
-        raise NotImplementedError
-
-    def _loop(self, tracer) -> None:
-        raise NotImplementedError
-
-    def _finish(self) -> None:
-        raise NotImplementedError
-
-
-class ClusterWorkerProcess(ClusterNodeProcess):
-    """One worker as an OS process (phase 1 of every protocol round)."""
-
-    def _fast_forward(self) -> None:
+        """Put a respawned incarnation where its dead one stopped."""
+        if self.role == "server":
+            # A respawned server resumes from its own last snapshot — the
+            # stale parameters its dead incarnation last held, exactly like
+            # a recovering replica in the other runtimes; the phase-3 median
+            # re-contracts it toward the live majority.
+            if self.snapshot is not None:
+                self.node.model.set_flat_parameters(
+                    np.asarray(self.snapshot, dtype=np.float64))
+            return
         # A respawned worker replays its data stream: the dead incarnation
         # consumed one batch per local step for every step it participated
         # in, and the loader's shuffling is a pure function of its seed, so
@@ -367,139 +262,14 @@ class ClusterWorkerProcess(ClusterNodeProcess):
         # position.  (Workers carry no other per-step state — parameters
         # arrive fresh from the servers each round.)
         for step in range(self.resume_step):
-            if self._participated(step):
+            if self.node_id in self.wiring.participants(step)[0]:
                 for _ in range(self.node.local_steps):
                     self.node.loader.next_batch()
 
-    def _loop(self, tracer) -> None:
-        from repro.network.message import MessageKind
-        from repro.obs.telemetry import get_registry
-
-        worker = self.node
-        registry = get_registry()
-        server_ids = self.config.server_ids()
-        quorum_timeout = self.spec.quorum_timeout
-        for step in range(self.resume_step, self.num_steps):
-            if self.faults is not None:
-                self.faults.on_step(step)
-            if self._crashed_now(step):
-                self._park_for_kill(step)
-            if self._sits_out(step):
-                continue
-            with tracer.span("clu.worker.gather", step=step,
-                             node=worker.node_id), \
-                    registry.timer("repro_step_phase_seconds",
-                                   runtime="cluster", phase="gather"):
-                models = self.transport.wait_quorum(
-                    MessageKind.MODEL_TO_WORKER, step,
-                    quorum=self.config.model_quorum, timeout=quorum_timeout)
-            with tracer.span("clu.worker.compute", step=step,
-                             node=worker.node_id), \
-                    registry.timer("repro_step_phase_seconds",
-                                   runtime="cluster", phase="compute"):
-                result = worker.compute_gradient(models, step)
-            if not worker.is_byzantine:
-                if self.adversary is not None \
-                        and self.adversary.requires_observation \
-                        and self.attacking_workers \
-                        and self.adversary.observation_needed(step):
-                    # The omniscient adversary reads this worker's memory:
-                    # copy the honest gradient to every Byzantine worker's
-                    # observation board (each controlled process rebuilds
-                    # the identical round plan from the same observations).
-                    for target in self.attacking_workers:
-                        self.transport.send_observation(target, step,
-                                                        result.gradient)
-                self.control.send("loss", step=step, loss=float(result.loss))
-            self._maybe_straggle()
-            for server_id in server_ids:
-                payload = worker.outgoing_gradient(result, step,
-                                                   recipient=server_id)
-                self.transport.send(server_id,
-                                    MessageKind.GRADIENT_TO_SERVER, step,
-                                    payload)
-
     def _finish(self) -> None:
-        self.control.send("done")
-
-
-class ClusterServerProcess(ClusterNodeProcess):
-    """One parameter server as an OS process (phases 1–3 of every round)."""
-
-    def _fast_forward(self) -> None:
-        # A respawned server resumes from its own last snapshot — the
-        # stale parameters its dead incarnation last held, exactly like a
-        # recovering replica in the other runtimes; the phase-3 median
-        # re-contracts it toward the live majority.
-        if self.snapshot is not None:
-            self.node.model.set_flat_parameters(
-                np.asarray(self.snapshot, dtype=np.float64))
-
-    def _loop(self, tracer) -> None:
-        from repro.network.message import MessageKind
-        from repro.obs.telemetry import get_registry
-
-        server = self.node
-        registry = get_registry()
-        worker_ids = self.config.worker_ids()
-        server_ids = self.config.server_ids()
-        quorum_timeout = self.spec.quorum_timeout
-        for step in range(self.resume_step, self.num_steps):
-            if self.faults is not None:
-                self.faults.on_step(step)
-            if self._crashed_now(step):
-                self._park_for_kill(step)
-            if self._sits_out(step):
-                continue
-            self._maybe_straggle()
-            # Phase 1: broadcast the current model to the workers.
-            with tracer.span("clu.server.broadcast", step=step,
-                             node=server.node_id), \
-                    registry.timer("repro_step_phase_seconds",
-                                   runtime="cluster", phase="broadcast"):
-                for worker_id in worker_ids:
-                    payload = server.outgoing_model(step, recipient=worker_id)
-                    self.transport.send(worker_id,
-                                        MessageKind.MODEL_TO_WORKER, step,
-                                        payload)
-            # Phase 2: gather gradients and update.
-            with tracer.span("clu.server.gather", step=step,
-                             node=server.node_id), \
-                    registry.timer("repro_step_phase_seconds",
-                                   runtime="cluster", phase="gather"):
-                gradients = self.transport.wait_quorum(
-                    MessageKind.GRADIENT_TO_SERVER, step,
-                    quorum=self.config.gradient_quorum,
-                    timeout=quorum_timeout)
-            with tracer.span("clu.server.aggregate", step=step,
-                             node=server.node_id), \
-                    registry.timer("repro_step_phase_seconds",
-                                   runtime="cluster", phase="aggregate"):
-                server.apply_gradients(gradients, step)
-            # Phase 3: exchange models between servers, take the median.
-            with tracer.span("clu.server.apply", step=step,
-                             node=server.node_id), \
-                    registry.timer("repro_step_phase_seconds",
-                                   runtime="cluster", phase="apply"):
-                for server_id in server_ids:
-                    payload = server.outgoing_model(step, recipient=server_id) \
-                        if server_id != server.node_id \
-                        else server.current_parameters()
-                    self.transport.send(server_id,
-                                        MessageKind.MODEL_TO_SERVER, step,
-                                        payload)
-                models = self.transport.wait_quorum(
-                    MessageKind.MODEL_TO_SERVER, step,
-                    quorum=self.config.model_quorum, timeout=quorum_timeout)
-                server.merge_models(models)
-            self.control.send("step_time", step=step,
-                              elapsed=time.perf_counter() - self._start_time)
-            if self.send_snapshots:
-                self.control.send("snapshot", step=step,
-                                  payload=server.current_parameters())
-
-    def _finish(self) -> None:
-        self.control.send("done", payload=self.node.current_parameters())
+        self.control.send("done", payload=(
+            self.node.current_parameters() if self.role == "server"
+            else None))
 
 
 # --------------------------------------------------------------------------- #
@@ -509,9 +279,7 @@ def run_node(config: Dict) -> int:
     if config.get("debug", {}).get("die_before_ready"):
         return EXIT_DEBUG_DIED
     try:
-        node_class = (ClusterWorkerProcess if config["role"] == "worker"
-                      else ClusterServerProcess)
-        node = node_class(config)
+        node = ClusterNodeProcess(config)
     except (KeyError, TypeError, ValueError) as exc:
         print(f"invalid node config: {exc}", file=sys.stderr, flush=True)
         traceback.print_exc()

@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.campaign.spec import ScenarioSpec
 from repro.core.nodes import max_pairwise_distance
-from repro.faults import FaultController
+from repro.core.wiring import ClusterWiring
 from repro.obs.history import StepRecord, TrainingHistory
 from repro.obs.telemetry import get_registry
 from repro.obs.tracer import TraceEvent, get_tracer
@@ -145,8 +145,6 @@ class Supervisor:
 
     def __init__(self, spec: ScenarioSpec, num_steps: Optional[int] = None,
                  options: Optional[ClusterOptions] = None) -> None:
-        from repro.adversary.engine import wire_attacks  # heavy import
-
         spec.validate()
         if spec.trainer != "guanyu_threaded":
             raise ValueError("the cluster runtime runs 'guanyu_threaded' "
@@ -158,24 +156,16 @@ class Supervisor:
         self.options = options or ClusterOptions()
         self.config = spec.cluster_config()
 
-        self.faults = (FaultController(spec.faults, seed=spec.seed)
-                       if spec.faults else None)
+        # The same wiring every node process derives from the spec: the
+        # supervisor reads the fault controller, and the honest server set
+        # for the final-spread metric and to refuse respawning a Byzantine
+        # node (its attack rng state died with the process).
+        wiring, _test, _model_fn = ClusterWiring.from_spec(spec)
+        self.faults = wiring.faults
         self._has_recover = bool(spec.faults) and any(
             event.kind == "recover" for event in spec.faults.events)
-        # Same placement arithmetic as the node processes (wire_attacks is
-        # deterministic in (config, seed)): the supervisor needs the honest
-        # server set for the final-spread metric and to refuse respawning a
-        # Byzantine node (its attack rng state died with the process).
-        _, _, _, self.attacking_workers, self.attacking_servers = wire_attacks(
-            config=self.config, seed=spec.seed,
-            worker_attack=(spec.worker_attack.build()
-                           if spec.worker_attack else None),
-            num_attacking_workers=spec.resolved_num_attacking_workers(),
-            server_attack=(spec.server_attack.build()
-                           if spec.server_attack else None),
-            num_attacking_servers=spec.resolved_num_attacking_servers(),
-            gradient_rule_name=spec.gradient_rule,
-            adversary=spec.adversary.build() if spec.adversary else None)
+        self.attacking_workers = wiring.attacking_workers
+        self.attacking_servers = wiring.attacking_servers
 
         if self.options.transport == "auto":
             self._family = "unix" if unix_sockets_available() else "tcp"

@@ -14,11 +14,12 @@ Dispatch is driven entirely by the spec: ``ScenarioSpec.runtime`` when
 explicit (``"batched"``, ``"cluster"``); otherwise ``guanyu_threaded`` →
 threaded, a ``guanyu`` scenario over a dense model → the vectorised
 engine as a one-lane (R = 1) group, and everything else (conv models, the
-single-server baselines) → the sequential simulator.  A one-lane run the
-vectorised engine cannot finish (a quorum-starved step, any error) is
-re-run on the sequential :class:`~repro.core.trainer.GuanYuTrainer`, which
-is bit-identical where both run and owns the canonical outcome and error
-text.  Tracer and registry state never enter the choice.  The run
+single-server baselines) → the sequential simulator.  A one-lane run owns
+its outcome: a quorum-starved step fails as the engine's
+``BatchedExecutionError`` (the simulator's sentence, word for word) and any
+other error propagates as raised; only ``BatchingUnsupported`` re-runs on
+the sequential :class:`~repro.core.trainer.GuanYuTrainer`.  Tracer and
+registry state never enter the choice.  The run
 executes under the spec's kernel backend (``ScenarioSpec.kernels``, via
 :func:`repro.kernels.use_backend`) and, when given a store, is served from
 cache / persisted under the spec's content address exactly like the
@@ -69,7 +70,7 @@ def resolve_runtime(spec: "ScenarioSpec") -> str:
 
     A lone dense-model GuanYu scenario is an R = 1 lane of the batched
     engine; :attr:`ScenarioResult.runtime` reports ``"sequential"`` instead
-    when that lane had to fall back.
+    when the engine turned out to have no formulation for it.
     """
     if spec.runtime is not None:
         return spec.runtime  # "batched" | "cluster" (validated by the spec)
@@ -133,20 +134,21 @@ def _execute(spec: "ScenarioSpec",
              kind: str) -> Tuple["TrainingHistory", str]:
     """Run ``spec`` on ``kind``; returns the history and the kind that ran."""
     if kind == "batched":
-        from repro.batch import run_batched_scenarios  # lazy: import cycle
+        from repro.batch import (  # lazy: import cycle
+            BatchingUnsupported,
+            run_batched_scenarios,
+        )
 
         try:
             return run_batched_scenarios([spec])[0], kind
-        except Exception as exc:  # noqa: BLE001 - re-run on the reference
+        except BatchingUnsupported as exc:
             if spec.runtime is not None:
                 raise  # the spec asked for this engine by name
-            # The one sequential fallback (a failed seed group reaches it
-            # through per-scenario ``run`` calls).  Whatever stopped the
-            # lane — ``BatchingUnsupported``, the ``BatchedExecutionError``
-            # of a quorum-starved run, a genuine training error — the
-            # reference trainer owns the canonical outcome and error text;
-            # where both engines run they are bit-identical, so this only
-            # costs time.
+            # The envelope predicate admitted a model the engine has no
+            # formulation for: the simulator runs it.  Anything else the
+            # lane raises — a quorum-starved step's
+            # ``BatchedExecutionError``, a genuine training error — is the
+            # scenario's outcome and propagates as raised.
             get_tracer().event("runtime.fallback", scenario=spec.name,
                                reason=f"{type(exc).__name__}: {exc}")
             registry = get_registry()

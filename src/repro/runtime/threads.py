@@ -20,25 +20,25 @@ import threading
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.byzantine.base import ServerAttack, WorkerAttack
 from repro.core.config import ClusterConfig
-from repro.core.nodes import ServerNode, WorkerNode, max_pairwise_distance
+from repro.core.nodes import ServerNode, max_pairwise_distance
+from repro.core.wiring import ClusterWiring
 from repro.data.datasets import Dataset
-from repro.data.loader import DataLoader, partition_dataset
 from repro.faults import FaultController, FaultSchedule
-from repro.hetero import DEFAULT_PROFILE, HeteroSpec
-from repro.aggregation import get_rule
+from repro.hetero import HeteroSpec
 from repro.kernels import active_backend
 from repro.obs.history import StepRecord, TrainingHistory
-from repro.obs.telemetry import get_registry
-from repro.obs.tracer import get_tracer
 from repro.network.message import Message, MessageKind
 from repro.nn.module import Module
 from repro.nn.schedules import ConstantSchedule, LearningRateSchedule
+from repro.runtime.live import LiveNode
 
 
 class QuorumTimeout(RuntimeError):
@@ -70,6 +70,15 @@ class ThreadedTransport:
         self._rng = np.random.default_rng(seed)
         self.messages_sent = 0
         self.messages_suppressed = 0
+
+    def endpoint(self, node_id: str) -> SimpleNamespace:
+        """``node_id``'s view of this transport, in the per-node shape of
+        :class:`~repro.runtime.cluster.transport.SocketTransport` (what a
+        :class:`~repro.runtime.live.LiveNode` runs on)."""
+        return SimpleNamespace(
+            wait_quorum=partial(self.wait_quorum, node_id),
+            send=partial(self.send, node_id),
+            abandon_step=partial(self.abandon_step, node_id))
 
     def _deliver(self, message: Message) -> None:
         condition = self._conditions[message.recipient]
@@ -165,6 +174,36 @@ class ThreadedTransport:
                 condition.wait(timeout=remaining)
 
 
+class _ThreadNode(LiveNode):
+    """A live node whose reports land in its runtime's shared records."""
+
+    span_prefix = "thr"
+    runtime_label = "threads"
+
+    def __init__(self, runtime: "ThreadedClusterRuntime", node,
+                 straggle: float) -> None:
+        super().__init__(runtime.wiring, node,
+                         runtime.transport.endpoint(node.node_id),
+                         runtime.quorum_timeout, straggle)
+        self._runtime = runtime
+
+    def publish_observation(self, step: int, gradient: np.ndarray) -> None:
+        self._runtime.adversary_coordinator.publish(self.node_id, step,
+                                                    gradient)
+
+    def report_loss(self, step: int, loss: float) -> None:
+        runtime = self._runtime
+        with runtime._record_lock:
+            runtime._step_losses[step][self.node_id] = loss
+
+    def report_step(self, step: int) -> None:
+        runtime = self._runtime
+        elapsed = time.perf_counter() - runtime._start_time
+        with runtime._record_lock:
+            runtime._step_times[step] = max(
+                runtime._step_times.get(step, 0.0), elapsed)
+
+
 @dataclass
 class ThreadedNodeHandle:
     """Bookkeeping for one node thread."""
@@ -214,12 +253,9 @@ class ThreadedClusterRuntime:
         function of ``(seed, num_workers, hetero)``, so a scenario means
         the same per-worker data here as on the simulated clock.  Profile
         ``delay_multiplier``\\ s become real sleeps
-        (``HETERO_STRAGGLER_UNIT`` seconds per unit of excess delay) on
-        top of any explicit ``straggler_sleep``.
+        (:data:`repro.core.wiring.HETERO_STRAGGLER_UNIT` seconds per unit
+        of excess delay) on top of any explicit ``straggler_sleep``.
     """
-
-    #: wall-clock seconds one unit of profile delay_multiplier excess adds
-    HETERO_STRAGGLER_UNIT = 0.002
 
     def __init__(self, config: ClusterConfig, model_fn: Callable[[], Module],
                  train_dataset: Dataset, batch_size: int = 16,
@@ -238,96 +274,38 @@ class ThreadedClusterRuntime:
                  sharding: str = "iid",
                  hetero: Optional[HeteroSpec] = None,
                  seed: int = 0) -> None:
-        if num_attacking_workers > config.num_byzantine_workers:
-            raise ValueError("more attacking workers than declared Byzantine workers")
-        if num_attacking_servers > config.num_byzantine_servers:
-            raise ValueError("more attacking servers than declared Byzantine servers")
-        from repro.adversary.engine import wire_attacks  # lazy: heavy import
-
-        # Wiring first: mutual-exclusion errors must surface before any
-        # dataset/transport work happens.
-        (self.adversary_coordinator, worker_attacks, server_attacks,
-         attacking_workers, attacking_servers) = wire_attacks(
-            config=config, seed=seed,
+        self.schedule = schedule if schedule is not None else ConstantSchedule(0.001)
+        # Wiring first: validation and mutual-exclusion errors must surface
+        # before any dataset/transport work happens.
+        self.wiring = wiring = ClusterWiring(
+            config, train_dataset, seed=seed, batch_size=batch_size,
+            sharding=sharding, hetero=hetero, schedule=self.schedule,
+            gradient_rule_name=gradient_rule_name,
+            model_rule_name=model_rule_name,
             worker_attack=worker_attack,
             num_attacking_workers=num_attacking_workers,
             server_attack=server_attack,
             num_attacking_servers=num_attacking_servers,
-            gradient_rule_name=gradient_rule_name, adversary=adversary)
+            adversary=adversary, fault_schedule=fault_schedule)
         self.config = config
-        self.schedule = schedule if schedule is not None else ConstantSchedule(0.001)
         self.quorum_timeout = quorum_timeout
         self.straggler_sleep = dict(straggler_sleep or {})
+        self.transport = ThreadedTransport(
+            wiring.worker_ids + wiring.server_ids, jitter=jitter, seed=seed,
+            fault_controller=wiring.faults)
 
-        worker_ids = config.worker_ids()
-        server_ids = config.server_ids()
-        self.fault_schedule = fault_schedule
-        self.faults = None
-        if fault_schedule:
-            fault_schedule.validate(known_nodes=worker_ids + server_ids)
-            self.faults = FaultController(fault_schedule, seed=seed)
-        self.transport = ThreadedTransport(worker_ids + server_ids, jitter=jitter,
-                                           seed=seed, fault_controller=self.faults)
-
-        self.hetero = hetero
-        shards = partition_dataset(train_dataset, len(worker_ids),
-                                   sharding=sharding, hetero=hetero,
-                                   seed=seed)
-        profiles = [hetero.profile_for(index) if hetero else DEFAULT_PROFILE
-                    for index in range(len(worker_ids))]
-        for worker_id, profile in zip(worker_ids, profiles):
-            if profile.delay_multiplier != 1.0:
-                self.straggler_sleep[worker_id] = (
-                    self.straggler_sleep.get(worker_id, 0.0)
-                    + (profile.delay_multiplier - 1.0)
-                    * self.HETERO_STRAGGLER_UNIT)
-
-        self.adversary = adversary
-        #: set only for adversaries that observe the round's gradients —
-        #: publishing to a board nobody reads would just accumulate copies
+        self.adversary_coordinator = wiring.coordinator
+        #: set only for adversaries that observe the round's gradients
         self._observation_board = None
-        if adversary is not None and adversary.requires_observation \
-                and attacking_workers:
-            self.adversary_coordinator.enable_board(
-                self._expected_publishers, timeout=quorum_timeout)
-            self._observation_board = self.adversary_coordinator
-        self._attacking_workers = attacking_workers
+        if wiring.needs_observation_board:
+            wiring.coordinator.enable_board(wiring.expected_publishers,
+                                            timeout=quorum_timeout)
+            self._observation_board = wiring.coordinator
 
-        # Seed constants match the simulated trainers (loader 1000+i,
-        # worker rng 2000+i, server rng 3000+i): a scenario's per-worker
-        # data stream and attack noise are the same cluster under every
-        # runtime, which is what makes the cross-runtime heterogeneity
-        # equivalence tests possible at all.
-        self.workers = []
-        for index, worker_id in enumerate(worker_ids):
-            profile = profiles[index]
-            loader = DataLoader(shards[index],
-                                batch_size=profile.batch_size or batch_size,
-                                seed=seed + 1000 + index)
-            self.workers.append(WorkerNode(
-                node_id=worker_id, model=model_fn(), loader=loader,
-                model_aggregator=get_rule(model_rule_name,
-                                          num_byzantine=config.num_byzantine_servers),
-                attack=worker_attacks[worker_id],
-                seed=seed + 2000 + index,
-                local_steps=profile.local_steps,
-                schedule=self.schedule))
-
-        self.servers = []
-        for index, server_id in enumerate(server_ids):
-            self.servers.append(ServerNode(
-                node_id=server_id, model=model_fn(),
-                gradient_aggregator=get_rule(gradient_rule_name,
-                                             num_byzantine=config.num_byzantine_workers),
-                model_aggregator=get_rule(model_rule_name,
-                                          num_byzantine=config.num_byzantine_servers),
-                schedule=self.schedule,
-                attack=server_attacks[server_id],
-                seed=seed + 3000 + index))
-
-        if self.faults is not None:
-            for node in [*self.workers, *self.servers]:
-                node.attack = self.faults.gate_attack(node.node_id, node.attack)
+        self.workers = [wiring.worker(index, model_fn())
+                        for index in range(len(wiring.worker_ids))]
+        self.servers = [wiring.server(index, model_fn())
+                        for index in range(len(wiring.server_ids))]
 
         self._history = TrainingHistory(label="guanyu-threaded",
                                         config={**config.as_dict(),
@@ -357,150 +335,6 @@ class ThreadedClusterRuntime:
         return active_backend().median(np.stack(vectors), axis=0)
 
     # ------------------------------------------------------------------ #
-    def _expected_publishers(self, step: int) -> List[str]:
-        """Honest workers whose gradients the adversary can observe at a step.
-
-        Crashed or quorum-starved workers sit the step out and never
-        compute a gradient, so the observation board must not wait for
-        them — the participation fixpoint is the same one the runtimes use
-        to decide who stalls.
-        """
-        honest = [worker_id for worker_id in self.config.worker_ids()
-                  if worker_id not in self._attacking_workers]
-        if self.faults is None:
-            return honest
-        workers, _ = self.faults.participating_nodes(
-            self.config.worker_ids(), self.config.server_ids(),
-            self.config.model_quorum, self.config.gradient_quorum, step)
-        participating = set(workers)
-        return [worker_id for worker_id in honest
-                if worker_id in participating]
-
-    # ------------------------------------------------------------------ #
-    def _maybe_straggle(self, node_id: str) -> None:
-        delay = self.straggler_sleep.get(node_id, 0.0)
-        if delay > 0:
-            time.sleep(delay)
-
-    def _sits_out(self, node_id: str, step: int) -> bool:
-        """Whether faults force ``node_id`` to sit out ``step``.
-
-        Crashed nodes do nothing for the step; nodes that faults leave
-        short of a quorum — directly or transitively through other stalled
-        nodes — sit it out too, judged by the same participation fixpoint
-        the simulated trainer uses (see
-        :meth:`repro.faults.FaultController.participating_nodes`), so no
-        node ever blocks on a peer that is sitting the step out.  Skipped
-        steps cost no wall-clock: the node's mail for the step is
-        discarded and its next ``wait_quorum`` simply blocks until its
-        peers reach that step.
-        """
-        if self.faults is None:
-            return False
-        self.faults.on_step(step)
-        workers, servers = self.faults.participating_nodes(
-            self.config.worker_ids(), self.config.server_ids(),
-            self.config.model_quorum, self.config.gradient_quorum, step)
-        if node_id in workers or node_id in servers:
-            return False
-        self.transport.abandon_step(node_id, step)
-        return True
-
-    def _worker_loop(self, worker: WorkerNode, num_steps: int) -> None:
-        server_ids = self.config.server_ids()
-        tracer = get_tracer()
-        registry = get_registry()
-        for step in range(num_steps):
-            if self._sits_out(worker.node_id, step):
-                continue
-            with tracer.span("thr.worker.gather", step=step,
-                             node=worker.node_id), \
-                    registry.timer("repro_step_phase_seconds",
-                                   runtime="threads", phase="gather"):
-                models = self.transport.wait_quorum(
-                    worker.node_id, MessageKind.MODEL_TO_WORKER, step,
-                    quorum=self.config.model_quorum,
-                    timeout=self.quorum_timeout)
-            with tracer.span("thr.worker.compute", step=step,
-                             node=worker.node_id), \
-                    registry.timer("repro_step_phase_seconds",
-                                   runtime="threads", phase="compute"):
-                result = worker.compute_gradient(models, step)
-            if not worker.is_byzantine:
-                board = self._observation_board
-                if board is not None \
-                        and board.adversary.observation_needed(step):
-                    # The omniscient adversary reads this worker's memory
-                    # (skipped on rounds whose plan ignores the
-                    # observation, e.g. a sleeper's dormant window — no
-                    # point copying gradients nobody will read).
-                    board.publish(worker.node_id, step, result.gradient)
-                with self._record_lock:
-                    self._step_losses[step][worker.node_id] = result.loss
-            self._maybe_straggle(worker.node_id)
-            for server_id in server_ids:
-                payload = worker.outgoing_gradient(result, step,
-                                                   recipient=server_id)
-                self.transport.send(worker.node_id, server_id,
-                                    MessageKind.GRADIENT_TO_SERVER, step, payload)
-
-    def _server_loop(self, server: ServerNode, num_steps: int) -> None:
-        start_time = self._start_time
-        worker_ids = self.config.worker_ids()
-        server_ids = self.config.server_ids()
-        tracer = get_tracer()
-        registry = get_registry()
-        for step in range(num_steps):
-            if self._sits_out(server.node_id, step):
-                continue
-            self._maybe_straggle(server.node_id)
-            # Phase 1: broadcast the current model to the workers.
-            with tracer.span("thr.server.broadcast", step=step,
-                             node=server.node_id), \
-                    registry.timer("repro_step_phase_seconds",
-                                   runtime="threads", phase="broadcast"):
-                for worker_id in worker_ids:
-                    payload = server.outgoing_model(step, recipient=worker_id)
-                    self.transport.send(server.node_id, worker_id,
-                                        MessageKind.MODEL_TO_WORKER, step,
-                                        payload)
-            # Phase 2: gather gradients and update (Byzantine servers skip the
-            # honest computation — whatever they hold is corrupted on send).
-            with tracer.span("thr.server.gather", step=step,
-                             node=server.node_id), \
-                    registry.timer("repro_step_phase_seconds",
-                                   runtime="threads", phase="gather"):
-                gradients = self.transport.wait_quorum(
-                    server.node_id, MessageKind.GRADIENT_TO_SERVER, step,
-                    quorum=self.config.gradient_quorum,
-                    timeout=self.quorum_timeout)
-            with tracer.span("thr.server.aggregate", step=step,
-                             node=server.node_id), \
-                    registry.timer("repro_step_phase_seconds",
-                                   runtime="threads", phase="aggregate"):
-                server.apply_gradients(gradients, step)
-            # Phase 3: exchange models between servers and take the median.
-            with tracer.span("thr.server.apply", step=step,
-                             node=server.node_id), \
-                    registry.timer("repro_step_phase_seconds",
-                                   runtime="threads", phase="apply"):
-                for server_id in server_ids:
-                    payload = server.outgoing_model(step, recipient=server_id) \
-                        if server_id != server.node_id \
-                        else server.current_parameters()
-                    self.transport.send(server.node_id, server_id,
-                                        MessageKind.MODEL_TO_SERVER, step,
-                                        payload)
-                models = self.transport.wait_quorum(
-                    server.node_id, MessageKind.MODEL_TO_SERVER, step,
-                    quorum=self.config.model_quorum,
-                    timeout=self.quorum_timeout)
-                server.merge_models(models)
-            with self._record_lock:
-                self._step_times[step] = max(self._step_times.get(step, 0.0),
-                                             time.perf_counter() - start_time)
-
-    # ------------------------------------------------------------------ #
     def run(self, num_steps: int) -> TrainingHistory:
         """Run ``num_steps`` protocol steps and return the training history.
 
@@ -513,12 +347,13 @@ class ThreadedClusterRuntime:
         self._start_time = time.perf_counter()
         handles: List[ThreadedNodeHandle] = []
 
-        def launch(target, node) -> None:
+        def launch(node, straggle: float) -> None:
+            live = _ThreadNode(self, node, straggle)
             errors: List[BaseException] = []
 
             def runner() -> None:
                 try:
-                    target(node, num_steps)
+                    live.run_steps(0, num_steps)
                 except BaseException as exc:  # noqa: BLE001 - surfaced to caller
                     errors.append(exc)
 
@@ -528,10 +363,11 @@ class ThreadedClusterRuntime:
                                               error=errors))
             thread.start()
 
-        for worker in self.workers:
-            launch(self._worker_loop, worker)
+        for index, worker in enumerate(self.workers):
+            launch(worker, self.straggler_sleep.get(worker.node_id, 0.0)
+                   + self.wiring.straggler_excess(index))
         for server in self.servers:
-            launch(self._server_loop, server)
+            launch(server, self.straggler_sleep.get(server.node_id, 0.0))
 
         for handle in handles:
             handle.thread.join(timeout=self.quorum_timeout * (num_steps + 1))

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.batch import BatchedGuanYuTrainer, run_batched_scenarios
 from repro.batch.trainer import BatchedExecutionError, _PhaseBuffer
 from repro.campaign.spec import ScenarioSpec
+from repro.network.message import MessageKind
 from repro.runtime import run
 from repro.testing import sequential_history
 
@@ -97,7 +98,8 @@ class TestMultiRecipientCollect:
             or list(range(recipients))
         names = [f"node/{j}" for j in range(recipients)]
         stacked, completion, selected = buffer.collect(
-            fold, names, quorum, not_before=not_before[fold])
+            fold, names, quorum, not_before=not_before[fold],
+            kind=MessageKind.MODEL_TO_WORKER, step=0)
 
         assert stacked.shape == (len(fold) * replicas, quorum, DIMENSION)
         for position, j in enumerate(fold):
@@ -120,7 +122,8 @@ class TestMultiRecipientCollect:
                 buffer.add_directed(j, 0, np.full((1, DIMENSION), 10.0 + j),
                                     np.ones(1, dtype=bool), np.zeros(1))
             stacked, _, selected = buffer.collect(
-                [0, 1], ["a", "b"], 2, not_before=np.zeros((2, 1)))
+                [0, 1], ["a", "b"], 2, not_before=np.zeros((2, 1)),
+                kind=MessageKind.MODEL_TO_WORKER, step=0)
             assert selected[:, :, 0].tolist() == [[0, 1], [0, 1]]
             assert stacked[:, :, 0].tolist() == [[10.0, 1.0], [11.0, 1.0]]
 
@@ -140,10 +143,26 @@ class TestStarvation:
         names = [f"worker/{j}" for j in range(4)]
         with pytest.raises(BatchedExecutionError) as raised:
             buffer.collect([0, 1, 2, 3], names, 3,
-                           not_before=np.zeros((4, replicas)))
+                           not_before=np.zeros((4, replicas)),
+                           kind=MessageKind.MODEL_TO_WORKER, step=7)
         assert str(raised.value) == (
-            "replica(s) [0, 2]: worker/1 needed a quorum of 3 messages but "
-            "fewer senders delivered; falling back to sequential execution")
+            "replica(s) [0, 2]: worker/1 needed a quorum of 3 "
+            "'model_to_worker' messages for step 7 but fewer senders "
+            "delivered; falling back to sequential execution")
+
+    def test_a_lone_lane_fails_in_the_simulators_words(self):
+        buffer = _PhaseBuffer(2, 4, 1, DIMENSION, 0)
+        for s in range(4):
+            buffer.add_broadcast(s, np.zeros((1, DIMENSION)),
+                                 np.ones((2, 1), dtype=bool), np.ones((2, 1)))
+        buffer.times[1, 1:, 0] = np.inf  # ps/1 hears one sender
+        with pytest.raises(BatchedExecutionError) as raised:
+            buffer.collect([0, 1], ["ps/0", "ps/1"], 3,
+                           not_before=np.zeros((2, 1)),
+                           kind=MessageKind.MODEL_TO_SERVER, step=4)
+        assert str(raised.value) == (
+            "ps/1 needed a quorum of 3 'model_to_server' messages for step "
+            "4 but only 1 distinct senders delivered")
 
 
 def count_kernel_calls(trainer, monkeypatch):

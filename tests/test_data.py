@@ -11,7 +11,7 @@ from repro.data import (
     make_blobs_dataset,
     make_moons_dataset,
     make_spirals_dataset,
-    shard_dataset,
+    partition_dataset,
 )
 
 
@@ -141,18 +141,18 @@ class TestDataLoader:
 class TestSharding:
     def test_iid_shards_partition_dataset(self):
         data = make_blobs_dataset(num_samples=100, seed=0)
-        shards = shard_dataset(data, 4, strategy="iid", seed=1)
+        shards = partition_dataset(data, 4, sharding="iid", seed=1)
         assert len(shards) == 4
         assert sum(len(s) for s in shards) == 100
 
     def test_replicated_shards_share_everything(self):
         data = make_blobs_dataset(num_samples=30, seed=0)
-        shards = shard_dataset(data, 3, strategy="replicated")
+        shards = partition_dataset(data, 3, sharding="replicated")
         assert all(len(s) == 30 for s in shards)
 
     def test_by_class_shards_are_skewed(self):
         data = make_blobs_dataset(num_samples=300, num_classes=3, seed=0)
-        shards = shard_dataset(data, 3, strategy="by_class")
+        shards = partition_dataset(data, 3, sharding="by_class")
         # Each by-class shard should be dominated by few classes.
         dominant = [np.bincount(s.labels, minlength=3).max() / len(s) for s in shards]
         assert all(fraction > 0.8 for fraction in dominant)
@@ -160,9 +160,9 @@ class TestSharding:
     def test_unknown_strategy_raises(self):
         data = make_blobs_dataset(num_samples=10, seed=0)
         with pytest.raises(ValueError):
-            shard_dataset(data, 2, strategy="magic")
+            partition_dataset(data, 2, sharding="magic")
 
     def test_too_many_shards_raises(self):
         data = make_blobs_dataset(num_samples=3, seed=0)
         with pytest.raises(ValueError):
-            shard_dataset(data, 10)
+            partition_dataset(data, 10)

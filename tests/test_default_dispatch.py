@@ -14,6 +14,11 @@ import itertools
 
 import pytest
 
+from repro.batch import (
+    BatchedExecutionError,
+    BatchedGuanYuTrainer,
+    BatchingUnsupported,
+)
 from repro.campaign import ResultStore, ScenarioSpec, run_campaign
 from repro.faults import FaultSchedule
 from repro.obs import MetricsRegistry, Tracer, use_registry
@@ -77,9 +82,14 @@ def starved_spec() -> ScenarioSpec:
                         faults=FaultSchedule(drop_rate=0.05).to_dict())
 
 
-#: the outcome of ``starved_spec()`` at the parent commit
-STARVED_ERROR = ("RuntimeError: ps/1 needed a quorum of 5 'model_to_server' "
-                 "messages for step 1 but only 4 distinct senders delivered")
+#: what ``starved_spec()`` dies of — the sequential simulator's sentence,
+#: which the engine's own error repeats word for word
+STARVED_ERROR = ("ps/1 needed a quorum of 5 'model_to_server' messages for "
+                 "step 1 but only 4 distinct senders delivered")
+
+
+def unsupported(specs):
+    raise BatchingUnsupported("injected")
 
 
 class TestFallbackContract:
@@ -92,35 +102,52 @@ class TestFallbackContract:
         assert (result.runtime, result.status) == ("sequential", "ran")
         assert result.history.to_dict() == sequential_history(spec).to_dict()
 
-    def test_quorum_starved_run_keeps_the_canonical_error(self):
+    def test_quorum_starved_run_keeps_the_canonical_error(self, no_fallbacks):
         spec = starved_spec()
         assert resolve_runtime(spec) == "batched"
-        with pytest.raises(RuntimeError) as raised:
+        with pytest.raises(BatchedExecutionError) as raised:
             run(spec)
-        assert f"RuntimeError: {raised.value}" == STARVED_ERROR
+        assert str(raised.value) == STARVED_ERROR
+        with pytest.raises(RuntimeError) as simulated:
+            sequential_history(spec)
+        assert str(simulated.value) == STARVED_ERROR
         outcome = run_campaign([spec]).outcomes[0]
-        assert (outcome.status, outcome.error) == ("failed", STARVED_ERROR)
-        assert "collect_quorum" in outcome.traceback
+        assert (outcome.status, outcome.error) == (
+            "failed", f"BatchedExecutionError: {STARVED_ERROR}")
+        # The engine failed it; nothing re-ran on the simulator.
+        assert "collect_quorum" not in outcome.traceback
 
-    def test_fallback_leaves_a_trace_event(self):
+    def test_engine_errors_surface_instead_of_a_silent_rerun(
+            self, monkeypatch, no_fallbacks):
+        def broken_step(self, step_index):
+            raise ValueError("engine bug")
+
+        monkeypatch.setattr(BatchedGuanYuTrainer, "step", broken_step)
+        with pytest.raises(ValueError, match="engine bug"):
+            run(GRID[0].values[0])
+
+    def test_fallback_leaves_a_trace_event(self, monkeypatch):
+        monkeypatch.setattr("repro.batch.run_batched_scenarios", unsupported)
         tracer = Tracer()
-        with pytest.raises(RuntimeError):
-            run(starved_spec(), tracer=tracer)
+        result = run(GRID[0].values[0], tracer=tracer)
+        assert result.runtime == "sequential"
         (event,) = [record for record in tracer.events()
                     if record.name == "runtime.fallback"]
-        assert event.attrs["scenario"] == "starved"
-        assert event.attrs["reason"].startswith("BatchedExecutionError")
+        assert event.attrs["scenario"] == GRID[0].values[0].name
+        assert event.attrs["reason"].startswith("BatchingUnsupported")
 
-    def test_fallback_is_counted_by_exception_class(self):
+    def test_fallback_is_counted_by_exception_class(self, monkeypatch):
+        monkeypatch.setattr("repro.batch.run_batched_scenarios", unsupported)
         registry = MetricsRegistry()
-        with use_registry(registry), pytest.raises(RuntimeError):
-            run(starved_spec())
+        with use_registry(registry):
+            run(GRID[0].values[0])
         assert registry.counter("repro_runtime_fallback_total").series == {
-            (("reason", "BatchedExecutionError"),): 1.0}
+            (("reason", "BatchingUnsupported"),): 1.0}
 
-    def test_explicit_batched_runtime_does_not_fall_back(self):
-        with pytest.raises(RuntimeError, match="falling back"):
-            run(starved_spec().replace(runtime="batched"))
+    def test_explicit_batched_runtime_does_not_fall_back(self, monkeypatch):
+        monkeypatch.setattr("repro.batch.run_batched_scenarios", unsupported)
+        with pytest.raises(BatchingUnsupported):
+            run(GRID[0].values[0].replace(runtime="batched"))
 
     def test_tracer_state_does_not_change_the_engine(self):
         spec = GRID[0].values[0]

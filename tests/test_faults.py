@@ -259,9 +259,8 @@ class TestSimulatorFaults:
                            np.ones(1), send_time=0.0)
         assert message.deliver_time == pytest.approx(0.1)
 
-    def test_legacy_probability_args_still_work(self):
-        sim = NetworkSimulator(delay_model=ConstantDelay(0.001), seed=0,
-                               drop_probability=0.5)
+    def test_base_drop_rate_loses_messages(self):
+        sim = self._sim(FaultSchedule(drop_rate=0.5))
         for index in range(200):
             sim.send(f"s{index}", "w", MessageKind.MODEL_TO_WORKER, 0,
                      np.zeros(1), 0.0)
@@ -272,7 +271,8 @@ class TestSimulatorFaults:
         """Duplicates add their delay AND their delivery to the mean."""
         sim = NetworkSimulator(delay_model=ConstantDelay(
             delay=0.01, bandwidth_bytes_per_second=1e12), seed=0,
-            duplicate_probability=0.9)
+            fault_controller=FaultController(
+                FaultSchedule(duplicate_rate=0.9)))
         for index in range(50):
             sim.send(f"s{index}", "w", MessageKind.MODEL_TO_WORKER, 0,
                      np.zeros(1), 0.0)

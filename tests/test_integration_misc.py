@@ -4,6 +4,7 @@ import pytest
 
 from repro import ClusterConfig, GuanYuTrainer, VanillaTrainer
 from repro.data import SyntheticImageDataset
+from repro.faults import FaultController, FaultSchedule
 from repro.network.delays import ConstantDelay
 from repro.network.simulator import NetworkSimulator
 from repro.nn import build_model
@@ -22,9 +23,10 @@ class TestFaultInjection:
                                 train_dataset=train, test_dataset=test,
                                 batch_size=16, schedule=fast_schedule, seed=1)
         # Replace the network with a lossy one (10 % drops, 10 % duplicates).
-        trainer.network = NetworkSimulator(delay_model=ConstantDelay(1e-3), seed=1,
-                                           drop_probability=0.1,
-                                           duplicate_probability=0.1)
+        trainer.network = NetworkSimulator(
+            delay_model=ConstantDelay(1e-3), seed=1,
+            fault_controller=FaultController(
+                FaultSchedule(drop_rate=0.1, duplicate_rate=0.1), seed=1))
         history = trainer.run(num_steps=40, eval_every=20)
         assert history.final_accuracy() > 0.85
         assert trainer.network.stats.messages_dropped > 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.faults import FaultController, FaultSchedule
 from repro.network import (
     ConstantDelay,
     ExponentialDelay,
@@ -221,8 +222,9 @@ class TestNetworkSimulator:
         assert message.deliver_time == pytest.approx(3.0)
 
     def test_drop_probability_loses_messages(self):
-        sim = NetworkSimulator(delay_model=ConstantDelay(0.001), seed=0,
-                               drop_probability=0.5)
+        sim = NetworkSimulator(
+            delay_model=ConstantDelay(0.001), seed=0,
+            fault_controller=FaultController(FaultSchedule(drop_rate=0.5)))
         for index in range(100):
             sim.send(f"s{index}", "w", MessageKind.MODEL_TO_WORKER, 0,
                      np.zeros(1), 0.0)
@@ -230,8 +232,10 @@ class TestNetworkSimulator:
         assert sim.pending_count("w") == 100 - sim.stats.messages_dropped
 
     def test_duplicates_counted_once_towards_quorum(self):
-        sim = NetworkSimulator(delay_model=ConstantDelay(0.001), seed=0,
-                               duplicate_probability=0.9)
+        sim = NetworkSimulator(
+            delay_model=ConstantDelay(0.001), seed=0,
+            fault_controller=FaultController(
+                FaultSchedule(duplicate_rate=0.9)))
         sim.send("s0", "w", MessageKind.MODEL_TO_WORKER, 0, np.zeros(1), 0.0)
         with pytest.raises(RuntimeError):
             sim.collect_quorum("w", MessageKind.MODEL_TO_WORKER, 0, quorum=2)
@@ -251,10 +255,11 @@ class TestNetworkSimulator:
         assert sim.stats.mean_delay > 0.0
 
     def test_invalid_probabilities_rejected(self):
-        with pytest.raises(ValueError):
-            NetworkSimulator(drop_probability=1.0)
-        with pytest.raises(ValueError):
-            NetworkSimulator(duplicate_probability=-0.1)
+        with pytest.raises(ValueError, match=r"drop_rate must be in \[0, 1\)"):
+            FaultController(FaultSchedule(drop_rate=1.0))
+        with pytest.raises(ValueError,
+                           match=r"duplicate_rate must be in \[0, 1\)"):
+            FaultController(FaultSchedule(duplicate_rate=-0.1))
 
     def test_broadcast_reaches_every_recipient(self):
         sim = self._sim()

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import make_blobs_dataset, shard_dataset
+from repro.data import make_blobs_dataset, partition_dataset
 from repro.network.delays import ExponentialDelay, LogNormalDelay, UniformDelay
 from repro.nn import MLP
 
@@ -49,7 +49,7 @@ class TestShardingProperties:
                                      num_features=2, seed=seed)
         if num_shards > num_samples:
             num_shards = num_samples
-        shards = shard_dataset(dataset, num_shards, strategy="iid", seed=seed)
+        shards = partition_dataset(dataset, num_shards, sharding="iid", seed=seed)
         total = sum(len(shard) for shard in shards)
         assert total == num_samples
         # Shards are balanced to within one sample.
@@ -61,8 +61,8 @@ class TestShardingProperties:
     def test_sharding_is_deterministic_given_seed(self, num_shards, seed):
         dataset = make_blobs_dataset(num_samples=60, num_classes=3,
                                      num_features=2, seed=0)
-        first = shard_dataset(dataset, num_shards, strategy="iid", seed=seed)
-        second = shard_dataset(dataset, num_shards, strategy="iid", seed=seed)
+        first = partition_dataset(dataset, num_shards, sharding="iid", seed=seed)
+        second = partition_dataset(dataset, num_shards, sharding="iid", seed=seed)
         for shard_a, shard_b in zip(first, second):
             assert np.allclose(shard_a.features, shard_b.features)
 

@@ -2,12 +2,9 @@
 
 Every runtime — sequential simulator, batched lanes, threaded nodes,
 process cluster — is reached through ``run(spec)``, the only scenario
-entry point; ``shard_dataset`` remains as a deprecation shim.
+entry point.
 """
 
-import warnings
-
-import numpy as np
 import pytest
 
 import repro.campaign
@@ -15,7 +12,6 @@ import repro.campaign.engine
 import repro.runtime as runtime_pkg
 from repro.campaign.spec import ScenarioSpec
 from repro.campaign.store import ResultStore
-from repro.data import make_blobs_dataset, partition_dataset, shard_dataset
 from repro.obs.tracer import Tracer
 from repro.runtime import ScenarioResult, resolve_runtime, run
 from repro.testing import sequential_history
@@ -113,23 +109,3 @@ class TestDeprecationShims:
                      if name.startswith(("run", "execute", "build"))}
         assert executors == {"run_campaign", "build_trainer"}
         assert repro.campaign.engine.run_scenario is run
-
-    def test_shard_dataset_warns_and_matches_partition_dataset(self):
-        dataset = make_blobs_dataset(num_samples=120, seed=3)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = shard_dataset(dataset, 4, strategy="iid", seed=5)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert "partition_dataset" in str(caught[0].message)
-        front_door = partition_dataset(dataset, 4, sharding="iid", seed=5)
-        for old, new in zip(legacy, front_door):
-            assert np.array_equal(old.features, new.features)
-            assert np.array_equal(old.labels, new.labels)
-
-    def test_partition_dataset_itself_does_not_warn(self):
-        dataset = make_blobs_dataset(num_samples=120, seed=3)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("error", DeprecationWarning)
-            partition_dataset(dataset, 4, sharding="iid", seed=5)
-        assert caught == []
