@@ -9,7 +9,9 @@ This package answers "what happened during a run" at three granularities:
   with label sets) under the same zero-perturbation contract, snapshot/
   merge across processes, Prometheus text exposition;
 * :mod:`repro.obs.httpd` — serve the active registry over HTTP
-  (``/metrics``, ``/healthz``, ``/status``);
+  (``/metrics``, ``/healthz``, ``/status``); :class:`MetricsServer` is
+  served lazily (PEP 562) so that importing the package — every cluster
+  node does — does not load ``http.server``, ``email`` and ``ssl``;
 * :mod:`repro.obs.crash` — flight recorder dumping trace ring + metrics
   snapshot to ``*.crash.json`` on failure or interruption;
 * :mod:`repro.obs.history` — the per-step :class:`TrainingHistory` on the
@@ -19,7 +21,6 @@ This package answers "what happened during a run" at three granularities:
 
 from repro.obs.crash import crash_report_path, write_crash_report
 from repro.obs.history import StepRecord, TrainingHistory
-from repro.obs.httpd import MetricsServer
 from repro.obs.logging import configure_logging
 from repro.obs.telemetry import (
     Counter,
@@ -66,3 +67,11 @@ __all__ = [
     "crash_report_path",
     "configure_logging",
 ]
+
+
+def __getattr__(name: str):
+    if name == "MetricsServer":
+        from repro.obs.httpd import MetricsServer
+
+        return MetricsServer
+    raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")

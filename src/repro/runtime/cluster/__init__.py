@@ -8,7 +8,10 @@ processes** speaking the length-prefixed binary protocol of
 under a :class:`~repro.runtime.cluster.supervisor.Supervisor` daemon that
 owns lifecycle (spawn, readiness handshake, health probes, SIGKILL on
 scheduled crashes, respawn on recovery, graceful shutdown, exit-code
-collection) and address wiring.
+collection) and address wiring.  The node processes are forked from one
+warm template process per calling process
+(:mod:`repro.runtime.cluster.template`), so a scenario starts no
+interpreter of its own.
 
 Node processes reuse :mod:`repro.core.nodes` unmodified, so aggregation
 rules, Byzantine attacks, stateful adversaries and heterogeneity profiles

@@ -1,12 +1,15 @@
-"""Node process entry point of the cluster runtime.
+"""The node process of the cluster runtime, and the template's entry point.
 
-``python -m repro.runtime.cluster.node`` reads one JSON configuration
-object from stdin and runs a single GuanYu node — one parameter server or
-one worker — as a real OS process.  The protocol loop is the threaded
-runtime's (:class:`repro.runtime.live.LiveNode`); only the endpoint and
-the four hooks differ: frames over sockets instead of in-process queues,
-reports as control frames to the supervising process over a persistent
-connection, and a scheduled crash that really kills the process.
+``python -m repro.runtime.cluster.node`` is the **template process**
+(:mod:`repro.runtime.cluster.template`): it loads this module's whole
+import graph once and forks one child per node.  Each child runs
+:func:`run_node` on the configuration its supervisor sent — a single
+GuanYu node, one parameter server or one worker, as a real OS process.
+The protocol loop is the threaded runtime's
+(:class:`repro.runtime.live.LiveNode`); only the endpoint and the four
+hooks differ: frames over sockets instead of in-process queues, reports as
+control frames to the supervising process over a persistent connection,
+and a scheduled crash that really kills the process.
 
 Every node derives the scenario's :class:`~repro.core.wiring.ClusterWiring`
 from the spec it receives — the same derivation every other runtime uses,
@@ -18,7 +21,7 @@ Exit codes (collected by the supervisor):
 ====  ======================================================
 0     clean shutdown
 11    could not bind the assigned listener address
-12    invalid configuration on stdin
+12    invalid configuration
 13    debug hook ``die_before_ready`` (tests only)
 14    unrecoverable run error (details travel in an ERROR frame)
 ====  ======================================================
@@ -26,7 +29,6 @@ Exit codes (collected by the supervisor):
 
 from __future__ import annotations
 
-import json
 import socket
 import sys
 import threading
@@ -304,14 +306,11 @@ def run_node(config: Dict) -> int:
         return EXIT_RUN_FAILED
 
 
-def main() -> int:
-    try:
-        config = json.load(sys.stdin)
-    except json.JSONDecodeError as exc:
-        print(f"invalid node config JSON: {exc}", file=sys.stderr, flush=True)
-        return EXIT_CONFIG_INVALID
-    return run_node(config)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    # What a node would import lazily on its way to READY is loaded here,
+    # once, so that the forked nodes import nothing.
+    import repro.adversary.engine  # noqa: F401
+    import repro.experiments.common  # noqa: F401
+    from repro.runtime.cluster.template import serve
+
+    sys.exit(serve(run_node))

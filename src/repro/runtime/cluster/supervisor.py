@@ -2,9 +2,10 @@
 
 The :class:`Supervisor` owns the whole lifecycle of one cluster run: it
 assigns every node a stable listener address (Unix-domain socket by
-default, TCP with supervisor-probed free ports otherwise), spawns one OS
-process per parameter server and worker (``python -m
-repro.runtime.cluster.node``), completes a READY/START handshake that
+default, TCP with supervisor-probed free ports otherwise), has this
+process's warm template (:mod:`repro.runtime.cluster.template`) fork one
+OS process per parameter server and worker, completes a READY/START
+handshake that
 distributes the address map, probes health with PING/PONG frames over each
 node's persistent control connection, and collects exit codes on the way
 out.
@@ -28,14 +29,11 @@ loss-trajectory equivalence test checks.
 
 from __future__ import annotations
 
-import json
 import os
 import queue
 import shutil
 import signal
 import socket
-import subprocess
-import sys
 import tempfile
 import threading
 import time
@@ -52,6 +50,7 @@ from repro.obs.history import StepRecord, TrainingHistory
 from repro.obs.telemetry import get_registry
 from repro.obs.tracer import TraceEvent, get_tracer
 from repro.runtime.cluster.protocol import Frame, FrameError, recv_frame, send_frame
+from repro.runtime.cluster.template import TEMPLATE, NodeProcess, TemplateError
 from repro.runtime.cluster.transport import (
     Address,
     bind_listener,
@@ -102,7 +101,7 @@ class ClusterOptions:
 class Incarnation:
     """One spawned OS process of a node (respawns append new entries)."""
 
-    process: subprocess.Popen
+    process: NodeProcess
     pid: int
     resume_step: int = 0
     exit_code: Optional[int] = None
@@ -241,22 +240,10 @@ class Supervisor:
         }
 
     def _spawn(self, handle: NodeHandle, resume_step: int = 0) -> None:
-        import repro
-
-        env = os.environ.copy()
-        package_root = os.path.dirname(os.path.dirname(
-            os.path.abspath(repro.__file__)))
-        env["PYTHONPATH"] = package_root + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
         log_path = os.path.join(self._dir,
                                 f"{self._safe_name(handle.node_id)}.log")
-        config = self._node_config(handle, resume_step)
-        with open(log_path, "ab") as log:
-            process = subprocess.Popen(
-                [sys.executable, "-m", "repro.runtime.cluster.node"],
-                stdin=subprocess.PIPE, stdout=log, stderr=log, env=env)
-        process.stdin.write(json.dumps(config).encode("utf-8"))
-        process.stdin.close()
+        process = TEMPLATE.spawn(self._node_config(handle, resume_step),
+                                 log_path, dict(os.environ))
         handle.incarnations.append(
             Incarnation(process=process, pid=process.pid,
                         resume_step=resume_step))
@@ -270,16 +257,13 @@ class Supervisor:
         incarnation = handle.current
         if incarnation is None:
             return None
-        process = incarnation.process
-        if process.poll() is None:
-            try:
-                process.send_signal(signal.SIGKILL)
-            except OSError:
-                pass
+        incarnation.process.kill()
         try:
-            incarnation.exit_code = process.wait(timeout=10.0)
-        except subprocess.TimeoutExpired:  # pragma: no cover - defensive
-            incarnation.exit_code = process.poll()
+            incarnation.exit_code = incarnation.process.wait(timeout=10.0)
+        except TemplateError:
+            # Its parent died, so init reaps it and nobody reports the
+            # status: the signal just sent is all there is to know.
+            incarnation.exit_code = -signal.SIGKILL
         with handle.conn_lock:
             if handle.conn is not None:
                 try:
@@ -336,12 +320,17 @@ class Supervisor:
                 if handle.state in _TERMINAL_STATES or handle.state == "killed":
                     continue
                 incarnation = handle.current
-                if incarnation is not None and incarnation.exit_code is None \
-                        and incarnation.process.poll() is not None:
-                    incarnation.exit_code = incarnation.process.returncode
-                    self._events.put(("exit", handle.node_id,
-                                      incarnation.exit_code, None))
-                    continue
+                if incarnation is not None and incarnation.exit_code is None:
+                    try:
+                        code = incarnation.process.poll()
+                    except TemplateError as exc:
+                        self._events.put(("template", handle.node_id,
+                                          str(exc), None))
+                        return
+                    if code is not None:
+                        incarnation.exit_code = code
+                        self._events.put(("exit", handle.node_id, code, None))
+                        continue
                 if handle.conn is None:
                     continue
                 if now - handle.last_pong > self.options.probe_timeout:
@@ -587,6 +576,8 @@ class Supervisor:
                 self._on_exit(handle, payload)
             elif kind == "hung":
                 self._on_hung(handle)
+            elif kind == "template":
+                raise SupervisorError(payload)
             # "eof" alone carries no verdict: a finished or killed node
             # closing its connection is normal, and a dying one is caught
             # by the monitor's poll() with its exit code.
@@ -610,6 +601,8 @@ class Supervisor:
             for handle in self.handles.values():
                 self._spawn(handle)
             self._event_loop()
+        except TemplateError as exc:
+            raise SupervisorError(str(exc)) from exc
         finally:
             self._teardown()
         self._merge_traces()
@@ -630,7 +623,9 @@ class Supervisor:
             try:
                 incarnation.exit_code = \
                     incarnation.process.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
+            except TemplateError:
+                pass  # nobody left to wait through: kill by PID below
+            if incarnation.exit_code is None:
                 self._kill_current(handle)
         if self._listener is not None:
             try:
@@ -749,8 +744,12 @@ def cluster_available() -> bool:
     """Whether this host can run the socket cluster (bind + connect work).
 
     Sandboxes occasionally forbid socket binding altogether; the campaign
-    engine falls back to the threaded runtime when this returns ``False``.
+    engine falls back to the threaded runtime when this returns ``False``
+    — as it does where ``os.fork`` is missing, since nodes are forked from
+    the template process.
     """
+    if not hasattr(os, "fork"):
+        return False
     if unix_sockets_available():
         directory = tempfile.mkdtemp(prefix="repro-cluster-probe-")
         try:
