@@ -6,15 +6,13 @@ trimmed mean and the (vulnerable) arithmetic mean under a worker attack.
 
 import dataclasses
 
-
 from repro.experiments import run_gar_ablation, run_quorum_ablation
 from repro.metrics import throughput_updates_per_second
 
 
-def test_gar_ablation_robust_rules_survive_attack(benchmark, bench_scale):
+def test_gar_ablation_robust_rules_survive_attack(bench_scale):
     """Robust GARs converge under attack; the arithmetic mean does not."""
-    histories = benchmark.pedantic(run_gar_ablation, rounds=1, iterations=1,
-                                   kwargs=dict(scale=bench_scale))
+    histories = run_gar_ablation(scale=bench_scale)
     print("\nGAR ablation — final accuracy under a corrupted-gradient attack")
     for rule, history in histories.items():
         print(f"  {rule:15s} {history.final_accuracy():.3f}")
@@ -25,13 +23,12 @@ def test_gar_ablation_robust_rules_survive_attack(benchmark, bench_scale):
     assert histories["mean"].final_accuracy() < min(robust.values()) - 0.2
 
 
-def test_quorum_ablation_tradeoff(benchmark, bench_scale):
+def test_quorum_ablation_tradeoff(bench_scale):
     """Section 5.3: larger quorums cost throughput but never per-update quality."""
     # Use a cluster shape whose admissible quorum range [2f̄+3, n̄−f̄] is wide.
     scale = dataclasses.replace(bench_scale, num_workers=12,
                                 declared_byzantine_workers=1)
-    histories = benchmark.pedantic(run_quorum_ablation, rounds=1, iterations=1,
-                                   kwargs=dict(scale=scale))
+    histories = run_quorum_ablation(scale=scale)
     print("\nQuorum ablation — throughput vs. gradient quorum")
     for quorum, history in sorted(histories.items()):
         print(f"  q̄={quorum:2d}  throughput={throughput_updates_per_second(history):7.2f}"

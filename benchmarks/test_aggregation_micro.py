@@ -1,22 +1,20 @@
-"""Micro-benchmarks — cost of the aggregation rules at paper dimension.
+"""The aggregation rules and their kernels at paper dimension.
 
 The paper attributes part of the Byzantine-resilience overhead to running a
 robust aggregation rule (Multi-Krum, coordinate-wise median) instead of a
-plain average.  These micro-benchmarks measure the rules on vectors of the
-Table 1 model's dimensionality and check the expected cost ordering.
+plain average.  What the rules *cost* is the perf ledger's business
+(``aggregation.*_us``, ``kernels.reference.*_us``, gated by ``wide_gar``'s
+``work_per_s``); these tests check what a timing cannot: that the numbers
+the ledger times are the right ones at the Table 1 model's scale.
 """
+
+import timeit
 
 import numpy as np
 import pytest
 
-from repro.aggregation import (
-    ArithmeticMean,
-    CoordinateWiseMedian,
-    GeometricMedian,
-    MultiKrum,
-)
+from repro.aggregation import GeometricMedian
 from repro.aggregation.krum import pairwise_squared_distances
-from repro.benchtools.util import best_of
 from repro.core.nodes import max_pairwise_distance
 from repro.kernels import get_backend
 
@@ -31,33 +29,15 @@ def gradient_cloud():
     return rng.normal(size=(NUM_INPUTS, DIMENSION))
 
 
-def test_mean_aggregation_speed(benchmark, gradient_cloud):
-    rule = ArithmeticMean()
-    out = benchmark(rule, gradient_cloud)
-    assert out.shape == (DIMENSION,)
-
-
-def test_median_aggregation_speed(benchmark, gradient_cloud):
-    rule = CoordinateWiseMedian(num_byzantine=1)
-    out = benchmark(rule, gradient_cloud)
-    assert out.shape == (DIMENSION,)
-
-
-def test_multi_krum_aggregation_speed(benchmark, gradient_cloud):
-    rule = MultiKrum(num_byzantine=5)
-    out = benchmark(rule, gradient_cloud)
-    assert out.shape == (DIMENSION,)
-
-
-def test_geometric_median_aggregation_speed(benchmark, gradient_cloud):
+def test_geometric_median_converges_at_paper_dimension(gradient_cloud):
     """The iterative rule's overhead is only comparable at equal accuracy.
 
-    The ``converged``/``iterations`` diagnostics guarantee the timing below
-    measures a *converged* Weiszfeld run — an unconverged rule would look
-    artificially fast and poison the overhead comparison.
+    The ``converged``/``iterations`` diagnostics guarantee that a timing of
+    this rule measures a *converged* Weiszfeld run — an unconverged rule
+    would look artificially fast and poison the overhead comparison.
     """
     rule = GeometricMedian(num_byzantine=1)
-    out = benchmark(rule, gradient_cloud)
+    out = rule(gradient_cloud)
     assert out.shape == (DIMENSION,)
     assert rule.converged is True
     assert 0 < rule.iterations <= rule.max_iterations
@@ -87,10 +67,10 @@ def test_pairwise_squared_distances_match_direct_norms(gradient_cloud):
         assert squared[i, j] == pytest.approx(direct, rel=1e-9)
 
 
-def test_max_pairwise_distance_speed(benchmark, gradient_cloud):
+def test_max_pairwise_distance_matches_the_naive_loop(gradient_cloud):
     """The vectorised server-spread metric must match the naive loop."""
     expected = _naive_max_pairwise_distance(gradient_cloud)
-    result = benchmark(max_pairwise_distance, list(gradient_cloud))
+    result = max_pairwise_distance(list(gradient_cloud))
     assert result == pytest.approx(expected, rel=1e-9)
 
 
@@ -102,7 +82,9 @@ def test_kernel_median_not_slower_than_np_median_at_wide_gar_shape():
     """
     stacked = np.random.default_rng(1).normal(size=(25, 30_730))
     kernel = get_backend().median
-    kernel_s, ours = best_of(7, lambda: kernel(stacked, axis=0))
-    numpy_s, theirs = best_of(7, lambda: np.median(stacked, axis=0))
-    assert np.array_equal(ours, theirs)
+    assert np.array_equal(kernel(stacked, axis=0), np.median(stacked, axis=0))
+    kernel_s = min(timeit.repeat(lambda: kernel(stacked, axis=0), number=1,
+                                 repeat=7))
+    numpy_s = min(timeit.repeat(lambda: np.median(stacked, axis=0), number=1,
+                                repeat=7))
     assert kernel_s <= numpy_s

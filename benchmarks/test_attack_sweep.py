@@ -8,9 +8,8 @@ results"; this sweep reproduces that claim across eight attacks.
 from repro.experiments import run_attack_sweep
 
 
-def test_attack_sweep_guanyu_converges_under_every_attack(benchmark, bench_scale):
-    histories = benchmark.pedantic(run_attack_sweep, rounds=1, iterations=1,
-                                   kwargs=dict(scale=bench_scale))
+def test_attack_sweep_guanyu_converges_under_every_attack(bench_scale):
+    histories = run_attack_sweep(scale=bench_scale)
     print("\nAttack sweep — GuanYu final accuracy per attack")
     for attack, history in histories.items():
         print(f"  {attack:20s} {history.final_accuracy():.3f}")

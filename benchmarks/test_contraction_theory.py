@@ -17,16 +17,13 @@ from repro.theory import (
 )
 
 
-def test_contraction_coefficient_vs_dimension(benchmark):
+def test_contraction_coefficient_vs_dimension():
     """m < 1 for every dimension, shrinking as the dimension grows."""
     dimensions = (2, 10, 50, 200)
 
-    def sweep():
-        return {d: estimate_contraction(num_correct=7, num_byzantine=2,
-                                        dimension=d, num_trials=80, seed=0)
-                for d in dimensions}
-
-    coefficients = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    coefficients = {d: estimate_contraction(num_correct=7, num_byzantine=2,
+                                            dimension=d, num_trials=80, seed=0)
+                    for d in dimensions}
     print("\nMedian contraction coefficient m (Lemma 9.2.3)")
     for dimension, value in coefficients.items():
         print(f"  d={dimension:4d}   m={value:.4f}")
@@ -34,17 +31,14 @@ def test_contraction_coefficient_vs_dimension(benchmark):
     assert coefficients[200] <= coefficients[2] + 0.05
 
 
-def test_multi_krum_bounded_deviation(benchmark):
+def test_multi_krum_bounded_deviation():
     """Lemma 9.2.2: deviation bounded regardless of the attack magnitude."""
     rng = np.random.default_rng(0)
     correct = rng.normal(size=(13, 40))
 
-    def sweep():
-        return {scale: multi_krum_deviation_ratio(
-                    correct, rng.normal(0.0, scale, size=(5, 40)), num_byzantine=5)
-                for scale in (1.0, 1e2, 1e4, 1e6)}
-
-    ratios = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    ratios = {scale: multi_krum_deviation_ratio(
+                  correct, rng.normal(0.0, scale, size=(5, 40)), num_byzantine=5)
+              for scale in (1.0, 1e2, 1e4, 1e6)}
     print("\nMulti-Krum deviation ratio vs. attack magnitude (Lemma 9.2.2)")
     for scale, ratio in ratios.items():
         print(f"  scale={scale:10.0f}   ratio={ratio:.4f}")
@@ -54,16 +48,13 @@ def test_multi_krum_bounded_deviation(benchmark):
     assert values.max() < 10 * values.min() + 1.0
 
 
-def test_breakdown_point_arithmetic(benchmark):
+def test_breakdown_point_arithmetic():
     """Section 3.5: 1/3 optimal asynchronous breakdown, n >= 3f + 3."""
-    def compute():
-        return {
-            "breakdown": optimal_asynchronous_breakdown(),
-            "max_f_servers_6": max_byzantine_servers(6),
-            "max_f_workers_18": max_byzantine_workers(18),
-        }
-
-    values = benchmark.pedantic(compute, rounds=1, iterations=1)
+    values = {
+        "breakdown": optimal_asynchronous_breakdown(),
+        "max_f_servers_6": max_byzantine_servers(6),
+        "max_f_workers_18": max_byzantine_workers(18),
+    }
     print("\nBreakdown-point arithmetic:", values)
     assert values["breakdown"] == 1.0 / 3.0
     assert values["max_f_servers_6"] == 1    # paper: 1 Byzantine server of 6

@@ -36,9 +36,9 @@ def figure3_batch32(bench_scale):
 
 
 class TestFigure3Batch128:
-    def test_fig3a_accuracy_vs_updates(self, benchmark, figure3_batch128):
+    def test_fig3a_accuracy_vs_updates(self, figure3_batch128):
         """Fig. 3a: all systems reach comparable accuracy per model update."""
-        result = benchmark.pedantic(lambda: figure3_batch128, rounds=1, iterations=1)
+        result = figure3_batch128
         _print_summary(result, "a")
         accuracies = {name: h.final_accuracy() for name, h in result.histories.items()}
         best = max(accuracies.values())
@@ -51,9 +51,9 @@ class TestFigure3Batch128:
         assert steps_guanyu is not None and steps_vanilla is not None
         assert steps_guanyu <= 3 * steps_vanilla
 
-    def test_fig3b_accuracy_vs_time(self, benchmark, figure3_batch128):
+    def test_fig3b_accuracy_vs_time(self, figure3_batch128):
         """Fig. 3b: vanilla TF fastest, then vanilla GuanYu, then Byzantine GuanYu."""
-        result = benchmark.pedantic(lambda: figure3_batch128, rounds=1, iterations=1)
+        result = figure3_batch128
         _print_summary(result, "b")
         target = result.reference_accuracy()
         t_tf = time_to_accuracy(result.histories["vanilla_tf"], target)
@@ -68,17 +68,17 @@ class TestFigure3Batch128:
 
 
 class TestFigure3Batch32:
-    def test_fig3c_accuracy_vs_updates(self, benchmark, figure3_batch32):
+    def test_fig3c_accuracy_vs_updates(self, figure3_batch32):
         """Fig. 3c: same per-update story with the smaller mini-batch."""
-        result = benchmark.pedantic(lambda: figure3_batch32, rounds=1, iterations=1)
+        result = figure3_batch32
         _print_summary(result, "c")
         accuracies = {name: h.final_accuracy() for name, h in result.histories.items()}
         assert max(accuracies.values()) > 0.9
         assert accuracies["guanyu_f_workers_s1"] > max(accuracies.values()) - 0.1
 
-    def test_fig3d_accuracy_vs_time(self, benchmark, figure3_batch32):
+    def test_fig3d_accuracy_vs_time(self, figure3_batch32):
         """Fig. 3d: the smaller batch makes the communication overheads starker."""
-        result = benchmark.pedantic(lambda: figure3_batch32, rounds=1, iterations=1)
+        result = figure3_batch32
         _print_summary(result, "d")
         target = result.reference_accuracy()
         t_tf = time_to_accuracy(result.histories["vanilla_tf"], target)
@@ -86,7 +86,7 @@ class TestFigure3Batch32:
         t_byzantine = time_to_accuracy(result.histories["guanyu_f_workers_s1"], target)
         assert t_tf < t_vanilla_guanyu < t_byzantine
 
-    def test_fig3d_overheads_larger_than_batch128(self, benchmark, figure3_batch32,
+    def test_fig3d_overheads_larger_than_batch128(self, figure3_batch32,
                                                   figure3_batch128):
         """The relative overhead grows when gradient computation shrinks."""
         def ratio(result):
@@ -95,7 +95,4 @@ class TestFigure3Batch32:
             t_guanyu = time_to_accuracy(result.histories["guanyu_vanilla"], target)
             return t_guanyu / t_tf
 
-        ratios = benchmark.pedantic(
-            lambda: (ratio(figure3_batch32), ratio(figure3_batch128)),
-            rounds=1, iterations=1)
-        assert ratios[0] > ratios[1]
+        assert ratio(figure3_batch32) > ratio(figure3_batch128)

@@ -22,11 +22,10 @@ def _print_result(result):
         print(f"  {name:22s} {accuracy:.3f}")
 
 
-def test_figure4_vanilla_collapses_guanyu_survives(benchmark, figure4):
+def test_figure4_vanilla_collapses_guanyu_survives(figure4):
     """The headline claim: one Byzantine worker breaks vanilla, not GuanYu."""
-    result = benchmark.pedantic(lambda: figure4, rounds=1, iterations=1)
-    _print_result(result)
-    accuracies = result.final_accuracies()
+    _print_result(figure4)
+    accuracies = figure4.final_accuracies()
     clean = accuracies["vanilla_tf"]
     attacked_vanilla = accuracies["vanilla_tf_byzantine"]
     attacked_guanyu = accuracies["guanyu_byzantine"]
@@ -39,13 +38,11 @@ def test_figure4_vanilla_collapses_guanyu_survives(benchmark, figure4):
     assert attacked_guanyu > attacked_vanilla + 0.3
 
 
-def test_figure4_alternative_attack_pair(benchmark, bench_scale):
+def test_figure4_alternative_attack_pair(bench_scale):
     """The paper reports similar results for other Byzantine behaviours."""
-    result = benchmark.pedantic(
-        run_figure4, rounds=1, iterations=1,
-        kwargs=dict(scale=bench_scale,
-                    worker_attack=ReversedGradientAttack(factor=10.0),
-                    server_attack=CorruptedModelAttack(noise_scale=100.0)))
+    result = run_figure4(scale=bench_scale,
+                         worker_attack=ReversedGradientAttack(factor=10.0),
+                         server_attack=CorruptedModelAttack(noise_scale=100.0))
     _print_result(result)
     accuracies = result.final_accuracies()
     assert accuracies["guanyu_byzantine"] > 0.85

@@ -13,9 +13,9 @@ def breakdown(bench_scale):
     return overhead_report(result=result)
 
 
-def test_overhead_breakdown_rows(benchmark, breakdown):
+def test_overhead_breakdown_rows(breakdown):
     """Regenerate the two §5.3 percentages from time-to-accuracy measurements."""
-    report = benchmark.pedantic(lambda: breakdown, rounds=1, iterations=1)
+    report = breakdown
 
     print("\nSection 5.3 — overhead breakdown (paper: ~65 % / up to ~33 %)")
     for key, value in report.as_rows().items():
@@ -30,14 +30,13 @@ def test_overhead_breakdown_rows(benchmark, breakdown):
     assert report.byzantine_overhead_percent < report.runtime_overhead_percent
 
 
-def test_overhead_throughput_ordering(benchmark, bench_scale):
+def test_overhead_throughput_ordering(bench_scale):
     """Throughput (updates/s) ordering mirrors the time overheads."""
     from repro.metrics import throughput_updates_per_second
 
-    result = benchmark.pedantic(
-        run_figure3, rounds=1, iterations=1,
-        kwargs=dict(scale=bench_scale, batch_size=128,
-                    systems=["vanilla_tf", "guanyu_vanilla", "guanyu_f_workers_s1"]))
+    result = run_figure3(
+        scale=bench_scale, batch_size=128,
+        systems=["vanilla_tf", "guanyu_vanilla", "guanyu_f_workers_s1"])
     throughput = {name: throughput_updates_per_second(history)
                   for name, history in result.histories.items()}
     print("\nThroughput (model updates per simulated second)")

@@ -10,11 +10,9 @@ phases and checks the expected ordering.
 from repro.experiments import run_figure3
 
 
-def test_phase_time_breakdown(benchmark, bench_scale):
-    result = benchmark.pedantic(
-        run_figure3, rounds=1, iterations=1,
-        kwargs=dict(scale=bench_scale, batch_size=128,
-                    systems=["guanyu_f_workers_s1"]))
+def test_phase_time_breakdown(bench_scale):
+    result = run_figure3(scale=bench_scale, batch_size=128,
+                         systems=["guanyu_f_workers_s1"])
     history = result.histories["guanyu_f_workers_s1"]
     breakdown = history.mean_phase_durations()
 

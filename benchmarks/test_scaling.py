@@ -8,11 +8,9 @@ parameter-server design: how does throughput evolve as workers are added
 from repro.experiments import run_scaling_study
 
 
-def test_scaling_with_worker_count(benchmark, bench_scale):
-    rows = benchmark.pedantic(run_scaling_study, rounds=1, iterations=1,
-                              kwargs=dict(scale=bench_scale,
-                                          worker_counts=(6, 9, 12, 18),
-                                          num_steps=15))
+def test_scaling_with_worker_count(bench_scale):
+    rows = run_scaling_study(scale=bench_scale, worker_counts=(6, 9, 12, 18),
+                             num_steps=15)
     print("\nScaling study — workers vs. throughput")
     for row in rows:
         print("  workers={num_workers:3d}  f̄={declared_byzantine_workers}  "

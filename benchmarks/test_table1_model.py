@@ -7,9 +7,9 @@ from repro.nn import PaperCNN
 from repro.tensor import Tensor
 
 
-def test_table1_architecture(benchmark):
+def test_table1_architecture():
     """Regenerate Table 1: layer inventory and total parameter count."""
-    report = benchmark.pedantic(table1_report, rounds=1, iterations=1)
+    report = table1_report()
 
     print("\nTable 1 — CNN model parameters")
     for layer in report["layers"]:
@@ -22,17 +22,13 @@ def test_table1_architecture(benchmark):
     assert names == ["Input", "Conv1", "Pool1", "Conv2", "Pool2", "FC1", "FC2", "FC3"]
 
 
-def test_table1_forward_backward_pass(benchmark):
+def test_table1_forward_backward_pass():
     """One forward/backward pass of the Table 1 CNN on a CIFAR-sized batch."""
     model = PaperCNN()
     batch = Tensor(np.random.default_rng(0).normal(size=(4, 3, 32, 32)))
 
-    def step():
-        model.zero_grad()
-        out = model(batch)
-        out.sum().backward()
-        return out
-
-    out = benchmark.pedantic(step, rounds=1, iterations=1)
+    model.zero_grad()
+    out = model(batch)
+    out.sum().backward()
     assert out.shape == (4, 10)
     assert np.any(model.get_flat_gradient() != 0.0)

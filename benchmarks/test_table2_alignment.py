@@ -18,10 +18,9 @@ def _print_rows(samples):
               f"{sample.max_diff_1:9.5f}   {sample.max_diff_2:9.5f}")
 
 
-def test_table2_alignment_close_to_one(benchmark, bench_scale):
+def test_table2_alignment_close_to_one(bench_scale):
     """cos(φ) between the two largest difference vectors stays close to 1."""
-    samples = benchmark.pedantic(run_table2, rounds=1, iterations=1,
-                                 kwargs=dict(scale=bench_scale, interval=10))
+    samples = run_table2(scale=bench_scale, interval=10)
     _print_rows(samples)
     assert len(samples) >= 3
     cosines = np.array([s.cos_phi for s in samples if not np.isnan(s.cos_phi)])
@@ -31,11 +30,9 @@ def test_table2_alignment_close_to_one(benchmark, bench_scale):
     assert cosines[-1] > 0.8
 
 
-def test_table2_alignment_survives_server_attack(benchmark, bench_scale):
+def test_table2_alignment_survives_server_attack(bench_scale):
     """The alignment measurement also holds with an attacking Byzantine server."""
-    samples = benchmark.pedantic(
-        run_table2, rounds=1, iterations=1,
-        kwargs=dict(scale=bench_scale, interval=10, attack_servers=True))
+    samples = run_table2(scale=bench_scale, interval=10, attack_servers=True)
     _print_rows(samples)
     norms = np.array([s.max_diff_1 for s in samples])
     # The Byzantine server cannot blow the correct servers apart.

@@ -49,12 +49,11 @@ def _interleaved_best_of(specs):
     return off_seconds, baseline, on_seconds, measured
 
 
-def test_telemetry_overhead_below_five_percent(benchmark):
+def test_telemetry_overhead_below_five_percent():
     specs = _specs()
     run_batched_scenarios(specs)  # warm caches (dataset synthesis)
 
-    off_seconds, baseline, on_seconds, measured = benchmark.pedantic(
-        lambda: _interleaved_best_of(specs), rounds=1, iterations=1)
+    off_seconds, baseline, on_seconds, measured = _interleaved_best_of(specs)
 
     overhead = on_seconds / off_seconds
     print(f"\ntelemetry overhead — R={REPLICAS} batched, best of {REPEATS}: "

@@ -50,12 +50,12 @@ def _interleaved_best_of(specs):
     return untraced_seconds, baseline, traced_seconds, traced
 
 
-def test_tracer_overhead_below_five_percent(benchmark):
+def test_tracer_overhead_below_five_percent():
     specs = _specs()
     run_batched_scenarios(specs)  # warm caches (dataset synthesis)
 
-    untraced_seconds, baseline, traced_seconds, traced = benchmark.pedantic(
-        lambda: _interleaved_best_of(specs), rounds=1, iterations=1)
+    untraced_seconds, baseline, traced_seconds, traced = (
+        _interleaved_best_of(specs))
 
     overhead = traced_seconds / untraced_seconds
     print(f"\ntracer overhead — R={REPLICAS} batched, best of {REPEATS}: "

@@ -62,7 +62,8 @@ __version__ = "1.0.0"
 
 #: names served lazily from :mod:`repro.api` (PEP 562) — campaign and
 #: runtime machinery must not load on ``import repro`` (heavy, and some
-#: consumers only want the core trainers).
+#: consumers only want the core trainers).  The only copy of the list:
+#: ``repro.api.__all__`` is derived from it.
 _API_EXPORTS = (
     "run",
     "ScenarioSpec",

@@ -31,19 +31,12 @@ Deep imports (``from repro.campaign import ResultStore``, ...) keep
 working — this module adds a stable spelling, it does not remove any.
 """
 
+from repro import _API_EXPORTS
 from repro.campaign.spec import CampaignSpec, ScenarioSpec
 from repro.campaign.store import ResultStore, StoredResult
 from repro.obs.telemetry import get_registry
 from repro.obs.tracer import get_tracer
 from repro.runtime.facade import ScenarioResult, run
 
-__all__ = [
-    "run",
-    "ScenarioSpec",
-    "CampaignSpec",
-    "ResultStore",
-    "StoredResult",
-    "ScenarioResult",
-    "get_registry",
-    "get_tracer",
-]
+#: the one export list: the package root serves exactly these names, lazily
+__all__ = list(_API_EXPORTS)

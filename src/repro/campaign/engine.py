@@ -1,7 +1,7 @@
 """Campaign execution engine.
 
 Turns expanded :class:`~repro.campaign.spec.ScenarioSpec` lists into
-:class:`~repro.metrics.tracker.TrainingHistory` results:
+:class:`~repro.obs.history.TrainingHistory` results:
 
 * scenarios already present in the optional :class:`ResultStore` are served
   from cache (this is what makes interrupted campaigns resumable — re-run
@@ -156,7 +156,8 @@ def _execute_validated(spec: ScenarioSpec) -> TrainingHistory:
     :func:`repro.runtime.run` (which owns validation, runtime resolution
     and kernel-backend selection).  The facade dispatches the batched
     runtime to :mod:`repro.batch` directly; a dense-model ``guanyu`` spec
-    reaches here only as that engine's sequential fallback.
+    reaches here only when that engine raised ``BatchingUnsupported`` for
+    a spec that did not name a runtime.
     """
     from repro.runtime.cluster.supervisor import ClusterRuntime  # lazy
 
@@ -221,13 +222,13 @@ def _run_batched_payloads(payloads: List[Dict],
     ``lanes > 1`` shards the group's replica lanes over a process pool
     (:func:`repro.batch.run_batched_scenarios`); the merged histories stay
     bit-identical, but per-step traces produced inside chunk workers do
-    not cross the pool boundary.  Any problem — an unsupported scenario
-    slipping through, a replica starving a quorum under message loss, a
-    genuine training error — makes the whole group fall back to isolated
-    per-scenario :func:`repro.runtime.run` calls, which own the one
-    fallback to the sequential trainer and so yield the canonical
-    per-scenario outcome (the engines are bit-identical where both run,
-    so the fallback only costs time).
+    not cross the pool boundary.  A group that raises is re-run scenario
+    by scenario through :func:`repro.runtime.run` — per-seed failure
+    isolation, not a second engine: each seed runs as a one-lane group, so
+    the seed that starved a quorum reports the engine's own
+    ``BatchedExecutionError`` and the others complete.  The sequential
+    trainer is reached only where :func:`repro.runtime.run` meets
+    ``BatchingUnsupported``.
     """
     started = time.perf_counter()
     outer = get_tracer()

@@ -11,7 +11,7 @@ Layout (all JSON, human-greppable)::
         index.jsonl
 
 Each entry holds the full scenario spec, the serialised
-:class:`~repro.metrics.tracker.TrainingHistory` and run metadata, so a store
+:class:`~repro.obs.history.TrainingHistory` and run metadata, so a store
 is self-describing: results can be compared across campaigns (and machines)
 without the producing code.  Writes go through a temp file + ``os.replace``
 so interrupted campaigns never leave half-written entries — which is what

@@ -1147,8 +1147,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--crash-dir", default=None, metavar="DIR",
                         help="directory for flight-recorder *.crash.json "
                              "dumps (default: beside the --store, else "
-                             "beside the trace file, else the working "
-                             "directory)")
+                             "beside the trace file, else the system "
+                             "temp directory)")
     parser.add_argument("--kernel-backend", default=None, metavar="NAME",
                         help="kernel backend for this process (see "
                              "repro.kernels; overrides the "

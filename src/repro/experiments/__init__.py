@@ -19,8 +19,9 @@ share exactly the same code:
 
 The experiments run on a scaled-down workload (synthetic data, small models,
 fewer steps) so that they complete in minutes on a CPU; the
-:class:`ExperimentScale` dataclass centralises those knobs, and
-``EXPERIMENTS.md`` records how the measured shapes compare with the paper.
+:class:`ExperimentScale` dataclass centralises those knobs, and the
+assertions under ``benchmarks/`` state how the measured shapes compare with
+the paper.
 """
 
 from repro.experiments.common import ExperimentScale, build_workload, make_model_factory

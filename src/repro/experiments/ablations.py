@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices called out in ``DESIGN.md``.
+"""Ablation studies for the protocol's design choices.
 
 * :func:`run_gar_ablation` — swap the gradient aggregation rule at the
   parameter servers (Multi-Krum vs. median vs. mean, ...) under attack;

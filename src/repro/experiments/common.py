@@ -5,8 +5,8 @@ parameter CNN, thousands of updates) does not fit a CPU-only reproduction
 budget, so every experiment is parameterised by an :class:`ExperimentScale`
 that controls how far the workload is scaled down while keeping the same
 *structure*: the cluster sizes and quorums are the paper's, only the model,
-the dataset and the number of steps shrink.  ``EXPERIMENTS.md`` documents the
-scale used for the recorded runs.
+the dataset and the number of steps shrink.  ``benchmarks/conftest.py`` holds
+the scale the paper-shape suite runs at.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from repro.campaign.spec import AdversarySpec, ScenarioSpec
 from repro.campaign.store import ResultStore
 from repro.experiments.common import ExperimentScale, workload_attack_kwargs
 from repro.hetero import HeteroSpec
-from repro.metrics.tracker import TrainingHistory
+from repro.obs.history import TrainingHistory
 
 #: default skew axis: i.i.d. through near-single-class workers
 DEFAULT_SKEWS = ("iid", "dirichlet=10", "dirichlet=1", "dirichlet=0.1")

@@ -31,7 +31,7 @@ from repro.campaign.spec import ScenarioSpec
 from repro.campaign.store import ResultStore
 from repro.experiments.common import ExperimentScale
 from repro.faults import FaultEvent, FaultSchedule
-from repro.metrics.tracker import TrainingHistory
+from repro.obs.history import TrainingHistory
 
 
 def _base_spec(scale: Optional[ExperimentScale], trainer: str,

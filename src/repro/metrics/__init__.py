@@ -1,8 +1,8 @@
 """Metrics: accuracy, loss tracking, throughput and experiment records.
 
 The per-step record types (:class:`StepRecord`, :class:`TrainingHistory`)
-now live in :mod:`repro.obs.history`; they are re-exported here so the
-historical ``repro.metrics`` import path keeps working.
+live in :mod:`repro.obs.history`; they are re-exported here so the
+``repro.metrics`` import path keeps working.
 """
 
 from repro.metrics.accuracy import evaluate_accuracy, evaluate_loss

@@ -2,7 +2,7 @@
 
 All rates here are computed over **simulated** time carried by the
 histories, or — for real wall-clock measurements — over the monotonic
-clocks used by :mod:`repro.obs` and :func:`repro.benchtools.util.best_of`
+clocks used by :mod:`repro.obs` and the perf ledger
 (``time.monotonic``/``time.perf_counter``).  ``time.time()`` is never used
 for durations anywhere in the metrics layer: wall-clock jumps (NTP steps,
 manual adjustment) would corrupt rates.

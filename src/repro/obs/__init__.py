@@ -15,7 +15,7 @@ This package answers "what happened during a run" at three granularities:
 * :mod:`repro.obs.crash` — flight recorder dumping trace ring + metrics
   snapshot to ``*.crash.json`` on failure or interruption;
 * :mod:`repro.obs.history` — the per-step :class:`TrainingHistory` on the
-  **simulated** clock (moved here from ``repro.metrics.tracker``);
+  **simulated** clock;
 * :mod:`repro.obs.logging` — structured logging config for the CLI.
 """
 

@@ -12,14 +12,16 @@ losing it, :func:`write_crash_report` writes one ``*.crash.json`` with
 The report lands in the explicit ``crash_dir`` when one is given (the
 CLI's global ``--crash-dir``), else *beside the store* when a result
 store is in play (``<store>/<name>.crash.json``), else next to the
-trace file, else in the working directory — always somewhere the
-operator already looks.
+trace file, else in the system temp directory
+(:func:`tempfile.gettempdir`) — never in whatever directory the process
+happened to start in; the CLI prints the path it wrote.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 from typing import Any, Dict, Optional, Union
 
@@ -46,7 +48,7 @@ def crash_report_path(name: str, *, store_root: Optional[str] = None,
     if trace_path:
         return os.path.join(os.path.dirname(os.path.abspath(trace_path)),
                             filename)
-    return filename
+    return os.path.join(tempfile.gettempdir(), filename)
 
 
 def write_crash_report(name: str, reason: str, *,

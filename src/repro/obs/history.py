@@ -1,9 +1,8 @@
 """Training history: the per-step record behind every figure reproduction.
 
-Historically this lived at ``repro.metrics.tracker``; it moved into the
-observability layer when the trace recorder was added so that *all*
-"what happened during a run" data structures share one package.  The old
-module re-exports everything, so both import paths keep working.
+It lives in the observability layer so that *all* "what happened during a
+run" data structures share one package; :mod:`repro.metrics` re-exports
+both record types.
 """
 
 from __future__ import annotations

@@ -307,8 +307,8 @@ class Tracer:
         """Compact aggregate: per-span-name count/total/mean + counters.
 
         This is the form persisted next to :class:`~repro.campaign.store.
-        ResultStore` entries and consumed by ``repro.benchtools.compare``'s
-        dominant-phase annotation — small, JSON-friendly, order-free.
+        ResultStore` entries, in node results and in crash reports —
+        small, JSON-friendly, order-free.
         """
         spans: Dict[str, Dict[str, float]] = {}
         events = 0

@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.metrics.tracker import TrainingHistory
+from repro.obs.history import TrainingHistory
 
 #: marker characters assigned to successive series
 _MARKERS = "ox+*#@%&"

@@ -33,6 +33,7 @@ imports it) at module level — campaign specs import
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
@@ -119,7 +120,7 @@ def run(spec: "ScenarioSpec", *, store: Optional["ResultStore"] = None,
                                   store_key=store_key, duration_seconds=0.0)
 
     started = time.perf_counter()
-    tracer_scope = use_tracer(tracer) if tracer is not None else _noop()
+    tracer_scope = use_tracer(tracer) if tracer is not None else nullcontext()
     with tracer_scope, use_backend(spec.kernels):
         history, kind = _execute(spec, kind)
     duration = time.perf_counter() - started
@@ -161,11 +162,3 @@ def _execute(spec: "ScenarioSpec",
     from repro.campaign.engine import _execute_validated  # lazy: cycle
 
     return _execute_validated(spec), kind
-
-
-class _noop:
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info: object) -> bool:
-        return False

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.metrics.tracker import StepRecord, TrainingHistory
+from repro.obs.history import StepRecord, TrainingHistory
 from repro.plotting import (
     AsciiChart,
     format_table,

@@ -5,8 +5,13 @@ process cluster — is reached through ``run(spec)``, the only scenario
 entry point.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro.api
 import repro.campaign
 import repro.campaign.engine
 import repro.runtime as runtime_pkg
@@ -98,6 +103,25 @@ class TestRun:
         for name in ("run", "resolve_runtime", "ScenarioResult",
                      "RUNTIME_KINDS"):
             assert name in runtime_pkg.__all__
+
+
+class TestPublicExports:
+    def test_every_root_name_resolves(self):
+        for name in repro.__all__:
+            assert getattr(repro, name) is not None, name
+
+    def test_api_and_root_share_one_export_list(self):
+        assert repro.api.__all__ == list(repro._API_EXPORTS)
+        for name in repro.api.__all__:
+            assert getattr(repro, name) is getattr(repro.api, name)
+
+    def test_root_import_stays_lazy(self):
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print('repro.api' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            capture_output=True, text=True, check=True)
+        assert loaded.stdout.strip() == "False"
 
 
 class TestDeprecationShims:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import gzip
 import json
+import os
+import tempfile
 import time
 import urllib.error
 import urllib.request
@@ -230,6 +232,20 @@ class TestCrashReports:
     def test_report_lands_beside_the_store(self, tmp_path):
         assert crash_report_path("run", store_root=str(tmp_path)) == \
             str(tmp_path / "run.crash.json")
+
+    def test_report_with_no_location_goes_to_the_temp_directory(
+            self, tmp_path, monkeypatch):
+        # the last resort is never the working directory: a failing
+        # ``sweep`` started from a checkout must not litter it
+        (tmp_path / "tmp").mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        monkeypatch.chdir(tmp_path)
+        assert crash_report_path("run") == \
+            str(tmp_path / "tmp" / "run.crash.json")
+        path = write_crash_report("run", "interrupt", tracer=Tracer(),
+                                  registry=MetricsRegistry())
+        assert path == str(tmp_path / "tmp" / "run.crash.json")
+        assert os.listdir(tmp_path) == ["tmp"]
 
     def test_report_carries_trace_and_metrics(self, tmp_path):
         tracer = Tracer()
