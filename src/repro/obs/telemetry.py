@@ -498,6 +498,9 @@ METRIC_HELP: Dict[str, str] = {
         "Spawned incarnations of a cluster node (respawns + 1)",
     "repro_cluster_respawns_total": "Node respawns after scheduled crashes",
     "repro_cluster_probe_rtt_seconds": "Supervisor PING→PONG round trip",
+    "repro_cluster_connects_total":
+        "Data-plane connections a finished node opened (one per peer it "
+        "sent to, plus one per reconnect after a peer's crash)",
     "repro_cluster_frames_total":
         "Protocol frames sent/received, by direction and kind",
     "repro_cluster_bytes_total":

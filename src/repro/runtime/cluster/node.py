@@ -206,12 +206,13 @@ class ClusterNodeProcess(LiveNode):
         SIGKILL — the process really dies; a later recover event makes the
         supervisor respawn a fresh incarnation from this step's state.
 
-        The data-plane listener closes *before* the report: between the
-        report and the SIGKILL this process is protocol-dead but its
-        socket would otherwise keep accepting frames, and a fast peer's
-        post-crash-step frame buffered here dies with the process instead
-        of being retried into the respawned incarnation's re-bound
-        listener."""
+        The data plane — listener *and* accepted connections — closes
+        *before* the report: between the report and the SIGKILL this
+        process is protocol-dead but its sockets would otherwise keep
+        taking frames, and a fast peer's post-crash-step frame buffered
+        here dies with the process instead of failing on the peer's kept
+        connection and being retried into the respawned incarnation's
+        re-bound listener."""
         self.endpoint.close()
         self.control.send("crashed", step=step)
         while True:
@@ -269,9 +270,9 @@ class ClusterNodeProcess(LiveNode):
                     self.node.loader.next_batch()
 
     def _finish(self) -> None:
-        self.control.send("done", payload=(
-            self.node.current_parameters() if self.role == "server"
-            else None))
+        self.control.send("done", connects=dict(self.endpoint.connects),
+                          payload=(self.node.current_parameters()
+                                   if self.role == "server" else None))
 
 
 # --------------------------------------------------------------------------- #

@@ -122,6 +122,8 @@ class NodeHandle:
     last_pong: float = 0.0
     last_ping: float = 0.0
     crashed_steps: List[int] = field(default_factory=list)
+    #: peer → data-plane connections the finished incarnation opened to it
+    connects: Dict[str, int] = field(default_factory=dict)
     error: Optional[str] = None
 
     @property
@@ -203,12 +205,14 @@ class Supervisor:
         if self._family == "unix":
             return {"family": "unix",
                     "path": os.path.join(self._dir, f"{name}.sock")}
-        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        finally:
-            probe.close()
+        # A probe's port is free again once it closes, so a later probe can
+        # be handed the same one (1 run in 400 with eight addresses).
+        taken = {handle.address.get("port") for handle in self.handles.values()}
+        port = None
+        while port is None or port in taken:
+            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
+                probe.bind(("127.0.0.1", 0))
+                port = probe.getsockname()[1]
         return {"family": "tcp", "host": "127.0.0.1", "port": port}
 
     def _add_handle(self, node_id: str, role: str, index: int) -> None:
@@ -490,6 +494,12 @@ class Supervisor:
         elif kind == "done":
             if handle.role == "server" and frame.payload is not None:
                 self._final_params[handle.node_id] = frame.payload
+            handle.connects = frame.meta.get("connects") or {}
+            registry = get_registry()
+            if registry.enabled:
+                registry.inc("repro_cluster_connects_total",
+                             sum(handle.connects.values()),
+                             node=handle.node_id)
             handle.state = "done"
             self._set_node_gauges(handle)
         elif kind == "error":
@@ -707,6 +717,9 @@ class Supervisor:
                 "pids": [inc.pid for inc in handle.incarnations],
                 "exit_codes": [inc.exit_code for inc in handle.incarnations],
                 "respawns": max(len(handle.incarnations) - 1, 0),
+                "connects": sum(handle.connects.values()),
+                "reconnects": {peer: count - 1 for peer, count
+                               in handle.connects.items() if count > 1},
                 "crashed_steps": list(handle.crashed_steps),
                 "error": handle.error,
             }

@@ -1,12 +1,15 @@
 """Socket transport of the process cluster runtime.
 
 Each node process owns one listening socket and a :class:`SocketTransport`
-around it.  The data plane is **connection-per-message**: a send opens a
-connection to the recipient's listener, writes one frame, and closes.  That
-trades throughput for fault transparency — a SIGKILLed peer is simply a
-refused connection, and a respawned peer re-binds the same address with no
-connection state to repair.  Senders retry refused connections briefly
-(respawn gap, listener not yet bound) and then treat the peer as dead.
+around it.  The data plane keeps **one connection per (sender, recipient)
+pair**: the first send to a peer connects to its listener, every later
+frame is written to that connection, and the recipient reads each accepted
+connection on one thread.  A peer that died (SIGKILL, or ``close()`` before
+a scheduled crash) fails the sender's next write; the sender drops the
+connection and reconnects, retrying while nothing listens — which lands the
+frame in a respawned incarnation's re-bound listener — and treats the peer
+as dead at ``send_deadline``.  The contract is tabulated in
+``docs/cluster.md`` ("Data plane").
 
 Delivery semantics mirror :class:`repro.runtime.threads.ThreadedTransport`
 frame for frame: per-``(kind, step)`` buckets keyed by sender with
@@ -93,6 +96,28 @@ def unix_sockets_available() -> bool:
     return hasattr(socket, "AF_UNIX")
 
 
+def _peer_gone(conn: socket.socket) -> bool:
+    """Whether a kept TCP connection saw EOF or a reset.  The data plane is
+    one-way, so a readable socket can only mean the peer is gone — and
+    unlike a Unix socket, TCP would accept one more write before failing."""
+    try:
+        conn.recv(1, socket.MSG_DONTWAIT | socket.MSG_PEEK)
+    except BlockingIOError:
+        return False
+    except OSError:
+        pass
+    return True
+
+
+def _shut(sock: socket.socket) -> None:
+    """Close so that the peer and any thread blocked on ``sock`` notice."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    sock.close()
+
+
 class SocketTransport:
     """Per-process message endpoint with threaded-transport semantics."""
 
@@ -110,6 +135,12 @@ class SocketTransport:
         self.on_observe = on_observe
         self._rng = np.random.default_rng(seed)
         self._addresses: Dict[str, Address] = {}
+        #: per recipient: the lock frames are written under, the kept
+        #: connection, and how many were opened (1 = never reconnected)
+        self._send_locks: Dict[str, threading.Lock] = {}
+        self._kept: Dict[str, socket.socket] = {}
+        self.connects: Dict[str, int] = defaultdict(int)
+        self._accepted: set = set()
         self._lock = threading.Lock()
         self._condition = threading.Condition()
         self._buffers: Dict[Tuple[str, int], Dict[str, np.ndarray]] = \
@@ -129,6 +160,8 @@ class SocketTransport:
     def set_addresses(self, addresses: Dict[str, Address]) -> None:
         """Install the supervisor-distributed ``node_id → address`` map."""
         self._addresses = dict(addresses)
+        for node_id in addresses:
+            self._send_locks.setdefault(node_id, threading.Lock())
 
     def _accept_loop(self) -> None:
         while True:
@@ -136,11 +169,17 @@ class SocketTransport:
                 conn, _ = self._listener.accept()
             except OSError:
                 return  # listener closed — shutdown
+            with self._lock:
+                if self._closed:  # accepted while close() was running
+                    conn.close()
+                    return
+                self._accepted.add(conn)
             thread = threading.Thread(target=self._serve, args=(conn,),
                                       daemon=True)
             thread.start()
 
     def _serve(self, conn: socket.socket) -> None:
+        """Read one peer's connection until EOF, an error or ``close()``."""
         try:
             with conn:
                 while True:
@@ -150,6 +189,9 @@ class SocketTransport:
                     self._dispatch(frame)
         except (FrameError, OSError):
             return  # a torn connection loses its in-flight frame, like UDP
+        finally:
+            with self._lock:
+                self._accepted.discard(conn)
 
     def _dispatch(self, frame: Frame) -> None:
         if frame.kind == "observe":
@@ -258,40 +300,62 @@ class SocketTransport:
             self._transmit(frame)
 
     def _transmit(self, frame: Frame) -> None:
-        """One connection, one frame.  Retries while the peer (re)binds.
+        """Write ``frame`` to the recipient's kept connection, (re)connecting
+        — and retrying while the peer (re)binds — when there is none or the
+        write fails.  The peer's lock keeps frames of concurrent senders
+        (jitter timers, duplicates) from interleaving.
 
         A recipient that stays unreachable past the deadline is treated as
         dead and the frame is dropped — exactly what a crashed peer looks
         like, and quorums are what make that survivable.
         """
-        address = self._addresses.get(frame.recipient)
-        if address is None:
-            raise KeyError(f"unknown recipient '{frame.recipient}'")
+        recipient = frame.recipient
+        if recipient not in self._send_locks:
+            raise KeyError(f"unknown recipient '{recipient}'")
         deadline = time.monotonic() + self.send_deadline
-        while True:
-            try:
-                conn = connect(address, timeout=self.send_deadline)
+        with self._send_locks[recipient]:
+            while True:
                 try:
+                    conn = self._kept.get(recipient)
+                    if conn is None:
+                        conn = self._kept[recipient] = self._open(recipient)
+                    elif conn.family == socket.AF_INET and _peer_gone(conn):
+                        raise ConnectionResetError
                     send_frame(conn, frame)
-                finally:
-                    conn.close()
-                return
-            except OSError:
-                if self._closed or time.monotonic() >= deadline:
-                    with self._lock:
-                        self.messages_suppressed += 1
                     return
-                time.sleep(_RETRY_SLEEP)
+                except OSError:
+                    stale = self._kept.pop(recipient, None)
+                    if stale is not None:
+                        stale.close()
+                    if self._closed or time.monotonic() >= deadline:
+                        with self._lock:
+                            self.messages_suppressed += 1
+                        return
+                    time.sleep(_RETRY_SLEEP)
+
+    def _open(self, recipient: str) -> socket.socket:
+        conn = connect(self._addresses[recipient], timeout=self.send_deadline)
+        if conn.family == socket.AF_INET:
+            # One-way traffic: Nagle would hold each frame for the peer's
+            # delayed ACK of the one before.
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.connects[recipient] += 1
+        return conn
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        self._closed = True
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        """Stop listening and shut every accepted and every kept outgoing
+        connection: from here on a peer's write fails, and its retried
+        connect is refused until something re-binds the address."""
+        with self._lock:
+            self._closed = True
+            accepted = list(self._accepted)
         if self._listener.family == getattr(socket, "AF_UNIX", None):
             try:
                 os.unlink(self._listener.getsockname())
             except (OSError, TypeError):
                 pass
+        # Listener first: a peer whose kept connection then fails must find
+        # the address refusing, not this incarnation's backlog.
+        for sock in [self._listener, *accepted, *list(self._kept.values())]:
+            _shut(sock)

@@ -19,7 +19,12 @@ import pytest
 from repro.campaign.engine import build_trainer
 from repro.campaign.spec import ScenarioSpec
 from repro.faults import FaultEvent, FaultSchedule
-from repro.runtime.cluster import ClusterRuntime, cluster_available
+from repro.runtime.cluster import (
+    ClusterOptions,
+    ClusterRuntime,
+    cluster_available,
+    unix_sockets_available,
+)
 
 needs_sockets = pytest.mark.skipif(
     not cluster_available(), reason="host cannot bind sockets")
@@ -105,6 +110,40 @@ class TestClusterEquivalence:
         assert node["respawns"] == 1
         assert node["exit_codes"] == [-9, 0]  # killed, then a fresh process
         assert len(set(node["pids"])) == 2
+
+    @pytest.mark.parametrize("transport", [
+        pytest.param("unix", marks=pytest.mark.skipif(
+            not unix_sockets_available(), reason="no AF_UNIX here")),
+        "tcp"])
+    @pytest.mark.parametrize("crashed", ["worker/1", "ps/1"])
+    def test_respawn_in_the_very_next_step(self, crashed, transport):
+        # The tightest window the schedule can express: the peers sit step
+        # 1 out at once and address step 2's frames to a node whose process
+        # is being killed and forked again at that moment.  Each frame must
+        # fail on the kept connection to the dead incarnation and be
+        # retried into the new one's re-bound listener, never swallowed.
+        faults = FaultSchedule(events=[
+            FaultEvent(step=1, kind="crash", nodes=[crashed]),
+            FaultEvent(step=2, kind="recover", nodes=[crashed])])
+        spec = small_spec(num_steps=4, faults=faults)
+        expected = threaded_losses(spec)
+        assert expected[1] is None and None not in expected[2:]
+
+        runtime = ClusterRuntime(spec.replace(runtime="cluster"),
+                                 options=ClusterOptions(transport=transport))
+        actual = losses_of(runtime.run(spec.num_steps))
+        assert actual == expected
+
+        nodes = runtime.report()["nodes"]
+        assert nodes[crashed]["state"] == "done"
+        assert nodes[crashed]["respawns"] == 1
+        assert nodes[crashed]["exit_codes"] == [-9, 0]
+        # whoever sends to the respawned node (servers send to everyone,
+        # workers to servers) re-connected to it once, and to nobody else
+        for node_id, node in nodes.items():
+            sends_to_it = node_id != crashed and (
+                node["role"] == "server" or crashed.startswith("ps/"))
+            assert node["reconnects"] == ({crashed: 1} if sends_to_it else {})
 
     def test_engine_dispatches_cluster_runtime(self):
         spec = small_spec(runtime="cluster")

@@ -26,6 +26,7 @@ import pytest
 from repro.campaign.spec import ScenarioSpec
 from repro.faults import FaultEvent, FaultSchedule
 from repro.kernels.registry import ENV_VAR
+from repro.obs.telemetry import MetricsRegistry, use_registry
 from repro.runtime.cluster import (
     ClusterOptions,
     Supervisor,
@@ -186,6 +187,31 @@ class TestEdgePaths:
                    for node in report["nodes"].values())
         assert all(node["address"]["family"] == "tcp"
                    for node in report["nodes"].values())
+
+
+@needs_sockets
+@pytest.mark.timeout(180)
+class TestDataPlaneConnects:
+    @pytest.mark.parametrize("num_steps", [5, 50])
+    def test_connects_do_not_grow_with_the_run(self, num_steps):
+        # One kept connection per (sender, recipient) pair: a server sends
+        # to 4 workers and 3 servers (itself included), a worker to 3
+        # servers — 33 connects however long the run is (it was one per
+        # frame: 33 a step).  The count repeats exactly.
+        registry = MetricsRegistry()
+        supervisor = Supervisor(small_spec(num_steps=num_steps))
+        with use_registry(registry):
+            supervisor.run()
+        nodes = supervisor.report()["nodes"]
+        assert {node_id: node["connects"]
+                for node_id, node in nodes.items()} == {
+            "ps/0": 7, "ps/1": 7, "ps/2": 7,
+            "worker/0": 3, "worker/1": 3, "worker/2": 3, "worker/3": 3}
+        assert sum(node["connects"] for node in nodes.values()) <= 7 * 7
+        assert all(node["reconnects"] == {} for node in nodes.values())
+        counter = registry.counter("repro_cluster_connects_total")
+        for node_id, node in nodes.items():
+            assert counter.value(node=node_id) == node["connects"]
 
 
 @needs_sockets
