@@ -7,7 +7,7 @@ worker and server attacks.
 
 import pytest
 
-from repro.byzantine import CorruptedModelAttack, ReversedGradientAttack
+from repro.adversary import CorruptedModelAttack, ReversedGradientAttack
 from repro.experiments import run_figure4
 
 

@@ -15,8 +15,11 @@ Run with::
 import numpy as np
 
 from repro.aggregation import available_rules, byzantine_resilience_report, get_rule
-from repro.byzantine import LittleIsEnoughAttack, RandomGradientAttack
-from repro.byzantine.base import AttackContext
+from repro.adversary import (
+    AttackContext,
+    LittleIsEnoughAttack,
+    RandomGradientAttack,
+)
 
 
 def build_attacked_cloud(attack, num_correct=13, num_byzantine=5, dimension=1000,

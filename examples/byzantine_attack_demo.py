@@ -12,7 +12,7 @@ Run with::
     python examples/byzantine_attack_demo.py
 """
 
-from repro.byzantine import EquivocationAttack, RandomGradientAttack
+from repro.adversary import EquivocationAttack, RandomGradientAttack
 from repro.experiments import ExperimentScale, run_figure4
 
 

@@ -13,7 +13,7 @@ Run with::
 """
 
 from repro import ClusterConfig, GuanYuTrainer
-from repro.byzantine import EquivocationAttack, RandomGradientAttack
+from repro.adversary import EquivocationAttack, RandomGradientAttack
 from repro.data import make_blobs_dataset
 from repro.nn import build_model
 from repro.nn.schedules import ConstantSchedule

@@ -15,7 +15,7 @@ Run with::
 
 import time
 
-from repro.byzantine import CorruptedModelAttack, RandomGradientAttack
+from repro.adversary import CorruptedModelAttack, RandomGradientAttack
 from repro.core import ClusterConfig
 from repro.data import make_blobs_dataset
 from repro.metrics import evaluate_accuracy

@@ -9,14 +9,21 @@ Sub-packages
 ------------
 ``repro.tensor``       reverse-mode autograd engine (TensorFlow substitute)
 ``repro.nn``           layers, models (incl. the paper's Table 1 CNN), optimisers
+``repro.kernels``      the numerical kernel backends behind GARs and dense models
 ``repro.data``         synthetic datasets (CIFAR-10 substitute) and sharding
 ``repro.hetero``       non-i.i.d. partitions and heterogeneous worker profiles
 ``repro.aggregation``  gradient aggregation rules (median, Multi-Krum, ...)
-``repro.byzantine``    worker and server attack behaviours
+``repro.adversary``    the threat model: stateless attacks, stateful adversaries
+``repro.faults``       declarative fault schedules (crashes, partitions, gating)
 ``repro.network``      seeded asynchronous network simulator
-``repro.runtime``      cost models and the thread-based runtime
-``repro.core``         the GuanYu protocol and its baselines
+``repro.core``         the GuanYu protocol, its baselines and the cluster wiring
+``repro.batch``        the vectorised multi-replica engine
+``repro.runtime``      cost models, the threaded runtime and the process cluster
+``repro.campaign``     declarative scenarios and grids, result store, scheduler
+``repro.experiments``  the paper's tables, figures and ablations as campaigns
+``repro.obs``          tracer, metrics registry, flight recorder, histories
 ``repro.metrics``      accuracy, throughput, training histories
+``repro.plotting``     ASCII charts and tables for the CLI reports
 ``repro.theory``       contraction / alignment / breakdown-point checks
 
 Stable API (see :mod:`repro.api`)

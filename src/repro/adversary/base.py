@@ -1,13 +1,25 @@
-"""Core abstractions of the adaptive adversary engine.
+"""Core abstractions of the threat model: one adversary, two kinds of behaviour.
 
 The paper proves resilience against a single *omniscient, colluding,
-adaptive* adversary that controls every Byzantine node at once.  The legacy
-:mod:`repro.byzantine` attacks are stateless per-call transforms of one
-gradient; an :class:`Adversary` instead owns **all** Byzantine nodes of a
-run, observes everything the paper's threat model allows it to observe —
-the honest gradients of the round, the current model, the deployed GAR and
-its declared ``f`` (:class:`RunBinding` / :class:`RoundObservation`) — and
-emits one *coordinated* corruption plan per round (:class:`RoundPlan`).
+adaptive* adversary that controls every Byzantine node at once.  It is not
+omnipotent: it only decides what a Byzantine node *sends*; it never
+modifies other nodes.
+
+* **Stateless per-call behaviours** (:class:`WorkerAttack` /
+  :class:`ServerAttack`) are pure transforms of the one gradient or model a
+  node is about to send.  :class:`AttackContext` carries what the
+  omniscient adversary knows at that moment (the honest value, the peer
+  values it can observe, the step).  These two classes are also the
+  per-node seam every runtime calls.
+* **Stateful coordinated behaviours** (:class:`Adversary`) own **all**
+  Byzantine nodes of a run, observe everything the threat model allows —
+  the honest gradients of the round, the current model, the deployed GAR
+  and its declared ``f`` (:class:`RunBinding` / :class:`RoundObservation`)
+  — and emit one *coordinated* corruption plan per round
+  (:class:`RoundPlan`).
+
+Every run is driven by exactly one :class:`Adversary`; stateless
+behaviours are lifted into one by :class:`StatelessAdversary`.
 
 Determinism contract
 --------------------
@@ -24,11 +36,97 @@ bytes for the same observation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.byzantine.base import AttackContext, ServerAttack, WorkerAttack
+
+@dataclass
+class AttackContext:
+    """Information available to the (omniscient) adversary when attacking.
+
+    Attributes
+    ----------
+    step:
+        Current learning step ``t``.
+    honest_value:
+        The vector (gradient or parameter vector) the node would send if it
+        were honest.
+    peer_values:
+        Vectors the adversary can observe from other nodes at this step
+        (e.g. the honest workers' gradients), used by omniscient attacks such
+        as "a little is enough".
+    rng:
+        Random generator owned by the adversary (seeded per experiment).
+    recipient:
+        Identifier of the node the message is being sent to; equivocation
+        attacks send different values to different recipients.
+    model:
+        The parameter vector the sending node currently holds (the model a
+        Byzantine worker computed its honest gradient at) — part of the
+        paper's omniscient observation set, exposed to the stateful
+        adversaries via ``RoundObservation.model``.  The built-in
+        strategies do not consume it yet; it costs nothing to pass (the
+        trainers hand over a vector they already hold).  ``None`` where the
+        caller has no model in scope.
+    """
+
+    step: int
+    honest_value: np.ndarray
+    peer_values: Sequence[np.ndarray] = field(default_factory=list)
+    rng: np.random.Generator = field(default_factory=np.random.default_rng)
+    recipient: Optional[str] = None
+    model: Optional[np.ndarray] = None
+
+
+class WorkerAttack:
+    """A Byzantine worker behaviour.
+
+    Subclasses implement :meth:`corrupt_gradient`, mapping the honest
+    gradient the worker computed to the gradient actually sent to a given
+    parameter server.  Returning ``None`` means "stay silent towards that
+    recipient".
+    """
+
+    name: str = "abstract_worker_attack"
+    kind = "worker-attack"
+    attacks_workers = True
+    attacks_servers = False
+
+    def corrupt_gradient(self, context: AttackContext) -> Optional[np.ndarray]:
+        raise NotImplementedError
+
+    def poison_batch(self, features: np.ndarray, labels: np.ndarray,
+                     context: AttackContext):
+        """Optionally poison the local training batch (data poisoning).
+
+        The default is a no-op; :class:`LabelFlipPoisoning` overrides it.
+        Returns the possibly-modified ``(features, labels)``.
+        """
+        return features, labels
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"{type(self).__name__}()"
+
+
+class ServerAttack:
+    """A Byzantine parameter-server behaviour.
+
+    Subclasses implement :meth:`corrupt_model`, mapping the model the server
+    would honestly send to the model actually sent to a given recipient
+    (worker or fellow server).  Returning ``None`` means silence.
+    """
+
+    name: str = "abstract_server_attack"
+    kind = "server-attack"
+    attacks_workers = False
+    attacks_servers = True
+
+    def corrupt_model(self, context: AttackContext) -> Optional[np.ndarray]:
+        raise NotImplementedError
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"{type(self).__name__}()"
 
 
 @dataclass
@@ -129,6 +227,7 @@ class Adversary:
     """
 
     name: str = "abstract_adversary"
+    kind = "adversary"
     #: whether the adversary needs the round's honest gradients before it
     #: can corrupt (drives the observation plumbing in the runtimes)
     requires_observation: bool = True
@@ -166,7 +265,7 @@ class Adversary:
         return self.requires_observation
 
     # ------------------------------------------------------------------ #
-    # Per-call path (requires_observation = False, e.g. legacy wrappers)
+    # Per-call path (requires_observation = False, e.g. lifted attacks)
     # ------------------------------------------------------------------ #
     def worker_gradient(self,
                         context: AttackContext) -> Optional[np.ndarray]:
@@ -190,42 +289,45 @@ class Adversary:
 
 
 class StatelessAdversary(Adversary):
-    """A legacy per-node attack lifted into the adversary interface.
+    """Stateless per-node attacks lifted into the adversary interface.
 
-    The wrapper is deliberately transparent: the wrapped attack receives
-    the exact :class:`AttackContext` (including the node's own generator)
-    the legacy seam would have handed it, so a scenario run through
-    ``adversary="sign_flip"`` is bit-identical to the same scenario run
-    through ``worker_attack="sign_flip"``.
+    Up to one attack per side: the paper's adversary controls Byzantine
+    workers and Byzantine servers at once, so a worker attack and a server
+    attack may be installed together; with neither, every node is honest.
+    The lift is deliberately transparent: each attack receives the exact
+    :class:`AttackContext` (including the node's own generator) the
+    per-node seam hands over, so ``adversary="sign_flip"`` and
+    ``worker_attack="sign_flip"`` describe bit-identical runs.
     """
 
     requires_observation = False
 
-    def __init__(self, attack) -> None:
+    def __init__(self, worker: Optional[WorkerAttack] = None,
+                 server: Optional[ServerAttack] = None) -> None:
         super().__init__()
-        if not isinstance(attack, (WorkerAttack, ServerAttack)):
-            raise TypeError(
-                f"StatelessAdversary wraps WorkerAttack/ServerAttack "
-                f"instances, got {type(attack).__name__}")
-        self.attack = attack
-        self.name = attack.name
-        self.attacks_workers = isinstance(attack, WorkerAttack)
-        self.attacks_servers = isinstance(attack, ServerAttack)
+        for attack, side in ((worker, WorkerAttack), (server, ServerAttack)):
+            if attack is not None and not isinstance(attack, side):
+                raise TypeError(
+                    f"StatelessAdversary lifts a {side.__name__} on this "
+                    f"side, got {type(attack).__name__}")
+        self.worker = worker
+        self.server = server
+        self.name = "+".join(attack.name for attack in (worker, server)
+                             if attack is not None) or "honest"
+        self.attacks_workers = worker is not None
+        self.attacks_servers = server is not None
 
+    # A side without an attack controls no node, so its hook is never
+    # reached: ``attacks_workers`` / ``attacks_servers`` decide who gets an
+    # adapter.
     def worker_gradient(self, context: AttackContext) -> Optional[np.ndarray]:
-        if isinstance(self.attack, WorkerAttack):
-            return self.attack.corrupt_gradient(context)
-        return context.honest_value
+        return self.worker.corrupt_gradient(context)
 
     def poison_batch(self, features, labels, context: AttackContext):
-        if isinstance(self.attack, WorkerAttack):
-            return self.attack.poison_batch(features, labels, context)
-        return features, labels
+        return self.worker.poison_batch(features, labels, context)
 
     def server_model(self, context: AttackContext) -> Optional[np.ndarray]:
-        if isinstance(self.attack, ServerAttack):
-            return self.attack.corrupt_model(context)
-        return context.honest_value
+        return self.server.corrupt_model(context)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"StatelessAdversary({self.attack!r})"
+        return f"StatelessAdversary({self.worker!r}, {self.server!r})"

@@ -1,7 +1,7 @@
 """Runtime wiring: drive an :class:`Adversary` through the attack seams.
 
-The trainers and runtimes only know the legacy
-:class:`~repro.byzantine.base.WorkerAttack` / ``ServerAttack`` interface;
+The trainers and runtimes only know the per-node
+:class:`~repro.adversary.base.WorkerAttack` / ``ServerAttack`` seam;
 :class:`AdversaryWorkerAttack` / :class:`AdversaryServerAttack` are
 adapters installed on each controlled node that route every corruption
 query to one shared :class:`AdversaryCoordinator`.
@@ -10,7 +10,7 @@ The coordinator owns the per-round plan cache and the synchronisation
 needed by the three runtimes:
 
 * **sequential / batched** — the honest gradients of the round arrive
-  inside the :class:`~repro.byzantine.base.AttackContext` (``peer_values``)
+  inside the :class:`~repro.adversary.base.AttackContext` (``peer_values``)
   of the first corruption query; the plan is computed lazily from it;
 * **threaded** — Byzantine node threads race the honest ones, so the
   runtime arms an *observation board*: honest workers publish their
@@ -32,8 +32,16 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.adversary.base import Adversary, RoundObservation, RoundPlan, RunBinding
-from repro.byzantine.base import AttackContext, ServerAttack, WorkerAttack
+from repro.adversary.base import (
+    Adversary,
+    AttackContext,
+    RoundObservation,
+    RoundPlan,
+    RunBinding,
+    ServerAttack,
+    WorkerAttack,
+)
+from repro.aggregation import get_rule
 from repro.obs.tracer import get_tracer
 
 #: callable returning the honest worker ids expected to publish at a step
@@ -249,24 +257,14 @@ class AdversaryCoordinator:
         return plan
 
     # ------------------------------------------------------------------ #
-    # Adapter entry points
+    # Adapter entry point
     # ------------------------------------------------------------------ #
     def worker_gradient(self, node_id: str,
                         context: AttackContext) -> Optional[np.ndarray]:
-        if not self.adversary.attacks_workers:
-            return context.honest_value
         if not self.adversary.requires_observation:
             return self.adversary.worker_gradient(context)
         plan = self._plan_for(node_id, context)
         return plan.payload_for(node_id, context.honest_value)
-
-    def poison_batch(self, node_id: str, features, labels,
-                     context: AttackContext):
-        return self.adversary.poison_batch(features, labels, context)
-
-    def server_model(self, node_id: str,
-                     context: AttackContext) -> Optional[np.ndarray]:
-        return self.adversary.server_model(context)
 
 
 class AdversaryWorkerAttack(WorkerAttack):
@@ -282,8 +280,8 @@ class AdversaryWorkerAttack(WorkerAttack):
         return self.coordinator.worker_gradient(self.node_id, context)
 
     def poison_batch(self, features, labels, context: AttackContext):
-        return self.coordinator.poison_batch(self.node_id, features, labels,
-                                             context)
+        return self.coordinator.adversary.poison_batch(features, labels,
+                                                       context)
 
 
 class AdversaryServerAttack(ServerAttack):
@@ -296,7 +294,8 @@ class AdversaryServerAttack(ServerAttack):
         self.name = coordinator.adversary.name
 
     def corrupt_model(self, context: AttackContext) -> Optional[np.ndarray]:
-        return self.coordinator.server_model(self.node_id, context)
+        # Phase 1 precedes the round's gradients: never the round plan.
+        return self.coordinator.adversary.server_model(context)
 
 
 def make_binding(adversary: Adversary, *, seed: int,
@@ -307,13 +306,10 @@ def make_binding(adversary: Adversary, *, seed: int,
                  model_quorum: int) -> RunBinding:
     """Build the :class:`RunBinding` a trainer hands its adversary.
 
-    The controlled nodes are the *last* ids of each role — the same
-    placement :func:`wire_attacks` applies to legacy attacks.  Worker (server)
+    The controlled nodes are the *last* ids of each role.  Worker (server)
     attackers are only materialised when the adversary actually corrupts
     that side.
     """
-    from repro.aggregation import get_rule
-
     workers = (list(worker_ids[len(worker_ids) - num_attacking_workers:])
                if num_attacking_workers > 0 and adversary.attacks_workers
                else [])
@@ -336,69 +332,39 @@ def make_binding(adversary: Adversary, *, seed: int,
     )
 
 
-def build_adversary_attacks(adversary: Adversary, binding: RunBinding):
-    """``(coordinator, worker_attack_map, server_attack_map)`` for a run.
+def wire_attacks(*, config, seed: int, adversary: Adversary,
+                 num_attacking_workers: int = 0,
+                 num_attacking_servers: int = 0,
+                 gradient_rule_name: str = "multi_krum"):
+    """The one attack-wiring path (called from :mod:`repro.core.wiring`).
 
-    The maps assign one adapter per controlled node (all sharing the one
-    coordinator) and ``None`` for honest nodes, ready to slot into the
-    per-node ``attack`` fields both runtimes already use.
+    Binds ``adversary`` to the run, puts one coordinator behind it and
+    returns ``(coordinator, worker_attack_map, server_attack_map,
+    attacking_workers, attacking_servers)``: one adapter per controlled
+    node (all sharing the coordinator), ``None`` for honest nodes, ready
+    to slot into the per-node ``attack`` fields every runtime uses, plus
+    the id sets of the controlled nodes.
     """
+    binding = make_binding(
+        adversary, seed=seed, worker_ids=config.worker_ids(),
+        server_ids=config.server_ids(),
+        num_attacking_workers=num_attacking_workers,
+        num_attacking_servers=num_attacking_servers,
+        gradient_rule_name=gradient_rule_name,
+        declared_byzantine_workers=config.num_byzantine_workers,
+        declared_byzantine_servers=config.num_byzantine_servers,
+        gradient_quorum=config.gradient_quorum,
+        model_quorum=config.model_quorum)
     coordinator = AdversaryCoordinator(adversary, binding)
+    attacking_workers = set(binding.byzantine_workers)
+    attacking_servers = set(binding.byzantine_servers)
     worker_attacks = {
         worker_id: (AdversaryWorkerAttack(coordinator, worker_id)
-                    if worker_id in set(binding.byzantine_workers) else None)
+                    if worker_id in attacking_workers else None)
         for worker_id in binding.worker_ids}
     server_attacks = {
         server_id: (AdversaryServerAttack(coordinator, server_id)
-                    if server_id in set(binding.byzantine_servers) else None)
+                    if server_id in attacking_servers else None)
         for server_id in binding.server_ids}
-    return coordinator, worker_attacks, server_attacks
-
-
-def wire_attacks(*, config, seed: int,
-                 worker_attack=None, num_attacking_workers: int = 0,
-                 server_attack=None, num_attacking_servers: int = 0,
-                 gradient_rule_name: str = "multi_krum",
-                 adversary: Optional[Adversary] = None):
-    """The one attack-wiring path (called from :mod:`repro.core.wiring`).
-
-    Returns ``(coordinator, worker_attack_map, server_attack_map,
-    attacking_workers, attacking_servers)``: per-node attack maps (adapter
-    attacks for an adversary, the shared legacy instance otherwise, and
-    ``None`` for honest nodes) plus the id sets of actually-attacking
-    nodes.  Keeping the binding construction and the legacy fallback in
-    one place is what keeps the runtimes from silently diverging.
-    """
-    worker_ids = config.worker_ids()
-    server_ids = config.server_ids()
-    if adversary is not None:
-        if worker_attack is not None or server_attack is not None:
-            raise ValueError("give either an adversary or legacy per-node "
-                             "attacks, not both")
-        binding = make_binding(
-            adversary, seed=seed, worker_ids=worker_ids,
-            server_ids=server_ids,
-            num_attacking_workers=num_attacking_workers,
-            num_attacking_servers=num_attacking_servers,
-            gradient_rule_name=gradient_rule_name,
-            declared_byzantine_workers=config.num_byzantine_workers,
-            declared_byzantine_servers=config.num_byzantine_servers,
-            gradient_quorum=config.gradient_quorum,
-            model_quorum=config.model_quorum)
-        coordinator, worker_attacks, server_attacks = \
-            build_adversary_attacks(adversary, binding)
-        return (coordinator, worker_attacks, server_attacks,
-                set(binding.byzantine_workers),
-                set(binding.byzantine_servers))
-    attacking_workers = set(worker_ids[len(worker_ids)
-                                       - max(num_attacking_workers, 0):])
-    attacking_servers = set(server_ids[len(server_ids)
-                                       - max(num_attacking_servers, 0):])
-    worker_attacks = {wid: (worker_attack if wid in attacking_workers
-                            else None)
-                      for wid in worker_ids}
-    server_attacks = {sid: (server_attack if sid in attacking_servers
-                            else None)
-                      for sid in server_ids}
-    return (None, worker_attacks, server_attacks, attacking_workers,
+    return (coordinator, worker_attacks, server_attacks, attacking_workers,
             attacking_servers)

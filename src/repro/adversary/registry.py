@@ -1,61 +1,59 @@
-"""Registry mapping adversary names to strategy classes.
+"""The one name → behaviour table of the threat model.
 
-Any name in the legacy Byzantine attack registry resolves too: it is
-wrapped on the fly into a :class:`~repro.adversary.base.StatelessAdversary`
-whose behaviour is bit-identical to installing the attack through the
-legacy per-node seam — so every existing attack is usable wherever an
-adversary is expected, without duplicate registration.
+Stateless attacks (:mod:`repro.adversary.attacks`) and stateful adversaries
+(:mod:`repro.adversary.strategies`) register here under their ``name``;
+each class carries its ``kind`` and the side(s) it attacks as data.  Any
+registered behaviour can drive a run: :func:`lift` turns whatever
+:func:`get` returned into the one :class:`~repro.adversary.base.Adversary`
+the wiring installs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Type
+from typing import Dict, List, Tuple, Union
 
-from repro.adversary.base import Adversary, StatelessAdversary
-from repro.adversary.strategies import (
-    CollusionAdversary,
-    OmniscientDescentAdversary,
-    OscillatingAdversary,
-    SleeperAdversary,
-)
-from repro.byzantine.registry import available_attacks, get_attack
+from repro.adversary.base import Adversary, ServerAttack, StatelessAdversary, WorkerAttack
 
-_REGISTRY: Dict[str, Type[Adversary]] = {}
+Behaviour = Union[WorkerAttack, ServerAttack, Adversary]
+
+#: the stateless per-call kinds, as ``available(kind=STATELESS)`` takes them
+STATELESS: Tuple[str, ...] = (WorkerAttack.kind, ServerAttack.kind)
+
+_REGISTRY: Dict[str, type] = {}
 
 
-def register_adversary(adversary_class: Type[Adversary]) -> Type[Adversary]:
-    """Register an adversary class under its :attr:`name` attribute."""
-    name = adversary_class.name
+def register(behaviour_class: type) -> type:
+    """Register a behaviour class under its :attr:`name` attribute."""
+    name = behaviour_class.name
     if not name or name.startswith("abstract"):
-        raise ValueError("adversary classes must define a non-empty 'name'")
-    if name in available_attacks():
-        raise ValueError(
-            f"adversary name '{name}' collides with a registered attack")
-    _REGISTRY[name] = adversary_class
-    return adversary_class
+        raise ValueError("behaviour classes must define a non-empty 'name'")
+    _REGISTRY[name] = behaviour_class
+    return behaviour_class
 
 
-for _adversary in (OmniscientDescentAdversary, CollusionAdversary,
-                   SleeperAdversary, OscillatingAdversary):
-    register_adversary(_adversary)
+def available(kind: Union[None, str, Tuple[str, ...]] = None) -> List[str]:
+    """Registered names, sorted; of one kind (or several) when given."""
+    kinds = (kind,) if isinstance(kind, str) else kind
+    return sorted(name for name, behaviour_class in _REGISTRY.items()
+                  if kinds is None or behaviour_class.kind in kinds)
 
 
-def available_adversaries() -> List[str]:
-    """Names of the natively registered (stateful) adversaries, sorted."""
-    return sorted(_REGISTRY)
+def get(name: str, **kwargs) -> Behaviour:
+    """Instantiate the registered behaviour ``name``."""
+    try:
+        behaviour_class = _REGISTRY[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown adversary '{name}'; stateful: "
+            f"{available(Adversary.kind)}, stateless attacks: "
+            f"{available(STATELESS)}") from None
+    return behaviour_class(**kwargs)
 
 
-def get_adversary(name: str, **kwargs) -> Adversary:
-    """Instantiate an adversary by name.
-
-    Native adversary names build their strategy class; legacy attack names
-    build the attack and wrap it as a stateless adversary.
-    """
-    adversary_class = _REGISTRY.get(name)
-    if adversary_class is not None:
-        return adversary_class(**kwargs)
-    if name in available_attacks():
-        return StatelessAdversary(get_attack(name, **kwargs))
-    raise KeyError(
-        f"unknown adversary '{name}'; native: {available_adversaries()}, "
-        f"wrappable attacks: {available_attacks()}")
+def lift(behaviour: Behaviour) -> Adversary:
+    """The :class:`Adversary` that drives a run with ``behaviour``."""
+    if isinstance(behaviour, WorkerAttack):
+        return StatelessAdversary(worker=behaviour)
+    if isinstance(behaviour, ServerAttack):
+        return StatelessAdversary(server=behaviour)
+    return behaviour

@@ -11,8 +11,9 @@ Three families, mirroring the strongest parts of the paper's threat model:
   gradients (maximum voting weight behind a single lie).
 * :class:`SleeperAdversary` / :class:`OscillatingAdversary` — time-coupled
   adversaries that flip between honest and attacking behaviour on a step
-  schedule (the sleeper reuses :mod:`repro.faults` attack gating; the
-  oscillator alternates with a fixed period).
+  schedule (the sleeper wakes at a step, with the step semantics of
+  :mod:`repro.faults` attack gating; the oscillator alternates with a
+  fixed period).
 """
 
 from __future__ import annotations
@@ -24,24 +25,14 @@ import numpy as np
 from repro.adversary.base import (
     HONEST_PLAN,
     Adversary,
+    AttackContext,
     RoundObservation,
     RoundPlan,
     RunBinding,
+    ServerAttack,
+    WorkerAttack,
 )
-from repro.byzantine.base import AttackContext, ServerAttack
-from repro.byzantine.registry import get_attack
-
-
-def _build_server_attack(name: Optional[str],
-                         kwargs: Optional[Dict]) -> Optional[ServerAttack]:
-    """Build the optional server-side component of a coordinated adversary."""
-    if name is None:
-        return None
-    attack = get_attack(name, **(kwargs or {}))
-    if not isinstance(attack, ServerAttack):
-        raise ValueError(
-            f"server_attack '{name}' is not a server attack")
-    return attack
+from repro.adversary.registry import get, lift, register
 
 
 class _CoordinatedAdversary(Adversary):
@@ -50,7 +41,7 @@ class _CoordinatedAdversary(Adversary):
     The worker side of a coordinated adversary is the round plan; the
     server side (phase-1/3 model corruption happens *before* the round's
     gradients exist, so it never depends on the plan) routes through an
-    optional legacy :class:`~repro.byzantine.base.ServerAttack`.
+    optional stateless :class:`~repro.adversary.base.ServerAttack`.
     """
 
     def __init__(self, server_attack: Optional[str] = None,
@@ -58,8 +49,12 @@ class _CoordinatedAdversary(Adversary):
         super().__init__()
         self.server_attack = server_attack
         self.server_kwargs = dict(server_kwargs or {})
-        self._server_attack = _build_server_attack(server_attack,
-                                                   server_kwargs)
+        self._server_attack: Optional[ServerAttack] = None
+        if server_attack is not None:
+            self._server_attack = get(server_attack, **self.server_kwargs)
+            if not isinstance(self._server_attack, ServerAttack):
+                raise ValueError(
+                    f"server_attack '{server_attack}' is not a server attack")
         self.attacks_servers = self._server_attack is not None
 
     def server_model(self, context: AttackContext) -> Optional[np.ndarray]:
@@ -68,6 +63,7 @@ class _CoordinatedAdversary(Adversary):
         return self._server_attack.corrupt_model(context)
 
 
+@register
 class OmniscientDescentAdversary(_CoordinatedAdversary):
     """Worst-case omniscient attack: search the GAR's vulnerable direction.
 
@@ -80,7 +76,7 @@ class OmniscientDescentAdversary(_CoordinatedAdversary):
     submission ``mean − λ·direction`` and keeps the candidate that drags
     the simulated aggregate furthest *against* the honest descent
     direction.  With ``num_amplitudes × 4`` GAR evaluations per round this
-    generalises :class:`~repro.byzantine.worker_attacks.LittleIsEnoughAttack`
+    generalises :class:`~repro.adversary.attacks.LittleIsEnoughAttack`
     from a fixed ``z`` to the empirically worst admissible one.
     """
 
@@ -163,15 +159,16 @@ class OmniscientDescentAdversary(_CoordinatedAdversary):
                                    in self.binding.byzantine_workers})
 
 
+@register
 class CollusionAdversary(_CoordinatedAdversary):
     """All Byzantine workers submit one identical crafted vector.
 
-    The vector is produced once per round by an inner attack from the
-    Byzantine registry, evaluated at the honest mean with full peer
-    visibility — so ``f̄`` colluding workers put their entire voting weight
-    behind a single lie instead of ``f̄`` independent ones (the difference
-    matters to selection rules like Multi-Krum, where identical vectors
-    score each other at distance zero).
+    The vector is produced once per round by an inner worker attack from
+    the registry, evaluated at the honest mean with full peer visibility —
+    so ``f̄`` colluding workers put their entire voting weight behind a
+    single lie instead of ``f̄`` independent ones (the difference matters
+    to selection rules like Multi-Krum, where identical vectors score each
+    other at distance zero).
     """
 
     name = "collusion"
@@ -184,11 +181,12 @@ class CollusionAdversary(_CoordinatedAdversary):
                          server_kwargs=server_kwargs)
         self.attack = attack
         self.attack_kwargs = dict(attack_kwargs or {})
-        self._inner = get_attack(attack, **self.attack_kwargs)
-        if isinstance(self._inner, ServerAttack):
+        self._inner = get(attack, **self.attack_kwargs)
+        if not isinstance(self._inner, WorkerAttack):
             raise ValueError(
                 f"collusion crafts worker gradients; '{attack}' is a "
-                f"server attack (use server_attack for the server side)")
+                f"{self._inner.kind.replace('-', ' ')}, not a worker "
+                f"attack (use server_attack for the server side)")
 
     def plan_round(self, observation: RoundObservation) -> RoundPlan:
         if self.binding is None:
@@ -209,18 +207,16 @@ class CollusionAdversary(_CoordinatedAdversary):
 class _GatedAdversary(Adversary):
     """Time-coupled wrapper: honest outside the active window(s).
 
-    The inner strategy is any registered adversary — including a wrapped
-    legacy attack — built via the adversary registry (lazily, to avoid a
-    registry import cycle).
+    The inner strategy is any registered behaviour — a stateless attack
+    is lifted.
     """
 
     def __init__(self, inner: str = "omniscient_descent",
                  inner_kwargs: Optional[Dict] = None) -> None:
         super().__init__()
-        from repro.adversary.registry import get_adversary  # cycle guard
         self.inner = inner
         self.inner_kwargs = dict(inner_kwargs or {})
-        self._inner = get_adversary(inner, **self.inner_kwargs)
+        self._inner = lift(get(inner, **self.inner_kwargs))
         if isinstance(self._inner, _GatedAdversary):
             raise ValueError("time-coupled adversaries cannot nest")
         self.requires_observation = self._inner.requires_observation
@@ -245,7 +241,7 @@ class _GatedAdversary(Adversary):
             return HONEST_PLAN
         return self._inner.plan_round(observation)
 
-    # -- per-call path (inner is a stateless wrapper) -------------------- #
+    # -- per-call path (inner is a lifted stateless attack) -------------- #
     def worker_gradient(self, context: AttackContext) -> Optional[np.ndarray]:
         if not self._active(context.step):
             return context.honest_value
@@ -262,42 +258,36 @@ class _GatedAdversary(Adversary):
         return self._inner.server_model(context)
 
 
+@register
 class SleeperAdversary(_GatedAdversary):
     """Behave honestly until ``wake_step``, then unleash the inner strategy.
 
-    The step window is expressed as a :mod:`repro.faults` attack-gating
-    schedule (``activate_attack`` / ``deactivate_attack`` events) and
-    judged by a :class:`~repro.faults.FaultController`, so sleeper timing
-    follows exactly the same step semantics as declarative fault
-    injection — both runtimes gate on the node's own protocol step.
+    The window (closed again from ``sleep_step`` on, when one is given) has
+    the step semantics of :mod:`repro.faults` attack gating — an
+    ``activate_attack`` at ``wake_step``, a ``deactivate_attack`` at
+    ``sleep_step``, each taking effect at its own step — judged on the
+    node's own protocol step in every runtime.
     """
 
     name = "sleeper"
-    _GATE_NODE = "adversary"
 
     def __init__(self, wake_step: int = 20, sleep_step: Optional[int] = None,
                  inner: str = "omniscient_descent",
                  inner_kwargs: Optional[Dict] = None) -> None:
         super().__init__(inner=inner, inner_kwargs=inner_kwargs)
-        from repro.faults import FaultController, FaultEvent, FaultSchedule
         if wake_step < 0:
             raise ValueError("wake_step must be non-negative")
         if sleep_step is not None and sleep_step <= wake_step:
             raise ValueError("sleep_step must be after wake_step")
         self.wake_step = int(wake_step)
         self.sleep_step = None if sleep_step is None else int(sleep_step)
-        events = [FaultEvent(step=self.wake_step, kind="activate_attack",
-                             nodes=[self._GATE_NODE])]
-        if self.sleep_step is not None:
-            events.append(FaultEvent(step=self.sleep_step,
-                                     kind="deactivate_attack",
-                                     nodes=[self._GATE_NODE]))
-        self._gate = FaultController(FaultSchedule(events=events))
 
     def _active(self, step: int) -> bool:
-        return self._gate.attack_active(self._GATE_NODE, step)
+        return step >= self.wake_step and (self.sleep_step is None
+                                           or step < self.sleep_step)
 
 
+@register
 class OscillatingAdversary(_GatedAdversary):
     """Alternate honest and attacking phases with a fixed period.
 

@@ -25,7 +25,6 @@ The legacy experiment harnesses (``run_attack_sweep``, ``run_gar_ablation``,
 """
 
 from repro.campaign.spec import (
-    AdversarySpec,
     AttackSpec,
     CampaignSpec,
     ScenarioSpec,
@@ -49,7 +48,6 @@ from repro.campaign.store import (
 )
 
 __all__ = [
-    "AdversarySpec",
     "AttackSpec",
     "ScenarioSpec",
     "CampaignSpec",

@@ -25,11 +25,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.adversary.base import Adversary
-from repro.adversary.registry import available_adversaries, get_adversary
+from repro.adversary import registry
 from repro.aggregation import available_rules, get_rule
-from repro.byzantine.base import ServerAttack, WorkerAttack
-from repro.byzantine.registry import available_attacks, get_attack
 from repro.core.config import ClusterConfig
 from repro.faults import FaultSchedule
 from repro.hetero import HeteroSpec
@@ -74,33 +71,38 @@ def available_cost_models() -> List[str]:
 # --------------------------------------------------------------------------- #
 @dataclass
 class AttackSpec:
-    """A registered attack by name plus its constructor keyword arguments."""
+    """A registered behaviour by name plus its constructor keyword arguments.
+
+    Names resolve through :func:`repro.adversary.registry.get` — stateless
+    attacks and stateful adversaries share the one table, so
+    ``ScenarioSpec(adversary="sign_flip")`` describes the same run as
+    ``ScenarioSpec(worker_attack="sign_flip")``.  ``kwargs`` must stay
+    JSON-serialisable — nested references (e.g. the sleeper's inner
+    strategy) are plain name/kwargs dictionaries.
+    """
 
     name: str
     kwargs: Dict[str, Any] = field(default_factory=dict)
 
-    def build(self) -> Union[WorkerAttack, ServerAttack]:
-        """Instantiate the attack from the Byzantine registry.
+    def build(self) -> registry.Behaviour:
+        """Instantiate a fresh (single-run) behaviour from the registry.
 
         Raises ``ValueError`` (not ``TypeError``) on bad keyword arguments so
         spec validation, ``expand(on_invalid="skip")`` and the CLI error
         path all treat a misspelled kwarg like any other invalid spec.
         """
         try:
-            return get_attack(self.name, **self.kwargs)
+            return registry.get(self.name, **self.kwargs)
         except TypeError as exc:
             raise ValueError(
-                f"invalid kwargs for attack '{self.name}': {exc}") from exc
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "kwargs": dict(self.kwargs)}
+                f"invalid kwargs for '{self.name}': {exc}") from exc
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "AttackSpec":
         return cls(name=payload["name"], kwargs=dict(payload.get("kwargs", {})))
 
     @classmethod
-    def from_attack(cls, attack: Union[WorkerAttack, ServerAttack]) -> "AttackSpec":
+    def from_attack(cls, attack: registry.Behaviour) -> "AttackSpec":
         """Reconstruct a spec from a live attack instance.
 
         Attack classes store their constructor arguments as same-named public
@@ -109,7 +111,7 @@ class AttackSpec:
         for attacks that cannot be described declaratively — unregistered
         classes, or instances carrying non-scalar public state.
         """
-        if attack.name not in available_attacks():
+        if attack.name not in registry.available():
             raise ValueError(
                 f"attack '{attack.name}' is not in the Byzantine registry; "
                 f"campaign specs can only describe registered attacks")
@@ -133,54 +135,6 @@ class AttackSpec:
                 f"attack '{attack.name}' does not round-trip through its "
                 f"constructor keyword arguments")
         return spec
-
-
-@dataclass
-class AdversarySpec:
-    """A registered adversary by name plus constructor keyword arguments.
-
-    Names resolve through :func:`repro.adversary.registry.get_adversary`:
-    the native stateful adversaries first, then any legacy attack name
-    (wrapped on the fly into a stateless adversary), so
-    ``AdversarySpec("sign_flip")`` describes the same run as the legacy
-    ``worker_attack`` field.  ``kwargs`` must stay JSON-serialisable —
-    nested references (e.g. the sleeper's inner strategy) are plain
-    name/kwargs dictionaries.
-    """
-
-    name: str
-    kwargs: Dict[str, Any] = field(default_factory=dict)
-
-    def build(self) -> Adversary:
-        """Instantiate a fresh single-run adversary.
-
-        Raises ``ValueError`` (not ``TypeError``) on bad keyword arguments,
-        matching :meth:`AttackSpec.build` so spec validation and the CLI
-        error paths treat a misspelled kwarg like any other invalid spec.
-        """
-        try:
-            return get_adversary(self.name, **self.kwargs)
-        except TypeError as exc:
-            raise ValueError(
-                f"invalid kwargs for adversary '{self.name}': {exc}") from exc
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "kwargs": dict(self.kwargs)}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "AdversarySpec":
-        return cls(name=payload["name"], kwargs=dict(payload.get("kwargs", {})))
-
-
-def _coerce_adversary(value: Union[None, str, Dict, AdversarySpec]
-                      ) -> Optional[AdversarySpec]:
-    if value is None or isinstance(value, AdversarySpec):
-        return value
-    if isinstance(value, str):
-        return AdversarySpec(name=value)
-    if isinstance(value, dict):
-        return AdversarySpec.from_dict(value)
-    raise TypeError(f"cannot interpret {value!r} as an adversary spec")
 
 
 def _coerce_attack(value: Union[None, str, Dict, AttackSpec]) -> Optional[AttackSpec]:
@@ -254,9 +208,10 @@ class ScenarioSpec:
     num_attacking_workers: Optional[int] = None
     server_attack: Optional[AttackSpec] = None
     num_attacking_servers: Optional[int] = None
-    #: stateful coordinated adversary (mutually exclusive with the legacy
-    #: per-node attack fields; absent ≡ legacy behaviour, also for hashing)
-    adversary: Optional[AdversarySpec] = None
+    #: any registered behaviour driving both sides at once — typically a
+    #: stateful coordinated adversary (mutually exclusive with the per-side
+    #: attack fields; absent ≡ legacy behaviour, also for hashing)
+    adversary: Optional[AttackSpec] = None
 
     # -- network delay / computation cost ---------------------------------- #
     delay_model: str = "uniform"
@@ -316,48 +271,41 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         self.worker_attack = _coerce_attack(self.worker_attack)
         self.server_attack = _coerce_attack(self.server_attack)
-        self.adversary = _coerce_adversary(self.adversary)
+        self.adversary = _coerce_attack(self.adversary)
         self.faults = _coerce_faults(self.faults)
         self.hetero = _coerce_hetero(self.hetero)
 
     # ------------------------------------------------------------------ #
     # Derived values
     # ------------------------------------------------------------------ #
-    def _adversary_sides(self) -> tuple:
-        """``(attacks_workers, attacks_servers)`` of the adversary (if any).
+    def _sides(self, spec: Optional[AttackSpec]) -> tuple:
+        """``(attacks_workers, attacks_servers)`` of a behaviour (if any).
 
-        Building an adversary (inner strategies, gating controllers) just
+        Building a behaviour (inner strategies, server-side attacks) just
         to read two booleans is wasteful across a sweep's many
         ``resolved_num_attacking_*``/``validate`` calls, so the answer is
-        cached per adversary configuration on this spec instance (the
-        cache is plain instance state: dataclass equality, ``asdict`` and
-        ``replace`` all ignore it).
+        cached per configuration on this spec instance (the cache is plain
+        instance state: dataclass equality, ``asdict`` and ``replace`` all
+        ignore it).
         """
-        if self.adversary is None:
+        if spec is None:
             return False, False
-        key = (self.adversary.name,
-               json.dumps(self.adversary.kwargs, sort_keys=True, default=str))
-        cached = getattr(self, "_adversary_sides_cache", None)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        adversary = self.adversary.build()
-        sides = (adversary.attacks_workers, adversary.attacks_servers)
-        self._adversary_sides_cache = (key, sides)
-        return sides
+        key = (spec.name, json.dumps(spec.kwargs, sort_keys=True, default=str))
+        cache = self.__dict__.setdefault("_sides_cache", {})
+        if key not in cache:
+            behaviour = spec.build()
+            cache[key] = (behaviour.attacks_workers, behaviour.attacks_servers)
+        return cache[key]
 
     def resolved_num_attacking_workers(self) -> int:
-        if self.worker_attack is None and self.adversary is None:
-            return 0
-        if self.adversary is not None and not self._adversary_sides()[0]:
+        if self.worker_attack is None and not self._sides(self.adversary)[0]:
             return 0
         if self.num_attacking_workers is not None:
             return self.num_attacking_workers
         return self.declared_byzantine_workers
 
     def resolved_num_attacking_servers(self) -> int:
-        if self.server_attack is None and self.adversary is None:
-            return 0
-        if self.adversary is not None and not self._adversary_sides()[1]:
+        if self.server_attack is None and not self._sides(self.adversary)[1]:
             return 0
         if self.num_attacking_servers is not None:
             return self.num_attacking_servers
@@ -416,7 +364,6 @@ class ScenarioSpec:
         for count in (self.num_attacking_workers, self.num_attacking_servers):
             if count is not None and count < 0:
                 raise ValueError("attacker counts must be non-negative")
-        adversary_workers = adversary_servers = False
         if self.adversary is not None:
             if self.worker_attack is not None or self.server_attack is not None:
                 raise ValueError(
@@ -427,40 +374,30 @@ class ScenarioSpec:
                     "adversaries model the paper's full threat model and "
                     "apply only to the GuanYu trainers; the single-server "
                     "baselines take a worker_attack instead")
-            known = (self.adversary.name in available_adversaries()
-                     or self.adversary.name in available_attacks())
-            if not known:
+        attacks_workers = attacks_servers = False
+        for spec, role in ((self.worker_attack, "worker"),
+                           (self.server_attack, "server"),
+                           (self.adversary, None)):
+            if spec is None:
+                continue
+            names = registry.available(registry.STATELESS if role else None)
+            if spec.name not in names:
                 raise ValueError(
-                    f"unknown adversary '{self.adversary.name}'; native: "
-                    f"{available_adversaries()}, wrappable attacks: "
-                    f"{available_attacks()}")
-            adversary_workers, adversary_servers = self._adversary_sides()
-        if self.num_attacking_workers and self.worker_attack is None \
-                and not adversary_workers:
+                    f"unknown {'attack' if role else 'adversary'} "
+                    f"'{spec.name}'; available: {names}")
+            workers, servers = self._sides(spec)
+            if role == "worker" and not workers:
+                raise ValueError(f"'{spec.name}' is a server attack, "
+                                 f"not a worker attack")
+            if role == "server" and not servers:
+                raise ValueError(f"'{spec.name}' is a worker attack, "
+                                 f"not a server attack")
+            attacks_workers |= workers
+            attacks_servers |= servers
+        if self.num_attacking_workers and not attacks_workers:
             raise ValueError("num_attacking_workers > 0 requires a worker_attack")
-        if self.num_attacking_servers and self.server_attack is None \
-                and not adversary_servers:
+        if self.num_attacking_servers and not attacks_servers:
             raise ValueError("num_attacking_servers > 0 requires a server_attack")
-
-        worker_attack = server_attack = None
-        if self.worker_attack is not None:
-            if self.worker_attack.name not in available_attacks():
-                raise ValueError(f"unknown attack '{self.worker_attack.name}'; "
-                                 f"available: {available_attacks()}")
-            worker_attack = self.worker_attack.build()
-            if not isinstance(worker_attack, WorkerAttack):
-                raise ValueError(
-                    f"'{self.worker_attack.name}' is a server attack, "
-                    f"not a worker attack")
-        if self.server_attack is not None:
-            if self.server_attack.name not in available_attacks():
-                raise ValueError(f"unknown attack '{self.server_attack.name}'; "
-                                 f"available: {available_attacks()}")
-            server_attack = self.server_attack.build()
-            if not isinstance(server_attack, ServerAttack):
-                raise ValueError(
-                    f"'{self.server_attack.name}' is a worker attack, "
-                    f"not a server attack")
 
         if self.hetero is not None:
             if self.sharding != "iid":
@@ -598,13 +535,7 @@ class ScenarioSpec:
         return dataclasses.replace(self, **overrides)
 
     def to_dict(self) -> Dict[str, Any]:
-        payload = dataclasses.asdict(self)
-        payload["worker_attack"] = (self.worker_attack.to_dict()
-                                    if self.worker_attack else None)
-        payload["server_attack"] = (self.server_attack.to_dict()
-                                    if self.server_attack else None)
-        payload["adversary"] = (self.adversary.to_dict()
-                                if self.adversary else None)
+        payload = dataclasses.asdict(self)  # the three threat fields too
         # Canonical compact form (defaulted event fields omitted) so that
         # equal schedules serialise — and therefore hash — identically.
         payload["faults"] = self.faults.to_dict() if self.faults else None
@@ -626,32 +557,33 @@ class ScenarioSpec:
     def from_json(cls, text: str) -> "ScenarioSpec":
         return cls.from_dict(json.loads(text))
 
+    def _content_hash(self, *excluded: str) -> str:
+        """SHA-256 over the canonical JSON of the spec minus ``excluded``.
+
+        The one statement of the absent≡legacy rule: an absent ``faults``
+        schedule, ``adversary``, ``hetero`` spec, ``runtime`` or
+        ``kernels`` selection is left out of the payload, so stores filled
+        before the fault, adversary, heterogeneity, cluster or kernel
+        engines existed stay valid, and a hash changes iff the field does.
+        """
+        payload = self.to_dict()
+        for key in excluded:
+            del payload[key]
+        for key in ("faults", "adversary", "hetero", "runtime", "kernels"):
+            if payload[key] is None:
+                del payload[key]
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
     def spec_hash(self) -> str:
         """Content address: SHA-256 over the canonical JSON of the spec.
 
         The ``name`` is a pure label and is excluded, so equal
         configurations share one cache entry regardless of how a campaign
-        or harness chose to name them.  An absent ``faults`` schedule is
-        excluded too: fault-free specs keep the addresses they had before
-        fault injection existed, and the hash changes iff the schedule does.
-        The same absent≡legacy rule applies to ``adversary``, ``hetero``,
-        ``runtime`` and ``kernels``, so stores filled before the adversary,
-        heterogeneity, cluster or kernel engines existed stay valid.
+        or harness chose to name them.  Optional fields follow the
+        absent≡legacy rule of :meth:`_content_hash`.
         """
-        payload = self.to_dict()
-        del payload["name"]
-        if payload["faults"] is None:
-            del payload["faults"]
-        if payload["adversary"] is None:
-            del payload["adversary"]
-        if payload["hetero"] is None:
-            del payload["hetero"]
-        if payload["runtime"] is None:
-            del payload["runtime"]
-        if payload["kernels"] is None:
-            del payload["kernels"]
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return self._content_hash("name")
 
     def batch_group_hash(self) -> str:
         """Content address ignoring ``name`` *and* ``seed``.
@@ -662,21 +594,7 @@ class ScenarioSpec:
         campaign engine groups pending scenarios by this hash when
         ``batch_seeds`` is requested.
         """
-        payload = self.to_dict()
-        del payload["name"]
-        del payload["seed"]
-        if payload["faults"] is None:
-            del payload["faults"]
-        if payload["adversary"] is None:
-            del payload["adversary"]
-        if payload["hetero"] is None:
-            del payload["hetero"]
-        if payload["runtime"] is None:
-            del payload["runtime"]
-        if payload["kernels"] is None:
-            del payload["kernels"]
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return self._content_hash("name", "seed")
 
     # ------------------------------------------------------------------ #
     # ExperimentScale interoperability (lazy imports: see module docstring)

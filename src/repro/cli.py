@@ -90,9 +90,8 @@ import sys
 import time
 from typing import Dict, Optional
 
+from repro.adversary import registry
 from repro.aggregation import available_rules, get_rule
-from repro.byzantine.base import WorkerAttack
-from repro.byzantine.registry import available_attacks, get_attack
 from repro.core.config import ClusterConfig
 from repro.campaign import (
     CampaignSpec,
@@ -347,8 +346,6 @@ def cmd_attacks(args: argparse.Namespace) -> int:
     """List the registered attacks and adversaries (name, kind, parameters)."""
     import inspect
 
-    from repro.adversary.registry import available_adversaries, get_adversary
-
     def parameters_of(obj) -> str:
         signature = inspect.signature(type(obj).__init__)
         parts = []
@@ -363,13 +360,10 @@ def cmd_attacks(args: argparse.Namespace) -> int:
         return ", ".join(parts) if parts else "-"
 
     rows = []
-    for name in available_attacks():
-        attack = get_attack(name)
-        kind = ("worker-attack" if isinstance(attack, WorkerAttack)
-                else "server-attack")
-        rows.append((name, kind, parameters_of(attack)))
-    for name in available_adversaries():
-        rows.append((name, "adversary", parameters_of(get_adversary(name))))
+    for name in (registry.available(registry.STATELESS)
+                 + registry.available("adversary")):
+        behaviour = registry.get(name)
+        rows.append((name, behaviour.kind, parameters_of(behaviour)))
 
     print("Registered attacks and adversaries "
           "(legacy attack names also resolve as stateless adversaries):\n")
@@ -420,20 +414,16 @@ def cmd_list(args: argparse.Namespace) -> int:
         tag = "resilient" if rule.byzantine_resilient else "non-resilient"
         print(f"  {name:<18} [{tag:<13}] {first_doc_line(type(rule))}")
 
-    print("\nAttacks (worker_attack / server_attack):")
-    for name in available_attacks():
-        attack = get_attack(name)
-        role = "worker" if isinstance(attack, WorkerAttack) else "server"
-        print(f"  {name:<18} [{role:<13}] {first_doc_line(type(attack))}")
-
-    from repro.adversary.registry import available_adversaries, get_adversary
-
-    print("\nAdversaries (stateful, coordinated; legacy attack names also "
-          "resolve):")
-    for name in available_adversaries():
-        adversary = get_adversary(name)
-        print(f"  {name:<18} [{'adversary':<13}] "
-              f"{first_doc_line(type(adversary))}")
+    for title, kinds in (
+            ("Attacks (worker_attack / server_attack)", registry.STATELESS),
+            ("Adversaries (stateful, coordinated; legacy attack names also "
+             "resolve)", "adversary")):
+        print(f"\n{title}:")
+        for name in registry.available(kinds):
+            behaviour = registry.get(name)
+            role = behaviour.kind.removesuffix("-attack")
+            print(f"  {name:<18} [{role:<13}] "
+                  f"{first_doc_line(type(behaviour))}")
 
     from repro.hetero import available_partitions
 
@@ -450,11 +440,11 @@ def cmd_list(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------- #
 def _attack_axis_entry(attack_name: str, base: ScenarioSpec) -> Dict:
     """Grid-axis patch selecting one attack (worker or server side)."""
-    attack = get_attack(attack_name)  # raises on unknown names
+    attack = registry.get(attack_name)  # raises on unknown names
     kwargs = workload_attack_kwargs(attack_name, base.dataset)
     entry: Dict[str, object] = {"_name": attack_name,
                                 "worker_attack": None, "server_attack": None}
-    side = "worker_attack" if isinstance(attack, WorkerAttack) else "server_attack"
+    side = "worker_attack" if attack.attacks_workers else "server_attack"
     entry[side] = {"name": attack_name, "kwargs": kwargs}
     return entry
 
@@ -497,15 +487,13 @@ def _campaign_from_args(args: argparse.Namespace) -> CampaignSpec:
             # An adversary cell would override the attack cell's fields and
             # the two axes would collapse into duplicate content addresses
             # under misleading names — sweep them as separate campaigns, or
-            # put legacy attack names directly on the adversary axis.
+            # put stateless attack names directly on the adversary axis.
             raise ValueError(
                 "--attacks and --adversaries cannot be combined: both set "
                 "the scenario's Byzantine behaviour; legacy attack names "
                 "are valid --adversaries values")
-        from repro.adversary.registry import get_adversary
-
         for name in args.adversaries:
-            get_adversary(name, **workload_attack_kwargs(
+            registry.get(name, **workload_attack_kwargs(
                 name, base.dataset))  # raises on typos
         grid["adversary"] = [
             {"_name": name,

@@ -14,9 +14,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.adversary.base import AttackContext, ServerAttack, WorkerAttack
 from repro.aggregation.base import GradientAggregationRule
 from repro.aggregation.krum import pairwise_squared_distances
-from repro.byzantine.base import AttackContext, ServerAttack, WorkerAttack
 from repro.data.loader import DataLoader
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module

@@ -24,8 +24,8 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.adversary.base import ServerAttack, WorkerAttack
 from repro.aggregation import ArithmeticMean, CoordinateWiseMedian, MultiKrum
-from repro.byzantine.base import ServerAttack, WorkerAttack
 from repro.core.config import ClusterConfig
 from repro.core.nodes import GradientResult, ServerNode, WorkerNode, max_pairwise_distance
 from repro.core.wiring import ClusterWiring
@@ -203,10 +203,11 @@ class GuanYuTrainer(DistributedTrainer):
         GARs used for phase 2 (default Multi-Krum) and phases 1/3 (default
         coordinate-wise median); exposed for the ablation benchmarks.
     adversary:
-        Optional stateful :class:`~repro.adversary.Adversary` controlling
-        *all* actually-Byzantine nodes as one colluding entity (mutually
-        exclusive with the legacy per-node ``worker_attack`` /
-        ``server_attack``).  The attacking counts still come from
+        Optional :class:`~repro.adversary.Adversary` controlling *all*
+        actually-Byzantine nodes as one colluding entity (mutually
+        exclusive with ``worker_attack`` / ``server_attack``, which the
+        wiring lifts into a :class:`~repro.adversary.StatelessAdversary`
+        itself).  The attacking counts still come from
         ``num_attacking_workers`` / ``num_attacking_servers``.
     fault_schedule:
         Optional time-varying faults (see :mod:`repro.faults`).  Crashed

@@ -6,9 +6,12 @@ batched engine, the threaded runtime and the process cluster because every
 one of them derives its nodes from a :class:`ClusterWiring` and from
 nothing else:
 
-* attack counts checked against the declared Byzantine budget, then the
-  per-node attack maps from :func:`repro.adversary.engine.wire_attacks`
-  (mutual-exclusion errors surface before any dataset work);
+* the run's one :class:`~repro.adversary.Adversary` (stateless
+  ``worker_attack`` / ``server_attack`` arguments are lifted into one at
+  this boundary), its attack counts checked against the declared Byzantine
+  budget, then the per-node attack maps from
+  :func:`repro.adversary.engine.wire_attacks` (mutual-exclusion errors
+  surface before any dataset work);
 * the :class:`~repro.faults.FaultController`, validated against the node
   ids, with every per-node attack passed through ``gate_attack``;
 * the data partition (computed on first use: a parameter server and the
@@ -29,8 +32,10 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.adversary.base import Adversary, ServerAttack, StatelessAdversary, WorkerAttack
+from repro.adversary.engine import wire_attacks
+from repro.adversary.registry import lift
 from repro.aggregation import get_rule
-from repro.byzantine.base import ServerAttack, WorkerAttack
 from repro.core.config import ClusterConfig
 from repro.core.nodes import ServerNode, WorkerNode
 from repro.data.datasets import Dataset
@@ -45,25 +50,17 @@ from repro.nn.schedules import LearningRateSchedule
 HETERO_STRAGGLER_UNIT = 0.002
 
 
-def validate_attack_counts(config: ClusterConfig,
-                           worker_attack: Optional[WorkerAttack],
+def validate_attack_counts(config: ClusterConfig, adversary: Adversary,
                            num_attacking_workers: int,
-                           server_attack: Optional[ServerAttack],
-                           num_attacking_servers: int,
-                           adversary=None) -> None:
+                           num_attacking_servers: int) -> None:
     """Check attack counts against a cluster's declared Byzantine budget.
 
-    An :class:`~repro.adversary.Adversary` satisfies the behaviour
-    requirement for whichever side(s) it attacks, in place of the legacy
-    per-node attacks.
+    One rule per side: a positive count needs an adversary that attacks
+    that side.
     """
-    adversary_workers = adversary is not None and adversary.attacks_workers
-    adversary_servers = adversary is not None and adversary.attacks_servers
-    if num_attacking_workers > 0 and worker_attack is None \
-            and not adversary_workers:
+    if num_attacking_workers > 0 and not adversary.attacks_workers:
         raise ValueError("num_attacking_workers > 0 requires a worker_attack")
-    if num_attacking_servers > 0 and server_attack is None \
-            and not adversary_servers:
+    if num_attacking_servers > 0 and not adversary.attacks_servers:
         raise ValueError("num_attacking_servers > 0 requires a server_attack")
     if num_attacking_workers > config.num_byzantine_workers:
         raise ValueError(
@@ -105,7 +102,8 @@ def scenario_arguments(spec) -> Tuple[Dict, Optional[Dataset], object]:
         "server_attack": (spec.server_attack.build()
                           if spec.server_attack else None),
         "num_attacking_servers": spec.resolved_num_attacking_servers(),
-        "adversary": spec.adversary.build() if spec.adversary else None,
+        "adversary": (lift(spec.adversary.build())
+                      if spec.adversary else None),
         "fault_schedule": spec.faults,
     }, test, model_fn
 
@@ -121,11 +119,16 @@ class ClusterWiring:
     ----------
     worker_ids, server_ids:
         Node ids in canonical order.
+    adversary:
+        The one :class:`~repro.adversary.Adversary` of the run: the caller's,
+        or the :class:`~repro.adversary.StatelessAdversary` its
+        ``worker_attack`` / ``server_attack`` were lifted into (with
+        neither, one that attacks no side).
     coordinator:
         The :class:`~repro.adversary.AdversaryCoordinator` behind the
-        adapter attacks, ``None`` without an adversary.
+        adapter attacks.
     worker_attacks, server_attacks:
-        Node id → attack (``None`` for honest nodes), fault-gated.
+        Node id → adapter attack (``None`` for honest nodes), fault-gated.
     attacking_workers, attacking_servers:
         Id sets of the actually-attacking nodes (the last ids).
     faults:
@@ -144,21 +147,21 @@ class ClusterWiring:
                  num_attacking_workers: int = 0,
                  server_attack: Optional[ServerAttack] = None,
                  num_attacking_servers: int = 0,
-                 adversary=None,
+                 adversary: Optional[Adversary] = None,
                  fault_schedule: Optional[FaultSchedule] = None) -> None:
-        from repro.adversary.engine import wire_attacks  # lazy: heavy import
-
-        validate_attack_counts(config, worker_attack, num_attacking_workers,
-                               server_attack, num_attacking_servers,
-                               adversary=adversary)
+        if adversary is None:
+            adversary = StatelessAdversary(worker_attack, server_attack)
+        elif worker_attack is not None or server_attack is not None:
+            raise ValueError("give either an adversary or legacy per-node "
+                             "attacks, not both")
+        validate_attack_counts(config, adversary, num_attacking_workers,
+                               num_attacking_servers)
         (self.coordinator, worker_attacks, server_attacks,
          self.attacking_workers, self.attacking_servers) = wire_attacks(
-            config=config, seed=seed,
-            worker_attack=worker_attack,
+            config=config, seed=seed, adversary=adversary,
             num_attacking_workers=num_attacking_workers,
-            server_attack=server_attack,
             num_attacking_servers=num_attacking_servers,
-            gradient_rule_name=gradient_rule_name, adversary=adversary)
+            gradient_rule_name=gradient_rule_name)
         self.config = config
         self.adversary = adversary
         self.worker_ids: List[str] = config.worker_ids()
@@ -291,8 +294,7 @@ class ClusterWiring:
     def needs_observation_board(self) -> bool:
         """Whether Byzantine workers read the round's honest gradients —
         publishing to a board nobody reads would just accumulate copies."""
-        return (self.adversary is not None
-                and self.adversary.requires_observation
+        return (self.adversary.requires_observation
                 and bool(self.attacking_workers))
 
     def expected_publishers(self, step: int) -> List[str]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.byzantine import (
+from repro.adversary import (
     CorruptedModelAttack,
     EquivocationAttack,
     LabelFlipPoisoning,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.adversary.registry import get_adversary
+from repro.adversary import registry
 from repro.aggregation import available_rules, get_rule
 from repro.campaign.spec import ScenarioSpec
 from repro.campaign.store import ResultStore
@@ -135,8 +135,8 @@ def run_breakdown_search(scale: Optional[ExperimentScale] = None,
         Workload knobs (default: :meth:`ExperimentScale.small`).
     gars, adversaries:
         Names to cross.  Unknown GAR names raise ``KeyError``; adversary
-        names resolve through the adversary registry (native strategies or
-        wrapped legacy attacks).
+        names resolve through the adversary registry (stateful strategies
+        or lifted stateless attacks).
     adversary_kwargs:
         Optional per-adversary constructor keyword overrides
         (``{"collusion": {"attack": "sign_flip"}}``).
@@ -165,8 +165,8 @@ def run_breakdown_search(scale: Optional[ExperimentScale] = None,
             kwargs_by_adversary[adversary] = kwargs
         # Fail on typos and inapplicable strategies *before* the first
         # baseline trains, not after.
-        built = get_adversary(adversary,
-                              **kwargs_by_adversary.get(adversary, {}))
+        built = registry.get(adversary,
+                             **kwargs_by_adversary.get(adversary, {}))
         if not built.attacks_workers:
             raise ValueError(
                 f"adversary '{adversary}' corrupts only server models; the "

@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.byzantine import RandomGradientAttack, EquivocationAttack
-from repro.byzantine.base import ServerAttack, WorkerAttack
+from repro.adversary import EquivocationAttack, RandomGradientAttack, ServerAttack, WorkerAttack
 from repro.campaign.engine import run_campaign
 from repro.campaign.spec import AttackSpec, CampaignSpec, ScenarioSpec
 from repro.experiments.common import ExperimentScale

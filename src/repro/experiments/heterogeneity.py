@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.engine import run_campaign
-from repro.campaign.spec import AdversarySpec, ScenarioSpec
+from repro.campaign.spec import AttackSpec, ScenarioSpec
 from repro.campaign.store import ResultStore
 from repro.experiments.common import ExperimentScale, workload_attack_kwargs
 from repro.hetero import HeteroSpec
@@ -85,8 +85,8 @@ def run_heterogeneity_study(scale: Optional[ExperimentScale] = None,
                                        Dict[str, TrainingHistory]]:
     """Sweep skew × GAR × adversary (× seed); returns ``(results, histories)``.
 
-    ``adversaries`` entries are adversary-registry names (legacy attack
-    names wrap automatically); ``None`` (or ``"none"``) rows run honestly
+    ``adversaries`` entries are adversary-registry names (stateless attack
+    names are lifted); ``None`` (or ``"none"``) rows run honestly
     and anchor each rule's skew tolerance before any attack is applied.
     The attacking count is the declared Byzantine worker count, i.e. the
     strongest in-model adversary.
@@ -116,7 +116,7 @@ def run_heterogeneity_study(scale: Optional[ExperimentScale] = None,
                     spec = base.replace(
                         name=name, gradient_rule=gar, hetero=hetero,
                         seed=seed,
-                        adversary=(AdversarySpec(
+                        adversary=(AttackSpec(
                             name=adversary,
                             kwargs=workload_attack_kwargs(adversary,
                                                           base.dataset))

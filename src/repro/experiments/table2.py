@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.byzantine import CorruptedModelAttack
+from repro.adversary import CorruptedModelAttack
 from repro.core import ClusterConfig, GuanYuTrainer
 from repro.experiments.common import (
     ExperimentScale,

@@ -36,11 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.byzantine.base import (
-    AttackContext,
-    ServerAttack,
-    WorkerAttack,
-)
+from repro.adversary.base import AttackContext, ServerAttack, WorkerAttack
 from repro.faults.schedule import (
     LINK_OVERRIDE_KINDS,
     FaultEvent,
@@ -360,10 +356,10 @@ class FaultController:
         return int.from_bytes(digest[:8], "big") / 2.0 ** 64
 
 
-class GatedWorkerAttack(WorkerAttack):
-    """A worker attack active only inside its scheduled window."""
+class _GatedAttack:
+    """What both gated seams share: the inner attack and its window."""
 
-    def __init__(self, inner: WorkerAttack, controller: FaultController,
+    def __init__(self, inner, controller: FaultController,
                  node_id: str) -> None:
         self.inner = inner
         self.controller = controller
@@ -372,6 +368,10 @@ class GatedWorkerAttack(WorkerAttack):
 
     def _active(self, step: int) -> bool:
         return self.controller.attack_active(self.node_id, step)
+
+
+class GatedWorkerAttack(_GatedAttack, WorkerAttack):
+    """A worker attack active only inside its scheduled window."""
 
     def corrupt_gradient(self, context: AttackContext) -> Optional[np.ndarray]:
         if not self._active(context.step):
@@ -384,15 +384,8 @@ class GatedWorkerAttack(WorkerAttack):
         return self.inner.poison_batch(features, labels, context)
 
 
-class GatedServerAttack(ServerAttack):
+class GatedServerAttack(_GatedAttack, ServerAttack):
     """A server attack active only inside its scheduled window."""
-
-    def __init__(self, inner: ServerAttack, controller: FaultController,
-                 node_id: str) -> None:
-        self.inner = inner
-        self.controller = controller
-        self.node_id = node_id
-        self.name = inner.name
 
     def corrupt_model(self, context: AttackContext) -> Optional[np.ndarray]:
         if not self._active(context.step):

@@ -310,7 +310,6 @@ def run_node(config: Dict) -> int:
 if __name__ == "__main__":
     # What a node would import lazily on its way to READY is loaded here,
     # once, so that the forked nodes import nothing.
-    import repro.adversary.engine  # noqa: F401
     import repro.experiments.common  # noqa: F401
     from repro.runtime.cluster.template import serve
 

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.byzantine.base import ServerAttack, WorkerAttack
+from repro.adversary.base import ServerAttack, WorkerAttack
 from repro.core.config import ClusterConfig
 from repro.core.nodes import ServerNode, max_pairwise_distance
 from repro.core.wiring import ClusterWiring
@@ -237,14 +237,15 @@ class ThreadedClusterRuntime:
         their steps, nodes partitioned away from a full quorum stall, and
         the remaining nodes keep making progress on quorums alone.
     adversary:
-        Optional stateful :class:`~repro.adversary.Adversary` controlling
-        every actually-Byzantine node (mutually exclusive with the legacy
-        per-node attacks).  Adversaries that observe the round's honest
-        gradients are fed through an observation board: honest workers
-        publish each gradient as they compute it and the Byzantine node
-        threads block (bounded by ``quorum_timeout``) until the round is
-        fully observable — the in-process equivalent of the paper's
-        omniscient adversary reading every node's memory.
+        Optional :class:`~repro.adversary.Adversary` controlling every
+        actually-Byzantine node (mutually exclusive with the per-node
+        attacks, which the wiring lifts into one).  Adversaries that
+        observe the round's honest gradients are fed through an
+        observation board: honest workers publish each gradient as they
+        compute it and the Byzantine node threads block (bounded by
+        ``quorum_timeout``) until the round is fully observable — the
+        in-process equivalent of the paper's omniscient adversary reading
+        every node's memory.
     sharding, hetero:
         Per-worker data views, identical to the simulated trainers: the
         legacy ``sharding`` strategies or a

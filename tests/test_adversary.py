@@ -6,23 +6,35 @@ import numpy as np
 import pytest
 
 from repro.adversary import (
+    STATELESS,
     AdversaryCoordinator,
     AdversaryWorkerAttack,
+    AttackContext,
     CollusionAdversary,
     ObservationTimeout,
     OmniscientDescentAdversary,
     OscillatingAdversary,
     RoundObservation,
     RoundPlan,
+    SignFlipAttack,
     SleeperAdversary,
     StatelessAdversary,
-    available_adversaries,
-    build_adversary_attacks,
-    get_adversary,
+    available,
+    get,
+    lift,
     make_binding,
 )
-from repro.byzantine import AttackContext, SignFlipAttack, available_attacks
-from repro.campaign.spec import AdversarySpec, ScenarioSpec
+from repro.adversary.engine import wire_attacks
+from repro.campaign.spec import AttackSpec, ScenarioSpec
+from repro.core import ClusterConfig
+
+
+def available_adversaries():
+    return available("adversary")
+
+
+def get_adversary(name, **kwargs):
+    return lift(get(name, **kwargs))
 
 
 def _binding(adversary, num_workers=6, num_byzantine=2, seed=7):
@@ -59,12 +71,13 @@ class TestRegistry:
         adversary = get_adversary("corrupted_model", noise_scale=5.0)
         assert adversary.attacks_servers and not adversary.attacks_workers
 
-    def test_unknown_name_raises_with_both_registries(self):
-        with pytest.raises(KeyError, match="wrappable attacks"):
+    def test_unknown_name_raises_listing_both_kinds(self):
+        with pytest.raises(KeyError, match="stateless attacks"):
             get_adversary("nope")
 
-    def test_native_names_do_not_collide_with_attacks(self):
-        assert not set(available_adversaries()) & set(available_attacks())
+    def test_every_registered_name_has_exactly_one_kind(self):
+        assert sorted(available(STATELESS) + available("adversary")) \
+            == available()
 
 
 class TestRoundPlan:
@@ -349,21 +362,26 @@ class TestCoordinator:
             coordinator.worker_gradient(
                 "worker/3", AttackContext(step=0, honest_value=np.zeros(3)))
 
-    def test_build_adversary_attacks_assigns_adapters(self):
-        adversary = CollusionAdversary()
-        binding = _binding(adversary)
-        coordinator, workers, servers = build_adversary_attacks(adversary,
-                                                                binding)
+    def test_wire_attacks_assigns_adapters(self):
+        coordinator, workers, servers, attacking_workers, attacking_servers \
+            = wire_attacks(
+                config=ClusterConfig(num_servers=3, num_workers=6,
+                                     num_byzantine_servers=0,
+                                     num_byzantine_workers=1),
+                seed=7, adversary=CollusionAdversary(),
+                num_attacking_workers=1)
         assert isinstance(workers["worker/5"], AdversaryWorkerAttack)
         assert workers["worker/0"] is None
         assert all(attack is None for attack in servers.values())
         assert workers["worker/5"].coordinator is coordinator
+        assert attacking_workers == {"worker/5"}
+        assert attacking_servers == set()
 
 
 class TestAdversarySpec:
     def test_round_trip_and_coercion(self):
         spec = ScenarioSpec(adversary="collusion")
-        assert isinstance(spec.adversary, AdversarySpec)
+        assert isinstance(spec.adversary, AttackSpec)
         clone = ScenarioSpec.from_dict(spec.to_dict())
         assert clone.adversary == spec.adversary
 

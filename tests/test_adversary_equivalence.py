@@ -1,6 +1,12 @@
 """Cross-runtime equivalence of the adversary engine.
 
-Two layers:
+Three layers:
+
+* **the lift, generated** — every stateless attack drives a run only as a
+  ``StatelessAdversary``; for drawn (attack per side, GAR, seed, gating
+  event) scenarios the spec's ``worker_attack`` / ``server_attack`` fields,
+  its ``adversary`` field and a hand-built ``StatelessAdversary`` give the
+  same history, on the default engine and on the sequential simulator;
 
 * **end-to-end** — a scenario with a stateful adversary produces
   bit-identical histories whether executed sequentially
@@ -20,11 +26,24 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from repro.adversary import AdversaryCoordinator, get_adversary, make_binding
+from repro.adversary import (
+    AdversaryCoordinator,
+    AttackContext,
+    StatelessAdversary,
+    available,
+    get,
+    lift,
+    make_binding,
+)
+from repro.aggregation import available_rules
 from repro.batch import run_batched_scenarios
-from repro.byzantine.base import AttackContext
 from repro.campaign.spec import ScenarioSpec
+from repro.core import GuanYuTrainer
+from repro.core.wiring import scenario_arguments
+from repro.experiments.common import workload_attack_kwargs
 from repro.runtime import run
 from repro.runtime.threads import ThreadedClusterRuntime
 from repro.testing import sequential_history
@@ -43,6 +62,89 @@ def _specs(adversary, seeds=(11, 12)):
                          adversary=dict(adversary), num_steps=6,
                          dataset_size=240, seed=seed)
             for seed in seeds]
+
+
+def _attack(name):
+    return {"name": name, "kwargs": workload_attack_kwargs(name, "blobs")}
+
+
+@st.composite
+def lifted_scenarios(draw):
+    """``(spec, worker, server)``: a scenario carrying a stateless attack
+    on the worker side, the server side or both, through the per-side spec
+    fields — optionally with one attack-gating fault event on a controlled
+    node.  Admissibility is ``ScenarioSpec.validate``'s call, not ours."""
+    worker = draw(st.none() | st.sampled_from(available("worker-attack")))
+    server = draw(st.sampled_from(available("server-attack"))
+                  if worker is None else
+                  st.none() | st.sampled_from(available("server-attack")))
+    controlled = (["worker/7", "worker/8"] if worker else []) \
+        + (["ps/5"] if server else [])
+    gate = draw(st.none() | st.fixed_dictionaries({
+        "step": st.integers(0, 4),
+        "kind": st.sampled_from(["activate_attack", "deactivate_attack"]),
+        "nodes": st.lists(st.sampled_from(controlled), min_size=1,
+                          unique=True)}))
+    spec = ScenarioSpec(
+        name="lifted", num_steps=5, eval_every=2, dataset_size=240,
+        gradient_rule=draw(st.sampled_from(available_rules())),
+        seed=draw(st.integers(0, 2 ** 16)),
+        worker_attack=_attack(worker) if worker else None,
+        server_attack=_attack(server) if server else None,
+        faults={"events": [gate]} if gate else None)
+    try:
+        spec.validate()
+    except ValueError:
+        assume(False)
+    return spec, worker, server
+
+
+def _without_threat_names(history):
+    """The history minus the three config keys that record what the
+    *caller* passed — the one thing the spellings of a threat differ in."""
+    payload = history.to_dict()
+    payload["config"] = {
+        key: value for key, value in payload["config"].items()
+        if key not in ("worker_attack", "server_attack", "adversary")}
+    return payload
+
+
+class TestGeneratedLift:
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(scenario=lifted_scenarios())
+    def test_every_spelling_of_a_stateless_threat_is_one_run(
+            self, scenario, no_fallbacks):
+        spec, worker, server = scenario
+        result = run(spec)
+        assert result.runtime == "batched"
+        fields = result.history
+        assert fields.to_dict() == sequential_history(spec).to_dict()
+        assert fields.config["adversary"] is None  # what the caller passed
+
+        if worker and server:
+            # No single ``adversary`` name says "both sides": build the
+            # adversary the wiring lifts the two fields into by hand.
+            arguments, test, model_fn = scenario_arguments(spec)
+            arguments["adversary"] = StatelessAdversary(
+                arguments.pop("worker_attack"),
+                arguments.pop("server_attack"))
+            other = GuanYuTrainer(
+                config=spec.cluster_config(), model_fn=model_fn,
+                test_dataset=test, delay_model=spec.build_delay_model(),
+                cost_model=spec.build_cost_model(),
+                cost_num_parameters=spec.billed_parameters, label=spec.name,
+                **arguments,
+            ).run(spec.num_steps, eval_every=spec.eval_every,
+                  max_eval_samples=spec.max_eval_samples)
+            assert other.config["adversary"] == f"{worker}+{server}"
+        else:
+            named = spec.replace(worker_attack=None, server_attack=None,
+                                 adversary=_attack(worker or server))
+            assert named.spec_hash() != spec.spec_hash()
+            other = run(named).history
+            assert other.config["adversary"] == (worker or server)
+        assert _without_threat_names(other) == _without_threat_names(fields)
 
 
 @pytest.mark.usefixtures("no_fallbacks")
@@ -66,7 +168,7 @@ class TestSequentialVsBatched:
 
 
 def _coordinator(mode_seed=5):
-    adversary = get_adversary("collusion", attack="little_is_enough")
+    adversary = get("collusion", attack="little_is_enough")
     worker_ids = [f"worker/{i}" for i in range(7)]
     binding = make_binding(
         adversary, seed=mode_seed, worker_ids=worker_ids,
@@ -170,7 +272,7 @@ class TestThreadedRuntime:
             model_fn=make_model_factory(scale, in_features, num_classes),
             train_dataset=train, batch_size=8,
             schedule=ConstantSchedule(0.05),
-            adversary=get_adversary(adversary_name, **adversary_kwargs),
+            adversary=lift(get(adversary_name, **adversary_kwargs)),
             num_attacking_workers=1, quorum_timeout=30.0, seed=3)
 
     def test_observing_adversary_runs_to_completion(self):
@@ -192,14 +294,14 @@ class TestThreadedRuntime:
         assert runtime.adversary_coordinator._board == {}
 
     def test_adversary_and_legacy_attacks_are_mutually_exclusive(self):
-        from repro.byzantine import SignFlipAttack
+        from repro.adversary import SignFlipAttack
 
         with pytest.raises(ValueError, match="not both"):
             runtime = self._runtime("collusion")
             ThreadedClusterRuntime(
                 config=runtime.config, model_fn=lambda: None,
                 train_dataset=None, worker_attack=SignFlipAttack(),
-                adversary=get_adversary("collusion"))
+                adversary=get("collusion"))
 
 
 class TestSleeperTiming:

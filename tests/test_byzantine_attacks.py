@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.byzantine import (
+from repro.adversary import (
+    STATELESS,
     AttackContext,
     CorruptedModelAttack,
     EquivocationAttack,
@@ -16,9 +17,13 @@ from repro.byzantine import (
     SilentServer,
     SilentWorker,
     StaleModelAttack,
-    available_attacks,
-    get_attack,
+    available,
 )
+from repro.adversary import get as get_attack
+
+
+def available_attacks():
+    return available(STATELESS)
 
 
 def _context(honest, peers=(), recipient=None, step=0, seed=0):

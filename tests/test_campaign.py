@@ -10,7 +10,7 @@ from repro.campaign import (
     build_trainer,
     run_campaign,
 )
-from repro.byzantine import RandomGradientAttack
+from repro.adversary import RandomGradientAttack
 from repro.core import ClusterConfig, GuanYuTrainer
 from repro.core.trainer import VanillaTrainer
 from repro.experiments.common import (
@@ -88,7 +88,7 @@ class TestScenarioSpec:
         assert rebuilt.scale == 42.0
 
     def test_from_attack_rejects_unregistered_attacks(self):
-        from repro.byzantine.base import WorkerAttack
+        from repro.adversary.base import WorkerAttack
 
         class HomebrewAttack(WorkerAttack):
             name = "homebrew"

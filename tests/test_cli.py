@@ -118,13 +118,12 @@ class TestAttacksListing:
         code, out = _run(capsys, ["attacks"])
         assert code == 0
         # every registered attack appears with its kind tag
-        from repro.byzantine import available_attacks
-        for name in available_attacks():
+        from repro.adversary import STATELESS, available
+        for name in available(STATELESS):
             assert name in out
         assert "[worker-attack" in out and "[server-attack" in out
         # native adversaries appear with their constructor parameters
-        from repro.adversary import available_adversaries
-        for name in available_adversaries():
+        for name in available("adversary"):
             assert name in out
         assert "[adversary" in out
         assert "z_factor=1.5" in out          # attack parameters rendered

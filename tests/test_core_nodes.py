@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.aggregation import ArithmeticMean, CoordinateWiseMedian, MultiKrum
-from repro.byzantine import RandomGradientAttack, SilentServer, SignFlipAttack
+from repro.adversary import RandomGradientAttack, SilentServer, SignFlipAttack
 from repro.core.nodes import ServerNode, WorkerNode, max_pairwise_distance
 from repro.data import DataLoader, make_blobs_dataset
 from repro.nn import build_model

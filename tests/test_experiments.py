@@ -139,21 +139,21 @@ class TestAblations:
         assert set(histories) == {"median", "mean"}
 
     def test_attack_sweep_custom_suite(self, tiny_scale):
-        from repro.byzantine import SignFlipAttack
+        from repro.adversary import SignFlipAttack
         histories = run_attack_sweep(scale=tiny_scale,
                                      attacks={"sign_flip": {
                                          "worker_attack": SignFlipAttack()}})
         assert list(histories) == ["sign_flip"]
 
     def test_attack_sweep_forwards_extra_suite_fields(self, tiny_scale):
-        from repro.byzantine import SignFlipAttack
+        from repro.adversary import SignFlipAttack
         histories = run_attack_sweep(scale=tiny_scale, attacks={
             "sf": {"worker_attack": SignFlipAttack(),
                    "gradient_rule": "median"}})
         assert histories["sf"].config["gradient_rule"] == "median"
 
     def test_attack_sweep_rejects_name_override(self, tiny_scale):
-        from repro.byzantine import SignFlipAttack
+        from repro.adversary import SignFlipAttack
         with pytest.raises(ValueError, match="cannot override 'name'"):
             run_attack_sweep(scale=tiny_scale, attacks={
                 "sf": {"worker_attack": SignFlipAttack(), "name": "custom"}})

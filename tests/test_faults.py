@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.byzantine import RandomGradientAttack, SignFlipAttack
+from repro.adversary import RandomGradientAttack, SignFlipAttack
 from repro.core import ClusterConfig, GuanYuTrainer, VanillaTrainer
 from repro.faults import (
     FaultController,
@@ -205,12 +205,25 @@ class TestFaultController:
     def test_gated_attack_honest_outside_window(self):
         controller = self._controller()
         gated = controller.gate_attack("worker/2", SignFlipAttack())
-        from repro.byzantine.base import AttackContext
+        from repro.adversary.base import AttackContext
         honest = np.array([1.0, -2.0])
         before = gated.corrupt_gradient(AttackContext(step=1, honest_value=honest))
         inside = gated.corrupt_gradient(AttackContext(step=5, honest_value=honest))
         assert np.allclose(before, honest)
         assert np.allclose(inside, -honest)
+
+    def test_gated_server_attack_honest_outside_window(self):
+        # Shrunk from the generated lift test's first finding: the server
+        # gate had no ``_active`` and raised AttributeError on first use.
+        from repro.adversary import AttackContext, RandomModelAttack
+        controller = FaultController(FaultSchedule(events=[
+            FaultEvent(step=4, kind="activate_attack", nodes=["ps/5"])]))
+        gated = controller.gate_attack("ps/5", RandomModelAttack())
+        honest = np.array([1.0, -2.0])
+        before = gated.corrupt_model(AttackContext(step=3, honest_value=honest))
+        inside = gated.corrupt_model(AttackContext(step=4, honest_value=honest))
+        assert np.array_equal(before, honest)
+        assert not np.allclose(inside, honest)
 
 
 # --------------------------------------------------------------------------- #

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.byzantine import CorruptedModelAttack, RandomGradientAttack
+from repro.adversary import CorruptedModelAttack, RandomGradientAttack
 from repro.core import ClusterConfig
 from repro.metrics import evaluate_accuracy
 from repro.nn.schedules import ConstantSchedule

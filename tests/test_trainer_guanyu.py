@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import ClusterConfig, GuanYuTrainer
-from repro.byzantine import (
+from repro.adversary import (
     CorruptedModelAttack,
     EquivocationAttack,
     RandomGradientAttack,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import SingleServerKrumTrainer, VanillaTrainer
-from repro.byzantine import RandomGradientAttack, SilentWorker
+from repro.adversary import RandomGradientAttack, SilentWorker
 from repro.metrics import throughput_updates_per_second
 
 

@@ -10,7 +10,12 @@ scripted in-memory endpoint, and — structurally — that the derivation
 exists in one source file.
 """
 
+import ast
+import dataclasses
+import importlib
+import inspect
 import pathlib
+import pkgutil
 import re
 import shutil
 
@@ -18,9 +23,16 @@ import numpy as np
 import pytest
 
 import repro
-from repro.adversary import get_adversary
+from repro.adversary import (
+    Adversary,
+    CorruptedModelAttack,
+    ServerAttack,
+    SignFlipAttack,
+    WorkerAttack,
+)
+from repro.adversary import get as get_adversary
+from repro.adversary.engine import wire_attacks
 from repro.batch import BatchedGuanYuTrainer
-from repro.byzantine import CorruptedModelAttack, SignFlipAttack
 from repro.campaign import ScenarioSpec, build_trainer
 from repro.core import ClusterConfig, GuanYuTrainer
 from repro.core import wiring as wiring_module
@@ -431,6 +443,67 @@ class TestOneCopy:
         callers = [path for path in files_matching(r"wire_attacks\(")
                    if not path.startswith("adversary")]
         assert callers == ["core/wiring.py"]
+
+    def test_wire_attacks_is_one_path(self):
+        # no "adversary is None" (or any other) fork: the wiring hands it
+        # the run's one adversary, lifted or not
+        tree = ast.parse(inspect.getsource(wire_attacks))
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.If)]
+        parameters = set(inspect.signature(wire_attacks).parameters)
+        assert "adversary" in parameters
+        assert not parameters & {"worker_attack", "server_attack"}
+
+    def test_one_count_rule_over_the_one_adversary(self):
+        assert list(inspect.signature(
+            wiring_module.validate_attack_counts).parameters) == [
+            "config", "adversary", "num_attacking_workers",
+            "num_attacking_servers"]
+        for side in ("worker", "server"):
+            assert files_matching(rf"> 0 requires a {side}_attack", "core",
+                                  "adversary", "runtime", "batch") \
+                == ["core/wiring.py"]
+
+    def test_one_threat_package_one_registry_table(self):
+        repository = SOURCE_ROOT.parent.parent
+        gone = re.compile(r"repro\." + "byzantine")
+        sources = [repository / "README.md"] + [
+            path for directory in ("src", "tests", "benchmarks", "examples",
+                                   "docs")
+            for path in (repository / directory).rglob("*")
+            if path.suffix in (".py", ".md")]
+        assert [str(path.relative_to(repository)) for path in sources
+                if gone.search(path.read_text(encoding="utf-8"))] == []
+        assert not (SOURCE_ROOT / "byzantine").exists()
+
+        def is_behaviour_table(value):
+            return (isinstance(value, dict) and value
+                    and all(inspect.isclass(entry) and issubclass(
+                        entry, (WorkerAttack, ServerAttack, Adversary))
+                        for entry in value.values()))
+
+        tables = [
+            f"{module.__name__}.{name}"
+            for module in (importlib.import_module(info.name)
+                           for info in pkgutil.walk_packages(
+                               repro.__path__, prefix="repro."))
+            for name, value in vars(module).items()
+            if is_behaviour_table(value)]
+        assert tables == ["repro.adversary.registry._REGISTRY"]
+
+    def test_one_spec_type_for_the_three_threat_fields(self):
+        from repro.campaign import spec as spec_module
+
+        types = {field.name: field.type
+                 for field in dataclasses.fields(ScenarioSpec)}
+        assert {types[name] for name in ("worker_attack", "server_attack",
+                                         "adversary")} \
+            == {"Optional[AttackSpec]"}
+        assert [name for name, value in vars(spec_module).items()
+                if dataclasses.is_dataclass(value)
+                and value.__module__ == spec_module.__name__
+                and [f.name for f in dataclasses.fields(value)]
+                == ["name", "kwargs"]] == ["AttackSpec"]
 
     def test_participation_and_straggling_live_in_the_wiring(self):
         assert files_matching(r"participating_nodes\(", "core", "runtime",
