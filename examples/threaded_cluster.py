@@ -60,7 +60,7 @@ def main():
     accuracy = evaluate_accuracy(model, test)
 
     print(f"\nRan {len(history)} steps in {elapsed:.2f}s of real wall-clock time "
-          f"({runtime.transport.messages_sent} messages exchanged).")
+          f"({runtime.messages_sent} messages exchanged).")
     print(f"Final test accuracy (median of correct servers): {accuracy:.3f}")
     final_spread = history.records[-1].max_server_spread
     print(f"Final spread between correct server replicas:    {final_spread:.4f}")

@@ -41,7 +41,6 @@ from repro.kernels import use_backend
 from repro.obs.telemetry import MetricsRegistry, get_registry, use_registry
 from repro.obs.tracer import Tracer, get_tracer, use_tracer
 from repro.runtime.facade import run as run_scenario
-from repro.runtime.threads import ThreadedClusterRuntime
 
 #: callback signature: ``progress(outcome, completed_count, total_count)``
 ProgressCallback = Callable[["ScenarioOutcome", int, int], None]
@@ -118,6 +117,8 @@ def build_trainer(spec: ScenarioSpec):
         # cluster equivalence gate pins to the cluster's.
     arguments, test, model_fn = scenario_arguments(spec)
     if spec.trainer == "guanyu_threaded":
+        from repro.runtime.threads import ThreadedClusterRuntime  # lazy
+
         return ThreadedClusterRuntime(
             config=spec.cluster_config(), model_fn=model_fn,
             jitter=spec.jitter, quorum_timeout=spec.quorum_timeout,
@@ -159,10 +160,8 @@ def _execute_validated(spec: ScenarioSpec) -> TrainingHistory:
     reaches here only when that engine raised ``BatchingUnsupported`` for
     a spec that did not name a runtime.
     """
-    from repro.runtime.cluster.supervisor import ClusterRuntime  # lazy
-
     trainer = build_trainer(spec)
-    if isinstance(trainer, (ThreadedClusterRuntime, ClusterRuntime)):
+    if spec.trainer == "guanyu_threaded":  # threads or cluster: wall clock
         history = trainer.run(spec.num_steps)
         history.label = spec.name
         return history

@@ -9,7 +9,7 @@ rates / straggler slowdowns, and step-gated activation of the registered
 Byzantine attacks — interpreted by a :class:`FaultController` whose small
 hook API (``on_send``, ``on_step``, ``node_alive``) is consulted by the
 simulated :class:`~repro.network.simulator.NetworkSimulator` and the
-real-time :class:`~repro.runtime.threads.ThreadedTransport` alike.
+real-time :class:`~repro.runtime.live.Endpoint` alike.
 
 Schedules ride inside :class:`~repro.campaign.spec.ScenarioSpec` (field
 ``faults``), hash into the content address and sweep like any other axis;

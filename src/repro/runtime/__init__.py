@@ -34,7 +34,6 @@ from repro.runtime.facade import (
     resolve_runtime,
     run,
 )
-from repro.runtime.threads import ThreadedClusterRuntime, ThreadedNodeHandle
 
 __all__ = [
     "CostModel",
@@ -47,3 +46,12 @@ __all__ = [
     "resolve_runtime",
     "run",
 ]
+
+
+def __getattr__(name: str):
+    # Lazy: a cluster node process never loads the threaded runtime.
+    if name in ("ThreadedClusterRuntime", "ThreadedNodeHandle"):
+        from repro.runtime import threads
+
+        return getattr(threads, name)
+    raise AttributeError(f"module 'repro.runtime' has no attribute {name!r}")

@@ -5,9 +5,10 @@
 import graph once and forks one child per node.  Each child runs
 :func:`run_node` on the configuration its supervisor sent — a single
 GuanYu node, one parameter server or one worker, as a real OS process.
-The protocol loop is the threaded runtime's
-(:class:`repro.runtime.live.LiveNode`); only the endpoint and the four
-hooks differ: frames over sockets instead of in-process queues, reports as
+The protocol loop and the mailbox are the threaded runtime's
+(:class:`repro.runtime.live.LiveNode` over an
+:class:`~repro.runtime.live.Endpoint`); only the wire and the four hooks
+differ: frames over sockets instead of in-process hand-over, reports as
 control frames to the supervising process over a persistent connection,
 and a scheduled crash that really kills the process.
 
@@ -142,7 +143,8 @@ class ClusterNodeProcess(LiveNode):
             sys.exit(EXIT_BIND_FAILED)
 
         self.endpoint = SocketTransport(
-            self.node_id, listener, jitter=self.spec.jitter,
+            self.node_id, listener, self.wiring.worker_ids,
+            self.wiring.server_ids, jitter=self.spec.jitter,
             seed=self.spec.seed + 4000 + self.index,
             fault_controller=self.wiring.faults,
             send_deadline=self.spec.quorum_timeout,

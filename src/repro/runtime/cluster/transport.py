@@ -11,16 +11,16 @@ frame in a respawned incarnation's re-bound listener — and treats the peer
 as dead at ``send_deadline``.  The contract is tabulated in
 ``docs/cluster.md`` ("Data plane").
 
-Delivery semantics mirror :class:`repro.runtime.threads.ThreadedTransport`
-frame for frame: per-``(kind, step)`` buckets keyed by sender with
-first-message deduplication, ``wait_quorum`` blocking until ``quorum``
-distinct senders arrived, ``abandon_step`` discarding mail of sat-out
-steps, and an optional :class:`~repro.faults.FaultController` consulted on
-the *sender* side exactly as the threaded transport does — plus a second,
-receiver-side partition check at the socket layer, so a partitioned link
-drops frames even if a buggy sender forwarded them.  Both checks are pure
-hash functions of ``(seed, link, step)``, so double filtering is idempotent
-and the cross-runtime loss-trajectory equivalence is preserved.
+Delivery semantics are not this module's: the mailbox (buckets,
+deduplication, sender validation, ``wait_quorum``, ``abandon_step``) and
+the send policy (silence, jitter, the sender-side
+:class:`~repro.faults.FaultController` decision, duplicates) are
+:class:`repro.runtime.live.Endpoint`'s, shared with the threaded runtime.
+What is added here is the wire — plus a second, receiver-side partition
+check at the socket layer, so a partitioned link drops frames even if a
+buggy sender forwarded them.  Both checks are pure hash functions of
+``(seed, link, step)``, so double filtering is idempotent and the
+cross-runtime loss-trajectory equivalence is preserved.
 """
 
 from __future__ import annotations
@@ -30,14 +30,13 @@ import socket
 import threading
 import time
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.faults import FaultController
-from repro.network.message import MessageKind
 from repro.runtime.cluster.protocol import Frame, FrameError, recv_frame, send_frame
-from repro.runtime.threads import QuorumTimeout
+from repro.runtime.live import Endpoint
 
 __all__ = ["Address", "SocketTransport", "bind_listener", "connect",
            "unix_sockets_available"]
@@ -118,37 +117,29 @@ def _shut(sock: socket.socket) -> None:
     sock.close()
 
 
-class SocketTransport:
-    """Per-process message endpoint with threaded-transport semantics."""
+class SocketTransport(Endpoint):
+    """The socket wire of a node process's endpoint."""
 
     def __init__(self, node_id: str, listener: socket.socket,
+                 worker_ids: Sequence[str], server_ids: Sequence[str],
                  jitter: float = 0.0, seed: int = 0,
                  fault_controller: Optional[FaultController] = None,
                  send_deadline: float = 60.0,
                  on_observe: Optional[Callable[[str, int, np.ndarray],
                                                None]] = None) -> None:
-        self.node_id = node_id
+        super().__init__(node_id, worker_ids, server_ids, jitter=jitter,
+                         seed=seed, fault_controller=fault_controller)
         self._listener = listener
-        self.jitter = jitter
-        self.faults = fault_controller
         self.send_deadline = send_deadline
         self.on_observe = on_observe
-        self._rng = np.random.default_rng(seed)
         self._addresses: Dict[str, Address] = {}
         #: per recipient: the lock frames are written under, the kept
         #: connection, and how many were opened (1 = never reconnected)
-        self._send_locks: Dict[str, threading.Lock] = {}
+        self._send_locks = {peer: threading.Lock() for peer in self._node_ids}
         self._kept: Dict[str, socket.socket] = {}
         self.connects: Dict[str, int] = defaultdict(int)
         self._accepted: set = set()
-        self._lock = threading.Lock()
-        self._condition = threading.Condition()
-        self._buffers: Dict[Tuple[str, int], Dict[str, np.ndarray]] = \
-            defaultdict(dict)
-        self._abandoned: set = set()
         self._closed = False
-        self.messages_sent = 0
-        self.messages_suppressed = 0
         self._accept_thread = threading.Thread(target=self._accept_loop,
                                                daemon=True,
                                                name=f"accept-{node_id}")
@@ -160,8 +151,6 @@ class SocketTransport:
     def set_addresses(self, addresses: Dict[str, Address]) -> None:
         """Install the supervisor-distributed ``node_id → address`` map."""
         self._addresses = dict(addresses)
-        for node_id in addresses:
-            self._send_locks.setdefault(node_id, threading.Lock())
 
     def _accept_loop(self) -> None:
         while True:
@@ -204,103 +193,22 @@ class SocketTransport:
         # frames of a blocked link even if the sender forwarded them.
         if self.faults is not None and self.faults.link_blocked(
                 frame.sender, self.node_id, frame.step):
-            with self._lock:
-                self.messages_suppressed += 1
+            self._suppress()
             return
-        with self._condition:
-            if frame.step in self._abandoned:
-                return  # this node sat the step out; discard late mail
-            bucket = self._buffers[(frame.kind, frame.step)]
-            # Keep only the first frame per sender (deduplication).
-            bucket.setdefault(frame.sender, frame.payload)
-            self._condition.notify_all()
-
-    def abandon_step(self, step: int) -> None:
-        """Drop (and keep dropping) this node's mail for a sat-out step."""
-        with self._condition:
-            self._abandoned.add(step)
-            for key in [key for key in self._buffers if key[1] == step]:
-                del self._buffers[key]
-
-    def wait_quorum(self, kind: MessageKind, step: int, quorum: int,
-                    timeout: float = 30.0) -> List[np.ndarray]:
-        """Block until ``quorum`` distinct senders delivered, return payloads.
-
-        Payloads are returned in canonical sender order — the threaded
-        transport orders by global send sequence instead, but under the
-        full quorums and permutation-invariant rules the equivalence gate
-        covers, the aggregated multiset (hence the result) is identical.
-        """
-        deadline = time.monotonic() + timeout
-        with self._condition:
-            while True:
-                bucket = self._buffers[(kind.value, step)]
-                if len(bucket) >= quorum:
-                    payloads = [bucket[sender]
-                                for sender in sorted(bucket)[:quorum]]
-                    # Late frames for this (kind, step) are discarded.
-                    del self._buffers[(kind.value, step)]
-                    return payloads
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise QuorumTimeout(
-                        f"{self.node_id} timed out waiting for {quorum} "
-                        f"'{kind.value}' frames at step {step} "
-                        f"(got {len(bucket)})")
-                self._condition.wait(timeout=remaining)
+        self.deliver(frame.sender, frame.kind, frame.step, frame.payload)
 
     # ------------------------------------------------------------------ #
     # Sending
     # ------------------------------------------------------------------ #
-    def send(self, recipient: str, kind: MessageKind, step: int,
-             payload: Optional[np.ndarray]) -> None:
-        """Send one data frame; ``payload=None`` models Byzantine silence."""
-        if payload is None:
-            return
-        frame = Frame(kind=kind.value, sender=self.node_id,
-                      recipient=recipient, step=step,
-                      payload=np.asarray(payload, dtype=np.float64))
-        with self._lock:
-            self.messages_sent += 1
-        delay = 0.0
-        duplicate = False
-        if self.jitter > 0:
-            with self._lock:  # the generator is not thread-safe
-                delay = float(self._rng.uniform(0.0, self.jitter))
-        if self.faults is not None:
-            decision = self.faults.on_send(self.node_id, recipient,
-                                           kind.value, step)
-            if not decision.deliver:
-                with self._lock:
-                    self.messages_suppressed += 1
-                return
-            delay = decision.apply_to_delay(delay)
-            duplicate = decision.duplicate
-        self._schedule(frame, delay)
-        if duplicate:
-            # Mirrors the other transports: the copy arrives one delay
-            # later and per-sender deduplication at the receiver absorbs it.
-            self._schedule(Frame(kind=frame.kind, sender=frame.sender,
-                                 recipient=frame.recipient, step=frame.step,
-                                 payload=frame.payload), 2 * delay)
-
     def send_observation(self, recipient: str, step: int,
                          gradient: np.ndarray) -> None:
         """Copy an honest gradient to a Byzantine node's observation board."""
-        self._transmit(Frame(kind="observe", sender=self.node_id,
-                             recipient=recipient, step=step,
-                             payload=np.asarray(gradient, dtype=np.float64)))
+        self._transmit(recipient, "observe", step,
+                       np.asarray(gradient, dtype=np.float64))
 
-    def _schedule(self, frame: Frame, delay: float) -> None:
-        if delay > 0:
-            timer = threading.Timer(delay, self._transmit, args=(frame,))
-            timer.daemon = True
-            timer.start()
-        else:
-            self._transmit(frame)
-
-    def _transmit(self, frame: Frame) -> None:
-        """Write ``frame`` to the recipient's kept connection, (re)connecting
+    def _transmit(self, recipient: str, kind: str, step: int,
+                  payload: np.ndarray) -> None:
+        """Write one frame to the recipient's kept connection, (re)connecting
         — and retrying while the peer (re)binds — when there is none or the
         write fails.  The peer's lock keeps frames of concurrent senders
         (jitter timers, duplicates) from interleaving.
@@ -309,9 +217,8 @@ class SocketTransport:
         dead and the frame is dropped — exactly what a crashed peer looks
         like, and quorums are what make that survivable.
         """
-        recipient = frame.recipient
-        if recipient not in self._send_locks:
-            raise KeyError(f"unknown recipient '{recipient}'")
+        frame = Frame(kind=kind, sender=self.node_id, recipient=recipient,
+                      step=step, payload=payload)
         deadline = time.monotonic() + self.send_deadline
         with self._send_locks[recipient]:
             while True:
@@ -328,8 +235,7 @@ class SocketTransport:
                     if stale is not None:
                         stale.close()
                     if self._closed or time.monotonic() >= deadline:
-                        with self._lock:
-                            self.messages_suppressed += 1
+                        self._suppress()
                         return
                     time.sleep(_RETRY_SLEEP)
 

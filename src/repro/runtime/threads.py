@@ -2,16 +2,18 @@
 
 The simulated runtime in :mod:`repro.core.trainer` controls time explicitly;
 this runtime instead runs every parameter server and worker in its own
-Python thread, communicating through queues, so that delivery order is
+Python thread, communicating through mailboxes, so that delivery order is
 decided by genuine scheduling non-determinism (plus optional random jitter).
 It is the closest offline equivalent to the paper's gRPC deployment and is
 used by the integration tests to check that the protocol tolerates true
 concurrency, stragglers and Byzantine nodes without relying on the
 simulator's bookkeeping.
 
-The runtime is intentionally independent from :class:`NetworkSimulator`: it
-has its own tiny transport (:class:`ThreadedTransport`) because the
-semantics differ — here the wall clock is real.
+The runtime is intentionally independent from :class:`NetworkSimulator`:
+here the wall clock is real, so every node thread owns a
+:class:`~repro.runtime.live.Endpoint` — the mailbox and send policy the
+process cluster uses too — over the in-process wire
+(:class:`ThreadEndpoint`).
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ import threading
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import partial
-from types import SimpleNamespace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -31,147 +31,29 @@ from repro.core.config import ClusterConfig
 from repro.core.nodes import ServerNode, max_pairwise_distance
 from repro.core.wiring import ClusterWiring
 from repro.data.datasets import Dataset
-from repro.faults import FaultController, FaultSchedule
+from repro.faults import FaultSchedule
 from repro.hetero import HeteroSpec
 from repro.kernels import active_backend
 from repro.obs.history import StepRecord, TrainingHistory
-from repro.network.message import Message, MessageKind
 from repro.nn.module import Module
 from repro.nn.schedules import ConstantSchedule, LearningRateSchedule
-from repro.runtime.live import LiveNode
+from repro.runtime.live import Endpoint, LiveNode, QuorumTimeout
 
 
-class QuorumTimeout(RuntimeError):
-    """Raised when a node cannot gather its quorum within the deadline."""
+class ThreadEndpoint(Endpoint):
+    """The in-process wire: a frame goes straight into the peer's mailbox.
 
-
-class ThreadedTransport:
-    """In-process message transport with optional random delivery jitter.
-
-    An optional :class:`~repro.faults.FaultController` is consulted once
-    per message: crashed endpoints and active partitions suppress delivery,
-    per-link overrides scale/extend the delivery delay, and probabilistic
-    drops use the controller's hash-based sampling so the outcome is
-    independent of thread scheduling.
+    ``peers`` is the ``node_id → endpoint`` table of the whole cluster,
+    shared by its endpoints and filled by whoever builds them.
     """
 
-    def __init__(self, node_ids: Sequence[str], jitter: float = 0.0,
-                 seed: int = 0,
-                 fault_controller: Optional[FaultController] = None) -> None:
-        self._lock = threading.Lock()
-        self._conditions: Dict[str, threading.Condition] = {}
-        self._buffers: Dict[str, Dict[Tuple[MessageKind, int], Dict[str, Message]]] = {}
-        for node_id in node_ids:
-            self._conditions[node_id] = threading.Condition()
-            self._buffers[node_id] = defaultdict(dict)
-        self._abandoned: Dict[str, set] = {node_id: set() for node_id in node_ids}
-        self.jitter = jitter
-        self.faults = fault_controller
-        self._rng = np.random.default_rng(seed)
-        self.messages_sent = 0
-        self.messages_suppressed = 0
+    def __init__(self, peers: Dict[str, Endpoint], *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._peers = peers
 
-    def endpoint(self, node_id: str) -> SimpleNamespace:
-        """``node_id``'s view of this transport, in the per-node shape of
-        :class:`~repro.runtime.cluster.transport.SocketTransport` (what a
-        :class:`~repro.runtime.live.LiveNode` runs on)."""
-        return SimpleNamespace(
-            wait_quorum=partial(self.wait_quorum, node_id),
-            send=partial(self.send, node_id),
-            abandon_step=partial(self.abandon_step, node_id))
-
-    def _deliver(self, message: Message) -> None:
-        condition = self._conditions[message.recipient]
-        with condition:
-            if message.step in self._abandoned[message.recipient]:
-                return  # the recipient sat this step out; discard late mail
-            bucket = self._buffers[message.recipient][(message.kind, message.step)]
-            # Keep only the first message per sender (deduplication).
-            bucket.setdefault(message.sender, message)
-            condition.notify_all()
-
-    def abandon_step(self, node_id: str, step: int) -> None:
-        """Drop (and keep dropping) ``node_id``'s mail for a sat-out step.
-
-        A node that sits a step out never collects its quorums, so without
-        this the peers' broadcasts for that step would sit in its buffers
-        for the rest of the run — one model-sized payload per peer per
-        skipped step.
-        """
-        condition = self._conditions[node_id]
-        with condition:
-            self._abandoned[node_id].add(step)
-            buffers = self._buffers[node_id]
-            for key in [key for key in buffers if key[1] == step]:
-                del buffers[key]
-
-    def send(self, sender: str, recipient: str, kind: MessageKind, step: int,
-             payload: Optional[np.ndarray]) -> None:
-        """Send a message; ``payload=None`` models a silent Byzantine node."""
-        if payload is None:
-            return
-        if recipient not in self._conditions:
-            raise KeyError(f"unknown recipient '{recipient}'")
-        message = Message(sender=sender, recipient=recipient, kind=kind,
-                          step=step, payload=np.asarray(payload, dtype=np.float64))
-        with self._lock:
-            self.messages_sent += 1
-        delay = 0.0
-        duplicate = False
-        if self.jitter > 0:
-            with self._lock:  # the generator is not thread-safe
-                delay = float(self._rng.uniform(0.0, self.jitter))
-        if self.faults is not None:
-            decision = self.faults.on_send(sender, recipient, kind.value, step)
-            if not decision.deliver:
-                with self._lock:
-                    self.messages_suppressed += 1
-                return
-            delay = decision.apply_to_delay(delay)
-            duplicate = decision.duplicate
-        self._schedule(message, delay)
-        if duplicate:
-            # Mirrors the simulator: the copy arrives one delay later and
-            # the per-sender deduplication at the receiver absorbs it.
-            self._schedule(Message(sender=sender, recipient=recipient,
-                                   kind=kind, step=step,
-                                   payload=message.payload), 2 * delay)
-
-    def _schedule(self, message: Message, delay: float) -> None:
-        if delay > 0:
-            timer = threading.Timer(delay, self._deliver, args=(message,))
-            timer.daemon = True
-            timer.start()
-        else:
-            self._deliver(message)
-
-    def broadcast(self, sender: str, recipients: Sequence[str], kind: MessageKind,
-                  step: int, payload: Optional[np.ndarray]) -> None:
-        for recipient in recipients:
-            self.send(sender, recipient, kind, step, payload)
-
-    def wait_quorum(self, recipient: str, kind: MessageKind, step: int,
-                    quorum: int, timeout: float = 30.0) -> List[np.ndarray]:
-        """Block until ``quorum`` distinct senders delivered, return payloads."""
-        condition = self._conditions[recipient]
-        deadline = time.monotonic() + timeout
-        with condition:
-            while True:
-                bucket = self._buffers[recipient][(kind, step)]
-                if len(bucket) >= quorum:
-                    ordered = sorted(bucket.values(), key=lambda m: m.message_id)
-                    payloads = [m.payload for m in ordered[:quorum]]
-                    # Late messages for this (kind, step) are discarded.
-                    del self._buffers[recipient][(kind, step)]
-                    return payloads
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise QuorumTimeout(
-                        f"{recipient} timed out waiting for {quorum} "
-                        f"'{kind.value}' messages at step {step} "
-                        f"(got {len(bucket)})"
-                    )
-                condition.wait(timeout=remaining)
+    def _transmit(self, recipient: str, kind: str, step: int,
+                  payload: np.ndarray) -> None:
+        self._peers[recipient].deliver(self.node_id, kind, step, payload)
 
 
 class _ThreadNode(LiveNode):
@@ -183,7 +65,7 @@ class _ThreadNode(LiveNode):
     def __init__(self, runtime: "ThreadedClusterRuntime", node,
                  straggle: float) -> None:
         super().__init__(runtime.wiring, node,
-                         runtime.transport.endpoint(node.node_id),
+                         runtime.endpoints[node.node_id],
                          runtime.quorum_timeout, straggle)
         self._runtime = runtime
 
@@ -291,9 +173,13 @@ class ThreadedClusterRuntime:
         self.config = config
         self.quorum_timeout = quorum_timeout
         self.straggler_sleep = dict(straggler_sleep or {})
-        self.transport = ThreadedTransport(
-            wiring.worker_ids + wiring.server_ids, jitter=jitter, seed=seed,
-            fault_controller=wiring.faults)
+        #: node_id → that node thread's endpoint (one jitter stream each)
+        self.endpoints: Dict[str, ThreadEndpoint] = {}
+        for index, node_id in enumerate(wiring.worker_ids + wiring.server_ids):
+            self.endpoints[node_id] = ThreadEndpoint(
+                self.endpoints, node_id, wiring.worker_ids,
+                wiring.server_ids, jitter=jitter, seed=seed + 4000 + index,
+                fault_controller=wiring.faults)
 
         self.adversary_coordinator = wiring.coordinator
         #: set only for adversaries that observe the round's gradients
@@ -327,6 +213,14 @@ class ThreadedClusterRuntime:
         self._start_time = 0.0
 
     # ------------------------------------------------------------------ #
+    @property
+    def messages_sent(self) -> int:
+        return sum(e.messages_sent for e in self.endpoints.values())
+
+    @property
+    def messages_suppressed(self) -> int:
+        return sum(e.messages_suppressed for e in self.endpoints.values())
+
     @property
     def correct_servers(self) -> List[ServerNode]:
         return [server for server in self.servers if not server.is_byzantine]

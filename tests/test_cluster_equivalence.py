@@ -1,8 +1,10 @@
 """Tier-1 gate: the process cluster runtime matches the threaded runtime.
 
 Under truly-full quorums (declared Byzantine counts 0, quorum = every
-sender) and permutation-invariant median-family GARs, each node's quorum
-multiset is scheduling-independent — so the loss trajectory of a cluster
+sender) each node's quorum set is scheduling-independent, and both runtimes
+hand it to the GAR in the one mailbox's canonical sender order (so the rule
+need not be permutation-invariant bit for bit: ``mean`` and ``multi_krum``
+are gated beside the median family) — so the loss trajectory of a cluster
 of real OS processes over real sockets must be **bit-identical** to the
 in-process threaded runtime's, per seed.  These tests pin that, plus the
 fault semantics that make the cluster "real": a scheduled crash SIGKILLs
@@ -55,7 +57,8 @@ def threaded_losses(spec: ScenarioSpec):
 @needs_sockets
 @pytest.mark.timeout(180)
 class TestClusterEquivalence:
-    @pytest.mark.parametrize("rule", ["median", "trimmed_mean"])
+    @pytest.mark.parametrize("rule", ["median", "trimmed_mean", "mean",
+                                      "multi_krum"])
     def test_losses_identical_to_threaded(self, rule):
         spec = small_spec(gradient_rule=rule, model_rule="median")
         expected = threaded_losses(spec)

@@ -6,7 +6,8 @@ no thread and no ``connect()`` per frame; what a sender observes when its
 peer closes and something re-binds the address (the crash/respawn contract
 of ``docs/cluster.md``, "Data plane"); frames of concurrent senders never
 interleave on the shared connection; and a connection that speaks the frame
-protocol badly is torn down alone (first slice of ROADMAP 4(d)).
+protocol badly is torn down alone (first slice of ROADMAP 4(d)).  The
+mailbox behind the sockets is ``tests/test_mailbox.py``'s subject.
 """
 
 from __future__ import annotations
@@ -24,16 +25,18 @@ import pytest
 
 from repro.faults import FaultController, FaultSchedule
 from repro.network.message import MessageKind
-from repro.runtime.cluster.protocol import MAX_FRAME_BYTES, Frame
+from repro.runtime.cluster.protocol import MAX_FRAME_BYTES, Frame, send_frame
 from repro.runtime.cluster.transport import (
     SocketTransport,
     bind_listener,
     connect,
     unix_sockets_available,
 )
-from repro.runtime.threads import QuorumTimeout
+from repro.runtime.live import QuorumTimeout
 
 KIND = MessageKind.GRADIENT_TO_SERVER
+#: the two-node cluster of these tests: ``a`` sends gradients to ``b``
+WORKERS, SERVERS = ["a"], ["b"]
 
 FAMILIES = [
     pytest.param("unix", marks=pytest.mark.skipif(
@@ -75,7 +78,8 @@ def cluster(request):
 
     def make(node_id, **kwargs):
         transport = SocketTransport(
-            node_id, bind_listener(address_of(node_id)), **kwargs)
+            node_id, bind_listener(address_of(node_id)), WORKERS, SERVERS,
+            **kwargs)
         transports.append(transport)
         for other in transports:
             other.set_addresses(addresses)
@@ -262,3 +266,31 @@ class TestMalformedConnections:
         with pytest.raises(QuorumTimeout, match=r"got 1"):
             b.wait_quorum(KIND, 0, quorum=2, timeout=0.3)
         assert dict(a.connects) == {"b": 1}
+
+    def test_well_formed_frames_of_a_forged_sender_are_dropped(self, cluster):
+        a, b = cluster("a"), cluster("b")
+        bad = connect(cluster.address_of("b"), timeout=5.0)
+        with bad:
+            for sender in ("evil", "b"):  # a stranger; a server as a worker
+                send_frame(bad, Frame(kind=KIND.value, sender=sender,
+                                      recipient="b", step=0,
+                                      payload=vector(9)))
+            assert wait_until(lambda: b.messages_suppressed == 2)
+        a.send("b", KIND, 0, vector(0))
+        with pytest.raises(QuorumTimeout, match=r"got 1"):
+            b.wait_quorum(KIND, 0, quorum=2, timeout=0.3)
+        (payload,) = b.wait_quorum(KIND, 0, quorum=1, timeout=10.0)
+        assert payload[0] == 0.0
+
+    def test_honest_frame_before_the_address_map_still_counts(self, cluster):
+        # a faster peer's first frame can land before START's address map:
+        # senders are checked against the ids known at construction
+        b = SocketTransport("b", bind_listener(cluster.address_of("b")),
+                            WORKERS, SERVERS)
+        try:
+            a = cluster("a")
+            a.send("b", KIND, 0, vector(0))
+            (payload,) = b.wait_quorum(KIND, 0, quorum=1, timeout=10.0)
+            assert payload[0] == 0.0 and b._addresses == {}
+        finally:
+            b.close()

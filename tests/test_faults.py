@@ -14,7 +14,7 @@ from repro.faults import (
 from repro.metrics import evaluate_accuracy
 from repro.network import ConstantDelay, MessageKind, NetworkSimulator
 from repro.nn.schedules import ConstantSchedule
-from repro.runtime.threads import ThreadedClusterRuntime, ThreadedTransport
+from repro.runtime.threads import ThreadedClusterRuntime
 
 
 # --------------------------------------------------------------------------- #
@@ -414,44 +414,6 @@ class TestThreadedRuntimeFaults:
             batch_size=16, schedule=ConstantSchedule(0.05), seed=0,
             quorum_timeout=20.0, fault_schedule=schedule, **kwargs)
 
-    def test_transport_suppresses_faulted_messages(self):
-        controller = FaultController(
-            FaultSchedule.crash_window(["a"], 0, 2), seed=0)
-        transport = ThreadedTransport(["a", "b"], fault_controller=controller)
-        transport.send("a", "b", MessageKind.MODEL_TO_WORKER, 0, np.ones(1))
-        assert transport.messages_suppressed == 1
-        transport.send("a", "b", MessageKind.MODEL_TO_WORKER, 2, np.ones(1))
-        payloads = transport.wait_quorum("b", MessageKind.MODEL_TO_WORKER, 2,
-                                         1, timeout=1.0)
-        assert len(payloads) == 1
-
-    def test_transport_duplicates_are_deduplicated(self):
-        controller = FaultController(FaultSchedule(duplicate_rate=0.999),
-                                     seed=0)
-        transport = ThreadedTransport(["a", "b"], fault_controller=controller)
-        for step in range(20):
-            transport.send("a", "b", MessageKind.MODEL_TO_WORKER, step,
-                           np.ones(1))
-        assert controller.stats["duplicated"] > 10
-        # every step's bucket holds exactly one message per sender
-        for step in range(20):
-            payloads = transport.wait_quorum("b", MessageKind.MODEL_TO_WORKER,
-                                             step, 1, timeout=1.0)
-            assert len(payloads) == 1
-
-    def test_abandoned_step_mail_is_discarded(self):
-        transport = ThreadedTransport(["a", "b"])
-        transport.send("a", "b", MessageKind.MODEL_TO_WORKER, 0, np.ones(1))
-        transport.abandon_step("b", 0)
-        assert transport._buffers["b"] == {}
-        # late mail for the abandoned step is dropped on arrival too
-        transport.send("a", "b", MessageKind.MODEL_TO_WORKER, 0, np.ones(1))
-        assert transport._buffers["b"] == {}
-        # other steps are unaffected
-        transport.send("a", "b", MessageKind.MODEL_TO_WORKER, 1, np.ones(1))
-        assert len(transport.wait_quorum("b", MessageKind.MODEL_TO_WORKER, 1,
-                                         1, timeout=1.0)) == 1
-
     def test_crash_and_recovery_converges(self, blobs_split, softmax_model_fn):
         train, test = blobs_split
         schedule = FaultSchedule.crash_window(["ps/5"], 4, 10)
@@ -461,7 +423,7 @@ class TestThreadedRuntimeFaults:
         model = softmax_model_fn()
         model.set_flat_parameters(runtime.global_parameters())
         assert evaluate_accuracy(model, test) > 0.8
-        assert runtime.transport.messages_suppressed > 0
+        assert runtime.messages_suppressed > 0
 
     def test_partition_heal_converges(self, blobs_split, softmax_model_fn):
         train, test = blobs_split
@@ -522,5 +484,5 @@ class TestThreadedRuntimeFaults:
             schedule=ConstantSchedule(0.05), batch_size=16, seed=0,
             fault_schedule=FaultSchedule.crash_window(["ps/5"], 3, 8))
         trainer.run(num_steps=12, eval_every=12)
-        assert runtime.transport.messages_suppressed == \
+        assert runtime.messages_suppressed == \
             trainer.network.stats.messages_blocked
