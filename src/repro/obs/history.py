@@ -8,7 +8,7 @@ both record types.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -49,6 +49,21 @@ class StepRecord:
     max_server_spread: Optional[float] = None
     learning_rate: Optional[float] = None
     phase_durations: Optional[Dict[str, float]] = None
+
+    def to_dict(self) -> Dict:
+        """The record as ``dataclasses.asdict`` gives it, field by field —
+        a history serialises thousands of these, and ``asdict`` recurses
+        through ``copy.deepcopy`` for each."""
+        phases = self.phase_durations
+        return {
+            "step": self.step,
+            "simulated_time": self.simulated_time,
+            "train_loss": self.train_loss,
+            "test_accuracy": self.test_accuracy,
+            "max_server_spread": self.max_server_spread,
+            "learning_rate": self.learning_rate,
+            "phase_durations": None if phases is None else dict(phases),
+        }
 
 
 @dataclass
@@ -129,7 +144,7 @@ class TrainingHistory:
         return {
             "label": self.label,
             "config": self.config,
-            "records": [asdict(r) for r in self.records],
+            "records": [r.to_dict() for r in self.records],
         }
 
     def to_json(self, indent: int = 2) -> str:

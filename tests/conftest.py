@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# `--hypothesis-profile weekly` (the weekly workflow) gives every property
+# test that does not pin its own max_examples ten times the default budget.
+settings.register_profile("weekly", max_examples=1000)
 
 
 def pytest_configure(config) -> None:

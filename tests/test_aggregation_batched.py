@@ -6,10 +6,15 @@ to the ``R`` sequential ``aggregate`` calls — for every registered rule,
 including under adversarially-shaped inputs.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aggregation import (
+    GeometricMedian,
     GradientAggregationRule,
     available_rules,
     get_rule,
@@ -117,3 +122,100 @@ def test_batched_krum_scores_match_sequential():
                                                       num_byzantine=2))
     with pytest.raises(ValueError, match="n - f - 2"):
         krum_scores_batched(stack, num_byzantine=8)
+
+
+# --------------------------------------------------------------------- #
+# The geometric median's batched Weiszfeld kernel
+# --------------------------------------------------------------------- #
+def _per_slice_loop(rule, stack):
+    """The reference: ``_aggregate`` slice by slice, with each slice's
+    diagnostics and the warnings the loop raised."""
+    rows, converged, iterations = [], [], []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for replica in stack:
+            rows.append(rule.aggregate(replica))
+            converged.append(rule.converged)
+            iterations.append(rule.iterations)
+    return np.stack(rows), converged, iterations, caught
+
+
+def _batched_call(rule, stack):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = rule.aggregate_batched(stack)
+    return out, caught
+
+
+@st.composite
+def weiszfeld_stacks(draw):
+    """Stacks whose slices stop for different reasons in one call.
+
+    Slice 0 has identical rows (every distance is zero: the empty-mask exit
+    at iteration 1); in slice 1 a majority of the rows are one point, so
+    the coordinate-wise median the iteration starts from coincides with an
+    input (a masked weight); slice 2 is a wide cloud, which a small
+    ``max_iterations`` exhausts; the other ``replicas`` slices are shaped
+    like the attacks the trainers produce.
+    """
+    replicas = draw(st.integers(1, 5))
+    n = draw(st.integers(3, 12))
+    dim = draw(st.sampled_from([1, 2, 7, 23, 266]))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e4]))
+    max_iterations = draw(st.sampled_from([1, 2, 3, 8, 100]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    shaped = _attack_stacks(rng, replicas, n, dim, num_byzantine=1)
+    attacks = np.stack([shaped[draw(st.sampled_from(sorted(shaped)))][r]
+                        for r in range(replicas)])
+    identical = np.repeat(rng.normal(size=(1, dim)), n, axis=0)
+    coincident = rng.normal(size=(n, dim))
+    coincident[: n // 2 + 1] = coincident[0]
+    cloud = rng.normal(0.0, 50.0, size=(n, dim))
+    stack = np.concatenate(
+        [np.stack([identical, coincident, cloud]), attacks]) * scale
+    return stack, max_iterations
+
+
+class TestBatchedWeiszfeld:
+    # No max_examples here: the weekly workflow runs this test under the
+    # "weekly" profile of tests/conftest.py, ten times the default budget.
+    @settings(deadline=None)
+    @given(weiszfeld_stacks())
+    def test_bit_identical_to_the_per_slice_loop(self, drawn):
+        stack, max_iterations = drawn
+        rule = GeometricMedian(max_iterations=max_iterations)
+        want, converged, iterations, loop_warnings = _per_slice_loop(
+            rule, stack)
+        assert converged[0] is True and iterations[0] == 1
+        out, caught = _batched_call(rule, stack)
+
+        assert np.array_equal(out, want)
+        assert rule.converged is all(converged)
+        assert rule.iterations == max(iterations)
+        stalled = converged.count(False)
+        assert len(loop_warnings) == stalled
+        assert len(caught) == (1 if stalled else 0)
+        if stalled:
+            assert f"on {stalled} of {len(stack)} slices" in str(
+                caught[0].message)
+
+    def test_diagnostics_cover_the_whole_stack(self):
+        # Slice 0 exhausts max_iterations, slice 1 stops at iteration 1: a
+        # per-slice loop leaves the *last* slice's "converged is True".
+        rng = np.random.default_rng(4)
+        stack = np.stack([rng.normal(0.0, 50.0, size=(7, 23)),
+                          np.repeat(rng.normal(size=(1, 23)), 7, axis=0)])
+        rule = GeometricMedian(num_byzantine=1, max_iterations=4)
+        out, caught = _batched_call(rule, stack)
+        assert rule.converged is False
+        assert rule.iterations == 4
+        assert np.array_equal(out[1], stack[1, 0])
+        assert len(caught) == 1
+        assert issubclass(caught[0].category, RuntimeWarning)
+        assert "on 1 of 2 slices" in str(caught[0].message)
+        # The warning names the aggregate_batched caller, not the library.
+        assert caught[0].filename == __file__
+
+        out, caught = _batched_call(GeometricMedian(), stack)
+        assert not caught

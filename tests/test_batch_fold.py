@@ -209,14 +209,16 @@ class TestKernelCallCounts:
         assert calls["gradient_rule"] == [(24, 7, d)]
         assert calls["forward_backward"] == [(36, d)]
 
+    # The ledger's wide_gar shape: at D = 30,730 one node's quorum stack
+    # already fills the working-set budget.
+    WIDE = dict(dataset="images", image_size=32, model="softmax",
+                num_workers=30, num_servers=9, declared_byzantine_workers=6,
+                declared_byzantine_servers=2, batch_size=8, dataset_size=240,
+                max_eval_samples=16)
+
     def test_wide_model_keeps_one_node_per_call(self, monkeypatch):
-        # The ledger's wide_gar shape: at D = 30,730 one node's quorum
-        # stack already fills the working-set budget.
         trainer = BatchedGuanYuTrainer([ScenarioSpec(
-            name="wide", dataset="images", image_size=32, model="softmax",
-            num_workers=30, num_servers=9, declared_byzantine_workers=6,
-            declared_byzantine_servers=2, batch_size=8, dataset_size=240,
-            max_eval_samples=16, seed=3)])
+            name="wide", seed=3, **self.WIDE)])
         d = trainer.num_parameters
         assert d == 30730
         every_worker = list(range(30))
@@ -229,6 +231,33 @@ class TestKernelCallCounts:
         assert calls["model_rule"] == [(1, model_quorum, d)] * (30 + 9)
         assert calls["gradient_rule"] == [(1, gradient_quorum, d)] * 9
         assert calls["forward_backward"] == [(1, d)] * 30
+
+    @pytest.mark.parametrize("shape, folds", [({}, 1), (WIDE, 9)])
+    def test_geometric_median_enters_weiszfeld_once_per_fold(
+            self, monkeypatch, shape, folds):
+        # The rule has a batched kernel: a fold is one Weiszfeld run over
+        # its whole stack, never the per-slice reference loop — and the
+        # wide_gar shape, one node to a fold, stays at one run per server.
+        trainer = BatchedGuanYuTrainer([ScenarioSpec(
+            name="gm", gradient_rule="geometric_median", seed=3, **shape)])
+        rule = trainer.gradient_rule
+        entries, per_slice = [], []
+
+        def recording(shapes, function):
+            def wrapper(stacked):
+                shapes.append(stacked.shape)
+                return function(stacked)
+            return wrapper
+
+        monkeypatch.setattr(rule, "_aggregate_batched",
+                            recording(entries, rule._aggregate_batched))
+        monkeypatch.setattr(rule, "_aggregate",
+                            recording(per_slice, rule._aggregate))
+        trainer.step(0)
+        nodes = trainer.config.num_servers // folds
+        assert entries == [(nodes, trainer.config.gradient_quorum,
+                            trainer.num_parameters)] * folds
+        assert per_slice == []
 
 
 class TestHeteroMix:

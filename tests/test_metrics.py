@@ -1,5 +1,8 @@
 """Tests for metrics: accuracy, throughput, and training histories."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -106,6 +109,29 @@ class TestTrainingHistory:
                                phase_durations={"phase1": 0.5}))
         restored = TrainingHistory.from_json(history.to_json())
         assert restored.records[0].phase_durations == {"phase1": 0.5}
+
+    def test_to_dict_equals_asdict_on_every_record_shape(self):
+        # to_dict spells the seven fields out; the store's bytes are
+        # json.dumps of it, so key order counts as well as the values.
+        durations = {"phase1": 0.5, "phase2": 0.25}
+        records = [
+            StepRecord(step=0, simulated_time=0.0),
+            StepRecord(step=1, simulated_time=1.5, train_loss=2.0,
+                       test_accuracy=0.5, max_server_spread=0.0,
+                       learning_rate=0.1, phase_durations=durations),
+            StepRecord(step=np.int64(2), simulated_time=np.float64(2.5),
+                       train_loss=np.float64(0.25), phase_durations={}),
+        ]
+        assert [field.name for field in dataclasses.fields(StepRecord)] \
+            == list(records[0].to_dict())
+        history = TrainingHistory(label="t", config={"k": 1},
+                                  records=records)
+        payload = history.to_dict()
+        assert payload["records"] == [dataclasses.asdict(r) for r in records]
+        # (the third record holds NumPy scalars, which json refuses)
+        assert json.dumps(payload["records"][:2]) == json.dumps(
+            [dataclasses.asdict(r) for r in records[:2]])
+        assert payload["records"][1]["phase_durations"] is not durations
 
 
 class TestThroughputMetrics:
