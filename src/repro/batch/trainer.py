@@ -64,7 +64,7 @@ from repro.core.wiring import ClusterWiring
 from repro.faults import FaultController
 from repro.metrics.accuracy import evaluate_accuracy
 from repro.obs.history import StepRecord, TrainingHistory
-from repro.obs.telemetry import get_registry
+from repro.obs.telemetry import get_registry, phase
 from repro.obs.tracer import get_tracer
 from repro.network.message import MessageKind
 
@@ -646,18 +646,12 @@ class BatchedGuanYuTrainer:
         serialization = self._serialization
         replicas = self.num_replicas
         tracer = get_tracer()
-        registry = get_registry()
-        trace_on = tracer.enabled
-        tele_on = registry.enabled
-        obs_on = trace_on or tele_on
-        decisions_on = trace_on and tracer.record_decisions
-        mark = time.perf_counter() if obs_on else 0.0
 
         if self.has_faults:
             for lane in self.lanes:
                 lane.fault_controller.on_step(step_index)
         active_workers, active_servers = self._wiring.participants(step_index)
-        if trace_on:
+        if tracer.enabled:
             stalled = [node_id for node_id in self.worker_ids
                        if node_id not in active_workers] \
                 + [node_id for node_id in self.server_ids
@@ -679,80 +673,70 @@ class BatchedGuanYuTrainer:
         phase_start = self.server_clock[alive_correct_idx].min(axis=0)
 
         # ------------------------- Phase 1 ------------------------------ #
-        fast = self._fast_delays
-        buffer1 = self._buffer1
-        buffer1.reset()
-        merged: List[Tuple[int, np.ndarray, np.ndarray, Optional[int]]] = []
-        for s_index, server_id in enumerate(self.server_ids):
-            if server_id not in active_servers:
-                continue
-            if server_id in self.attacking_servers:
-                for w_index, worker_id in enumerate(self.worker_ids):
-                    payloads, present = self._corrupt_models(
-                        s_index, step_index, recipient=worker_id)
-                    delivered, times = self._broadcast_times(
-                        server_id, [worker_id], MessageKind.MODEL_TO_WORKER,
-                        step_index, phase_start, override=0.0)
-                    buffer1.add_directed(w_index, s_index, payloads,
-                                         present & delivered[0], times[0])
-            else:
-                send_time = self.server_clock[s_index] + serialization
-                if fast:
-                    merged.append((s_index, self.theta[s_index], send_time,
-                                   None))
+        with phase("batch.step.broadcast", runtime="batch", step=step_index,
+                   replicas=replicas):
+            fast = self._fast_delays
+            buffer1 = self._buffer1
+            buffer1.reset()
+            merged: List[Tuple[int, np.ndarray, np.ndarray,
+                               Optional[int]]] = []
+            for s_index, server_id in enumerate(self.server_ids):
+                if server_id not in active_servers:
+                    continue
+                if server_id in self.attacking_servers:
+                    for w_index, worker_id in enumerate(self.worker_ids):
+                        payloads, present = self._corrupt_models(
+                            s_index, step_index, recipient=worker_id)
+                        delivered, times = self._broadcast_times(
+                            server_id, [worker_id],
+                            MessageKind.MODEL_TO_WORKER, step_index,
+                            phase_start, override=0.0)
+                        buffer1.add_directed(w_index, s_index, payloads,
+                                             present & delivered[0], times[0])
                 else:
-                    delivered, times = self._broadcast_times(
-                        server_id, self.worker_ids,
-                        MessageKind.MODEL_TO_WORKER, step_index, send_time)
-                    buffer1.add_broadcast(s_index, self.theta[s_index],
-                                          delivered, times)
-        if merged:
-            self._flush_merged(buffer1, merged, len(self.worker_ids))
-        if obs_on:
-            now = time.perf_counter()
-            if trace_on:
-                tracer.record_span("batch.step.broadcast", mark, now,
-                                   step=step_index, replicas=replicas)
-            if tele_on:
-                registry.observe("repro_step_phase_seconds", now - mark,
-                                 runtime="batch", phase="broadcast")
-            mark = now
+                    send_time = self.server_clock[s_index] + serialization
+                    if fast:
+                        merged.append((s_index, self.theta[s_index], send_time,
+                                       None))
+                    else:
+                        delivered, times = self._broadcast_times(
+                            server_id, self.worker_ids,
+                            MessageKind.MODEL_TO_WORKER, step_index, send_time)
+                        buffer1.add_broadcast(s_index, self.theta[s_index],
+                                              delivered, times)
+            if merged:
+                self._flush_merged(buffer1, merged, len(self.worker_ids))
 
-        gradient_stack: Dict[int, np.ndarray] = {}
-        loss_stack: Dict[int, np.ndarray] = {}
-        batch_sizes: Dict[int, int] = {}
-        #: per-attacking-worker aggregated models (observable by adversaries)
-        model_stack: Dict[int, np.ndarray] = {}
-        active_worker_indices = [index for index, worker_id
-                                 in enumerate(self.worker_ids)
-                                 if worker_id in active_workers]
-        for fold in self._folds(active_worker_indices, config.model_quorum):
-            stacked, completion, _ = buffer1.collect(
-                fold, self.worker_ids, config.model_quorum,
-                not_before=self.worker_clock[fold],
-                kind=MessageKind.MODEL_TO_WORKER, step=step_index)
-            aggregated = self.model_rule.aggregate_batched(stacked).reshape(
-                len(fold), replicas, -1)
-            results = self._worker_gradients(fold, aggregated, step_index)
-            for j, w_index in enumerate(fold):
-                loss_stack[w_index], gradient_stack[w_index], \
-                    batch_sizes[w_index] = results[j]
-                if self.worker_ids[w_index] in self.attacking_workers:
-                    model_stack[w_index] = aggregated[j]
-                compute_time = self.profiles[w_index].delay_multiplier * (
-                    cost.median_time(config.model_quorum, d)
-                    + cost.gradient_time(batch_sizes[w_index], d))
-                self.worker_clock[w_index] = completion[j] + compute_time
+        with phase("batch.step.compute", runtime="batch", step=step_index,
+                   replicas=replicas):
+            gradient_stack: Dict[int, np.ndarray] = {}
+            loss_stack: Dict[int, np.ndarray] = {}
+            batch_sizes: Dict[int, int] = {}
+            #: per-attacking-worker aggregated models (observable by
+            #: adversaries)
+            model_stack: Dict[int, np.ndarray] = {}
+            active_worker_indices = [index for index, worker_id
+                                     in enumerate(self.worker_ids)
+                                     if worker_id in active_workers]
+            for fold in self._folds(active_worker_indices,
+                                    config.model_quorum):
+                stacked, completion, _ = buffer1.collect(
+                    fold, self.worker_ids, config.model_quorum,
+                    not_before=self.worker_clock[fold],
+                    kind=MessageKind.MODEL_TO_WORKER, step=step_index)
+                aggregated = self.model_rule.aggregate_batched(
+                    stacked).reshape(len(fold), replicas, -1)
+                results = self._worker_gradients(fold, aggregated, step_index)
+                for j, w_index in enumerate(fold):
+                    loss_stack[w_index], gradient_stack[w_index], \
+                        batch_sizes[w_index] = results[j]
+                    if self.worker_ids[w_index] in self.attacking_workers:
+                        model_stack[w_index] = aggregated[j]
+                    compute_time = self.profiles[w_index].delay_multiplier * (
+                        cost.median_time(config.model_quorum, d)
+                        + cost.gradient_time(batch_sizes[w_index], d))
+                    self.worker_clock[w_index] = completion[j] + compute_time
 
-        if obs_on:
-            now = time.perf_counter()
-            if trace_on:
-                tracer.record_span("batch.step.compute", mark, now,
-                                   step=step_index, replicas=replicas)
-            if tele_on:
-                registry.observe("repro_step_phase_seconds", now - mark,
-                                 runtime="batch", phase="compute")
-            mark = now
         alive_correct_worker_idx = [
             index for index in active_worker_indices
             if self.worker_ids[index] not in self.attacking_workers]
@@ -763,151 +747,134 @@ class BatchedGuanYuTrainer:
             phase1_end = phase_start
 
         # ------------------------- Phase 2 ------------------------------ #
-        peer_gradients = [
-            [gradient_stack[index][r] for index in alive_correct_worker_idx]
-            for r in range(replicas)]
-        buffer2 = self._buffer2
-        buffer2.reset()
-        merged = []
-        for w_index in active_worker_indices:
-            worker_id = self.worker_ids[w_index]
-            if worker_id in self.attacking_workers:
-                for s_index, server_id in enumerate(self.server_ids):
-                    payloads = np.zeros((replicas, self.num_parameters))
-                    present = np.zeros(replicas, dtype=bool)
-                    for r, lane in enumerate(self.lanes):
-                        result = GradientResult(
-                            gradient=gradient_stack[w_index][r],
-                            loss=float(loss_stack[w_index][r]),
-                            batch_size=batch_sizes[w_index])
-                        value = apply_worker_attack(
-                            lane.worker_attacks[worker_id],
-                            lane.worker_rngs[w_index], result, step_index,
-                            peer_gradients=peer_gradients[r],
-                            recipient=server_id,
-                            model=model_stack[w_index][r])
-                        if value is not None:
-                            payloads[r] = value
-                            present[r] = True
-                    delivered, times = self._broadcast_times(
-                        worker_id, [server_id],
-                        MessageKind.GRADIENT_TO_SERVER, step_index,
-                        phase_start, override=0.0)
-                    buffer2.add_directed(s_index, w_index, payloads,
-                                         present & delivered[0], times[0])
-            else:
-                send_time = self.worker_clock[w_index] + serialization
-                if fast:
-                    merged.append((w_index, gradient_stack[w_index],
-                                   send_time, None))
+        with phase("batch.step.gather", runtime="batch", step=step_index,
+                   replicas=replicas):
+            peer_gradients = [
+                [gradient_stack[index][r]
+                 for index in alive_correct_worker_idx]
+                for r in range(replicas)]
+            buffer2 = self._buffer2
+            buffer2.reset()
+            merged = []
+            for w_index in active_worker_indices:
+                worker_id = self.worker_ids[w_index]
+                if worker_id in self.attacking_workers:
+                    for s_index, server_id in enumerate(self.server_ids):
+                        payloads = np.zeros((replicas, self.num_parameters))
+                        present = np.zeros(replicas, dtype=bool)
+                        for r, lane in enumerate(self.lanes):
+                            result = GradientResult(
+                                gradient=gradient_stack[w_index][r],
+                                loss=float(loss_stack[w_index][r]),
+                                batch_size=batch_sizes[w_index])
+                            value = apply_worker_attack(
+                                lane.worker_attacks[worker_id],
+                                lane.worker_rngs[w_index], result, step_index,
+                                peer_gradients=peer_gradients[r],
+                                recipient=server_id,
+                                model=model_stack[w_index][r])
+                            if value is not None:
+                                payloads[r] = value
+                                present[r] = True
+                        delivered, times = self._broadcast_times(
+                            worker_id, [server_id],
+                            MessageKind.GRADIENT_TO_SERVER, step_index,
+                            phase_start, override=0.0)
+                        buffer2.add_directed(s_index, w_index, payloads,
+                                             present & delivered[0], times[0])
                 else:
-                    delivered, times = self._broadcast_times(
-                        worker_id, self.server_ids,
-                        MessageKind.GRADIENT_TO_SERVER, step_index, send_time)
-                    buffer2.add_broadcast(w_index, gradient_stack[w_index],
-                                          delivered, times)
-        if merged:
-            self._flush_merged(buffer2, merged, len(self.server_ids))
-        if obs_on:
-            now = time.perf_counter()
-            if trace_on:
-                tracer.record_span("batch.step.gather", mark, now,
-                                   step=step_index, replicas=replicas)
-            if tele_on:
-                registry.observe("repro_step_phase_seconds", now - mark,
-                                 runtime="batch", phase="gather")
-            mark = now
+                    send_time = self.worker_clock[w_index] + serialization
+                    if fast:
+                        merged.append((w_index, gradient_stack[w_index],
+                                       send_time, None))
+                    else:
+                        delivered, times = self._broadcast_times(
+                            worker_id, self.server_ids,
+                            MessageKind.GRADIENT_TO_SERVER, step_index,
+                            send_time)
+                        buffer2.add_broadcast(w_index, gradient_stack[w_index],
+                                              delivered, times)
+            if merged:
+                self._flush_merged(buffer2, merged, len(self.server_ids))
 
-        active_correct_server_idx = [
-            index for index in alive_correct_idx
-            if self.server_ids[index] in active_servers]
-        learning_rate = self.schedule(step_index)
-        compute_time = (cost.aggregation_time(self.gradient_rule_name,
-                                              config.gradient_quorum, d)
-                        + cost.update_time(d))
-        for fold in self._folds(active_correct_server_idx,
-                                config.gradient_quorum):
-            stacked, completion, senders = buffer2.collect(
-                fold, self.server_ids, config.gradient_quorum,
-                not_before=self.server_clock[fold],
-                kind=MessageKind.GRADIENT_TO_SERVER, step=step_index)
-            if decisions_on:
-                for j, s_index in enumerate(fold):
-                    for r, lane in enumerate(self.lanes):
-                        record_decision(
-                            "batch.gar.decision", self.gradient_rule,
-                            stacked[j * replicas + r],
-                            senders[j, :, r].tolist(),
-                            self._attacking_worker_idx, step=step_index,
-                            node=self.server_ids[s_index], replica=r,
-                            scenario=lane.spec.name)
-            aggregated = self.gradient_rule.aggregate_batched(stacked)
-            self.theta[fold] -= learning_rate * aggregated.reshape(
-                len(fold), replicas, -1)
-            self.server_clock[fold] = completion + compute_time
-        phase2_end = self._mean_over_nodes(self.server_clock,
-                                           alive_correct_idx)
-        if obs_on:
-            now = time.perf_counter()
-            if trace_on:
-                tracer.record_span("batch.step.aggregate", mark, now,
-                                   step=step_index, replicas=replicas)
-            if tele_on:
-                registry.observe("repro_step_phase_seconds", now - mark,
-                                 runtime="batch", phase="aggregate")
-            mark = now
+        with phase("batch.step.aggregate", runtime="batch", step=step_index,
+                   replicas=replicas):
+            active_correct_server_idx = [
+                index for index in alive_correct_idx
+                if self.server_ids[index] in active_servers]
+            learning_rate = self.schedule(step_index)
+            compute_time = (cost.aggregation_time(self.gradient_rule_name,
+                                                  config.gradient_quorum, d)
+                            + cost.update_time(d))
+            for fold in self._folds(active_correct_server_idx,
+                                    config.gradient_quorum):
+                stacked, completion, senders = buffer2.collect(
+                    fold, self.server_ids, config.gradient_quorum,
+                    not_before=self.server_clock[fold],
+                    kind=MessageKind.GRADIENT_TO_SERVER, step=step_index)
+                if tracer.record_decisions:
+                    for j, s_index in enumerate(fold):
+                        for r, lane in enumerate(self.lanes):
+                            record_decision(
+                                "batch.gar.decision", self.gradient_rule,
+                                stacked[j * replicas + r],
+                                senders[j, :, r].tolist(),
+                                self._attacking_worker_idx, step=step_index,
+                                node=self.server_ids[s_index], replica=r,
+                                scenario=lane.spec.name)
+                aggregated = self.gradient_rule.aggregate_batched(stacked)
+                self.theta[fold] -= learning_rate * aggregated.reshape(
+                    len(fold), replicas, -1)
+                self.server_clock[fold] = completion + compute_time
+            phase2_end = self._mean_over_nodes(self.server_clock,
+                                               alive_correct_idx)
 
         # ------------------------- Phase 3 ------------------------------ #
-        buffer3 = self._buffer3
-        buffer3.reset()
-        merged = []
-        for s_index, server_id in enumerate(self.server_ids):
-            if server_id not in active_servers:
-                continue
-            if server_id in self.attacking_servers:
-                for peer_index, peer_id in enumerate(self.server_ids):
-                    payloads, present = self._corrupt_models(
-                        s_index, step_index, recipient=peer_id)
-                    delivered, times = self._broadcast_times(
-                        server_id, [peer_id], MessageKind.MODEL_TO_SERVER,
-                        step_index, phase_start, override=0.0)
-                    buffer3.add_directed(peer_index, s_index, payloads,
-                                         present & delivered[0], times[0])
-            else:
-                send_time = self.server_clock[s_index] + serialization
-                if fast:
-                    merged.append((s_index, self.theta[s_index], send_time,
-                                   s_index))
+        with phase("batch.step.apply", runtime="batch", step=step_index,
+                   replicas=replicas):
+            buffer3 = self._buffer3
+            buffer3.reset()
+            merged = []
+            for s_index, server_id in enumerate(self.server_ids):
+                if server_id not in active_servers:
+                    continue
+                if server_id in self.attacking_servers:
+                    for peer_index, peer_id in enumerate(self.server_ids):
+                        payloads, present = self._corrupt_models(
+                            s_index, step_index, recipient=peer_id)
+                        delivered, times = self._broadcast_times(
+                            server_id, [peer_id], MessageKind.MODEL_TO_SERVER,
+                            step_index, phase_start, override=0.0)
+                        buffer3.add_directed(peer_index, s_index, payloads,
+                                             present & delivered[0], times[0])
                 else:
-                    delivered, times = self._broadcast_times(
-                        server_id, self.server_ids,
-                        MessageKind.MODEL_TO_SERVER, step_index, send_time,
-                        skip_draw={s_index})
-                    buffer3.add_broadcast(s_index, self.theta[s_index].copy(),
-                                          delivered, times)
-        if merged:
-            self._flush_merged(buffer3, merged, len(self.server_ids))
+                    send_time = self.server_clock[s_index] + serialization
+                    if fast:
+                        merged.append((s_index, self.theta[s_index], send_time,
+                                       s_index))
+                    else:
+                        delivered, times = self._broadcast_times(
+                            server_id, self.server_ids,
+                            MessageKind.MODEL_TO_SERVER, step_index, send_time,
+                            skip_draw={s_index})
+                        buffer3.add_broadcast(
+                            s_index, self.theta[s_index].copy(), delivered,
+                            times)
+            if merged:
+                self._flush_merged(buffer3, merged, len(self.server_ids))
 
-        for fold in self._folds(active_correct_server_idx,
-                                config.model_quorum):
-            stacked, completion, _ = buffer3.collect(
-                fold, self.server_ids, config.model_quorum,
-                not_before=self.server_clock[fold],
-                kind=MessageKind.MODEL_TO_SERVER, step=step_index)
-            self.theta[fold] = self.model_rule.aggregate_batched(
-                stacked).reshape(len(fold), replicas, -1)
-            self.server_clock[fold] = completion \
-                + cost.median_time(config.model_quorum, d)
-        phase3_end = self._mean_over_nodes(self.server_clock,
-                                           alive_correct_idx)
-        if obs_on:
-            now = time.perf_counter()
-            if trace_on:
-                tracer.record_span("batch.step.apply", mark, now,
-                                   step=step_index, replicas=replicas)
-            if tele_on:
-                registry.observe("repro_step_phase_seconds", now - mark,
-                                 runtime="batch", phase="apply")
+            for fold in self._folds(active_correct_server_idx,
+                                    config.model_quorum):
+                stacked, completion, _ = buffer3.collect(
+                    fold, self.server_ids, config.model_quorum,
+                    not_before=self.server_clock[fold],
+                    kind=MessageKind.MODEL_TO_SERVER, step=step_index)
+                self.theta[fold] = self.model_rule.aggregate_batched(
+                    stacked).reshape(len(fold), replicas, -1)
+                self.server_clock[fold] = completion \
+                    + cost.median_time(config.model_quorum, d)
+            phase3_end = self._mean_over_nodes(self.server_clock,
+                                               alive_correct_idx)
 
         # ------------------------- Records ------------------------------ #
         simulated_time = self.server_clock[alive_correct_idx].max(axis=0)

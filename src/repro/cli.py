@@ -1475,7 +1475,7 @@ def main(argv: Optional[list] = None) -> int:
     finally:
         if tracer is not None:
             try:
-                written = tracer.write_jsonl(args.trace)
+                written = tracer.export(args.trace)
             except OSError as exc:
                 print(f"warning: could not write trace to {args.trace}: "
                       f"{exc}", file=sys.stderr)

@@ -36,7 +36,7 @@ from repro.kernels import active_backend
 from repro.aggregation.decision import record_decision
 from repro.metrics.accuracy import evaluate_accuracy
 from repro.obs.history import StepRecord, TrainingHistory
-from repro.obs.telemetry import get_registry
+from repro.obs.telemetry import phase
 from repro.obs.tracer import get_tracer
 from repro.network.delays import DelayModel, UniformDelay
 from repro.network.message import MessageKind
@@ -309,7 +309,6 @@ class GuanYuTrainer(DistributedTrainer):
         d = self.billed_parameters
         serialization = self._serialization()
         tracer = get_tracer()
-        registry = get_registry()
         if self.fault_controller is not None:
             self.fault_controller.on_step(step_index)
         active_worker_ids, active_server_ids = \
@@ -335,9 +334,7 @@ class GuanYuTrainer(DistributedTrainer):
         # Every participating parameter server broadcasts its model to
         # every worker.
         worker_ids = [worker.node_id for worker in self.workers]
-        with tracer.span("seq.step.broadcast", step=step_index), \
-                registry.timer("repro_step_phase_seconds",
-                               runtime="seq", phase="broadcast"):
+        with phase("seq.step.broadcast", runtime="seq", step=step_index):
             for server in self.servers:
                 if server.node_id not in active_server_ids:
                     continue
@@ -364,10 +361,8 @@ class GuanYuTrainer(DistributedTrainer):
         results: Dict[str, GradientResult] = {}
         alive_workers = [w for w in self.workers
                          if w.node_id in active_worker_ids]
-        with tracer.span("seq.step.compute", step=step_index,
-                         workers=len(alive_workers)), \
-                registry.timer("repro_step_phase_seconds",
-                               runtime="seq", phase="compute"):
+        with phase("seq.step.compute", runtime="seq", step=step_index,
+                   workers=len(alive_workers)):
             for worker in alive_workers:
                 record = self.network.collect_quorum(
                     worker.node_id, MessageKind.MODEL_TO_WORKER, step_index,
@@ -392,9 +387,7 @@ class GuanYuTrainer(DistributedTrainer):
         # Every participating worker broadcasts its gradient to every
         # parameter server.
         server_ids = [server.node_id for server in self.servers]
-        with tracer.span("seq.step.gather", step=step_index), \
-                registry.timer("repro_step_phase_seconds",
-                               runtime="seq", phase="gather"):
+        with phase("seq.step.gather", runtime="seq", step=step_index):
             for worker in alive_workers:
                 result = results[worker.node_id]
                 if worker.is_byzantine:
@@ -423,10 +416,8 @@ class GuanYuTrainer(DistributedTrainer):
                           if s.node_id in active_server_ids]
         byzantine_worker_ids = {w.node_id for w in self.workers
                                 if w.is_byzantine}
-        with tracer.span("seq.step.aggregate", step=step_index,
-                         servers=len(active_servers)), \
-                registry.timer("repro_step_phase_seconds",
-                               runtime="seq", phase="aggregate"):
+        with phase("seq.step.aggregate", runtime="seq", step=step_index,
+                   servers=len(active_servers)):
             for server in active_servers:
                 record = self.network.collect_quorum(
                     server.node_id, MessageKind.GRADIENT_TO_SERVER, step_index,
@@ -449,9 +440,7 @@ class GuanYuTrainer(DistributedTrainer):
         # Every live parameter server broadcasts its updated model to the
         # others and installs the coordinate-wise median of the first q
         # received.
-        with tracer.span("seq.step.apply", step=step_index), \
-                registry.timer("repro_step_phase_seconds",
-                               runtime="seq", phase="apply"):
+        with phase("seq.step.apply", runtime="seq", step=step_index):
             for server in self.servers:
                 if server.node_id not in active_server_ids:
                     continue

@@ -7,7 +7,10 @@ This package answers "what happened during a run" at three granularities:
   cross-runtime equivalence invariants survive tracing;
 * :mod:`repro.obs.telemetry` — live metrics (counters/gauges/histograms
   with label sets) under the same zero-perturbation contract, snapshot/
-  merge across processes, Prometheus text exposition;
+  merge across processes, Prometheus text exposition — and
+  :func:`phase`, the one way a runtime times a protocol phase: one
+  ``perf_counter`` pair written to the trace as a span *and* to the
+  ``repro_step_phase_seconds`` histogram, so the two cannot disagree;
 * :mod:`repro.obs.httpd` — serve the active registry over HTTP
   (``/metrics``, ``/healthz``, ``/status``); :class:`MetricsServer` is
   served lazily (PEP 562) so that importing the package — every cluster
@@ -30,6 +33,7 @@ from repro.obs.telemetry import (
     NullRegistry,
     get_registry,
     parse_prometheus_text,
+    phase,
     set_registry,
     use_registry,
 )
@@ -61,6 +65,7 @@ __all__ = [
     "get_registry",
     "set_registry",
     "use_registry",
+    "phase",
     "parse_prometheus_text",
     "MetricsServer",
     "write_crash_report",

@@ -15,8 +15,12 @@ suites with a live registry):
 
 * it never draws from any random generator,
 * it never reads or advances *simulated* clocks — durations come only
-  from ``time.perf_counter`` readings the *call sites* take,
+  from ``time.perf_counter`` readings,
 * it never mutates the objects handed to it.
+
+Where the two meet is :func:`phase`, the one emit every runtime times its
+protocol phases with: one ``perf_counter`` pair becomes both the phase's
+trace span and its ``repro_step_phase_seconds`` observation.
 
 The active registry is a module-level singleton (default: a no-op
 :class:`NullRegistry`) accessed through :func:`get_registry` and
@@ -31,8 +35,10 @@ from __future__ import annotations
 import bisect
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+
+from repro.obs.tracer import NullTracer, TraceEvent, Tracer, get_tracer
 
 __all__ = [
     "Counter",
@@ -44,6 +50,7 @@ __all__ = [
     "get_registry",
     "set_registry",
     "use_registry",
+    "phase",
     "parse_prometheus_text",
 ]
 
@@ -224,44 +231,6 @@ class Histogram:
                          f"{entry.count}")
 
 
-class _NullTimer:
-    """Reusable no-op context manager (shared; carries no state)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info: object) -> bool:
-        return False
-
-
-_NULL_TIMER = _NullTimer()
-
-
-class _Timer:
-    """Context manager created by :meth:`MetricsRegistry.timer`."""
-
-    __slots__ = ("_registry", "_name", "_labels", "_start")
-
-    def __init__(self, registry: "MetricsRegistry", name: str,
-                 labels: Dict[str, Any]) -> None:
-        self._registry = registry
-        self._name = name
-        self._labels = labels
-        self._start = 0.0
-
-    def __enter__(self) -> None:
-        self._start = time.perf_counter()
-        return None
-
-    def __exit__(self, *exc_info: object) -> bool:
-        self._registry.observe(self._name,
-                               time.perf_counter() - self._start,
-                               **self._labels)
-        return False
-
-
 class NullRegistry:
     """No-op registry installed by default.
 
@@ -284,9 +253,6 @@ class NullRegistry:
     def observe(self, name: str, value: float, **labels: Any) -> None:
         return None
 
-    def timer(self, name: str, **labels: Any) -> _NullTimer:
-        return _NULL_TIMER
-
     def snapshot(self) -> Dict[str, Any]:
         return {"metrics": {}}
 
@@ -303,7 +269,7 @@ class MetricsRegistry:
 
     Metrics are created on first use — :meth:`inc` makes a
     :class:`Counter`, :meth:`set_gauge` / :meth:`add_gauge` a
-    :class:`Gauge`, :meth:`observe` / :meth:`timer` a :class:`Histogram` —
+    :class:`Gauge`, :meth:`observe` a :class:`Histogram` —
     with help text looked up in :data:`METRIC_HELP` (or registered
     explicitly with :meth:`describe`).  One lock serialises all mutation:
     the threaded runtime and the cluster supervisor's reader threads emit
@@ -374,10 +340,6 @@ class MetricsRegistry:
     def observe(self, name: str, value: float, **labels: Any) -> None:
         with self._lock:
             self._get(name, Histogram)._observe(_label_key(labels), value)
-
-    def timer(self, name: str, **labels: Any) -> _Timer:
-        """Context manager observing its ``perf_counter`` duration."""
-        return _Timer(self, name, labels)
 
     # ------------------------------------------------------------------ #
     # Snapshot / merge (the cross-process APIs)
@@ -538,6 +500,67 @@ def use_registry(registry: Union[MetricsRegistry, NullRegistry]
         yield registry
     finally:
         _active = previous
+
+
+# --------------------------------------------------------------------------- #
+# The one phase emit (a trace span and a histogram observation, one timing)
+# --------------------------------------------------------------------------- #
+class _Phase:
+    """Context manager created by :func:`phase`; one per invocation."""
+
+    __slots__ = ("_tracer", "_registry", "_name", "_runtime", "_step",
+                 "_node", "_attrs", "_start")
+
+    def __init__(self, tracer: Union[Tracer, NullTracer],
+                 registry: Union[MetricsRegistry, NullRegistry], name: str,
+                 runtime: str, step: Optional[int], node: Optional[str],
+                 attrs: Dict[str, Any]) -> None:
+        self._tracer = tracer
+        self._registry = registry
+        self._name = name
+        self._runtime = runtime
+        self._step = step
+        self._node = node
+        self._attrs = attrs
+
+    def __enter__(self) -> None:
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc_info: object) -> bool:
+        start = self._start
+        duration = time.perf_counter() - start
+        tracer = self._tracer
+        if tracer.enabled:
+            tracer._append(TraceEvent(
+                name=self._name, kind="span", ts=start - tracer._epoch,
+                dur=duration, step=self._step, node=self._node,
+                attrs=self._attrs))
+        if self._registry.enabled:
+            self._registry.observe(
+                "repro_step_phase_seconds", duration, runtime=self._runtime,
+                phase=self._name.rpartition(".")[2])
+        return False
+
+
+_NULL_PHASE = nullcontext()
+
+
+def phase(name: str, *, runtime: str, step: Optional[int] = None,
+          node: Optional[str] = None, **attrs: Any):
+    """Time one protocol phase: the one way a runtime reports a phase.
+
+    One ``perf_counter`` pair is written to both sinks: a ``kind="span"``
+    :class:`~repro.obs.tracer.TraceEvent` called ``name`` in the active
+    tracer and one observation of
+    ``repro_step_phase_seconds{runtime=runtime, phase=<last dotted
+    segment of name>}`` in the active registry — so the span and the
+    histogram cannot disagree.  With neither sink on, the result is a
+    shared no-op context manager and the clock is not read.
+    """
+    tracer, registry = get_tracer(), get_registry()
+    if not (tracer.enabled or registry.enabled):
+        return _NULL_PHASE
+    return _Phase(tracer, registry, name, runtime, step, node, attrs)
 
 
 # --------------------------------------------------------------------------- #

@@ -3,7 +3,11 @@
 The tracer records **spans** (named intervals timed with
 :func:`time.perf_counter`), **events** (point-in-time facts with typed
 attributes) and **counters** (monotonically accumulated integers/floats)
-into a bounded in-memory ring buffer, exportable as JSON Lines.
+into a bounded in-memory ring buffer, exportable as JSON Lines.  Spans
+have one writer, :func:`repro.obs.phase`, which times a protocol phase
+once and hands the same duration to this buffer and to the
+``repro_step_phase_seconds`` histogram; a tracer only stores them (and
+takes already-built records from other tracers with :meth:`Tracer.extend`).
 
 The hard invariant of this module — enforced by the tier-1 equivalence
 tests — is **zero perturbation**: recording a trace must not change what
@@ -20,9 +24,10 @@ loss-trajectory identity hold with tracing enabled, and a traced run's
 
 The active tracer is a module-level singleton (default: a no-op
 :class:`NullTracer`) accessed through :func:`get_tracer` and installed with
-:func:`set_tracer` or the scoped :func:`use_tracer`.  Instrumented code is
-written against that interface, so an untraced run pays only an attribute
-read, a truthiness check, and an early return per hook.
+:func:`set_tracer` or the scoped :func:`use_tracer`.  :class:`NullTracer`
+is the only off switch — a :class:`Tracer` always records — so an untraced
+run pays only an attribute read, a truthiness check, and an early return
+per hook.
 """
 
 from __future__ import annotations
@@ -108,21 +113,6 @@ class TraceEvent:
                    attrs=payload.get("attrs", {}))
 
 
-class _NullSpan:
-    """Reusable no-op context manager (shared; carries no state)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info: object) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class NullTracer:
     """No-op tracer installed by default.
 
@@ -134,20 +124,11 @@ class NullTracer:
     enabled = False
     record_decisions = False
 
-    def span(self, name: str, *, step: Optional[int] = None,
-             node: Optional[str] = None, **attrs: Any) -> _NullSpan:
-        return _NULL_SPAN
-
     def event(self, name: str, *, step: Optional[int] = None,
               node: Optional[str] = None, **attrs: Any) -> None:
         return None
 
     def count(self, name: str, value: Union[int, float] = 1) -> None:
-        return None
-
-    def record_span(self, name: str, start: float, end: float, *,
-                    step: Optional[int] = None, node: Optional[str] = None,
-                    **attrs: Any) -> None:
         return None
 
     def events(self) -> List[TraceEvent]:
@@ -159,36 +140,9 @@ class NullTracer:
     def summary(self) -> Dict[str, Any]:
         return {"spans": {}, "counters": {}, "events": 0, "dropped": 0}
 
-    def write_jsonl(self, destination: Union[str, TextIO],
-                    compress: Optional[bool] = None) -> int:
-        return 0
-
     def export(self, destination: Union[str, TextIO],
                compress: Optional[bool] = None) -> int:
         return 0
-
-
-class _Span:
-    """Context manager created by :meth:`Tracer.span`; one per invocation."""
-
-    __slots__ = ("_tracer", "_event", "_start")
-
-    def __init__(self, tracer: "Tracer", event: TraceEvent) -> None:
-        self._tracer = tracer
-        self._event = event
-        self._start = 0.0
-
-    def __enter__(self) -> TraceEvent:
-        self._start = time.perf_counter()
-        return self._event
-
-    def __exit__(self, *exc_info: object) -> bool:
-        end = time.perf_counter()
-        event = self._event
-        event.dur = end - self._start
-        event.ts = self._start - self._tracer._epoch
-        self._tracer._append(event)
-        return False
 
 
 class Tracer:
@@ -200,21 +154,22 @@ class Tracer:
         Maximum number of retained records; older records are discarded
         first (``dropped`` in :meth:`summary` counts the loss, so
         truncation is observable rather than silent).
-    enabled:
-        When ``False`` the tracer behaves like :class:`NullTracer` while
-        keeping its identity (useful for toggling).
     record_decisions:
         Opt-in gate for *expensive* records — per-step GAR decision
         provenance recomputes selection indices and honest-mean distances,
         so it is off unless explicitly requested (e.g. by ``repro --trace``).
+
+    A tracer always records; to turn tracing off, install a
+    :class:`NullTracer` (the default).
     """
 
-    def __init__(self, capacity: int = 100_000, *, enabled: bool = True,
+    enabled = True
+
+    def __init__(self, capacity: int = 100_000, *,
                  record_decisions: bool = False) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.enabled = enabled
         self.record_decisions = record_decisions
         self._epoch = time.perf_counter()
         self._buffer: deque = deque(maxlen=capacity)
@@ -232,44 +187,17 @@ class Tracer:
             self._buffer.append(event)
             self._emitted += 1
 
-    def span(self, name: str, *, step: Optional[int] = None,
-             node: Optional[str] = None, **attrs: Any):
-        """Context manager timing a named interval with ``perf_counter``."""
-        if not self.enabled:
-            return _NULL_SPAN
-        return _Span(self, TraceEvent(name=name, kind="span", step=step,
-                                      node=node, attrs=attrs))
-
     def event(self, name: str, *, step: Optional[int] = None,
               node: Optional[str] = None, **attrs: Any) -> None:
         """Record an instantaneous event."""
-        if not self.enabled:
-            return
         self._append(TraceEvent(name=name, kind="event",
                                 ts=time.perf_counter() - self._epoch,
                                 step=step, node=node, attrs=attrs))
 
     def count(self, name: str, value: Union[int, float] = 1) -> None:
         """Accumulate ``value`` onto the named counter."""
-        if not self.enabled:
-            return
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + value
-
-    def record_span(self, name: str, start: float, end: float, *,
-                    step: Optional[int] = None, node: Optional[str] = None,
-                    **attrs: Any) -> None:
-        """Record a span from explicit ``perf_counter`` readings.
-
-        For hot loops where a context manager per section is awkward: the
-        caller samples ``time.perf_counter()`` at its own boundaries and
-        hands both readings over.
-        """
-        if not self.enabled:
-            return
-        self._append(TraceEvent(name=name, kind="span",
-                                ts=start - self._epoch, dur=end - start,
-                                step=step, node=node, attrs=attrs))
 
     def extend(self, records: Iterable[TraceEvent]) -> None:
         """Append already-built records (e.g. from a per-scenario tracer).
@@ -278,8 +206,6 @@ class Tracer:
         tracer's epoch, which is fine for duration aggregation (the only
         cross-tracer use).
         """
-        if not self.enabled:
-            return
         with self._lock:
             for record in records:
                 self._buffer.append(record)
@@ -328,8 +254,8 @@ class Tracer:
     # ------------------------------------------------------------------ #
     # Export
     # ------------------------------------------------------------------ #
-    def write_jsonl(self, destination: Union[str, TextIO],
-                    compress: Optional[bool] = None) -> int:
+    def export(self, destination: Union[str, TextIO],
+               compress: Optional[bool] = None) -> int:
         """Write retained records (plus counter snapshots) as JSON Lines.
 
         Returns the number of lines written.  Counters are appended as
@@ -365,10 +291,6 @@ class Tracer:
                     "compress=True requires a path destination, not a stream")
             destination.write(text)
         return len(lines)
-
-    # ``export`` is the documented name; ``write_jsonl`` predates it and
-    # stays as an alias for existing callers.
-    export = write_jsonl
 
 
 def read_jsonl(source: Union[str, TextIO]) -> List[TraceEvent]:

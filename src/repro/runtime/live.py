@@ -30,8 +30,7 @@ from repro.core.nodes import ServerNode, WorkerNode
 from repro.core.wiring import ClusterWiring
 from repro.faults import FaultController
 from repro.network.message import MessageKind
-from repro.obs.telemetry import get_registry
-from repro.obs.tracer import get_tracer
+from repro.obs.telemetry import phase
 
 
 class QuorumTimeout(RuntimeError):
@@ -244,8 +243,6 @@ class LiveNode:
         discarded and skipping costs no wall-clock, since the next
         ``wait_quorum`` simply blocks until the peers reach that step.
         """
-        self._tracer = get_tracer()
-        self._registry = get_registry()
         role = "worker" if isinstance(self.node, WorkerNode) else "server"
         step_fn = self._worker_step if role == "worker" else self._server_step
         self._span_stem = f"{self.span_prefix}.{role}."
@@ -258,13 +255,6 @@ class LiveNode:
                 continue
             step_fn(step)
 
-    def _phase(self, phase: str, step: int):
-        """The ``(span, histogram timer)`` pair a protocol phase runs in."""
-        return (self._tracer.span(self._span_stem + phase, step=step,
-                                  node=self.node_id),
-                self._registry.timer("repro_step_phase_seconds",
-                                     runtime=self.runtime_label, phase=phase))
-
     def _maybe_straggle(self) -> None:
         if self.straggle > 0:
             time.sleep(self.straggle)
@@ -273,13 +263,13 @@ class LiveNode:
     def _worker_step(self, step: int) -> None:
         worker: WorkerNode = self.node
         config = self.wiring.config
-        span, timer = self._phase("gather", step)
-        with span, timer:
+        with phase(self._span_stem + "gather", runtime=self.runtime_label,
+                   step=step, node=self.node_id):
             models = self.endpoint.wait_quorum(
                 MessageKind.MODEL_TO_WORKER, step,
                 quorum=config.model_quorum, timeout=self.quorum_timeout)
-        span, timer = self._phase("compute", step)
-        with span, timer:
+        with phase(self._span_stem + "compute", runtime=self.runtime_label,
+                   step=step, node=self.node_id):
             result = worker.compute_gradient(models, step)
         if not worker.is_byzantine:
             if self.wiring.needs_observation_board \
@@ -302,25 +292,25 @@ class LiveNode:
         config = self.wiring.config
         self._maybe_straggle()
         # Phase 1: broadcast the current model to the workers.
-        span, timer = self._phase("broadcast", step)
-        with span, timer:
+        with phase(self._span_stem + "broadcast", runtime=self.runtime_label,
+                   step=step, node=self.node_id):
             for worker_id in self.wiring.worker_ids:
                 payload = server.outgoing_model(step, recipient=worker_id)
                 self.endpoint.send(worker_id, MessageKind.MODEL_TO_WORKER,
                                    step, payload)
         # Phase 2: gather gradients and update (Byzantine servers skip the
         # honest computation — whatever they hold is corrupted on send).
-        span, timer = self._phase("gather", step)
-        with span, timer:
+        with phase(self._span_stem + "gather", runtime=self.runtime_label,
+                   step=step, node=self.node_id):
             gradients = self.endpoint.wait_quorum(
                 MessageKind.GRADIENT_TO_SERVER, step,
                 quorum=config.gradient_quorum, timeout=self.quorum_timeout)
-        span, timer = self._phase("aggregate", step)
-        with span, timer:
+        with phase(self._span_stem + "aggregate", runtime=self.runtime_label,
+                   step=step, node=self.node_id):
             server.apply_gradients(gradients, step)
         # Phase 3: exchange models between servers and take the median.
-        span, timer = self._phase("apply", step)
-        with span, timer:
+        with phase(self._span_stem + "apply", runtime=self.runtime_label,
+                   step=step, node=self.node_id):
             for server_id in self.wiring.server_ids:
                 payload = server.outgoing_model(step, recipient=server_id) \
                     if server_id != self.node_id \

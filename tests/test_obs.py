@@ -1,4 +1,5 @@
-"""Tests for the observability layer: tracer, ring buffer, JSONL, logging."""
+"""Tests for the observability layer: tracer, phase emit, ring buffer,
+JSONL, logging."""
 
 import io
 import json
@@ -8,36 +9,35 @@ import threading
 import pytest
 
 from repro.obs import (
+    MetricsRegistry,
     NullTracer,
     TraceEvent,
     Tracer,
     configure_logging,
     get_tracer,
+    phase,
     read_jsonl,
     set_tracer,
+    use_registry,
     use_tracer,
 )
+from repro.obs import telemetry
 from repro.obs.logging import JsonLogFormatter
 
 
 class TestTracerRecording:
     def test_span_context_manager_records_duration(self):
         tracer = Tracer()
-        with tracer.span("phase.one", step=3, node="server-0"):
+        with use_tracer(tracer), phase("phase.one", runtime="seq", step=3,
+                                       node="server-0", replicas=4):
             pass
         (record,) = tracer.events()
         assert record.kind == "span"
         assert record.name == "phase.one"
         assert record.step == 3
         assert record.node == "server-0"
-        assert record.dur is not None and record.dur >= 0.0
-
-    def test_record_span_from_explicit_marks(self):
-        tracer = Tracer()
-        tracer.record_span("batch.step.compute", 1.0, 1.25, step=0, replicas=4)
-        (record,) = tracer.events()
-        assert record.dur == pytest.approx(0.25)
         assert record.attrs == {"replicas": 4}
+        assert record.dur is not None and record.dur >= 0.0
 
     def test_event_and_counter(self):
         tracer = Tracer()
@@ -52,18 +52,65 @@ class TestTracerRecording:
                                      "campaign.scenario_seconds": 0.5}
 
     def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        with tracer.span("phase"):
+        # the null tracer is the one off switch; a Tracer always records
+        tracer = NullTracer()
+        with use_tracer(tracer), phase("phase", runtime="seq"):
             pass
         tracer.event("event")
         tracer.count("counter")
-        tracer.record_span("span", 0.0, 1.0)
         assert tracer.events() == []
         assert tracer.counters() == {}
+        assert Tracer.enabled and not NullTracer.enabled
+        with pytest.raises(TypeError):
+            Tracer(enabled=False)
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             Tracer(capacity=0)
+
+
+class TestPhase:
+    def test_no_sink_is_a_shared_no_op_that_reads_no_clock(self, monkeypatch):
+        def clock():
+            raise AssertionError("the clock was read with both sinks off")
+
+        monkeypatch.setattr(telemetry.time, "perf_counter", clock)
+        first = phase("seq.step.compute", runtime="seq", step=0)
+        assert phase("batch.step.apply", runtime="batch") is first
+        with first:
+            pass
+
+    def test_one_duration_reaches_both_sinks(self):
+        tracer, registry = Tracer(), MetricsRegistry()
+        with use_tracer(tracer), use_registry(registry):
+            with phase("thr.server.aggregate", runtime="threads", step=2,
+                       node="ps/0"):
+                pass
+        (span,) = tracer.events()
+        stats = registry.histogram("repro_step_phase_seconds").stats(
+            runtime="threads", phase="aggregate")
+        assert (span.name, span.step, span.node) == \
+            ("thr.server.aggregate", 2, "ps/0")
+        assert stats["count"] == 1 and stats["sum"] == span.dur
+
+    def test_either_sink_alone(self):
+        registry = MetricsRegistry()
+        with use_registry(registry), phase("seq.step.gather", runtime="seq"):
+            pass
+        assert registry.histogram("repro_step_phase_seconds").stats(
+            runtime="seq", phase="gather")["count"] == 1
+        tracer = Tracer()
+        with use_tracer(tracer), phase("seq.step.gather", runtime="seq"):
+            pass
+        assert [event.name for event in tracer.events()] == ["seq.step.gather"]
+
+    def test_a_failing_phase_is_still_recorded(self):
+        tracer = Tracer()
+        with pytest.raises(RuntimeError), use_tracer(tracer):
+            with phase("batch.step.aggregate", runtime="batch"):
+                raise RuntimeError("quorum")
+        assert [event.name for event in tracer.events()] == \
+            ["batch.step.aggregate"]
 
 
 class TestRingBuffer:
@@ -96,12 +143,12 @@ class TestRingBuffer:
 class TestJsonl:
     def test_round_trip_through_a_file(self, tmp_path):
         tracer = Tracer()
-        with tracer.span("phase.a", step=1):
+        with use_tracer(tracer), phase("phase.a", runtime="seq", step=1):
             pass
         tracer.event("fault", node="worker-2", ids=["worker-2"])
         tracer.count("hits", 3)
         path = str(tmp_path / "trace.jsonl")
-        written = tracer.write_jsonl(path)
+        written = tracer.export(path)
         assert written == 3
 
         records = read_jsonl(path)
@@ -116,7 +163,7 @@ class TestJsonl:
         tracer = Tracer()
         tracer.event("e", k="v")
         buffer = io.StringIO()
-        assert tracer.write_jsonl(buffer) == 1
+        assert tracer.export(buffer) == 1
         (record,) = read_jsonl(io.StringIO(buffer.getvalue()))
         assert record.name == "e" and record.attrs == {"k": "v"}
 
@@ -124,7 +171,7 @@ class TestJsonl:
         tracer = Tracer()
         tracer.event("e")
         path = str(tmp_path / "trace.jsonl")
-        tracer.write_jsonl(path)
+        tracer.export(path)
         with open(path, "r", encoding="utf-8") as handle:
             lines = [line for line in handle.read().splitlines() if line]
         assert len(lines) == 1
@@ -134,16 +181,16 @@ class TestJsonl:
 
     def test_empty_tracer_writes_empty_file(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
-        assert Tracer().write_jsonl(path) == 0
+        assert Tracer().export(path) == 0
         assert read_jsonl(path) == []
 
 
 class TestSummary:
     def test_aggregates_spans_by_name(self):
         tracer = Tracer()
-        tracer.record_span("a", 0.0, 1.0)
-        tracer.record_span("a", 2.0, 2.5)
-        tracer.record_span("b", 0.0, 0.25)
+        tracer.extend([TraceEvent("a", kind="span", ts=0.0, dur=1.0),
+                       TraceEvent("a", kind="span", ts=2.0, dur=0.5),
+                       TraceEvent("b", kind="span", ts=0.0, dur=0.25)])
         tracer.event("x")
         summary = tracer.summary()
         assert summary["spans"]["a"]["count"] == 2
@@ -202,15 +249,12 @@ class TestActiveTracer:
 
     def test_null_tracer_interface_is_noop(self, tmp_path):
         tracer = NullTracer()
-        with tracer.span("x"):
-            pass
         tracer.event("x")
         tracer.count("x")
-        tracer.record_span("x", 0.0, 1.0)
         assert tracer.events() == []
         assert tracer.counters() == {}
         assert tracer.summary()["spans"] == {}
-        assert tracer.write_jsonl(str(tmp_path / "none.jsonl")) == 0
+        assert tracer.export(str(tmp_path / "none.jsonl")) == 0
 
 
 class TestTraceEvent:
@@ -240,7 +284,7 @@ class TestTraceEvent:
         tracer.extend([TraceEvent(name="clu.step", kind="span", ts=0.0,
                                   dur=0.5, source="ps/1")])
         path = tmp_path / "trace.jsonl"
-        tracer.write_jsonl(str(path))
+        tracer.export(str(path))
         (record,) = list(read_jsonl(str(path)))
         assert record.source == "ps/1"
 

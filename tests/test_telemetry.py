@@ -5,7 +5,10 @@ the snapshot/merge path that ships node registries across process
 boundaries, the Prometheus text round-trip, the ``/metrics``-``/status``-
 ``/healthz`` HTTP endpoint, the crash-report flight recorder, gzip trace
 export, the monitor dashboard renderer, and the instrumentation hooks in
-the campaign engine / runtimes (only active when a registry is installed).
+the campaign engine / runtimes (only active when a registry is installed),
+and the one phase emit: a phase's trace span and its
+``repro_step_phase_seconds`` observation are one measurement, under names
+and labels every runtime kept.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.obs import (
     crash_report_path,
     get_registry,
     parse_prometheus_text,
+    phase,
     read_jsonl,
     use_registry,
     use_tracer,
@@ -40,6 +44,7 @@ from repro.obs.telemetry import METRIC_HELP
 from repro.plotting import render_dashboard, scenarios_completed
 from repro.runtime import run
 from repro.runtime.cluster import cluster_available
+from repro.testing import sequential_history
 
 needs_sockets = pytest.mark.skipif(
     not cluster_available(), reason="host cannot bind sockets")
@@ -82,9 +87,10 @@ class TestPrimitives:
         stats = registry.histogram("latency_seconds").stats(op="put")
         assert stats["count"] == 3
         assert stats["sum"] == pytest.approx(0.204)
-        with registry.timer("latency_seconds", op="timed"):
+        with use_registry(registry), phase("seq.step.apply", runtime="seq"):
             time.sleep(0.001)
-        timed = registry.histogram("latency_seconds").stats(op="timed")
+        timed = registry.histogram("repro_step_phase_seconds").stats(
+            runtime="seq", phase="apply")
         assert timed["count"] == 1 and timed["sum"] > 0.0
 
     def test_kind_mismatch_raises(self):
@@ -106,11 +112,9 @@ class TestActivation:
         registry = get_registry()
         assert isinstance(registry, NullRegistry)
         assert not registry.enabled
-        # All hooks are no-ops and the timer is reusable.
+        # All hooks are no-ops.
         registry.inc("x")
         registry.observe("x", 1.0)
-        with registry.timer("x"):
-            pass
         assert registry.render_prometheus() == ""
         assert registry.snapshot() == {"metrics": {}}
 
@@ -413,6 +417,105 @@ class TestInstrumentation:
         assert stats is not None and stats["count"] == 4
 
 
+# --------------------------------------------------------------------------- #
+# One phase emit: the histogram is the spans, under unchanged names
+# --------------------------------------------------------------------------- #
+PHASES = ("broadcast", "compute", "gather", "aggregate", "apply")
+
+
+def with_both_sinks(execute):
+    tracer, registry = Tracer(), MetricsRegistry()
+    with use_tracer(tracer), use_registry(registry):
+        execute()
+    return tracer, registry
+
+
+def phase_series(registry):
+    return {tuple(value for _, value in key) for key in
+            registry.histogram("repro_step_phase_seconds").series}
+
+
+class TestSpanHistogramAgreement:
+    @pytest.mark.parametrize("runtime, prefix, execute", [
+        ("seq", "seq.step.", lambda: sequential_history(tiny_spec())),
+        ("batch", "batch.step.", lambda: run_batched_scenarios(
+            [tiny_spec(name=f"agree{seed}", seed=seed) for seed in (0, 1)])),
+    ], ids=["seq", "batch"])
+    def test_histogram_counts_and_sums_the_spans(self, runtime, prefix,
+                                                  execute):
+        tracer, registry = with_both_sinks(execute)
+        spans = [event for event in tracer.events() if event.kind == "span"]
+        histogram = registry.histogram("repro_step_phase_seconds")
+        assert {(dict(key)["runtime"], dict(key)["phase"])
+                for key in histogram.series} \
+            == {(runtime, name) for name in PHASES}
+        for key, entry in histogram.series.items():
+            durations = [event.dur for event in spans
+                         if event.name == prefix + dict(key)["phase"]]
+            total = 0.0
+            for duration in durations:  # emission order, as observed
+                total += duration
+            assert entry.count == len(durations) > 0
+            assert entry.sum == total
+
+
+def parity_spec(**overrides) -> ScenarioSpec:
+    base = dict(name="parity", num_workers=4, num_servers=3,
+                declared_byzantine_workers=0, declared_byzantine_servers=0,
+                model_quorum=3, gradient_quorum=4, gradient_rule="median",
+                model_rule="median", num_steps=2, eval_every=2,
+                dataset_size=200, max_eval_samples=32, seed=3)
+    base.update(overrides)
+    return ScenarioSpec(**base)
+
+
+#: the phase span names and ``repro_step_phase_seconds`` series of a 2-step
+#: run per runtime — ``bench/`` reads these prefixes, so they are literals
+PARITY = {
+    "seq": ({"seq.step.broadcast", "seq.step.compute", "seq.step.gather",
+             "seq.step.aggregate", "seq.step.apply"},
+            {("apply", "seq"), ("aggregate", "seq"), ("broadcast", "seq"),
+             ("compute", "seq"), ("gather", "seq")}),
+    "batch": ({"batch.step.broadcast", "batch.step.compute",
+               "batch.step.gather", "batch.step.aggregate",
+               "batch.step.apply"},
+              {("apply", "batch"), ("aggregate", "batch"),
+               ("broadcast", "batch"), ("compute", "batch"),
+               ("gather", "batch")}),
+    "threads": ({"thr.worker.gather", "thr.worker.compute",
+                 "thr.server.broadcast", "thr.server.gather",
+                 "thr.server.aggregate", "thr.server.apply"},
+                {("apply", "threads"), ("aggregate", "threads"),
+                 ("broadcast", "threads"), ("compute", "threads"),
+                 ("gather", "threads")}),
+}
+CLUSTER_SPANS = {"clu.worker.gather", "clu.worker.compute",
+                 "clu.server.broadcast", "clu.server.gather",
+                 "clu.server.aggregate", "clu.server.apply"}
+CLUSTER_SERIES = {
+    (node, phase, "cluster")
+    for nodes, phases in ((("ps/0", "ps/1", "ps/2"),
+                           ("broadcast", "gather", "aggregate", "apply")),
+                          (("worker/0", "worker/1", "worker/2", "worker/3"),
+                           ("gather", "compute")))
+    for node in nodes for phase in phases}
+
+
+class TestPhaseNameParity:
+    @pytest.mark.parametrize("runtime, execute", [
+        ("seq", lambda: sequential_history(parity_spec())),
+        ("batch", lambda: run(parity_spec())),
+        ("threads", lambda: run(parity_spec(trainer="guanyu_threaded",
+                                            quorum_timeout=30.0))),
+    ], ids=["seq", "batch", "threads"])
+    def test_span_names_and_series_are_unchanged(self, runtime, execute):
+        tracer, registry = with_both_sinks(execute)
+        spans, series = PARITY[runtime]
+        assert {event.name for event in tracer.events()
+                if event.kind == "span"} == spans
+        assert phase_series(registry) == series
+
+
 @needs_sockets
 @pytest.mark.timeout(180)
 class TestClusterTelemetry:
@@ -426,9 +529,14 @@ class TestClusterTelemetry:
                             model_quorum=3, gradient_quorum=4,
                             gradient_rule="median", model_rule="median",
                             num_steps=2, seed=9, quorum_timeout=30.0)
-        registry = MetricsRegistry()
-        with use_registry(registry):
+        tracer, registry = Tracer(), MetricsRegistry()
+        with use_tracer(tracer), use_registry(registry):
             ClusterRuntime(spec).run(spec.num_steps)
+        # The phase spans and series every node shipped, under the names
+        # and labels the other runtimes' parity test pins.
+        assert {event.name for event in tracer.events()
+                if event.kind == "span"} == CLUSTER_SPANS
+        assert phase_series(registry) == CLUSTER_SERIES
         # Supervisor-side health gauges: every node came up, one
         # incarnation each, no respawns.
         up = registry.gauge("repro_cluster_node_up")

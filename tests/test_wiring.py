@@ -513,6 +513,12 @@ class TestOneCopy:
         assert files_matching(r"^HETERO_STRAGGLER_UNIT = ") \
             == ["core/wiring.py"]
 
+    def test_one_phase_emit(self):
+        # a phase is timed once, by repro.obs.phase, into both sinks: no
+        # hand-paired span + histogram timer is left to drift apart
+        assert files_matching(r"record_span|\.timer\(|tracer\.span\(") == []
+        assert files_matching(r'kind="span"') == ["obs/telemetry.py"]
+
     def test_the_live_runtimes_own_no_protocol_loop(self):
         assert files_matching(r"\.wait_quorum\(", "runtime") \
             == ["runtime/live.py"]
