@@ -19,25 +19,33 @@ Durability model (deliberately boring):
 * Rows are appended with a single ``O_APPEND`` write.  On local
   filesystems small appends land atomically, so concurrent writers
   sharing a store interleave whole lines, not bytes.
+* Writers of one shard take turns on ``flock(LOCK_EX)`` held on that
+  shard's ``index.jsonl``: ``put`` holds it across the entry's
+  ``os.replace`` and its row, ``delete`` across the unlink and its
+  ``del`` row, a rebuild from its first payload read to its replace.
+  Entry order and row order therefore agree for every key, also when
+  two writers put the same key.
 * The index is a *cache*, never the source of truth.  The entry files
   are.  A reader checks freshness by comparing the folded key set
   against the shard's ``*.json`` stems (a directory listing — no
   payload opens) and rebuilds the shard index from payloads when they
-  disagree.  Torn lines, lost appends from a writer racing a rebuild,
-  and writers killed between entry write and index append all resolve
-  to a detectable mismatch followed by a clean rebuild.
+  disagree.  Torn lines, writers killed between entry write and index
+  append, and writers that bypass the index all resolve to a
+  detectable mismatch followed by a clean rebuild.
 * Rebuilds write a fresh ``index.jsonl`` through a temp file +
   ``os.replace``, the same discipline the entry writers use.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import json
 import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.telemetry import get_registry
 
@@ -82,26 +90,72 @@ class StoreIndex:
     # Writes (called by ResultStore.put/delete)
     # ------------------------------------------------------------------ #
     def append_put(self, key: str, spec_dict: dict, meta: dict,
-                   summary: dict) -> None:
+                   summary: dict, *, commit: Callable[[], object]) -> None:
+        """Append a ``put`` row; ``commit`` (the entry's ``os.replace``)
+        runs first, under the same shard lock."""
         self._append(key[:2], {
             "v": INDEX_VERSION, "op": "put", "key": key,
             "spec": spec_dict, "meta": meta, "summary": summary,
-        })
+        }, commit)
 
-    def append_delete(self, key: str) -> None:
-        self._append(key[:2], {"v": INDEX_VERSION, "op": "del", "key": key})
+    def append_delete(self, key: str, *,
+                      commit: Callable[[], object]) -> None:
+        """Append a ``del`` row; ``commit`` (the entry's unlink) runs
+        first, under the same shard lock."""
+        self._append(key[:2], {"v": INDEX_VERSION, "op": "del", "key": key},
+                     commit)
 
-    def _append(self, prefix: str, row: dict) -> None:
+    def _append(self, prefix: str, row: dict,
+                commit: Callable[[], object]) -> None:
+        line = (json.dumps(row, sort_keys=True) + "\n").encode("utf-8")
+        with self._locked(prefix) as descriptor:
+            commit()
+            os.write(descriptor, line)
+
+    @contextlib.contextmanager
+    def _locked(self, prefix: str) -> Iterator[int]:
+        """Hold the shard's writer lock; yields its ``O_APPEND`` descriptor.
+
+        The lock is ``flock(LOCK_EX)`` on ``index.jsonl`` itself.  Entry
+        changes and their rows are made under it, so two writers of one
+        key leave entry and row from the same writer.  A rebuild replaces
+        the file, so a writer that waited on the old inode re-opens the
+        new one before it counts as holding the lock.
+        """
         path = self.index_path(prefix)
         path.parent.mkdir(parents=True, exist_ok=True)
-        line = (json.dumps(row, sort_keys=True) + "\n").encode("utf-8")
-        descriptor = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                             0o644)
+        while True:
+            descriptor = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+                                 0o644)
+            held = False
+            try:
+                fcntl.flock(descriptor, fcntl.LOCK_EX)
+                held = os.path.samestat(os.fstat(descriptor), os.stat(path))
+            except FileNotFoundError:
+                pass  # unlinked while we waited: lock a fresh file
+            finally:
+                if not held:
+                    os.close(descriptor)
+            if held:
+                break
         try:
-            os.write(descriptor, line)
+            yield descriptor
         finally:
-            os.close(descriptor)
-        self._cache.pop(prefix, None)
+            os.close(descriptor)  # releases the lock
+            self._cache.pop(prefix, None)
+
+    # ------------------------------------------------------------------ #
+    # Entry payloads (the one reader)
+    # ------------------------------------------------------------------ #
+    def read_entry(self, path: Path) -> dict:
+        """Parse one entry payload, counted in :attr:`payload_reads`.
+
+        Compact and indented entries parse alike.  Raises ``OSError`` or
+        ``ValueError`` (bad JSON or UTF-8) for an unreadable file.
+        """
+        self.payload_reads += 1
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
 
     # ------------------------------------------------------------------ #
     # Raw reads (fsck wants the file as-is, no rebuild side effects)
@@ -194,22 +248,24 @@ class StoreIndex:
 
         Unreadable payloads are skipped (``repro store fsck`` reports
         them); the rebuilt file is promoted atomically so concurrent
-        readers only ever see a complete index.
+        readers only ever see a complete index.  The shard lock is held
+        from the first payload read to the replace, so no put or delete
+        lands between what the rebuild read and what it writes.
         """
         shard = self.root / prefix
         folded: Dict[str, dict] = {}
-        for path in sorted(shard.glob("*.json")):
-            row = self._row_from_payload(path)
-            if row is not None:
-                folded[row["key"]] = row
-        shard.mkdir(parents=True, exist_ok=True)
-        descriptor, temp_name = tempfile.mkstemp(
-            prefix=f".{INDEX_FILENAME}.", suffix=".tmp", dir=shard)
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            for key in sorted(folded):
-                handle.write(json.dumps(folded[key], sort_keys=True) + "\n")
-        os.replace(temp_name, self.index_path(prefix))
-        self._cache.pop(prefix, None)
+        with self._locked(prefix):
+            for path in sorted(shard.glob("*.json")):
+                row = self._row_from_payload(path)
+                if row is not None:
+                    folded[row["key"]] = row
+            descriptor, temp_name = tempfile.mkstemp(
+                prefix=f".{INDEX_FILENAME}.", suffix=".tmp", dir=shard)
+            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
+                for key in sorted(folded):
+                    handle.write(json.dumps(folded[key], sort_keys=True)
+                                 + "\n")
+            os.replace(temp_name, self.index_path(prefix))
         registry = get_registry()
         if registry.enabled:
             registry.inc("repro_store_index_rebuilds_total")
@@ -220,13 +276,11 @@ class StoreIndex:
         return self.rebuild(prefix)
 
     def _row_from_payload(self, path: Path) -> Optional[dict]:
-        self.payload_reads += 1
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
+            payload = self.read_entry(path)
             spec = payload["spec"]
             meta = payload.get("meta", {})
-        except (OSError, json.JSONDecodeError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError):
             return None
         return {
             "v": INDEX_VERSION, "op": "put", "key": path.stem,

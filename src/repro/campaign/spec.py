@@ -18,6 +18,7 @@ would be circular.  ``ExperimentScale`` conversions import lazily.
 from __future__ import annotations
 
 import collections
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -285,7 +286,7 @@ class ScenarioSpec:
         to read two booleans is wasteful across a sweep's many
         ``resolved_num_attacking_*``/``validate`` calls, so the answer is
         cached per configuration on this spec instance (the cache is plain
-        instance state: dataclass equality, ``asdict`` and ``replace`` all
+        instance state: dataclass equality, ``to_dict`` and ``replace`` all
         ignore it).
         """
         if spec is None:
@@ -527,15 +528,26 @@ class ScenarioSpec:
     # ------------------------------------------------------------------ #
     def replace(self, **overrides) -> "ScenarioSpec":
         """A copy with ``overrides`` applied (attack fields are coerced)."""
-        known = {f.name for f in dataclasses.fields(self)}
-        unknown = set(overrides) - known
+        unknown = set(overrides).difference(SCENARIO_FIELDS)
         if unknown:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)} "
                              f"(check grid axis names)")
         return dataclasses.replace(self, **overrides)
 
     def to_dict(self) -> Dict[str, Any]:
-        payload = dataclasses.asdict(self)  # the three threat fields too
+        """Plain-data form, equal under ``==`` to ``dataclasses.asdict``.
+
+        Built field by field: ``asdict`` deep-copies every value, and
+        ``spec_hash()`` (every put, resume lookup and dedupe) pays for it.
+        Nested containers are still copies, never the spec's own.
+        """
+        payload = {name: getattr(self, name) for name in SCENARIO_FIELDS}
+        for name in _THREAT_FIELDS:
+            threat = payload[name]
+            if threat is not None:
+                payload[name] = {"name": threat.name,
+                                 "kwargs": copy.deepcopy(threat.kwargs)}
+        payload["delay_kwargs"] = dict(self.delay_kwargs)
         # Canonical compact form (defaulted event fields omitted) so that
         # equal schedules serialise — and therefore hash — identically.
         payload["faults"] = self.faults.to_dict() if self.faults else None
@@ -544,8 +556,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ScenarioSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - known
+        unknown = set(payload).difference(SCENARIO_FIELDS)
         if unknown:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
         return cls(**payload)
@@ -643,6 +654,13 @@ class ScenarioSpec:
             max_eval_samples=self.max_eval_samples,
             billed_parameters=self.billed_parameters,
         )
+
+
+#: :class:`ScenarioSpec`'s field names in declaration order — the keys of
+#: ``to_dict`` and the names ``from_dict``, ``replace`` and
+#: ``ResultStore.query`` accept
+SCENARIO_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioSpec))
+_THREAT_FIELDS = ("worker_attack", "server_attack", "adversary")
 
 
 # --------------------------------------------------------------------------- #

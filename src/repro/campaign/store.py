@@ -13,9 +13,15 @@ Layout (all JSON, human-greppable)::
 Each entry holds the full scenario spec, the serialised
 :class:`~repro.obs.history.TrainingHistory` and run metadata, so a store
 is self-describing: results can be compared across campaigns (and machines)
-without the producing code.  Writes go through a temp file + ``os.replace``
-so interrupted campaigns never leave half-written entries — which is what
-makes resume safe.
+without the producing code.  An entry is compact canonical JSON — sorted
+keys, no whitespace, one line; ``python -m json.tool`` pretty-prints it.
+Entries written indented by older versions read identically: there is one
+reader, ``json.load``.  Writes go through a temp file + ``os.replace`` so
+interrupted campaigns never leave half-written entries — which is what
+makes resume safe.  The replace (or a delete's unlink) and the entry's
+index row are made under one per-shard ``flock`` (see
+:mod:`repro.campaign.index`), so concurrent writers of one key cannot leave
+the row of one beside the entry of the other.
 
 Reads scale through the sidecar index: ``keys()``, ``query()`` and
 ``summary_rows()`` answer from the per-shard ``index.jsonl`` (flattened
@@ -30,7 +36,6 @@ the index (``repro store fsck`` / ``repro store gc`` from the CLI).
 
 from __future__ import annotations
 
-import dataclasses
 import difflib
 import json
 import os
@@ -41,7 +46,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.campaign.index import INDEX_FILENAME, StoreIndex, summary_from_history
-from repro.campaign.spec import ScenarioSpec
+from repro.campaign.spec import SCENARIO_FIELDS, ScenarioSpec
 from repro.obs.history import TrainingHistory
 from repro.obs.telemetry import get_registry
 from repro.obs.tracer import get_tracer
@@ -175,7 +180,6 @@ class ResultStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.index = StoreIndex(self.root)
-        self._payload_reads = 0
         self._sweep_stale_temp_files()
         registry = get_registry()
         if registry.enabled:
@@ -191,7 +195,7 @@ class ResultStore:
         ``summary_rows()`` leave this untouched however many entries the
         store holds.
         """
-        return self._payload_reads + self.index.payload_reads
+        return self.index.payload_reads
 
     def _sweep_stale_temp_files(self) -> int:
         """Remove temp litter left by killed writers.
@@ -248,18 +252,23 @@ class ResultStore:
                 **(extra_meta or {}),
             },
         }
+        # One C-encoder call and one write: ``indent`` would send json
+        # through its pure-Python encoder, a write call per token.
+        data = json.dumps(payload, sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
         # Unique temp name per writer: concurrent campaigns sharing a store
         # may race on the same key, and a shared ".tmp" would interleave.
         descriptor, temp_name = tempfile.mkstemp(prefix=f".{path.name}.",
                                                  suffix=".tmp",
                                                  dir=path.parent)
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        os.replace(temp_name, path)
-        # Entry first, index row second: a writer killed between the two
-        # leaves a key-set mismatch the next reader detects and rebuilds.
+        with os.fdopen(descriptor, "wb") as handle:
+            handle.write(data)
+        # Entry first, index row second, both under the shard lock: a
+        # writer killed between the two leaves a key-set mismatch the next
+        # reader detects and rebuilds.
         self.index.append_put(key, payload["spec"], payload["meta"],
-                              summary_from_history(payload["history"]))
+                              summary_from_history(payload["history"]),
+                              commit=lambda: os.replace(temp_name, path))
         get_tracer().count("store.put")
         registry = get_registry()
         if registry.enabled:
@@ -275,9 +284,7 @@ class ResultStore:
         path = self.path_for(key)
         if not path.is_file():
             raise KeyError(f"no stored result for key '{key}'")
-        self._payload_reads += 1
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+        payload = self.index.read_entry(path)
         get_tracer().count("store.get")
         registry = get_registry()
         if registry.enabled:
@@ -295,8 +302,7 @@ class ResultStore:
         path = self.path_for(key)
         if not path.is_file():
             return False
-        path.unlink()
-        self.index.append_delete(key)
+        self.index.append_delete(key, commit=path.unlink)
         get_tracer().count("store.delete")
         registry = get_registry()
         if registry.enabled:
@@ -306,10 +312,7 @@ class ResultStore:
 
     def _load_history(self, key: str) -> TrainingHistory:
         """Payload read behind a lazy :attr:`StoredResult.history`."""
-        path = self.path_for(key)
-        self._payload_reads += 1
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+        payload = self.index.read_entry(self.path_for(key))
         return TrainingHistory.from_dict(payload["history"])
 
     # ------------------------------------------------------------------ #
@@ -343,22 +346,21 @@ class ResultStore:
         Unknown field names raise :class:`KeyError` naming the nearest
         valid fields.
         """
-        spec_fields = {f.name for f in dataclasses.fields(ScenarioSpec)}
-        self._validate_filter_names(filters, spec_fields)
+        self._validate_filter_names(filters)
         matches = []
         for row in self.index.iter_entries():
-            if self._row_matches(row, filters, spec_fields):
+            if self._row_matches(row, filters):
                 matches.append(self._result_from_row(row))
         return matches
 
     @staticmethod
-    def _validate_filter_names(filters: Dict[str, Any],
-                               spec_fields: set) -> None:
-        valid = sorted(spec_fields) + list(META_FIELDS)
+    def _validate_filter_names(filters: Dict[str, Any]) -> None:
+        valid = sorted(SCENARIO_FIELDS) + list(META_FIELDS)
         unknown = []
         for name in filters:
             root = name.split(".", 1)[0]
-            if root in spec_fields or root == "meta" or name in META_FIELDS:
+            if (root in SCENARIO_FIELDS or root == "meta"
+                    or name in META_FIELDS):
                 continue
             unknown.append(name)
         if unknown:
@@ -373,8 +375,7 @@ class ResultStore:
             raise KeyError(message)
 
     @staticmethod
-    def _row_matches(row: Dict, filters: Dict[str, Any],
-                     spec_fields: set) -> bool:
+    def _row_matches(row: Dict, filters: Dict[str, Any]) -> bool:
         spec_dict = row.get("spec") or {}
         meta = row.get("meta") or {}
         for name, wanted in filters.items():
@@ -382,7 +383,7 @@ class ResultStore:
                 root, rest = name.split(".", 1)
                 scope = meta if root == "meta" else spec_dict.get(root)
                 value = _navigate(scope, rest.split("."))
-            elif name in spec_fields:
+            elif name in SCENARIO_FIELDS:
                 value = spec_dict.get(name, _MISSING)
                 if isinstance(value, dict) and "name" in value:
                     value = value["name"]
@@ -444,13 +445,11 @@ class ResultStore:
             unreadable: set = set()
             for path in sorted(shard.glob("*.json")):
                 report.entries += 1
-                self._payload_reads += 1
                 try:
-                    with open(path, "r", encoding="utf-8") as handle:
-                        payload = json.load(handle)
+                    payload = self.index.read_entry(path)
                     if not isinstance(payload, dict):
-                        raise json.JSONDecodeError("not an object", "", 0)
-                except (OSError, json.JSONDecodeError):
+                        raise ValueError("not an object")
+                except (OSError, ValueError):
                     report.issues.append(FsckIssue(
                         "corrupt_entry",
                         f"{path}: unreadable or truncated JSON",
@@ -552,11 +551,9 @@ class ResultStore:
                     if not dry_run:
                         self.delete(key)
             for path in sorted((self.root / prefix).glob("*.json")):
-                self._payload_reads += 1
                 try:
-                    with open(path, "r", encoding="utf-8") as handle:
-                        json.load(handle)
-                except (OSError, json.JSONDecodeError):
+                    self.index.read_entry(path)
+                except (OSError, ValueError):
                     removed_corrupt += 1
                     if not dry_run:
                         self.delete(path.stem)

@@ -1,6 +1,10 @@
 """Tests for the scenario campaign engine (spec, store, engine, resume)."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import (
     AttackSpec,
@@ -19,6 +23,8 @@ from repro.experiments.common import (
     make_model_factory,
     make_schedule,
 )
+from repro.faults import FaultEvent, FaultSchedule
+from repro.hetero import HeteroSpec, WorkerProfile
 from repro.runtime import run
 
 
@@ -115,6 +121,90 @@ class TestScenarioSpec:
         assert tiny_spec(worker_attack="sign_flip",
                          num_attacking_workers=0) \
             .resolved_num_attacking_workers() == 0
+
+
+def asdict_reference(spec: ScenarioSpec) -> dict:
+    """``to_dict`` as it was written with ``dataclasses.asdict``."""
+    payload = dataclasses.asdict(spec)
+    payload["faults"] = spec.faults.to_dict() if spec.faults else None
+    payload["hetero"] = spec.hetero.to_dict() if spec.hetero else None
+    return payload
+
+
+_KEYS = st.text(alphabet="abcdefgh_", min_size=1, max_size=6)
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-9, 9),
+                    st.floats(allow_nan=False), st.text(max_size=4))
+_VALUES = st.recursive(
+    _LEAVES, lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                     st.dictionaries(_KEYS, inner, max_size=3)),
+    max_leaves=8)
+_THREATS = st.one_of(
+    st.none(),
+    st.builds(AttackSpec, name=st.sampled_from(["sign_flip", "collusion"]),
+              kwargs=st.dictionaries(_KEYS, _VALUES, max_size=3)),
+    # the sleeper's inner strategy: a name/kwargs reference nested in kwargs
+    st.builds(lambda wake, inner_kwargs: AttackSpec("sleeper", {
+                  "wake_step": wake, "inner": "little_is_enough",
+                  "inner_kwargs": inner_kwargs}),
+              st.integers(0, 9), st.dictionaries(_KEYS, _VALUES, max_size=3)))
+_FAULTS = st.one_of(st.none(), st.builds(
+    FaultSchedule,
+    events=st.lists(st.builds(
+        FaultEvent, step=st.integers(0, 9),
+        kind=st.sampled_from(["crash", "partition", "slowdown"]),
+        nodes=st.lists(st.sampled_from(["worker/0", "ps/1"]), max_size=2),
+        groups=st.lists(st.lists(st.sampled_from(["worker/1", "ps/0"]),
+                                 max_size=2), max_size=2),
+        factor=st.floats(0.5, 4.0)), max_size=3),
+    drop_rate=st.sampled_from([0.0, 0.05])))
+_HETERO = st.one_of(st.none(), st.builds(
+    HeteroSpec, partition=st.sampled_from(["iid", "dirichlet", "shards"]),
+    alpha=st.floats(0.1, 5.0), imbalance=st.sampled_from([0.0, 1.5]),
+    profiles=st.lists(st.builds(WorkerProfile,
+                                batch_size=st.none() | st.integers(1, 32),
+                                local_steps=st.integers(1, 3)),
+                      max_size=2)))
+_SPECS = st.builds(
+    ScenarioSpec, name=st.text(max_size=6), seed=st.integers(0, 2**31),
+    worker_attack=_THREATS, server_attack=_THREATS, adversary=_THREATS,
+    delay_kwargs=st.dictionaries(st.sampled_from(["low", "high", "mean"]),
+                                 st.floats(0.0, 5.0), max_size=3),
+    faults=_FAULTS, hetero=_HETERO,
+    runtime=st.sampled_from([None, "batched"]),
+    model_quorum=st.none() | st.integers(1, 9))
+
+
+def _containers(value) -> list:
+    """Every dict and list nested in ``value``, outermost first."""
+    found = []
+    if isinstance(value, (dict, list)):
+        found.append(value)
+        for item in (value.values() if isinstance(value, dict) else value):
+            found.extend(_containers(item))
+    return found
+
+
+class TestSpecToDict:
+    @settings(max_examples=200, deadline=None)
+    @given(spec=_SPECS)
+    def test_equals_the_asdict_version(self, spec):
+        payload = spec.to_dict()
+        reference = asdict_reference(spec)
+        assert payload == reference
+        assert list(payload) == list(reference)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=_SPECS)
+    def test_returned_containers_are_copies(self, spec):
+        before, key = asdict_reference(spec), spec.spec_hash()
+        payload = spec.to_dict()
+        for container in _containers(payload)[1:]:
+            if isinstance(container, dict):
+                container["mutated"] = True
+            else:
+                container.append("mutated")
+        assert asdict_reference(spec) == before
+        assert spec.spec_hash() == key
 
 
 class TestScenarioValidation:

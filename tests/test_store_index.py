@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import threading
 
 import pytest
 
@@ -357,7 +358,65 @@ class TestGc:
 
 
 # --------------------------------------------------------------------------- #
-# Concurrent index writers (real processes)
+# Entry codec: compact canonical JSON written, any JSON read
+# --------------------------------------------------------------------------- #
+class TestEntryCodec:
+    def test_put_writes_one_compact_canonical_line(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        spec, history = tiny_spec(seed=1), tiny_history()
+        key = store.put(spec, history, duration_seconds=0.5)
+        raw = store.path_for(key).read_bytes()
+        payload = json.loads(raw)
+        assert b"\n" not in raw
+        assert raw == json.dumps(payload, sort_keys=True,
+                                 separators=(",", ":")).encode("utf-8")
+        assert payload["version"] == 1 and payload["key"] == key
+        assert payload["spec"] == spec.to_dict()
+        assert payload["history"] == history.to_dict()
+        assert payload["meta"]["duration_seconds"] == 0.5
+
+    def test_indented_and_compact_entries_answer_alike(self, tmp_path):
+        root = tmp_path / "store"
+        writer = ResultStore(root)
+        indented = writer.put(tiny_spec(seed=1, gradient_rule="median"),
+                              tiny_history(accuracy=0.25),
+                              duration_seconds=1.0)
+        compact = writer.put(tiny_spec(seed=2, gradient_rule="median"),
+                             tiny_history(accuracy=0.5), duration_seconds=1.0)
+        # rewrite one entry the way stores were written before entries
+        # became compact: same content, indented
+        path = writer.path_for(indented)
+        path.write_text(json.dumps(json.loads(path.read_bytes()), indent=2,
+                                   sort_keys=True), encoding="utf-8")
+        assert path.read_text().startswith('{\n  "history": {')
+        expected = {indented: (1, 0.25), compact: (2, 0.5)}
+
+        store = ResultStore(root)
+        for key, (seed, accuracy) in expected.items():
+            result = store.get(key)
+            assert result.spec.seed == seed
+            assert result.history.final_accuracy() == pytest.approx(accuracy)
+            assert result.meta["duration_seconds"] == 1.0
+        assert {r.key: (r.spec.seed, r.history.final_accuracy())
+                for r in store.query(gradient_rule="median")} == expected
+        rows = store.summary_rows()
+        assert {row["seed"]: row["final_accuracy"] for row in rows} \
+            == {1: 0.25, 2: 0.5}
+
+        for index_path in root.glob(f"??/{INDEX_FILENAME}"):
+            index_path.unlink()
+        rebuilt = ResultStore(root)
+        assert rebuilt.summary_rows() == rows  # from the payloads
+        assert rebuilt.payload_reads == 2
+        assert rebuilt.fsck().ok
+        assert rebuilt.gc(dry_run=True) == {
+            "removed_failed": 0, "removed_corrupt": 0,
+            "orphan_rows_dropped": 0, "stale_temps_removed": 0,
+            "shards_compacted": 0, "entries": 2}
+
+
+# --------------------------------------------------------------------------- #
+# Concurrent index writers (real processes, and threads for the same-key race)
 # --------------------------------------------------------------------------- #
 def _churn(root: str, keep_payloads, churn_payloads, history_payload,
            rounds: int) -> None:
@@ -411,6 +470,51 @@ class TestConcurrentIndexWriters:
             == {"shared", "a", "b"}
         assert store.fsck().ok
 
+    def test_same_key_put_race(self, tmp_path, monkeypatch):
+        # Writer A replaces the entry, then writer B puts the same key start
+        # to finish, then A appends its row: the entry would hold B's meta
+        # beside A's folded row, with the key sets still in agreement.  The
+        # shard lock makes B wait for A's row instead (A waits up to 1 s).
+        root = tmp_path / "store"
+        spec = tiny_spec(name="shared")
+        store_a, store_b = ResultStore(root), ResultStore(root)
+        a_replaced, b_done = threading.Event(), threading.Event()
+        real_replace = os.replace
+
+        def replace(source, target):
+            real_replace(source, target)
+            if threading.current_thread().name == "writer-a" \
+                    and not a_replaced.is_set():
+                a_replaced.set()
+                b_done.wait(timeout=1.0)
+
+        def write_a():
+            store_a.put(spec, tiny_history(), status="ran")
+
+        def write_b():
+            a_replaced.wait(timeout=30)
+            store_b.put(spec, tiny_history(), status="failed",
+                        extra_meta={"writer": "b"})
+            b_done.set()
+
+        monkeypatch.setattr(os, "replace", replace)
+        threads = [threading.Thread(target=write_a, name="writer-a"),
+                   threading.Thread(target=write_b, name="writer-b")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        monkeypatch.undo()
+        assert a_replaced.is_set() and b_done.is_set()
+
+        store = ResultStore(root)
+        report = store.fsck()
+        assert report.ok, report.to_dict()
+        (row,) = store.query(name="shared")
+        assert row.meta == store.get(spec.spec_hash()).meta
+        assert row.meta["writer"] == "b"
+
     def test_index_survives_a_torn_line_mid_write(self, tmp_path):
         # simulate a writer killed mid-append: entry file exists, index
         # row is half a line — the freshness check must trigger a rebuild
@@ -445,8 +549,9 @@ class TestStoreIndexUnit:
     def test_appends_are_single_writes_of_whole_lines(self, tmp_path):
         index = StoreIndex(tmp_path)
         index.append_put("ab" + "0" * 62, {"name": "x"}, {"status": "ran"},
-                         {"final_accuracy": None, "sim_time_s": 0.0})
-        index.append_delete("ab" + "0" * 62)
+                         {"final_accuracy": None, "sim_time_s": 0.0},
+                         commit=lambda: None)
+        index.append_delete("ab" + "0" * 62, commit=lambda: None)
         lines = (tmp_path / "ab" / INDEX_FILENAME).read_text().splitlines()
         assert len(lines) == 2
         assert all(json.loads(line) for line in lines)
