@@ -16,9 +16,10 @@ be **bit-identical** to the autograd path per replica slice:
   GEMM per replica slice.
 
 ``tests/test_batch_equivalence.py`` pins this guarantee against the real
-trainers.  Only the dense models (``softmax``, ``mlp``) are supported — the
-convolutional models go through :class:`BatchingUnsupported` and the caller
-falls back to sequential execution.
+trainers.  Only the dense models (``softmax``, ``mlp``) are supported:
+:func:`repro.batch.spec_supports_batching` sends the convolutional models
+to the sequential simulator before anything is built here, and
+:class:`BatchingUnsupported` guards the direct callers.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ BATCHABLE_MODELS = ("softmax", "mlp")
 
 
 class BatchingUnsupported(Exception):
-    """The scenario cannot run on the batched runtime (caller falls back)."""
+    """The scenario cannot run on the batched runtime."""
 
 
 def _forward_layers(template: Module) -> List[Module]:

@@ -25,9 +25,11 @@ The result is **bit-identical per seed** to running the scenario through
 (``tests/test_batch_equivalence.py``) compares full histories.
 
 Scenarios the batched formulation cannot express (convolutional models,
-non-``guanyu`` trainers) raise :class:`BatchingUnsupported`; transient
-conditions a single replica would have failed on (quorum starvation under
-heavy message loss) raise :class:`BatchedExecutionError`.  The campaign
+non-``guanyu`` trainers) raise :class:`BatchingUnsupported`; the default
+dispatch never sends them here, and ``runtime: "batched"`` on one fails
+validation.  Transient conditions a single replica would have failed on
+(quorum starvation under heavy message loss) raise
+:class:`BatchedExecutionError`.  The campaign
 engine re-runs a failed group one scenario at a time, so one starved seed
 cannot fail its siblings; a lone lane's error *is* the scenario's outcome
 (for quorum starvation, the sequential simulator's sentence word for
@@ -67,6 +69,7 @@ from repro.obs.history import StepRecord, TrainingHistory
 from repro.obs.telemetry import get_registry, phase
 from repro.obs.tracer import get_tracer
 from repro.network.message import MessageKind
+from repro.runtime.facade import TRAINERS
 
 
 #: float64 elements a folded ``(J·R, q, D)`` quorum stack may hold: 2 MiB, an
@@ -84,15 +87,25 @@ class BatchedExecutionError(RuntimeError):
 
 
 def spec_supports_batching(spec) -> bool:
-    """Whether a :class:`ScenarioSpec` can run on the batched runtime."""
-    return spec.trainer == "guanyu" and spec.model in BATCHABLE_MODELS
+    """Whether a :class:`ScenarioSpec` can run on the batched runtime: its
+    trainer's row of :data:`repro.runtime.facade.TRAINERS` lists it, and
+    its model is a dense stack."""
+    return ("batched" in TRAINERS[spec.trainer].runtimes
+            and spec.model in BATCHABLE_MODELS)
 
 
-def _seedless_payload(spec) -> Dict:
-    payload = spec.to_dict()
-    payload.pop("name")
-    payload.pop("seed")
-    return payload
+def _check_group(specs: Sequence) -> None:
+    """Raise unless ``specs`` are seeds of one configuration the batched
+    runtime can express."""
+    if specs and not spec_supports_batching(specs[0]):
+        raise BatchingUnsupported(
+            f"trainer '{specs[0].trainer}' / model '{specs[0].model}' has "
+            f"no batched formulation")
+    payloads = [{key: value for key, value in spec.to_dict().items()
+                 if key not in ("name", "seed")} for spec in specs]
+    if any(payload != payloads[0] for payload in payloads[1:]):
+        raise ValueError("batched execution requires scenarios that differ "
+                         "only in seed (and name)")
 
 
 # --------------------------------------------------------------------------- #
@@ -234,18 +247,8 @@ class BatchedGuanYuTrainer:
         specs = list(specs)
         if not specs:
             raise ValueError("need at least one scenario spec")
+        _check_group(specs)
         base = specs[0]
-        if not spec_supports_batching(base):
-            raise BatchingUnsupported(
-                f"trainer '{base.trainer}' / model '{base.model}' has no "
-                f"batched formulation")
-        reference = _seedless_payload(base)
-        for spec in specs[1:]:
-            if _seedless_payload(spec) != reference:
-                raise ValueError(
-                    "batched execution requires scenarios that differ only "
-                    "in seed (and name)")
-
         self.specs = specs
         self.num_replicas = len(specs)
         self.config = base.cluster_config()
@@ -987,24 +990,15 @@ def run_batched_scenarios(specs: Sequence, lanes: Optional[int] = None,
     sequential trainer — per seed.  The active kernel backend propagates
     to the chunk workers.  Exceptions raised inside a chunk (including
     :class:`BatchedExecutionError`) propagate to the caller, where the
-    campaign engine's sequential fallback applies as usual.
+    campaign engine's per-scenario re-run applies as usual.
     """
     specs = list(specs)
     for spec in specs:
         spec.validate()
-    if specs and not spec_supports_batching(specs[0]):
-        raise BatchingUnsupported(
-            f"trainer '{specs[0].trainer}' / model '{specs[0].model}' has "
-            f"no batched formulation")
     # The cross-spec check must run in the parent: chunks only see their
     # own slice, and a mixed group split across chunks would otherwise be
     # silently accepted.
-    reference = _seedless_payload(specs[0]) if specs else None
-    for spec in specs[1:]:
-        if _seedless_payload(spec) != reference:
-            raise ValueError(
-                "batched execution requires scenarios that differ only "
-                "in seed (and name)")
+    _check_group(specs)
 
     if lanes is None:
         lanes = 1

@@ -6,10 +6,12 @@ Turns expanded :class:`~repro.campaign.spec.ScenarioSpec` lists into
 * scenarios already present in the optional :class:`ResultStore` are served
   from cache (this is what makes interrupted campaigns resumable — re-run
   the same campaign and only the missing cells execute);
-* missing scenarios run through :func:`repro.runtime.run` — which picks
-  the vectorised engine, the sequential simulator or a live runtime from
-  the spec — serially or on a ``multiprocessing`` pool, each with the
-  deterministic seed carried by its spec;
+* missing scenarios run through :func:`repro.runtime.run` — whose
+  dispatch tables pick the vectorised engine, the sequential simulator or
+  a live runtime from the spec, and build the trainer
+  (:func:`build_trainer`, re-exported here) — serially or on a
+  ``multiprocessing`` pool, each with the deterministic seed carried by
+  its spec;
 * a failing scenario never takes the campaign down: its traceback is
   captured into a ``failed`` outcome and the remaining scenarios proceed.
 
@@ -26,20 +28,14 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.aggregation import get_rule
 from repro.batch import run_batched_scenarios, spec_supports_batching
 from repro.campaign.spec import CampaignSpec, ScenarioSpec, ensure_unique_names
 from repro.campaign.store import ResultStore
-from repro.core.trainer import (
-    GuanYuTrainer,
-    SingleServerKrumTrainer,
-    VanillaTrainer,
-)
-from repro.core.wiring import scenario_arguments
 from repro.obs.history import TrainingHistory
 from repro.kernels import use_backend
 from repro.obs.telemetry import MetricsRegistry, get_registry, use_registry
 from repro.obs.tracer import Tracer, get_tracer, use_tracer
+from repro.runtime.facade import build_trainer  # noqa: F401 - re-exported
 from repro.runtime.facade import run as run_scenario
 
 #: callback signature: ``progress(outcome, completed_count, total_count)``
@@ -99,76 +95,6 @@ class CampaignResult:
         return self
 
 
-# --------------------------------------------------------------------------- #
-# Single-scenario execution
-# --------------------------------------------------------------------------- #
-def build_trainer(spec: ScenarioSpec):
-    """Construct the trainer/runtime a scenario describes (not yet run)."""
-    if spec.trainer == "guanyu_threaded" and spec.runtime == "cluster":
-        from repro.runtime.cluster.supervisor import (  # lazy: sockets
-            ClusterRuntime,
-            cluster_available,
-        )
-
-        if cluster_available():
-            return ClusterRuntime(spec)
-        # Sockets unusable on this host (sandboxes forbid binding): fall
-        # back to the threaded runtime, whose loss trajectories the tier-1
-        # cluster equivalence gate pins to the cluster's.
-    arguments, test, model_fn = scenario_arguments(spec)
-    if spec.trainer == "guanyu_threaded":
-        from repro.runtime.threads import ThreadedClusterRuntime  # lazy
-
-        return ThreadedClusterRuntime(
-            config=spec.cluster_config(), model_fn=model_fn,
-            jitter=spec.jitter, quorum_timeout=spec.quorum_timeout,
-            **arguments)
-    simulated = dict(
-        model_fn=model_fn, test_dataset=test,
-        delay_model=spec.build_delay_model(),
-        cost_model=spec.build_cost_model(),
-        cost_num_parameters=spec.billed_parameters, label=spec.name)
-    if spec.trainer == "guanyu":
-        return GuanYuTrainer(config=spec.cluster_config(), **arguments,
-                             **simulated)
-    # The single-server baselines take the worker side of the vocabulary.
-    simulated.update(
-        (key, arguments[key]) for key in (
-            "train_dataset", "seed", "batch_size", "sharding", "hetero",
-            "schedule", "worker_attack", "num_attacking_workers"))
-    if spec.trainer == "vanilla":
-        return VanillaTrainer(
-            num_workers=spec.num_workers,
-            external_communication=spec.external_communication,
-            gradient_rule=get_rule(spec.gradient_rule,
-                                   num_byzantine=spec.declared_byzantine_workers),
-            **simulated)
-    if spec.trainer == "single_server_krum":
-        return SingleServerKrumTrainer(
-            num_byzantine_workers=spec.declared_byzantine_workers,
-            num_workers=spec.num_workers, **simulated)
-    raise ValueError(f"unknown trainer '{spec.trainer}'")
-
-
-def _execute_validated(spec: ScenarioSpec) -> TrainingHistory:
-    """Build and run one already-validated scenario.
-
-    This is the sequential/threaded/cluster execution body behind
-    :func:`repro.runtime.run` (which owns validation, runtime resolution
-    and kernel-backend selection).  The facade dispatches the batched
-    runtime to :mod:`repro.batch` directly; a dense-model ``guanyu`` spec
-    reaches here only when that engine raised ``BatchingUnsupported`` for
-    a spec that did not name a runtime.
-    """
-    trainer = build_trainer(spec)
-    if spec.trainer == "guanyu_threaded":  # threads or cluster: wall clock
-        history = trainer.run(spec.num_steps)
-        history.label = spec.name
-        return history
-    return trainer.run(spec.num_steps, eval_every=spec.eval_every,
-                       max_eval_samples=spec.max_eval_samples)
-
-
 def _run_payload(payload: Dict) -> Dict:
     """Pool-friendly wrapper: dict spec in, dict outcome out, never raises.
 
@@ -225,9 +151,7 @@ def _run_batched_payloads(payloads: List[Dict],
     by scenario through :func:`repro.runtime.run` — per-seed failure
     isolation, not a second engine: each seed runs as a one-lane group, so
     the seed that starved a quorum reports the engine's own
-    ``BatchedExecutionError`` and the others complete.  The sequential
-    trainer is reached only where :func:`repro.runtime.run` meets
-    ``BatchingUnsupported``.
+    ``BatchedExecutionError`` and the others complete.
     """
     started = time.perf_counter()
     outer = get_tracer()
@@ -305,8 +229,8 @@ def run_campaign(campaign: Union[CampaignSpec, Iterable[ScenarioSpec]],
         multi-replica execution (:mod:`repro.batch`) instead of N separate
         simulations.  Results are bit-identical per seed and are stored
         under each scenario's unchanged content address, so existing stores
-        stay valid; groups the batched runtime cannot execute fall back to
-        sequential runs automatically.
+        stay valid; a group that fails re-runs scenario by scenario, so one
+        seed's failure stays its own.
     lanes:
         ``> 1`` shards each batched seed group's replica lanes over a
         process pool of that many workers

@@ -39,8 +39,8 @@ from repro.network.delays import (
     UniformDelay,
 )
 from repro.runtime.cost import GRID5000_LIKE, INSTANT, CostModel
+from repro.runtime.facade import TRAINERS, check_runtime
 
-_TRAINERS = ("guanyu", "vanilla", "single_server_krum", "guanyu_threaded")
 _DELAY_MODELS = {
     "constant": ConstantDelay,
     "uniform": UniformDelay,
@@ -54,7 +54,7 @@ _MODELS = ("softmax", "mlp", "small_cnn", "paper_cnn")
 
 def available_trainers() -> List[str]:
     """Trainer kinds a scenario can request."""
-    return list(_TRAINERS)
+    return list(TRAINERS)
 
 
 def available_delay_models() -> List[str]:
@@ -346,8 +346,14 @@ class ScenarioSpec:
     # Validation
     # ------------------------------------------------------------------ #
     def validate(self) -> "ScenarioSpec":
-        """Check admissibility; raises ``ValueError`` on an invalid spec."""
-        if self.trainer not in _TRAINERS:
+        """Check admissibility; raises ``ValueError`` on an invalid spec.
+
+        What depends on the trainer — the fields it ignores, the runtimes
+        it admits, whether it has replicated servers — is read from
+        :data:`repro.runtime.facade.TRAINERS`.
+        """
+        trainer = TRAINERS.get(self.trainer)
+        if trainer is None:
             raise ValueError(f"unknown trainer '{self.trainer}'; "
                              f"available: {available_trainers()}")
         for rule in (self.gradient_rule, self.model_rule):
@@ -365,16 +371,15 @@ class ScenarioSpec:
         for count in (self.num_attacking_workers, self.num_attacking_servers):
             if count is not None and count < 0:
                 raise ValueError("attacker counts must be non-negative")
-        if self.adversary is not None:
-            if self.worker_attack is not None or self.server_attack is not None:
-                raise ValueError(
-                    "give either an adversary or legacy per-node attacks, "
-                    "not both")
-            if self.trainer not in ("guanyu", "guanyu_threaded"):
-                raise ValueError(
-                    "adversaries model the paper's full threat model and "
-                    "apply only to the GuanYu trainers; the single-server "
-                    "baselines take a worker_attack instead")
+        if self.adversary is not None and (self.worker_attack is not None
+                                           or self.server_attack is not None):
+            raise ValueError("give either an adversary or legacy per-node "
+                             "attacks, not both")
+        for name, reason in trainer.ignores.items():
+            default = _DEFAULTS[name]
+            if getattr(self, name) != default:
+                raise ValueError(f"trainer '{self.trainer}' {reason}; leave "
+                                 f"'{name}' at its default {default!r}")
         attacks_workers = attacks_servers = False
         for spec, role in ((self.worker_attack, "worker"),
                            (self.server_attack, "server"),
@@ -406,64 +411,20 @@ class ScenarioSpec:
                     "a hetero spec replaces the legacy sharding strategies; "
                     f"leave sharding at 'iid' (got '{self.sharding}')")
             self.hetero.validate(num_workers=self.num_workers)
-        if self.external_communication and self.trainer != "vanilla":
-            raise ValueError("external_communication models the 'vanilla "
-                             "GuanYu' baseline and applies only to trainer "
-                             "'vanilla'")
         if self.faults is not None:
-            if self.trainer not in ("guanyu", "guanyu_threaded"):
-                raise ValueError(
-                    "fault schedules require replicated parameter servers; "
-                    f"trainer '{self.trainer}' assumes a live trusted server")
             config = self.cluster_config()
             self.faults.validate(
                 known_nodes=config.worker_ids() + config.server_ids())
-        if self.runtime is not None:
-            if self.runtime not in ("batched", "cluster"):
-                raise ValueError(f"unknown runtime '{self.runtime}'; the "
-                                 f"explicit runtimes are 'batched' and "
-                                 f"'cluster' (absent means the trainer's "
-                                 f"legacy default)")
-            if self.runtime == "cluster" and self.trainer != "guanyu_threaded":
-                raise ValueError(
-                    "runtime 'cluster' runs the wall-clock cluster protocol "
-                    "as real OS processes and requires trainer "
-                    f"'guanyu_threaded' (got '{self.trainer}')")
-            if self.runtime == "batched":
-                from repro.batch import spec_supports_batching  # lazy: cycle
-                if not spec_supports_batching(self):
-                    raise ValueError(
-                        f"runtime 'batched' requires trainer 'guanyu' and a "
-                        f"replica-batchable dense model (got trainer "
-                        f"'{self.trainer}', model '{self.model}')")
         if self.kernels is not None:
             from repro.kernels import available_backends  # lazy: cycle
             if self.kernels not in available_backends():
                 raise ValueError(
                     f"unknown kernel backend '{self.kernels}'; available: "
                     f"{list(available_backends())}")
-            if self.runtime == "cluster":
-                raise ValueError(
-                    "runtime 'cluster' spawns one OS process per node and "
-                    "does not propagate an in-process kernel selection; "
-                    "set the REPRO_KERNEL_BACKEND environment variable "
-                    "instead")
-        if self.trainer == "guanyu_threaded":
-            # The threaded runtime runs on the real wall clock: delay/cost
-            # models do not apply, and silently ignoring them would let two
-            # identical runs hash to different store keys.
-            if (self.delay_model != "uniform" or self.delay_kwargs
-                    or self.cost_model != "grid5000"):
-                raise ValueError(
-                    "trainer 'guanyu_threaded' runs on the real clock and "
-                    "ignores delay/cost models; leave them at their defaults "
-                    "(its knobs are 'jitter' and 'quorum_timeout')")
-        elif self.jitter != 0.0 or self.quorum_timeout != 60.0:
-            raise ValueError("'jitter' and 'quorum_timeout' apply only to "
-                             "trainer 'guanyu_threaded'; simulated trainers "
-                             "take a delay_model instead")
+        if self.runtime is not None:
+            check_runtime(self, self.runtime)
 
-        if self.trainer in ("guanyu", "guanyu_threaded"):
+        if trainer.replicated:
             config = self.cluster_config()  # raises on n < 3f + 3 etc.
             if self.resolved_num_attacking_workers() > config.num_byzantine_workers:
                 raise ValueError("more attacking workers than declared "
@@ -492,18 +453,6 @@ class ScenarioSpec:
                 raise ValueError("num_workers must be positive")
             if self.resolved_num_attacking_workers() > self.num_workers:
                 raise ValueError("cannot have more attacking workers than workers")
-            # Knobs the single-server trainers ignore must stay at their
-            # defaults — otherwise the store would record (and hash) a rule
-            # the run never used.
-            if self.trainer == "single_server_krum" \
-                    and self.gradient_rule != "multi_krum":
-                raise ValueError("trainer 'single_server_krum' always "
-                                 "aggregates with multi_krum; use trainer "
-                                 "'vanilla' to choose a gradient rule")
-            if self.model_rule != "median":
-                raise ValueError(f"trainer '{self.trainer}' has a single "
-                                 f"parameter server and never aggregates "
-                                 f"models; leave model_rule at 'median'")
             gradient_rule = get_rule(self.gradient_rule,
                                      num_byzantine=self.declared_byzantine_workers)
             if gradient_rule.minimum_inputs() > self.num_workers:
@@ -512,15 +461,6 @@ class ScenarioSpec:
                     f"f̄={self.declared_byzantine_workers} needs at least "
                     f"{gradient_rule.minimum_inputs()} inputs but only "
                     f"{self.num_workers} workers respond")
-            if self.server_attack is not None:
-                raise ValueError(f"trainer '{self.trainer}' assumes a trusted "
-                                 f"parameter server; remove the server attack")
-            if self.trainer == "single_server_krum":
-                minimum = 2 * self.declared_byzantine_workers + 3
-                if self.num_workers < minimum:
-                    raise ValueError(
-                        f"Multi-Krum with f={self.declared_byzantine_workers} "
-                        f"needs at least {minimum} workers")
         return self
 
     # ------------------------------------------------------------------ #
@@ -661,6 +601,8 @@ class ScenarioSpec:
 #: ``ResultStore.query`` accept
 SCENARIO_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioSpec))
 _THREAT_FIELDS = ("worker_attack", "server_attack", "adversary")
+#: field → default, what a trainer's ignored fields are compared against
+_DEFAULTS = vars(ScenarioSpec())
 
 
 # --------------------------------------------------------------------------- #

@@ -644,7 +644,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     """Run one scenario as real OS processes over real sockets."""
     from repro.runtime.cluster import (
         ClusterOptions,
-        ClusterRuntime,
+        Supervisor,
         SupervisorError,
         cluster_available,
     )
@@ -670,19 +670,18 @@ def cmd_cluster(args: argparse.Namespace) -> int:
               "runtime instead (repro sweep --trainer guanyu_threaded)",
               file=sys.stderr)
         return 1
-    runtime = ClusterRuntime(spec,
-                             options=ClusterOptions(transport=args.transport))
+    supervisor = Supervisor(spec,
+                            options=ClusterOptions(transport=args.transport))
 
     def cluster_status() -> Dict:
-        report = runtime.report()
         return {"command": "cluster", "scenario": spec.name,
-                "report": report if report is not None else {}}
+                "report": supervisor.report()}
 
     started = time.perf_counter()
     with _metrics_endpoint(args.metrics_port, cluster_status):
         try:
             with _graceful_interrupt():
-                history = runtime.run(spec.num_steps)
+                history = supervisor.run()
         except KeyboardInterrupt:
             # Supervisor.run tears the node processes down in its
             # ``finally`` before the interrupt reaches us; a single
@@ -698,18 +697,17 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                            trace_path=args.trace, crash_dir=args.crash_dir,
                            context={"error": str(exc)})
             print(f"error: cluster run failed: {exc}", file=sys.stderr)
-            report = runtime.report()
-            if report is not None:
-                if args.json_report:
-                    print(json.dumps(report, indent=2, sort_keys=True,
-                                     default=str))
-                else:
-                    print("\nNode lifecycle at failure:", file=sys.stderr)
-                    print(format_table(_cluster_report_rows(report)),
-                          file=sys.stderr)
+            report = supervisor.report()
+            if args.json_report:
+                print(json.dumps(report, indent=2, sort_keys=True,
+                                 default=str))
+            else:
+                print("\nNode lifecycle at failure:", file=sys.stderr)
+                print(format_table(_cluster_report_rows(report)),
+                      file=sys.stderr)
             return 1
         elapsed = time.perf_counter() - started
-        report = runtime.report()
+        report = supervisor.report()
         key = (store.put(spec, history, duration_seconds=elapsed)
                if store is not None else None)
         if args.json_report:

@@ -31,7 +31,6 @@ from repro.runtime.cluster.protocol import (
 )
 from repro.runtime.cluster.supervisor import (
     ClusterOptions,
-    ClusterRuntime,
     NodeHandle,
     Supervisor,
     SupervisorError,
@@ -47,7 +46,6 @@ from repro.runtime.cluster.transport import (
 __all__ = [
     "CONTROL_KINDS",
     "ClusterOptions",
-    "ClusterRuntime",
     "DATA_KINDS",
     "Frame",
     "FrameError",

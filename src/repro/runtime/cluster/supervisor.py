@@ -56,10 +56,10 @@ from repro.runtime.cluster.transport import (
     bind_listener,
     unix_sockets_available,
 )
+from repro.runtime.facade import check_runtime
 
 __all__ = [
     "ClusterOptions",
-    "ClusterRuntime",
     "NodeHandle",
     "Supervisor",
     "SupervisorError",
@@ -147,9 +147,7 @@ class Supervisor:
     def __init__(self, spec: ScenarioSpec, num_steps: Optional[int] = None,
                  options: Optional[ClusterOptions] = None) -> None:
         spec.validate()
-        if spec.trainer != "guanyu_threaded":
-            raise ValueError("the cluster runtime runs 'guanyu_threaded' "
-                             f"scenarios, not '{spec.trainer}'")
+        check_runtime(spec, "cluster")
         self.spec = spec
         self.num_steps = num_steps if num_steps is not None else spec.num_steps
         if self.num_steps <= 0:
@@ -727,39 +725,14 @@ class Supervisor:
                 "nodes": nodes}
 
 
-# --------------------------------------------------------------------------- #
-# Engine-facing wrapper
-# --------------------------------------------------------------------------- #
-class ClusterRuntime:
-    """Drop-in trainer: ``ClusterRuntime(spec).run(num_steps)``.
-
-    Mirrors the calling convention of
-    :class:`~repro.runtime.threads.ThreadedClusterRuntime` so the campaign
-    engine dispatches to it with no special casing beyond construction.
-    """
-
-    def __init__(self, spec: ScenarioSpec,
-                 options: Optional[ClusterOptions] = None) -> None:
-        self.spec = spec
-        self.options = options
-        self.supervisor: Optional[Supervisor] = None
-
-    def run(self, num_steps: int) -> TrainingHistory:
-        self.supervisor = Supervisor(self.spec, num_steps=num_steps,
-                                     options=self.options)
-        return self.supervisor.run()
-
-    def report(self) -> Optional[Dict]:
-        return self.supervisor.report() if self.supervisor else None
-
-
 def cluster_available() -> bool:
     """Whether this host can run the socket cluster (bind + connect work).
 
-    Sandboxes occasionally forbid socket binding altogether; the campaign
-    engine falls back to the threaded runtime when this returns ``False``
-    — as it does where ``os.fork`` is missing, since nodes are forked from
-    the template process.
+    Sandboxes occasionally forbid socket binding altogether;
+    :func:`repro.runtime.resolve_runtime` resolves a ``"cluster"`` spec to
+    ``"threaded"`` when this returns ``False`` — as it does where
+    ``os.fork`` is missing, since nodes are forked from the template
+    process.
     """
     if not hasattr(os, "fork"):
         return False

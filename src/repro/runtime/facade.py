@@ -1,33 +1,30 @@
-"""One front door for executing a scenario: :func:`repro.runtime.run`.
-
-Four execution runtimes grew side by side — the sequential simulated
-trainers, the vectorised batched runtime, the threaded runtime and the
-process-cluster runtime — each with its own entrypoint.  This module
-collapses them behind a single call::
+"""One front door for executing a scenario: :func:`repro.runtime.run`::
 
     from repro.runtime import run
     result = run(spec)                 # ScenarioResult
     result.history                     # TrainingHistory
     result.runtime                     # "sequential" | "batched" | ...
 
+This is the one module that knows which trainer runs on which runtime.  Two
+tables hold that knowledge: :data:`TRAINERS`, one row per
+``ScenarioSpec.trainer`` (replicated servers or not, the runtimes it runs
+on, the fields it ignores, how to build it), and :data:`EXECUTORS`, one
+``spec -> TrainingHistory`` function per runtime kind.
+
 Dispatch is driven entirely by the spec: ``ScenarioSpec.runtime`` when
-explicit (``"batched"``, ``"cluster"``); otherwise ``guanyu_threaded`` →
-threaded, a ``guanyu`` scenario over a dense model → the vectorised
-engine as a one-lane (R = 1) group, and everything else (conv models, the
-single-server baselines) → the sequential simulator.  A one-lane run owns
-its outcome: a quorum-starved step fails as the engine's
-``BatchedExecutionError`` (the simulator's sentence, word for word) and any
-other error propagates as raised; only ``BatchingUnsupported`` re-runs on
-the sequential :class:`~repro.core.trainer.GuanYuTrainer`.  Tracer and
-registry state never enter the choice.  The run
-executes under the spec's kernel backend (``ScenarioSpec.kernels``, via
-:func:`repro.kernels.use_backend`) and, when given a store, is served from
-cache / persisted under the spec's content address exactly like the
-campaign engine does.
+explicit (``"batched"``, ``"cluster"``); otherwise a ``guanyu`` scenario
+over a dense model is a one-lane (R = 1) group of the vectorised engine
+and every other scenario runs on its trainer's first runtime.  A
+``"cluster"`` spec on a host that cannot bind sockets resolves to
+``"threaded"``, and :attr:`ScenarioResult.runtime` says so.  Whatever the
+engine raises is the scenario's outcome — a quorum-starved lane's
+``BatchedExecutionError`` is the simulator's sentence, word for word — and
+nothing is re-run elsewhere.  Tracer and registry state never enter the
+choice.  The run executes under the spec's kernel backend and, given a
+store, is served from cache / persisted under the spec's content address.
 
 This module must not import :mod:`repro.campaign` (or anything that
-imports it) at module level — campaign specs import
-:mod:`repro.runtime.cost`, so the package has to stay import-light.
+imports it) at module level: campaign specs read :data:`TRAINERS`.
 """
 
 from __future__ import annotations
@@ -35,11 +32,11 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.kernels import use_backend
 from repro.obs.telemetry import get_registry
-from repro.obs.tracer import get_tracer, use_tracer
+from repro.obs.tracer import use_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (cycles otherwise)
     from repro.campaign.spec import ScenarioSpec
@@ -47,8 +44,197 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports (cycles otherwise)
     from repro.obs.history import TrainingHistory
     from repro.obs.tracer import Tracer
 
+
+# --------------------------------------------------------------------------- #
+# Trainers: ``build(spec, arguments, test, model_fn)`` over the wiring's
+# vocabulary (:func:`repro.core.wiring.scenario_arguments`); imports are
+# lazy, see the module docstring
+# --------------------------------------------------------------------------- #
+def _simulated(spec, test, model_fn) -> Dict[str, Any]:
+    return dict(model_fn=model_fn, test_dataset=test,
+                delay_model=spec.build_delay_model(),
+                cost_model=spec.build_cost_model(),
+                cost_num_parameters=spec.billed_parameters, label=spec.name)
+
+
+def _guanyu(spec, arguments, test, model_fn):
+    from repro.core.trainer import GuanYuTrainer
+
+    return GuanYuTrainer(config=spec.cluster_config(), **arguments,
+                         **_simulated(spec, test, model_fn))
+
+
+def _threaded(spec, arguments, _test, model_fn):
+    from repro.runtime.threads import ThreadedClusterRuntime
+
+    return ThreadedClusterRuntime(
+        config=spec.cluster_config(), model_fn=model_fn, jitter=spec.jitter,
+        quorum_timeout=spec.quorum_timeout, **arguments)
+
+
+def _single_server(spec, arguments, test, model_fn) -> Dict[str, Any]:
+    """The single-server baselines take the worker side of the vocabulary."""
+    keywords = _simulated(spec, test, model_fn)
+    keywords.update(
+        (key, arguments[key]) for key in (
+            "train_dataset", "seed", "batch_size", "sharding", "hetero",
+            "schedule", "worker_attack", "num_attacking_workers"))
+    return keywords
+
+
+def _vanilla(spec, *wiring):
+    from repro.aggregation import get_rule
+    from repro.core.trainer import VanillaTrainer
+
+    return VanillaTrainer(
+        num_workers=spec.num_workers,
+        external_communication=spec.external_communication,
+        gradient_rule=get_rule(spec.gradient_rule,
+                               num_byzantine=spec.declared_byzantine_workers),
+        **_single_server(spec, *wiring))
+
+
+def _single_server_krum(spec, *wiring):
+    from repro.core.trainer import SingleServerKrumTrainer
+
+    return SingleServerKrumTrainer(
+        num_byzantine_workers=spec.declared_byzantine_workers,
+        num_workers=spec.num_workers, **_single_server(spec, *wiring))
+
+
+@dataclass(frozen=True)
+class TrainerKind:
+    """One row of :data:`TRAINERS`: what a ``ScenarioSpec.trainer`` means."""
+
+    #: replicated parameter servers (GuanYu) rather than one trusted server
+    replicated: bool
+    #: runtime kinds it runs on: the first when the spec names none (unless
+    #: the batched engine takes it), the others by ``ScenarioSpec.runtime``
+    runtimes: Tuple[str, ...]
+    #: field → why the trainer ignores it.  ``ScenarioSpec.validate`` keeps
+    #: such a field at its default, or the store would record (and hash) a
+    #: knob the run never used.
+    ignores: Dict[str, str]
+    build: Callable[..., Any]
+
+
+_SIMULATED_CLOCK = ("runs on a simulated clock and takes a delay_model "
+                    "instead (the wall-clock knobs apply only to trainer "
+                    "'guanyu_threaded')")
+_REAL_CLOCK = ("runs on the real clock and ignores delay/cost models (its "
+               "knobs are 'jitter' and 'quorum_timeout')")
+_NOT_VANILLA = ("is not the 'vanilla GuanYu' baseline, which "
+                "external_communication models (trainer 'vanilla')")
+_SINGLE_SERVER = {
+    "jitter": _SIMULATED_CLOCK, "quorum_timeout": _SIMULATED_CLOCK,
+    "adversary": "is a single-server baseline, and adversaries model the "
+                 "paper's full threat model (take a worker_attack instead)",
+    "faults": "assumes a live trusted server; fault schedules require "
+              "replicated parameter servers",
+    "server_attack": "assumes a trusted parameter server",
+    "model_rule": "has a single parameter server and never aggregates "
+                  "models",
+}
+
+#: ``ScenarioSpec.trainer`` → :class:`TrainerKind`, in
+#: :func:`repro.campaign.available_trainers` order
+TRAINERS: Dict[str, TrainerKind] = {
+    "guanyu": TrainerKind(
+        replicated=True, runtimes=("sequential", "batched"),
+        ignores={"jitter": _SIMULATED_CLOCK,
+                 "quorum_timeout": _SIMULATED_CLOCK,
+                 "external_communication": _NOT_VANILLA},
+        build=_guanyu),
+    "vanilla": TrainerKind(
+        replicated=False, runtimes=("sequential",),
+        ignores=_SINGLE_SERVER, build=_vanilla),
+    "single_server_krum": TrainerKind(
+        replicated=False, runtimes=("sequential",),
+        ignores={**_SINGLE_SERVER, "external_communication": _NOT_VANILLA,
+                 "gradient_rule": "always aggregates with multi_krum (use "
+                                  "trainer 'vanilla' to choose a gradient "
+                                  "rule)"},
+        build=_single_server_krum),
+    "guanyu_threaded": TrainerKind(
+        replicated=True, runtimes=("threaded", "cluster"),
+        ignores={"delay_model": _REAL_CLOCK, "delay_kwargs": _REAL_CLOCK,
+                 "cost_model": _REAL_CLOCK,
+                 "external_communication": _NOT_VANILLA},
+        build=_threaded),
+}
+
+
+def build_trainer(spec: "ScenarioSpec"):
+    """Construct the trainer a scenario describes (not yet run).
+
+    The cluster runtime has no trainer object (:data:`EXECUTORS` hands a
+    ``"cluster"`` spec to :class:`~repro.runtime.cluster.Supervisor`), so
+    a ``guanyu_threaded`` spec always builds the threaded runtime.
+    """
+    from repro.core.wiring import scenario_arguments
+
+    return TRAINERS[spec.trainer].build(spec, *scenario_arguments(spec))
+
+
+def check_runtime(spec: "ScenarioSpec", kind: str) -> None:
+    """Raise ``ValueError`` unless ``spec`` may run on the named runtime."""
+    from repro.batch import spec_supports_batching  # lazy: import cycle
+
+    if kind == "batched" and not spec_supports_batching(spec):
+        raise ValueError(
+            f"runtime 'batched' requires trainer 'guanyu' and a "
+            f"replica-batchable dense model (got trainer '{spec.trainer}', "
+            f"model '{spec.model}')")
+    if kind == "cluster" and kind not in TRAINERS[spec.trainer].runtimes:
+        raise ValueError(
+            "runtime 'cluster' runs the wall-clock cluster protocol as real "
+            "OS processes and requires trainer 'guanyu_threaded' (got "
+            f"'{spec.trainer}')")
+    if kind == "cluster" and spec.kernels is not None:
+        raise ValueError(
+            "runtime 'cluster' spawns one OS process per node and does not "
+            "propagate an in-process kernel selection; set the "
+            "REPRO_KERNEL_BACKEND environment variable instead")
+    if kind not in ("batched", "cluster"):
+        raise ValueError(f"unknown runtime '{kind}'; the explicit runtimes "
+                         f"are 'batched' and 'cluster' (absent means the "
+                         f"trainer's legacy default)")
+
+
+# --------------------------------------------------------------------------- #
+# Executors: a validated spec in, its history out
+# --------------------------------------------------------------------------- #
+def _run_simulated(spec: "ScenarioSpec") -> "TrainingHistory":
+    return build_trainer(spec).run(spec.num_steps, eval_every=spec.eval_every,
+                                   max_eval_samples=spec.max_eval_samples)
+
+
+def _run_batched(spec: "ScenarioSpec") -> "TrainingHistory":
+    from repro.batch import run_batched_scenarios  # lazy: import cycle
+
+    return run_batched_scenarios([spec])[0]
+
+
+def _run_threaded(spec: "ScenarioSpec") -> "TrainingHistory":
+    return build_trainer(spec).run(spec.num_steps)
+
+
+def _run_cluster(spec: "ScenarioSpec") -> "TrainingHistory":
+    from repro.runtime.cluster.supervisor import Supervisor  # lazy: sockets
+
+    return Supervisor(spec).run()
+
+
+#: runtime kind → ``spec -> TrainingHistory``
+EXECUTORS: Dict[str, Callable[["ScenarioSpec"], "TrainingHistory"]] = {
+    "sequential": _run_simulated,
+    "batched": _run_batched,
+    "threaded": _run_threaded,
+    "cluster": _run_cluster,
+}
+
 #: runtime kinds :func:`resolve_runtime` can return
-RUNTIME_KINDS = ("sequential", "batched", "threaded", "cluster")
+RUNTIME_KINDS = tuple(EXECUTORS)
 
 
 @dataclass
@@ -69,17 +255,21 @@ class ScenarioResult:
 def resolve_runtime(spec: "ScenarioSpec") -> str:
     """The runtime kind a spec dispatches to (without running anything).
 
-    A lone dense-model GuanYu scenario is an R = 1 lane of the batched
-    engine; :attr:`ScenarioResult.runtime` reports ``"sequential"`` instead
-    when the engine turned out to have no formulation for it.
+    A ``"cluster"`` spec probes the host's sockets and resolves to
+    ``"threaded"`` where they cannot be bound.
     """
-    if spec.runtime is not None:
-        return spec.runtime  # "batched" | "cluster" (validated by the spec)
-    if spec.trainer == "guanyu_threaded":
-        return "threaded"
     from repro.batch import spec_supports_batching  # lazy: import cycle
 
-    return "batched" if spec_supports_batching(spec) else "sequential"
+    kind = spec.runtime
+    if kind is None:
+        kind = ("batched" if spec_supports_batching(spec)
+                else TRAINERS[spec.trainer].runtimes[0])
+    elif kind == "cluster":
+        from repro.runtime.cluster.supervisor import cluster_available
+
+        if not cluster_available():
+            kind = "threaded"
+    return kind
 
 
 def run(spec: "ScenarioSpec", *, store: Optional["ResultStore"] = None,
@@ -122,43 +312,11 @@ def run(spec: "ScenarioSpec", *, store: Optional["ResultStore"] = None,
     started = time.perf_counter()
     tracer_scope = use_tracer(tracer) if tracer is not None else nullcontext()
     with tracer_scope, use_backend(spec.kernels):
-        history, kind = _execute(spec, kind)
+        history = EXECUTORS[kind](spec)
+    history.label = spec.name  # the live runtimes name theirs by runtime
     duration = time.perf_counter() - started
     if store is not None:
         store_key = store.put(spec, history, duration_seconds=duration)
     return ScenarioResult(spec=spec, history=history, status="ran",
                           runtime=kind, store_key=store_key,
                           duration_seconds=duration)
-
-
-def _execute(spec: "ScenarioSpec",
-             kind: str) -> Tuple["TrainingHistory", str]:
-    """Run ``spec`` on ``kind``; returns the history and the kind that ran."""
-    if kind == "batched":
-        from repro.batch import (  # lazy: import cycle
-            BatchingUnsupported,
-            run_batched_scenarios,
-        )
-
-        try:
-            return run_batched_scenarios([spec])[0], kind
-        except BatchingUnsupported as exc:
-            if spec.runtime is not None:
-                raise  # the spec asked for this engine by name
-            # The envelope predicate admitted a model the engine has no
-            # formulation for: the simulator runs it.  Anything else the
-            # lane raises — a quorum-starved step's
-            # ``BatchedExecutionError``, a genuine training error — is the
-            # scenario's outcome and propagates as raised.
-            get_tracer().event("runtime.fallback", scenario=spec.name,
-                               reason=f"{type(exc).__name__}: {exc}")
-            registry = get_registry()
-            if registry.enabled:
-                registry.inc("repro_runtime_fallback_total",
-                             reason=type(exc).__name__)
-            kind = "sequential"
-    # Sequential, threaded and cluster construction lives with the
-    # campaign engine's trainer factory.
-    from repro.campaign.engine import _execute_validated  # lazy: cycle
-
-    return _execute_validated(spec), kind

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.kernels import use_backend
+from repro.runtime.facade import build_trainer
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.campaign.spec import ScenarioSpec
@@ -29,8 +30,7 @@ def sequential_history(spec: "ScenarioSpec") -> "TrainingHistory":
     Raises :class:`TypeError` for a spec whose trainer is not ``guanyu`` —
     the oracle would silently be something else.
     """
-    from repro.campaign.engine import build_trainer  # lazy: import-light
-    from repro.core.trainer import GuanYuTrainer
+    from repro.core.trainer import GuanYuTrainer  # lazy: import-light
 
     spec.validate()
     with use_backend(spec.kernels):

@@ -23,24 +23,12 @@ def pytest_configure(config) -> None:
 from repro.data import make_blobs_dataset
 from repro.nn import build_model
 from repro.nn.schedules import ConstantSchedule
-from repro.obs import MetricsRegistry, use_registry
 
 
 @pytest.fixture()
 def rng() -> np.random.Generator:
     """A deterministic random generator."""
     return np.random.default_rng(1234)
-
-
-@pytest.fixture()
-def no_fallbacks():
-    """Run the test under a live registry and require that no implicit
-    one-lane run was re-run on the sequential simulator — an engine bug
-    must fail the test, not hide as a correct-but-slower scenario."""
-    registry = MetricsRegistry()
-    with use_registry(registry):
-        yield registry
-    assert registry.counter("repro_runtime_fallback_total").series == {}
 
 
 @pytest.fixture(scope="session")

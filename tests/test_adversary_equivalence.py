@@ -114,7 +114,7 @@ class TestGeneratedLift:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(scenario=lifted_scenarios())
     def test_every_spelling_of_a_stateless_threat_is_one_run(
-            self, scenario, no_fallbacks):
+            self, scenario):
         spec, worker, server = scenario
         result = run(spec)
         assert result.runtime == "batched"
@@ -147,7 +147,6 @@ class TestGeneratedLift:
         assert _without_threat_names(other) == _without_threat_names(fields)
 
 
-@pytest.mark.usefixtures("no_fallbacks")
 class TestSequentialVsBatched:
     @pytest.mark.parametrize("adversary", ADVERSARY_SPECS,
                              ids=lambda a: a["name"])

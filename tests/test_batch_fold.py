@@ -274,7 +274,7 @@ class TestHeteroMix:
                             dataset_size=400, seed=seed,
                             hetero=dict(self.HETERO), **fields)
 
-    def test_one_lane_equals_the_simulator(self, no_fallbacks):
+    def test_one_lane_equals_the_simulator(self):
         spec = self._spec(21, worker_attack="little_is_enough")
         result = run(spec)
         assert result.runtime == "batched"

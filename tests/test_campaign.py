@@ -26,6 +26,7 @@ from repro.experiments.common import (
 from repro.faults import FaultEvent, FaultSchedule
 from repro.hetero import HeteroSpec, WorkerProfile
 from repro.runtime import run
+from repro.runtime.facade import TRAINERS
 
 
 def tiny_spec(**overrides) -> ScenarioSpec:
@@ -280,6 +281,30 @@ class TestScenarioValidation:
             tiny_spec(external_communication=True).validate()
         assert tiny_spec(trainer="vanilla", gradient_rule="mean",
                          external_communication=True).validate()
+
+
+    @pytest.mark.parametrize("trainer, name", [
+        pytest.param(trainer, name, id=f"{trainer}-{name}")
+        for trainer, kind in TRAINERS.items() for name in kind.ignores])
+    def test_every_ignored_field_is_rejected_by_name(self, trainer, name):
+        spec = tiny_spec(trainer=trainer)
+        assert spec.validate()
+        with pytest.raises(ValueError) as raised:
+            spec.replace(**{name: IGNORED_VALUES[name]}).validate()
+        assert f"trainer '{trainer}'" in str(raised.value)
+        assert f"'{name}'" in str(raised.value)
+
+
+#: a non-default value for every field some trainer ignores
+IGNORED_VALUES = {
+    "jitter": 0.01, "quorum_timeout": 5.0, "external_communication": True,
+    "delay_model": "lognormal", "delay_kwargs": {"low": 0.01},
+    "cost_model": "instant", "adversary": "collusion",
+    "faults": {"events": [{"step": 1, "kind": "crash",
+                           "nodes": ["worker/0"]}]},
+    "server_attack": "corrupted_model", "model_rule": "mean",
+    "gradient_rule": "median",
+}
 
 
 # --------------------------------------------------------------------------- #

@@ -23,7 +23,7 @@ from repro.campaign.spec import ScenarioSpec
 from repro.faults import FaultEvent, FaultSchedule
 from repro.runtime.cluster import (
     ClusterOptions,
-    ClusterRuntime,
+    Supervisor,
     cluster_available,
     unix_sockets_available,
 )
@@ -62,8 +62,8 @@ class TestClusterEquivalence:
     def test_losses_identical_to_threaded(self, rule):
         spec = small_spec(gradient_rule=rule, model_rule="median")
         expected = threaded_losses(spec)
-        runtime = ClusterRuntime(spec.replace(runtime="cluster"))
-        actual = losses_of(runtime.run(spec.num_steps))
+        runtime = Supervisor(spec.replace(runtime="cluster"))
+        actual = losses_of(runtime.run())
         assert actual == expected
         report = runtime.report()
         assert all(node["state"] == "done"
@@ -80,8 +80,8 @@ class TestClusterEquivalence:
         spec = small_spec(gradient_quorum=3, num_steps=3, faults=faults)
         expected = threaded_losses(spec)
 
-        runtime = ClusterRuntime(spec.replace(runtime="cluster"))
-        actual = losses_of(runtime.run(spec.num_steps))
+        runtime = Supervisor(spec.replace(runtime="cluster"))
+        actual = losses_of(runtime.run())
         assert actual == expected  # run completed via quorum
 
         node = runtime.report()["nodes"]["worker/3"]
@@ -104,8 +104,8 @@ class TestClusterEquivalence:
         expected = threaded_losses(spec)
         assert None in expected  # the crash window really sat out
 
-        runtime = ClusterRuntime(spec.replace(runtime="cluster"))
-        actual = losses_of(runtime.run(spec.num_steps))
+        runtime = Supervisor(spec.replace(runtime="cluster"))
+        actual = losses_of(runtime.run())
         assert actual == expected
 
         node = runtime.report()["nodes"]["worker/1"]
@@ -132,9 +132,9 @@ class TestClusterEquivalence:
         expected = threaded_losses(spec)
         assert expected[1] is None and None not in expected[2:]
 
-        runtime = ClusterRuntime(spec.replace(runtime="cluster"),
-                                 options=ClusterOptions(transport=transport))
-        actual = losses_of(runtime.run(spec.num_steps))
+        runtime = Supervisor(spec.replace(runtime="cluster"),
+                             options=ClusterOptions(transport=transport))
+        actual = losses_of(runtime.run())
         assert actual == expected
 
         nodes = runtime.report()["nodes"]
@@ -147,11 +147,6 @@ class TestClusterEquivalence:
             sends_to_it = node_id != crashed and (
                 node["role"] == "server" or crashed.startswith("ps/"))
             assert node["reconnects"] == ({crashed: 1} if sends_to_it else {})
-
-    def test_engine_dispatches_cluster_runtime(self):
-        spec = small_spec(runtime="cluster")
-        trainer = build_trainer(spec)
-        assert isinstance(trainer, ClusterRuntime)
 
 
 class TestContentAddressCompatibility:

@@ -6,22 +6,31 @@ engine as a one-lane group.  The grid below is the perf ledger's
 ``seq_grid`` workload (``bench/workloads.py``): 4 GARs x 4 threats x 2
 delay models x 2 environments, generated, not hand-picked — every cell
 must equal :func:`repro.testing.sequential_history` on the full serialised
-history and must really have run on the engine.  The rest pins the
-fallback contract and the store address.
+history and must really have run on the engine.  The generated dispatch
+oracle draws across every trainer and runtime: what ``run`` reports is
+what ``resolve_runtime`` promised.  The rest pins that nothing falls back
+to another engine, and the store address.
 """
 
 import itertools
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from repro.batch import (
     BatchedExecutionError,
     BatchedGuanYuTrainer,
-    BatchingUnsupported,
+    spec_supports_batching,
 )
-from repro.campaign import ResultStore, ScenarioSpec, run_campaign
+from repro.campaign import (
+    ResultStore,
+    ScenarioSpec,
+    available_trainers,
+    run_campaign,
+)
 from repro.faults import FaultSchedule
-from repro.obs import MetricsRegistry, Tracer, use_registry
+from repro.obs import Tracer
 from repro.runtime import resolve_runtime, run
 from repro.testing import sequential_history
 
@@ -69,7 +78,7 @@ class TestGeneratedGrid:
         assert len({param.values[0].spec_hash() for param in GRID}) == 64
 
     @pytest.mark.parametrize("spec", GRID)
-    def test_run_equals_the_sequential_simulator(self, spec, no_fallbacks):
+    def test_run_equals_the_sequential_simulator(self, spec):
         result = run(spec)
         assert result.runtime == "batched"
         assert result.history.to_dict() == sequential_history(spec).to_dict()
@@ -88,10 +97,6 @@ STARVED_ERROR = ("ps/1 needed a quorum of 5 'model_to_server' messages for "
                  "step 1 but only 4 distinct senders delivered")
 
 
-def unsupported(specs):
-    raise BatchingUnsupported("injected")
-
-
 class TestFallbackContract:
     def test_conv_model_runs_sequential(self):
         spec = ScenarioSpec(name="conv", model="small_cnn", dataset="images",
@@ -102,7 +107,7 @@ class TestFallbackContract:
         assert (result.runtime, result.status) == ("sequential", "ran")
         assert result.history.to_dict() == sequential_history(spec).to_dict()
 
-    def test_quorum_starved_run_keeps_the_canonical_error(self, no_fallbacks):
+    def test_quorum_starved_run_keeps_the_canonical_error(self):
         spec = starved_spec()
         assert resolve_runtime(spec) == "batched"
         with pytest.raises(BatchedExecutionError) as raised:
@@ -118,7 +123,7 @@ class TestFallbackContract:
         assert "collect_quorum" not in outcome.traceback
 
     def test_engine_errors_surface_instead_of_a_silent_rerun(
-            self, monkeypatch, no_fallbacks):
+            self, monkeypatch):
         def broken_step(self, step_index):
             raise ValueError("engine bug")
 
@@ -126,34 +131,78 @@ class TestFallbackContract:
         with pytest.raises(ValueError, match="engine bug"):
             run(GRID[0].values[0])
 
-    def test_fallback_leaves_a_trace_event(self, monkeypatch):
-        monkeypatch.setattr("repro.batch.run_batched_scenarios", unsupported)
-        tracer = Tracer()
-        result = run(GRID[0].values[0], tracer=tracer)
-        assert result.runtime == "sequential"
-        (event,) = [record for record in tracer.events()
-                    if record.name == "runtime.fallback"]
-        assert event.attrs["scenario"] == GRID[0].values[0].name
-        assert event.attrs["reason"].startswith("BatchingUnsupported")
-
-    def test_fallback_is_counted_by_exception_class(self, monkeypatch):
-        monkeypatch.setattr("repro.batch.run_batched_scenarios", unsupported)
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            run(GRID[0].values[0])
-        assert registry.counter("repro_runtime_fallback_total").series == {
-            (("reason", "BatchingUnsupported"),): 1.0}
-
-    def test_explicit_batched_runtime_does_not_fall_back(self, monkeypatch):
-        monkeypatch.setattr("repro.batch.run_batched_scenarios", unsupported)
-        with pytest.raises(BatchingUnsupported):
-            run(GRID[0].values[0].replace(runtime="batched"))
-
     def test_tracer_state_does_not_change_the_engine(self):
         spec = GRID[0].values[0]
         assert run(spec).runtime == "batched"
         assert run(spec, tracer=Tracer(record_decisions=True)).runtime \
             == "batched"
+
+
+#: a shape every trainer admits: Multi-Krum's 2f̄ + 3 = 5 inputs fit both
+#: the gradient quorum (n̄ − f̄) and the single server's n̄ = 6 workers
+SHAPE = dict(num_workers=6, num_servers=3, declared_byzantine_workers=1,
+             declared_byzantine_servers=0, dataset_size=200, eval_every=2,
+             max_eval_samples=32, batch_size=8)
+MODELS = ({"model": "softmax"}, {"model": "mlp"},
+          {"model": "small_cnn", "dataset": "images", "image_size": 8})
+#: worker/5 sits steps 1-2 out; the other five still fill the quorum
+CRASH = {"events": [{"step": 1, "kind": "crash", "nodes": ["worker/5"]},
+                    {"step": 3, "kind": "recover", "nodes": ["worker/5"]}]}
+EXTRAS = ({}, {"faults": CRASH}, {"worker_attack": "sign_flip"},
+          {"adversary": "collusion"})
+#: process clusters one session starts, at 0.15-0.5 s each
+CLUSTER_RUNS = 2
+
+
+def admissible(spec: ScenarioSpec) -> bool:
+    try:
+        spec.validate()
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def dispatch_specs(draw) -> ScenarioSpec:
+    return ScenarioSpec(
+        name="drawn", trainer=draw(st.sampled_from(available_trainers())),
+        runtime=draw(st.sampled_from([None, None, "batched", "cluster"])),
+        # half the draws keep the one rule single_server_krum admits
+        gradient_rule=draw(st.just("multi_krum") | st.sampled_from(
+            ["median", "mean", "geometric_median"])),
+        num_steps=draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**16)),
+        **SHAPE, **draw(st.sampled_from(MODELS)),
+        **draw(st.sampled_from(EXTRAS)))
+
+
+class TestDispatchOracle:
+    cluster_runs = itertools.count()
+
+    # No max_examples here: the weekly workflow runs this test under the
+    # "weekly" profile of tests/conftest.py, ten times the default budget.
+    @settings(deadline=None)
+    @given(dispatch_specs().filter(admissible))
+    def test_run_reports_the_resolved_runtime(self, spec):
+        kind = resolve_runtime(spec)
+        event(f"{spec.trainer} on {kind}")
+        assert (kind == "batched") == spec_supports_batching(spec)
+        if kind == "cluster" and next(self.cluster_runs) >= CLUSTER_RUNS:
+            return  # one more process cluster would blow the tier-1 budget
+        result = run(spec)
+        assert result.runtime == kind
+        if kind == "batched":
+            assert result.history.to_dict() \
+                == sequential_history(spec).to_dict()
+
+    def test_cluster_on_an_unbindable_host_reports_threaded(
+            self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.runtime.cluster.supervisor.cluster_available",
+            lambda: False)
+        spec = ScenarioSpec(name="no-sockets", trainer="guanyu_threaded",
+                            runtime="cluster", num_steps=2, **SHAPE)
+        assert resolve_runtime(spec) == "threaded"
+        assert run(spec).runtime == "threaded"
 
 
 class TestStoreAddress:

@@ -43,7 +43,11 @@ class TestResolveRuntime:
         assert resolve_runtime(
             _spec(trainer="guanyu_threaded")) == "threaded"
 
-    def test_explicit_runtimes_win(self):
+    def test_explicit_runtimes_win(self, monkeypatch):
+        # a host that cannot bind sockets resolves "cluster" to "threaded"
+        monkeypatch.setattr(
+            "repro.runtime.cluster.supervisor.cluster_available",
+            lambda: True)
         assert resolve_runtime(_spec(runtime="batched")) == "batched"
         assert resolve_runtime(_spec(trainer="guanyu_threaded",
                                      runtime="cluster")) == "cluster"

@@ -520,7 +520,7 @@ class TestPhaseNameParity:
 @pytest.mark.timeout(180)
 class TestClusterTelemetry:
     def test_node_registries_merge_supervisor_side(self):
-        from repro.runtime.cluster import ClusterRuntime
+        from repro.runtime.cluster import Supervisor
 
         spec = ScenarioSpec(name="cluster-tel", trainer="guanyu_threaded",
                             runtime="cluster", num_workers=4, num_servers=3,
@@ -531,7 +531,7 @@ class TestClusterTelemetry:
                             num_steps=2, seed=9, quorum_timeout=30.0)
         tracer, registry = Tracer(), MetricsRegistry()
         with use_tracer(tracer), use_registry(registry):
-            ClusterRuntime(spec).run(spec.num_steps)
+            Supervisor(spec).run()
         # The phase spans and series every node shipped, under the names
         # and labels the other runtimes' parity test pins.
         assert {event.name for event in tracer.events()

@@ -32,7 +32,7 @@ from repro.adversary import (
 )
 from repro.adversary import get as get_adversary
 from repro.adversary.engine import wire_attacks
-from repro.batch import BatchedGuanYuTrainer
+from repro.batch import BatchedGuanYuTrainer, spec_supports_batching
 from repro.campaign import ScenarioSpec, build_trainer
 from repro.core import ClusterConfig, GuanYuTrainer
 from repro.core import wiring as wiring_module
@@ -518,6 +518,29 @@ class TestOneCopy:
         # hand-paired span + histogram timer is left to drift apart
         assert files_matching(r"record_span|\.timer\(|tracer\.span\(") == []
         assert files_matching(r'kind="span"') == ["obs/telemetry.py"]
+
+    def test_one_dispatch_table(self):
+        # which trainer runs where is decided by repro.runtime.facade's
+        # tables alone: nobody else compares trainer or runtime names
+        compared = files_matching(r"\btrainer\s*(==|!=|(not )?in \()"
+                                  r"|\bruntime\s*(==|!=)")
+        assert [path for path in compared
+                if path != "runtime/facade.py"] == []
+        assert "TRAINERS[spec.trainer]" in inspect.getsource(
+            spec_supports_batching)
+
+    def test_the_dispatch_detours_are_gone(self):
+        repository = SOURCE_ROOT.parent.parent
+        gone = re.compile("|".join((
+            r"\bCluster" + r"Runtime\b", "_execute" + "_validated",
+            r"runtime\." + "fallback", "repro_runtime_" + "fallback_total")))
+        sources = [repository / "README.md"] + [
+            path for directory in ("src", "tests", "docs", "examples",
+                                   ".claude/skills")
+            for path in (repository / directory).rglob("*")
+            if path.suffix in (".py", ".md")]
+        assert [str(path.relative_to(repository)) for path in sources
+                if gone.search(path.read_text(encoding="utf-8"))] == []
 
     def test_the_live_runtimes_own_no_protocol_loop(self):
         assert files_matching(r"\.wait_quorum\(", "runtime") \
