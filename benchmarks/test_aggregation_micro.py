@@ -87,7 +87,8 @@ def test_max_pairwise_distance_matches_the_naive_loop(gradient_cloud):
 
 
 def test_kernel_median_not_slower_than_np_median_at_wide_gar_shape():
-    """The shared sort kernel at the ledger's widest quorum: (25, 30730).
+    """The sort side of the network's gate at the ledger's widest quorum:
+    Bulyan's gradient quorum, (25, 30730), where q > 16 keeps the sort.
 
     Best of seven each; the kernel measures 3-5x faster there, so "not
     slower" holds through any scheduling noise.
@@ -100,3 +101,28 @@ def test_kernel_median_not_slower_than_np_median_at_wide_gar_shape():
     numpy_s = min(timeit.repeat(lambda: np.median(stacked, axis=0), number=1,
                                 repeat=7))
     assert kernel_s <= numpy_s
+
+
+def _sorted_median(stacked: np.ndarray, axis: int) -> np.ndarray:
+    """Sort the axis, take the middle: the kernel's sort path, in-test."""
+    return np.take(np.sort(stacked, axis=axis), stacked.shape[axis] // 2,
+                   axis=axis)
+
+
+def test_kernel_median_beats_the_sort_at_the_model_quorum_shape():
+    """The network side of the gate at ``wide_gar``'s hottest median: each
+    worker's median of its seven server models, ``(1, 7, 30730)`` on axis
+    1, 39 calls a step.
+
+    Best of nine each; the pruned network measures 4.3-4.7x faster than
+    sorting every column there, so 2x holds through scheduling noise.
+    """
+    stacked = np.random.default_rng(2).normal(size=(1, 7, 30_730))
+    kernel = get_backend().median
+    assert np.array_equal(kernel(stacked, axis=1),
+                          _sorted_median(stacked, axis=1))
+    kernel_s = min(timeit.repeat(lambda: kernel(stacked, axis=1), number=3,
+                                 repeat=9))
+    sort_s = min(timeit.repeat(lambda: _sorted_median(stacked, axis=1),
+                               number=3, repeat=9))
+    assert 2.0 * kernel_s <= sort_s

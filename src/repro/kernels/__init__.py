@@ -5,8 +5,9 @@ Krum/Multi-Krum/Bulyan, the mean/trimmed-mean/median reductions, and the
 replica-batched dense forward/backward — live behind the
 :class:`~repro.kernels.base.KernelBackend` interface.  Two backends ship:
 ``reference`` (the extracted original code, the bitwise fixed point) and
-``numpy-opt`` (partition-based Krum sums, preallocated buffers); the
-sort-based mean / trimmed-mean / median reductions are shared.  Select
+``numpy-opt`` (partition-based Krum sums, per-thread preallocated
+buffers); the mean / trimmed-mean / median reductions (a sort, or a
+comparator network on wide rows) are shared.  Select
 one with :func:`use_backend`/:func:`set_backend`, the
 ``REPRO_KERNEL_BACKEND`` environment variable, ``ScenarioSpec.kernels``,
 or the ``--kernel-backend`` CLI flag.  See ``docs/kernels.md``.

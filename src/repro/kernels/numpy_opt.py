@@ -9,7 +9,7 @@ enforces this for all registered GARs).  It overrides two things:
   ascending-sorting just the selected block feeds the exact same summands
   in the exact same order into the same pairwise-summation reduction, so
   the result is bitwise unchanged.
-* **Preallocated scratch buffers + ``out=`` ufuncs** — the Gram/pairwise
+* **Per-thread scratch buffers + ``out=`` ufuncs** — the Gram/pairwise
   kernel and the replica-batched dense forward/backward reuse per-shape
   buffers instead of allocating fresh intermediates every step.  The
   floating-point operations and their order are identical; only the
@@ -18,24 +18,32 @@ enforces this for all registered GARs).  It overrides two things:
 It is *not* uniformly faster than ``reference``.  Its former trimmed-mean
 and even-length median (two-``kth`` ``np.partition`` plus a sort of the
 middle block) measured 3-7x slower than a full sort at D = 30,730 and
-were deleted; both backends now share the sort reductions of
-:class:`~repro.kernels.base.KernelBackend`.  See ``docs/kernels.md`` for
-the numbers.
+were deleted; both backends now share the order-statistic reductions of
+:class:`~repro.kernels.base.KernelBackend` (a sort, or a comparator
+network on wide rows).  See ``docs/kernels.md`` for the numbers.
 
 Buffer-lifetime caveat: arrays returned by the pairwise-distance methods
-are views into reusable scratch storage and are only valid until this
-backend's next call with the same shape.  Every in-repo caller consumes
-them immediately (Krum scores, spread diagnostics); hold a ``.copy()`` if
-you need one to survive.
+are views into reusable scratch storage and are only valid until the same
+thread's next call of this backend with the same shape.  Each thread has
+its own buffers — the threaded runtime's node threads share this
+singleton — so a call on another thread never overwrites them.  Every
+in-repo caller consumes them immediately (Krum scores, spread
+diagnostics); hold a ``.copy()`` if you need one to survive.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.kernels.base import DensePlan, KernelBackend
+
+
+class _ThreadBuffers(threading.local):
+    def __init__(self) -> None:
+        self.by_key: Dict[Tuple, np.ndarray] = {}
 
 
 class NumpyOptBackend(KernelBackend):
@@ -44,19 +52,21 @@ class NumpyOptBackend(KernelBackend):
     name = "numpy-opt"
 
     def __init__(self) -> None:
-        self._buffers: Dict[Tuple, np.ndarray] = {}
+        self._buffers = _ThreadBuffers()
 
     def _scratch(self, key, shape: Tuple[int, ...]) -> np.ndarray:
-        """A reusable float64 buffer for ``key`` at ``shape``.
+        """The calling thread's reusable float64 buffer for ``key`` at
+        ``shape``.
 
         Keys include the plan step where aliasing would matter (forward
         activations are cached for the backward pass), so two live
         tensors never share storage within one call.
         """
-        buf = self._buffers.get((key, shape))
+        buffers = self._buffers.by_key
+        buf = buffers.get((key, shape))
         if buf is None:
             buf = np.empty(shape, dtype=np.float64)
-            self._buffers[(key, shape)] = buf
+            buffers[(key, shape)] = buf
         return buf
 
     # ------------------------------------------------------------------ #

@@ -6,8 +6,10 @@ implementations extracted verbatim from where they grew up —
 sums) and ``repro.batch.models.BatchedDenseStack`` (the replica-batched
 dense forward/backward).  It is bit-identical to the pre-backend code *by
 construction*: the expressions are the same, only their home moved.  The
-mean / trimmed-mean / median reductions are the sort kernels of
-:class:`~repro.kernels.base.KernelBackend`, shared with every backend.
+mean / trimmed-mean / median reductions are those of
+:class:`~repro.kernels.base.KernelBackend`, shared with every backend: a
+sort, or on wide rows a pruned comparator network that selects the same
+values.
 
 Keep this backend boring.  Optimisations belong in ``numpy-opt`` (or a
 future backend); the reference exists so the bitwise property suite has a

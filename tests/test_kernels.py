@@ -8,11 +8,14 @@ batched path must produce identical aggregates under every backend.
 compare raw bytes via ``==`` on full arrays.
 """
 
-import os
+import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aggregation import available_rules, get_rule
 from repro.campaign.spec import ScenarioSpec
@@ -26,6 +29,7 @@ from repro.kernels import (
     set_backend,
     use_backend,
 )
+from repro.kernels import base as kernel_base
 from repro.kernels.registry import _FACTORIES, _INSTANCES
 from repro.nn.models import MLP, SoftmaxRegression
 
@@ -182,6 +186,159 @@ class TestMedianKernel:
             for method in ("mean", "trimmed_mean", "median"):
                 assert getattr(backend_type, method) \
                     is getattr(KernelBackend, method), (name, method)
+
+
+# --------------------------------------------------------------------------- #
+# The width-gated comparator network behind median and trimmed_mean
+# --------------------------------------------------------------------------- #
+def _sorted_trimmed_mean(stacked, trim, axis):
+    """Sort the whole axis, mean the middle slice: the reference."""
+    if trim == 0:
+        return stacked.mean(axis=axis)
+    window = [slice(None)] * stacked.ndim
+    window[axis] = slice(trim, -trim)
+    return np.sort(stacked, axis=axis)[tuple(window)].mean(axis=axis)
+
+
+@st.composite
+def order_statistic_draws(draw):
+    """A ``(q, W)`` stack for ``axis=0`` or an ``(S, q, W)`` one for
+    ``axis=1``, from one ``_median_inputs`` family, with the row width
+    (``S * W``) at D = 36 or on either side of the network's gate."""
+    q = draw(st.integers(1, 25))
+    axis = draw(st.sampled_from([0, 1]))
+    gate = kernel_base.NETWORK_MIN_WIDTH
+    slices = draw(st.sampled_from([1, 2, 3, gate + 3])) if axis == 1 else 1
+    if slices > gate:  # W = 1: the mean reduces along the innermost axis
+        columns = 1
+    else:
+        columns = draw(st.sampled_from(
+            [36, -(-gate // slices) - 1, -(-gate // slices), gate + 37]))
+    family = draw(st.sampled_from(
+        ["plain", "ties", "signed_zeros", "infinite", "nan_columns", "mixed"]))
+    trim = draw(st.integers(0, (q - 1) // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    flat = _median_inputs(rng, q, slices * columns)[family]
+    if axis == 0:
+        return flat, axis, trim
+    stacked = flat.reshape(q, slices, columns).transpose(1, 0, 2)
+    return np.ascontiguousarray(stacked), axis, trim
+
+
+class TestOrderStatisticNetwork:
+    """The pruned Batcher network selects exactly what the sort does."""
+
+    @pytest.mark.parametrize("q", list(kernel_base.NETWORK_LENGTHS))
+    def test_every_plan_selects_its_ranks_on_all_zero_one_inputs(self, q):
+        # The 0-1 principle: a comparator network that puts the right value
+        # at a rank for every 0/1 input does so for every input.
+        columns = np.arange(2 ** q)
+        zero_one = ((columns[None, :] >> np.arange(q)[:, None]) & 1) * 1.0
+        ordered = np.sort(zero_one, axis=0)
+        half = q // 2
+        wanted = [tuple(range(q)), (half,) if q % 2 else (half - 1, half)]
+        wanted += [tuple(range(trim, q - trim))
+                   for trim in range(1, (q + 1) // 2)]
+        for ranks in wanted:
+            for lower in (np.minimum, np.fmin):
+                got = kernel_base.network_ranks(zero_one, 0, ranks, lower)
+                for rank, values in zip(ranks, got):
+                    assert np.array_equal(values, ordered[rank]), (ranks, rank)
+
+    def test_plans_are_pruned_to_their_ranks(self):
+        full = kernel_base.selection_plan(7, tuple(range(7)))
+        median = kernel_base.selection_plan(7, (3,))
+        assert len(full) == 16  # Batcher's odd-even merge sort on 7 wires
+        assert len(median) < len(full)
+        assert sum(keep_min + keep_max for _, _, keep_min, keep_max
+                   in median) < 2 * len(median)
+
+    # No max_examples here: the weekly workflow runs this test under the
+    # "weekly" profile of tests/conftest.py, ten times the default budget.
+    @settings(deadline=None)
+    @given(order_statistic_draws())
+    def test_equals_the_sort_path_on_both_sides_of_the_gate(self, drawn):
+        stacked, axis, trim = drawn
+        backend = get_backend()
+        q = stacked.shape[axis]
+        width = stacked.size // q
+        before = stacked.copy()
+        spy = mock.patch.object(kernel_base, "network_ranks",
+                                wraps=kernel_base.network_ranks)
+        with spy as network, np.errstate(invalid="ignore"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            first = backend.median(stacked, axis=axis)
+            second = backend.median(stacked, axis=axis)
+            median_calls = network.call_count
+            trimmed = backend.trimmed_mean(stacked, trim, axis=axis)
+            trimmed_again = backend.trimmed_mean(stacked, trim, axis=axis)
+            want_median = np.median(stacked, axis=axis)
+            want_trimmed = _sorted_trimmed_mean(stacked, trim, axis)
+
+        assert np.array_equal(first, want_median, equal_nan=True)
+        assert np.array_equal(trimmed, want_trimmed, equal_nan=True)
+        assert np.array_equal(stacked, before, equal_nan=True)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(trimmed, trimmed_again)
+        assert not np.shares_memory(first, stacked)
+
+        wide = width >= kernel_base.NETWORK_MIN_WIDTH
+        takes_network = wide and q in kernel_base.NETWORK_LENGTHS
+        assert median_calls == (2 if takes_network else 0)
+        assert network.call_count == median_calls + (
+            2 if takes_network and trim > 0 else 0)
+        if takes_network:  # not a view that keeps the scratch block alive
+            assert first.base is None and trimmed.base is None
+        if stacked.shape[-1] == 36:
+            assert network.call_count == 0
+
+    def test_trimmed_mean_reduces_in_the_sort_paths_order(self):
+        # With one column the mean's reduction runs along the innermost
+        # axis, where NumPy sums pairwise: the middle ranks must be laid
+        # out as the sorted slice is, or the last bits differ.
+        rng = np.random.default_rng(8)
+        stacked = rng.normal(size=(kernel_base.NETWORK_MIN_WIDTH + 3, 16, 1))
+        stacked *= 10.0 ** rng.integers(-6, 6, size=stacked.shape)
+        got = get_backend().trimmed_mean(stacked, 1, axis=1)
+        want = _sorted_trimmed_mean(stacked, 1, 1)
+        assert got.tobytes() == want.tobytes()
+
+    def test_nan_poisons_the_median_and_sorts_last_in_the_trimmed_mean(self):
+        width = kernel_base.NETWORK_MIN_WIDTH
+        stacked = np.random.default_rng(9).normal(size=(7, width))
+        stacked[2, 0] = np.nan  # one NaN in column 0: inside the trim
+        stacked[[1, 4], 1] = np.nan  # two in column 1: one past it
+        backend = get_backend()
+        median = backend.median(stacked, axis=0)
+        assert np.isnan(median[:2]).all() and not np.isnan(median[2:]).any()
+        trimmed = backend.trimmed_mean(stacked, 1, axis=0)
+        assert np.isfinite(trimmed[0]) and np.isnan(trimmed[1])
+        assert np.array_equal(trimmed, _sorted_trimmed_mean(stacked, 1, 0),
+                              equal_nan=True)
+
+
+# --------------------------------------------------------------------------- #
+# numpy-opt's scratch buffers belong to the calling thread
+# --------------------------------------------------------------------------- #
+class TestScratchPerThread:
+    @pytest.mark.parametrize("method", ["pairwise_squared_distances",
+                                        "pairwise_squared_distances_batched"])
+    def test_another_threads_call_leaves_held_results_alone(self, method):
+        # The threaded runtime's servers share the backend singleton: a
+        # same-shape call on another thread between a Gram kernel and the
+        # Krum sums that read it must not overwrite it.
+        optimised = getattr(get_backend("numpy-opt"), method)
+        reference = getattr(get_backend("reference"), method)
+        rng = np.random.default_rng(6)
+        shape = (7, 40) if method.endswith("distances") else (3, 7, 40)
+        mine, theirs = rng.normal(size=(2,) + shape)
+        held = optimised(mine)
+        other = threading.Thread(target=optimised, args=(theirs,))
+        other.start()
+        other.join(timeout=30)
+        assert not other.is_alive()
+        assert _identical(held, reference(mine))
 
 
 # --------------------------------------------------------------------------- #
