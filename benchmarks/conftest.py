@@ -12,28 +12,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import ExperimentScale
+from repro.campaign.spec import ScenarioSpec
+from repro.experiments import paper_like
 
 
 @pytest.fixture(scope="session")
-def bench_scale() -> ExperimentScale:
-    """The workload scale shared by the experiment benchmarks."""
-    scale = ExperimentScale.small()
+def bench_base() -> ScenarioSpec:
+    """The base scenario shared by the experiment benchmarks."""
     # Enough data that every worker shard holds a full 128-sample batch.
-    scale.dataset_size = 2400
-    scale.num_steps = 60
-    scale.eval_every = 10
-    return scale
+    return ScenarioSpec(dataset_size=2400, num_steps=60, eval_every=10)
 
 
 @pytest.fixture(scope="session")
-def paper_like_scale() -> ExperimentScale:
+def paper_like_base() -> ScenarioSpec:
     """The paper's 18-worker / 6-server cluster shape (still a small model)."""
-    scale = ExperimentScale.paper_like()
-    scale.num_steps = 40
-    scale.eval_every = 10
-    scale.dataset_size = 1500
-    scale.dataset = "blobs"
-    scale.model = "softmax"
-    return scale
-
+    return paper_like().replace(num_steps=40, eval_every=10,
+                                dataset_size=1500, dataset="blobs",
+                                model="softmax")

@@ -26,13 +26,13 @@ def _print_summary(result, panel):
 
 
 @pytest.fixture(scope="module")
-def figure3_batch128(bench_scale):
-    return run_figure3(scale=bench_scale, batch_size=128)
+def figure3_batch128(bench_base):
+    return run_figure3(base=bench_base.replace(batch_size=128))
 
 
 @pytest.fixture(scope="module")
-def figure3_batch32(bench_scale):
-    return run_figure3(scale=bench_scale, batch_size=32)
+def figure3_batch32(bench_base):
+    return run_figure3(base=bench_base.replace(batch_size=32))
 
 
 class TestFigure3Batch128:

@@ -12,8 +12,8 @@ from repro.experiments import run_figure4
 
 
 @pytest.fixture(scope="module")
-def figure4(bench_scale):
-    return run_figure4(scale=bench_scale)
+def figure4(bench_base):
+    return run_figure4(base=bench_base)
 
 
 def _print_result(result):
@@ -38,9 +38,9 @@ def test_figure4_vanilla_collapses_guanyu_survives(figure4):
     assert attacked_guanyu > attacked_vanilla + 0.3
 
 
-def test_figure4_alternative_attack_pair(bench_scale):
+def test_figure4_alternative_attack_pair(bench_base):
     """The paper reports similar results for other Byzantine behaviours."""
-    result = run_figure4(scale=bench_scale,
+    result = run_figure4(base=bench_base,
                          worker_attack=ReversedGradientAttack(factor=10.0),
                          server_attack=CorruptedModelAttack(noise_scale=100.0))
     _print_result(result)

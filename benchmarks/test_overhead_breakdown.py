@@ -6,8 +6,8 @@ from repro.experiments import overhead_report, run_figure3
 
 
 @pytest.fixture(scope="module")
-def breakdown(bench_scale):
-    result = run_figure3(scale=bench_scale, batch_size=128,
+def breakdown(bench_base):
+    result = run_figure3(base=bench_base.replace(batch_size=128),
                          systems=["vanilla_tf", "guanyu_vanilla",
                                   "guanyu_f_workers_s1"])
     return overhead_report(result=result)
@@ -30,12 +30,12 @@ def test_overhead_breakdown_rows(breakdown):
     assert report.byzantine_overhead_percent < report.runtime_overhead_percent
 
 
-def test_overhead_throughput_ordering(bench_scale):
+def test_overhead_throughput_ordering(bench_base):
     """Throughput (updates/s) ordering mirrors the time overheads."""
     from repro.metrics import throughput_updates_per_second
 
     result = run_figure3(
-        scale=bench_scale, batch_size=128,
+        base=bench_base.replace(batch_size=128),
         systems=["vanilla_tf", "guanyu_vanilla", "guanyu_f_workers_s1"])
     throughput = {name: throughput_updates_per_second(history)
                   for name, history in result.histories.items()}

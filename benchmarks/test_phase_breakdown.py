@@ -10,8 +10,8 @@ phases and checks the expected ordering.
 from repro.experiments import run_figure3
 
 
-def test_phase_time_breakdown(bench_scale):
-    result = run_figure3(scale=bench_scale, batch_size=128,
+def test_phase_time_breakdown(bench_base):
+    result = run_figure3(base=bench_base.replace(batch_size=128),
                          systems=["guanyu_f_workers_s1"])
     history = result.histories["guanyu_f_workers_s1"]
     breakdown = history.mean_phase_durations()

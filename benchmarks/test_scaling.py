@@ -8,8 +8,8 @@ parameter-server design: how does throughput evolve as workers are added
 from repro.experiments import run_scaling_study
 
 
-def test_scaling_with_worker_count(bench_scale):
-    rows = run_scaling_study(scale=bench_scale, worker_counts=(6, 9, 12, 18),
+def test_scaling_with_worker_count(bench_base):
+    rows = run_scaling_study(base=bench_base, worker_counts=(6, 9, 12, 18),
                              num_steps=15)
     print("\nScaling study — workers vs. throughput")
     for row in rows:

@@ -11,19 +11,16 @@ Run from the repository root::
     PYTHONPATH=src python examples/breakdown_demo.py
 """
 
+from repro.campaign import ScenarioSpec
 from repro.experiments.breakdown import breakdown_table, run_breakdown_search
-from repro.experiments.common import ExperimentScale
 from repro.plotting import format_table
 
 
 def main() -> None:
-    scale = ExperimentScale.small()
-    scale.num_steps = 15
-
     print("Searching breakdown points (bisection over the attacker count;"
           " every cell is one small GuanYu training run)...\n")
     results = run_breakdown_search(
-        scale=scale,
+        base=ScenarioSpec(num_steps=15),
         gars=("mean", "median", "multi_krum"),
         adversaries=("omniscient_descent", "reversed_gradient"))
 

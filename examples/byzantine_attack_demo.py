@@ -13,7 +13,8 @@ Run with::
 """
 
 from repro.adversary import EquivocationAttack, RandomGradientAttack
-from repro.experiments import ExperimentScale, run_figure4
+from repro.campaign import ScenarioSpec
+from repro.experiments import run_figure4
 
 
 def ascii_curve(history, width=48):
@@ -31,15 +32,12 @@ def ascii_curve(history, width=48):
 
 
 def main():
-    scale = ExperimentScale.small()
-    scale.dataset = "images"       # CIFAR-10-shaped synthetic images
-    scale.model = "mlp"
-    scale.dataset_size = 1500
-    scale.num_steps = 80
-    scale.eval_every = 5
+    base = ScenarioSpec(dataset="images",  # CIFAR-10-shaped synthetic images
+                        model="mlp", dataset_size=1500, num_steps=80,
+                        eval_every=5)
 
     result = run_figure4(
-        scale=scale,
+        base=base,
         worker_attack=RandomGradientAttack(scale=100.0),
         server_attack=EquivocationAttack(magnitude=50.0),
     )

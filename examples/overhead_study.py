@@ -13,19 +13,18 @@ Run with::
 
 import sys
 
-from repro.experiments import ExperimentScale, overhead_report, run_figure3
+from repro.campaign import ScenarioSpec
+from repro.experiments import overhead_report, run_figure3
 
 
 def main():
     batch_size = int(sys.argv[1]) if len(sys.argv) > 1 else 128
 
-    scale = ExperimentScale.small()
-    scale.dataset_size = 2400      # every shard holds a full batch
-    scale.num_steps = 60
-    scale.eval_every = 10
+    base = ScenarioSpec(dataset_size=2400,  # every shard holds a full batch
+                        num_steps=60, eval_every=10, batch_size=batch_size)
 
     print(f"Running the Figure 3 comparison with mini-batch size {batch_size} ...")
-    result = run_figure3(scale=scale, batch_size=batch_size)
+    result = run_figure3(base=base)
 
     print(f"\n{'system':<24} {'final acc':>10} {'sim time (s)':>14} "
           f"{'updates/s':>11} {'time to target':>15}")

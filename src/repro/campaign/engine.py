@@ -14,10 +14,6 @@ Turns expanded :class:`~repro.campaign.spec.ScenarioSpec` lists into
   its spec;
 * a failing scenario never takes the campaign down: its traceback is
   captured into a ``failed`` outcome and the remaining scenarios proceed.
-
-NOTE: :mod:`repro.experiments` imports are deliberately *lazy* — the legacy
-experiment harnesses are themselves campaign definitions, so module-level
-imports would be circular (see :mod:`repro.campaign.spec`).
 """
 
 from __future__ import annotations

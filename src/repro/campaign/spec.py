@@ -9,10 +9,6 @@ and seed — as plain JSON-serialisable data.  Its canonical-JSON SHA-256
 A :class:`CampaignSpec` describes *many* runs: either an explicit scenario
 list, or a base scenario plus grid/zip axes that are expanded into the
 cartesian product (grid) or element-wise bundles (zip) of their values.
-
-NOTE: this module must not import :mod:`repro.experiments` at module level —
-the experiment harnesses are themselves campaign definitions, so the imports
-would be circular.  ``ExperimentScale`` conversions import lazily.
 """
 
 from __future__ import annotations
@@ -183,8 +179,9 @@ def _coerce_hetero(value: Union[None, Dict, HeteroSpec]) -> Optional[HeteroSpec]
 class ScenarioSpec:
     """Complete, JSON-serialisable description of one training run.
 
-    The defaults mirror ``ExperimentScale.small()`` so that a bare spec is
-    runnable in seconds; :meth:`from_scale` imports a legacy scale object.
+    The defaults are the small preset every experiment harness starts
+    from (a bare spec runs in seconds); harnesses take a base spec and
+    ``replace()`` the fields they sweep.
     """
 
     name: str = "scenario"
@@ -547,53 +544,14 @@ class ScenarioSpec:
         """
         return self._content_hash("name", "seed")
 
-    # ------------------------------------------------------------------ #
-    # ExperimentScale interoperability (lazy imports: see module docstring)
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_scale(cls, scale, **overrides) -> "ScenarioSpec":
-        """Build a spec from a legacy :class:`ExperimentScale`."""
-        base = dict(
-            num_workers=scale.num_workers,
-            num_servers=scale.num_servers,
-            declared_byzantine_workers=scale.declared_byzantine_workers,
-            declared_byzantine_servers=scale.declared_byzantine_servers,
-            num_steps=scale.num_steps,
-            eval_every=scale.eval_every,
-            batch_size=scale.batch_size,
-            dataset=scale.dataset,
-            model=scale.model,
-            learning_rate=scale.learning_rate,
-            dataset_size=scale.dataset_size,
-            image_size=scale.image_size,
-            seed=scale.seed,
-            max_eval_samples=scale.max_eval_samples,
-            billed_parameters=scale.billed_parameters,
-        )
-        base.update(overrides)
-        return cls(**base)
+    def to_scale(self) -> "ScenarioSpec":
+        """The spec itself.
 
-    def to_scale(self):
-        """The :class:`ExperimentScale` view used to build the workload."""
-        from repro.experiments.common import ExperimentScale
-
-        return ExperimentScale(
-            num_workers=self.num_workers,
-            num_servers=self.num_servers,
-            declared_byzantine_workers=self.declared_byzantine_workers,
-            declared_byzantine_servers=self.declared_byzantine_servers,
-            num_steps=self.num_steps,
-            eval_every=self.eval_every,
-            batch_size=self.batch_size,
-            dataset=self.dataset,
-            model=self.model,
-            learning_rate=self.learning_rate,
-            dataset_size=self.dataset_size,
-            image_size=self.image_size,
-            seed=self.seed,
-            max_eval_samples=self.max_eval_samples,
-            billed_parameters=self.billed_parameters,
-        )
+        Kept only for the perf ledger's probes (``bench/probes.py``), which
+        call ``build_scale_bundle(spec.to_scale())`` and change only with
+        the ledger; the workload builders take a spec directly.
+        """
+        return self
 
 
 #: :class:`ScenarioSpec`'s field names in declaration order — the keys of

@@ -102,9 +102,8 @@ from repro.campaign import (
     available_trainers,
     run_campaign,
 )
-from repro.experiments.common import workload_attack_kwargs
+from repro.experiments.common import paper_like, workload_attack_kwargs
 from repro.experiments import (
-    ExperimentScale,
     overhead_report,
     run_attack_sweep,
     run_crash_quorum_study,
@@ -243,27 +242,23 @@ def _metrics_endpoint(port: Optional[int], status):
         yield server
 
 
-def _scale_from_args(args: argparse.Namespace) -> ExperimentScale:
-    scale = ExperimentScale.small() if args.preset == "small" \
-        else ExperimentScale.paper_like()
-    if args.steps is not None:
-        scale.num_steps = args.steps
-    if args.workers_count is not None:
-        scale.num_workers = args.workers_count
-    if args.servers_count is not None:
-        scale.num_servers = args.servers_count
-    if args.seed is not None:
-        scale.seed = args.seed
+def _base_from_args(args: argparse.Namespace) -> ScenarioSpec:
+    """The base scenario of a command: the preset plus the global flags."""
+    base = ScenarioSpec() if args.preset == "small" else paper_like()
+    flags = {"num_steps": args.steps, "num_workers": args.workers_count,
+             "num_servers": args.servers_count, "seed": args.seed}
+    base = base.replace(**{field: value for field, value in flags.items()
+                           if value is not None})
     # Keep the declared Byzantine counts admissible (n >= 3f + 3) after any
     # cluster-size overrides.
-    scale.declared_byzantine_workers = min(
-        scale.declared_byzantine_workers,
-        ClusterConfig.max_admissible_byzantine(scale.num_workers))
-    scale.declared_byzantine_servers = min(
-        scale.declared_byzantine_servers,
-        ClusterConfig.max_admissible_byzantine(scale.num_servers))
-    scale.dataset_size = max(scale.dataset_size, 2400)
-    return scale
+    return base.replace(
+        declared_byzantine_workers=min(
+            base.declared_byzantine_workers,
+            ClusterConfig.max_admissible_byzantine(base.num_workers)),
+        declared_byzantine_servers=min(
+            base.declared_byzantine_servers,
+            ClusterConfig.max_admissible_byzantine(base.num_servers)),
+        dataset_size=max(base.dataset_size, 2400))
 
 
 def _dump_json(path: Optional[str], payload) -> None:
@@ -292,8 +287,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_figure3(args: argparse.Namespace) -> int:
-    scale = _scale_from_args(args)
-    result = run_figure3(scale=scale, batch_size=args.batch_size)
+    result = run_figure3(
+        base=_base_from_args(args).replace(batch_size=args.batch_size))
     print(f"Figure 3 — batch size {result.batch_size}, non-Byzantine environment\n")
     print(histories_summary_table(result.histories,
                                   target_accuracy=result.reference_accuracy()))
@@ -303,8 +298,7 @@ def cmd_figure3(args: argparse.Namespace) -> int:
 
 
 def cmd_figure4(args: argparse.Namespace) -> int:
-    scale = _scale_from_args(args)
-    result = run_figure4(scale=scale)
+    result = run_figure4(base=_base_from_args(args))
     print("Figure 4 — impact of Byzantine players on convergence\n")
     print(histories_summary_table(result.histories))
     print("\n" + render_histories(result.histories, x_axis="steps"))
@@ -313,8 +307,7 @@ def cmd_figure4(args: argparse.Namespace) -> int:
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
-    scale = _scale_from_args(args)
-    samples = run_table2(scale=scale, interval=args.interval)
+    samples = run_table2(base=_base_from_args(args), interval=args.interval)
     rows = [{"step": s.step, "cos_phi": s.cos_phi, "max_diff1": s.max_diff_1,
              "max_diff2": s.max_diff_2} for s in samples]
     print("Table 2 — alignment of parameter-difference vectors")
@@ -324,8 +317,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 
 def cmd_overhead(args: argparse.Namespace) -> int:
-    scale = _scale_from_args(args)
-    report = overhead_report(scale=scale)
+    report = overhead_report(base=_base_from_args(args))
     print("Section 5.3 — overhead breakdown "
           "(paper: ~65 % runtime, up to ~33 % Byzantine)\n")
     print(format_table([report.as_rows()]))
@@ -334,8 +326,7 @@ def cmd_overhead(args: argparse.Namespace) -> int:
 
 
 def cmd_attack_sweep(args: argparse.Namespace) -> int:
-    scale = _scale_from_args(args)
-    histories = run_attack_sweep(scale=scale)
+    histories = run_attack_sweep(base=_base_from_args(args))
     print("Attack sweep — GuanYu under every registered attack\n")
     print(histories_summary_table(histories))
     _dump_json(args.json, _histories_payload(histories))
@@ -375,8 +366,7 @@ def cmd_attacks(args: argparse.Namespace) -> int:
 
 
 def cmd_gars(args: argparse.Namespace) -> int:
-    scale = _scale_from_args(args)
-    histories = run_gar_ablation(scale=scale)
+    histories = run_gar_ablation(base=_base_from_args(args))
     print("GAR ablation — server-side aggregation rule under attack\n")
     print(histories_summary_table(histories))
     _dump_json(args.json, _histories_payload(histories))
@@ -384,8 +374,7 @@ def cmd_gars(args: argparse.Namespace) -> int:
 
 
 def cmd_quorums(args: argparse.Namespace) -> int:
-    scale = _scale_from_args(args)
-    histories = run_quorum_ablation(scale=scale)
+    histories = run_quorum_ablation(base=_base_from_args(args))
     renamed = {f"q={quorum}": history for quorum, history in histories.items()}
     print("Quorum ablation — gradient quorum vs. throughput\n")
     print(histories_summary_table(renamed))
@@ -394,8 +383,8 @@ def cmd_quorums(args: argparse.Namespace) -> int:
 
 
 def cmd_scaling(args: argparse.Namespace) -> int:
-    scale = _scale_from_args(args)
-    rows = run_scaling_study(scale=scale, worker_counts=tuple(args.workers))
+    rows = run_scaling_study(base=_base_from_args(args),
+                             worker_counts=tuple(args.workers))
     print("Scaling study — workers vs. throughput\n")
     print(format_table(rows))
     _dump_json(args.json, rows)
@@ -470,8 +459,7 @@ def _campaign_from_args(args: argparse.Namespace) -> CampaignSpec:
                 "file carries the runtime in its scenarios' own 'runtime' "
                 "fields")
         return CampaignSpec.from_json_file(args.spec)
-    base = ScenarioSpec.from_scale(_scale_from_args(args), trainer=args.trainer,
-                                   name=args.name)
+    base = _base_from_args(args).replace(trainer=args.trainer, name=args.name)
     if args.runtime:
         base = base.replace(runtime=args.runtime)
     if args.faults:
@@ -650,9 +638,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     )
 
     try:
-        spec = ScenarioSpec.from_scale(
-            _scale_from_args(args), trainer="guanyu_threaded",
-            name=args.name).replace(runtime="cluster")
+        spec = _base_from_args(args).replace(
+            trainer="guanyu_threaded", name=args.name, runtime="cluster")
         if args.gar:
             spec = spec.replace(gradient_rule=args.gar)
         if args.faults:
@@ -739,7 +726,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 # Resilience subcommand (fault-schedule engine)
 # --------------------------------------------------------------------------- #
 def cmd_resilience(args: argparse.Namespace) -> int:
-    scale = _scale_from_args(args)
+    base = _base_from_args(args).replace(trainer=args.trainer)
     try:
         store = ResultStore(args.store) if args.store else None
     except OSError as exc:
@@ -747,17 +734,17 @@ def cmd_resilience(args: argparse.Namespace) -> int:
         return 2
     if args.mode == "crash":
         rows, histories = run_crash_quorum_study(
-            scale=scale, crash_counts=tuple(args.crashes),
+            base=base, crash_counts=tuple(args.crashes),
             quorum_sizes=tuple(args.quorums) if args.quorums else None,
             crash_step=args.crash_step, recover_step=args.recover_step,
-            trainer=args.trainer, store=store, processes=args.processes)
+            store=store, processes=args.processes)
         print("Resilience — crash count × model quorum "
               "(liveness boundary: crashed ≤ n − q)\n")
     else:
         rows, histories = run_partition_heal_study(
-            scale=scale, partition_step=args.partition_step,
+            base=base, partition_step=args.partition_step,
             heal_steps=tuple(args.heal_steps) if args.heal_steps else None,
-            trainer=args.trainer, store=store, processes=args.processes)
+            store=store, processes=args.processes)
         print("Resilience — partition-heal recovery "
               "(phase-3 median re-contracts the stale replica)\n")
     print(format_table(rows, float_format="{:.4f}"))
@@ -777,14 +764,14 @@ def cmd_breakdown(args: argparse.Namespace) -> int:
         run_breakdown_search,
     )
 
-    scale = _scale_from_args(args)
+    base = _base_from_args(args)
     try:
         store = ResultStore(args.store) if args.store else None
     except OSError as exc:
         print(f"error: unusable store path: {exc}", file=sys.stderr)
         return 2
     results = run_breakdown_search(
-        scale=scale, gars=tuple(args.gars), adversaries=tuple(args.adversaries),
+        base=base, gars=tuple(args.gars), adversaries=tuple(args.adversaries),
         loss_factor=args.loss_factor, loss_slack=args.loss_slack, store=store)
     rows = breakdown_table(results)
     print("Breakdown-point search — largest attacker count each GAR "
@@ -811,14 +798,14 @@ def cmd_hetero(args: argparse.Namespace) -> int:
         run_heterogeneity_study,
     )
 
-    scale = _scale_from_args(args)
+    base = _base_from_args(args)
     try:
         store = ResultStore(args.store) if args.store else None
     except OSError as exc:
         print(f"error: unusable store path: {exc}", file=sys.stderr)
         return 2
     results, histories = run_heterogeneity_study(
-        scale=scale, skews=tuple(args.skews), gars=tuple(args.gars),
+        base=base, skews=tuple(args.skews), gars=tuple(args.gars),
         adversaries=tuple(args.adversaries),
         seeds=tuple(args.seeds) if args.seeds else None, store=store,
         processes=args.processes, batch_seeds=args.batch_seeds)

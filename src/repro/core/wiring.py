@@ -86,7 +86,7 @@ def scenario_arguments(spec) -> Tuple[Dict, Optional[Dataset], object]:
         build_scale_bundle,
     )
 
-    train, test, model_fn, schedule = build_scale_bundle(spec.to_scale())
+    train, test, model_fn, schedule = build_scale_bundle(spec)
     return {
         "train_dataset": train,
         "seed": spec.seed,

@@ -18,13 +18,15 @@ share exactly the same code:
 =====================  ===========================================================
 
 The experiments run on a scaled-down workload (synthetic data, small models,
-fewer steps) so that they complete in minutes on a CPU; the
-:class:`ExperimentScale` dataclass centralises those knobs, and the
-assertions under ``benchmarks/`` state how the measured shapes compare with
-the paper.
+fewer steps) so that they complete in minutes on a CPU.  Every harness takes
+a ``base`` :class:`~repro.campaign.spec.ScenarioSpec` — the one description
+of a run — that sets those knobs (``ScenarioSpec()`` is the small preset,
+:func:`paper_like` the paper's cluster shape) and replaces the fields it
+sweeps; the assertions under ``benchmarks/`` state how the measured shapes
+compare with the paper.
 """
 
-from repro.experiments.common import ExperimentScale, build_workload, make_model_factory
+from repro.experiments.common import build_workload, make_model_factory, paper_like
 from repro.experiments.figure3 import Figure3Result, run_figure3
 from repro.experiments.figure4 import Figure4Result, run_figure4
 from repro.experiments.table1 import table1_report
@@ -53,9 +55,9 @@ from repro.experiments.heterogeneity import (
 )
 
 __all__ = [
-    "ExperimentScale",
     "build_workload",
     "make_model_factory",
+    "paper_like",
     "table1_report",
     "Figure3Result",
     "run_figure3",

@@ -33,7 +33,7 @@ from repro.campaign.engine import run_campaign
 from repro.campaign.spec import AttackSpec, CampaignSpec, ScenarioSpec
 from repro.campaign.store import ResultStore
 from repro.core import ClusterConfig
-from repro.experiments.common import ExperimentScale, build_workload
+from repro.experiments.common import workload_num_classes
 from repro.metrics import TrainingHistory, throughput_updates_per_second
 
 
@@ -47,7 +47,7 @@ def _execute(name: str, scenarios: List[ScenarioSpec],
     return result.histories()
 
 
-def run_gar_ablation(scale: Optional[ExperimentScale] = None,
+def run_gar_ablation(base: Optional[ScenarioSpec] = None,
                      rules: Sequence[str] = ("multi_krum", "median",
                                              "trimmed_mean", "mean"),
                      store: Optional[ResultStore] = None,
@@ -58,13 +58,12 @@ def run_gar_ablation(scale: Optional[ExperimentScale] = None,
     The robust rules should converge; the arithmetic mean should not — this
     is the ablation backing the paper's choice of Multi-Krum for phase 2.
     """
-    scale = scale if scale is not None else ExperimentScale.small()
-    base = ScenarioSpec.from_scale(scale)
+    base = base if base is not None else ScenarioSpec()
     scenarios = [
         base.replace(
             name=f"gar-{rule}", gradient_rule=rule,
             worker_attack=AttackSpec("random_gradient", {"scale": 100.0}),
-            num_attacking_workers=scale.declared_byzantine_workers)
+            num_attacking_workers=base.declared_byzantine_workers)
         for rule in rules
     ]
     histories = _execute("gar-ablation", scenarios, store, processes)
@@ -85,7 +84,7 @@ def default_attack_suite(num_classes: int = 4) -> Dict[str, Dict]:
     }
 
 
-def run_attack_sweep(scale: Optional[ExperimentScale] = None,
+def run_attack_sweep(base: Optional[ScenarioSpec] = None,
                      attacks: Optional[Dict[str, Dict]] = None,
                      store: Optional[ResultStore] = None,
                      processes: Optional[int] = None,
@@ -97,10 +96,9 @@ def run_attack_sweep(scale: Optional[ExperimentScale] = None,
     must come from the Byzantine registry so the sweep can be expressed as
     (serialisable, cacheable) campaign scenarios.
     """
-    scale = scale if scale is not None else ExperimentScale.small()
-    _, _, _, num_classes = build_workload(scale)
-    attacks = attacks if attacks is not None else default_attack_suite(num_classes)
-    base = ScenarioSpec.from_scale(scale)
+    base = base if base is not None else ScenarioSpec()
+    if attacks is None:
+        attacks = default_attack_suite(workload_num_classes(base.dataset))
     scenarios = []
     for name, suite_entry in attacks.items():
         entry = dict(suite_entry)
@@ -109,12 +107,12 @@ def run_attack_sweep(scale: Optional[ExperimentScale] = None,
             overrides["worker_attack"] = \
                 AttackSpec.from_attack(entry.pop("worker_attack"))
             overrides["num_attacking_workers"] = entry.pop(
-                "num_attacking_workers", scale.declared_byzantine_workers)
+                "num_attacking_workers", base.declared_byzantine_workers)
         if "server_attack" in entry:
             overrides["server_attack"] = \
                 AttackSpec.from_attack(entry.pop("server_attack"))
             overrides["num_attacking_servers"] = entry.pop(
-                "num_attacking_servers", scale.declared_byzantine_servers)
+                "num_attacking_servers", base.declared_byzantine_servers)
         # Remaining suite keys are scenario fields (e.g. ``gradient_rule``);
         # unknown keys raise instead of being silently dropped.
         if "name" in entry:
@@ -126,7 +124,7 @@ def run_attack_sweep(scale: Optional[ExperimentScale] = None,
     return {name: histories[f"attack-{name}"] for name in attacks}
 
 
-def run_quorum_ablation(scale: Optional[ExperimentScale] = None,
+def run_quorum_ablation(base: Optional[ScenarioSpec] = None,
                         quorums: Optional[Sequence[int]] = None,
                         store: Optional[ResultStore] = None,
                         processes: Optional[int] = None,
@@ -137,32 +135,27 @@ def run_quorum_ablation(scale: Optional[ExperimentScale] = None,
     gradients, improving per-update progress — the trade-off discussed in
     the paper's Section 5.3.
     """
-    scale = scale if scale is not None else ExperimentScale.small()
-    config = ClusterConfig(num_servers=scale.num_servers,
-                           num_workers=scale.num_workers,
-                           num_byzantine_servers=scale.declared_byzantine_servers,
-                           num_byzantine_workers=scale.declared_byzantine_workers)
+    base = base if base is not None else ScenarioSpec()
     if quorums is None:
+        config = base.cluster_config()
         quorums = sorted({config.min_gradient_quorum, config.max_gradient_quorum})
-    base = ScenarioSpec.from_scale(scale)
     scenarios = [base.replace(name=f"quorum-{quorum}", gradient_quorum=quorum)
                  for quorum in quorums]
     histories = _execute("quorum-ablation", scenarios, store, processes)
     return {quorum: histories[f"quorum-{quorum}"] for quorum in quorums}
 
 
-def run_scaling_study(scale: Optional[ExperimentScale] = None,
+def run_scaling_study(base: Optional[ScenarioSpec] = None,
                       worker_counts: Sequence[int] = (6, 9, 12, 18),
                       num_steps: int = 20,
                       store: Optional[ResultStore] = None,
                       processes: Optional[int] = None,
                       ) -> List[Dict[str, float]]:
     """Throughput (updates per simulated second) as the worker pool grows."""
-    scale = scale if scale is not None else ExperimentScale.small()
-    base = ScenarioSpec.from_scale(scale, num_steps=num_steps,
-                                   eval_every=num_steps)
+    base = (base if base is not None else ScenarioSpec()).replace(
+        num_steps=num_steps, eval_every=num_steps)
     declared_counts = {
-        num_workers: min(scale.declared_byzantine_workers,
+        num_workers: min(base.declared_byzantine_workers,
                          ClusterConfig.max_admissible_byzantine(num_workers))
         for num_workers in worker_counts
     }

@@ -28,7 +28,7 @@ from repro.aggregation import available_rules, get_rule
 from repro.campaign.spec import ScenarioSpec
 from repro.campaign.store import ResultStore
 from repro.core.config import ClusterConfig
-from repro.experiments.common import ExperimentScale, workload_attack_kwargs
+from repro.experiments.common import workload_attack_kwargs
 
 #: adversaries the default boundary table sweeps (strongest first)
 DEFAULT_ADVERSARIES = ("omniscient_descent", "collusion", "reversed_gradient")
@@ -65,7 +65,7 @@ class BreakdownResult:
         }
 
 
-def _attack_spec(scale: ExperimentScale, gar: str, adversary: Optional[str],
+def _attack_spec(base: ScenarioSpec, gar: str, adversary: Optional[str],
                  adversary_kwargs: Optional[Dict],
                  num_attackers: int) -> ScenarioSpec:
     """The scenario evaluating ``gar`` against ``num_attackers`` colluders.
@@ -76,12 +76,11 @@ def _attack_spec(scale: ExperimentScale, gar: str, adversary: Optional[str],
     ``2f̄ + 3`` would be too small (Bulyan needs ``4f̄ + 3`` inputs).
     """
     rule = get_rule(gar, num_byzantine=num_attackers)
-    config = ClusterConfig(num_servers=scale.num_servers,
-                           num_workers=scale.num_workers,
+    config = ClusterConfig(num_servers=base.num_servers,
+                           num_workers=base.num_workers,
                            num_byzantine_workers=num_attackers)
     quorum = max(config.gradient_quorum, rule.minimum_inputs())
-    spec = ScenarioSpec.from_scale(
-        scale,
+    return base.replace(
         name=f"breakdown-{gar}-{adversary or 'honest'}-f{num_attackers}",
         trainer="guanyu",
         gradient_rule=gar,
@@ -93,16 +92,15 @@ def _attack_spec(scale: ExperimentScale, gar: str, adversary: Optional[str],
                          "kwargs": dict(adversary_kwargs or {})}),
         num_attacking_workers=num_attackers if adversary else 0,
     )
-    return spec
 
 
-def admissible_max_attackers(scale: ExperimentScale, gar: str) -> int:
+def admissible_max_attackers(base: ScenarioSpec, gar: str) -> int:
     """Largest attacker count for which the evaluation scenario is valid."""
-    ceiling = ClusterConfig.max_admissible_byzantine(scale.num_workers)
+    ceiling = ClusterConfig.max_admissible_byzantine(base.num_workers)
     best = 0
     for count in range(1, ceiling + 1):
         try:
-            _attack_spec(scale, gar, None, None, count).validate()
+            _attack_spec(base, gar, None, None, count).validate()
         except ValueError:
             break
         best = count
@@ -119,7 +117,7 @@ def _final_loss(spec: ScenarioSpec,
             result.status == "cached")
 
 
-def run_breakdown_search(scale: Optional[ExperimentScale] = None,
+def run_breakdown_search(base: Optional[ScenarioSpec] = None,
                          gars: Sequence[str] = DEFAULT_GARS,
                          adversaries: Sequence[str] = DEFAULT_ADVERSARIES,
                          adversary_kwargs: Optional[Dict[str, Dict]] = None,
@@ -131,8 +129,8 @@ def run_breakdown_search(scale: Optional[ExperimentScale] = None,
 
     Parameters
     ----------
-    scale:
-        Workload knobs (default: :meth:`ExperimentScale.small`).
+    base:
+        The workload (default: ``ScenarioSpec()``).
     gars, adversaries:
         Names to cross.  Unknown GAR names raise ``KeyError``; adversary
         names resolve through the adversary registry (stateful strategies
@@ -152,14 +150,14 @@ def run_breakdown_search(scale: Optional[ExperimentScale] = None,
 
     Returns one :class:`BreakdownResult` per pair, in input order.
     """
-    scale = scale if scale is not None else ExperimentScale.small()
+    base = base if base is not None else ScenarioSpec()
     for gar in gars:
         if gar not in available_rules():
             raise KeyError(f"unknown aggregation rule '{gar}'; "
                            f"available: {available_rules()}")
     kwargs_by_adversary = dict(adversary_kwargs or {})
     for adversary in adversaries:
-        defaults = workload_attack_kwargs(adversary, scale.dataset)
+        defaults = workload_attack_kwargs(adversary, base.dataset)
         if defaults:
             kwargs = {**defaults, **kwargs_by_adversary.get(adversary, {})}
             kwargs_by_adversary[adversary] = kwargs
@@ -175,8 +173,8 @@ def run_breakdown_search(scale: Optional[ExperimentScale] = None,
 
     results: List[BreakdownResult] = []
     for gar in gars:
-        admissible = admissible_max_attackers(scale, gar)
-        baseline_spec = _attack_spec(scale, gar, None, None, 0)
+        admissible = admissible_max_attackers(base, gar)
+        baseline_spec = _attack_spec(base, gar, None, None, 0)
         baseline_loss, _ = _final_loss(baseline_spec, store)
         threshold = loss_factor * baseline_loss + loss_slack
         for adversary in adversaries:
@@ -185,7 +183,7 @@ def run_breakdown_search(scale: Optional[ExperimentScale] = None,
 
             def survives(count: int) -> bool:
                 nonlocal evaluations
-                spec = _attack_spec(scale, gar, adversary,
+                spec = _attack_spec(base, gar, adversary,
                                     kwargs_by_adversary.get(adversary),
                                     count)
                 loss, _ = _final_loss(spec, store)

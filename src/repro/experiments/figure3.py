@@ -21,13 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core import ClusterConfig, GuanYuTrainer, VanillaTrainer
-from repro.experiments.common import (
-    ExperimentScale,
-    build_workload,
-    make_model_factory,
-    make_schedule,
-)
+from repro.campaign.engine import run_campaign
+from repro.campaign.spec import ScenarioSpec
 from repro.metrics import (
     TrainingHistory,
     throughput_updates_per_second,
@@ -74,73 +69,34 @@ class Figure3Result:
         return 0.8 * max(finals)
 
 
-def _declared(scale: ExperimentScale, declared_workers: int,
-              declared_servers: int) -> ClusterConfig:
-    return ClusterConfig(
-        num_servers=scale.num_servers,
-        num_workers=scale.num_workers,
-        num_byzantine_servers=declared_servers,
-        num_byzantine_workers=declared_workers,
-    )
-
-
-def run_figure3(scale: Optional[ExperimentScale] = None,
-                batch_size: Optional[int] = None,
+def run_figure3(base: Optional[ScenarioSpec] = None,
                 systems: Optional[List[str]] = None) -> Figure3Result:
     """Run the Figure 3 comparison (one batch size).
 
     Parameters
     ----------
-    scale:
-        Workload scale (defaults to :meth:`ExperimentScale.small`).
-    batch_size:
-        Override of the scale's batch size; the paper runs 128 (Fig. 3a/b)
-        and 32 (Fig. 3c/d).
+    base:
+        The workload (default: ``ScenarioSpec()``).  Its ``batch_size`` is
+        the figure's: the paper runs 128 (Fig. 3a/b) and 32 (Fig. 3c/d).
     systems:
         Subset of :data:`FIGURE3_SYSTEMS` to run (all by default).
     """
-    scale = scale if scale is not None else ExperimentScale.small()
-    batch_size = batch_size if batch_size is not None else scale.batch_size
-    systems = list(systems) if systems is not None else list(FIGURE3_SYSTEMS)
-
-    train, test, in_features, num_classes = build_workload(scale)
-    model_fn = make_model_factory(scale, in_features, num_classes)
-    schedule = make_schedule(scale)
-    result = Figure3Result(batch_size=batch_size)
-
-    common = dict(model_fn=model_fn, train_dataset=train, test_dataset=test,
-                  batch_size=batch_size, schedule=schedule, seed=scale.seed,
-                  cost_num_parameters=scale.billed_parameters)
-
-    if "vanilla_tf" in systems:
-        trainer = VanillaTrainer(num_workers=scale.num_workers,
-                                 external_communication=False,
-                                 label="vanilla_tf", **common)
-        result.histories["vanilla_tf"] = trainer.run(
-            scale.num_steps, eval_every=scale.eval_every,
-            max_eval_samples=scale.max_eval_samples)
-
-    if "guanyu_vanilla" in systems:
-        trainer = VanillaTrainer(num_workers=scale.num_workers,
-                                 external_communication=True,
-                                 label="guanyu_vanilla", **common)
-        result.histories["guanyu_vanilla"] = trainer.run(
-            scale.num_steps, eval_every=scale.eval_every,
-            max_eval_samples=scale.max_eval_samples)
-
-    guanyu_variants = {
-        "guanyu_f0_s0": (0, 0),
-        "guanyu_f_workers_s0": (scale.declared_byzantine_workers, 0),
-        "guanyu_f_workers_s1": (scale.declared_byzantine_workers,
-                                scale.declared_byzantine_servers),
+    base = base if base is not None else ScenarioSpec()
+    systems = systems if systems is not None else FIGURE3_SYSTEMS
+    # The two single-server baselines average gradients; the GuanYu systems
+    # differ only in the declared (f̄, f), which sets quorums and rules.
+    vanilla = base.replace(trainer="vanilla", gradient_rule="mean")
+    guanyu = base.replace(trainer="guanyu")
+    scenarios = {
+        "vanilla_tf": vanilla,
+        "guanyu_vanilla": vanilla.replace(external_communication=True),
+        "guanyu_f0_s0": guanyu.replace(declared_byzantine_workers=0,
+                                       declared_byzantine_servers=0),
+        "guanyu_f_workers_s0": guanyu.replace(declared_byzantine_servers=0),
+        "guanyu_f_workers_s1": guanyu,
     }
-    for name, (declared_workers, declared_servers) in guanyu_variants.items():
-        if name not in systems:
-            continue
-        config = _declared(scale, declared_workers, declared_servers)
-        trainer = GuanYuTrainer(config=config, label=name, **common)
-        result.histories[name] = trainer.run(
-            scale.num_steps, eval_every=scale.eval_every,
-            max_eval_samples=scale.max_eval_samples)
-
-    return result
+    result = run_campaign(
+        [scenarios[name].replace(name=name) for name in FIGURE3_SYSTEMS
+         if name in systems], name="figure3").raise_on_failure()
+    return Figure3Result(batch_size=base.batch_size,
+                         histories=result.histories())

@@ -17,7 +17,6 @@ from typing import Dict, Optional
 from repro.adversary import EquivocationAttack, RandomGradientAttack, ServerAttack, WorkerAttack
 from repro.campaign.engine import run_campaign
 from repro.campaign.spec import AttackSpec, CampaignSpec, ScenarioSpec
-from repro.experiments.common import ExperimentScale
 from repro.metrics import TrainingHistory
 
 FIGURE4_SYSTEMS = ("vanilla_tf", "vanilla_tf_byzantine", "guanyu_byzantine")
@@ -34,7 +33,7 @@ class Figure4Result:
                 for name, history in self.histories.items()}
 
 
-def run_figure4(scale: Optional[ExperimentScale] = None,
+def run_figure4(base: Optional[ScenarioSpec] = None,
                 worker_attack: Optional[WorkerAttack] = None,
                 server_attack: Optional[ServerAttack] = None,
                 num_attacking_workers: Optional[int] = None,
@@ -48,21 +47,20 @@ def run_figure4(scale: Optional[ExperimentScale] = None,
     attack-sweep ablation does exactly that) — the run is expressed as
     campaign scenarios, which must be serialisable.
     """
-    scale = scale if scale is not None else ExperimentScale.small()
+    base = base if base is not None else ScenarioSpec()
     worker_attack = worker_attack if worker_attack is not None else \
         RandomGradientAttack(scale=100.0)
     server_attack = server_attack if server_attack is not None else \
         EquivocationAttack(magnitude=50.0)
     if num_attacking_workers is None:
-        num_attacking_workers = scale.declared_byzantine_workers
+        num_attacking_workers = base.declared_byzantine_workers
     # The guarantees (and the trainer's validation) only cover attacks within
     # the declared Byzantine counts.
     num_attacking_workers = min(num_attacking_workers,
-                                scale.declared_byzantine_workers)
+                                base.declared_byzantine_workers)
     num_attacking_servers = min(num_attacking_servers,
-                                scale.declared_byzantine_servers)
+                                base.declared_byzantine_servers)
 
-    base = ScenarioSpec.from_scale(scale)
     worker_attack_spec = AttackSpec.from_attack(worker_attack)
     server_attack_spec = AttackSpec.from_attack(server_attack)
     scenarios = [

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.campaign.engine import run_campaign
 from repro.campaign.spec import AttackSpec, ScenarioSpec
 from repro.campaign.store import ResultStore
-from repro.experiments.common import ExperimentScale, workload_attack_kwargs
+from repro.experiments.common import workload_attack_kwargs
 from repro.hetero import HeteroSpec
 from repro.obs.history import TrainingHistory
 
@@ -70,14 +70,13 @@ def hetero_axis(skews: Sequence[str],
     return axis
 
 
-def run_heterogeneity_study(scale: Optional[ExperimentScale] = None,
+def run_heterogeneity_study(base: Optional[ScenarioSpec] = None,
                             skews: Sequence[str] = DEFAULT_SKEWS,
                             gars: Sequence[str] = ("mean", "median",
                                                    "multi_krum"),
                             adversaries: Sequence[Optional[str]] = (
                                 None, "collusion"),
                             seeds: Optional[Sequence[int]] = None,
-                            num_steps: Optional[int] = None,
                             store: Optional[ResultStore] = None,
                             processes: Optional[int] = None,
                             batch_seeds: bool = False,
@@ -94,12 +93,9 @@ def run_heterogeneity_study(scale: Optional[ExperimentScale] = None,
     ``seeds`` replicates every cell and reports the per-cell **mean**
     final accuracy/loss over the completed replicas — with
     ``batch_seeds=True`` the replicas of one cell run as a single
-    vectorised multi-replica execution.  Default: the scale's one seed.
+    vectorised multi-replica execution.  Default: the base's one seed.
     """
-    scale = scale if scale is not None else ExperimentScale.small()
-    base = ScenarioSpec.from_scale(scale)
-    if num_steps is not None:
-        base = base.replace(num_steps=num_steps)
+    base = base if base is not None else ScenarioSpec()
     axis = hetero_axis(skews, min_samples=base.batch_size)
     seed_list = list(seeds) if seeds else [base.seed]
 

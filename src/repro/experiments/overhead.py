@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.experiments.common import ExperimentScale
+from repro.campaign.spec import ScenarioSpec
 from repro.experiments.figure3 import Figure3Result, run_figure3
 from repro.metrics import overhead_percent, time_to_accuracy
 
@@ -46,7 +46,7 @@ class OverheadReport:
 
 
 def overhead_report(result: Optional[Figure3Result] = None,
-                    scale: Optional[ExperimentScale] = None,
+                    base: Optional[ScenarioSpec] = None,
                     target_accuracy: Optional[float] = None) -> OverheadReport:
     """Compute the overhead breakdown from a Figure 3 result.
 
@@ -54,13 +54,13 @@ def overhead_report(result: Optional[Figure3Result] = None,
     ----------
     result:
         An existing :class:`Figure3Result`; when omitted the three systems
-        required for the breakdown are run at the given ``scale``.
+        required for the breakdown are run on the given ``base``.
     target_accuracy:
         Accuracy threshold for the time-to-accuracy measurements (defaults
         to the shared reference target of the Figure 3 result).
     """
     if result is None:
-        result = run_figure3(scale=scale, systems=[
+        result = run_figure3(base=base, systems=[
             "vanilla_tf", "guanyu_vanilla", "guanyu_f_workers_s1"])
     required = ("vanilla_tf", "guanyu_vanilla", "guanyu_f_workers_s1")
     missing = [name for name in required if name not in result.histories]

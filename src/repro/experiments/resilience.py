@@ -29,18 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.campaign.engine import run_campaign
 from repro.campaign.spec import ScenarioSpec
 from repro.campaign.store import ResultStore
-from repro.experiments.common import ExperimentScale
 from repro.faults import FaultEvent, FaultSchedule
 from repro.obs.history import TrainingHistory
-
-
-def _base_spec(scale: Optional[ExperimentScale], trainer: str,
-               num_steps: Optional[int]) -> ScenarioSpec:
-    scale = scale if scale is not None else ExperimentScale.small()
-    spec = ScenarioSpec.from_scale(scale, trainer=trainer)
-    if num_steps is not None:
-        spec = spec.replace(num_steps=num_steps)
-    return spec
 
 
 def _stalled_steps(history: TrainingHistory) -> int:
@@ -69,13 +59,11 @@ def schedule_for_crashes(spec: ScenarioSpec, num_crashed: int, crash_step: int,
 # --------------------------------------------------------------------------- #
 # Crash-vs-quorum study
 # --------------------------------------------------------------------------- #
-def run_crash_quorum_study(scale: Optional[ExperimentScale] = None,
+def run_crash_quorum_study(base: Optional[ScenarioSpec] = None,
                            crash_counts: Sequence[int] = (0, 1, 2, 3),
                            quorum_sizes: Optional[Sequence[int]] = None,
                            crash_step: Optional[int] = None,
                            recover_step: Optional[int] = None,
-                           trainer: str = "guanyu",
-                           num_steps: Optional[int] = None,
                            store: Optional[ResultStore] = None,
                            processes: Optional[int] = None,
                            ) -> Tuple[List[Dict], Dict[str, TrainingHistory]]:
@@ -87,7 +75,7 @@ def run_crash_quorum_study(scale: Optional[ExperimentScale] = None,
     ``c ≤ n − q``.  The crash window defaults to the middle third of the
     run.
     """
-    base = _base_spec(scale, trainer, num_steps).replace(
+    base = (base if base is not None else ScenarioSpec()).replace(
         declared_byzantine_servers=0)
     config = base.cluster_config()
     if quorum_sizes is None:
@@ -139,11 +127,9 @@ def run_crash_quorum_study(scale: Optional[ExperimentScale] = None,
 # --------------------------------------------------------------------------- #
 # Partition-heal study
 # --------------------------------------------------------------------------- #
-def run_partition_heal_study(scale: Optional[ExperimentScale] = None,
+def run_partition_heal_study(base: Optional[ScenarioSpec] = None,
                              partition_step: Optional[int] = None,
                              heal_steps: Optional[Sequence[int]] = None,
-                             trainer: str = "guanyu",
-                             num_steps: Optional[int] = None,
                              store: Optional[ResultStore] = None,
                              processes: Optional[int] = None,
                              ) -> Tuple[List[Dict], Dict[str, TrainingHistory]]:
@@ -154,7 +140,7 @@ def run_partition_heal_study(scale: Optional[ExperimentScale] = None,
     spread at the heal step (how far the replica drifted) and at the end of
     training (how completely it re-contracted).
     """
-    base = _base_spec(scale, trainer, num_steps)
+    base = base if base is not None else ScenarioSpec()
     config = base.cluster_config()
     cut_at = (partition_step if partition_step is not None
               else base.num_steps // 4)

@@ -671,7 +671,7 @@ class Supervisor:
     def _assemble_history(self) -> TrainingHistory:
         from repro.experiments.common import build_scale_bundle
 
-        _, _, _, schedule = build_scale_bundle(self.spec.to_scale())
+        _, _, _, schedule = build_scale_bundle(self.spec)
         spec = self.spec
         history = TrainingHistory(
             label="guanyu-cluster",

@@ -250,25 +250,20 @@ class TestThreeWiringsEmitIdenticalCorruption:
 
 class TestThreadedRuntime:
     def _runtime(self, adversary_name, **adversary_kwargs):
-        from repro.experiments.common import (
-            ExperimentScale,
-            build_workload,
-            make_model_factory,
-        )
+        from repro.campaign.spec import ScenarioSpec
+        from repro.experiments.common import build_workload, make_model_factory
         from repro.core.config import ClusterConfig
         from repro.nn.schedules import ConstantSchedule
 
-        scale = ExperimentScale.small()
-        scale.num_workers, scale.num_servers = 6, 6
-        scale.declared_byzantine_workers = 1
-        scale.dataset_size = 240
-        train, _, in_features, num_classes = build_workload(scale)
+        spec = ScenarioSpec(num_workers=6, num_servers=6,
+                            declared_byzantine_workers=1, dataset_size=240)
+        train, _, in_features, num_classes = build_workload(spec)
         config = ClusterConfig(num_servers=6, num_workers=6,
                                num_byzantine_servers=1,
                                num_byzantine_workers=1)
         return ThreadedClusterRuntime(
             config=config,
-            model_fn=make_model_factory(scale, in_features, num_classes),
+            model_fn=make_model_factory(spec, in_features, num_classes),
             train_dataset=train, batch_size=8,
             schedule=ConstantSchedule(0.05),
             adversary=lift(get(adversary_name, **adversary_kwargs)),

@@ -7,19 +7,17 @@ import numpy as np
 import pytest
 
 from repro import cli
+from repro.campaign.spec import ScenarioSpec
 from repro.campaign.store import ResultStore
 from repro.experiments.breakdown import (
     admissible_max_attackers,
     breakdown_table,
     run_breakdown_search,
 )
-from repro.experiments.common import ExperimentScale
 
 
-def _scale(steps=8):
-    scale = ExperimentScale.small()
-    scale.num_steps = steps
-    return scale
+def _base(steps=8):
+    return ScenarioSpec(num_steps=steps)
 
 
 class TestBreakdownSearch:
@@ -31,7 +29,7 @@ class TestBreakdownSearch:
         the admissible maximum ``(n̄ - 3) / 3``.
         """
         results = run_breakdown_search(
-            scale=_scale(),
+            base=_base(),
             gars=("mean", "median"),
             adversaries=("omniscient_descent", "reversed_gradient"))
         boundary = [(row["gradient_rule"], row["adversary"],
@@ -46,21 +44,21 @@ class TestBreakdownSearch:
         ]
 
     def test_search_is_bit_reproducible(self):
-        first = run_breakdown_search(scale=_scale(), gars=("median",),
+        first = run_breakdown_search(base=_base(), gars=("median",),
                                      adversaries=("omniscient_descent",))
-        second = run_breakdown_search(scale=_scale(), gars=("median",),
+        second = run_breakdown_search(base=_base(), gars=("median",),
                                       adversaries=("omniscient_descent",))
         assert breakdown_table(first) == breakdown_table(second)
         assert first[0].losses == second[0].losses
 
     def test_store_caches_every_evaluation(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        first = run_breakdown_search(scale=_scale(), gars=("median",),
+        first = run_breakdown_search(base=_base(), gars=("median",),
                                      adversaries=("reversed_gradient",),
                                      store=store)
         entries = len(store)
         assert entries == 1 + first[0].evaluations  # baseline + attacked
-        second = run_breakdown_search(scale=_scale(), gars=("median",),
+        second = run_breakdown_search(base=_base(), gars=("median",),
                                       adversaries=("reversed_gradient",),
                                       store=store)
         assert len(store) == entries  # everything came from cache
@@ -70,19 +68,19 @@ class TestBreakdownSearch:
 
     def test_unknown_gar_raises(self):
         with pytest.raises(KeyError, match="unknown aggregation rule"):
-            run_breakdown_search(scale=_scale(), gars=("nope",))
+            run_breakdown_search(base=_base(), gars=("nope",))
 
     def test_server_side_adversary_rejected_with_clear_message(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         with pytest.raises(ValueError, match="worker-side"):
-            run_breakdown_search(scale=_scale(), gars=("median",),
+            run_breakdown_search(base=_base(), gars=("median",),
                                  adversaries=("stale_model",), store=store)
         assert len(store) == 0  # rejected before the baseline trains
 
     def test_unknown_adversary_raises_before_any_training(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         with pytest.raises(KeyError, match="unknown adversary"):
-            run_breakdown_search(scale=_scale(), gars=("median",),
+            run_breakdown_search(base=_base(), gars=("median",),
                                  adversaries=("omniscient_decsent",),
                                  store=store)
         assert len(store) == 0  # the typo fails before the baseline trains
@@ -90,7 +88,7 @@ class TestBreakdownSearch:
     def test_label_flip_adversary_gets_workload_classes(self):
         # blobs has 4 classes; the attack's default num_classes=10 would
         # poison labels past the softmax range and crash the evaluation.
-        results = run_breakdown_search(scale=_scale(), gars=("median",),
+        results = run_breakdown_search(base=_base(), gars=("median",),
                                        adversaries=("label_flip",))
         assert results[0].adversary == "label_flip"
         assert all(np.isfinite(loss)
@@ -98,17 +96,17 @@ class TestBreakdownSearch:
 
     def test_adversary_kwargs_override(self):
         results = run_breakdown_search(
-            scale=_scale(), gars=("median",), adversaries=("collusion",),
+            base=_base(), gars=("median",), adversaries=("collusion",),
             adversary_kwargs={"collusion": {"attack": "sign_flip"}})
         assert results[0].adversary == "collusion"
         assert results[0].breakdown_f >= 0
 
     def test_admissible_max_respects_rule_minimums(self):
-        scale = _scale()
+        base = _base()
         # 9 workers: the cluster arithmetic admits f̄ ≤ 2; Bulyan needs
         # 4f̄ + 3 inputs, so it caps at f̄ = 1 ((9 - 3) / 4).
-        assert admissible_max_attackers(scale, "median") == 2
-        assert admissible_max_attackers(scale, "bulyan") == 1
+        assert admissible_max_attackers(base, "median") == 2
+        assert admissible_max_attackers(base, "bulyan") == 1
 
 
 class TestBreakdownCli:

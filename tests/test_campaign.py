@@ -18,7 +18,6 @@ from repro.adversary import RandomGradientAttack
 from repro.core import ClusterConfig, GuanYuTrainer
 from repro.core.trainer import VanillaTrainer
 from repro.experiments.common import (
-    ExperimentScale,
     build_workload,
     make_model_factory,
     make_schedule,
@@ -109,11 +108,6 @@ class TestScenarioSpec:
     def test_replace_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown scenario fields"):
             tiny_spec().replace(warp_factor=9)
-
-    def test_scale_round_trip(self):
-        scale = ExperimentScale.small()
-        spec = ScenarioSpec.from_scale(scale, name="s")
-        assert spec.to_scale() == scale
 
     def test_resolved_attacker_counts_default_to_declared(self):
         spec = tiny_spec(worker_attack="sign_flip")
@@ -489,14 +483,13 @@ class TestEngine:
                                                   {"scale": 100.0}))
         engine_history = run(spec).history
 
-        scale = spec.to_scale()
-        train, test, in_features, num_classes = build_workload(scale)
+        train, test, in_features, num_classes = build_workload(spec)
         trainer = GuanYuTrainer(
             config=ClusterConfig(num_servers=3, num_workers=6,
                                  num_byzantine_workers=1),
-            model_fn=make_model_factory(scale, in_features, num_classes),
+            model_fn=make_model_factory(spec, in_features, num_classes),
             train_dataset=train, test_dataset=test, batch_size=spec.batch_size,
-            schedule=make_schedule(scale), seed=spec.seed,
+            schedule=make_schedule(spec), seed=spec.seed,
             cost_num_parameters=spec.billed_parameters,
             gradient_rule_name="median",
             worker_attack=RandomGradientAttack(scale=100.0),

@@ -92,7 +92,8 @@ class TestSequentialVsThreaded:
 class TestHeterogeneityStudy:
     def test_pinned_seed_table_reproduces(self, tmp_path):
         kwargs = dict(skews=("iid", "dirichlet=0.2"),
-                      gars=("median",), adversaries=(None,), num_steps=5)
+                      gars=("median",), adversaries=(None,),
+                      base=ScenarioSpec(num_steps=5))
         first, _ = run_heterogeneity_study(**kwargs)
         second, _ = run_heterogeneity_study(**kwargs)
         assert heterogeneity_table(first) == heterogeneity_table(second)
@@ -106,7 +107,8 @@ class TestHeterogeneityStudy:
 
     def test_seed_axis_batches_and_matches_serial(self):
         kwargs = dict(skews=("iid", "dirichlet=0.2"), gars=("median",),
-                      adversaries=(None,), seeds=(1, 2), num_steps=4)
+                      adversaries=(None,), seeds=(1, 2),
+                      base=ScenarioSpec(num_steps=4))
         serial, serial_histories = run_heterogeneity_study(**kwargs)
         batched, batched_histories = run_heterogeneity_study(
             batch_seeds=True, **kwargs)

@@ -15,7 +15,6 @@ from repro.experiments.resilience import (
     run_partition_heal_study,
     schedule_for_crashes,
 )
-from repro.experiments.common import ExperimentScale
 from repro.faults import FaultSchedule
 from repro.runtime import run
 
@@ -121,12 +120,12 @@ class TestFaultSweeps:
 
 class TestResilienceHarness:
     @pytest.fixture(scope="class")
-    def tiny_scale(self):
-        return ExperimentScale(num_workers=6, num_servers=6,
-                               declared_byzantine_workers=1,
-                               declared_byzantine_servers=0, num_steps=9,
-                               eval_every=3, batch_size=16, dataset="blobs",
-                               model="softmax", dataset_size=300)
+    def tiny_base(self):
+        return ScenarioSpec(num_workers=6, num_servers=6,
+                            declared_byzantine_workers=1,
+                            declared_byzantine_servers=0, num_steps=9,
+                            eval_every=3, batch_size=16, dataset="blobs",
+                            model="softmax", dataset_size=300)
 
     def test_schedule_for_crashes_targets_last_servers(self):
         spec = _base()
@@ -136,11 +135,11 @@ class TestResilienceHarness:
         with pytest.raises(ValueError):
             schedule_for_crashes(spec, 99, 3, 7)
 
-    def test_crash_quorum_study_shows_liveness_boundary(self, tiny_scale,
+    def test_crash_quorum_study_shows_liveness_boundary(self, tiny_base,
                                                         tmp_path):
         store = ResultStore(tmp_path / "store")
         rows, histories = run_crash_quorum_study(
-            scale=tiny_scale, crash_counts=(0, 2), quorum_sizes=(3, 5),
+            base=tiny_base, crash_counts=(0, 2), quorum_sizes=(3, 5),
             crash_step=3, recover_step=6, store=store)
         assert len(rows) == 4
         by_cell = {(row["model_quorum"], row["crashed_servers"]): row
@@ -154,13 +153,13 @@ class TestResilienceHarness:
 
         # Reproduced from the store: second run is pure cache.
         rows2, _ = run_crash_quorum_study(
-            scale=tiny_scale, crash_counts=(0, 2), quorum_sizes=(3, 5),
+            base=tiny_base, crash_counts=(0, 2), quorum_sizes=(3, 5),
             crash_step=3, recover_step=6, store=store)
         assert rows2 == rows
 
-    def test_partition_heal_study_recontracts(self, tiny_scale):
+    def test_partition_heal_study_recontracts(self, tiny_base):
         rows, histories = run_partition_heal_study(
-            scale=tiny_scale, partition_step=2, heal_steps=(5, 8))
+            base=tiny_base, partition_step=2, heal_steps=(5, 8))
         assert [row["heal_step"] for row in rows] == [5, 8]
         for row in rows:
             assert row["spread_before_heal"] > row["final_spread"]

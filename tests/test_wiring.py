@@ -542,6 +542,36 @@ class TestOneCopy:
         assert [str(path.relative_to(repository)) for path in sources
                 if gone.search(path.read_text(encoding="utf-8"))] == []
 
+    def test_trainers_are_built_by_the_dispatch_table(self):
+        # every trainer construction goes through repro.runtime.facade's
+        # TRAINERS rows; class definitions and docstrings are not calls
+        built = {"GuanYuTrainer", "VanillaTrainer", "SingleServerKrumTrainer",
+                 "ThreadedClusterRuntime"}
+
+        def constructs(path):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    callee = node.func
+                    name = getattr(callee, "id", getattr(callee, "attr", None))
+                    if name in built:
+                        return True
+            return False
+
+        assert sorted(str(path.relative_to(SOURCE_ROOT))
+                      for path in SOURCE_ROOT.rglob("*.py")
+                      if constructs(path)) == ["runtime/facade.py"]
+
+    def test_one_scenario_description(self):
+        repository = SOURCE_ROOT.parent.parent
+        gone = re.compile(r"\bExperiment" + r"Scale\b|\bfrom" + r"_scale\b")
+        sources = [repository / "README.md"] + [
+            path for directory in ("src", "tests", "benchmarks", "examples",
+                                   "docs", ".claude/skills")
+            for path in (repository / directory).rglob("*")
+            if path.suffix in (".py", ".md")]
+        assert [str(path.relative_to(repository)) for path in sources
+                if gone.search(path.read_text(encoding="utf-8"))] == []
+
     def test_the_live_runtimes_own_no_protocol_loop(self):
         assert files_matching(r"\.wait_quorum\(", "runtime") \
             == ["runtime/live.py"]
