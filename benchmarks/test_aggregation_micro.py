@@ -13,7 +13,7 @@ import timeit
 import numpy as np
 import pytest
 
-from repro.aggregation import GeometricMedian
+from repro.aggregation import Bulyan, GeometricMedian, Krum
 from repro.aggregation.krum import pairwise_squared_distances
 from repro.core.nodes import max_pairwise_distance
 from repro.kernels import get_backend
@@ -126,3 +126,27 @@ def test_kernel_median_beats_the_sort_at_the_model_quorum_shape():
     sort_s = min(timeit.repeat(lambda: _sorted_median(stacked, axis=1),
                                number=3, repeat=9))
     assert 2.0 * kernel_s <= sort_s
+
+
+def test_bulyan_selects_from_one_matrix_at_the_wide_gar_pool():
+    """Bulyan at ``wide_gar``'s gradient quorum, (25, 30730) with f = 5:
+    fifteen Krum rounds scored from one distance matrix, where each round
+    used to run the Gram kernel on a copy of its pool.
+
+    Same choices as that loop.  Best of five each; the one matrix measures
+    7-9x faster there, so 3x holds through scheduling noise.
+    """
+    stacked = np.random.default_rng(3).normal(size=(25, 30_730))
+    rule, krum = Bulyan(num_byzantine=5), Krum(num_byzantine=5)
+
+    def per_round():
+        remaining, selected = list(range(25)), []
+        while len(selected) < 15:
+            selected.append(remaining.pop(krum.select(stacked[remaining])))
+        return selected
+
+    assert rule._select(stacked) == per_round()
+    one_matrix_s = min(timeit.repeat(lambda: rule._select(stacked), number=1,
+                                     repeat=5))
+    per_round_s = min(timeit.repeat(per_round, number=1, repeat=5))
+    assert 3.0 * one_matrix_s <= per_round_s

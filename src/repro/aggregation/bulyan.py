@@ -8,11 +8,61 @@ ablation comparator for the server-side gradient aggregation.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.aggregation.base import GradientAggregationRule
-from repro.aggregation.krum import Krum
+from repro.aggregation.krum import Krum, pairwise_squared_distances
 from repro.kernels import active_backend
+
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_TINY = np.finfo(np.float64).tiny
+#: Squared norms up to this keep every distance finite on both routes; the
+#: error bound assumes no overflow.
+_NO_OVERFLOW = np.finfo(np.float64).max / 8
+
+
+def _gamma(terms: int) -> float:
+    """``γ_k = k·u / (1 − k·u)``: the relative error bound of a ``k``-term
+    dot product or sum of non-negative terms, in any summation order."""
+    return terms * _UNIT_ROUNDOFF / (1.0 - terms * _UNIT_ROUNDOFF)
+
+
+def certified_krum_choice(distances: np.ndarray, norms: np.ndarray,
+                          pool: np.ndarray, num_neighbors: int,
+                          dimension: int) -> Optional[int]:
+    """Krum's winner among ``pool``, scored from one distance matrix.
+
+    ``distances`` is the pairwise matrix of the whole stack with an
+    ``inf`` diagonal and ``norms`` its squared row norms.  Returns the
+    position in ``pool`` that the Gram kernel run on ``stacked[pool]``
+    would pick, or ``None`` when the sub-block cannot prove it.
+
+    The two routes differ only in rounding: by either, a distance lies
+    within ``ε(‖x_i‖² + ‖x_j‖²)`` of the exact one, ``ε = 2γ_D + 4u``,
+    whatever the GEMM's blocking, so an input's two scores differ by at
+    most about ``2(2ε + γ_k)·score + 6kε‖x_i‖²`` (``docs/kernels.md``
+    derives it).  ``tolerance`` is twice that plus an underflow floor.  A
+    winner whose score plus tolerance lies strictly below every other
+    score minus tolerance is the subset kernel's strict minimum too.  A
+    NaN or inf score fails the test, and so does a squared norm past
+    ``_NO_OVERFLOW``, where one route could overflow and the other not.
+    """
+    if not np.all(norms[pool] <= _NO_OVERFLOW):
+        return None
+    scores = active_backend().krum_neighbor_sums(
+        distances[np.ix_(pool, pool)], num_neighbors)
+    best = int(np.argmin(scores))
+    epsilon = 2 * _gamma(dimension) + 4 * _UNIT_ROUNDOFF
+    tolerance = 4 * ((2 * epsilon + _gamma(num_neighbors)) * scores
+                     + 3 * num_neighbors * epsilon * norms[pool]
+                     + 4 * num_neighbors * dimension * _TINY)
+    lower = scores - tolerance
+    lower[best] = np.inf
+    if np.all(lower > scores[best] + tolerance[best]):
+        return best
+    return None
 
 
 class Bulyan(GradientAggregationRule):
@@ -30,23 +80,37 @@ class Bulyan(GradientAggregationRule):
         return 4 * self.num_byzantine + 3
 
     def _select(self, stacked: np.ndarray) -> list:
-        """Iterated Krum selection: indices of the ``n − 2f`` chosen inputs."""
+        """Iterated Krum selection: indices of the ``n − 2f`` chosen inputs.
+
+        One distance matrix serves every round.  A round scores its pool
+        from the matrix's sub-block and keeps the winner when
+        :func:`certified_krum_choice` proves it is Krum's on the pool; only
+        a near tie runs Krum on the pool itself, so the choices are always
+        those of one Gram product per round.
+        """
         f = self.num_byzantine
-        n = stacked.shape[0]
-        selection_size = n - 2 * f
+        n, dimension = stacked.shape
+        # A copy: the backend may hand back scratch that Krum.select reuses.
+        distances = np.array(pairwise_squared_distances(stacked))
+        np.fill_diagonal(distances, np.inf)
+        norms = np.einsum("ij,ij->i", stacked, stacked)
         remaining = list(range(n))
         selected = []
         krum = Krum(num_byzantine=f)
-        while len(selected) < selection_size:
-            subset = stacked[remaining]
+        while len(selected) < n - 2 * f:
+            num_neighbors = len(remaining) - f - 2
             # Krum needs n - f - 2 >= 1; fall back to smallest-norm choice when
             # the remaining pool becomes too small for a full Krum round.
-            if subset.shape[0] - f - 2 >= 1:
-                choice_local = krum.select(subset)
+            if num_neighbors >= 1:
+                choice_local = certified_krum_choice(
+                    distances, norms, np.array(remaining), num_neighbors,
+                    dimension)
+                if choice_local is None:
+                    choice_local = krum.select(stacked[remaining])
             else:
-                choice_local = int(np.argmin(np.linalg.norm(subset, axis=1)))
-            choice = remaining.pop(choice_local)
-            selected.append(choice)
+                choice_local = int(np.argmin(
+                    np.linalg.norm(stacked[remaining], axis=1)))
+            selected.append(remaining.pop(choice_local))
         return selected
 
     @staticmethod
