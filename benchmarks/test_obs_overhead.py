@@ -6,14 +6,24 @@ R=16 seed sweep runs with both sinks off (the ``NullTracer`` /
 ``NullRegistry`` defaults) and with a live sink installed: a ``Tracer``
 (spans on, decision gate off, as in a ``repro --trace`` sweep), a
 ``MetricsRegistry``, or both — the case :func:`repro.obs.phase` makes
-common, since one phase feeds both.  The two variants are timed
-**interleaved** — off, on, off, on, ... — and each takes its best-of over
-the rounds: back-to-back blocks would let a background-load swing on the
-CI machine masquerade as overhead (or hide it).  Bit-identity is asserted
-before the budget: a fast-but-perturbing sink would be a worse bug than a
-slow one.
+common, since one phase feeds both.
+
+Two halves:
+
+* **Zero perturbation** (tier-1, pytest): a run with each sink installed
+  gives a history bit-identical to the run without.  A fast-but-perturbing
+  sink would be a worse bug than a slow one.
+* **The 1.05x budget** (``python benchmarks/test_obs_overhead.py``, the
+  weekly workflow's soak runs it ten times): the two variants are timed
+  **interleaved** — off, on, off, on, ... — and each takes its best-of over
+  the rounds: back-to-back blocks would let a background-load swing on
+  the machine masquerade as overhead (or hide it).  One ratio on a shared
+  runner spreads by several per cent either way, which is why it lives in
+  a soak with its flake rate in the log rather than in the per-commit
+  suite.
 """
 
+import sys
 import time
 
 import pytest
@@ -31,6 +41,7 @@ from repro.obs import (
 
 REPLICAS = 16
 REPEATS = 7
+SINKS = ["tracer", "registry", "both"]
 
 
 def _specs():
@@ -70,22 +81,37 @@ def _interleaved_best_of(specs, sink):
     return off_seconds, baseline, on_seconds, observed
 
 
-@pytest.mark.parametrize("sink", ["tracer", "registry", "both"])
-def test_obs_overhead_below_five_percent(sink):
+@pytest.mark.parametrize("sink", SINKS)
+def test_obs_sink_leaves_history_bit_identical(sink):
     specs = _specs()
-    run_batched_scenarios(specs)  # warm caches (dataset synthesis)
-
-    off_seconds, baseline, on_seconds, observed = _interleaved_best_of(
-        specs, sink)
-
-    overhead = on_seconds / off_seconds
-    print(f"\n{sink} overhead — R={REPLICAS} batched, best of {REPEATS}: "
-          f"off {off_seconds:.4f}s, on {on_seconds:.4f}s "
-          f"({overhead:.3f}x)")
-
-    # Zero perturbation first, budget second.
+    baseline = run_batched_scenarios(specs)
+    observed = _observed_run(specs, sink)
     for observed_history, untouched_history in zip(observed, baseline):
         assert observed_history.to_dict() == untouched_history.to_dict()
-    assert overhead < 1.05, (
-        f"{sink} cost {overhead:.3f}x on the batched runtime "
-        f"(budget: 1.05x)")
+
+
+def main() -> int:
+    """Time every sink against the budget; non-zero exit if one is over."""
+    specs = _specs()
+    run_batched_scenarios(specs)  # warm caches (dataset synthesis)
+    over = []
+    for sink in SINKS:
+        off_seconds, baseline, on_seconds, observed = _interleaved_best_of(
+            specs, sink)
+        overhead = on_seconds / off_seconds
+        print(f"{sink} overhead — R={REPLICAS} batched, best of {REPEATS}: "
+              f"off {off_seconds:.4f}s, on {on_seconds:.4f}s "
+              f"({overhead:.3f}x)")
+        # Zero perturbation first, budget second.
+        for observed_history, untouched_history in zip(observed, baseline):
+            assert observed_history.to_dict() == untouched_history.to_dict()
+        if overhead >= 1.05:
+            over.append(f"{sink} cost {overhead:.3f}x on the batched runtime "
+                        f"(budget: 1.05x)")
+    for line in over:
+        print(line)
+    return 1 if over else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

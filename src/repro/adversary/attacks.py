@@ -51,6 +51,7 @@ class ReversedGradientAttack(WorkerAttack):
     """
 
     name = "reversed_gradient"
+    pure = True
 
     def __init__(self, factor: float = 10.0) -> None:
         if factor <= 0:
@@ -66,6 +67,7 @@ class SignFlipAttack(WorkerAttack):
     """Flip the sign of every coordinate of the honest gradient."""
 
     name = "sign_flip"
+    pure = True
 
     def corrupt_gradient(self, context: AttackContext) -> np.ndarray:
         return -context.honest_value
@@ -82,6 +84,7 @@ class LittleIsEnoughAttack(WorkerAttack):
     """
 
     name = "little_is_enough"
+    pure = True
 
     def __init__(self, z_factor: float = 1.5) -> None:
         self.z_factor = z_factor
@@ -108,6 +111,7 @@ class LabelFlipPoisoning(WorkerAttack):
     """
 
     name = "label_flip"
+    pure = True
 
     def __init__(self, num_classes: int = 10) -> None:
         if num_classes < 2:
@@ -134,6 +138,7 @@ class SilentWorker(WorkerAttack):
     """
 
     name = "silent_worker"
+    pure = True
 
     def corrupt_gradient(self, context: AttackContext) -> Optional[np.ndarray]:
         return None

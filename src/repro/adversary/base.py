@@ -92,6 +92,12 @@ class WorkerAttack:
     kind = "worker-attack"
     attacks_workers = True
     attacks_servers = False
+    #: declared by attacks whose :meth:`corrupt_gradient` reads only
+    #: ``context.honest_value`` and ``context.peer_values``, keeps no state
+    #: and passes leading axes through: on ``(R, D)`` stacks it returns the
+    #: stack of its per-row answers bit for bit (``None`` if all are silent),
+    #: so the batched runtime asks it once per (worker, step).
+    pure = False
 
     def corrupt_gradient(self, context: AttackContext) -> Optional[np.ndarray]:
         raise NotImplementedError

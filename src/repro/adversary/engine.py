@@ -39,6 +39,7 @@ from repro.adversary.base import (
     RoundPlan,
     RunBinding,
     ServerAttack,
+    StatelessAdversary,
     WorkerAttack,
 )
 from repro.aggregation import get_rule
@@ -268,13 +269,18 @@ class AdversaryCoordinator:
 
 
 class AdversaryWorkerAttack(WorkerAttack):
-    """Per-node worker seam adapter delegating to the shared coordinator."""
+    """Per-node worker seam adapter delegating to the shared coordinator;
+    :attr:`~WorkerAttack.pure` exactly when it lifts a pure stateless attack
+    (the coordinator then forwards each query unchanged)."""
 
     def __init__(self, coordinator: AdversaryCoordinator,
                  node_id: str) -> None:
         self.coordinator = coordinator
         self.node_id = node_id
-        self.name = coordinator.adversary.name
+        adversary = coordinator.adversary
+        self.name = adversary.name
+        self.pure = (type(adversary) is StatelessAdversary
+                     and adversary.worker.pure)
 
     def corrupt_gradient(self, context: AttackContext) -> Optional[np.ndarray]:
         return self.coordinator.worker_gradient(self.node_id, context)

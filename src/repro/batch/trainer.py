@@ -13,7 +13,9 @@ replica axis:
   into that leading axis too: one quorum collection, one median/GAR call
   and one forward/backward serve ``J`` nodes as a ``(J·R, ...)`` stack,
   ``J`` bounded by :data:`_FOLD_BUDGET`,
-* simulated clocks and message delivery times are ``(R,)`` arrays.
+* simulated clocks and message delivery times are ``(R,)`` arrays,
+* a worker attack that declares ``WorkerAttack.pure`` answers once per
+  (worker, step) for every lane and recipient.
 
 Everything that must differ per replica stays per replica: each lane owns
 the delay generator the sequential :class:`NetworkSimulator` would have
@@ -45,6 +47,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.adversary.base import AttackContext
 from repro.aggregation import (
     get_rule,
     pairwise_squared_distances_batched,
@@ -161,7 +164,8 @@ class _PhaseBuffer:
 
     def add_broadcast(self, sender_index: int, payload: np.ndarray,
                       delivered: np.ndarray, times: np.ndarray) -> None:
-        """Record one honest broadcast: same payload to every recipient."""
+        """Record one broadcast: same payload to every recipient (an honest
+        send, or a pure attack's one answer for all of them)."""
         self.payloads[sender_index] = payload
         self.times[:, sender_index, :] = np.where(delivered, times, np.inf)
 
@@ -761,7 +765,23 @@ class BatchedGuanYuTrainer:
             merged = []
             for w_index in active_worker_indices:
                 worker_id = self.worker_ids[w_index]
-                if worker_id in self.attacking_workers:
+                attack = self.lanes[0].worker_attacks[worker_id]
+                if attack is not None and attack.pure:
+                    # One call over the lane axis stands for every
+                    # (server, lane) query; the covert sends draw nothing.
+                    value = attack.corrupt_gradient(AttackContext(
+                        step=step_index, honest_value=gradient_stack[w_index],
+                        peer_values=[gradient_stack[index] for index
+                                     in alive_correct_worker_idx],
+                        rng=None))
+                    delivered, times = self._broadcast_times(
+                        worker_id, self.server_ids,
+                        MessageKind.GRADIENT_TO_SERVER, step_index,
+                        phase_start, override=0.0)
+                    present = value is not None
+                    buffer2.add_broadcast(w_index, value if present else 0.0,
+                                          delivered & present, times)
+                elif worker_id in self.attacking_workers:
                     for s_index, server_id in enumerate(self.server_ids):
                         payloads = np.zeros((replicas, self.num_parameters))
                         present = np.zeros(replicas, dtype=bool)

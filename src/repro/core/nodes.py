@@ -40,12 +40,14 @@ def apply_worker_attack(attack: Optional[WorkerAttack],
                         model: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
     """The gradient a (possibly Byzantine) worker actually sends.
 
-    This is the single attack-application path shared by
+    The per-recipient attack path, shared by
     :meth:`WorkerNode.outgoing_gradient` and the batched multi-replica
-    runtime (:mod:`repro.batch`), so both produce bit-identical corruption
-    for the same attack state and generator.  ``model`` is the parameter
-    vector the gradient was computed at — observable by the omniscient
-    adversaries of :mod:`repro.adversary`.
+    runtime (:mod:`repro.batch`, lane by lane), so both produce
+    bit-identical corruption for the same attack state and generator; the
+    batched runtime asks a :attr:`~repro.adversary.base.WorkerAttack.pure`
+    attack once per step on the lane stack instead.  ``model`` is the
+    parameter vector the gradient was computed at — observable by the
+    omniscient adversaries of :mod:`repro.adversary`.
     """
     if attack is None:
         return result.gradient

@@ -17,6 +17,11 @@ import numpy as np
 
 from repro.data.datasets import Dataset
 
+#: with-replacement batches drawn per generator call.  PCG64 serves bounded
+#: 32-bit integers from one stream that continues across calls, so a block
+#: holds exactly the indices the per-batch calls would have drawn.
+BLOCK_BATCHES = 16
+
 
 class DataLoader:
     """Draws mini-batches from a dataset.
@@ -24,8 +29,9 @@ class DataLoader:
     Two modes are supported:
 
     * ``sample_with_replacement=True`` (default) — every call to
-      :meth:`next_batch` draws a fresh i.i.d. mini-batch, matching the
-      stochastic-gradient model of the convergence analysis;
+      :meth:`next_batch` serves a fresh i.i.d. mini-batch, matching the
+      stochastic-gradient model of the convergence analysis (the indices
+      are drawn :data:`BLOCK_BATCHES` batches at a time);
     * ``sample_with_replacement=False`` — classic epoch-based iteration with
       shuffling, available through :meth:`__iter__`.
     """
@@ -43,19 +49,27 @@ class DataLoader:
         # hot path: next_batch runs once per worker per step, so the shard
         # size is cached rather than re-derived through the dataset
         self._num_samples = len(dataset)
+        self._block = np.empty((0, self.batch_size), dtype=np.int64)
+        self._served = 0
 
     def next_batch(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return one mini-batch ``(features, labels)``."""
         if self.sample_with_replacement:
-            indices = self._rng.integers(0, self._num_samples,
-                                         size=self.batch_size)
+            if self._served == len(self._block):
+                self._block = self._rng.integers(
+                    0, self._num_samples,
+                    size=(BLOCK_BATCHES, self.batch_size))
+                self._served = 0
+            indices = self._block[self._served]
+            self._served += 1
         else:
             indices = self._rng.choice(self._num_samples,
                                        size=self.batch_size, replace=False)
         return self.dataset.features[indices], self.dataset.labels[indices]
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Iterate once over the dataset in shuffled mini-batches."""
+        """Iterate once over the dataset in shuffled mini-batches (from the
+        generator :meth:`next_batch` draws whole index blocks from)."""
         order = self._rng.permutation(len(self.dataset))
         for start in range(0, len(order), self.batch_size):
             indices = order[start: start + self.batch_size]

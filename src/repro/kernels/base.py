@@ -43,16 +43,19 @@ DensePlan = List[Tuple]
 #: Axis lengths the comparator network selects over; past q = 16 its gain
 #: at D = 30,730 falls to 1.1-1.3x, and by q = 24 the sort wins.
 NETWORK_LENGTHS = range(3, 17)
-#: Row width (``stacked.size // q``) from which the network is used.  Both
-#: reductions cross over at 1,000-2,000 elements (per-call overhead below);
-#: at 8,192 every length in range measured at least 1.4x, and every D = 36
-#: stack the runtimes fold (at most seed_sweep's 144 x 36) stays on the sort.
-NETWORK_MIN_WIDTH = 8192
+#: Row width (``stacked.size // q``) from which each reduction uses the
+#: network.  Both cross over at 1,000-2,000 elements (per-call overhead
+#: below).  At 2,048 every median length in range measured at least 1.42x,
+#: which takes seed_sweep's folds (144 x 36 and 96 x 36) onto the network
+#: and keeps seq_grid's narrower ones on the sort.  The trimmed mean's
+#: (15, 1) is still 0.72x there; from 8,192 every one is at least 1.46x.
+MEDIAN_MIN_WIDTH = 2048
+TRIMMED_MEAN_MIN_WIDTH = 8192
 
 
-def _takes_network(stacked: np.ndarray, length: int) -> bool:
+def _takes_network(stacked: np.ndarray, length: int, min_width: int) -> bool:
     return (length in NETWORK_LENGTHS
-            and stacked.size // length >= NETWORK_MIN_WIDTH)
+            and stacked.size // length >= min_width)
 
 
 @functools.lru_cache(maxsize=None)
@@ -193,7 +196,8 @@ class KernelBackend:
             return stacked.mean(axis=axis)
         stacked = np.asarray(stacked)
         length = stacked.shape[axis]
-        if 2 * trim < length and _takes_network(stacked, length):
+        if 2 * trim < length and _takes_network(stacked, length,
+                                                TRIMMED_MEAN_MIN_WIDTH):
             middle = network_ranks(stacked, axis,
                                    tuple(range(trim, length - trim)), np.fmin)
             return np.stack(middle, axis=axis).mean(axis=axis)
@@ -216,7 +220,7 @@ class KernelBackend:
         stacked = np.asarray(stacked)
         length = stacked.shape[axis]
         half = length // 2
-        if _takes_network(stacked, length):
+        if _takes_network(stacked, length, MEDIAN_MIN_WIDTH):
             if length % 2:
                 (middle,) = network_ranks(stacked, axis, (half,), np.minimum)
                 return middle.copy()

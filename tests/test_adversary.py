@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adversary import (
     STATELESS,
@@ -27,6 +29,7 @@ from repro.adversary import (
 from repro.adversary.engine import wire_attacks
 from repro.campaign.spec import AttackSpec, ScenarioSpec
 from repro.core import ClusterConfig
+from repro.faults.controller import GatedWorkerAttack
 
 
 def available_adversaries():
@@ -214,6 +217,77 @@ class TestStatelessWrapper:
     def test_rejects_non_attacks(self):
         with pytest.raises(TypeError):
             StatelessAdversary(object())
+
+
+#: the registered worker attacks that declare ``WorkerAttack.pure``
+PURE_WORKER_ATTACKS = [name for name in available("worker-attack")
+                       if get(name).pure]
+
+
+@st.composite
+def lane_stacks(draw):
+    """``(honest (R, D), peers)``: ``n`` peer stacks of the same shape,
+    with ``n`` in {0, 1, 2, 7}, from a plain, signed-zero or tied family.
+    (At D = 1 and n >= 8 NumPy sums a lane's peers pairwise, so the
+    identity is not claimed there; see ``docs/adversaries.md``.)"""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 9)))
+    count = draw(st.sampled_from([0, 1, 2, 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.normal(size=(count + 1,) + shape)
+    values *= 10.0 ** rng.integers(-6, 6, size=values.shape)
+    family = draw(st.sampled_from(["plain", "signed_zeros", "ties"]))
+    if family == "signed_zeros":
+        values[rng.random(values.shape) < 0.3] = 0.0
+        values[rng.random(values.shape) < 0.3] = -0.0
+    elif family == "ties":
+        values[1:] = values[-1]
+    return values[0], list(values[1:])
+
+
+class TestPureAttacks:
+    def test_declared_by_the_recipient_blind_built_ins(self):
+        assert PURE_WORKER_ATTACKS == ["label_flip", "little_is_enough",
+                                       "reversed_gradient", "sign_flip",
+                                       "silent_worker"]
+
+    @pytest.mark.parametrize("name", PURE_WORKER_ATTACKS)
+    @settings(deadline=None)
+    @given(drawn=lane_stacks())
+    def test_one_call_over_the_lanes_stacks_the_per_lane_calls(
+            self, name, drawn):
+        honest, peers = drawn
+        attack = get(name)
+
+        def corrupt(value, peer_values):
+            return attack.corrupt_gradient(AttackContext(
+                step=3, honest_value=value, peer_values=peer_values,
+                rng=None, recipient=None, model=None))
+
+        stacked = corrupt(honest, peers)
+        per_lane = [corrupt(honest[r], [peer[r] for peer in peers])
+                    for r in range(len(honest))]
+        if stacked is None:
+            assert all(value is None for value in per_lane)
+        else:
+            want = np.stack(per_lane)
+            assert stacked.shape == want.shape
+            assert stacked.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("adversary, pure", [
+        (lift(get("sign_flip")), True),
+        (lift(get("little_is_enough")), True),
+        (lift(get("random_gradient")), False),
+        (CollusionAdversary(attack="sign_flip"), False),
+        (SleeperAdversary(inner="sign_flip"), False),
+    ], ids=["sign_flip", "little_is_enough", "random_gradient", "collusion",
+            "sleeper"])
+    def test_only_the_plain_lift_of_a_pure_attack_is_pure(self, adversary,
+                                                           pure):
+        coordinator = AdversaryCoordinator(adversary, _binding(adversary))
+        adapter = AdversaryWorkerAttack(coordinator, "worker/5")
+        assert adapter.pure is pure
+        # a fault-gated adapter answers per step: never pure
+        assert GatedWorkerAttack(adapter, None, "worker/5").pure is False
 
 
 class TestCoordinator:

@@ -6,8 +6,8 @@ Three layers:
   ``StatelessAdversary``; for drawn (attack per side, GAR, seed, gating
   event) scenarios the spec's ``worker_attack`` / ``server_attack`` fields,
   its ``adversary`` field and a hand-built ``StatelessAdversary`` give the
-  same history, on the default engine and on the sequential simulator;
-
+  same history, on the default engine and on the sequential simulator,
+  and seed groups of such scenarios equal the simulator lane by lane;
 * **end-to-end** — a scenario with a stateful adversary produces
   bit-identical histories whether executed sequentially
   (:class:`GuanYuTrainer`) or on the batched multi-replica runtime
@@ -145,6 +145,35 @@ class TestGeneratedLift:
             other = run(named).history
             assert other.config["adversary"] == (worker or server)
         assert _without_threat_names(other) == _without_threat_names(fields)
+
+    # A pure attack is asked once per (worker, step) over the lane axis; a
+    # gated one (the drawn activate/deactivate events) lane by lane.
+    @settings(max_examples=15, deadline=None)
+    @given(scenario=lifted_scenarios(), replicas=st.sampled_from([1, 3]))
+    def test_seed_groups_equal_the_simulator_lane_by_lane(self, scenario,
+                                                          replicas):
+        spec = scenario[0]
+        specs = [spec.replace(name=f"lifted-{lane}", seed=spec.seed + lane)
+                 for lane in range(replicas)]
+        for lane_spec, history in zip(specs, run_batched_scenarios(specs)):
+            assert history.to_dict() == sequential_history(lane_spec).to_dict()
+
+
+class TestPureAttackSeedGroups:
+    # Under the mean every Byzantine payload enters the aggregate, so a
+    # one-call answer that read the wrong lanes or peers shows in every
+    # lane's history (Multi-Krum may reject the payload either way).
+    @pytest.mark.parametrize("attack", ["label_flip", "little_is_enough",
+                                        "reversed_gradient", "sign_flip",
+                                        "silent_worker"])
+    def test_one_call_per_step_equals_the_simulator(self, attack):
+        specs = [ScenarioSpec(name=f"{attack}-{seed}", seed=seed,
+                              gradient_rule="mean",
+                              worker_attack=_attack(attack),
+                              num_steps=5, dataset_size=240)
+                 for seed in (3, 4, 5)]
+        for spec, history in zip(specs, run_batched_scenarios(specs)):
+            assert history.to_dict() == sequential_history(spec).to_dict()
 
 
 class TestSequentialVsBatched:

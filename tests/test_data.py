@@ -13,6 +13,7 @@ from repro.data import (
     make_spirals_dataset,
     partition_dataset,
 )
+from repro.data.loader import BLOCK_BATCHES
 
 
 class TestDataset:
@@ -131,6 +132,23 @@ class TestDataLoader:
         seen = sum(len(labels) for _, labels in loader)
         assert seen == 23
         assert len(loader) == 5
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 16, 17])
+    @pytest.mark.parametrize("shard_size", [1, 7, 66, 70_000])
+    def test_block_draws_equal_per_batch_draws(self, shard_size, batch_size):
+        # Indices come BLOCK_BATCHES batches per generator call; every
+        # runtime relies on them being the per-batch integers() stream,
+        # across block boundaries and for a batch clamped to the shard.
+        shard = Dataset(np.arange(shard_size, dtype=np.float64)[:, None],
+                        np.zeros(shard_size, dtype=np.int64), num_classes=1)
+        loader = DataLoader(shard, batch_size=batch_size, seed=9)
+        reference = np.random.default_rng(9)
+        for _ in range(2 * BLOCK_BATCHES + 3):
+            features, labels = loader.next_batch()
+            want = reference.integers(0, shard_size,
+                                      size=min(batch_size, shard_size))
+            assert np.array_equal(features[:, 0].astype(np.int64), want)
+            assert labels.shape == want.shape
 
     def test_invalid_batch_size(self):
         data = make_blobs_dataset(num_samples=10, seed=0)

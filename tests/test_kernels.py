@@ -204,10 +204,12 @@ def _sorted_trimmed_mean(stacked, trim, axis):
 def order_statistic_draws(draw):
     """A ``(q, W)`` stack for ``axis=0`` or an ``(S, q, W)`` one for
     ``axis=1``, from one ``_median_inputs`` family, with the row width
-    (``S * W``) at D = 36 or on either side of the network's gate."""
+    (``S * W``) at D = 36 or on either side of one of the network's two
+    gates."""
     q = draw(st.integers(1, 25))
     axis = draw(st.sampled_from([0, 1]))
-    gate = kernel_base.NETWORK_MIN_WIDTH
+    gate = draw(st.sampled_from([kernel_base.MEDIAN_MIN_WIDTH,
+                                 kernel_base.TRIMMED_MEAN_MIN_WIDTH]))
     slices = draw(st.sampled_from([1, 2, 3, gate + 3])) if axis == 1 else 1
     if slices > gate:  # W = 1: the mean reduces along the innermost axis
         columns = 1
@@ -283,29 +285,55 @@ class TestOrderStatisticNetwork:
         assert not np.shares_memory(trimmed, trimmed_again)
         assert not np.shares_memory(first, stacked)
 
-        wide = width >= kernel_base.NETWORK_MIN_WIDTH
-        takes_network = wide and q in kernel_base.NETWORK_LENGTHS
-        assert median_calls == (2 if takes_network else 0)
+        lengths = kernel_base.NETWORK_LENGTHS
+        median_network = (q in lengths
+                          and width >= kernel_base.MEDIAN_MIN_WIDTH)
+        trimmed_network = (q in lengths and trim > 0
+                           and width >= kernel_base.TRIMMED_MEAN_MIN_WIDTH)
+        assert median_calls == (2 if median_network else 0)
         assert network.call_count == median_calls + (
-            2 if takes_network and trim > 0 else 0)
-        if takes_network:  # not a view that keeps the scratch block alive
-            assert first.base is None and trimmed.base is None
+            2 if trimmed_network else 0)
+        # not a view that keeps the scratch block alive
+        if median_network:
+            assert first.base is None
+        if trimmed_network:
+            assert trimmed.base is None
         if stacked.shape[-1] == 36:
             assert network.call_count == 0
+
+    def test_gates_route_the_seed_group_folds(self):
+        # seed_sweep folds 16 seeds x 9 nodes (and 16 x 6) onto q = 5 or 7
+        # at D = 36: wide enough for the median's gate, not the trimmed
+        # mean's.  One 16-seed node, 576 elements a row, stays on the sort.
+        rng = np.random.default_rng(10)
+        backend = get_backend()
+        spy = mock.patch.object(kernel_base, "network_ranks",
+                                wraps=kernel_base.network_ranks)
+        for shape, median_calls in (((144, 5, 36), 1), ((96, 7, 36), 1),
+                                    ((16, 5, 36), 0)):
+            stacked = rng.normal(size=shape)
+            with spy as network:
+                median = backend.median(stacked, axis=1)
+                trimmed = backend.trimmed_mean(stacked, 1, axis=1)
+            assert network.call_count == median_calls, shape
+            assert np.array_equal(median, np.median(stacked, axis=1))
+            assert np.array_equal(trimmed,
+                                  _sorted_trimmed_mean(stacked, 1, 1))
 
     def test_trimmed_mean_reduces_in_the_sort_paths_order(self):
         # With one column the mean's reduction runs along the innermost
         # axis, where NumPy sums pairwise: the middle ranks must be laid
         # out as the sorted slice is, or the last bits differ.
         rng = np.random.default_rng(8)
-        stacked = rng.normal(size=(kernel_base.NETWORK_MIN_WIDTH + 3, 16, 1))
+        stacked = rng.normal(
+            size=(kernel_base.TRIMMED_MEAN_MIN_WIDTH + 3, 16, 1))
         stacked *= 10.0 ** rng.integers(-6, 6, size=stacked.shape)
         got = get_backend().trimmed_mean(stacked, 1, axis=1)
         want = _sorted_trimmed_mean(stacked, 1, 1)
         assert got.tobytes() == want.tobytes()
 
     def test_nan_poisons_the_median_and_sorts_last_in_the_trimmed_mean(self):
-        width = kernel_base.NETWORK_MIN_WIDTH
+        width = kernel_base.TRIMMED_MEAN_MIN_WIDTH
         stacked = np.random.default_rng(9).normal(size=(7, width))
         stacked[2, 0] = np.nan  # one NaN in column 0: inside the trim
         stacked[[1, 4], 1] = np.nan  # two in column 1: one past it
