@@ -5,15 +5,16 @@ ends: workers and parameter servers) and we got approximately similar
 results"; this sweep reproduces that claim across eight attacks.
 """
 
-from repro.experiments import run_attack_sweep
+from repro.experiments import EXPERIMENTS
 
 
 def test_attack_sweep_guanyu_converges_under_every_attack(bench_base):
-    histories = run_attack_sweep(base=bench_base)
+    rows, _ = EXPERIMENTS["attack-sweep"].run(bench_base, None, None)
+    accuracies = {row["system"]: row["final_accuracy"] for row in rows}
     print("\nAttack sweep — GuanYu final accuracy per attack")
-    for attack, history in histories.items():
-        print(f"  {attack:20s} {history.final_accuracy():.3f}")
+    for attack, accuracy in accuracies.items():
+        print(f"  {attack:20s} {accuracy:.3f}")
 
-    assert len(histories) >= 8
-    for attack, history in histories.items():
-        assert history.final_accuracy() > 0.8, f"GuanYu failed under {attack}"
+    assert len(accuracies) >= 8
+    for attack, accuracy in accuracies.items():
+        assert accuracy > 0.8, f"GuanYu failed under {attack}"

@@ -13,26 +13,34 @@ reported by the paper:
 
 import pytest
 
-from repro.experiments import run_figure3
-from repro.metrics import time_to_accuracy
-from repro.metrics.throughput import steps_to_accuracy
+from repro.experiments import EXPERIMENTS
 
 
 def _print_summary(result, panel):
-    print(f"\nFigure 3({panel}) — batch size {result.batch_size}")
-    for row in result.accuracy_summary():
+    print(f"\nFigure 3({panel}) — batch size {result['vanilla_tf']['batch_size']}")
+    for row in result.values():
         print("  {system:22s} final_acc={final_accuracy:.3f} "
               "time={total_time:8.2f}s throughput={throughput:6.2f} upd/s".format(**row))
 
 
 @pytest.fixture(scope="module")
-def figure3_batch128(bench_base):
-    return run_figure3(base=bench_base.replace(batch_size=128))
+def figure3(bench_base):
+    """Figure 3's rows by batch size, then by system."""
+    rows, _ = EXPERIMENTS["figure3"].run(bench_base, None, None)
+    panels = {}
+    for row in rows:
+        panels.setdefault(row["batch_size"], {})[row["system"]] = row
+    return panels
 
 
 @pytest.fixture(scope="module")
-def figure3_batch32(bench_base):
-    return run_figure3(base=bench_base.replace(batch_size=32))
+def figure3_batch128(figure3):
+    return figure3[128]
+
+
+@pytest.fixture(scope="module")
+def figure3_batch32(figure3):
+    return figure3[32]
 
 
 class TestFigure3Batch128:
@@ -40,14 +48,13 @@ class TestFigure3Batch128:
         """Fig. 3a: all systems reach comparable accuracy per model update."""
         result = figure3_batch128
         _print_summary(result, "a")
-        accuracies = {name: h.final_accuracy() for name, h in result.histories.items()}
+        accuracies = {name: row["final_accuracy"] for name, row in result.items()}
         best = max(accuracies.values())
         assert best > 0.9
         # Byzantine-declared GuanYu keeps the same per-update convergence.
         assert accuracies["guanyu_f_workers_s1"] > best - 0.1
-        target = result.reference_accuracy()
-        steps_vanilla = steps_to_accuracy(result.histories["vanilla_tf"], target)
-        steps_guanyu = steps_to_accuracy(result.histories["guanyu_f_workers_s1"], target)
+        steps_vanilla = result["vanilla_tf"]["steps_to_target"]
+        steps_guanyu = result["guanyu_f_workers_s1"]["steps_to_target"]
         assert steps_guanyu is not None and steps_vanilla is not None
         assert steps_guanyu <= 3 * steps_vanilla
 
@@ -55,10 +62,9 @@ class TestFigure3Batch128:
         """Fig. 3b: vanilla TF fastest, then vanilla GuanYu, then Byzantine GuanYu."""
         result = figure3_batch128
         _print_summary(result, "b")
-        target = result.reference_accuracy()
-        t_tf = time_to_accuracy(result.histories["vanilla_tf"], target)
-        t_vanilla_guanyu = time_to_accuracy(result.histories["guanyu_vanilla"], target)
-        t_byzantine = time_to_accuracy(result.histories["guanyu_f_workers_s1"], target)
+        t_tf = result["vanilla_tf"]["time_to_target"]
+        t_vanilla_guanyu = result["guanyu_vanilla"]["time_to_target"]
+        t_byzantine = result["guanyu_f_workers_s1"]["time_to_target"]
         assert t_tf < t_vanilla_guanyu < t_byzantine
         # Paper: ~65 % runtime overhead, up to ~33 % Byzantine-resilience cost.
         runtime_overhead = (t_vanilla_guanyu - t_tf) / t_tf
@@ -72,7 +78,7 @@ class TestFigure3Batch32:
         """Fig. 3c: same per-update story with the smaller mini-batch."""
         result = figure3_batch32
         _print_summary(result, "c")
-        accuracies = {name: h.final_accuracy() for name, h in result.histories.items()}
+        accuracies = {name: row["final_accuracy"] for name, row in result.items()}
         assert max(accuracies.values()) > 0.9
         assert accuracies["guanyu_f_workers_s1"] > max(accuracies.values()) - 0.1
 
@@ -80,19 +86,17 @@ class TestFigure3Batch32:
         """Fig. 3d: the smaller batch makes the communication overheads starker."""
         result = figure3_batch32
         _print_summary(result, "d")
-        target = result.reference_accuracy()
-        t_tf = time_to_accuracy(result.histories["vanilla_tf"], target)
-        t_vanilla_guanyu = time_to_accuracy(result.histories["guanyu_vanilla"], target)
-        t_byzantine = time_to_accuracy(result.histories["guanyu_f_workers_s1"], target)
+        t_tf = result["vanilla_tf"]["time_to_target"]
+        t_vanilla_guanyu = result["guanyu_vanilla"]["time_to_target"]
+        t_byzantine = result["guanyu_f_workers_s1"]["time_to_target"]
         assert t_tf < t_vanilla_guanyu < t_byzantine
 
     def test_fig3d_overheads_larger_than_batch128(self, figure3_batch32,
                                                   figure3_batch128):
         """The relative overhead grows when gradient computation shrinks."""
         def ratio(result):
-            target = result.reference_accuracy()
-            t_tf = time_to_accuracy(result.histories["vanilla_tf"], target)
-            t_guanyu = time_to_accuracy(result.histories["guanyu_vanilla"], target)
+            t_tf = result["vanilla_tf"]["time_to_target"]
+            t_guanyu = result["guanyu_vanilla"]["time_to_target"]
             return t_guanyu / t_tf
 
         assert ratio(figure3_batch32) > ratio(figure3_batch128)

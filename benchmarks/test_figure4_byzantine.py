@@ -7,25 +7,29 @@ worker and server attacks.
 
 import pytest
 
-from repro.adversary import CorruptedModelAttack, ReversedGradientAttack
-from repro.experiments import run_figure4
+from repro.experiments import EXPERIMENTS
+
+
+def _final_accuracies(base):
+    rows, _ = EXPERIMENTS["figure4"].run(base, None, None)
+    return {row["system"]: row["final_accuracy"] for row in rows}
 
 
 @pytest.fixture(scope="module")
 def figure4(bench_base):
-    return run_figure4(base=bench_base)
+    return _final_accuracies(bench_base)
 
 
-def _print_result(result):
+def _print_result(accuracies):
     print("\nFigure 4 — final accuracies under attack")
-    for name, accuracy in result.final_accuracies().items():
+    for name, accuracy in accuracies.items():
         print(f"  {name:22s} {accuracy:.3f}")
 
 
 def test_figure4_vanilla_collapses_guanyu_survives(figure4):
     """The headline claim: one Byzantine worker breaks vanilla, not GuanYu."""
     _print_result(figure4)
-    accuracies = figure4.final_accuracies()
+    accuracies = figure4
     clean = accuracies["vanilla_tf"]
     attacked_vanilla = accuracies["vanilla_tf_byzantine"]
     attacked_guanyu = accuracies["guanyu_byzantine"]
@@ -40,10 +44,10 @@ def test_figure4_vanilla_collapses_guanyu_survives(figure4):
 
 def test_figure4_alternative_attack_pair(bench_base):
     """The paper reports similar results for other Byzantine behaviours."""
-    result = run_figure4(base=bench_base,
-                         worker_attack=ReversedGradientAttack(factor=10.0),
-                         server_attack=CorruptedModelAttack(noise_scale=100.0))
-    _print_result(result)
-    accuracies = result.final_accuracies()
+    accuracies = _final_accuracies(bench_base.replace(
+        worker_attack={"name": "reversed_gradient", "kwargs": {"factor": 10.0}},
+        server_attack={"name": "corrupted_model",
+                       "kwargs": {"noise_scale": 100.0}}))
+    _print_result(accuracies)
     assert accuracies["guanyu_byzantine"] > 0.85
     assert accuracies["vanilla_tf_byzantine"] < accuracies["guanyu_byzantine"]

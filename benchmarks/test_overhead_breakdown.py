@@ -2,43 +2,40 @@
 
 import pytest
 
-from repro.experiments import overhead_report, run_figure3
+from repro.experiments import EXPERIMENTS
 
 
 @pytest.fixture(scope="module")
 def breakdown(bench_base):
-    result = run_figure3(base=bench_base.replace(batch_size=128),
-                         systems=["vanilla_tf", "guanyu_vanilla",
-                                  "guanyu_f_workers_s1"])
-    return overhead_report(result=result)
+    """The one overhead row and Figure 3's batch-128 runs behind it."""
+    (row,), histories = EXPERIMENTS["overhead"].run(bench_base, None, None)
+    return row, histories
 
 
 def test_overhead_breakdown_rows(breakdown):
     """Regenerate the two §5.3 percentages from time-to-accuracy measurements."""
-    report = breakdown
+    report, _ = breakdown
 
     print("\nSection 5.3 — overhead breakdown (paper: ~65 % / up to ~33 %)")
-    for key, value in report.as_rows().items():
+    for key, value in report.items():
         print(f"  {key:28s} {value:10.3f}")
 
     # Shape: leaving the optimised runtime costs the most; Byzantine
     # resilience adds a smaller, second overhead on top.
-    assert report.time_vanilla_tf < report.time_guanyu_vanilla
-    assert report.time_guanyu_vanilla < report.time_guanyu_byzantine
-    assert 30.0 < report.runtime_overhead_percent < 130.0
-    assert 5.0 < report.byzantine_overhead_percent < 80.0
-    assert report.byzantine_overhead_percent < report.runtime_overhead_percent
+    assert report["time_vanilla_tf"] < report["time_guanyu_vanilla"]
+    assert report["time_guanyu_vanilla"] < report["time_guanyu_byzantine"]
+    assert 30.0 < report["runtime_overhead_percent"] < 130.0
+    assert 5.0 < report["byzantine_overhead_percent"] < 80.0
+    assert report["byzantine_overhead_percent"] < report["runtime_overhead_percent"]
 
 
-def test_overhead_throughput_ordering(bench_base):
+def test_overhead_throughput_ordering(breakdown):
     """Throughput (updates/s) ordering mirrors the time overheads."""
     from repro.metrics import throughput_updates_per_second
 
-    result = run_figure3(
-        base=bench_base.replace(batch_size=128),
-        systems=["vanilla_tf", "guanyu_vanilla", "guanyu_f_workers_s1"])
+    _, histories = breakdown
     throughput = {name: throughput_updates_per_second(history)
-                  for name, history in result.histories.items()}
+                  for name, history in histories.items()}
     print("\nThroughput (model updates per simulated second)")
     for name, value in throughput.items():
         print(f"  {name:22s} {value:8.2f}")

@@ -11,9 +11,9 @@ from repro.experiments import run_figure3
 
 
 def test_phase_time_breakdown(bench_base):
-    result = run_figure3(base=bench_base.replace(batch_size=128),
-                         systems=["guanyu_f_workers_s1"])
-    history = result.histories["guanyu_f_workers_s1"]
+    _, histories = run_figure3(base=bench_base.replace(batch_size=128),
+                               systems=["guanyu_f_workers_s1"])
+    history = histories["guanyu_f_workers_s1"]
     breakdown = history.mean_phase_durations()
 
     print("\nPer-phase time breakdown of one GuanYu step (simulated seconds)")

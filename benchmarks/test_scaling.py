@@ -5,12 +5,12 @@ parameter-server design: how does throughput evolve as workers are added
 (and the declared Byzantine headroom with them)?
 """
 
-from repro.experiments import run_scaling_study
+from repro.experiments import EXPERIMENTS
 
 
 def test_scaling_with_worker_count(bench_base):
-    rows = run_scaling_study(base=bench_base, worker_counts=(6, 9, 12, 18),
-                             num_steps=15)
+    rows, _ = EXPERIMENTS["scaling"].run(
+        bench_base.replace(num_steps=15, eval_every=15), None, None)
     print("\nScaling study — workers vs. throughput")
     for row in rows:
         print("  workers={num_workers:3d}  f̄={declared_byzantine_workers}  "

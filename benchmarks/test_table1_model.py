@@ -2,23 +2,25 @@
 
 import numpy as np
 
-from repro.experiments import table1_report
+from repro.campaign import ScenarioSpec
+from repro.experiments import EXPERIMENTS
 from repro.nn import PaperCNN
 from repro.tensor import Tensor
 
 
 def test_table1_architecture():
     """Regenerate Table 1: layer inventory and total parameter count."""
-    report = table1_report()
+    rows, _ = EXPERIMENTS["table1"].run(ScenarioSpec(), None, None)
+    *layers, total = rows
 
     print("\nTable 1 — CNN model parameters")
-    for layer in report["layers"]:
+    for layer in layers:
         print("  ", layer)
-    print("   total parameters:", report["total_parameters"],
-          "(paper: ~%d)" % report["paper_total_parameters"])
+    print("   total parameters:", total["parameters"],
+          "(paper: ~%d)" % total["paper"])
 
-    assert abs(report["total_parameters"] - report["paper_total_parameters"]) < 2e4
-    names = [layer["layer"] for layer in report["layers"]]
+    assert abs(total["parameters"] - total["paper"]) < 2e4
+    names = [layer["layer"] for layer in layers]
     assert names == ["Input", "Conv1", "Pool1", "Conv2", "Pool2", "FC1", "FC2", "FC3"]
 
 

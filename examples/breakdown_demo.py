@@ -12,25 +12,22 @@ Run from the repository root::
 """
 
 from repro.campaign import ScenarioSpec
-from repro.experiments.breakdown import breakdown_table, run_breakdown_search
+from repro.experiments.breakdown import run_breakdown_search
 from repro.plotting import format_table
 
 
 def main() -> None:
     print("Searching breakdown points (bisection over the attacker count;"
           " every cell is one small GuanYu training run)...\n")
-    results = run_breakdown_search(
+    rows, runs = run_breakdown_search(
         base=ScenarioSpec(num_steps=15),
         gars=("mean", "median", "multi_krum"),
         adversaries=("omniscient_descent", "reversed_gradient"))
 
-    print(format_table(breakdown_table(results), float_format="{:.4f}"))
+    print(format_table(rows, float_format="{:.4f}"))
     print()
-    for result in results:
-        losses = ", ".join(f"f={count}: {loss:.3f}"
-                           for count, loss in result.losses.items())
-        print(f"  {result.gradient_rule:<11} vs {result.adversary:<19} "
-              f"final losses — {losses}")
+    for name, history in runs.items():
+        print(f"  {name:<44} final loss {history.records[-1].train_loss:.3f}")
     print("\nReading the table: plain averaging breaks at the first "
           "omniscient attacker\n(breakdown_f = 0) while the "
           "Byzantine-resilient rules hold to the admissible\nmaximum — "

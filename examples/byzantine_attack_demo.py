@@ -12,7 +12,6 @@ Run with::
     python examples/byzantine_attack_demo.py
 """
 
-from repro.adversary import EquivocationAttack, RandomGradientAttack
 from repro.campaign import ScenarioSpec
 from repro.experiments import run_figure4
 
@@ -34,20 +33,21 @@ def ascii_curve(history, width=48):
 def main():
     base = ScenarioSpec(dataset="images",  # CIFAR-10-shaped synthetic images
                         model="mlp", dataset_size=1500, num_steps=80,
-                        eval_every=5)
+                        eval_every=5,
+                        # the paper's attacks (also Figure 4's defaults)
+                        worker_attack={"name": "random_gradient",
+                                       "kwargs": {"scale": 100.0}},
+                        server_attack={"name": "equivocation",
+                                       "kwargs": {"magnitude": 50.0}})
 
-    result = run_figure4(
-        base=base,
-        worker_attack=RandomGradientAttack(scale=100.0),
-        server_attack=EquivocationAttack(magnitude=50.0),
-    )
+    rows, histories = run_figure4(base=base)
 
     print("Figure 4 reproduction — impact of Byzantine players on convergence\n")
     print(f"{'system':<24} {'final accuracy':>15}   accuracy-over-updates")
-    for name, history in result.histories.items():
+    for name, history in histories.items():
         print(f"{name:<24} {history.final_accuracy():>15.3f}   {ascii_curve(history)}")
 
-    accuracies = result.final_accuracies()
+    accuracies = {row["system"]: row["final_accuracy"] for row in rows}
     print("\nObservations (compare with the paper's Figure 4):")
     print(f"  * vanilla TF reaches {accuracies['vanilla_tf']:.2f} accuracy "
           "without Byzantine nodes;")

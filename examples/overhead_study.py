@@ -14,7 +14,7 @@ Run with::
 import sys
 
 from repro.campaign import ScenarioSpec
-from repro.experiments import overhead_report, run_figure3
+from repro.experiments import overhead_rows, run_figure3
 
 
 def main():
@@ -24,24 +24,24 @@ def main():
                         num_steps=60, eval_every=10, batch_size=batch_size)
 
     print(f"Running the Figure 3 comparison with mini-batch size {batch_size} ...")
-    result = run_figure3(base=base)
+    rows, histories = run_figure3(base=base)
 
     print(f"\n{'system':<24} {'final acc':>10} {'sim time (s)':>14} "
           f"{'updates/s':>11} {'time to target':>15}")
-    for row in result.accuracy_summary():
+    for row in rows:
         time_to_target = row["time_to_target"]
         rendered = f"{time_to_target:.2f}s" if time_to_target is not None else "never"
         print(f"{row['system']:<24} {row['final_accuracy']:>10.3f} "
               f"{row['total_time']:>14.2f} {row['throughput']:>11.2f} "
               f"{rendered:>15}")
 
-    report = overhead_report(result=result)
+    (report,) = overhead_rows(histories)
     print("\nSection 5.3 overhead breakdown "
           "(paper: ~65 % runtime, up to ~33 % Byzantine resilience):")
     print(f"  overhead of leaving the optimised runtime : "
-          f"{report.runtime_overhead_percent:6.1f} %")
+          f"{report['runtime_overhead_percent']:6.1f} %")
     print(f"  overhead of Byzantine resilience          : "
-          f"{report.byzantine_overhead_percent:6.1f} %")
+          f"{report['byzantine_overhead_percent']:6.1f} %")
     print("\nNote: absolute times come from the simulated clock (the model is "
           "billed at the paper's 1.75 M parameters); only the relative shape "
           "is meaningful.")

@@ -8,7 +8,7 @@ over an asynchronous network.
 Sub-packages
 ------------
 ``repro.tensor``       reverse-mode autograd engine (TensorFlow substitute)
-``repro.nn``           layers, models (incl. the paper's Table 1 CNN), optimisers
+``repro.nn``           layers, models (incl. the paper's Table 1 CNN), LR schedules
 ``repro.kernels``      the numerical kernel backends behind GARs and dense models
 ``repro.data``         synthetic datasets (CIFAR-10 substitute) and sharding
 ``repro.hetero``       non-i.i.d. partitions and heterogeneous worker profiles

@@ -19,9 +19,9 @@ declarative, hashable :class:`ScenarioSpec`:
   campaign JSON over local HTTP, deduping against the store index and
   executing through the engine.
 
-The legacy experiment harnesses (``run_attack_sweep``, ``run_gar_ablation``,
-``run_figure4``, ...) are thin campaign definitions executed by this engine;
-``python -m repro.cli sweep`` exposes it from the command line.
+The experiments of :data:`repro.experiments.EXPERIMENTS` (``run_figure4``,
+``run_gar_ablation``, ...) are thin campaign definitions executed by this
+engine; ``python -m repro.cli sweep`` exposes it from the command line.
 """
 
 from repro.campaign.spec import (

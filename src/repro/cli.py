@@ -2,15 +2,9 @@
 
 Usage (after ``pip install -e .``)::
 
-    python -m repro.cli table1
-    python -m repro.cli figure3 --batch-size 128 --x-axis time
-    python -m repro.cli figure4
-    python -m repro.cli table2
-    python -m repro.cli overhead
+    python -m repro.cli reproduce                    # every experiment
+    python -m repro.cli reproduce figure3 figure4 --store results/
     python -m repro.cli attacks
-    python -m repro.cli attack-sweep
-    python -m repro.cli scaling --workers 6 9 12 18
-    python -m repro.cli quorums
     python -m repro.cli list
     python -m repro.cli sweep --gars multi_krum median \
         --attacks random_gradient sign_flip --seeds 0 1 --store results/
@@ -18,11 +12,7 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli sweep --hetero iid dirichlet=0.1 shards=2
     python -m repro.cli sweep --trainer guanyu_threaded --runtime cluster
     python -m repro.cli cluster --servers-count 3 --workers-count 4 --steps 3
-    python -m repro.cli resilience --mode crash --crashes 0 1 2 3
-    python -m repro.cli resilience --mode partition --heal-steps 20 30 40
-    python -m repro.cli breakdown --gars mean median multi_krum
-    python -m repro.cli hetero --skews iid dirichlet=1 dirichlet=0.1
-    python -m repro.cli --trace trace.jsonl figure4
+    python -m repro.cli --trace trace.jsonl reproduce figure4
     python -m repro.cli trace trace.jsonl
     python -m repro.cli report trace.jsonl --width 72
     python -m repro.cli serve --store results/ --port 8642 --processes 4
@@ -31,21 +21,30 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli store fsck results/
     python -m repro.cli store gc results/ --dry-run
 
-Every subcommand prints the regenerated table/figure as text (and an ASCII
-chart where the paper has a figure); ``--json PATH`` additionally writes the
-raw histories/rows for downstream plotting.  ``sweep`` runs a declarative
-scenario campaign (grid flags or a ``--spec`` JSON file) through the
-campaign engine — in parallel, with content-addressed result caching when
-``--store`` is given; ``--faults FILE`` attaches a fault schedule to every
-grid cell and ``--adversaries`` sweeps stateful coordinated adversaries as
-a grid axis; ``--hetero`` sweeps non-i.i.d. data partitions
-(``dirichlet=ALPHA``, ``shards=K``, ``imbalance=GAMMA``, ``drift=SIGMA``).
-``resilience`` runs the canned crash-vs-quorum and partition-heal fault
-studies; ``breakdown`` bisects the empirical breakdown point of each GAR
-under each adversary; ``hetero`` produces the accuracy-vs-skew × GAR ×
-adversary table of the heterogeneity study; ``attacks`` and ``list`` print
-the registries sweep specs draw from.  ``cluster`` runs one scenario on
-the **process cluster runtime** — every parameter server and worker as a
+``reproduce [NAME ...]`` runs the named experiments of
+:data:`repro.experiments.EXPERIMENTS` (all by default) at their paper
+settings and prints each one's table, plus ASCII accuracy charts for the
+figures; ``--json PATH`` additionally writes the rows and histories.  The
+per-experiment subcommands it replaced map onto it as follows (custom
+grids are ``sweep`` or the harness keywords)::
+
+    table1 / figure3 / figure4 / table2 / overhead   reproduce <same name>
+    attack-sweep / gars / quorums / scaling          reproduce <same name>
+    resilience --mode crash                          reproduce crash-quorum
+    resilience --mode partition                      reproduce partition-heal
+    breakdown / hetero                               reproduce <same name>
+    figure3 --batch-size B --x-axis A                (both sizes, both axes)
+    table2 --interval N                              (every 20 steps)
+
+``sweep`` runs a declarative scenario campaign (grid flags or a ``--spec``
+JSON file) through the campaign engine — in parallel, with
+content-addressed result caching when ``--store`` is given; ``--faults
+FILE`` attaches a fault schedule to every grid cell and ``--adversaries``
+sweeps stateful coordinated adversaries as a grid axis; ``--hetero`` sweeps
+non-i.i.d. data partitions (``dirichlet=ALPHA``, ``shards=K``,
+``imbalance=GAMMA``, ``drift=SIGMA``).  ``attacks`` and ``list`` print the
+registries sweep specs draw from.  ``cluster`` runs one scenario on the
+**process cluster runtime** — every parameter server and worker as a
 separate OS process over real sockets under a supervising daemon (see
 ``docs/cluster.md``); ``sweep --runtime cluster`` puts whole grids on it.
 ``sweep`` and ``cluster`` handle SIGINT/SIGTERM gracefully: completed
@@ -102,20 +101,8 @@ from repro.campaign import (
     available_trainers,
     run_campaign,
 )
+from repro.experiments import EXPERIMENTS
 from repro.experiments.common import paper_like, workload_attack_kwargs
-from repro.experiments import (
-    overhead_report,
-    run_attack_sweep,
-    run_crash_quorum_study,
-    run_figure3,
-    run_figure4,
-    run_gar_ablation,
-    run_partition_heal_study,
-    run_quorum_ablation,
-    run_scaling_study,
-    run_table2,
-    table1_report,
-)
 from repro.faults import FaultSchedule
 from repro.kernels import set_backend
 from repro import __version__
@@ -276,60 +263,43 @@ def _histories_payload(histories: Dict[str, TrainingHistory]) -> Dict:
 # --------------------------------------------------------------------------- #
 # Subcommand implementations
 # --------------------------------------------------------------------------- #
-def cmd_table1(args: argparse.Namespace) -> int:
-    report = table1_report()
-    print("Table 1 — CNN model parameters")
-    print(format_table(report["layers"]))
-    print(f"\ntotal parameters: {report['total_parameters']:,} "
-          f"(paper: ~{report['paper_total_parameters']:,})")
-    _dump_json(args.json, report)
-    return 0
+def _print_charts(histories: Dict[str, TrainingHistory], axes: tuple) -> None:
+    """One accuracy chart per x axis and panel (``panel/system`` names)."""
+    panels: Dict[str, Dict[str, TrainingHistory]] = {}
+    for name, history in histories.items():
+        panel, _, system = name.rpartition("/")
+        panels.setdefault(panel, {})[system] = history
+    for axis in axes:
+        for panel, series in panels.items():
+            print("\n" + " — ".join(filter(None, (panel, f"accuracy vs. {axis}"))))
+            print(render_histories(series, x_axis=axis))
 
 
-def cmd_figure3(args: argparse.Namespace) -> int:
-    result = run_figure3(
-        base=_base_from_args(args).replace(batch_size=args.batch_size))
-    print(f"Figure 3 — batch size {result.batch_size}, non-Byzantine environment\n")
-    print(histories_summary_table(result.histories,
-                                  target_accuracy=result.reference_accuracy()))
-    print("\n" + render_histories(result.histories, x_axis=args.x_axis))
-    _dump_json(args.json, _histories_payload(result.histories))
-    return 0
-
-
-def cmd_figure4(args: argparse.Namespace) -> int:
-    result = run_figure4(base=_base_from_args(args))
-    print("Figure 4 — impact of Byzantine players on convergence\n")
-    print(histories_summary_table(result.histories))
-    print("\n" + render_histories(result.histories, x_axis="steps"))
-    _dump_json(args.json, _histories_payload(result.histories))
-    return 0
-
-
-def cmd_table2(args: argparse.Namespace) -> int:
-    samples = run_table2(base=_base_from_args(args), interval=args.interval)
-    rows = [{"step": s.step, "cos_phi": s.cos_phi, "max_diff1": s.max_diff_1,
-             "max_diff2": s.max_diff_2} for s in samples]
-    print("Table 2 — alignment of parameter-difference vectors")
-    print(format_table(rows, float_format="{:.5f}"))
-    _dump_json(args.json, rows)
-    return 0
-
-
-def cmd_overhead(args: argparse.Namespace) -> int:
-    report = overhead_report(base=_base_from_args(args))
-    print("Section 5.3 — overhead breakdown "
-          "(paper: ~65 % runtime, up to ~33 % Byzantine)\n")
-    print(format_table([report.as_rows()]))
-    _dump_json(args.json, report.as_rows())
-    return 0
-
-
-def cmd_attack_sweep(args: argparse.Namespace) -> int:
-    histories = run_attack_sweep(base=_base_from_args(args))
-    print("Attack sweep — GuanYu under every registered attack\n")
-    print(histories_summary_table(histories))
-    _dump_json(args.json, _histories_payload(histories))
+def cmd_reproduce(args: argparse.Namespace) -> int:
+    """Run experiments of :data:`repro.experiments.EXPERIMENTS` and print
+    each one's table (and charts, for the figures)."""
+    unknown = [name for name in args.names if name not in EXPERIMENTS]
+    if unknown:
+        raise ValueError(f"unknown experiment(s) {unknown}; available: "
+                         f"{list(EXPERIMENTS)}")
+    base = _base_from_args(args)
+    store = ResultStore(args.store) if args.store else None
+    entries_before = len(store) if store is not None else 0
+    payload = {}
+    for name in args.names or EXPERIMENTS:
+        experiment = EXPERIMENTS[name]
+        rows, histories = experiment.run(base, store, args.processes)
+        print(f"{experiment.title}\n")
+        columns = list(dict.fromkeys(key for row in rows for key in row))
+        print(format_table(rows, columns=columns, float_format="{:.4f}"))
+        _print_charts(histories, experiment.charts)
+        print()
+        payload[name] = {"rows": rows,
+                         "histories": _histories_payload(histories)}
+    if store is not None:
+        print(f"result store: {store.root} ({len(store)} entries, "
+              f"{len(store) - entries_before} new)")
+    _dump_json(args.json, payload)
     return 0
 
 
@@ -362,32 +332,6 @@ def cmd_attacks(args: argparse.Namespace) -> int:
         print(f"  {name:<20} [{kind:<13}] {parameters}")
     _dump_json(args.json, [{"name": name, "kind": kind, "parameters": params}
                            for name, kind, params in rows])
-    return 0
-
-
-def cmd_gars(args: argparse.Namespace) -> int:
-    histories = run_gar_ablation(base=_base_from_args(args))
-    print("GAR ablation — server-side aggregation rule under attack\n")
-    print(histories_summary_table(histories))
-    _dump_json(args.json, _histories_payload(histories))
-    return 0
-
-
-def cmd_quorums(args: argparse.Namespace) -> int:
-    histories = run_quorum_ablation(base=_base_from_args(args))
-    renamed = {f"q={quorum}": history for quorum, history in histories.items()}
-    print("Quorum ablation — gradient quorum vs. throughput\n")
-    print(histories_summary_table(renamed))
-    _dump_json(args.json, _histories_payload(renamed))
-    return 0
-
-
-def cmd_scaling(args: argparse.Namespace) -> int:
-    rows = run_scaling_study(base=_base_from_args(args),
-                             worker_counts=tuple(args.workers))
-    print("Scaling study — workers vs. throughput\n")
-    print(format_table(rows))
-    _dump_json(args.json, rows)
     return 0
 
 
@@ -723,110 +667,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# Resilience subcommand (fault-schedule engine)
-# --------------------------------------------------------------------------- #
-def cmd_resilience(args: argparse.Namespace) -> int:
-    base = _base_from_args(args).replace(trainer=args.trainer)
-    try:
-        store = ResultStore(args.store) if args.store else None
-    except OSError as exc:
-        print(f"error: unusable store path: {exc}", file=sys.stderr)
-        return 2
-    if args.mode == "crash":
-        rows, histories = run_crash_quorum_study(
-            base=base, crash_counts=tuple(args.crashes),
-            quorum_sizes=tuple(args.quorums) if args.quorums else None,
-            crash_step=args.crash_step, recover_step=args.recover_step,
-            store=store, processes=args.processes)
-        print("Resilience — crash count × model quorum "
-              "(liveness boundary: crashed ≤ n − q)\n")
-    else:
-        rows, histories = run_partition_heal_study(
-            base=base, partition_step=args.partition_step,
-            heal_steps=tuple(args.heal_steps) if args.heal_steps else None,
-            store=store, processes=args.processes)
-        print("Resilience — partition-heal recovery "
-              "(phase-3 median re-contracts the stale replica)\n")
-    print(format_table(rows, float_format="{:.4f}"))
-    if store is not None:
-        print(f"\nresult store: {store.root} ({len(store)} entries)")
-    _dump_json(args.json, {"rows": rows,
-                           "histories": _histories_payload(histories)})
-    return 0
-
-
-# --------------------------------------------------------------------------- #
-# Breakdown subcommand (adversary engine)
-# --------------------------------------------------------------------------- #
-def cmd_breakdown(args: argparse.Namespace) -> int:
-    from repro.experiments.breakdown import (
-        breakdown_table,
-        run_breakdown_search,
-    )
-
-    base = _base_from_args(args)
-    try:
-        store = ResultStore(args.store) if args.store else None
-    except OSError as exc:
-        print(f"error: unusable store path: {exc}", file=sys.stderr)
-        return 2
-    results = run_breakdown_search(
-        base=base, gars=tuple(args.gars), adversaries=tuple(args.adversaries),
-        loss_factor=args.loss_factor, loss_slack=args.loss_slack, store=store)
-    rows = breakdown_table(results)
-    print("Breakdown-point search — largest attacker count each GAR "
-          "survives\n(admissible_f is the n̄ ≥ 3f̄ + 3 ceiling of the "
-          "cluster arithmetic)\n")
-    print(format_table(rows, float_format="{:.4f}"))
-    if store is not None:
-        print(f"\nresult store: {store.root} ({len(store)} entries)")
-    _dump_json(args.json, {
-        "rows": rows,
-        "losses": [{"gradient_rule": result.gradient_rule,
-                    "adversary": result.adversary,
-                    "losses": result.losses} for result in results],
-    })
-    return 0
-
-
-# --------------------------------------------------------------------------- #
-# Hetero subcommand (heterogeneity engine)
-# --------------------------------------------------------------------------- #
-def cmd_hetero(args: argparse.Namespace) -> int:
-    from repro.experiments.heterogeneity import (
-        heterogeneity_table,
-        run_heterogeneity_study,
-    )
-
-    base = _base_from_args(args)
-    try:
-        store = ResultStore(args.store) if args.store else None
-    except OSError as exc:
-        print(f"error: unusable store path: {exc}", file=sys.stderr)
-        return 2
-    results, histories = run_heterogeneity_study(
-        base=base, skews=tuple(args.skews), gars=tuple(args.gars),
-        adversaries=tuple(args.adversaries),
-        seeds=tuple(args.seeds) if args.seeds else None, store=store,
-        processes=args.processes, batch_seeds=args.batch_seeds)
-    rows = heterogeneity_table(results)
-    print("Heterogeneity study — final accuracy per skew level\n"
-          "(honest gradients fragment as skew grows; Byzantine vectors "
-          "hide inside the honest spread)\n")
-    print(format_table(rows, float_format="{:.4f}"))
-    if store is not None:
-        print(f"\nresult store: {store.root} ({len(store)} entries)")
-    _dump_json(args.json, {
-        "rows": rows,
-        "losses": [{"gradient_rule": result.gradient_rule,
-                    "adversary": result.adversary,
-                    "losses": result.losses} for result in results],
-        "histories": _histories_payload(histories),
-    })
-    return 0
-
-
-# --------------------------------------------------------------------------- #
 # Trace / report subcommands (observability layer)
 # --------------------------------------------------------------------------- #
 def _load_trace(path: str) -> list:
@@ -1129,38 +969,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("table1", help="Table 1: CNN architecture") \
-        .set_defaults(func=cmd_table1)
+    reproduce = subparsers.add_parser(
+        "reproduce",
+        help="run the paper's experiments (all by default) and print their "
+             "tables",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="experiments:\n" + "\n".join(
+            f"  {name:<15} {experiment.title}"
+            for name, experiment in EXPERIMENTS.items()))
+    reproduce.add_argument("names", nargs="*", metavar="NAME",
+                           help="experiments to run (default: all; listed "
+                                "below)")
+    reproduce.add_argument("--store", default=None,
+                           help="result-store directory (caching/resume)")
+    reproduce.add_argument("--processes", type=int, default=None,
+                           help="pool size (default: serial)")
+    reproduce.set_defaults(func=cmd_reproduce)
 
-    figure3 = subparsers.add_parser("figure3", help="Figure 3: overhead comparison")
-    figure3.add_argument("--batch-size", type=int, default=128)
-    figure3.add_argument("--x-axis", choices=("steps", "time"), default="steps")
-    figure3.set_defaults(func=cmd_figure3)
-
-    subparsers.add_parser("figure4", help="Figure 4: Byzantine impact") \
-        .set_defaults(func=cmd_figure4)
-
-    table2 = subparsers.add_parser("table2", help="Table 2: parameter alignment")
-    table2.add_argument("--interval", type=int, default=10)
-    table2.set_defaults(func=cmd_table2)
-
-    subparsers.add_parser("overhead", help="Section 5.3 overhead breakdown") \
-        .set_defaults(func=cmd_overhead)
     subparsers.add_parser(
         "attacks",
         help="list registered attacks and adversaries (name, kind, params)") \
         .set_defaults(func=cmd_attacks)
-    subparsers.add_parser("attack-sweep", help="attack sweep ablation") \
-        .set_defaults(func=cmd_attack_sweep)
-    subparsers.add_parser("gars", help="aggregation-rule ablation") \
-        .set_defaults(func=cmd_gars)
-    subparsers.add_parser("quorums", help="quorum-size ablation") \
-        .set_defaults(func=cmd_quorums)
-
-    scaling = subparsers.add_parser("scaling", help="cluster scaling study")
-    scaling.add_argument("--workers", type=int, nargs="+", default=[6, 9, 12, 18])
-    scaling.set_defaults(func=cmd_scaling)
-
     subparsers.add_parser(
         "list", help="print the rule/attack registries sweep specs draw from") \
         .set_defaults(func=cmd_list)
@@ -1266,81 +1095,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "JSON document instead of the lifecycle "
                               "table")
     cluster.set_defaults(func=cmd_cluster)
-
-    resilience = subparsers.add_parser(
-        "resilience", help="crash-vs-quorum and partition-heal fault studies")
-    resilience.add_argument("--mode", choices=("crash", "partition"),
-                            default="crash")
-    resilience.add_argument("--trainer",
-                            choices=("guanyu", "guanyu_threaded"),
-                            default="guanyu")
-    resilience.add_argument("--crashes", type=int, nargs="+",
-                            default=[0, 1, 2, 3],
-                            help="server crash counts to sweep (crash mode)")
-    resilience.add_argument("--quorums", type=int, nargs="+", default=None,
-                            help="model quorum sizes q (default: full range)")
-    resilience.add_argument("--crash-step", type=int, default=None,
-                            help="step at which servers crash")
-    resilience.add_argument("--recover-step", type=int, default=None,
-                            help="step at which crashed servers recover")
-    resilience.add_argument("--partition-step", type=int, default=None,
-                            help="step at which the partition opens")
-    resilience.add_argument("--heal-steps", type=int, nargs="+", default=None,
-                            help="heal steps to sweep (partition mode)")
-    resilience.add_argument("--store", default=None,
-                            help="result-store directory (caching/resume)")
-    resilience.add_argument("--processes", type=int, default=None,
-                            help="pool size (default: serial)")
-    resilience.set_defaults(func=cmd_resilience)
-
-    breakdown = subparsers.add_parser(
-        "breakdown",
-        help="bisect the largest attacker count each GAR survives under "
-             "each adversary (empirical breakdown points)")
-    breakdown.add_argument("--gars", nargs="+", metavar="RULE",
-                           default=["mean", "median", "multi_krum"],
-                           help="gradient aggregation rules to probe")
-    breakdown.add_argument("--adversaries", nargs="+", metavar="ADVERSARY",
-                           default=["omniscient_descent", "collusion",
-                                    "reversed_gradient"],
-                           help="adversaries (or wrapped legacy attacks)")
-    breakdown.add_argument("--loss-factor", type=float, default=1.5,
-                           help="survival band: loss <= factor * baseline "
-                                "+ slack")
-    breakdown.add_argument("--loss-slack", type=float, default=0.25,
-                           help="additive slack of the survival band")
-    breakdown.add_argument("--store", default=None,
-                           help="result-store directory (caching/resume)")
-    breakdown.set_defaults(func=cmd_breakdown)
-
-    hetero = subparsers.add_parser(
-        "hetero",
-        help="accuracy-vs-skew × GAR × adversary heterogeneity study "
-             "(non-i.i.d. partitions)")
-    hetero.add_argument("--skews", nargs="+", metavar="SKEW",
-                        default=["iid", "dirichlet=10", "dirichlet=1",
-                                 "dirichlet=0.1"],
-                        help="heterogeneity levels (iid, dirichlet=ALPHA, "
-                             "shards=K, imbalance=GAMMA, drift=SIGMA)")
-    hetero.add_argument("--gars", nargs="+", metavar="RULE",
-                        default=["mean", "median", "multi_krum"],
-                        help="gradient aggregation rules to compare")
-    hetero.add_argument("--adversaries", nargs="+", metavar="ADVERSARY",
-                        default=["none", "collusion"],
-                        help="adversaries per rule ('none' = honest "
-                             "baseline; legacy attack names wrap)")
-    hetero.add_argument("--seeds", type=int, nargs="+", default=None,
-                        help="seed replicas per cell (table reports the "
-                             "mean; default: the scale's single seed)")
-    hetero.add_argument("--store", default=None,
-                        help="result-store directory (caching/resume)")
-    hetero.add_argument("--processes", type=int, default=None,
-                        help="pool size (default: serial)")
-    hetero.add_argument("--batch-seeds", action="store_true",
-                        help="run each cell's seed replicas as one "
-                             "vectorised multi-replica execution "
-                             "(needs --seeds with >= 2 values)")
-    hetero.set_defaults(func=cmd_hetero)
 
     trace = subparsers.add_parser(
         "trace", help="summarise a trace JSONL file (--trace output)")

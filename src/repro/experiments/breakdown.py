@@ -14,13 +14,12 @@ optional :class:`~repro.campaign.store.ResultStore` under their usual
 content addresses and shared with any other campaign), the attacked runs
 declare ``f̄`` equal to the actual attacker count (the rule is always
 configured for exactly the attack it faces), and for a pinned seed the
-produced table is bit-reproducible — the ``breakdown`` CLI subcommand and
+produced table is bit-reproducible — ``repro reproduce breakdown`` and
 the scheduled smoke workflow rely on that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.adversary import registry
@@ -29,40 +28,12 @@ from repro.campaign.spec import ScenarioSpec
 from repro.campaign.store import ResultStore
 from repro.core.config import ClusterConfig
 from repro.experiments.common import workload_attack_kwargs
+from repro.obs.history import TrainingHistory
 
 #: adversaries the default boundary table sweeps (strongest first)
 DEFAULT_ADVERSARIES = ("omniscient_descent", "collusion", "reversed_gradient")
 #: GARs the default boundary table sweeps
 DEFAULT_GARS = ("mean", "median", "multi_krum")
-
-
-@dataclass
-class BreakdownResult:
-    """Outcome of one (GAR, adversary) bisection."""
-
-    gradient_rule: str
-    adversary: str
-    #: largest attacker count that still converged (the empirical breakdown
-    #: point); attacks at ``breakdown_f + 1`` broke training (if admissible)
-    breakdown_f: int
-    #: largest attacker count the cluster arithmetic admits (``n̄ ≥ 3f̄+3``
-    #: intersected with the rule's own minimum-input requirement)
-    admissible_f: int
-    baseline_loss: float
-    #: final loss per evaluated attacker count (sorted by ``f``)
-    losses: Dict[int, float] = field(default_factory=dict)
-    evaluations: int = 0
-
-    def as_row(self) -> Dict[str, object]:
-        return {
-            "gradient_rule": self.gradient_rule,
-            "adversary": self.adversary,
-            "breakdown_f": self.breakdown_f,
-            "admissible_f": self.admissible_f,
-            "survives_admissible_max": self.breakdown_f >= self.admissible_f,
-            "baseline_loss": self.baseline_loss,
-            "evaluations": self.evaluations,
-        }
 
 
 def _attack_spec(base: ScenarioSpec, gar: str, adversary: Optional[str],
@@ -107,30 +78,28 @@ def admissible_max_attackers(base: ScenarioSpec, gar: str) -> int:
     return best
 
 
-def _final_loss(spec: ScenarioSpec,
-                store: Optional[ResultStore]) -> Tuple[float, bool]:
-    """``(final training loss, was_cached)`` of one evaluation scenario."""
-    from repro.runtime import run as run_scenario  # lazy: import cycle
-
-    result = run_scenario(spec, store=store)
-    return (float(result.history.records[-1].train_loss),
-            result.status == "cached")
-
-
 def run_breakdown_search(base: Optional[ScenarioSpec] = None,
+                         store: Optional[ResultStore] = None,
+                         processes: Optional[int] = None, *,
                          gars: Sequence[str] = DEFAULT_GARS,
                          adversaries: Sequence[str] = DEFAULT_ADVERSARIES,
                          adversary_kwargs: Optional[Dict[str, Dict]] = None,
                          loss_factor: float = 1.5,
                          loss_slack: float = 0.25,
-                         store: Optional[ResultStore] = None
-                         ) -> List[BreakdownResult]:
+                         ) -> Tuple[List[Dict[str, object]],
+                                    Dict[str, TrainingHistory]]:
     """Bisect the empirical breakdown point of every (GAR, adversary) pair.
 
     Parameters
     ----------
     base:
         The workload (default: ``ScenarioSpec()``).
+    store:
+        Optional result store: every evaluation (baseline and attacked) is
+        cached under its ordinary scenario content address, so repeated or
+        widened searches only run the new cells.
+    processes:
+        Ignored: each bisection step depends on the one before.
     gars, adversaries:
         Names to cross.  Unknown GAR names raise ``KeyError``; adversary
         names resolve through the adversary registry (stateful strategies
@@ -143,13 +112,17 @@ def run_breakdown_search(base: Optional[ScenarioSpec] = None,
         ``L ≤ loss_factor · baseline + loss_slack`` against the same-rule
         honest baseline — multiplicative band for workloads where the
         baseline is large, additive slack where it is near zero.
-    store:
-        Optional result store: every evaluation (baseline and attacked) is
-        cached under its ordinary scenario content address, so repeated or
-        widened searches only run the new cells.
 
-    Returns one :class:`BreakdownResult` per pair, in input order.
+    Returns one row per pair, in input order — ``breakdown_f`` (the largest
+    attacker count that still converged; ``breakdown_f + 1`` broke
+    training, if admissible), ``admissible_f`` (the largest count the
+    cluster arithmetic ``n̄ ≥ 3f̄ + 3`` and the rule's own minimum-input
+    requirement admit), ``survives_admissible_max``, ``baseline_loss`` and
+    the number of attacked ``evaluations`` — and every evaluated run's
+    history by scenario name.
     """
+    from repro.runtime import run as run_scenario  # lazy: import cycle
+
     base = base if base is not None else ScenarioSpec()
     for gar in gars:
         if gar not in available_rules():
@@ -171,25 +144,27 @@ def run_breakdown_search(base: Optional[ScenarioSpec] = None,
                 f"breakdown search probes worker-side resilience (the GAR "
                 f"aggregating gradients) — pick a worker-side adversary")
 
-    results: List[BreakdownResult] = []
+    histories: Dict[str, TrainingHistory] = {}
+
+    def final_loss(spec: ScenarioSpec) -> float:
+        history = run_scenario(spec, store=store).history
+        histories[spec.name] = history
+        return float(history.records[-1].train_loss)
+
+    rows: List[Dict[str, object]] = []
     for gar in gars:
         admissible = admissible_max_attackers(base, gar)
-        baseline_spec = _attack_spec(base, gar, None, None, 0)
-        baseline_loss, _ = _final_loss(baseline_spec, store)
+        baseline_loss = final_loss(_attack_spec(base, gar, None, None, 0))
         threshold = loss_factor * baseline_loss + loss_slack
         for adversary in adversaries:
-            losses: Dict[int, float] = {0: baseline_loss}
             evaluations = 0
 
             def survives(count: int) -> bool:
                 nonlocal evaluations
-                spec = _attack_spec(base, gar, adversary,
-                                    kwargs_by_adversary.get(adversary),
-                                    count)
-                loss, _ = _final_loss(spec, store)
-                losses[count] = loss
                 evaluations += 1
-                return loss <= threshold
+                return final_loss(_attack_spec(
+                    base, gar, adversary,
+                    kwargs_by_adversary.get(adversary), count)) <= threshold
 
             # Bisection for the largest surviving f: f = 0 survives by
             # construction (no attackers), and survival is treated as
@@ -201,14 +176,10 @@ def run_breakdown_search(base: Optional[ScenarioSpec] = None,
                     low = middle
                 else:
                     high = middle - 1
-            results.append(BreakdownResult(
-                gradient_rule=gar, adversary=adversary, breakdown_f=low,
-                admissible_f=admissible, baseline_loss=baseline_loss,
-                losses=dict(sorted(losses.items())),
-                evaluations=evaluations))
-    return results
-
-
-def breakdown_table(results: Sequence[BreakdownResult]) -> List[Dict[str, object]]:
-    """The resilience-boundary table (one row per (GAR, adversary) pair)."""
-    return [result.as_row() for result in results]
+            rows.append({
+                "gradient_rule": gar, "adversary": adversary,
+                "breakdown_f": low, "admissible_f": admissible,
+                "survives_admissible_max": low >= admissible,
+                "baseline_loss": baseline_loss, "evaluations": evaluations,
+            })
+    return rows, histories

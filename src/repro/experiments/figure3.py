@@ -18,11 +18,11 @@ declared counts only change quorums and aggregation rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.engine import run_campaign
 from repro.campaign.spec import ScenarioSpec
+from repro.campaign.store import ResultStore
 from repro.metrics import (
     TrainingHistory,
     throughput_updates_per_second,
@@ -38,51 +38,42 @@ FIGURE3_SYSTEMS = (
     "guanyu_f_workers_s0",
     "guanyu_f_workers_s1",
 )
+#: the paper's mini-batch sizes: Fig. 3a/b, then Fig. 3c/d
+BATCH_SIZES = (128, 32)
 
 
-@dataclass
-class Figure3Result:
-    """Histories of the five systems plus derived summary rows."""
+def reference_accuracy(histories: Dict[str, TrainingHistory]) -> float:
+    """A target accuracy every run reaches (80 % of the best final)."""
+    return 0.8 * max(history.final_accuracy() for history in histories.values())
 
-    batch_size: int
-    histories: Dict[str, TrainingHistory] = field(default_factory=dict)
 
-    def accuracy_summary(self) -> List[Dict[str, object]]:
-        """One row per system: final accuracy, throughput, time-to-target."""
-        target = self.reference_accuracy()
-        rows = []
-        for name, history in self.histories.items():
-            rows.append({
-                "system": name,
-                "final_accuracy": history.final_accuracy(),
-                "best_accuracy": history.best_accuracy(),
-                "total_time": history.total_time(),
-                "throughput": throughput_updates_per_second(history),
-                "time_to_target": time_to_accuracy(history, target),
-                "steps_to_target": steps_to_accuracy(history, target),
-            })
-        return rows
-
-    def reference_accuracy(self) -> float:
-        """A target accuracy every system reaches (80 % of the best final)."""
-        finals = [h.final_accuracy() for h in self.histories.values()]
-        return 0.8 * max(finals)
+def accuracy_summary(histories: Dict[str, TrainingHistory]
+                     ) -> List[Dict[str, object]]:
+    """One row per run: final accuracy, throughput, time and steps to the
+    shared :func:`reference_accuracy` target."""
+    target = reference_accuracy(histories)
+    return [{
+        "system": name,
+        "final_accuracy": history.final_accuracy(),
+        "best_accuracy": history.best_accuracy(),
+        "total_time": history.total_time(),
+        "throughput": throughput_updates_per_second(history),
+        "time_to_target": time_to_accuracy(history, target),
+        "steps_to_target": steps_to_accuracy(history, target),
+    } for name, history in histories.items()]
 
 
 def run_figure3(base: Optional[ScenarioSpec] = None,
-                systems: Optional[List[str]] = None) -> Figure3Result:
-    """Run the Figure 3 comparison (one batch size).
+                store: Optional[ResultStore] = None,
+                processes: Optional[int] = None, *,
+                systems: Sequence[str] = FIGURE3_SYSTEMS
+                ) -> Tuple[List[Dict], Dict[str, TrainingHistory]]:
+    """Run one panel pair of Figure 3 at the base's ``batch_size``.
 
-    Parameters
-    ----------
-    base:
-        The workload (default: ``ScenarioSpec()``).  Its ``batch_size`` is
-        the figure's: the paper runs 128 (Fig. 3a/b) and 32 (Fig. 3c/d).
-    systems:
-        Subset of :data:`FIGURE3_SYSTEMS` to run (all by default).
+    ``systems`` is a subset of :data:`FIGURE3_SYSTEMS` (all by default).
+    Returns ``(rows, histories)``, the rows from :func:`accuracy_summary`.
     """
     base = base if base is not None else ScenarioSpec()
-    systems = systems if systems is not None else FIGURE3_SYSTEMS
     # The two single-server baselines average gradients; the GuanYu systems
     # differ only in the declared (f̄, f), which sets quorums and rules.
     vanilla = base.replace(trainer="vanilla", gradient_rule="mean")
@@ -95,8 +86,27 @@ def run_figure3(base: Optional[ScenarioSpec] = None,
         "guanyu_f_workers_s0": guanyu.replace(declared_byzantine_servers=0),
         "guanyu_f_workers_s1": guanyu,
     }
-    result = run_campaign(
+    histories = run_campaign(
         [scenarios[name].replace(name=name) for name in FIGURE3_SYSTEMS
-         if name in systems], name="figure3").raise_on_failure()
-    return Figure3Result(batch_size=base.batch_size,
-                         histories=result.histories())
+         if name in systems], name="figure3", store=store,
+        processes=processes).raise_on_failure().histories()
+    return accuracy_summary(histories), histories
+
+
+def reproduce_figure3(base: ScenarioSpec, store: Optional[ResultStore],
+                      processes: Optional[int]
+                      ) -> Tuple[List[Dict], Dict[str, TrainingHistory]]:
+    """Figure 3 at both of the paper's batch sizes.
+
+    Rows gain a ``batch_size`` column; a history is named
+    ``batch=<size>/<system>``, one chart panel per batch size.
+    """
+    rows: List[Dict] = []
+    histories: Dict[str, TrainingHistory] = {}
+    for batch_size in BATCH_SIZES:
+        panel_rows, panel = run_figure3(base.replace(batch_size=batch_size),
+                                        store, processes)
+        rows += [{"batch_size": batch_size, **row} for row in panel_rows]
+        histories.update({f"batch={batch_size}/{name}": history
+                          for name, history in panel.items()})
+    return rows, histories

@@ -11,75 +11,54 @@ Three systems run under attack:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.adversary import EquivocationAttack, RandomGradientAttack, ServerAttack, WorkerAttack
 from repro.campaign.engine import run_campaign
-from repro.campaign.spec import AttackSpec, CampaignSpec, ScenarioSpec
+from repro.campaign.spec import ScenarioSpec
+from repro.campaign.store import ResultStore
+from repro.experiments.figure3 import accuracy_summary
 from repro.metrics import TrainingHistory
-
-FIGURE4_SYSTEMS = ("vanilla_tf", "vanilla_tf_byzantine", "guanyu_byzantine")
-
-
-@dataclass
-class Figure4Result:
-    """Histories of the three Figure 4 curves."""
-
-    histories: Dict[str, TrainingHistory] = field(default_factory=dict)
-
-    def final_accuracies(self) -> Dict[str, float]:
-        return {name: history.final_accuracy()
-                for name, history in self.histories.items()}
 
 
 def run_figure4(base: Optional[ScenarioSpec] = None,
-                worker_attack: Optional[WorkerAttack] = None,
-                server_attack: Optional[ServerAttack] = None,
-                num_attacking_workers: Optional[int] = None,
-                num_attacking_servers: int = 1,
-                store=None, processes: Optional[int] = None) -> Figure4Result:
-    """Run the Figure 4 comparison.
+                store: Optional[ResultStore] = None,
+                processes: Optional[int] = None
+                ) -> Tuple[List[Dict], Dict[str, TrainingHistory]]:
+    """Run the Figure 4 comparison; rows from :func:`accuracy_summary`.
 
-    By default the attacks are the paper's "totally corrupted data" worker
-    attack and the "different bad models to different workers" equivocating
-    server; both can be swapped for any *registered* attack instance (the
-    attack-sweep ablation does exactly that) — the run is expressed as
-    campaign scenarios, which must be serialisable.
+    The attacks are the base's ``worker_attack`` / ``server_attack``, by
+    default the paper's "totally corrupted data" worker attack and the
+    "different bad models to different workers" equivocating server.
+    GuanYu faces the base's ``num_attacking_workers`` (default: every
+    declared Byzantine worker) and ``num_attacking_servers`` (default: one),
+    capped at the declared counts the guarantees cover.
     """
     base = base if base is not None else ScenarioSpec()
-    worker_attack = worker_attack if worker_attack is not None else \
-        RandomGradientAttack(scale=100.0)
-    server_attack = server_attack if server_attack is not None else \
-        EquivocationAttack(magnitude=50.0)
-    if num_attacking_workers is None:
-        num_attacking_workers = base.declared_byzantine_workers
-    # The guarantees (and the trainer's validation) only cover attacks within
-    # the declared Byzantine counts.
-    num_attacking_workers = min(num_attacking_workers,
-                                base.declared_byzantine_workers)
-    num_attacking_servers = min(num_attacking_servers,
-                                base.declared_byzantine_servers)
-
-    worker_attack_spec = AttackSpec.from_attack(worker_attack)
-    server_attack_spec = AttackSpec.from_attack(server_attack)
+    worker_attack = base.worker_attack or {"name": "random_gradient",
+                                           "kwargs": {"scale": 100.0}}
+    server_attack = base.server_attack or {"name": "equivocation",
+                                           "kwargs": {"magnitude": 50.0}}
+    workers, servers = base.num_attacking_workers, base.num_attacking_servers
+    clean = base.replace(worker_attack=None, num_attacking_workers=None,
+                         server_attack=None, num_attacking_servers=None)
+    vanilla = clean.replace(trainer="vanilla", gradient_rule="mean")
     scenarios = [
         # Reference: vanilla TF without any Byzantine node.
-        base.replace(name="vanilla_tf", trainer="vanilla",
-                     gradient_rule="mean"),
+        vanilla.replace(name="vanilla_tf"),
         # Vanilla TF with a single Byzantine worker: averaging has breakdown 0.
-        base.replace(name="vanilla_tf_byzantine", trainer="vanilla",
-                     gradient_rule="mean", worker_attack=worker_attack_spec,
-                     num_attacking_workers=1),
+        vanilla.replace(name="vanilla_tf_byzantine",
+                        worker_attack=worker_attack, num_attacking_workers=1),
         # GuanYu under simultaneous worker and server attacks.
-        base.replace(name="guanyu_byzantine", trainer="guanyu",
-                     worker_attack=worker_attack_spec,
-                     num_attacking_workers=num_attacking_workers,
-                     server_attack=server_attack_spec,
-                     num_attacking_servers=num_attacking_servers),
+        clean.replace(
+            name="guanyu_byzantine", trainer="guanyu",
+            worker_attack=worker_attack,
+            num_attacking_workers=base.declared_byzantine_workers
+            if workers is None else min(workers,
+                                        base.declared_byzantine_workers),
+            server_attack=server_attack,
+            num_attacking_servers=min(1 if servers is None else servers,
+                                      base.declared_byzantine_servers)),
     ]
-    campaign_result = run_campaign(CampaignSpec(name="figure4",
-                                                scenarios=scenarios),
-                                   store=store, processes=processes)
-    campaign_result.raise_on_failure()
-    return Figure4Result(histories=campaign_result.histories())
+    histories = run_campaign(scenarios, name="figure4", store=store,
+                             processes=processes).raise_on_failure().histories()
+    return accuracy_summary(histories), histories

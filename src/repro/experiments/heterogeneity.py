@@ -8,12 +8,12 @@ Byzantine vector no longer has to leave the honest cloud to steer the
 aggregate: the *empirical* breakdown point of every distance-based rule
 degrades.  This harness makes that degradation a reproducible table:
 
-* rows: ``gradient_rule × adversary`` (``adversary=None`` is the honest
+* rows: ``gradient_rule × adversary`` (adversary ``-`` is the honest
   baseline row for the rule);
 * columns: heterogeneity levels, from ``iid`` through increasingly skewed
   partitions (``dirichlet=10 … dirichlet=0.1``, ``shards=K``, ...);
-* cells: final test accuracy (the companion ``losses`` map carries the
-  final training loss for the same cells).
+* cells: final test accuracy (the histories carry the final training
+  loss of the same cells).
 
 Everything runs through the campaign engine, so the study is
 content-addressed: given a ``store`` the table is reproduced from cache,
@@ -22,7 +22,6 @@ and seed-replica cells batch onto the vectorised runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.engine import run_campaign
@@ -34,18 +33,6 @@ from repro.obs.history import TrainingHistory
 
 #: default skew axis: i.i.d. through near-single-class workers
 DEFAULT_SKEWS = ("iid", "dirichlet=10", "dirichlet=1", "dirichlet=0.1")
-
-
-@dataclass
-class HeterogeneityResult:
-    """Accuracy-vs-skew curve of one ``(gradient_rule, adversary)`` pair."""
-
-    gradient_rule: str
-    adversary: Optional[str]
-    #: skew label → final test accuracy (``None`` for a failed cell)
-    accuracies: Dict[str, Optional[float]] = field(default_factory=dict)
-    #: skew label → final training loss (``None`` for a failed cell)
-    losses: Dict[str, Optional[float]] = field(default_factory=dict)
 
 
 def hetero_axis(skews: Sequence[str],
@@ -71,18 +58,18 @@ def hetero_axis(skews: Sequence[str],
 
 
 def run_heterogeneity_study(base: Optional[ScenarioSpec] = None,
+                            store: Optional[ResultStore] = None,
+                            processes: Optional[int] = None, *,
                             skews: Sequence[str] = DEFAULT_SKEWS,
                             gars: Sequence[str] = ("mean", "median",
                                                    "multi_krum"),
                             adversaries: Sequence[Optional[str]] = (
                                 None, "collusion"),
                             seeds: Optional[Sequence[int]] = None,
-                            store: Optional[ResultStore] = None,
-                            processes: Optional[int] = None,
                             batch_seeds: bool = False,
-                            ) -> Tuple[List[HeterogeneityResult],
+                            ) -> Tuple[List[Dict[str, object]],
                                        Dict[str, TrainingHistory]]:
-    """Sweep skew × GAR × adversary (× seed); returns ``(results, histories)``.
+    """Sweep skew × GAR × adversary (× seed); returns ``(rows, histories)``.
 
     ``adversaries`` entries are adversary-registry names (stateless attack
     names are lifted); ``None`` (or ``"none"``) rows run honestly
@@ -90,10 +77,13 @@ def run_heterogeneity_study(base: Optional[ScenarioSpec] = None,
     The attacking count is the declared Byzantine worker count, i.e. the
     strongest in-model adversary.
 
-    ``seeds`` replicates every cell and reports the per-cell **mean**
-    final accuracy/loss over the completed replicas — with
-    ``batch_seeds=True`` the replicas of one cell run as a single
-    vectorised multi-replica execution.  Default: the base's one seed.
+    One row per ``(gradient_rule, adversary)``; skew labels become
+    columns, so the degradation reads left-to-right and rules/adversaries
+    compare top-to-bottom.  ``seeds`` replicates every cell and a cell is
+    the **mean** final accuracy over its completed replicas (``None`` when
+    none completed) — with ``batch_seeds=True`` the replicas of one cell
+    run as a single vectorised multi-replica execution.  Default: the
+    base's one seed.
     """
     base = base if base is not None else ScenarioSpec()
     axis = hetero_axis(skews, min_samples=base.batch_size)
@@ -122,50 +112,21 @@ def run_heterogeneity_study(base: Optional[ScenarioSpec] = None,
     result = run_campaign(scenarios, name="heterogeneity", store=store,
                           processes=processes, batch_seeds=batch_seeds)
 
-    by_pair: Dict[Tuple[str, Optional[str]], HeterogeneityResult] = {}
-    accuracy_samples: Dict[Tuple[str, Optional[str], str], List[float]] = {}
-    loss_samples: Dict[Tuple[str, Optional[str], str], List[float]] = {}
+    rows: Dict[Tuple[str, str], Dict[str, object]] = {}
+    samples: Dict[Tuple[str, str, str], List[float]] = {}
     histories: Dict[str, TrainingHistory] = {}
     for outcome, label in zip(result.outcomes, cell_labels):
         spec = outcome.spec
-        adversary = spec.adversary.name if spec.adversary else None
-        pair = by_pair.setdefault(
-            (spec.gradient_rule, adversary),
-            HeterogeneityResult(gradient_rule=spec.gradient_rule,
-                                adversary=adversary))
-        cell = (spec.gradient_rule, adversary, label)
-        pair.accuracies.setdefault(label, None)
-        pair.losses.setdefault(label, None)
+        adversary = spec.adversary.name if spec.adversary else "-"
+        row = rows.setdefault((spec.gradient_rule, adversary), {
+            "gradient_rule": spec.gradient_rule, "adversary": adversary})
+        row.setdefault(label, None)
         if outcome.history is not None:
             histories[spec.name] = outcome.history
             accuracy = outcome.history.final_accuracy()
             if accuracy == accuracy:  # threaded runs report NaN
-                accuracy_samples.setdefault(cell, []).append(accuracy)
-            final = outcome.history.records[-1]
-            if final.train_loss is not None:
-                loss_samples.setdefault(cell, []).append(final.train_loss)
-    for (gar, adversary, label), samples in accuracy_samples.items():
-        by_pair[(gar, adversary)].accuracies[label] = \
-            float(sum(samples) / len(samples))
-    for (gar, adversary, label), samples in loss_samples.items():
-        by_pair[(gar, adversary)].losses[label] = \
-            float(sum(samples) / len(samples))
-    return list(by_pair.values()), histories
-
-
-def heterogeneity_table(results: Sequence[HeterogeneityResult]
-                        ) -> List[Dict[str, object]]:
-    """Rows for :func:`repro.plotting.format_table`: one per (rule, adversary).
-
-    Skew labels become columns, so the degradation reads left-to-right and
-    rules/adversaries compare top-to-bottom.
-    """
-    rows = []
-    for result in results:
-        row: Dict[str, object] = {
-            "gradient_rule": result.gradient_rule,
-            "adversary": result.adversary or "-",
-        }
-        row.update(result.accuracies)
-        rows.append(row)
-    return rows
+                samples.setdefault((spec.gradient_rule, adversary, label),
+                                   []).append(accuracy)
+    for (gar, adversary, label), values in samples.items():
+        rows[(gar, adversary)][label] = float(sum(values) / len(values))
+    return list(rows.values()), histories

@@ -8,82 +8,59 @@ The paper quantifies two overheads on the time axis:
   (vanilla GuanYu → GuanYu with declared Byzantine nodes): server
   replication, quorum waiting and robust aggregation.
 
-This harness derives the same two ratios from a Figure 3 run, using the
-time needed to first reach a common target accuracy (the paper uses the time
-to 60 % accuracy on CIFAR-10).
+This reducer derives the same two ratios from Figure 3's batch-128 runs,
+using the time needed to first reach a common target accuracy (the paper
+uses the time to 60 % accuracy on CIFAR-10).  Those runs are Figure 3's
+scenarios, so with a result store the two experiments share them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.campaign.spec import ScenarioSpec
-from repro.experiments.figure3 import Figure3Result, run_figure3
-from repro.metrics import overhead_percent, time_to_accuracy
+from repro.campaign.store import ResultStore
+from repro.experiments.figure3 import BATCH_SIZES, reference_accuracy, run_figure3
+from repro.metrics import TrainingHistory, overhead_percent, time_to_accuracy
+
+#: the Figure 3 systems the two ratios compare
+OVERHEAD_SYSTEMS = ("vanilla_tf", "guanyu_vanilla", "guanyu_f_workers_s1")
 
 
-@dataclass
-class OverheadReport:
-    """The two §5.3 overhead percentages plus the underlying measurements."""
+def overhead_rows(histories: Dict[str, TrainingHistory]
+                  ) -> List[Dict[str, float]]:
+    """The one-row table of the two §5.3 percentages and their inputs.
 
-    target_accuracy: float
-    time_vanilla_tf: float
-    time_guanyu_vanilla: float
-    time_guanyu_byzantine: float
-    runtime_overhead_percent: float
-    byzantine_overhead_percent: float
-
-    def as_rows(self) -> Dict[str, float]:
-        return {
-            "target_accuracy": self.target_accuracy,
-            "time_vanilla_tf": self.time_vanilla_tf,
-            "time_guanyu_vanilla": self.time_guanyu_vanilla,
-            "time_guanyu_byzantine": self.time_guanyu_byzantine,
-            "runtime_overhead_percent": self.runtime_overhead_percent,
-            "byzantine_overhead_percent": self.byzantine_overhead_percent,
-        }
-
-
-def overhead_report(result: Optional[Figure3Result] = None,
-                    base: Optional[ScenarioSpec] = None,
-                    target_accuracy: Optional[float] = None) -> OverheadReport:
-    """Compute the overhead breakdown from a Figure 3 result.
-
-    Parameters
-    ----------
-    result:
-        An existing :class:`Figure3Result`; when omitted the three systems
-        required for the breakdown are run on the given ``base``.
-    target_accuracy:
-        Accuracy threshold for the time-to-accuracy measurements (defaults
-        to the shared reference target of the Figure 3 result).
+    Times are to the shared :func:`reference_accuracy` of ``histories``
+    (a run that never reaches it counts its whole duration).
     """
-    if result is None:
-        result = run_figure3(base=base, systems=[
-            "vanilla_tf", "guanyu_vanilla", "guanyu_f_workers_s1"])
-    required = ("vanilla_tf", "guanyu_vanilla", "guanyu_f_workers_s1")
-    missing = [name for name in required if name not in result.histories]
+    missing = [name for name in OVERHEAD_SYSTEMS if name not in histories]
     if missing:
-        raise ValueError(f"figure 3 result is missing systems: {missing}")
-
-    target = target_accuracy if target_accuracy is not None \
-        else result.reference_accuracy()
+        raise ValueError(f"figure 3 runs are missing systems: {missing}")
+    target = reference_accuracy(histories)
 
     def _time(name: str) -> float:
-        history = result.histories[name]
-        reached = time_to_accuracy(history, target)
-        return reached if reached is not None else history.total_time()
+        reached = time_to_accuracy(histories[name], target)
+        return reached if reached is not None else histories[name].total_time()
 
-    time_tf = _time("vanilla_tf")
-    time_vanilla_guanyu = _time("guanyu_vanilla")
-    time_byzantine = _time("guanyu_f_workers_s1")
-    return OverheadReport(
-        target_accuracy=target,
-        time_vanilla_tf=time_tf,
-        time_guanyu_vanilla=time_vanilla_guanyu,
-        time_guanyu_byzantine=time_byzantine,
-        runtime_overhead_percent=overhead_percent(time_tf, time_vanilla_guanyu),
-        byzantine_overhead_percent=overhead_percent(time_vanilla_guanyu,
-                                                    time_byzantine),
-    )
+    time_tf, time_vanilla, time_byzantine = map(_time, OVERHEAD_SYSTEMS)
+    return [{
+        "target_accuracy": target,
+        "time_vanilla_tf": time_tf,
+        "time_guanyu_vanilla": time_vanilla,
+        "time_guanyu_byzantine": time_byzantine,
+        "runtime_overhead_percent": overhead_percent(time_tf, time_vanilla),
+        "byzantine_overhead_percent": overhead_percent(time_vanilla,
+                                                       time_byzantine),
+    }]
+
+
+def run_overhead(base: Optional[ScenarioSpec] = None,
+                 store: Optional[ResultStore] = None,
+                 processes: Optional[int] = None
+                 ) -> Tuple[List[Dict], Dict[str, TrainingHistory]]:
+    """Run (or read back) the three systems at batch 128 and reduce them."""
+    base = base if base is not None else ScenarioSpec()
+    _, histories = run_figure3(base.replace(batch_size=BATCH_SIZES[0]), store,
+                               processes, systems=OVERHEAD_SYSTEMS)
+    return overhead_rows(histories), histories

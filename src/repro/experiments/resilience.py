@@ -60,12 +60,12 @@ def schedule_for_crashes(spec: ScenarioSpec, num_crashed: int, crash_step: int,
 # Crash-vs-quorum study
 # --------------------------------------------------------------------------- #
 def run_crash_quorum_study(base: Optional[ScenarioSpec] = None,
+                           store: Optional[ResultStore] = None,
+                           processes: Optional[int] = None, *,
                            crash_counts: Sequence[int] = (0, 1, 2, 3),
                            quorum_sizes: Optional[Sequence[int]] = None,
                            crash_step: Optional[int] = None,
                            recover_step: Optional[int] = None,
-                           store: Optional[ResultStore] = None,
-                           processes: Optional[int] = None,
                            ) -> Tuple[List[Dict], Dict[str, TrainingHistory]]:
     """Sweep crash count × model quorum; returns ``(rows, histories)``.
 
@@ -128,10 +128,10 @@ def run_crash_quorum_study(base: Optional[ScenarioSpec] = None,
 # Partition-heal study
 # --------------------------------------------------------------------------- #
 def run_partition_heal_study(base: Optional[ScenarioSpec] = None,
+                             store: Optional[ResultStore] = None,
+                             processes: Optional[int] = None, *,
                              partition_step: Optional[int] = None,
                              heal_steps: Optional[Sequence[int]] = None,
-                             store: Optional[ResultStore] = None,
-                             processes: Optional[int] = None,
                              ) -> Tuple[List[Dict], Dict[str, TrainingHistory]]:
     """Partition one server away for varying windows; measure re-contraction.
 

@@ -10,37 +10,41 @@ parameters after every step.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.campaign.spec import ScenarioSpec
+from repro.campaign.store import ResultStore
+from repro.metrics import TrainingHistory
 from repro.runtime.facade import build_trainer
-from repro.theory import AlignmentProbe, AlignmentSample
+from repro.theory import AlignmentProbe
 
 
-def run_table2(base: Optional[ScenarioSpec] = None, interval: int = 20,
-               warmup_fraction: float = 0.25,
-               attack_servers: bool = False) -> List[AlignmentSample]:
+def run_table2(base: Optional[ScenarioSpec] = None,
+               store: Optional[ResultStore] = None,
+               processes: Optional[int] = None, *, interval: int = 20,
+               warmup_fraction: float = 0.25
+               ) -> Tuple[List[Dict], Dict[str, TrainingHistory]]:
     """Run GuanYu and record alignment samples every ``interval`` steps.
 
     Parameters
     ----------
     base:
         The workload (default: ``ScenarioSpec()``); run as trainer
-        ``guanyu``.
+        ``guanyu``.  With a ``server_attack`` the declared Byzantine servers
+        attack throughout, checking that the alignment survives an active
+        adversary.  The probe needs the live servers, so the run is not a
+        campaign: ``store`` and ``processes`` are accepted and ignored.
     interval:
         Sampling interval in steps (the paper uses 20).
     warmup_fraction:
         Fraction of the run discarded before sampling starts — the assumption
         is only expected to hold "after some large step number".
-    attack_servers:
-        When ``True`` the declared Byzantine servers send corrupted models
-        throughout, checking that the alignment survives an active adversary.
+
+    Returns one row per sample (``step``, ``cos_phi``, ``max_diff1``,
+    ``max_diff2``) and no histories.
     """
     spec = (base if base is not None else ScenarioSpec()).replace(
         name="table2", trainer="guanyu")
-    if attack_servers:
-        spec = spec.replace(server_attack={"name": "corrupted_model",
-                                           "kwargs": {"noise_scale": 50.0}})
     trainer = build_trainer(spec.validate())
 
     probe = AlignmentProbe(interval=interval)
@@ -50,4 +54,6 @@ def run_table2(base: Optional[ScenarioSpec] = None, interval: int = 20,
         if step >= warmup_steps:
             probe.maybe_record(step, [server.current_parameters()
                                       for server in trainer.correct_servers])
-    return probe.samples
+    return [{"step": sample.step, "cos_phi": sample.cos_phi,
+             "max_diff1": sample.max_diff_1, "max_diff2": sample.max_diff_2}
+            for sample in probe.samples], {}

@@ -13,8 +13,14 @@ real-time :class:`~repro.runtime.live.Endpoint` alike.
 
 Schedules ride inside :class:`~repro.campaign.spec.ScenarioSpec` (field
 ``faults``), hash into the content address and sweep like any other axis;
-``repro resilience`` runs the canned crash-vs-quorum and partition-heal
-studies built on top.
+``repro reproduce crash-quorum partition-heal`` runs the canned
+crash-vs-quorum and partition-heal studies built on top.  The old
+subcommand maps onto it as::
+
+    resilience --mode crash        reproduce crash-quorum
+    resilience --mode partition    reproduce partition-heal
+    --crashes/--quorums/--crash-step/--recover-step/--partition-step/
+    --heal-steps                   keywords of repro.experiments.resilience
 """
 
 from repro.faults.schedule import (

@@ -1,4 +1,4 @@
-"""Neural-network layers, models, losses and optimisers.
+"""Neural-network layers, models, losses and learning-rate schedules.
 
 This package plays the role of the TensorFlow graph-construction APIs in the
 original GuanYu implementation: it defines the models whose gradients the
@@ -13,7 +13,10 @@ Highlights
 * :class:`PaperCNN` — the exact CNN of the paper's Table 1 (~1.75 M params).
 * :class:`MLP`, :class:`SmallCNN`, :class:`SoftmaxRegression` — scaled-down
   models used to keep the CPU-only experiments fast.
-* :class:`SGD`, :class:`MomentumSGD`, :class:`Adam` — optimisers.
+* :class:`ConstantSchedule` and friends — learning-rate schedules.  The
+  parameter update itself is the plain SGD step the servers apply to the
+  flat vector (:meth:`Module.apply_flat_gradient`); there is no optimiser
+  object.
 """
 
 from repro.nn.module import Module, Parameter, Sequential
@@ -29,7 +32,6 @@ from repro.nn.layers import (
 )
 from repro.nn.models import MLP, PaperCNN, SmallCNN, SoftmaxRegression, build_model
 from repro.nn.losses import CrossEntropyLoss, MSELoss
-from repro.nn.optim import SGD, Adam, MomentumSGD, Optimizer
 from repro.nn.schedules import (
     ConstantSchedule,
     InverseTimeDecay,
@@ -56,10 +58,6 @@ __all__ = [
     "build_model",
     "CrossEntropyLoss",
     "MSELoss",
-    "Optimizer",
-    "SGD",
-    "MomentumSGD",
-    "Adam",
     "LearningRateSchedule",
     "ConstantSchedule",
     "InverseTimeDecay",

@@ -250,37 +250,6 @@ def max_pool2d(
     return Tensor._make(out, (x,), backward)
 
 
-def avg_pool2d(x: Tensor, kernel_size: IntOrPair, stride: IntOrPair = None) -> Tensor:
-    """Average pooling over NCHW inputs."""
-    kernel_h, kernel_w = _pair(kernel_size)
-    if stride is None:
-        stride = (kernel_h, kernel_w)
-    stride_h, stride_w = _pair(stride)
-
-    batch, channels, height, width = x.shape
-    out_h = (height - kernel_h) // stride_h + 1
-    out_w = (width - kernel_w) // stride_w + 1
-
-    windows = np.lib.stride_tricks.sliding_window_view(
-        x.data, (kernel_h, kernel_w), axis=(2, 3)
-    )[:, :, ::stride_h, ::stride_w, :, :]
-    windows = windows[:, :, :out_h, :out_w, :, :]
-    out = windows.mean(axis=(4, 5))
-    scale = 1.0 / (kernel_h * kernel_w)
-
-    def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        grad_x = np.zeros_like(x.data)
-        for kh in range(kernel_h):
-            for kw in range(kernel_w):
-                grad_x[:, :, kh: kh + out_h * stride_h: stride_h,
-                       kw: kw + out_w * stride_w: stride_w] += grad * scale
-        x._accumulate(grad_x)
-
-    return Tensor._make(out, (x,), backward)
-
-
 def flatten(x: Tensor) -> Tensor:
     """Flatten all dimensions except the batch dimension."""
     return x.reshape(x.shape[0], -1)

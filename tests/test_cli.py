@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
@@ -26,9 +27,24 @@ class TestParser:
             cli.build_parser().parse_args(["figure99"])
 
     def test_defaults(self):
-        args = cli.build_parser().parse_args(["figure3"])
-        assert args.batch_size == 128
+        args = cli.build_parser().parse_args(["reproduce"])
+        assert args.names == [] and args.store is None
         assert args.preset == "small"
+
+    def test_help_lists_reproduce_not_the_per_experiment_commands(self):
+        from repro.experiments import EXPERIMENTS
+
+        parser = cli.build_parser()
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        removed = {"table1", "figure3", "figure4", "table2", "overhead",
+                   "attack-sweep", "gars", "quorums", "scaling",
+                   "resilience", "breakdown", "hetero"}
+        assert "reproduce" in commands.choices
+        assert not removed & set(commands.choices)
+        assert len(commands.choices) == 10
+        help_text = commands.choices["reproduce"].format_help()
+        assert all(name in help_text for name in EXPERIMENTS)
 
     def test_version_flag(self, capsys):
         from repro import __version__
@@ -40,67 +56,92 @@ class TestParser:
     def test_invalid_arguments_exit_2(self, capsys):
         # semantic validation errors (not argparse parse errors) must exit 2
         code = cli.main(["--steps", "4", "--workers-count", "6",
-                         "--servers-count", "3", "scaling", "--workers", "2"])
+                         "--servers-count", "3", "reproduce", "figure5"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
 
 class TestSubcommands:
     def test_table1(self, capsys):
-        code, out = _run(capsys, ["table1"])
+        code, out = _run(capsys, ["reproduce", "table1"])
         assert code == 0
-        assert "1,756,426" in out
+        assert "1756426" in out
 
     def test_table1_json_output(self, capsys, tmp_path):
         path = tmp_path / "table1.json"
-        code, _ = _run(capsys, ["--json", str(path), "table1"])
+        code, _ = _run(capsys, ["--json", str(path), "reproduce", "table1"])
         assert code == 0
         payload = json.loads(path.read_text())
-        assert payload["total_parameters"] == 1756426
+        assert payload["table1"]["rows"][-1]["parameters"] == 1756426
 
     def test_figure3(self, capsys):
-        code, out = _run(capsys, BASE_ARGS + ["figure3", "--batch-size", "16"])
+        code, out = _run(capsys, BASE_ARGS + ["reproduce", "figure3"])
         assert code == 0
         assert "vanilla_tf" in out
         assert "top-1 accuracy" in out  # the ASCII chart was rendered
+        # both batch sizes, each charted against steps and time
+        assert out.count("batch=128 — accuracy vs.") == 2
+        assert out.count("batch=32 — accuracy vs.") == 2
+        assert "simulated s" in out and "model updates" in out
 
     def test_figure4(self, capsys):
-        code, out = _run(capsys, BASE_ARGS + ["figure4"])
+        code, out = _run(capsys, BASE_ARGS + ["reproduce", "figure4"])
         assert code == 0
         assert "guanyu_byzantine" in out
 
     def test_table2(self, capsys):
-        code, out = _run(capsys, BASE_ARGS + ["table2", "--interval", "2"])
+        code, out = _run(capsys, ["--steps", "41", "--workers-count", "6",
+                                  "--servers-count", "3", "reproduce",
+                                  "table2"])
         assert code == 0
         assert "cos_phi" in out
+        assert "\n20 " in out and "\n40 " in out  # every 20 steps
 
     def test_overhead(self, capsys):
-        code, out = _run(capsys, BASE_ARGS + ["overhead"])
+        code, out = _run(capsys, BASE_ARGS + ["reproduce", "overhead"])
         assert code == 0
         assert "runtime_overhead_percent" in out
 
-    def test_scaling_with_custom_worker_counts(self, capsys):
-        code, out = _run(capsys, BASE_ARGS + ["scaling", "--workers", "6", "9"])
+    def test_scaling(self, capsys, tmp_path):
+        path = tmp_path / "scaling.json"
+        code, out = _run(capsys, ["--steps", "3", "--json", str(path)]
+                         + BASE_ARGS[2:] + ["reproduce", "scaling"])
         assert code == 0
         assert "num_workers" in out
+        # The global --steps reaches the study (it once ran 20 steps).
+        histories = json.loads(path.read_text())["scaling"]["histories"]
+        assert len(histories) == 4
+        assert all(len(history["records"]) == 3
+                   for history in histories.values())
 
     def test_quorums(self, capsys):
         code, out = _run(capsys, ["--steps", "4", "--workers-count", "9",
-                                  "--servers-count", "3", "quorums"])
+                                  "--servers-count", "3", "reproduce",
+                                  "quorums"])
         assert code == 0
-        assert "q=" in out
+        assert "q=" in out and "gradient_quorum" in out
 
     def test_gars(self, capsys):
-        code, out = _run(capsys, BASE_ARGS + ["gars"])
+        code, out = _run(capsys, BASE_ARGS + ["reproduce", "gars"])
         assert code == 0
         assert "multi_krum" in out
 
     def test_json_dump_for_histories(self, capsys, tmp_path):
         path = tmp_path / "fig4.json"
-        code, _ = _run(capsys, BASE_ARGS + ["--json", str(path), "figure4"])
+        code, _ = _run(capsys, BASE_ARGS + ["--json", str(path), "reproduce",
+                                            "figure4"])
         assert code == 0
         payload = json.loads(path.read_text())
-        assert "vanilla_tf_byzantine" in payload
+        assert "vanilla_tf_byzantine" in payload["figure4"]["histories"]
+
+    def test_second_run_is_served_from_the_store(self, capsys, tmp_path):
+        argv = BASE_ARGS + ["reproduce", "figure4", "gars",
+                            "--store", str(tmp_path / "store")]
+        code, first = _run(capsys, argv)
+        assert code == 0 and "(7 entries, 7 new)" in first
+        code, second = _run(capsys, argv)
+        assert code == 0 and "(7 entries, 0 new)" in second
+        assert first.replace("7 new", "0 new") == second
 
     def test_list_prints_registries(self, capsys):
         code, out = _run(capsys, ["list"])
@@ -146,7 +187,8 @@ class TestAttacksListing:
 
     def test_attack_sweep_still_runs_the_ablation(self, capsys):
         code, out = _run(capsys, ["--steps", "4", "--workers-count", "9",
-                                  "--servers-count", "6", "attack-sweep"])
+                                  "--servers-count", "6", "reproduce",
+                                  "attack-sweep"])
         assert code == 0
         assert "Attack sweep" in out
         assert "sign_flip" in out
@@ -350,9 +392,7 @@ class TestResilience:
     RES_ARGS = ["--steps", "9", "--workers-count", "6", "--servers-count", "6"]
 
     def test_crash_mode_prints_boundary_table(self, capsys, tmp_path):
-        argv = self.RES_ARGS + ["resilience", "--mode", "crash",
-                                "--crashes", "0", "2", "--quorums", "3", "5",
-                                "--crash-step", "3", "--recover-step", "6",
+        argv = self.RES_ARGS + ["reproduce", "crash-quorum",
                                 "--store", str(tmp_path / "store")]
         code, out = _run(capsys, argv)
         assert code == 0
@@ -360,27 +400,30 @@ class TestResilience:
         assert "result store:" in out
 
     def test_partition_mode_prints_recovery_rows(self, capsys):
-        argv = self.RES_ARGS + ["resilience", "--mode", "partition",
-                                "--partition-step", "2",
-                                "--heal-steps", "5", "8"]
+        argv = self.RES_ARGS + ["reproduce", "partition-heal"]
         code, out = _run(capsys, argv)
         assert code == 0
         assert "spread_before_heal" in out
 
     def test_json_dump(self, capsys, tmp_path):
         path = tmp_path / "res.json"
-        argv = self.RES_ARGS + ["--json", str(path), "resilience",
-                                "--mode", "crash", "--crashes", "0",
-                                "--quorums", "3"]
+        argv = self.RES_ARGS + ["--json", str(path), "reproduce",
+                                "crash-quorum"]
         code, _ = _run(capsys, argv)
         assert code == 0
-        payload = json.loads(path.read_text())
-        assert payload["rows"][0]["model_quorum"] == 3
+        rows = json.loads(path.read_text())["crash-quorum"]["rows"]
+        # q over [3, 6] for each of 0-3 crashed servers, window [3, 6)
+        assert [(row["model_quorum"], row["crashed_servers"])
+                for row in rows] == [(q, c) for q in range(3, 7)
+                                     for c in range(4)]
+        assert all(row["stalled_steps"] == (3 if c > 6 - q else 0)
+                   for row, (q, c) in zip(rows, [(q, c) for q in range(3, 7)
+                                                 for c in range(4)]))
 
     def test_invalid_heal_steps_exit_2(self, capsys):
-        argv = self.RES_ARGS + ["resilience", "--mode", "partition",
-                                "--partition-step", "5",
-                                "--heal-steps", "4"]
+        # Too short a run leaves no room between the cut and a heal.
+        argv = ["--steps", "1"] + self.RES_ARGS[2:] + [
+            "reproduce", "partition-heal"]
         code, _ = _run(capsys, argv)
         assert code == 2
 
@@ -391,7 +434,8 @@ class TestObservability:
     def test_trace_flag_writes_jsonl(self, capsys, tmp_path):
         trace_path = tmp_path / "trace.jsonl"
         argv = ["--trace", str(trace_path), "--steps", "3",
-                "--workers-count", "6", "--servers-count", "3", "figure4"]
+                "--workers-count", "6", "--servers-count", "3", "reproduce",
+                "figure4"]
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 0
@@ -409,7 +453,7 @@ class TestObservability:
         trace_path = tmp_path / "trace.jsonl"
         code = cli.main(["--trace", str(trace_path), "--steps", "3",
                          "--workers-count", "6", "--servers-count", "3",
-                         "figure4"])
+                         "reproduce", "figure4"])
         capsys.readouterr()
         assert code == 0
 
@@ -459,16 +503,18 @@ class TestObservability:
     def test_log_level_flag_configures_repro_logger(self, capsys):
         import logging
 
-        code, _ = _run(capsys, ["--log-level", "debug", "table1"])
+        code, _ = _run(capsys, ["--log-level", "debug", "reproduce",
+                                "table1"])
         assert code == 0
         assert logging.getLogger("repro").level == logging.DEBUG
-        code, _ = _run(capsys, ["--log-level", "warning", "table1"])
+        code, _ = _run(capsys, ["--log-level", "warning", "reproduce",
+                                "table1"])
         assert code == 0
         assert logging.getLogger("repro").level == logging.WARNING
 
     def test_unknown_log_level_rejected_by_parser(self):
         with pytest.raises(SystemExit):
-            cli.build_parser().parse_args(["--log-level", "loud", "table1"])
+            cli.build_parser().parse_args(["--log-level", "loud", "reproduce"])
 
 
 class TestStoreSubcommand:

@@ -13,9 +13,10 @@ import pytest
 
 from repro.campaign import ResultStore, ScenarioSpec
 from repro.experiments import (
+    EXPERIMENTS,
     build_workload,
     make_model_factory,
-    overhead_report,
+    overhead_rows,
     paper_like,
     run_attack_sweep,
     run_crash_quorum_study,
@@ -23,11 +24,9 @@ from repro.experiments import (
     run_figure4,
     run_gar_ablation,
     run_heterogeneity_study,
-    run_partition_heal_study,
     run_quorum_ablation,
     run_scaling_study,
     run_table2,
-    table1_report,
 )
 from repro.experiments.figure3 import FIGURE3_SYSTEMS
 
@@ -72,99 +71,131 @@ class TestScaleAndWorkload:
 
 class TestTable1:
     def test_report_structure(self):
-        report = table1_report()
-        assert report["total_parameters"] == pytest.approx(1.75e6, rel=0.02)
-        assert len(report["layers"]) == 8
+        rows, histories = EXPERIMENTS["table1"].run(ScenarioSpec(), None, None)
+        assert rows[-1]["parameters"] == pytest.approx(1.75e6, rel=0.02)
+        assert len(rows) == 9 and rows[-1]["layer"] == "Total"
+        assert histories == {}
+
+
+class TestTable:
+    """Every entry of the one experiment table."""
+
+    def test_every_entry_has_a_title_a_runner_and_chart_axes(self):
+        for name, experiment in EXPERIMENTS.items():
+            assert experiment.title and callable(experiment.run), name
+            assert set(experiment.charts) <= {"steps", "time"}, name
+
+    def test_figures_chart_their_histories(self):
+        assert EXPERIMENTS["figure3"].charts == ("steps", "time")
+        assert EXPERIMENTS["figure4"].charts == ("steps",)
 
 
 class TestFigure3:
     def test_runs_all_systems(self, tiny_base):
-        result = run_figure3(base=tiny_base)
-        assert set(result.histories) == set(FIGURE3_SYSTEMS)
+        rows, histories = run_figure3(base=tiny_base)
+        assert set(histories) == set(FIGURE3_SYSTEMS)
+        assert [row["system"] for row in rows] == list(FIGURE3_SYSTEMS)
         assert all(len(history) == tiny_base.num_steps
-                   for history in result.histories.values())
+                   for history in histories.values())
 
     def test_subset_of_systems(self, tiny_base):
-        result = run_figure3(base=tiny_base, systems=["vanilla_tf"])
-        assert list(result.histories) == ["vanilla_tf"]
+        _, histories = run_figure3(base=tiny_base, systems=["vanilla_tf"])
+        assert list(histories) == ["vanilla_tf"]
 
-    def test_batch_size_override_recorded(self, tiny_base):
-        result = run_figure3(base=tiny_base.replace(batch_size=8),
-                             systems=["vanilla_tf"])
-        assert result.batch_size == 8
+    def test_both_batch_sizes_as_panels(self, tiny_base):
+        rows, histories = EXPERIMENTS["figure3"].run(
+            tiny_base.replace(num_steps=2, eval_every=2), None, None)
+        assert [row["batch_size"] for row in rows] == [128] * 5 + [32] * 5
+        assert list(histories)[0] == "batch=128/vanilla_tf"
+        assert list(histories)[-1] == "batch=32/guanyu_f_workers_s1"
 
     def test_summary_rows_have_expected_keys(self, tiny_base):
-        result = run_figure3(base=tiny_base, systems=["vanilla_tf",
-                                                        "guanyu_vanilla"])
-        rows = result.accuracy_summary()
+        rows, _ = run_figure3(base=tiny_base, systems=["vanilla_tf",
+                                                       "guanyu_vanilla"])
         assert {"system", "final_accuracy", "throughput",
                 "time_to_target"} <= set(rows[0])
 
 
 class TestFigure4AndOverhead:
     def test_figure4_structure(self, tiny_base):
-        result = run_figure4(base=tiny_base, num_attacking_workers=1,
-                             num_attacking_servers=0)
-        assert set(result.histories) == {"vanilla_tf", "vanilla_tf_byzantine",
-                                         "guanyu_byzantine"}
-        accuracies = result.final_accuracies()
-        assert all(0.0 <= value <= 1.0 for value in accuracies.values())
+        rows, histories = run_figure4(base=tiny_base)
+        assert set(histories) == {"vanilla_tf", "vanilla_tf_byzantine",
+                                  "guanyu_byzantine"}
+        assert all(0.0 <= row["final_accuracy"] <= 1.0 for row in rows)
+
+    def test_figure4_attacks_come_from_the_base(self, tiny_base):
+        base = tiny_base.replace(worker_attack="sign_flip",
+                                 num_attacking_workers=1)
+        _, histories = run_figure4(base=base)
+        assert histories["vanilla_tf"].config["worker_attack"] is None
+        for name in ("vanilla_tf_byzantine", "guanyu_byzantine"):
+            assert histories[name].config["worker_attack"] == "sign_flip"
 
     def test_overhead_report_requires_needed_systems(self, tiny_base):
-        result = run_figure3(base=tiny_base, systems=["vanilla_tf"])
+        _, histories = run_figure3(base=tiny_base, systems=["vanilla_tf"])
         with pytest.raises(ValueError):
-            overhead_report(result=result)
+            overhead_rows(histories)
 
     def test_overhead_report_from_base(self, tiny_base):
-        report = overhead_report(base=tiny_base)
-        assert report.time_vanilla_tf > 0
-        assert report.time_guanyu_byzantine > 0
+        (row,), histories = EXPERIMENTS["overhead"].run(tiny_base, None, None)
+        assert row["time_vanilla_tf"] > 0
+        assert row["time_guanyu_byzantine"] > 0
+        assert all(history.config["batch_size"] == 128
+                   for history in histories.values())
+
+    def test_overhead_shares_figure3_runs_through_the_store(self, tiny_base,
+                                                             tmp_path):
+        store = ResultStore(tmp_path / "store")
+        base = tiny_base.replace(num_steps=2, eval_every=2)
+        EXPERIMENTS["figure3"].run(base, store, None)
+        entries = len(store)
+        EXPERIMENTS["overhead"].run(base, store, None)
+        assert len(store) == entries
 
 
 class TestTable2:
     def test_sampling_interval_and_warmup(self, tiny_base):
         base = tiny_base.replace(num_steps=12, declared_byzantine_servers=0,
                                  num_servers=3)
-        samples = run_table2(base=base, interval=2, warmup_fraction=0.5)
-        assert all(sample.step >= 6 for sample in samples)
-        assert len(samples) >= 2
+        rows, _ = run_table2(base=base, interval=2, warmup_fraction=0.5)
+        assert all(row["step"] >= 6 for row in rows)
+        assert len(rows) >= 2
 
 
 class TestAblations:
     def test_gar_ablation_subset(self, tiny_base):
-        histories = run_gar_ablation(base=tiny_base, rules=("median", "mean"))
+        rows, histories = run_gar_ablation(base=tiny_base,
+                                           rules=("median", "mean"))
         assert set(histories) == {"median", "mean"}
+        assert [row["system"] for row in rows] == ["median", "mean"]
 
     def test_attack_sweep_custom_suite(self, tiny_base):
-        from repro.adversary import SignFlipAttack
-        histories = run_attack_sweep(base=tiny_base,
-                                     attacks={"sign_flip": {
-                                         "worker_attack": SignFlipAttack()}})
-        assert list(histories) == ["sign_flip"]
+        rows, _ = run_attack_sweep(base=tiny_base, attacks={
+            "sign_flip": {"worker_attack": "sign_flip"}})
+        assert [row["system"] for row in rows] == ["sign_flip"]
 
     def test_attack_sweep_forwards_extra_suite_fields(self, tiny_base):
-        from repro.adversary import SignFlipAttack
-        histories = run_attack_sweep(base=tiny_base, attacks={
-            "sf": {"worker_attack": SignFlipAttack(),
-                   "gradient_rule": "median"}})
+        _, histories = run_attack_sweep(base=tiny_base, attacks={
+            "sf": {"worker_attack": "sign_flip", "gradient_rule": "median"}})
         assert histories["sf"].config["gradient_rule"] == "median"
 
     def test_attack_sweep_rejects_name_override(self, tiny_base):
-        from repro.adversary import SignFlipAttack
         with pytest.raises(ValueError, match="cannot override 'name'"):
             run_attack_sweep(base=tiny_base, attacks={
-                "sf": {"worker_attack": SignFlipAttack(), "name": "custom"}})
+                "sf": {"worker_attack": "sign_flip", "name": "custom"}})
 
     def test_quorum_ablation_explicit_quorums(self, tiny_base):
         base = tiny_base.replace(num_workers=9, declared_byzantine_workers=1)
-        histories = run_quorum_ablation(base=base, quorums=(5, 8))
-        assert set(histories) == {5, 8}
+        rows, _ = run_quorum_ablation(base=base, quorums=(5, 8))
+        assert [row["gradient_quorum"] for row in rows] == [5, 8]
 
     def test_scaling_study_rows(self, tiny_base):
-        rows = run_scaling_study(base=tiny_base, worker_counts=(6, 9),
-                                 num_steps=4)
+        rows, histories = run_scaling_study(
+            base=tiny_base.replace(num_steps=4, eval_every=4),
+            worker_counts=(6, 9))
         assert [row["num_workers"] for row in rows] == [6, 9]
         assert all(row["throughput"] > 0 for row in rows)
+        assert all(len(history) == 4 for history in histories.values())
 
 
 # --------------------------------------------------------------------------- #
@@ -257,33 +288,35 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize("batch_size", [16, 8])
     def test_figure3_histories(self, tiny_base, batch_size):
-        result = run_figure3(base=tiny_base.replace(batch_size=batch_size))
-        assert result.batch_size == batch_size
+        rows, histories = run_figure3(
+            base=tiny_base.replace(batch_size=batch_size))
+        assert [row["system"] for row in rows] == list(histories)
         assert {name: history_digest(history)
-                for name, history in result.histories.items()} \
+                for name, history in histories.items()} \
             == self.FIGURE3[batch_size]
 
     @pytest.mark.parametrize("attack_servers", [False, True])
     def test_table2_samples(self, attack_servers):
-        samples = run_table2(base=ScenarioSpec(num_steps=12, dataset_size=600),
-                             interval=2, warmup_fraction=0.5,
-                             attack_servers=attack_servers)
-        assert [(sample.step, sample.cos_phi, sample.max_diff_1,
-                 sample.max_diff_2) for sample in samples] \
+        base = ScenarioSpec(num_steps=12, dataset_size=600)
+        if attack_servers:
+            base = base.replace(server_attack={
+                "name": "corrupted_model", "kwargs": {"noise_scale": 50.0}})
+        rows, _ = run_table2(base=base, interval=2, warmup_fraction=0.5)
+        assert [(row["step"], row["cos_phi"], row["max_diff1"],
+                 row["max_diff2"]) for row in rows] \
             == self.TABLE2[attack_servers]
 
     def test_store_keys(self, tiny_base, tmp_path):
         store = ResultStore(tmp_path / "store")
         short = tiny_base.replace(num_steps=6)
         run_gar_ablation(base=tiny_base, rules=("median", "mean"), store=store)
-        run_attack_sweep(base=tiny_base, store=store)
-        run_quorum_ablation(base=tiny_base, store=store)
-        run_scaling_study(base=tiny_base, worker_counts=(6, 9), num_steps=4,
-                          store=store)
-        run_figure4(base=tiny_base, num_attacking_workers=1,
-                    num_attacking_servers=0, store=store)
+        EXPERIMENTS["attack-sweep"].run(tiny_base, store, None)
+        EXPERIMENTS["quorums"].run(tiny_base, store, None)
+        run_scaling_study(base=tiny_base.replace(num_steps=4, eval_every=4),
+                          worker_counts=(6, 9), store=store)
+        EXPERIMENTS["figure4"].run(tiny_base, store, None)
         run_crash_quorum_study(base=short, crash_counts=(0, 1), store=store)
-        run_partition_heal_study(base=short, store=store)
+        EXPERIMENTS["partition-heal"].run(short, store, None)
         run_heterogeneity_study(base=short, skews=("iid", "dirichlet=1"),
                                 gars=("median",), store=store)
         assert sorted(store.keys()) == self.STORE_KEYS

@@ -299,12 +299,14 @@ class TestHeteroCli:
 
     def test_hetero_subcommand_writes_table_and_json(self, capsys, tmp_path):
         json_path = tmp_path / "hetero.json"
-        code = cli.main(["--steps", "4", "--json", str(json_path), "hetero",
-                         "--skews", "iid", "dirichlet=0.3",
-                         "--gars", "median", "--adversaries", "none"])
+        code = cli.main(["--steps", "4", "--json", str(json_path),
+                         "reproduce", "hetero"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "gradient_rule" in out and "dirichlet=0.3" in out
-        payload = json.loads(json_path.read_text())
-        assert payload["rows"][0]["gradient_rule"] == "median"
-        assert set(payload["rows"][0]) >= {"iid", "dirichlet=0.3"}
+        assert "gradient_rule" in out and "dirichlet=0.1" in out
+        rows = json.loads(json_path.read_text())["hetero"]["rows"]
+        assert [(row["gradient_rule"], row["adversary"]) for row in rows] \
+            == [(gar, adversary) for gar in ("mean", "median", "multi_krum")
+                for adversary in ("-", "collusion")]
+        assert set(rows[0]) >= {"iid", "dirichlet=10", "dirichlet=1",
+                                "dirichlet=0.1"}

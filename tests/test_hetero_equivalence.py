@@ -22,10 +22,7 @@ import pytest
 from repro.batch import run_batched_scenarios
 from repro.campaign.engine import build_trainer
 from repro.campaign.spec import ScenarioSpec
-from repro.experiments.heterogeneity import (
-    heterogeneity_table,
-    run_heterogeneity_study,
-)
+from repro.experiments.heterogeneity import run_heterogeneity_study
 from repro.runtime import run
 from repro.testing import sequential_history
 
@@ -96,9 +93,9 @@ class TestHeterogeneityStudy:
                       base=ScenarioSpec(num_steps=5))
         first, _ = run_heterogeneity_study(**kwargs)
         second, _ = run_heterogeneity_study(**kwargs)
-        assert heterogeneity_table(first) == heterogeneity_table(second)
+        assert first == second
 
-        (row,) = heterogeneity_table(first)
+        (row,) = first
         assert row["gradient_rule"] == "median"
         assert 0.0 <= row["dirichlet=0.2"] <= 1.0
         # The honest median visibly loses accuracy under heavy label skew —
@@ -114,7 +111,7 @@ class TestHeterogeneityStudy:
             batch_seeds=True, **kwargs)
         # Seed replicas of one cell really ran on the batched runtime,
         # and the mean-over-seeds table is bit-identical either way.
-        assert heterogeneity_table(serial) == heterogeneity_table(batched)
+        assert serial == batched
         for name, history in serial_histories.items():
             assert "seed=" in name
             assert history.to_dict() == batched_histories[name].to_dict()

@@ -1,11 +1,9 @@
-"""Tests for optimisers and learning-rate schedules."""
+"""Tests for losses and learning-rate schedules."""
 
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, Dense, MomentumSGD
 from repro.nn.losses import CrossEntropyLoss, MSELoss
-from repro.nn.module import Module, Parameter
 from repro.nn.schedules import (
     ConstantSchedule,
     InverseTimeDecay,
@@ -13,72 +11,6 @@ from repro.nn.schedules import (
     partial_sums,
 )
 from repro.tensor import Tensor
-
-
-class Quadratic(Module):
-    """f(w) = ||w - target||^2 — a convex test objective."""
-
-    def __init__(self, target):
-        super().__init__()
-        self.w = Parameter(np.zeros_like(target))
-        self.target = np.asarray(target, dtype=np.float64)
-
-    def forward(self, x=None):
-        diff = self.w - Tensor(self.target)
-        return (diff * diff).sum()
-
-
-def _train(optimizer, model, steps=200):
-    for _ in range(steps):
-        optimizer.zero_grad()
-        loss = model(None)
-        loss.backward()
-        optimizer.step()
-    return float(model(None).item())
-
-
-class TestOptimizers:
-    target = np.array([1.0, -2.0, 3.0])
-
-    def test_sgd_converges_on_quadratic(self):
-        model = Quadratic(self.target)
-        assert _train(SGD(model, 0.1), model) < 1e-6
-
-    def test_momentum_converges_on_quadratic(self):
-        model = Quadratic(self.target)
-        assert _train(MomentumSGD(model, 0.05, momentum=0.9), model) < 1e-6
-
-    def test_adam_converges_on_quadratic(self):
-        model = Quadratic(self.target)
-        assert _train(Adam(model, 0.1), model, steps=400) < 1e-4
-
-    def test_sgd_weight_decay_shrinks_weights(self):
-        model = Quadratic(np.zeros(3))
-        model.w.data[...] = 10.0
-        optimizer = SGD(model, 0.1, weight_decay=0.5)
-        _train(optimizer, model, steps=50)
-        assert np.all(np.abs(model.w.data) < 10.0)
-
-    def test_invalid_learning_rate_raises(self):
-        with pytest.raises(ValueError):
-            SGD(Quadratic(self.target), learning_rate=0.0)
-
-    def test_invalid_momentum_raises(self):
-        with pytest.raises(ValueError):
-            MomentumSGD(Quadratic(self.target), momentum=1.5)
-
-    def test_step_skips_parameters_without_gradients(self):
-        model = Quadratic(self.target)
-        before = model.w.data.copy()
-        SGD(model, 0.1).step()
-        assert np.allclose(model.w.data, before)
-
-    def test_step_flat_applies_external_gradient(self):
-        layer = Dense(2, 2, rng=np.random.default_rng(0))
-        optimizer = SGD(layer, 0.5)
-        before = layer.get_flat_parameters()
-        optimizer.step_flat(np.ones_like(before))
-        assert np.allclose(layer.get_flat_parameters(), before - 0.5)
 
 
 class TestLosses:

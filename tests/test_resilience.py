@@ -139,8 +139,8 @@ class TestResilienceHarness:
                                                         tmp_path):
         store = ResultStore(tmp_path / "store")
         rows, histories = run_crash_quorum_study(
-            base=tiny_base, crash_counts=(0, 2), quorum_sizes=(3, 5),
-            crash_step=3, recover_step=6, store=store)
+            base=tiny_base, store=store, crash_counts=(0, 2),
+            quorum_sizes=(3, 5), crash_step=3, recover_step=6)
         assert len(rows) == 4
         by_cell = {(row["model_quorum"], row["crashed_servers"]): row
                    for row in rows}
@@ -153,8 +153,8 @@ class TestResilienceHarness:
 
         # Reproduced from the store: second run is pure cache.
         rows2, _ = run_crash_quorum_study(
-            base=tiny_base, crash_counts=(0, 2), quorum_sizes=(3, 5),
-            crash_step=3, recover_step=6, store=store)
+            base=tiny_base, store=store, crash_counts=(0, 2),
+            quorum_sizes=(3, 5), crash_step=3, recover_step=6)
         assert rows2 == rows
 
     def test_partition_heal_study_recontracts(self, tiny_base):

@@ -14,7 +14,7 @@ from repro.tensor import (
     relu,
     softmax,
 )
-from repro.tensor.functional import avg_pool2d, flatten
+from repro.tensor.functional import flatten
 
 
 class TestSoftmaxAndLosses:
@@ -142,16 +142,6 @@ class TestPooling:
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(1, 2, 6, 6)), requires_grad=True)
         assert gradient_check(lambda t: max_pool2d(t, 2), [x], atol=1e-3)
-
-    def test_avg_pool_values(self):
-        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
-        out = avg_pool2d(x, 2).data
-        assert np.allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avg_pool_gradcheck(self):
-        rng = np.random.default_rng(7)
-        x = Tensor(rng.normal(size=(1, 1, 4, 4)), requires_grad=True)
-        assert gradient_check(lambda t: avg_pool2d(t, 2), [x])
 
     def test_flatten_keeps_batch(self):
         x = Tensor(np.zeros((3, 2, 4, 4)))
