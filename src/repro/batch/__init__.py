@@ -14,16 +14,16 @@ See ``docs/performance.md`` for the memory model, the supported scenario
 envelope, and how the campaign engine routes seed-only sweeps here.
 """
 
-from repro.batch.models import (
-    BATCHABLE_MODELS,
-    BatchedDenseStack,
-    BatchingUnsupported,
-)
 from repro.batch.trainer import (
     BatchedExecutionError,
     BatchedGuanYuTrainer,
     run_batched_scenarios,
     spec_supports_batching,
+)
+from repro.nn.plan import (
+    BATCHABLE_MODELS,
+    BatchedDenseStack,
+    BatchingUnsupported,
 )
 
 __all__ = [

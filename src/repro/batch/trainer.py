@@ -7,8 +7,8 @@ replica axis:
 * server parameters are ``(R, D)`` arrays (one row per replica),
 * the vectors entering an aggregation are ``(R, n, D)`` stacks routed
   through :meth:`GradientAggregationRule.aggregate_batched`,
-* worker gradients come from the replica-batched dense stack
-  (:mod:`repro.batch.models`),
+* worker gradients come from the replica-batched dense plan
+  (:mod:`repro.nn.plan`),
 * the nodes of a protocol phase all run the same operation, so they fold
   into that leading axis too: one quorum collection, one median/GAR call
   and one forward/backward serve ``J`` nodes as a ``(J·R, ...)`` stack,
@@ -54,11 +54,6 @@ from repro.aggregation import (
     record_decision,
 )
 from repro.kernels import active_backend
-from repro.batch.models import (
-    BATCHABLE_MODELS,
-    BatchedDenseStack,
-    BatchingUnsupported,
-)
 from repro.core.nodes import (
     GradientResult,
     apply_server_attack,
@@ -67,7 +62,12 @@ from repro.core.nodes import (
 )
 from repro.core.wiring import ClusterWiring
 from repro.faults import FaultController
-from repro.metrics.accuracy import evaluate_accuracy
+from repro.metrics.accuracy import plan_accuracy
+from repro.nn.plan import (
+    BATCHABLE_MODELS,
+    BatchedDenseStack,
+    BatchingUnsupported,
+)
 from repro.obs.history import StepRecord, TrainingHistory
 from repro.obs.telemetry import get_registry, phase
 from repro.obs.tracer import get_tracer
@@ -117,7 +117,7 @@ def _check_group(specs: Sequence) -> None:
 class _Lane:
     """Everything that is private to one replica."""
 
-    __slots__ = ("spec", "seed", "test_dataset", "eval_model", "loaders",
+    __slots__ = ("spec", "seed", "test_dataset", "model", "loaders",
                  "worker_rngs", "server_rngs", "worker_attacks",
                  "server_attacks", "delay_rng", "fault_controller", "history")
 
@@ -285,7 +285,7 @@ class BatchedGuanYuTrainer:
                 self.attacking_servers = wiring.attacking_servers
                 self.profiles = wiring.profiles
                 self.schedule = wiring.schedule
-                template = lane.eval_model
+                template = lane.model
             self.lanes.append(lane)
 
         # Hetero partitions vary per seed, and a shard smaller than the
@@ -337,7 +337,7 @@ class BatchedGuanYuTrainer:
 
         # θ stack: server axis × replica axis × parameter axis.  Every
         # replica starts all of its servers from that replica's θ0.
-        theta0 = np.stack([lane.eval_model.get_flat_parameters()
+        theta0 = np.stack([lane.model.get_flat_parameters()
                            for lane in self.lanes])  # (R, D)
         self.theta = np.broadcast_to(
             theta0, (len(self.server_ids),) + theta0.shape).copy()
@@ -385,7 +385,7 @@ class BatchedGuanYuTrainer:
         lane.spec = spec
         lane.seed = spec.seed
         lane.test_dataset = test
-        lane.eval_model = model_fn()
+        lane.model = model_fn()
         lane.delay_rng = np.random.default_rng(spec.seed)
         lane.fault_controller = wiring.faults
         lane.loaders = [wiring.loader(index)
@@ -936,9 +936,8 @@ class BatchedGuanYuTrainer:
 
     def _evaluate(self, lane: _Lane, parameters: np.ndarray,
                   max_samples: Optional[int]) -> float:
-        lane.eval_model.set_flat_parameters(parameters)
-        return evaluate_accuracy(lane.eval_model, lane.test_dataset,
-                                 max_samples=max_samples)
+        return plan_accuracy(self.dense_stack, parameters, lane.test_dataset,
+                             max_samples=max_samples)
 
     def run(self, num_steps: int, eval_every: int = 10,
             max_eval_samples: Optional[int] = 512) -> List[TrainingHistory]:

@@ -20,6 +20,7 @@ from repro.aggregation.krum import pairwise_squared_distances
 from repro.data.loader import DataLoader
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module
+from repro.nn.plan import dense_plan
 from repro.nn.schedules import ConstantSchedule, LearningRateSchedule
 from repro.tensor import Tensor
 
@@ -95,7 +96,11 @@ class WorkerNode:
     node_id:
         Identifier such as ``"worker/3"``.
     model:
-        Local copy of the model (used only to run forward/backward passes).
+        The model whose gradients this worker computes, at parameters it
+        is handed: a dense model (``softmax``, ``mlp``) is read once for
+        its :class:`~repro.nn.plan.BatchedDenseStack` and computes through
+        that plan at R = 1; a convolutional one, which has no plan, is
+        this worker's own copy for the autograd tape.
     loader:
         Mini-batch source for this worker's data shard.
     model_aggregator:
@@ -127,16 +132,21 @@ class WorkerNode:
         if local_steps > 1 and schedule is None:
             raise ValueError("local_steps > 1 needs a learning-rate schedule")
         self.node_id = node_id
-        self.model = model
         self.loader = loader
         self.model_aggregator = model_aggregator
         self.attack = attack
         self.local_steps = local_steps
         self.schedule = schedule
-        self.criterion = CrossEntropyLoss()
         self._rng = np.random.default_rng(seed)
         self.last_result: Optional[GradientResult] = None
         self._last_aggregated: Optional[np.ndarray] = None
+        self._plan = dense_plan(model)
+        if self._plan is not None:
+            self._forward_backward = self._plan_forward_backward
+        else:
+            self._model = model
+            self._criterion = CrossEntropyLoss()
+            self._forward_backward = self._tape_forward_backward
 
     @property
     def is_byzantine(self) -> bool:
@@ -188,16 +198,27 @@ class WorkerNode:
 
     def _one_gradient(self, parameters: np.ndarray, step: int):
         """One forward/backward at ``parameters`` on the next mini-batch."""
-        self.model.set_flat_parameters(parameters)
         features, labels = self.loader.next_batch()
         features, labels = poison_worker_batch(self.attack, self._rng,
                                                parameters, step,
                                                features, labels)
-        self.model.zero_grad()
-        logits = self.model(Tensor(features))
-        loss = self.criterion(logits, labels)
+        gradient, loss = self._forward_backward(parameters, features, labels)
+        return gradient, loss, len(labels)
+
+    def _plan_forward_backward(self, parameters: np.ndarray,
+                               features: np.ndarray, labels: np.ndarray):
+        losses, gradients = self._plan.forward_backward(
+            parameters[None], features[None],
+            np.asarray(labels, dtype=np.int64)[None])
+        return gradients[0], float(losses[0])
+
+    def _tape_forward_backward(self, parameters: np.ndarray,
+                               features: np.ndarray, labels: np.ndarray):
+        self._model.set_flat_parameters(parameters)
+        self._model.zero_grad()
+        loss = self._criterion(self._model(Tensor(features)), labels)
         loss.backward()
-        return self.model.get_flat_gradient(), float(loss.item()), len(labels)
+        return self._model.get_flat_gradient(), float(loss.item())
 
     def outgoing_gradient(self, result: GradientResult, step: int,
                           peer_gradients: Sequence[np.ndarray] = (),
@@ -221,8 +242,11 @@ class ServerNode:
     ----------
     node_id:
         Identifier such as ``"ps/0"``.
-    model:
-        The local model replica (all replicas start from the same ``θ_0``).
+    parameters:
+        The initial flat parameter vector ``θ_0`` (the same for every
+        replica).  The server keeps its model as this one float64 vector,
+        :attr:`parameters`, and rebinds it on every update — never writes
+        into it — so a vector it has sent stays what it sent.
     gradient_aggregator:
         The GAR ``F`` applied to the ``q̄`` received gradients (Multi-Krum).
     model_aggregator:
@@ -234,13 +258,13 @@ class ServerNode:
         Optional :class:`ServerAttack` making this server Byzantine.
     """
 
-    def __init__(self, node_id: str, model: Module,
+    def __init__(self, node_id: str, parameters: np.ndarray,
                  gradient_aggregator: GradientAggregationRule,
                  model_aggregator: GradientAggregationRule,
                  schedule: Optional[LearningRateSchedule] = None,
                  attack: Optional[ServerAttack] = None, seed: int = 0) -> None:
         self.node_id = node_id
-        self.model = model
+        self.parameters = np.array(parameters, dtype=np.float64)
         self.gradient_aggregator = gradient_aggregator
         self.model_aggregator = model_aggregator
         self.schedule = schedule if schedule is not None else ConstantSchedule(0.001)
@@ -254,7 +278,7 @@ class ServerNode:
     # ------------------------------------------------------------------ #
     def current_parameters(self) -> np.ndarray:
         """The server's current flat parameter vector θ_t^(i)."""
-        return self.model.get_flat_parameters()
+        return self.parameters
 
     def outgoing_model(self, step: int, recipient: Optional[str] = None) -> Optional[np.ndarray]:
         """Model sent to a recipient (worker or fellow server).
@@ -275,15 +299,14 @@ class ServerNode:
         """
         aggregated = self.gradient_aggregator(gradients)
         learning_rate = self.schedule(step)
-        updated = self.current_parameters() - learning_rate * aggregated
-        self.model.set_flat_parameters(updated)
-        return updated
+        self.parameters = self.parameters - learning_rate * aggregated
+        return self.parameters
 
     def merge_models(self, parameter_vectors: Sequence[np.ndarray]) -> np.ndarray:
         """Phase 3: install the coordinate-wise median of received models."""
-        merged = self.model_aggregator(parameter_vectors)
-        self.model.set_flat_parameters(merged)
-        return merged
+        self.parameters = np.asarray(self.model_aggregator(parameter_vectors),
+                                     dtype=np.float64)
+        return self.parameters
 
     def learning_rate(self, step: int) -> float:
         """Learning rate ``η_t`` for the given step."""

@@ -34,7 +34,7 @@ from repro.faults import FaultSchedule
 from repro.hetero import HeteroSpec
 from repro.kernels import active_backend
 from repro.aggregation.decision import record_decision
-from repro.metrics.accuracy import evaluate_accuracy
+from repro.metrics.accuracy import evaluate_accuracy, plan_accuracy
 from repro.obs.history import StepRecord, TrainingHistory
 from repro.obs.telemetry import phase
 from repro.obs.tracer import get_tracer
@@ -42,6 +42,7 @@ from repro.network.delays import DelayModel, UniformDelay
 from repro.network.message import MessageKind
 from repro.network.simulator import NetworkSimulator
 from repro.nn.module import Module
+from repro.nn.plan import dense_plan
 from repro.nn.schedules import ConstantSchedule, LearningRateSchedule
 from repro.runtime.cost import GRID5000_LIKE, CostModel
 
@@ -55,7 +56,9 @@ class DistributedTrainer:
     ----------
     model_fn:
         Zero-argument factory returning a *fresh but identically initialised*
-        model; every node calls it so all replicas start from the same θ_0.
+        model: every worker calls it, and one more model is every server's
+        θ_0 (and the evaluated model), so all replicas start from the same
+        θ_0.
     train_dataset, test_dataset:
         Training data (sharded across workers) and held-out evaluation data.
     batch_size:
@@ -113,7 +116,10 @@ class DistributedTrainer:
         self.label = label
         self.fault_schedule = fault_schedule
 
+        #: θ_0 for every server, and the evaluated model: through its
+        #: dense plan when it has one, else through the tape
         self._eval_model = model_fn()
+        self._eval_plan = dense_plan(self._eval_model)
         self.num_parameters = self._eval_model.num_parameters()
         self.billed_parameters = (cost_num_parameters if cost_num_parameters
                                   else self.num_parameters)
@@ -146,6 +152,9 @@ class DistributedTrainer:
     def _evaluate(self, parameters: np.ndarray, max_samples: Optional[int]) -> float:
         if self.test_dataset is None:
             return float("nan")
+        if self._eval_plan is not None:
+            return plan_accuracy(self._eval_plan, parameters,
+                                 self.test_dataset, max_samples=max_samples)
         self._eval_model.set_flat_parameters(parameters)
         return evaluate_accuracy(self._eval_model, self.test_dataset,
                                  max_samples=max_samples)
@@ -242,7 +251,7 @@ class GuanYuTrainer(DistributedTrainer):
             model_rule_name=model_rule_name, adversary=adversary)
         self.adversary_coordinator = self.wiring.coordinator
         self.servers: List[ServerNode] = [
-            self.wiring.server(index, self.model_fn())
+            self.wiring.server(index, self._eval_model)
             for index in range(len(self.wiring.server_ids))]
 
         self._server_clock = {server.node_id: 0.0 for server in self.servers}
@@ -549,7 +558,7 @@ class VanillaTrainer(DistributedTrainer):
             num_attacking_workers=num_attacking_workers)
         self.server = ServerNode(
             node_id=self.SERVER_ID,
-            model=self.model_fn(),
+            parameters=self._eval_model.get_flat_parameters(),
             gradient_aggregator=self.gradient_rule,
             model_aggregator=CoordinateWiseMedian(num_byzantine=0),
             schedule=self.schedule,

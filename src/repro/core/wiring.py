@@ -238,6 +238,9 @@ class ClusterWiring:
                         num_byzantine=self.config.num_byzantine_servers)
 
     def worker(self, index: int, model: Module) -> WorkerNode:
+        """Worker ``index`` over ``model`` — a dense model's plan is all
+        the worker keeps of it; a convolutional one must be the worker's
+        own copy (see :class:`~repro.core.nodes.WorkerNode`)."""
         node_id = self.worker_ids[index]
         return WorkerNode(
             node_id=node_id, model=model, loader=self.loader(index),
@@ -247,10 +250,12 @@ class ClusterWiring:
             local_steps=self.profiles[index].local_steps,
             schedule=self.schedule)
 
-    def server(self, index: int, model: Module) -> ServerNode:
+    def server(self, index: int, template: Module) -> ServerNode:
+        """Server ``index``, starting from ``template``'s parameters: one
+        template serves every server of a scenario."""
         node_id = self.server_ids[index]
         return ServerNode(
-            node_id=node_id, model=model,
+            node_id=node_id, parameters=template.get_flat_parameters(),
             gradient_aggregator=get_rule(
                 self.gradient_rule_name,
                 num_byzantine=self.config.num_byzantine_workers),

@@ -3,7 +3,7 @@
 A :class:`KernelBackend` implements the system's hot numerical kernels —
 the Gram/pairwise squared-distance kernel behind Krum/Multi-Krum/Bulyan,
 the mean/trimmed-mean/median reductions every GAR is built from, and the
-replica-batched dense forward/backward of :mod:`repro.batch.models` — so
+replica-batched dense forward/backward of :mod:`repro.nn.plan` — so
 that an optimised implementation can be swapped in without touching the
 protocol or aggregation layers.
 
@@ -37,7 +37,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 #: the dense-stack plan entries: ("dense", in_f, out_f, w_slice, b_slice)
-#: or ("relu",) — see :class:`repro.batch.models.BatchedDenseStack`
+#: or ("relu",) — see :class:`repro.nn.plan.BatchedDenseStack`
 DensePlan = List[Tuple]
 
 #: Axis lengths the comparator network selects over; past q = 16 its gain

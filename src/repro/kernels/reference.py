@@ -3,7 +3,7 @@
 This is the code every other backend is measured against: the hot-kernel
 implementations extracted verbatim from where they grew up —
 ``repro.aggregation.krum`` (the Gram/pairwise kernel and Krum neighbour
-sums) and ``repro.batch.models.BatchedDenseStack`` (the replica-batched
+sums) and ``repro.nn.plan.BatchedDenseStack`` (the replica-batched
 dense forward/backward).  It is bit-identical to the pre-backend code *by
 construction*: the expressions are the same, only their home moved.  The
 mean / trimmed-mean / median reductions are those of

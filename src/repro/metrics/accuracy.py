@@ -12,6 +12,20 @@ from repro.nn.module import Module
 from repro.tensor import Tensor, no_grad
 
 
+def _chunked_accuracy(logits_of, dataset: Dataset, batch_size: int,
+                      max_samples: Optional[int]) -> float:
+    """Top-1 accuracy of ``logits_of(features)`` over ``batch_size``-row chunks."""
+    total = 0
+    correct = 0
+    limit = len(dataset) if max_samples is None else min(max_samples, len(dataset))
+    for start in range(0, limit, batch_size):
+        stop = min(start + batch_size, limit)
+        predictions = np.argmax(logits_of(dataset.features[start:stop]), axis=-1)
+        correct += int((predictions == dataset.labels[start:stop]).sum())
+        total += stop - start
+    return correct / total if total else 0.0
+
+
 def evaluate_accuracy(model: Module, dataset: Dataset, batch_size: int = 256,
                       max_samples: Optional[int] = None) -> float:
     """Top-1 accuracy of ``model`` on ``dataset``.
@@ -20,20 +34,24 @@ def evaluate_accuracy(model: Module, dataset: Dataset, batch_size: int = 256,
     predictions on the testing dataset.
     """
     model.eval()
-    total = 0
-    correct = 0
-    limit = len(dataset) if max_samples is None else min(max_samples, len(dataset))
     with no_grad():
-        for start in range(0, limit, batch_size):
-            stop = min(start + batch_size, limit)
-            features = dataset.features[start:stop]
-            labels = dataset.labels[start:stop]
-            logits = model(Tensor(features))
-            predictions = np.argmax(logits.data, axis=-1)
-            correct += int((predictions == labels).sum())
-            total += stop - start
+        accuracy = _chunked_accuracy(lambda features: model(Tensor(features)).data,
+                                     dataset, batch_size, max_samples)
     model.train()
-    return correct / total if total else 0.0
+    return accuracy
+
+
+def plan_accuracy(plan, parameters: np.ndarray, dataset: Dataset,
+                  batch_size: int = 256,
+                  max_samples: Optional[int] = None) -> float:
+    """:func:`evaluate_accuracy` of a dense model at flat ``parameters``,
+    through its :class:`~repro.nn.plan.BatchedDenseStack` — the same
+    chunks and bit-equal logits, without installing ``parameters`` in a
+    module."""
+    flat = parameters[None]
+    return _chunked_accuracy(
+        lambda features: plan.forward_logits(flat, features[None])[0],
+        dataset, batch_size, max_samples)
 
 
 def evaluate_loss(model: Module, dataset: Dataset, batch_size: int = 256,

@@ -1,10 +1,14 @@
-"""Replica-batched forward/backward for the dense model zoo.
+"""The dense plan: one forward/backward for the dense model zoo.
 
-The sequential runtime computes every worker gradient through the autograd
-graph (:mod:`repro.tensor`).  The batched runtime replaces that with a
-hand-derived forward/backward that adds one leading **replica axis** —
-parameters ``(R, D)``, activations ``(R, B, ...)`` — and is constructed to
-be **bit-identical** to the autograd path per replica slice:
+Every node that computes with a dense model (``softmax``, ``mlp``) goes
+through :class:`BatchedDenseStack`: the batched engine's workers as
+``(J·R, D)`` stacks, and the simulator's, threaded and cluster
+:class:`~repro.core.nodes.WorkerNode`\\ s as R = 1 stacks; evaluation reads
+its :meth:`~BatchedDenseStack.forward_logits`.  The plan is a
+hand-derived forward/backward with one leading **replica axis** —
+parameters ``(R, D)``, activations ``(R, B, ...)`` — constructed to be
+**bit-identical** to the autograd tape (:mod:`repro.tensor` under the
+:mod:`repro.nn` modules) per replica slice:
 
 * every elementwise operation (shift, exp, log, ReLU mask, bias add) is the
   same IEEE-754 expression evaluated per element;
@@ -15,16 +19,18 @@ be **bit-identical** to the autograd path per replica slice:
 * every matrix product is a stacked ``np.matmul``, which runs the identical
   GEMM per replica slice.
 
-``tests/test_batch_equivalence.py`` pins this guarantee against the real
-trainers.  Only the dense models (``softmax``, ``mlp``) are supported:
-:func:`repro.batch.spec_supports_batching` sends the convolutional models
-to the sequential simulator before anything is built here, and
-:class:`BatchingUnsupported` guards the direct callers.
+The tape is the oracle: ``tests/test_plan_oracle.py`` checks worker
+gradients, losses and accuracy against it bit for bit, and
+``tests/test_batch_equivalence.py`` pins the batched engine against the
+simulator.  The convolutional models have no plan: :func:`dense_plan`
+returns ``None`` for them (their workers keep the tape),
+:func:`repro.batch.spec_supports_batching` keeps them off the batched
+engine, and :class:`BatchingUnsupported` guards the direct callers.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -59,8 +65,8 @@ class BatchedDenseStack:
     Parameters are *not* stored here: every call takes a ``(R, D)`` stack of
     flat parameter vectors (the replica-axis memory model of
     :mod:`repro.batch`) and slices it into per-layer weight/bias views using
-    the template's flat layout, so the batched trainer can keep one
-    contiguous array per server and per worker aggregation.
+    the template's flat layout, so its callers keep one contiguous array
+    per server, per worker aggregation and per evaluated model.
     """
 
     def __init__(self, template: Module) -> None:
@@ -106,10 +112,19 @@ class BatchedDenseStack:
                          labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Cross-entropy losses ``(R,)`` and flat gradients ``(R, D)``.
 
-        Mirrors ``WorkerNode.compute_gradient``'s autograd tape op by op:
-        stable log-softmax (max-shift, exp, sum, log), NLL mean, and the
-        reverse sweep through the dense stack.  Delegates to the active
+        Mirrors the autograd tape (the model under ``CrossEntropyLoss``)
+        op by op: stable log-softmax (max-shift, exp, sum, log), NLL mean,
+        and the reverse sweep through the dense stack.  Delegates to the active
         kernel backend.
         """
         return active_backend().dense_forward_backward(
             self._plan, self.num_parameters, flat, features, labels)
+
+
+def dense_plan(model: Module) -> Optional[BatchedDenseStack]:
+    """``model``'s dense plan, or ``None`` for a model without one (the
+    convolutional models, which compute through the tape)."""
+    try:
+        return BatchedDenseStack(model)
+    except BatchingUnsupported:
+        return None

@@ -257,8 +257,8 @@ class ClusterNodeProcess(LiveNode):
             # a recovering replica in the other runtimes; the phase-3 median
             # re-contracts it toward the live majority.
             if self.snapshot is not None:
-                self.node.model.set_flat_parameters(
-                    np.asarray(self.snapshot, dtype=np.float64))
+                self.node.parameters = np.asarray(self.snapshot,
+                                                  dtype=np.float64)
             return
         # A respawned worker replays its data stream: the dead incarnation
         # consumed one batch per local step for every step it participated

@@ -75,6 +75,10 @@ class Endpoint:
         self._buffers: Dict[Tuple[str, int], Dict[str, np.ndarray]] = \
             defaultdict(dict)
         self._abandoned: set = set()
+        #: kind → the last step a quorum of it was collected for.  Steps
+        #: are collected in order, so any later frame for that step or an
+        #: earlier one is late and dropped on arrival.
+        self._collected: Dict[str, int] = {}
         self.messages_sent = 0
         self.messages_suppressed = 0
 
@@ -92,8 +96,9 @@ class Endpoint:
             self._suppress()
             return
         with self._condition:
-            if step in self._abandoned:
-                return  # this node sat the step out; discard late mail
+            if step in self._abandoned \
+                    or step <= self._collected.get(kind, -1):
+                return  # sat out or already collected: discard late mail
             # Keep only the first frame per sender (deduplication).
             self._buffers[(kind, step)].setdefault(sender, payload)
             self._condition.notify_all()
@@ -125,6 +130,8 @@ class Endpoint:
                                 for sender in sorted(bucket)[:quorum]]
                     # Late frames for this (kind, step) are discarded.
                     del self._buffers[(kind.value, step)]
+                    self._collected[kind.value] = max(
+                        step, self._collected.get(kind.value, -1))
                     return payloads
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:

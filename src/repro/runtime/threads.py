@@ -191,7 +191,8 @@ class ThreadedClusterRuntime:
 
         self.workers = [wiring.worker(index, model_fn())
                         for index in range(len(wiring.worker_ids))]
-        self.servers = [wiring.server(index, model_fn())
+        template = model_fn()
+        self.servers = [wiring.server(index, template)
                         for index in range(len(wiring.server_ids))]
 
         self._history = TrainingHistory(label="guanyu-threaded",

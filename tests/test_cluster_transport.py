@@ -261,9 +261,10 @@ class TestMalformedConnections:
         a.send("b", KIND, 0, vector(0))
         a.send("b", KIND, 2, vector(2))
         b.wait_quorum(KIND, 2, quorum=1, timeout=10.0)
-        # the garbage never counted toward a quorum: step 0 holds a's late
-        # frame only, however long the wait
-        with pytest.raises(QuorumTimeout, match=r"got 1"):
+        # the garbage never counted toward a quorum, and a's late frame for
+        # the already collected step 0 was dropped on arrival: step 0 holds
+        # nothing, however long the wait
+        with pytest.raises(QuorumTimeout, match=r"got 0"):
             b.wait_quorum(KIND, 0, quorum=2, timeout=0.3)
         assert dict(a.connects) == {"b": 1}
 

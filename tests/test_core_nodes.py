@@ -13,18 +13,24 @@ from repro.tensor import Tensor
 from repro.nn.losses import CrossEntropyLoss
 
 
+def _model():
+    return build_model("softmax", in_features=4, num_classes=3, seed=1)
+
+
+def _theta0():
+    return _model().get_flat_parameters()
+
+
 def _make_worker(attack=None, seed=0):
     data = make_blobs_dataset(num_samples=64, num_features=4, num_classes=3, seed=seed)
     loader = DataLoader(data, batch_size=16, seed=seed)
-    model = build_model("softmax", in_features=4, num_classes=3, seed=1)
-    return WorkerNode("worker/0", model, loader,
+    return WorkerNode("worker/0", _model(), loader,
                       model_aggregator=CoordinateWiseMedian(), attack=attack,
                       seed=seed)
 
 
 def _make_server(attack=None, lr=0.1):
-    model = build_model("softmax", in_features=4, num_classes=3, seed=1)
-    return ServerNode("ps/0", model, gradient_aggregator=MultiKrum(num_byzantine=0),
+    return ServerNode("ps/0", _theta0(), gradient_aggregator=MultiKrum(num_byzantine=0),
                       model_aggregator=CoordinateWiseMedian(),
                       schedule=ConstantSchedule(lr), attack=attack)
 
@@ -32,22 +38,24 @@ def _make_server(attack=None, lr=0.1):
 class TestWorkerNode:
     def test_gradient_has_model_dimension(self):
         worker = _make_worker()
-        theta = worker.model.get_flat_parameters()
+        theta = _theta0()
         result = worker.compute_gradient([theta, theta, theta], step=0)
         assert result.gradient.shape == theta.shape
         assert result.loss > 0.0
 
     def test_aggregates_received_models_with_median(self):
         worker = _make_worker()
-        d = worker.model.num_parameters()
+        d = _theta0().size
         vectors = [np.zeros(d), np.ones(d), np.full(d, 2.0)]
-        worker.compute_gradient(vectors, step=0)
-        # After aggregation the worker's model holds the coordinate-wise median.
-        assert np.allclose(worker.model.get_flat_parameters(), 1.0)
+        result = worker.compute_gradient(vectors, step=0)
+        # The gradient is the one computed at the coordinate-wise median.
+        at_median = _make_worker().compute_gradient([np.ones(d)], step=0)
+        assert np.array_equal(result.gradient, at_median.gradient)
+        assert result.loss == at_median.loss
 
     def test_gradient_matches_direct_computation(self):
         worker = _make_worker(seed=3)
-        theta = worker.model.get_flat_parameters()
+        theta = _theta0()
         result = worker.compute_gradient([theta], step=0)
 
         # Recompute by hand with the same batch (loader is deterministic).
@@ -62,13 +70,13 @@ class TestWorkerNode:
 
     def test_honest_worker_sends_computed_gradient(self):
         worker = _make_worker()
-        theta = worker.model.get_flat_parameters()
+        theta = _theta0()
         result = worker.compute_gradient([theta], step=0)
         assert worker.outgoing_gradient(result, step=0) is result.gradient
 
     def test_byzantine_worker_corrupts_outgoing_gradient(self):
         worker = _make_worker(attack=SignFlipAttack())
-        theta = worker.model.get_flat_parameters()
+        theta = _theta0()
         result = worker.compute_gradient([theta], step=0)
         outgoing = worker.outgoing_gradient(result, step=0)
         assert np.allclose(outgoing, -result.gradient)
@@ -81,7 +89,7 @@ class TestWorkerNode:
 class TestServerNode:
     def test_apply_gradients_is_sgd_step_with_aggregation(self):
         server = _make_server(lr=0.5)
-        d = server.model.num_parameters()
+        d = server.current_parameters().size
         before = server.current_parameters()
         gradients = [np.ones(d)] * 5
         updated = server.apply_gradients(gradients, step=0)
@@ -90,9 +98,21 @@ class TestServerNode:
 
     def test_merge_models_installs_median(self):
         server = _make_server()
-        d = server.model.num_parameters()
+        d = server.current_parameters().size
         server.merge_models([np.zeros(d), np.full(d, 4.0), np.full(d, 2.0)])
         assert np.allclose(server.current_parameters(), 2.0)
+
+    def test_a_sent_model_stays_what_was_sent(self):
+        # Live runtimes hand the server's vector itself to peer threads:
+        # updates must rebind it, never write into it.
+        server = _make_server(lr=0.5)
+        d = server.current_parameters().size
+        sent = server.outgoing_model(0)
+        before = sent.copy()
+        server.apply_gradients([np.ones(d)] * 5, step=0)
+        server.merge_models([np.zeros(d), np.full(d, 4.0), np.full(d, 2.0)])
+        assert np.array_equal(sent, before)
+        assert not np.array_equal(server.current_parameters(), before)
 
     def test_learning_rate_follows_schedule(self):
         server = _make_server(lr=0.01)
@@ -109,8 +129,8 @@ class TestServerNode:
         assert server.is_byzantine
 
     def test_uses_multi_krum_to_filter_outlier_gradients(self):
-        model = build_model("softmax", in_features=4, num_classes=3, seed=1)
-        server = ServerNode("ps/0", model,
+        model = _model()
+        server = ServerNode("ps/0", model.get_flat_parameters(),
                             gradient_aggregator=MultiKrum(num_byzantine=1),
                             model_aggregator=CoordinateWiseMedian(),
                             schedule=ConstantSchedule(1.0))
@@ -124,8 +144,9 @@ class TestServerNode:
         assert np.linalg.norm(server.current_parameters() - before) < 1.0
 
     def test_mean_aggregation_is_vulnerable_for_contrast(self):
-        model = build_model("softmax", in_features=4, num_classes=3, seed=1)
-        server = ServerNode("ps/0", model, gradient_aggregator=ArithmeticMean(),
+        model = _model()
+        server = ServerNode("ps/0", model.get_flat_parameters(),
+                            gradient_aggregator=ArithmeticMean(),
                             model_aggregator=CoordinateWiseMedian(),
                             schedule=ConstantSchedule(1.0))
         d = model.num_parameters()

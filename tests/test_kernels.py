@@ -419,7 +419,7 @@ class TestDenseParity:
     @pytest.mark.parametrize("template", ["softmax", "mlp"])
     def test_forward_backward_matches_reference_bitwise(self, backend_name,
                                                         template):
-        from repro.batch.models import BatchedDenseStack
+        from repro.nn.plan import BatchedDenseStack
 
         if template == "softmax":
             module = SoftmaxRegression(in_features=6, num_classes=4, seed=0)

@@ -149,6 +149,19 @@ class TestMailbox:
         assert len(w0.wait_quorum(TO_WORKER, 1, 1, timeout=5.0)) == 1
         assert w0._buffers == {}
 
+    def test_late_frame_after_a_collected_quorum_is_dropped(self, wire):
+        w0 = wire("worker/0")
+        ps0, ps1, ps2 = (wire(f"ps/{index}") for index in range(3))
+        ps0.send("worker/0", TO_WORKER, 0, np.zeros(1))
+        ps1.send("worker/0", TO_WORKER, 0, np.zeros(1))
+        assert len(w0.wait_quorum(TO_WORKER, 0, 2, timeout=5.0)) == 2
+        # q < n: the third model of step 0 arrives after its quorum…
+        ps2.send("worker/0", TO_WORKER, 0, np.ones(1))
+        # …and is gone once step 1 (same wire: sent after it) is collected
+        ps2.send("worker/0", TO_WORKER, 1, np.ones(1))
+        assert len(w0.wait_quorum(TO_WORKER, 1, 1, timeout=5.0)) == 1
+        assert w0._buffers == {}
+
     def test_timeout_text_names_the_shortfall(self, wire):
         ps0, w0 = wire("ps/0"), wire("worker/0")
         ps0.send("worker/0", TO_WORKER, 0, np.ones(2))

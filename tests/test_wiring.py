@@ -163,8 +163,9 @@ class TestPinnedStreams:
         wiring, _ = wired
         assert (wiring.worker_rng_seed(2), wiring.server_rng_seed(1)) \
             == (2002, 3001)
-        worker = wiring.worker(2, None)
-        server = wiring.server(1, None)
+        model_fn = ClusterWiring.from_spec(ScenarioSpec(seed=0))[2]
+        worker = wiring.worker(2, model_fn())
+        server = wiring.server(1, model_fn())
         assert worker._rng.random() == 0.8887593573530179
         assert server._rng.random() == 0.9177015205683998
 
