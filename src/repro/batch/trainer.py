@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +62,7 @@ from repro.core.nodes import (
 )
 from repro.core.wiring import ClusterWiring
 from repro.faults import FaultController
+from repro.faults.controller import LinkTable
 from repro.metrics.accuracy import plan_accuracy
 from repro.nn.plan import (
     BATCHABLE_MODELS,
@@ -260,6 +261,11 @@ class BatchedGuanYuTrainer:
         self.model_rule_name = base.model_rule
         self.cost_model = base.build_cost_model()
         self.delay_model = base.build_delay_model()
+        if not self.delay_model.latency_is_link_independent:
+            raise BatchingUnsupported(
+                f"delay model {type(self.delay_model).__name__} draws per "
+                f"link; the batched runtime draws a phase's latencies as one "
+                f"stream per lane")
 
         self.worker_ids = self.config.worker_ids()
         self.server_ids = self.config.server_ids()
@@ -310,18 +316,13 @@ class BatchedGuanYuTrainer:
         self._serialization = self.cost_model.serialization_time(
             self.billed_parameters)
         self.has_faults = base.faults is not None
-        # With no probabilistic drops, every fault decision is a pure
-        # function of (schedule, step) — judge lane 0 once and share it.
-        self._lane_invariant_faults = self.has_faults and \
-            base.faults.drop_rate == 0 and \
-            not any(event.kind == "drop_rate" for event in base.faults.events)
-        # With no fault schedule and a link-independent latency, every
-        # honest broadcast of a phase delivers everywhere with one plain
-        # draw per message — so a phase's draws can be merged into a single
-        # sample_batch call per lane (bit-identical: same generator, same
-        # stream order).
-        self._fast_delays = (not self.has_faults) and \
-            self.delay_model.latency_is_link_independent
+        #: (senders, recipients) of each phase's messages
+        self._endpoints = {
+            MessageKind.MODEL_TO_WORKER: (self.server_ids, self.worker_ids),
+            MessageKind.GRADIENT_TO_SERVER: (self.worker_ids,
+                                             self.server_ids),
+            MessageKind.MODEL_TO_SERVER: (self.server_ids, self.server_ids),
+        }
 
         num_workers = len(self.worker_ids)
         num_servers = len(self.server_ids)
@@ -402,111 +403,111 @@ class BatchedGuanYuTrainer:
         return lane, wiring
 
     # ------------------------------------------------------------------ #
-    # Fault / delay plumbing (per logical message, vectorised over lanes)
+    # Fault / delay plumbing (one phase at a time, vectorised over lanes)
     # ------------------------------------------------------------------ #
-    def _judge(self, sender: str, recipients: Sequence[str], kind: str,
-               step: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(delivered (n, R), factor (n,), extra (n,))`` for one broadcast.
+    def _delivered(self, links: LinkTable, senders: List[int],
+                   kind: MessageKind, step: int) -> np.ndarray:
+        """Delivery masks of ``senders``' messages to every recipient of
+        the phase: ``(S, J)`` when every lane agrees, else ``(R, S, J)``.
 
-        Crash/partition suppression and link slow-downs are pure functions
-        of ``(schedule, step)`` — identical across replicas; only the
-        probabilistic drop decision differs per lane (hash-based sampling
-        keyed by the lane seed, exactly as the sequential controller).
+        Crash, partition and delay verdicts are the same in every lane
+        (lane 0's compiled table speaks for all); only a lossy link's drop
+        is sampled per lane, from that lane's own controller hash.
         """
-        count = len(recipients)
+        deliver = links.deliver[senders]
+        lossy = deliver & (links.drop_rate[senders] > 0)
+        if not lossy.any():
+            return deliver
+        delivered = np.repeat(deliver[None], self.num_replicas, axis=0)
+        sender_ids, recipient_ids = self._endpoints[kind]
+        for s, j in zip(*np.nonzero(lossy)):
+            rate = links.drop_rate[senders[s], j]
+            for r, lane in enumerate(self.lanes):
+                delivered[r, s, j] = not lane.fault_controller.dropped(
+                    sender_ids[senders[s]], recipient_ids[j], kind.value,
+                    step, rate)
+        return delivered
+
+    def _links(self, kind: MessageKind, step: int) -> Optional[LinkTable]:
+        """The phase's compiled fault verdicts (``None`` without faults)."""
         if not self.has_faults:
-            return (np.ones((count, self.num_replicas), dtype=bool),
-                    np.ones(count), np.zeros(count))
-        delivered = np.zeros((count, self.num_replicas), dtype=bool)
-        factor = np.ones(count)
-        extra = np.zeros(count)
-        for j, recipient in enumerate(recipients):
-            if self._lane_invariant_faults:
-                decision = self.lanes[0].fault_controller.on_send(
-                    sender, recipient, kind, step)
-                delivered[j, :] = decision.deliver
-                if decision.deliver:
-                    factor[j] = decision.delay_factor
-                    extra[j] = decision.extra_delay
-                continue
-            for r, lane in enumerate(self.lanes):
-                decision = lane.fault_controller.on_send(sender, recipient,
-                                                         kind, step)
-                delivered[j, r] = decision.deliver
-                if decision.deliver:
-                    factor[j] = decision.delay_factor
-                    extra[j] = decision.extra_delay
-        return delivered, factor, extra
+            return None
+        senders, recipients = self._endpoints[kind]
+        return self.lanes[0].fault_controller.link_table(senders, recipients,
+                                                         step)
 
-    def _broadcast_times(self, sender: str, recipients: Sequence[str],
-                         kind: MessageKind, step: int, send_time: np.ndarray,
-                         skip_draw: Optional[Set[int]] = None,
-                         override: Optional[float] = None
+    def _broadcast_times(self, s_index: int, kind: MessageKind, step: int,
+                         send_time: np.ndarray
                          ) -> Tuple[np.ndarray, np.ndarray]:
-        """Delivery times ``(n, R)`` of one sender's messages to ``recipients``.
+        """Delivery masks and times ``(J, R)`` of Byzantine sender
+        ``s_index``'s covert-channel sends to every recipient of the phase.
 
-        Replays the sequential send loop: per replica, one latency draw per
-        *delivered* message in recipient order (a single vectorised request
-        on the lane generator yields the identical subsequence).  Messages
-        with a delay override — Byzantine covert-channel sends
-        (``override=0.0``) and a server's message to itself
-        (``skip_draw``) — consume no randomness, exactly like the
-        sequential simulator.
+        The covert channel has zero base delay and consumes no randomness,
+        like the simulator's ``delay_override=0.0``; a fault's extra delay
+        still applies.
         """
-        delivered, factor, extra = self._judge(sender, recipients,
-                                               kind.value, step)
-        count = len(recipients)
-        delays = np.zeros((count, self.num_replicas))
-        if override is None:
-            draw_mask = np.ones(count, dtype=bool)
-            if skip_draw:
-                draw_mask[list(skip_draw)] = False
-            for r, lane in enumerate(self.lanes):
-                lane_mask = delivered[:, r] & draw_mask
-                draws = self.delay_model.sample_batch(
-                    lane.delay_rng, sender, None, self._message_bytes,
-                    int(lane_mask.sum()))
-                delays[lane_mask, r] = draws
-        else:
-            delays[:] = max(float(override), 0.0)
-        delays = delays * factor[:, None] + extra[:, None]
-        return delivered, send_time[None, :] + delays
+        count = len(self._endpoints[kind][1])
+        links = self._links(kind, step)
+        if links is None:
+            return (np.ones((count, self.num_replicas), dtype=bool),
+                    np.broadcast_to(send_time, (count, self.num_replicas)))
+        delivered = np.broadcast_to(
+            self._delivered(links, [s_index], kind, step),
+            (self.num_replicas, 1, count))[:, 0].T
+        return (delivered,
+                send_time[None, :] + links.extra_delay[s_index][:, None])
 
-    def _flush_merged(self, buffer: _PhaseBuffer,
-                      sends: List[Tuple[int, np.ndarray, np.ndarray,
-                                        Optional[int]]],
-                      num_recipients: int) -> None:
+    def _flush_merged(self, buffer: _PhaseBuffer, kind: MessageKind,
+                      step: int, senders: List[int], payloads,
+                      clock: np.ndarray) -> None:
         """Record a phase's honest broadcasts with one delay draw per lane.
 
-        ``sends`` holds ``(sender_index, payload (R, D), send_time (R,),
-        skip)`` in the order the slow path would have drawn them; ``skip``
-        is the recipient index whose message consumes no randomness (a
-        server's message to itself).  Only valid under ``_fast_delays``:
-        with no fault schedule every message delivers with factor 1 and no
-        extra delay, and a link-independent latency makes the concatenated
-        per-lane draw bit-identical to the per-send ``sample_batch`` calls
-        on the same generator.
+        ``senders`` are the honest senders' indices in send order; sender
+        ``s`` sends ``payloads[s]`` ``(R, D)`` at ``clock[s]`` plus the
+        serialisation time.  The simulator draws one latency per delivered
+        message, sender by sender and recipient by recipient, from one
+        generator per lane; a server's message to itself and a blocked or
+        dropped message draw nothing.  Over a link-independent latency
+        those draws are one ``sample_batch`` request per lane (the
+        ``latency_batch`` contract), scattered into the drawn slots; a
+        delivered message then arrives at ``send_time + delay·factor +
+        extra``, the simulator's ops in its order.  Without faults the
+        factor and extra are skipped and every slot delivers.
         """
-        counts = [num_recipients - (0 if skip is None else 1)
-                  for _, _, _, skip in sends]
-        total = sum(counts)
-        draws = np.empty((self.num_replicas, total))
-        for r, lane in enumerate(self.lanes):
-            draws[r] = self.delay_model.sample_batch(
-                lane.delay_rng, None, None, self._message_bytes, total)
-        offset = 0
-        for (s_index, payload, send_time, skip), count in zip(sends, counts):
-            segment = draws[:, offset:offset + count]  # (R, count)
-            offset += count
-            buffer.payloads[s_index] = payload
-            times = buffer.times[:, s_index, :]  # (num_recipients, R) view
-            if skip is None:
-                times[...] = send_time[None, :] + segment.T
-            else:
-                mask = np.ones(num_recipients, dtype=bool)
-                mask[skip] = False
-                times[mask] = send_time[None, :] + segment.T
-                times[skip] = send_time
+        if not senders:
+            return
+        for s_index in senders:
+            buffer.payloads[s_index] = payloads[s_index]
+        shape = (self.num_replicas, len(senders),
+                 len(self._endpoints[kind][1]))
+        drawn = np.ones(shape[1:], dtype=bool)
+        if kind is MessageKind.MODEL_TO_SERVER:
+            drawn[np.arange(len(senders)), senders] = False
+        links = self._links(kind, step)
+        if links is not None:
+            delivered = self._delivered(links, senders, kind, step)
+            drawn = drawn & delivered
+        delays = np.zeros(shape)
+        if drawn.ndim == 2:  # every lane draws into the same slots
+            draws = np.empty((self.num_replicas, int(drawn.sum())))
+            for r, lane in enumerate(self.lanes):
+                draws[r] = self.delay_model.sample_batch(
+                    lane.delay_rng, None, None, self._message_bytes,
+                    draws.shape[1])
+            delays[:, drawn] = draws
+        else:
+            for r, lane in enumerate(self.lanes):
+                delays[r][drawn[r]] = self.delay_model.sample_batch(
+                    lane.delay_rng, None, None, self._message_bytes,
+                    int(drawn[r].sum()))
+        if links is not None:
+            delays = delays * links.delay_factor[senders] \
+                + links.extra_delay[senders]
+        send_time = clock[senders] + self._serialization  # (S, R)
+        times = send_time.T[:, :, None] + delays
+        if links is not None:
+            times = np.where(delivered, times, np.inf)
+        buffer.times[:, senders, :] = times.transpose(2, 1, 0)
 
     def _server_spreads(self) -> np.ndarray:
         """Per-replica ``max_pairwise_distance`` over the correct servers.
@@ -650,13 +651,9 @@ class BatchedGuanYuTrainer:
         config = self.config
         cost = self.cost_model
         d = self.billed_parameters
-        serialization = self._serialization
         replicas = self.num_replicas
         tracer = get_tracer()
 
-        if self.has_faults:
-            for lane in self.lanes:
-                lane.fault_controller.on_step(step_index)
         active_workers, active_servers = self._wiring.participants(step_index)
         if tracer.enabled:
             stalled = [node_id for node_id in self.worker_ids
@@ -682,37 +679,27 @@ class BatchedGuanYuTrainer:
         # ------------------------- Phase 1 ------------------------------ #
         with phase("batch.step.broadcast", runtime="batch", step=step_index,
                    replicas=replicas):
-            fast = self._fast_delays
             buffer1 = self._buffer1
             buffer1.reset()
-            merged: List[Tuple[int, np.ndarray, np.ndarray,
-                               Optional[int]]] = []
+            honest: List[int] = []
             for s_index, server_id in enumerate(self.server_ids):
                 if server_id not in active_servers:
                     continue
                 if server_id in self.attacking_servers:
+                    delivered, times = self._broadcast_times(
+                        s_index, MessageKind.MODEL_TO_WORKER, step_index,
+                        phase_start)
                     for w_index, worker_id in enumerate(self.worker_ids):
                         payloads, present = self._corrupt_models(
                             s_index, step_index, recipient=worker_id)
-                        delivered, times = self._broadcast_times(
-                            server_id, [worker_id],
-                            MessageKind.MODEL_TO_WORKER, step_index,
-                            phase_start, override=0.0)
                         buffer1.add_directed(w_index, s_index, payloads,
-                                             present & delivered[0], times[0])
+                                             present & delivered[w_index],
+                                             times[w_index])
                 else:
-                    send_time = self.server_clock[s_index] + serialization
-                    if fast:
-                        merged.append((s_index, self.theta[s_index], send_time,
-                                       None))
-                    else:
-                        delivered, times = self._broadcast_times(
-                            server_id, self.worker_ids,
-                            MessageKind.MODEL_TO_WORKER, step_index, send_time)
-                        buffer1.add_broadcast(s_index, self.theta[s_index],
-                                              delivered, times)
-            if merged:
-                self._flush_merged(buffer1, merged, len(self.worker_ids))
+                    honest.append(s_index)
+            self._flush_merged(buffer1, MessageKind.MODEL_TO_WORKER,
+                               step_index, honest, self.theta,
+                               self.server_clock)
 
         with phase("batch.step.compute", runtime="batch", step=step_index,
                    replicas=replicas):
@@ -762,7 +749,7 @@ class BatchedGuanYuTrainer:
                 for r in range(replicas)]
             buffer2 = self._buffer2
             buffer2.reset()
-            merged = []
+            honest = []
             for w_index in active_worker_indices:
                 worker_id = self.worker_ids[w_index]
                 attack = self.lanes[0].worker_attacks[worker_id]
@@ -775,13 +762,15 @@ class BatchedGuanYuTrainer:
                                      in alive_correct_worker_idx],
                         rng=None))
                     delivered, times = self._broadcast_times(
-                        worker_id, self.server_ids,
-                        MessageKind.GRADIENT_TO_SERVER, step_index,
-                        phase_start, override=0.0)
+                        w_index, MessageKind.GRADIENT_TO_SERVER, step_index,
+                        phase_start)
                     present = value is not None
                     buffer2.add_broadcast(w_index, value if present else 0.0,
                                           delivered & present, times)
                 elif worker_id in self.attacking_workers:
+                    delivered, times = self._broadcast_times(
+                        w_index, MessageKind.GRADIENT_TO_SERVER, step_index,
+                        phase_start)
                     for s_index, server_id in enumerate(self.server_ids):
                         payloads = np.zeros((replicas, self.num_parameters))
                         present = np.zeros(replicas, dtype=bool)
@@ -799,26 +788,14 @@ class BatchedGuanYuTrainer:
                             if value is not None:
                                 payloads[r] = value
                                 present[r] = True
-                        delivered, times = self._broadcast_times(
-                            worker_id, [server_id],
-                            MessageKind.GRADIENT_TO_SERVER, step_index,
-                            phase_start, override=0.0)
                         buffer2.add_directed(s_index, w_index, payloads,
-                                             present & delivered[0], times[0])
+                                             present & delivered[s_index],
+                                             times[s_index])
                 else:
-                    send_time = self.worker_clock[w_index] + serialization
-                    if fast:
-                        merged.append((w_index, gradient_stack[w_index],
-                                       send_time, None))
-                    else:
-                        delivered, times = self._broadcast_times(
-                            worker_id, self.server_ids,
-                            MessageKind.GRADIENT_TO_SERVER, step_index,
-                            send_time)
-                        buffer2.add_broadcast(w_index, gradient_stack[w_index],
-                                              delivered, times)
-            if merged:
-                self._flush_merged(buffer2, merged, len(self.server_ids))
+                    honest.append(w_index)
+            self._flush_merged(buffer2, MessageKind.GRADIENT_TO_SERVER,
+                               step_index, honest, gradient_stack,
+                               self.worker_clock)
 
         with phase("batch.step.aggregate", runtime="batch", step=step_index,
                    replicas=replicas):
@@ -857,34 +834,25 @@ class BatchedGuanYuTrainer:
                    replicas=replicas):
             buffer3 = self._buffer3
             buffer3.reset()
-            merged = []
+            honest = []
             for s_index, server_id in enumerate(self.server_ids):
                 if server_id not in active_servers:
                     continue
                 if server_id in self.attacking_servers:
+                    delivered, times = self._broadcast_times(
+                        s_index, MessageKind.MODEL_TO_SERVER, step_index,
+                        phase_start)
                     for peer_index, peer_id in enumerate(self.server_ids):
                         payloads, present = self._corrupt_models(
                             s_index, step_index, recipient=peer_id)
-                        delivered, times = self._broadcast_times(
-                            server_id, [peer_id], MessageKind.MODEL_TO_SERVER,
-                            step_index, phase_start, override=0.0)
                         buffer3.add_directed(peer_index, s_index, payloads,
-                                             present & delivered[0], times[0])
+                                             present & delivered[peer_index],
+                                             times[peer_index])
                 else:
-                    send_time = self.server_clock[s_index] + serialization
-                    if fast:
-                        merged.append((s_index, self.theta[s_index], send_time,
-                                       s_index))
-                    else:
-                        delivered, times = self._broadcast_times(
-                            server_id, self.server_ids,
-                            MessageKind.MODEL_TO_SERVER, step_index, send_time,
-                            skip_draw={s_index})
-                        buffer3.add_broadcast(
-                            s_index, self.theta[s_index].copy(), delivered,
-                            times)
-            if merged:
-                self._flush_merged(buffer3, merged, len(self.server_ids))
+                    honest.append(s_index)
+            self._flush_merged(buffer3, MessageKind.MODEL_TO_SERVER,
+                               step_index, honest, self.theta,
+                               self.server_clock)
 
             for fold in self._folds(active_correct_server_idx,
                                     config.model_quorum):

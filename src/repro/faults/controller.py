@@ -13,11 +13,19 @@ The controller is the single decision point both runtimes consult:
 Design notes
 ------------
 The controller is **stateless over steps**: every query is a pure function
-of ``(schedule, step)``, answered from interval tables precomputed at
-construction.  This makes it safe to share between the threads of the
-threaded runtime, where different nodes sit at *different* steps at the
-same wall-clock instant — each message carries its own step and is judged
-against the schedule at that step.
+of ``(schedule, step)``.  This makes it safe to share between the threads
+of the threaded runtime, where different nodes sit at *different* steps at
+the same wall-clock instant — each message carries its own step and is
+judged against the schedule at that step.
+
+Every fault takes or loses effect at an event step, so the deterministic
+decisions are constant between two consecutive event steps — an *epoch*.
+Construction snapshots what is in force in each epoch (crashed nodes,
+partitions, link overrides, silenced attacks); a link's verdict — crash or
+partition block, delay factor, extra delay, drop rate — is compiled on
+first use once per epoch (:meth:`link_state`, :meth:`link_table`), and so
+is the participation fixpoint.  The caches hold at most one entry per
+(query, epoch), however long the run.
 
 Probabilistic decisions (drop / duplicate rates) are sampled by hashing
 ``(seed, sender, recipient, kind, step)`` rather than by drawing from a
@@ -28,11 +36,11 @@ both runtimes, every run.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
-import math
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,9 +50,6 @@ from repro.faults.schedule import (
     FaultEvent,
     FaultSchedule,
 )
-
-_FOREVER = math.inf
-
 
 @dataclass
 class SendDecision:
@@ -62,16 +67,69 @@ class SendDecision:
         return max(delay, 0.0) * self.delay_factor + self.extra_delay
 
 
-@dataclass
-class _Window:
-    """A half-open step interval ``[start, end)`` carrying one effect."""
+class LinkState(NamedTuple):
+    """The deterministic part of :meth:`FaultController.on_send` for one
+    link in one epoch: ``blocked_by`` is ``"crash"``, ``"partition"`` or
+    ``None``; a blocked link carries neutral effects."""
 
-    start: int
-    end: float  # int or inf
-    event: FaultEvent
+    blocked_by: Optional[str]
+    delay_factor: float
+    extra_delay: float
+    drop_rate: float
 
-    def active(self, step: int) -> bool:
-        return self.start <= step < self.end
+
+class LinkTable(NamedTuple):
+    """:class:`LinkState` over ``senders × recipients`` as
+    ``(len(senders), len(recipients))`` arrays (read-only, shared)."""
+
+    deliver: np.ndarray
+    delay_factor: np.ndarray
+    extra_delay: np.ndarray
+    drop_rate: np.ndarray
+
+
+class _Epoch(NamedTuple):
+    """What is in force between two consecutive event steps."""
+
+    crashed: FrozenSet[str]
+    #: one ``node → group index`` map per active partition
+    partitions: Tuple[Dict[str, int], ...]
+    #: active link overrides, in schedule order
+    overrides: Tuple[FaultEvent, ...]
+    #: gated nodes whose attack is switched off
+    honest: FrozenSet[str]
+
+    def blocks(self, sender: str, recipient: str) -> bool:
+        for groups in self.partitions:
+            sender_group = groups.get(sender)
+            recipient_group = groups.get(recipient)
+            if (sender_group is not None and recipient_group is not None
+                    and sender_group != recipient_group):
+                return True
+        return False
+
+    def effects(self, sender: str, recipient: str,
+                drop_rate: float) -> Tuple[float, float, float]:
+        factor, extra = 1.0, 0.0
+        keep = 1.0 - drop_rate
+        for event in self.overrides:
+            if not event.matches_link(sender, recipient):
+                continue
+            if event.kind == "slowdown":
+                factor *= event.factor
+            elif event.kind == "delay_spike":
+                extra += event.extra_delay
+            elif event.kind == "drop_rate":
+                keep *= 1.0 - event.rate
+        return factor, extra, 1.0 - keep
+
+    def link(self, sender: str, recipient: str,
+             drop_rate: float) -> LinkState:
+        if sender in self.crashed or recipient in self.crashed:
+            return LinkState("crash", 1.0, 0.0, 0.0)
+        if self.blocks(sender, recipient):
+            return LinkState("partition", 1.0, 0.0, 0.0)
+        return LinkState(None, *self.effects(sender, recipient, drop_rate))
 
 
 class FaultController:
@@ -97,78 +155,103 @@ class FaultController:
             "blocked_crash": 0, "blocked_partition": 0,
             "dropped": 0, "duplicated": 0, "delayed": 0,
         }
+        # Per-epoch caches (see the module docstring).  A racing miss
+        # computes the same pure answer twice, so they take no lock.
         self._participation_cache: Dict[tuple, Tuple[List[str], List[str]]] = {}
-        self._crash_windows: Dict[str, List[_Window]] = {}
-        self._attack_toggles: Dict[str, List[Tuple[int, bool]]] = {}
-        self._partition_windows: List[_Window] = []
-        self._override_windows: List[_Window] = []
+        self._links: Dict[Tuple[str, str, int], LinkState] = {}
+        self._tables: Dict[tuple, LinkTable] = {}
         self._events_by_step: Dict[int, List[FaultEvent]] = {}
         self._compile()
 
     # ------------------------------------------------------------------ #
-    # Schedule compilation: events -> interval tables
+    # Schedule compilation: events -> epochs
     # ------------------------------------------------------------------ #
     def _compile(self) -> None:
-        open_partitions: Dict[str, _Window] = {}
-        open_overrides: Dict[str, _Window] = {}
-        anonymous_overrides: List[_Window] = []
-        for event in self.schedule.sorted_events():
+        """Replay the schedule once, snapshotting what is in force after
+        each event step: epoch k >= 1 starts at the k-th distinct event
+        step, epoch 0 is the stretch before the first one.
+
+        A ``recover`` ends its node's crash; ``heal``/``clear`` end the
+        latest window opened under their label, or every labelled one when
+        the label is empty (an empty ``clear`` also ends every unlabelled
+        override).  A gated node starts honest when its first gating event
+        is ``activate_attack``.
+        """
+        events = self.schedule.sorted_events()
+        first_toggles: Dict[str, str] = {}
+        for event in events:
+            if event.kind in ("activate_attack", "deactivate_attack"):
+                for node in event.nodes:
+                    first_toggles.setdefault(node, event.kind)
+        self._gated = frozenset(first_toggles)
+        honest = {node for node, kind in first_toggles.items()
+                  if kind == "activate_attack"}
+        crashed: set = set()
+        # open windows by event index (schedule order), and by label
+        partitions: Dict[int, Dict[str, int]] = {}
+        overrides: Dict[int, FaultEvent] = {}
+        open_partitions: Dict[str, int] = {}
+        open_overrides: Dict[str, int] = {}
+        anonymous: List[int] = []
+
+        def snapshot() -> _Epoch:
+            return _Epoch(frozenset(crashed), tuple(partitions.values()),
+                          tuple(overrides.values()), frozenset(honest))
+
+        self._epochs = [snapshot()]
+        for index, event in enumerate(events):
             self._events_by_step.setdefault(event.step, []).append(event)
             if event.kind == "crash":
-                for node in event.nodes:
-                    window = _Window(event.step, _FOREVER, event)
-                    self._crash_windows.setdefault(node, []).append(window)
+                crashed.update(event.nodes)
             elif event.kind == "recover":
-                for node in event.nodes:
-                    windows = self._crash_windows.get(node, [])
-                    if windows and windows[-1].end == _FOREVER:
-                        windows[-1].end = event.step
+                crashed.difference_update(event.nodes)
             elif event.kind == "partition":
-                window = _Window(event.step, _FOREVER, event)
-                self._partition_windows.append(window)
-                open_partitions[event.label] = window
+                partitions[index] = {node: group_index for group_index, group
+                                     in enumerate(event.groups)
+                                     for node in group}
+                open_partitions[event.label] = index
             elif event.kind == "heal":
-                if event.label:
-                    window = open_partitions.pop(event.label, None)
-                    if window is not None:
-                        window.end = event.step
-                else:
-                    for window in open_partitions.values():
-                        window.end = event.step
-                    open_partitions.clear()
+                for label in ([event.label] if event.label
+                              else list(open_partitions)):
+                    partitions.pop(open_partitions.pop(label, None), None)
             elif event.kind in LINK_OVERRIDE_KINDS:
-                window = _Window(event.step, _FOREVER, event)
-                self._override_windows.append(window)
+                overrides[index] = event
                 if event.label:
-                    open_overrides[event.label] = window
+                    open_overrides[event.label] = index
                 else:
-                    anonymous_overrides.append(window)
+                    anonymous.append(index)
             elif event.kind == "clear":
                 if event.label:
-                    window = open_overrides.pop(event.label, None)
-                    if window is not None:
-                        window.end = event.step
+                    closing = [open_overrides.pop(event.label, None)]
                 else:
-                    for window in open_overrides.values():
-                        window.end = event.step
+                    closing = [*open_overrides.values(), *anonymous]
                     open_overrides.clear()
-                    for window in anonymous_overrides:
-                        if window.end == _FOREVER:
-                            window.end = event.step
-                    anonymous_overrides.clear()
-            elif event.kind in ("activate_attack", "deactivate_attack"):
-                active = event.kind == "activate_attack"
-                for node in event.nodes:
-                    self._attack_toggles.setdefault(node, []).append(
-                        (event.step, active))
+                    anonymous.clear()
+                for opened in closing:
+                    overrides.pop(opened, None)
+            elif event.kind == "activate_attack":
+                honest.difference_update(event.nodes)
+            elif event.kind == "deactivate_attack":
+                honest.update(event.nodes)
+            if index + 1 == len(events) or events[index + 1].step != event.step:
+                self._epochs.append(snapshot())
+        self._epoch_starts = sorted(self._events_by_step)
+
+    def _at(self, step: int) -> _Epoch:
+        return self._epochs[self.epoch(step)]
 
     # ------------------------------------------------------------------ #
     # Hook API
     # ------------------------------------------------------------------ #
+    def epoch(self, step: int) -> int:
+        """Index of the epoch holding ``step``: the number of distinct
+        event steps at or before it.  Every deterministic decision is the
+        same at two steps of one epoch."""
+        return bisect.bisect_right(self._epoch_starts, step)
+
     def node_alive(self, node_id: str, step: int) -> bool:
         """Whether ``node_id`` participates in the protocol at ``step``."""
-        return not any(window.active(step)
-                       for window in self._crash_windows.get(node_id, ()))
+        return node_id not in self._at(step).crashed
 
     def alive_mask(self, node_ids: Sequence[str], step: int) -> np.ndarray:
         """Boolean :meth:`node_alive` mask over ``node_ids`` at ``step``.
@@ -178,8 +261,9 @@ class FaultController:
         (:meth:`repro.batch.BatchedGuanYuTrainer.step`) computes this mask
         on one replica's controller and shares it across all replicas.
         """
-        return np.array([self.node_alive(node_id, step)
-                         for node_id in node_ids], dtype=bool)
+        crashed = self._at(step).crashed
+        return np.array([node_id not in crashed for node_id in node_ids],
+                        dtype=bool)
 
     def attack_active(self, node_id: str, step: int) -> bool:
         """Whether the attack installed on ``node_id`` is live at ``step``.
@@ -187,30 +271,11 @@ class FaultController:
         Nodes with no gating events are always active; gated nodes start
         honest when their first gating event is ``activate_attack``.
         """
-        toggles = self._attack_toggles.get(node_id)
-        if not toggles:
-            return True
-        state = not toggles[0][1]  # before the first toggle: its opposite
-        for toggle_step, active in toggles:
-            if toggle_step <= step:
-                state = active
-        return state
+        return node_id not in self._at(step).honest
 
     def link_blocked(self, sender: str, recipient: str, step: int) -> bool:
         """Whether an active partition separates ``sender`` and ``recipient``."""
-        for window in self._partition_windows:
-            if not window.active(step):
-                continue
-            sender_group = recipient_group = None
-            for index, group in enumerate(window.event.groups):
-                if sender in group:
-                    sender_group = index
-                if recipient in group:
-                    recipient_group = index
-            if (sender_group is not None and recipient_group is not None
-                    and sender_group != recipient_group):
-                return True
-        return False
+        return self._at(step).blocks(sender, recipient)
 
     def link_effects(self, sender: str, recipient: str,
                      step: int) -> Tuple[float, float, float]:
@@ -219,21 +284,8 @@ class FaultController:
         Factors multiply, extra delays add, drop rates combine as
         independent losses on top of the schedule's base ``drop_rate``.
         """
-        factor, extra = 1.0, 0.0
-        keep = 1.0 - self.schedule.drop_rate
-        for window in self._override_windows:
-            if not window.active(step):
-                continue
-            event = window.event
-            if not event.matches_link(sender, recipient):
-                continue
-            if event.kind == "slowdown":
-                factor *= event.factor
-            elif event.kind == "delay_spike":
-                extra += event.extra_delay
-            elif event.kind == "drop_rate":
-                keep *= 1.0 - event.rate
-        return factor, extra, 1.0 - keep
+        return self._at(step).effects(sender, recipient,
+                                      self.schedule.drop_rate)
 
     def on_step(self, step: int) -> List[FaultEvent]:
         """Advance the fault log to ``step``; returns the events firing there.
@@ -242,25 +294,66 @@ class FaultController:
         called — but it gives runtimes a single place to trace fault
         activity, and it is idempotent per step.
         """
+        events = self._events_by_step.get(step)
+        if events is None:
+            return []
         with self._lock:
             if step in self._fired_steps:
                 return []
             self._fired_steps.add(step)
-        return list(self._events_by_step.get(step, ()))
+        return list(events)
+
+    def link_state(self, sender: str, recipient: str,
+                   step: int) -> LinkState:
+        """The deterministic verdict on link ``sender → recipient`` at
+        ``step``, compiled once per epoch."""
+        epoch = self.epoch(step)
+        key = (sender, recipient, epoch)
+        state = self._links.get(key)
+        if state is None:
+            state = self._links[key] = self._epochs[epoch].link(
+                sender, recipient, self.schedule.drop_rate)
+        return state
+
+    def link_table(self, senders: Sequence[str], recipients: Sequence[str],
+                   step: int) -> LinkTable:
+        """:meth:`link_state` of every ``senders × recipients`` link at
+        ``step`` as arrays, compiled once per epoch — what a vectorised
+        runtime judges a whole phase with."""
+        epoch = self.epoch(step)
+        key = (tuple(senders), tuple(recipients), epoch)
+        table = self._tables.get(key)
+        if table is None:
+            now, drop_rate = self._epochs[epoch], self.schedule.drop_rate
+            states = [now.link(sender, recipient, drop_rate)
+                      for sender in senders for recipient in recipients]
+            shape = (len(senders), len(recipients))
+            effects = np.array([state[1:] for state in states],
+                               dtype=float).reshape(shape + (3,))
+            table = LinkTable(
+                np.array([state.blocked_by is None for state in states],
+                         dtype=bool).reshape(shape),
+                *np.moveaxis(effects, -1, 0))
+            for array in table:
+                array.flags.writeable = False
+            self._tables[key] = table
+        return table
+
+    def dropped(self, sender: str, recipient: str, kind: str, step: int,
+                drop_rate: float) -> bool:
+        """The hash-sampled loss of one message on a link of ``drop_rate``."""
+        return drop_rate > 0 and self._uniform(
+            "drop", sender, recipient, kind, step) < drop_rate
 
     def on_send(self, sender: str, recipient: str, kind: str,
                 step: int) -> SendDecision:
         """Judge one message; see :class:`SendDecision`."""
-        if not self.node_alive(sender, step) \
-                or not self.node_alive(recipient, step):
-            self._count("blocked_crash")
-            return SendDecision(deliver=False, blocked_by="crash")
-        if self.link_blocked(sender, recipient, step):
-            self._count("blocked_partition")
-            return SendDecision(deliver=False, blocked_by="partition")
-        factor, extra, drop_rate = self.link_effects(sender, recipient, step)
-        if drop_rate > 0 and self._uniform("drop", sender, recipient,
-                                           kind, step) < drop_rate:
+        blocked_by, factor, extra, drop_rate = self.link_state(
+            sender, recipient, step)
+        if blocked_by is not None:
+            self._count(f"blocked_{blocked_by}")
+            return SendDecision(deliver=False, blocked_by=blocked_by)
+        if self.dropped(sender, recipient, kind, step, drop_rate):
             self._count("dropped")
             return SendDecision(deliver=False, blocked_by="drop")
         duplicate = (self.schedule.duplicate_rate > 0
@@ -277,9 +370,10 @@ class FaultController:
     def reachable_senders(self, recipient: str, senders: Sequence[str],
                           step: int) -> List[str]:
         """Senders that are alive and not partitioned away from ``recipient``."""
+        now = self._at(step)
         return [sender for sender in senders
-                if self.node_alive(sender, step)
-                and not self.link_blocked(sender, recipient, step)]
+                if sender not in now.crashed
+                and not now.blocks(sender, recipient)]
 
     def participating_nodes(self, worker_ids: Sequence[str],
                             server_ids: Sequence[str], model_quorum: int,
@@ -300,13 +394,12 @@ class FaultController:
 
         Both runtimes consult this same function — it is a pure function
         of ``(schedule, step)``, so every thread computes the same sets and
-        a stalled node is never waited on.  Returns
-        ``(participating_workers, participating_servers)``.
+        a stalled node is never waited on.  Computed once per epoch.
+        Returns ``(participating_workers, participating_servers)``.
         """
         key = (tuple(worker_ids), tuple(server_ids), model_quorum,
-               gradient_quorum, step)
-        with self._lock:
-            cached = self._participation_cache.get(key)
+               gradient_quorum, self.epoch(step))
+        cached = self._participation_cache.get(key)
         if cached is not None:
             return cached
         workers = [w for w in worker_ids if self.node_alive(w, step)]
@@ -325,9 +418,7 @@ class FaultController:
             if kept_workers == workers and kept_servers == servers:
                 break
             workers, servers = kept_workers, kept_servers
-        result = (workers, servers)
-        with self._lock:
-            self._participation_cache[key] = result
+        result = self._participation_cache[key] = (workers, servers)
         return result
 
     def gate_attack(self, node_id: str, attack):
@@ -336,7 +427,7 @@ class FaultController:
         Attacks without gating events are returned unchanged; ``None``
         passes through (the node is honest).
         """
-        if attack is None or node_id not in self._attack_toggles:
+        if attack is None or node_id not in self._gated:
             return attack
         if isinstance(attack, WorkerAttack):
             return GatedWorkerAttack(attack, self, node_id)

@@ -27,11 +27,12 @@ class DelayModel:
 
     #: True when :meth:`latency` ignores both ``sender`` and ``recipient``,
     #: i.e. every link draws from one shared distribution.  The batched
-    #: runtime uses this to merge a phase's per-send draws into one
+    #: runtime draws every phase's honest latencies, faults or not, as one
     #: ``sample_batch`` call per lane (the concatenated stream is
-    #: bit-identical to consecutive per-send calls on the same generator).
-    #: Link-dependent models (per-node factors, partitions) must set this
-    #: False.
+    #: bit-identical to consecutive per-send calls on the same generator),
+    #: and raises ``BatchingUnsupported`` for a model that sets this False
+    #: (per-node factors, partitions), which the simulator runs instead.
+    #: Every model a ``ScenarioSpec`` can name is link-independent.
     latency_is_link_independent = True
 
     def __init__(self, bandwidth_bytes_per_second: float = 1.25e9) -> None:

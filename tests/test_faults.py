@@ -1,9 +1,17 @@
 """Tests for the fault-schedule engine (repro.faults) across both runtimes."""
 
+import hashlib
+from typing import List
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from repro.adversary import RandomGradientAttack, SignFlipAttack
+from repro.batch import run_batched_scenarios
+from repro.campaign import ScenarioSpec
+from repro.campaign.spec import available_delay_models
 from repro.core import ClusterConfig, GuanYuTrainer, VanillaTrainer
 from repro.faults import (
     FaultController,
@@ -11,10 +19,13 @@ from repro.faults import (
     FaultSchedule,
     GatedWorkerAttack,
 )
+from repro.faults.controller import SendDecision
+from repro.faults.schedule import EVENT_KINDS, LINK_OVERRIDE_KINDS
 from repro.metrics import evaluate_accuracy
 from repro.network import ConstantDelay, MessageKind, NetworkSimulator
 from repro.nn.schedules import ConstantSchedule
 from repro.runtime.threads import ThreadedClusterRuntime
+from repro.testing import sequential_history
 
 
 # --------------------------------------------------------------------------- #
@@ -186,6 +197,41 @@ class TestFaultController:
         kept_w, kept_s = controller.participating_nodes(workers, servers,
                                                         2, 4, 2)
         assert kept_w == workers and kept_s == servers[1:]
+
+    def test_caches_hold_one_entry_per_epoch(self):
+        """A long run under faults keeps one participation answer and one
+        link verdict per epoch, and every cached answer is a fresh
+        controller's."""
+        schedule = FaultSchedule(events=[
+            FaultEvent(step=40, kind="crash", nodes=["ps/2"]),
+            FaultEvent(step=90, kind="recover", nodes=["ps/2"]),
+            FaultEvent(step=200, kind="slowdown", nodes=["worker/1"],
+                       factor=2.0)])
+        workers = [f"worker/{i}" for i in range(4)]
+        servers = [f"ps/{i}" for i in range(3)]
+        controller = FaultController(schedule, seed=3)
+        for step in range(500):
+            answer = controller.participating_nodes(workers, servers, 2, 3,
+                                                    step)
+            fresh = FaultController(schedule, seed=3)
+            assert answer == fresh.participating_nodes(workers, servers, 2,
+                                                       3, step)
+            assert controller.on_send("ps/2", "worker/1", "m", step) == \
+                fresh.on_send("ps/2", "worker/1", "m", step)
+        assert len(controller._participation_cache) <= 4
+        assert len(controller._links) <= 4
+
+    def test_link_table_is_link_state_per_link(self):
+        controller = self._controller()
+        senders, recipients = ["ps/0", "ps/1", "worker/1"], ["ps/2", "worker/0"]
+        for step in range(10):
+            table = controller.link_table(senders, recipients, step)
+            for i, sender in enumerate(senders):
+                for j, recipient in enumerate(recipients):
+                    state = controller.link_state(sender, recipient, step)
+                    assert table.deliver[i, j] == (state.blocked_by is None)
+                    assert (table.delay_factor[i, j], table.extra_delay[i, j],
+                            table.drop_rate[i, j]) == state[1:]
 
     def test_on_step_reports_each_step_once(self):
         controller = self._controller()
@@ -486,3 +532,262 @@ class TestThreadedRuntimeFaults:
         trainer.run(num_steps=12, eval_every=12)
         assert runtime.messages_suppressed == \
             trainer.network.stats.messages_blocked
+
+
+# --------------------------------------------------------------------------- #
+# Generated schedules: the compiled controller and the batched engine
+# --------------------------------------------------------------------------- #
+ORACLE_WORKERS = [f"worker/{i}" for i in range(6)]
+ORACLE_SERVERS = [f"ps/{i}" for i in range(6)]
+ORACLE_NODES = ORACLE_WORKERS + ORACLE_SERVERS
+#: event steps span the run and one step past it
+ORACLE_HORIZON = 6
+ORACLE_SHAPE = dict(num_workers=6, num_servers=6,
+                    declared_byzantine_workers=1,
+                    declared_byzantine_servers=1, dataset_size=200,
+                    eval_every=2, max_eval_samples=32, batch_size=8)
+ORACLE_THREATS = (
+    {},
+    {"worker_attack": "sign_flip"},
+    {"worker_attack": "random_gradient"},
+    {"worker_attack": "little_is_enough", "server_attack": "corrupted_model"},
+    {"adversary": "collusion"},
+)
+ORACLE_KINDS = [kind.value for kind in (MessageKind.MODEL_TO_WORKER,
+                                        MessageKind.GRADIENT_TO_SERVER,
+                                        MessageKind.MODEL_TO_SERVER)]
+
+
+class _Window:
+    """A half-open step interval ``[start, end)`` carrying one event."""
+
+    def __init__(self, event: FaultEvent) -> None:
+        self.start, self.end, self.event = event.step, float("inf"), event
+
+    def active(self, step: int) -> bool:
+        return self.start <= step < self.end
+
+
+def _reference_windows(schedule: FaultSchedule):
+    """The schedule as interval tables: crash windows per node, partition
+    windows and link-override windows in schedule order."""
+    crashes, partitions, overrides = {}, [], []
+    open_partitions, open_overrides, anonymous = {}, {}, []
+    for event in schedule.sorted_events():
+        if event.kind == "crash":
+            for node in event.nodes:
+                crashes.setdefault(node, []).append(_Window(event))
+        elif event.kind == "recover":
+            for node in event.nodes:
+                windows = crashes.get(node, [])
+                if windows and windows[-1].end == float("inf"):
+                    windows[-1].end = event.step
+        elif event.kind == "partition":
+            window = _Window(event)
+            partitions.append(window)
+            open_partitions[event.label] = window
+        elif event.kind == "heal":
+            closing = ([open_partitions.pop(event.label, None)] if event.label
+                       else list(open_partitions.values()))
+            if not event.label:
+                open_partitions.clear()
+            for window in closing:
+                if window is not None:
+                    window.end = event.step
+        elif event.kind in LINK_OVERRIDE_KINDS:
+            window = _Window(event)
+            overrides.append(window)
+            if event.label:
+                open_overrides[event.label] = window
+            else:
+                anonymous.append(window)
+        elif event.kind == "clear":
+            if event.label:
+                closing = [open_overrides.pop(event.label, None)]
+            else:
+                closing = list(open_overrides.values()) + [
+                    window for window in anonymous
+                    if window.end == float("inf")]
+                open_overrides.clear()
+                anonymous.clear()
+            for window in closing:
+                if window is not None:
+                    window.end = event.step
+    return crashes, partitions, overrides
+
+
+def reference_on_send(schedule: FaultSchedule, windows, seed: int,
+                      sender: str, recipient: str, kind: str,
+                      step: int) -> SendDecision:
+    """One message judged the long way, as the controller did before it
+    compiled per epoch: scan every interval table (``windows``, from
+    :func:`_reference_windows`) at ``step``, then hash the drop and
+    duplicate draws from ``(seed, sender, recipient, kind, step)``."""
+    crashes, partitions, overrides = windows
+    if any(window.active(step) for node in (sender, recipient)
+           for window in crashes.get(node, ())):
+        return SendDecision(deliver=False, blocked_by="crash")
+    for window in partitions:
+        if not window.active(step):
+            continue
+        sides = [next((i for i, group in enumerate(window.event.groups)
+                       if node in group), None)
+                 for node in (sender, recipient)]
+        if None not in sides and sides[0] != sides[1]:
+            return SendDecision(deliver=False, blocked_by="partition")
+    factor, extra, keep = 1.0, 0.0, 1.0 - schedule.drop_rate
+    for window in overrides:
+        event = window.event
+        if not window.active(step) or not (
+                (not event.nodes and not event.links)
+                or sender in event.nodes or recipient in event.nodes
+                or any(sorted(link) == sorted((sender, recipient))
+                       for link in event.links)):
+            continue
+        if event.kind == "slowdown":
+            factor *= event.factor
+        elif event.kind == "delay_spike":
+            extra += event.extra_delay
+        else:
+            keep *= 1.0 - event.rate
+
+    def uniform(tag):
+        material = "|".join(map(str, (seed, tag, sender, recipient, kind,
+                                      step)))
+        digest = hashlib.sha256(material.encode("utf-8")).digest()
+        return int.from_bytes(digest[:8], "big") / 2.0 ** 64
+
+    drop_rate = 1.0 - keep
+    if drop_rate > 0 and uniform("drop") < drop_rate:
+        return SendDecision(deliver=False, blocked_by="drop")
+    duplicate = schedule.duplicate_rate > 0 \
+        and uniform("dup") < schedule.duplicate_rate
+    return SendDecision(deliver=True, delay_factor=factor, extra_delay=extra,
+                        duplicate=duplicate)
+
+
+_steps = st.integers(0, ORACLE_HORIZON)
+_labels = st.sampled_from(["", "a"])
+_node_sets = st.lists(st.sampled_from(ORACLE_NODES), min_size=1, max_size=3,
+                      unique=True)
+
+
+@st.composite
+def _fault_events(draw) -> List[dict]:
+    """One drawn event; half the time a crash, partition or override
+    comes with a later recover, heal or clear (labelled or not)."""
+    kind = draw(st.sampled_from(EVENT_KINDS))
+    event = {"step": draw(_steps), "kind": kind}
+    if kind in ("crash", "recover", "activate_attack", "deactivate_attack"):
+        event["nodes"] = draw(_node_sets)
+    elif kind == "partition":
+        members = draw(st.lists(st.sampled_from(ORACLE_NODES), min_size=2,
+                                max_size=5, unique=True))
+        cut = draw(st.integers(1, len(members) - 1))
+        event["groups"] = [members[:cut], members[cut:]]
+    elif kind in LINK_OVERRIDE_KINDS:
+        matcher = draw(st.sampled_from(["all", "nodes", "links"]))
+        if matcher == "nodes":
+            event["nodes"] = draw(_node_sets)
+        elif matcher == "links":
+            event["links"] = draw(st.lists(st.lists(
+                st.sampled_from(ORACLE_NODES), min_size=2, max_size=2,
+                unique=True), min_size=1, max_size=2))
+        if kind == "slowdown":
+            event["factor"] = draw(st.sampled_from([0.5, 2.0, 3.0]))
+        elif kind == "delay_spike":
+            event["extra_delay"] = draw(st.sampled_from([0.0, 0.002, 0.01]))
+        else:
+            event["rate"] = draw(st.sampled_from([0.05, 0.3]))
+    if kind in ("partition", "heal", "clear") + LINK_OVERRIDE_KINDS:
+        event["label"] = draw(_labels)
+    events = [event]
+    closer = {"crash": "recover", "partition": "heal", "slowdown": "clear",
+              "delay_spike": "clear", "drop_rate": "clear"}.get(kind)
+    if closer and draw(st.booleans()):
+        close = {"step": draw(st.integers(event["step"] + 1,
+                                          ORACLE_HORIZON + 1)),
+                 "kind": closer}
+        if closer == "recover":
+            close["nodes"] = event["nodes"]
+        else:
+            close["label"] = draw(st.sampled_from(["", event["label"]]))
+        events.append(close)
+    return events
+
+
+@st.composite
+def fault_scenarios(draw) -> List[ScenarioSpec]:
+    """Seeds ``R ∈ {1, 3}`` of one drawn scenario: a schedule over the
+    whole event vocabulary × delay model × threat."""
+    events = [event for group in draw(st.lists(_fault_events(), max_size=6))
+              for event in group]
+    faults = {"events": events,
+              "drop_rate": draw(st.sampled_from([0.0, 0.0, 0.02])),
+              "duplicate_rate": draw(st.sampled_from([0.0, 0.1]))}
+    base = ScenarioSpec(
+        name="oracle", num_steps=draw(st.integers(2, ORACLE_HORIZON)),
+        faults=faults,
+        delay_model=draw(st.sampled_from(available_delay_models())),
+        gradient_rule=draw(st.sampled_from(["median", "multi_krum", "mean"])),
+        **draw(st.sampled_from(ORACLE_THREATS)), **ORACLE_SHAPE)
+    seed = draw(st.integers(0, 2 ** 16))
+    return [base.replace(name=f"oracle-{lane}", seed=seed + lane)
+            for lane in range(draw(st.sampled_from([1, 3])))]
+
+
+def _outcome(run_scenario):
+    try:
+        return run_scenario()
+    except RuntimeError as error:
+        return error
+
+
+def admissible(specs: List[ScenarioSpec]) -> bool:
+    try:
+        specs[0].validate()
+    except ValueError:
+        return False
+    return True
+
+
+class TestGeneratedFaultOracle:
+    """Generated schedules × delay model × threat × R ∈ {1, 3}: the
+    batched engine (compiled per-epoch link tables, one delay draw per
+    phase and lane) equals the simulator lane by lane, and the compiled
+    controller equals the per-message replay above."""
+
+    # No max_examples here: the weekly workflow runs this class under the
+    # "weekly" profile of tests/conftest.py, ten times the default budget.
+    @settings(deadline=None)
+    @given(fault_scenarios().filter(admissible))
+    def test_batched_lanes_equal_the_simulator(self, specs):
+        event(f"R = {len(specs)}")
+        sequential = [_outcome(lambda spec=spec: sequential_history(spec))
+                      for spec in specs]
+        batched = _outcome(lambda: run_batched_scenarios(specs))
+        if any(isinstance(outcome, RuntimeError) for outcome in sequential):
+            event("a lane fails")
+            assert isinstance(batched, RuntimeError)
+            if len(specs) == 1:
+                assert str(batched) == str(sequential[0])
+            return
+        assert not isinstance(batched, RuntimeError), batched
+        for got, expected in zip(batched, sequential):
+            assert got.to_dict() == expected.to_dict()
+
+    @settings(deadline=None)
+    @given(fault_scenarios().filter(admissible))
+    def test_on_send_equals_the_per_message_replay(self, specs):
+        schedule = specs[0].faults or FaultSchedule()
+        seed = specs[0].seed
+        controller = FaultController(schedule, seed=seed)
+        windows = _reference_windows(schedule)
+        for step in range(ORACLE_HORIZON + 2):
+            for sender in ORACLE_NODES:
+                for recipient in ORACLE_NODES:
+                    for kind in ORACLE_KINDS:
+                        assert controller.on_send(
+                            sender, recipient, kind, step) == \
+                            reference_on_send(schedule, windows, seed,
+                                              sender, recipient, kind, step)
