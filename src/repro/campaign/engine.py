@@ -272,15 +272,11 @@ def run_campaign(campaign: Union[CampaignSpec, Iterable[ScenarioSpec]],
     for spec in scenarios:
         key = spec.spec_hash()
         if store is not None and store.contains(key):
-            stored = store.get(key)
-            # The hash excludes the name, so the cache may have been filled
-            # under a different label — relabel for this campaign's view.
-            stored.history.label = spec.name
             tracer.count("campaign.cache_hit")
             registry.inc("repro_campaign_cache_total", result="hit")
             finish(ScenarioOutcome(spec=spec, status="cached",
-                                   history=stored.history, store_key=key,
-                                   duration_seconds=0.0))
+                                   history=store.cached(key, spec.name),
+                                   store_key=key, duration_seconds=0.0))
         else:
             tracer.count("campaign.cache_miss")
             registry.inc("repro_campaign_cache_total", result="miss")

@@ -17,8 +17,8 @@ listener, next to ``/metrics`` / ``/healthz`` / ``/status``):
 * ``POST /campaigns`` — body is a campaign JSON document (optionally
   ``{"campaign": {...}, "options": {"on_invalid": "skip"}}``); replies
   ``202`` with the job record, including how many scenarios the store
-  index already held (``cached_at_submit`` — the dedupe happens *before*
-  any work is queued as executable).
+  already held (``cached_at_submit``: one ``contains`` per scenario — the
+  dedupe happens *before* any work is queued as executable).
 * ``GET /campaigns`` — every job record, newest first.
 * ``GET /campaigns/<id>`` — one job record.
 * ``GET /results?gradient_rule=median&status=ran`` — summary rows from
@@ -57,7 +57,7 @@ def _json_reply(code: int, document: Any) -> Reply:
 
 
 class CampaignScheduler:
-    """Accept campaigns, dedupe against the store index, run them.
+    """Accept campaigns, dedupe against the store, run them.
 
     One worker thread drains the job queue so jobs execute strictly in
     submission order; within a job, ``processes``/``lanes`` decide the
@@ -115,16 +115,15 @@ class CampaignScheduler:
     # ------------------------------------------------------------------ #
     def submit(self, campaign: CampaignSpec, *,
                on_invalid: str = "raise") -> Dict[str, Any]:
-        """Expand, dedupe against the index, queue; returns the job record.
+        """Expand, dedupe against the store, queue; returns the job record.
 
         Raises :class:`ValueError` for campaigns that do not expand (bad
         axes, inadmissible cells under ``on_invalid="raise"``) — nothing
         is queued for an invalid submission.
         """
         scenarios = campaign.expand(on_invalid=on_invalid)
-        existing = set(self.store.keys())  # index-backed: no payload reads
         deduped = sum(1 for spec in scenarios
-                      if spec.spec_hash() in existing)
+                      if self.store.contains(spec.spec_hash()))
         job_id = f"job-{next(self._counter):04d}"
         job = {
             "id": job_id,

@@ -43,11 +43,11 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.campaign.index import INDEX_FILENAME, StoreIndex, summary_from_history
 from repro.campaign.spec import SCENARIO_FIELDS, ScenarioSpec
-from repro.obs.history import TrainingHistory
+from repro.obs.history import DeferredHistory, TrainingHistory
 from repro.obs.telemetry import get_registry
 from repro.obs.tracer import get_tracer
 
@@ -64,39 +64,24 @@ class StoredResult:
     """One cached scenario result.
 
     Results returned by the index-backed ``query()``/``summary_rows()``
-    carry the spec, meta and a per-entry summary out of the index; the
-    :class:`~repro.obs.history.TrainingHistory` payload is read from disk
-    only when :attr:`history` is first accessed.  Results from
-    :meth:`ResultStore.get` arrive fully loaded.
+    carry the spec, meta and a per-entry summary out of the index, and a
+    :class:`~repro.obs.history.DeferredHistory` read from disk on first
+    touch.  Results from :meth:`ResultStore.get` arrive fully loaded.
     """
 
     def __init__(self, key: str, spec: ScenarioSpec,
-                 history: Optional[TrainingHistory] = None,
-                 meta: Optional[Dict] = None, *,
-                 summary: Optional[Dict] = None,
-                 loader: Optional[Callable[[], TrainingHistory]] = None
-                 ) -> None:
+                 history: TrainingHistory, meta: Optional[Dict] = None, *,
+                 summary: Optional[Dict] = None) -> None:
         self.key = key
         self.spec = spec
+        self.history = history
         self.meta = {} if meta is None else meta
-        self._history = history
         self._summary = summary
-        self._loader = loader
-
-    @property
-    def history(self) -> TrainingHistory:
-        """The training history (loaded from the entry payload on demand)."""
-        if self._history is None:
-            if self._loader is None:
-                raise ValueError(
-                    f"stored result {self.key[:10]} has no history attached")
-            self._history = self._loader()
-        return self._history
 
     @property
     def history_loaded(self) -> bool:
         """Whether accessing :attr:`history` already paid the payload read."""
-        return self._history is not None
+        return getattr(self.history, "loaded", True)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StoredResult):
@@ -280,23 +265,53 @@ class ResultStore:
         return key
 
     def get(self, key: str) -> StoredResult:
+        """The result under ``key``, fully loaded (``KeyError`` if absent)."""
+        if not self.contains(key):
+            raise KeyError(f"no stored result for key '{key}'")
+        payload = self._read(key)
+        return StoredResult(
+            key=key,
+            spec=ScenarioSpec.from_dict(payload["spec"]),
+            history=TrainingHistory.from_dict(payload["history"]),
+            meta=payload.get("meta", {}),
+        )
+
+    def cached(self, key: str, label: str) -> DeferredHistory:
+        """The history under ``key`` as ``label``, read on first touch.
+
+        How a spec matched against the store resolves: nothing is opened
+        here, and the label is the caller's scenario name, which the key
+        does not hash.  The first load is accounted as a :meth:`get`; it
+        raises ``ValueError`` naming key and path for an entry that is
+        gone, unreadable or holds another key (so does :meth:`get`).
+        """
+        return DeferredHistory(lambda: self._history(key), label)
+
+    def _history(self, key: str) -> TrainingHistory:
+        return TrainingHistory.from_dict(self._read(key)["history"])
+
+    def _read(self, key: str) -> Dict:
+        """Parse, check and account one entry payload (``store.get``)."""
         started = time.perf_counter()
         path = self.path_for(key)
-        if not path.is_file():
-            raise KeyError(f"no stored result for key '{key}'")
-        payload = self.index.read_entry(path)
+        advice = ("`repro store fsck` lists broken entries and `repro store "
+                  "gc` removes unreadable ones; a removed entry runs again")
+        try:
+            payload = self.index.read_entry(path)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"stored result {key} at {path} cannot be "
+                             f"read ({exc}); {advice}") from exc
+        found = payload.get("key") if isinstance(payload, dict) else None
+        if found != key:
+            raise ValueError(f"stored result {key} at {path} holds key "
+                             f"{found!r}; {advice}")
         get_tracer().count("store.get")
         registry = get_registry()
         if registry.enabled:
             registry.inc("repro_store_ops_total", op="get")
             registry.observe("repro_store_op_seconds",
                              time.perf_counter() - started, op="get")
-        return StoredResult(
-            key=payload["key"],
-            spec=ScenarioSpec.from_dict(payload["spec"]),
-            history=TrainingHistory.from_dict(payload["history"]),
-            meta=payload.get("meta", {}),
-        )
+        return payload
 
     def delete(self, key: str) -> bool:
         path = self.path_for(key)
@@ -309,11 +324,6 @@ class ResultStore:
             registry.inc("repro_store_ops_total", op="delete")
             registry.add_gauge("repro_store_entries", -1)
         return True
-
-    def _load_history(self, key: str) -> TrainingHistory:
-        """Payload read behind a lazy :attr:`StoredResult.history`."""
-        payload = self.index.read_entry(self.path_for(key))
-        return TrainingHistory.from_dict(payload["history"])
 
     # ------------------------------------------------------------------ #
     # Cross-campaign queries (index-backed; no payload opens)
@@ -398,9 +408,9 @@ class ResultStore:
         return StoredResult(
             key=key,
             spec=ScenarioSpec.from_dict(row.get("spec") or {}),
+            history=DeferredHistory(lambda: self._history(key)),
             meta=dict(row.get("meta") or {}),
             summary=row.get("summary"),
-            loader=lambda key=key: self._load_history(key),
         )
 
     def summary_rows(self, results: Optional[List[StoredResult]] = None

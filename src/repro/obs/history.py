@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-__all__ = ["StepRecord", "TrainingHistory"]
+__all__ = ["DeferredHistory", "StepRecord", "TrainingHistory"]
 
 
 @dataclass
@@ -80,6 +80,14 @@ class TrainingHistory:
 
     def __len__(self) -> int:
         return len(self.records)
+
+    def __eq__(self, other: object) -> bool:
+        # Field by field and across subclasses: a deferred history equals
+        # the eager history it loads.
+        if not isinstance(other, TrainingHistory):
+            return NotImplemented
+        return ((self.label, self.config, self.records)
+                == (other.label, other.config, other.records))
 
     # ------------------------------------------------------------------ #
     # Series extraction (the "columns" of the paper's figures)
@@ -161,3 +169,50 @@ class TrainingHistory:
     @classmethod
     def from_json(cls, text: str) -> "TrainingHistory":
         return cls.from_dict(json.loads(text))
+
+
+def _deferred_field(name: str) -> property:
+    def read(self: "DeferredHistory"):
+        if name not in self.__dict__:
+            self._fill()
+        return self.__dict__[name]
+
+    def write(self: "DeferredHistory", value) -> None:
+        self.__dict__[name] = value
+
+    return property(read, write)
+
+
+class DeferredHistory(TrainingHistory):
+    """A :class:`TrainingHistory` read on first touch.
+
+    ``load`` returns the eager history; it runs once, the first time
+    ``config`` or ``records`` is read (or ``label``, when none was given).
+    Setting ``label`` never loads.  Equality, ``to_dict`` and every summary
+    helper see the loaded history; a copy, deep copy or pickle is an eager
+    :class:`TrainingHistory`.  The result store hands these out for cached
+    results (:meth:`repro.campaign.store.ResultStore.cached`).
+    """
+
+    label = _deferred_field("label")
+    config = _deferred_field("config")
+    records = _deferred_field("records")
+
+    def __init__(self, load: Callable[[], TrainingHistory],
+                 label: Optional[str] = None) -> None:
+        self._load = load
+        if label is not None:
+            self.label = label
+
+    @property
+    def loaded(self) -> bool:
+        """Whether the payload has been read."""
+        return "records" in self.__dict__
+
+    def _fill(self) -> None:
+        history = self._load()
+        for name in ("label", "config", "records"):
+            self.__dict__.setdefault(name, getattr(history, name))
+
+    def __reduce__(self):
+        return TrainingHistory, (self.label, self.config, self.records)

@@ -302,10 +302,8 @@ def run(spec: "ScenarioSpec", *, store: Optional["ResultStore"] = None,
             registry.inc("repro_runtime_cache_total",
                          result="hit" if hit else "miss")
         if hit:
-            stored = store.get(store_key)
-            # The hash excludes the name: relabel for this caller's view.
-            stored.history.label = spec.name
-            return ScenarioResult(spec=spec, history=stored.history,
+            return ScenarioResult(spec=spec,
+                                  history=store.cached(store_key, spec.name),
                                   status="cached", runtime=kind,
                                   store_key=store_key, duration_seconds=0.0)
 

@@ -1,6 +1,7 @@
 """Tests for the scenario campaign engine (spec, store, engine, resume)."""
 
 import dataclasses
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from repro.campaign import (
     build_trainer,
     run_campaign,
 )
+from repro.campaign.scheduler import CampaignScheduler
 from repro.adversary import RandomGradientAttack
 from repro.core import ClusterConfig, GuanYuTrainer
 from repro.core.trainer import VanillaTrainer
@@ -600,6 +602,25 @@ class TestCampaignResume:
         second = run_campaign([tiny_spec(name="sweep-label")], store=store)
         assert second.counts() == {"ran": 0, "cached": 1, "failed": 0}
         assert second.histories()["sweep-label"].label == "sweep-label"
+
+    def test_scheduler_job_opens_no_payload_for_cached_specs(self, tmp_path):
+        stored = [tiny_spec(name=f"stored-{seed}", seed=seed)
+                  for seed in (0, 1, 2)]
+        run_campaign(stored, store=ResultStore(tmp_path))
+        store = ResultStore(tmp_path)
+        scheduler = CampaignScheduler(store)
+        job = scheduler.submit(CampaignSpec(
+            name="mixed", scenarios=stored + [tiny_spec(name="new", seed=9)]))
+        assert job["cached_at_submit"] == 3
+        with scheduler:
+            deadline = time.monotonic() + 60.0
+            while (scheduler.job(job["id"])["state"] not in ("done", "failed")
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+        finished = scheduler.job(job["id"])
+        assert finished["state"] == "done"
+        assert finished["counts"] == {"cached": 3, "ran": 1}
+        assert store.payload_reads == 0
 
     def test_equal_configs_within_one_campaign_train_once(self):
         result = run_campaign([tiny_spec(name="a"), tiny_spec(name="b")])

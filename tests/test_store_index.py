@@ -10,17 +10,21 @@ explicit ``fsck`` finding.
 
 from __future__ import annotations
 
+import copy
 import json
 import multiprocessing
 import os
+import pickle
 import threading
 
 import pytest
 
-from repro.campaign import ResultStore, ScenarioSpec
+from repro.campaign import ResultStore, ScenarioSpec, run_campaign
 from repro.campaign.index import INDEX_FILENAME, StoreIndex
 from repro.campaign.spec import AttackSpec
 from repro.obs import MetricsRegistry, StepRecord, TrainingHistory, use_registry
+from repro.obs.history import DeferredHistory
+from repro.runtime import run
 
 
 def tiny_spec(**overrides) -> ScenarioSpec:
@@ -113,6 +117,136 @@ class TestIndexBackedReads:
         results = list(store.load_all())
         assert all(r.history_loaded for r in results)
         assert store.payload_reads == 2
+
+
+# --------------------------------------------------------------------------- #
+# Lazy histories: a cached result costs a stat until its history is read
+# --------------------------------------------------------------------------- #
+def filled_store(root, count: int):
+    """``count`` stored specs, then a fresh handle over them."""
+    writer = ResultStore(root)
+    specs = [tiny_spec(name=f"s{seed}", seed=seed) for seed in range(count)]
+    for spec in specs:
+        writer.put(spec, tiny_history(accuracy=spec.seed / 1000.0))
+    return specs, ResultStore(root)
+
+
+class TestDeferredHistories:
+    def test_resuming_200_cached_specs_opens_no_payload(self, tmp_path):
+        specs, store = filled_store(tmp_path / "store", 200)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            result = run_campaign(
+                [spec.replace(name=f"resume-{spec.name}") for spec in specs],
+                name="resume", store=store)
+        assert result.counts() == {"ran": 0, "cached": 200, "failed": 0}
+        assert store.payload_reads == 0
+        assert registry.counter("repro_store_ops_total").value(op="get") == 0
+
+    def test_deferred_histories_equal_get_through_every_round_trip(
+            self, tmp_path):
+        specs, store = filled_store(tmp_path / "store", 3)
+        result = run_campaign([spec.replace(name=f"r-{spec.name}")
+                               for spec in specs], store=store)
+        for outcome in result.outcomes:
+            eager = store.get(outcome.store_key).history
+            eager.label = outcome.spec.name
+            deferred = outcome.history
+            assert isinstance(deferred, DeferredHistory)
+            assert not deferred.loaded
+            for twin in (copy.deepcopy(deferred),
+                         pickle.loads(pickle.dumps(deferred))):
+                assert type(twin) is TrainingHistory
+                assert twin == eager and eager == twin
+                assert twin.to_dict() == eager.to_dict()
+            assert deferred.to_dict() == eager.to_dict()
+            assert deferred == eager and eager == deferred
+
+    def test_relabel_does_not_load(self, tmp_path):
+        specs, store = filled_store(tmp_path / "store", 1)
+        history = store.cached(specs[0].spec_hash(), "first")
+        history.label = "second"
+        assert history.label == "second"
+        assert not history.loaded and store.payload_reads == 0
+        assert history.final_accuracy() == 0.0
+        assert history.loaded and history.label == "second"
+        assert store.payload_reads == 1
+
+    def test_first_load_is_accounted_as_a_get(self, tmp_path):
+        specs, store = filled_store(tmp_path / "store", 1)
+        registry = MetricsRegistry()
+        history = store.cached(specs[0].spec_hash(), "x")
+        with use_registry(registry):
+            assert len(history.records) == 1
+            history.records, history.config  # loaded once, on first touch
+        assert store.payload_reads == 1
+        assert registry.counter("repro_store_ops_total").value(op="get") == 1
+
+    def test_run_hit_opens_no_payload(self, tmp_path):
+        specs, store = filled_store(tmp_path / "store", 1)
+        result = run(specs[0].replace(name="caller"), store=store)
+        assert result.status == "cached"
+        assert result.history.label == "caller"
+        assert store.payload_reads == 0
+        assert result.history.records == tiny_history(0.0).records
+        assert store.payload_reads == 1
+
+
+class TestBrokenCachedEntries:
+    """A broken entry is still resolved (its file exists); the first
+    history access, and ``get``, raise a ``ValueError`` naming key and
+    path, and the rest of the campaign is unaffected."""
+
+    def resume(self, store, specs):
+        result = run_campaign([spec.replace(name=f"r-{spec.name}")
+                               for spec in specs], store=store)
+        assert result.counts() == {"ran": 0, "cached": len(specs),
+                                   "failed": 0}
+        return result.outcomes
+
+    def assert_names_the_entry(self, excinfo, store, key) -> None:
+        message = str(excinfo.value)
+        assert key in message and str(store.path_for(key)) in message
+        assert "repro store fsck" in message and "gc" in message
+
+    def test_truncated_entry(self, tmp_path):
+        specs, store = filled_store(tmp_path / "store", 3)
+        key = specs[1].spec_hash()
+        path = store.path_for(key)
+        path.write_bytes(path.read_bytes()[:27])
+        broken, intact = self.resume(store, specs)[1:]
+        assert intact.history.final_accuracy() == pytest.approx(0.002)
+        with pytest.raises(ValueError) as excinfo:
+            broken.history.records
+        self.assert_names_the_entry(excinfo, store, key)
+        with pytest.raises(ValueError) as excinfo:
+            store.get(key)
+        self.assert_names_the_entry(excinfo, store, key)
+
+    def test_entry_deleted_after_resolution(self, tmp_path):
+        specs, store = filled_store(tmp_path / "store", 2)
+        outcomes = self.resume(store, specs)
+        key = specs[0].spec_hash()
+        store.path_for(key).unlink()
+        with pytest.raises(ValueError) as excinfo:
+            outcomes[0].history.to_dict()
+        self.assert_names_the_entry(excinfo, store, key)
+        with pytest.raises(KeyError):
+            store.get(key)  # no file: get's contract is unchanged
+        assert len(outcomes[1].history) == 1
+
+    def test_entry_holding_a_foreign_key(self, tmp_path):
+        specs, store = filled_store(tmp_path / "store", 2)
+        key, other = (spec.spec_hash() for spec in specs)
+        store.path_for(key).write_bytes(store.path_for(other).read_bytes())
+        outcomes = self.resume(store, specs)
+        with pytest.raises(ValueError, match=f"holds key '{other}'") \
+                as excinfo:
+            outcomes[0].history.records
+        self.assert_names_the_entry(excinfo, store, key)
+        with pytest.raises(ValueError, match=f"holds key '{other}'"):
+            store.get(key)
+        assert store.get(other).key == other
 
 
 # --------------------------------------------------------------------------- #

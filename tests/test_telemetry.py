@@ -388,7 +388,9 @@ class TestInstrumentation:
         registry = MetricsRegistry()
         with use_registry(registry):
             run_campaign(scenarios, name="first", store=store)
-            run_campaign(scenarios, name="second", store=store)
+            second = run_campaign(scenarios, name="second", store=store)
+            for outcome in second.outcomes:
+                outcome.history.records  # a cached history loads on touch
         counter = registry.counter("repro_campaign_scenarios_total")
         assert counter.value(status="ran") == 2.0
         assert counter.value(status="cached") == 2.0
