@@ -307,6 +307,11 @@ class BatchedGuanYuTrainer:
                     f"replicas ({sorted(lane_batch_sizes)}); falling back "
                     f"to sequential execution")
 
+        # each lane's shards are row views of one block (partition_dataset)
+        self._blocks = [lane.loaders[0].dataset.block for lane in self.lanes]
+        self._starts = np.array([[loader.dataset.start
+                                  for loader in lane.loaders]
+                                 for lane in self.lanes])
         self.dense_stack = BatchedDenseStack(template)
         self.num_parameters = template.num_parameters()
         self.billed_parameters = (base.billed_parameters
@@ -551,78 +556,103 @@ class BatchedGuanYuTrainer:
         return [indices[start:start + size]
                 for start in range(0, len(indices), size)]
 
-    def _draw_batches(self, w_index: int, theta: np.ndarray, step_index: int
-                      ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """Worker ``w_index``'s next mini-batch in every lane (per-lane
-        feature and label rows), any data-poisoning hook run at ``theta``
-        ``(R, D)`` — the parameters the gradient is computed at, exactly
-        like :meth:`WorkerNode.compute_gradient`."""
+    def _draw_fold(self, workers: List[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """The next mini-batch of each of ``workers`` (one batch size) in
+        every lane: ``(J, R, B, …)`` features and ``(J, R, B)`` labels.
+
+        Each (worker, lane) index row is the next row of that loader's own
+        stream, offset by the shard's start in its lane's block; each
+        lane's rows are then one gather from the block.
+        """
+        loader = self.lanes[0].loaders[workers[0]]
+        shape = (len(workers), self.num_replicas, loader.batch_size)
+        rows = np.concatenate([
+            lane.loaders[w].next_indices()
+            for lane in self.lanes for w in workers]).reshape(
+                self.num_replicas, len(workers), -1) \
+            + self._starts[:, workers, None]
+        features = np.empty(shape + loader.dataset.feature_shape)
+        labels = np.empty(shape, dtype=np.int64)
+        for r, block in enumerate(self._blocks):
+            features[:, r] = block.features.take(rows[r], axis=0)
+            labels[:, r] = block.labels.take(rows[r], axis=0)
+        return features, labels
+
+    def _poison(self, w_index: int, theta: np.ndarray, step_index: int,
+                features: np.ndarray, labels: np.ndarray) -> None:
+        """Run worker ``w_index``'s data-poisoning hook lane by lane on its
+        ``(R, B, …)`` batch, in place, at ``theta`` ``(R, D)`` — the
+        parameters the gradient is computed at, exactly like
+        :meth:`WorkerNode.compute_gradient`."""
         worker_id = self.worker_ids[w_index]
-        features_rows, labels_rows = [], []
         for r, lane in enumerate(self.lanes):
-            features, labels = lane.loaders[w_index].next_batch()
-            features, labels = poison_worker_batch(
-                lane.worker_attacks[worker_id],
-                lane.worker_rngs[w_index], theta[r], step_index,
-                features, labels)
-            features_rows.append(features)
-            labels_rows.append(np.asarray(labels, dtype=np.int64))
-        return features_rows, labels_rows
+            attack = lane.worker_attacks[worker_id]
+            if attack is not None:
+                features[r], labels[r] = poison_worker_batch(
+                    attack, lane.worker_rngs[w_index], theta[r], step_index,
+                    features[r], labels[r])
 
     def _worker_gradients(self, workers: List[int], models: np.ndarray,
                           step_index: int) -> List[tuple]:
         """``(losses (R,), gradients (R, D), samples)`` of each of
         ``workers`` at its aggregated model ``models[j]`` ``(R, D)``.
 
-        Mini-batches are drawn node by node, lane by lane — the order the
-        sequential trainer drives loaders, attack generators and adversary
-        hooks in.  Workers taking one local step on equal batch shapes then
-        share one forward/backward over the folded ``J·R`` axis; a worker
-        with ``local_steps > 1`` replays WorkerNode's local-SGD walk op for
-        op (k steps from the aggregated model, mean gradient) on its own.
+        Workers taking one local step fold by batch size: their mini-batches
+        are gathered per fold (:meth:`_draw_fold`) and share one
+        forward/backward over the folded ``J·R`` axis.  Poisoning hooks and
+        the local walks of workers with ``local_steps > 1`` (k steps from
+        the aggregated model, mean gradient — WorkerNode's op for op) then
+        run node by node, lane by lane — the order the sequential trainer
+        drives attack generators and adversary hooks in.
         """
         replicas = self.num_replicas
         results: List[tuple] = [None] * len(workers)
-        folded: Dict[tuple, Tuple[list, list, list]] = {}
+        folds: Dict[int, List[int]] = {}
         for j, w_index in enumerate(workers):
-            local_steps = self.profiles[w_index].local_steps
-            if local_steps == 1:
-                features, labels = self._draw_batches(w_index, models[j],
-                                                      step_index)
-                members = folded.setdefault(features[0].shape, ([], [], []))
-                members[0].append(j)
-                members[1].extend(features)
-                members[2].extend(labels)
+            if self.profiles[w_index].local_steps == 1:
+                batch_size = self.lanes[0].loaders[w_index].batch_size
+                folds.setdefault(batch_size, []).append(j)
+        stacks = [self._draw_fold([workers[j] for j in rows])
+                  for rows in folds.values()]
+        batches = {j: (features[p], labels[p])
+                   for rows, (features, labels) in zip(folds.values(), stacks)
+                   for p, j in enumerate(rows)}
+        for j, w_index in enumerate(workers):
+            if j in batches:
+                self._poison(w_index, models[j], step_index, *batches[j])
                 continue
+            local_steps = self.profiles[w_index].local_steps
             eta = self.schedule(step_index)
             theta = models[j]
             gradient_sum = np.zeros_like(theta)
             lane_losses: List[List[float]] = [[] for _ in range(replicas)]
             total_samples = 0
             for _ in range(local_steps):
-                features, labels = self._draw_batches(w_index, theta,
-                                                      step_index)
+                features, labels = (part[0] for part in
+                                    self._draw_fold([w_index]))
+                self._poison(w_index, theta, step_index, features, labels)
                 losses, gradients = self.dense_stack.forward_backward(
-                    theta, np.stack(features), np.stack(labels))
+                    theta, features, labels)
                 gradient_sum += gradients
                 for r in range(replicas):
                     lane_losses[r].append(float(losses[r]))
-                total_samples += labels[0].shape[0]
+                total_samples += labels.shape[1]
                 theta = theta - eta * gradients
             results[j] = (
                 np.array([float(np.mean(entry)) for entry in lane_losses]),
                 gradient_sum / local_steps, total_samples)
-        for rows, features, labels in folded.values():
-            # one batch shape across the fold (the usual case): no copy
+        for rows, (features, labels) in zip(folds.values(), stacks):
+            # one batch size across the fold (the usual case): no copy
             theta = models if len(rows) == len(workers) else models[rows]
             losses, gradients = self.dense_stack.forward_backward(
                 theta.reshape(-1, self.num_parameters),
-                np.stack(features), np.stack(labels))
+                features.reshape((-1,) + features.shape[2:]),
+                labels.reshape(-1, labels.shape[2]))
             for j, worker_losses, worker_gradients in zip(
                     rows, losses.reshape(len(rows), replicas),
                     gradients.reshape(len(rows), replicas, -1)):
                 results[j] = (worker_losses, worker_gradients,
-                              labels[0].shape[0])
+                              labels.shape[2])
         return results
 
     def _corrupt_models(self, server_index: int, step: int,

@@ -203,8 +203,8 @@ class ClusterWiring:
         """Per-worker datasets — a pure function of ``(seed, n̄, hetero)``.
 
         Partitioned once; the wiring then lets the full dataset go (the
-        shards are copies — D = 30,730 images would otherwise sit in every
-        long-lived consumer twice).
+        shards are row views of one block gathered from it, and 30,730
+        images would otherwise sit in every long-lived consumer twice).
         """
         train_dataset, sharding, hetero = self._partition_arguments
         del self._partition_arguments

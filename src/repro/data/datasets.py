@@ -61,6 +61,18 @@ class Dataset:
             name=name or f"{self.name}[subset]",
         )
 
+    #: the dataset a :meth:`rows` view slices (``None``: it owns its rows)
+    #: and the view's first row there
+    block: Optional["Dataset"] = None
+    start = 0
+
+    def rows(self, start: int, stop: int, name: str) -> "Dataset":
+        """Rows ``[start, stop)`` as a view sharing this dataset's arrays."""
+        view = Dataset(self.features[start:stop], self.labels[start:stop],
+                       num_classes=self.num_classes, name=name)
+        view.block, view.start = self, start
+        return view
+
     def split(self, train_fraction: float, seed: int = 0) -> Tuple["Dataset", "Dataset"]:
         """Shuffle and split into train/test datasets."""
         if not 0.0 < train_fraction < 1.0:

@@ -11,7 +11,7 @@ reproducible mini-batches from a shard.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,27 +24,23 @@ BLOCK_BATCHES = 16
 
 
 class DataLoader:
-    """Draws mini-batches from a dataset.
+    """Draws i.i.d. mini-batches from a dataset.
 
-    Two modes are supported:
-
-    * ``sample_with_replacement=True`` (default) — every call to
-      :meth:`next_batch` serves a fresh i.i.d. mini-batch, matching the
-      stochastic-gradient model of the convergence analysis (the indices
-      are drawn :data:`BLOCK_BATCHES` batches at a time);
-    * ``sample_with_replacement=False`` — classic epoch-based iteration with
-      shuffling, available through :meth:`__iter__`.
+    Every call to :meth:`next_batch` serves a fresh with-replacement
+    mini-batch, matching the stochastic-gradient model of the convergence
+    analysis; its indices are the next row of one ``integers`` stream,
+    drawn :data:`BLOCK_BATCHES` batches at a time.  :meth:`next_indices`
+    serves that row alone, for a caller that gathers several loaders'
+    batches at once.
     """
 
-    def __init__(self, dataset: Dataset, batch_size: int, seed: int = 0,
-                 sample_with_replacement: bool = True) -> None:
+    def __init__(self, dataset: Dataset, batch_size: int, seed: int = 0) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if len(dataset) == 0:
             raise ValueError("dataset is empty")
         self.dataset = dataset
         self.batch_size = min(batch_size, len(dataset))
-        self.sample_with_replacement = sample_with_replacement
         self._rng = np.random.default_rng(seed)
         # hot path: next_batch runs once per worker per step, so the shard
         # size is cached rather than re-derived through the dataset
@@ -52,32 +48,36 @@ class DataLoader:
         self._block = np.empty((0, self.batch_size), dtype=np.int64)
         self._served = 0
 
+    def next_indices(self) -> np.ndarray:
+        """The next mini-batch's row indices into :attr:`dataset`."""
+        if self._served == len(self._block):
+            self._block = self._rng.integers(
+                0, self._num_samples, size=(BLOCK_BATCHES, self.batch_size))
+            self._served = 0
+        self._served += 1
+        return self._block[self._served - 1]
+
     def next_batch(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return one mini-batch ``(features, labels)``."""
-        if self.sample_with_replacement:
-            if self._served == len(self._block):
-                self._block = self._rng.integers(
-                    0, self._num_samples,
-                    size=(BLOCK_BATCHES, self.batch_size))
-                self._served = 0
-            indices = self._block[self._served]
-            self._served += 1
-        else:
-            indices = self._rng.choice(self._num_samples,
-                                       size=self.batch_size, replace=False)
+        indices = self.next_indices()
         return self.dataset.features[indices], self.dataset.labels[indices]
 
-    def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Iterate once over the dataset in shuffled mini-batches (from the
-        generator :meth:`next_batch` draws whole index blocks from)."""
-        order = self._rng.permutation(len(self.dataset))
-        for start in range(0, len(order), self.batch_size):
-            indices = order[start: start + self.batch_size]
-            yield self.dataset.features[indices], self.dataset.labels[indices]
 
-    def __len__(self) -> int:
-        """Number of mini-batches per epoch."""
-        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
+def block_shards(dataset: Dataset, pieces: Sequence[np.ndarray],
+                 label: str) -> List[Dataset]:
+    """Per-worker datasets holding ``dataset``'s rows ``pieces[k]``.
+
+    Every worker's rows are gathered, in worker order, by one fancy index
+    into one contiguous block, and worker ``k``'s shard is a
+    :meth:`~Dataset.rows` view of it — the memory the per-shard copies
+    would take, in one place a batched reader can gather from.
+    """
+    block = dataset.subset(np.concatenate(pieces),
+                           name=f"{dataset.name}[{label}s]")
+    stops = np.cumsum([len(piece) for piece in pieces])
+    return [block.rows(stop - len(piece), stop,
+                       name=f"{dataset.name}[{label}{index}]")
+            for index, (piece, stop) in enumerate(zip(pieces, stops))]
 
 
 def partition_dataset(dataset: Dataset, num_workers: int,
@@ -94,7 +94,8 @@ def partition_dataset(dataset: Dataset, num_workers: int,
     ``"by_class"`` — pathological non-i.i.d. split where shard ``k``
     receives classes ``k mod num_classes`` first (used by ablations).
     A hetero spec cannot be combined with a non-default legacy strategy:
-    both would claim the partition.
+    both would claim the partition.  Every shard is a row view of one block
+    (:func:`block_shards`; replicated shards all view the whole dataset).
     """
     if hetero is not None and hetero:
         if sharding != "iid":
@@ -107,7 +108,8 @@ def partition_dataset(dataset: Dataset, num_workers: int,
     if num_workers <= 0:
         raise ValueError("num_workers must be positive")
     if sharding == "replicated":
-        return [dataset for _ in range(num_workers)]
+        return [dataset.rows(0, len(dataset), name=dataset.name)
+                for _ in range(num_workers)]
 
     rng = np.random.default_rng(seed)
     if sharding == "iid":
@@ -117,13 +119,10 @@ def partition_dataset(dataset: Dataset, num_workers: int,
     else:
         raise ValueError(f"unknown sharding strategy '{sharding}'")
 
-    shards = []
     pieces = np.array_split(order, num_workers)
-    for index, piece in enumerate(pieces):
-        if piece.size == 0:
-            raise ValueError(
-                f"dataset of size {len(dataset)} cannot be split into {num_workers} "
-                "non-empty shards"
-            )
-        shards.append(dataset.subset(piece, name=f"{dataset.name}[shard{index}]"))
-    return shards
+    if pieces[-1].size == 0:
+        raise ValueError(
+            f"dataset of size {len(dataset)} cannot be split into {num_workers} "
+            "non-empty shards"
+        )
+    return block_shards(dataset, pieces, "shard")

@@ -25,7 +25,8 @@ Schemes
 
 On top of any scheme, ``feature_drift`` adds one per-worker offset tensor
 (drawn from the worker's own seeded stream) to that worker's features —
-covariate shift on top of label skew.
+covariate shift on top of label skew — in place on the worker's rows of
+the partition's one block.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import List
 import numpy as np
 
 from repro.data.datasets import Dataset
+from repro.data.loader import block_shards
 from repro.hetero.spec import HeteroSpec
 
 #: stream-separation constants so the partition, drift and any future
@@ -231,15 +233,11 @@ def hetero_partition(dataset: Dataset, num_workers: int, hetero: HeteroSpec,
         raise ValueError("num_workers must be positive")
     hetero.validate(num_workers)
     pieces = partition_indices(dataset.labels, num_workers, hetero, seed)
-    shards = [dataset.subset(piece, name=f"{dataset.name}[hetero{index}]")
-              for index, piece in enumerate(pieces)]
+    shards = block_shards(dataset, pieces, "hetero")
     if hetero.feature_drift > 0.0:
         for index, shard in enumerate(shards):
             drift_rng = np.random.default_rng([seed, _DRIFT_STREAM, index])
-            offset = drift_rng.normal(0.0, hetero.feature_drift,
-                                      size=shard.feature_shape)
-            shards[index] = Dataset(shard.features + offset[None, ...],
-                                    shard.labels,
-                                    num_classes=shard.num_classes,
-                                    name=shard.name)
+            # in place on the shard's rows of the block: no second copy
+            shard.features += drift_rng.normal(0.0, hetero.feature_drift,
+                                               size=shard.feature_shape)
     return shards

@@ -263,13 +263,13 @@ class ClusterNodeProcess(LiveNode):
         # A respawned worker replays its data stream: the dead incarnation
         # consumed one batch per local step for every step it participated
         # in, and the loader's shuffling is a pure function of its seed, so
-        # skipping the same number of batches restores the exact stream
+        # skipping the same number of index rows restores the exact stream
         # position.  (Workers carry no other per-step state — parameters
         # arrive fresh from the servers each round.)
         for step in range(self.resume_step):
             if self.node_id in self.wiring.participants(step)[0]:
                 for _ in range(self.node.local_steps):
-                    self.node.loader.next_batch()
+                    self.node.loader.next_indices()
 
     def _finish(self) -> None:
         self.control.send("done", connects=dict(self.endpoint.connects),

@@ -24,6 +24,7 @@ from repro.campaign.spec import (
     available_delay_models,
 )
 from repro.campaign.store import ResultStore
+from repro.data import DataLoader
 from repro.faults import FaultEvent, FaultSchedule
 from repro.network.delays import HeterogeneousDelay, PartitionDelay, UniformDelay
 from repro.runtime import resolve_runtime, run
@@ -130,6 +131,64 @@ class TestEquivalence:
                          num_attacking_workers=1,
                          faults=schedule.to_dict(), **_small())
             for seed in SEEDS])
+
+
+class TestMixedFolds:
+    """Folds that mix attackers, batch sizes, local walks and stalled
+    workers: every lane of a fold's one gather must still read its own
+    loader's stream."""
+
+    @staticmethod
+    def _seeds(replicas):
+        return SEEDS[:replicas]
+
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_label_flip_poisoner_across_two_batch_sizes(self, replicas):
+        hetero = {"profiles": [{"batch_size": 8}, {}, {}]}
+        assert_bit_identical([
+            ScenarioSpec(name=f"mp{seed}", seed=seed, hetero=hetero,
+                         worker_attack=AttackSpec("label_flip",
+                                                  {"num_classes": 4}),
+                         **_small()) for seed in self._seeds(replicas)])
+
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_local_walks_between_folded_workers(self, replicas):
+        hetero = {"partition": "dirichlet", "alpha": 0.5, "min_samples": 16,
+                  "profiles": [{}, {"local_steps": 3},
+                               {"local_steps": 2, "batch_size": 8}]}
+        assert_bit_identical([
+            ScenarioSpec(name=f"ml{seed}", seed=seed, hetero=hetero,
+                         worker_attack=AttackSpec("label_flip",
+                                                  {"num_classes": 4}),
+                         **_small()) for seed in self._seeds(replicas)])
+
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_crash_window_puts_index_streams_out_of_step(self, replicas):
+        schedule = FaultSchedule(events=[
+            FaultEvent(step=1, kind="crash", nodes=["worker/0", "worker/4"]),
+            FaultEvent(step=4, kind="recover", nodes=["worker/0"]),
+            FaultEvent(step=6, kind="recover", nodes=["worker/4"]),
+        ])
+        assert_bit_identical([
+            ScenarioSpec(name=f"mc{seed}", seed=seed,
+                         worker_attack="sign_flip",
+                         faults=schedule.to_dict(), **_small())
+            for seed in self._seeds(replicas)])
+
+    def test_one_step_workers_draw_no_per_lane_batches(self, monkeypatch):
+        # The fold gathers index rows; a silent return to the per-lane
+        # next_batch loop would pass every equivalence test above.
+        def refuse(loader):
+            raise AssertionError("next_batch on the batched fold path")
+
+        monkeypatch.setattr(DataLoader, "next_batch", refuse)
+        trainer = BatchedGuanYuTrainer([
+            ScenarioSpec(name=f"g{seed}", seed=seed,
+                         worker_attack=AttackSpec("label_flip",
+                                                  {"num_classes": 4}),
+                         **_small()) for seed in range(16)])
+        trainer.step(0)
+        trainer.step(1)
 
 
 class TestFailureParity:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.data import (
     DataLoader,
@@ -14,6 +15,8 @@ from repro.data import (
     partition_dataset,
 )
 from repro.data.loader import BLOCK_BATCHES
+from repro.hetero import HeteroSpec
+from repro.hetero.partition import _DRIFT_STREAM, partition_indices
 
 
 class TestDataset:
@@ -126,13 +129,6 @@ class TestDataLoader:
         b = DataLoader(data, batch_size=8, seed=3).next_batch()
         assert np.allclose(a[0], b[0])
 
-    def test_epoch_iteration_covers_dataset(self):
-        data = make_blobs_dataset(num_samples=23, seed=0)
-        loader = DataLoader(data, batch_size=5, seed=1)
-        seen = sum(len(labels) for _, labels in loader)
-        assert seen == 23
-        assert len(loader) == 5
-
     @pytest.mark.parametrize("batch_size", [1, 3, 16, 17])
     @pytest.mark.parametrize("shard_size", [1, 7, 66, 70_000])
     def test_block_draws_equal_per_batch_draws(self, shard_size, batch_size):
@@ -184,3 +180,121 @@ class TestSharding:
         data = make_blobs_dataset(num_samples=3, seed=0)
         with pytest.raises(ValueError):
             partition_dataset(data, 10)
+
+
+# --------------------------------------------------------------------------- #
+# Generated data-path oracle: block-slice shards vs per-shard copies
+# --------------------------------------------------------------------------- #
+def reference_partition(dataset, num_workers, sharding="iid", hetero=None,
+                        seed=0):
+    """The per-shard-copy partitioner: every shard its own fancy-indexed
+    copy, feature drift added into a second copy."""
+    if hetero:
+        hetero.validate(num_workers)
+        pieces = partition_indices(dataset.labels, num_workers, hetero, seed)
+        shards = [dataset.subset(piece, name=f"{dataset.name}[hetero{index}]")
+                  for index, piece in enumerate(pieces)]
+        if hetero.feature_drift > 0.0:
+            for index, shard in enumerate(shards):
+                drift = np.random.default_rng([seed, _DRIFT_STREAM, index])
+                offset = drift.normal(0.0, hetero.feature_drift,
+                                      size=shard.feature_shape)
+                shards[index] = Dataset(shard.features + offset[None, ...],
+                                        shard.labels,
+                                        num_classes=shard.num_classes,
+                                        name=shard.name)
+        return shards
+    if sharding == "replicated":
+        return [dataset] * num_workers
+    rng = np.random.default_rng(seed)
+    order = (rng.permutation(len(dataset)) if sharding == "iid"
+             else np.argsort(dataset.labels, kind="stable"))
+    pieces = np.array_split(order, num_workers)
+    if any(piece.size == 0 for piece in pieces):
+        raise ValueError("empty shard")
+    return [dataset.subset(piece, name=f"{dataset.name}[shard{index}]")
+            for index, piece in enumerate(pieces)]
+
+
+@st.composite
+def data_paths(draw):
+    """A dataset, a partition request and a loader configuration."""
+    num_classes = draw(st.integers(2, 5))
+    size = draw(st.integers(8, 120))
+    if draw(st.booleans()):
+        dataset = make_blobs_dataset(num_samples=size,
+                                     num_classes=num_classes,
+                                     num_features=draw(st.integers(1, 4)),
+                                     seed=draw(st.integers(0, 3)))
+    else:
+        dataset = SyntheticImageDataset(num_samples=size, image_size=2,
+                                        channels=2, num_classes=num_classes,
+                                        seed=draw(st.integers(0, 3)))
+    num_workers = draw(st.integers(1, 9))
+    sharding, hetero = "iid", None
+    if draw(st.booleans()):
+        sharding = draw(st.sampled_from(["iid", "replicated", "by_class"]))
+    else:
+        partition = draw(st.sampled_from(["iid", "dirichlet", "shards"]))
+        hetero = HeteroSpec(
+            partition=partition,
+            alpha=draw(st.sampled_from([0.1, 0.5, 5.0])),
+            shards_per_worker=draw(st.integers(1, 3)),
+            imbalance=(0.0 if partition == "shards"
+                       else draw(st.sampled_from([0.0, 0.7, 1.5]))),
+            min_samples=draw(st.integers(1, 6)),
+            feature_drift=draw(st.sampled_from([0.0, 0.3])))
+    batch_size = draw(st.integers(1, 40))
+    draws = draw(st.integers(1, 2 * BLOCK_BATCHES + 2))
+    return (dataset, num_workers, sharding, hetero, draw(st.integers(0, 9)),
+            batch_size, draws)
+
+
+class TestBlockShardOracle:
+    @settings(deadline=None)
+    @given(data_paths())
+    def test_block_shards_equal_per_shard_copies(self, path):
+        dataset, num_workers, sharding, hetero, seed, batch_size, draws = path
+        try:
+            expected = reference_partition(dataset, num_workers, sharding,
+                                           hetero, seed)
+        except ValueError:
+            with pytest.raises(ValueError):
+                partition_dataset(dataset, num_workers, sharding=sharding,
+                                  hetero=hetero, seed=seed)
+            return
+        shards = partition_dataset(dataset, num_workers, sharding=sharding,
+                                   hetero=hetero, seed=seed)
+        assert len(shards) == len(expected)
+        block = shards[0].block
+        for index, (shard, want) in enumerate(zip(shards, expected)):
+            # values, names and classes of the copies...
+            assert np.array_equal(shard.features, want.features)
+            assert np.array_equal(shard.labels, want.labels)
+            assert (shard.name, shard.num_classes) == (want.name,
+                                                       want.num_classes)
+            # ...from one slice of one block
+            assert shard.block is block
+            stop = shard.start + len(shard)
+            assert np.shares_memory(shard.features, block.features)
+            assert np.array_equal(block.features[shard.start:stop],
+                                  shard.features)
+            assert np.array_equal(block.labels[shard.start:stop],
+                                  shard.labels)
+            # the loader's batches equal the copy's, and its index rows
+            # gathered from the block at the shard's start are those batches
+            loader = DataLoader(shard, batch_size, seed=seed + index)
+            reference = DataLoader(want, batch_size, seed=seed + index)
+            gather = DataLoader(shard, batch_size, seed=seed + index)
+            for _ in range(draws):
+                features, labels = loader.next_batch()
+                want_features, want_labels = reference.next_batch()
+                rows = gather.next_indices() + shard.start
+                assert np.array_equal(features, want_features)
+                assert np.array_equal(labels, want_labels)
+                assert np.array_equal(block.features[rows], features)
+                assert np.array_equal(block.labels[rows], labels)
+        if sharding == "replicated" and not hetero:
+            assert all(shard.start == 0 and len(shard) == len(dataset)
+                       for shard in shards)
+            assert block is dataset
