@@ -8,10 +8,9 @@ against the adversary" observation, Multi-Krum's bounded deviation
 
 import numpy as np
 
+from repro.core import ClusterConfig
 from repro.theory import (
     estimate_contraction,
-    max_byzantine_servers,
-    max_byzantine_workers,
     multi_krum_deviation_ratio,
     optimal_asynchronous_breakdown,
 )
@@ -52,8 +51,8 @@ def test_breakdown_point_arithmetic():
     """Section 3.5: 1/3 optimal asynchronous breakdown, n >= 3f + 3."""
     values = {
         "breakdown": optimal_asynchronous_breakdown(),
-        "max_f_servers_6": max_byzantine_servers(6),
-        "max_f_workers_18": max_byzantine_workers(18),
+        "max_f_servers_6": ClusterConfig.max_admissible_byzantine(6),
+        "max_f_workers_18": ClusterConfig.max_admissible_byzantine(18),
     }
     print("\nBreakdown-point arithmetic:", values)
     assert values["breakdown"] == 1.0 / 3.0

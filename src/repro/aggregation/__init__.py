@@ -36,11 +36,7 @@ from repro.aggregation.decision import (
 )
 from repro.aggregation.geometric_median import GeometricMedian
 from repro.aggregation.registry import available_rules, get_rule, register_rule
-from repro.aggregation.resilience import (
-    byzantine_resilience_report,
-    krum_minimum_inputs,
-    median_breakdown_point,
-)
+from repro.aggregation.resilience import byzantine_resilience_report
 
 __all__ = [
     "GradientAggregationRule",
@@ -65,6 +61,4 @@ __all__ = [
     "register_rule",
     "available_rules",
     "byzantine_resilience_report",
-    "krum_minimum_inputs",
-    "median_breakdown_point",
 ]

@@ -1,13 +1,9 @@
 """Byzantine-resilience bookkeeping for aggregation rules.
 
-These helpers encode the arithmetic constraints of the paper:
-
-* Multi-Krum requires ``n ≥ 2f + 3`` inputs (Section 3.1);
-* the coordinate-wise median keeps every output coordinate within the range
-  of correct inputs whenever correct inputs form a strict majority, giving a
-  breakdown point of 1/2 in a synchronous setting;
-* network asynchrony halves the effective breakdown point to 1/3
-  (Section 3.5), which is where GuanYu's ``n ≥ 3f + 3`` comes from.
+:func:`byzantine_resilience_report` measures how far a rule's output strays
+from the correct inputs under attack.  The arithmetic constraints behind it
+(Multi-Krum's ``n ≥ 2f + 3``, the 1/3 asynchronous breakdown point of
+Section 3.5) live in :mod:`repro.core.config` and :mod:`repro.theory.bounds`.
 """
 
 from __future__ import annotations
@@ -16,37 +12,6 @@ from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
-
-
-def krum_minimum_inputs(num_byzantine: int) -> int:
-    """Smallest ``n`` for which (Multi-)Krum tolerates ``f`` Byzantine inputs."""
-    if num_byzantine < 0:
-        raise ValueError("num_byzantine must be non-negative")
-    return 2 * num_byzantine + 3
-
-
-def median_breakdown_point(num_inputs: int) -> float:
-    """Fraction of inputs the coordinate-wise median tolerates (synchronous).
-
-    The coordinate-wise median output stays within the correct inputs' range
-    as long as correct inputs are a strict majority, i.e. up to
-    ``ceil(n/2) - 1`` corrupted inputs.
-    """
-    if num_inputs <= 0:
-        raise ValueError("num_inputs must be positive")
-    tolerated = (num_inputs - 1) // 2
-    return tolerated / num_inputs
-
-
-def asynchronous_breakdown_point() -> float:
-    """Optimal Byzantine fraction in asynchronous networks (paper §3.5).
-
-    Synchronous robust aggregation breaks down at 1/2.  Asynchrony makes a
-    slow correct node indistinguishable from a silent Byzantine one, which
-    requires provisioning one extra correct node per Byzantine node, i.e.
-    ``(1/2) / (3/2) = 1/3``.
-    """
-    return 1.0 / 3.0
 
 
 @dataclass

@@ -261,11 +261,6 @@ class BatchedGuanYuTrainer:
         self.model_rule_name = base.model_rule
         self.cost_model = base.build_cost_model()
         self.delay_model = base.build_delay_model()
-        if not self.delay_model.latency_is_link_independent:
-            raise BatchingUnsupported(
-                f"delay model {type(self.delay_model).__name__} draws per "
-                f"link; the batched runtime draws a phase's latencies as one "
-                f"stream per lane")
 
         self.worker_ids = self.config.worker_ids()
         self.server_ids = self.config.server_ids()
@@ -472,8 +467,8 @@ class BatchedGuanYuTrainer:
         serialisation time.  The simulator draws one latency per delivered
         message, sender by sender and recipient by recipient, from one
         generator per lane; a server's message to itself and a blocked or
-        dropped message draw nothing.  Over a link-independent latency
-        those draws are one ``sample_batch`` request per lane (the
+        dropped message draw nothing.  Every latency is link-independent,
+        so those draws are one ``sample_batch`` request per lane (the
         ``latency_batch`` contract), scattered into the drawn slots; a
         delivered message then arrives at ``send_time + delay·factor +
         extra``, the simulator's ops in its order.  Without faults the
@@ -497,14 +492,12 @@ class BatchedGuanYuTrainer:
             draws = np.empty((self.num_replicas, int(drawn.sum())))
             for r, lane in enumerate(self.lanes):
                 draws[r] = self.delay_model.sample_batch(
-                    lane.delay_rng, None, None, self._message_bytes,
-                    draws.shape[1])
+                    lane.delay_rng, self._message_bytes, draws.shape[1])
             delays[:, drawn] = draws
         else:
             for r, lane in enumerate(self.lanes):
                 delays[r][drawn[r]] = self.delay_model.sample_batch(
-                    lane.delay_rng, None, None, self._message_bytes,
-                    int(drawn[r].sum()))
+                    lane.delay_rng, self._message_bytes, int(drawn[r].sum()))
         if links is not None:
             delays = delays * links.delay_factor[senders] \
                 + links.extra_delay[senders]

@@ -98,41 +98,6 @@ class AttackSpec:
     def from_dict(cls, payload: Dict[str, Any]) -> "AttackSpec":
         return cls(name=payload["name"], kwargs=dict(payload.get("kwargs", {})))
 
-    @classmethod
-    def from_attack(cls, attack: registry.Behaviour) -> "AttackSpec":
-        """Reconstruct a spec from a live attack instance.
-
-        Attack classes store their constructor arguments as same-named public
-        attributes, so the public scalar attributes round-trip through the
-        registry (private/derived state is dropped).  Raises ``ValueError``
-        for attacks that cannot be described declaratively — unregistered
-        classes, or instances carrying non-scalar public state.
-        """
-        if attack.name not in registry.available():
-            raise ValueError(
-                f"attack '{attack.name}' is not in the Byzantine registry; "
-                f"campaign specs can only describe registered attacks")
-
-        def public_scalars(obj) -> Dict[str, Any]:
-            return {key: value for key, value in vars(obj).items()
-                    if not key.startswith("_")
-                    and (value is None or isinstance(value, (bool, int, float, str)))}
-
-        dropped = {key for key in vars(attack)
-                   if not key.startswith("_") and key not in public_scalars(attack)}
-        if dropped:
-            raise ValueError(
-                f"attack '{attack.name}' carries non-scalar attributes "
-                f"{sorted(dropped)} that cannot round-trip through a spec")
-        kwargs = {key: value for key, value in public_scalars(attack).items()
-                  if value is not None}
-        spec = cls(name=attack.name, kwargs=kwargs)
-        if public_scalars(spec.build()) != public_scalars(attack):
-            raise ValueError(
-                f"attack '{attack.name}' does not round-trip through its "
-                f"constructor keyword arguments")
-        return spec
-
 
 def _coerce_attack(value: Union[None, str, Dict, AttackSpec]) -> Optional[AttackSpec]:
     if value is None or isinstance(value, AttackSpec):

@@ -68,14 +68,6 @@ class ClusterConfig:
         """Largest admissible ``q̄``: ``n̄ − f̄``."""
         return self.num_workers - self.num_byzantine_workers
 
-    @property
-    def num_correct_servers(self) -> int:
-        return self.num_servers - self.num_byzantine_servers
-
-    @property
-    def num_correct_workers(self) -> int:
-        return self.num_workers - self.num_byzantine_workers
-
     # ------------------------------------------------------------------ #
     # Node identifiers
     # ------------------------------------------------------------------ #
@@ -86,18 +78,6 @@ class ClusterConfig:
     def worker_ids(self) -> List[str]:
         """Identifiers of all workers (correct ones first)."""
         return [f"worker/{index}" for index in range(self.num_workers)]
-
-    def correct_server_ids(self) -> List[str]:
-        return self.server_ids()[: self.num_correct_servers]
-
-    def byzantine_server_ids(self) -> List[str]:
-        return self.server_ids()[self.num_correct_servers:]
-
-    def correct_worker_ids(self) -> List[str]:
-        return self.worker_ids()[: self.num_correct_workers]
-
-    def byzantine_worker_ids(self) -> List[str]:
-        return self.worker_ids()[self.num_correct_workers:]
 
     # ------------------------------------------------------------------ #
     # Validation
@@ -133,16 +113,12 @@ class ClusterConfig:
     # ------------------------------------------------------------------ #
     @staticmethod
     def max_admissible_byzantine(num_nodes: int) -> int:
-        """Largest ``f`` a pool of ``num_nodes`` admits (``n ≥ 3f + 3``)."""
-        return (num_nodes - 3) // 3
+        """Largest ``f`` a pool of ``num_nodes`` admits (``n ≥ 3f + 3``).
 
-    def byzantine_fraction_servers(self) -> float:
-        """Fraction of Byzantine parameter servers (must stay below 1/3)."""
-        return self.num_byzantine_servers / self.num_servers
-
-    def byzantine_fraction_workers(self) -> float:
-        """Fraction of Byzantine workers (must stay below 1/3)."""
-        return self.num_byzantine_workers / self.num_workers
+        A pool of fewer than three nodes admits none, and gets 0 rather than
+        a negative count, so validation names the real ``n ≥ 3f + 3`` rule.
+        """
+        return max((num_nodes - 3) // 3, 0)
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view used by experiment records."""
@@ -154,14 +130,3 @@ class ClusterConfig:
             "model_quorum": self.model_quorum,
             "gradient_quorum": self.gradient_quorum,
         }
-
-    @classmethod
-    def paper_deployment(cls, num_byzantine_workers: int = 5,
-                         num_byzantine_servers: int = 1) -> "ClusterConfig":
-        """The deployment of Section 5.1: 18 workers and 6 parameter servers."""
-        return cls(
-            num_servers=6,
-            num_workers=18,
-            num_byzantine_servers=num_byzantine_servers,
-            num_byzantine_workers=num_byzantine_workers,
-        )

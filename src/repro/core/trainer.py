@@ -2,7 +2,7 @@
 
 Three trainers are provided, all sharing the same constructor vocabulary
 (model factory, dataset, batch size, learning-rate schedule, delay and cost
-models, seeds) and the same output (:class:`repro.metrics.TrainingHistory`):
+models, seeds) and the same output (:class:`repro.obs.history.TrainingHistory`):
 
 * :class:`GuanYuTrainer` — the full three-phase protocol of Section 3.3 with
   ``n`` replicated, possibly Byzantine parameter servers and ``n̄`` possibly
@@ -275,18 +275,6 @@ class GuanYuTrainer(DistributedTrainer):
     @property
     def correct_servers(self) -> List[ServerNode]:
         return [server for server in self.servers if not server.is_byzantine]
-
-    @property
-    def byzantine_servers(self) -> List[ServerNode]:
-        return [server for server in self.servers if server.is_byzantine]
-
-    @property
-    def correct_workers(self) -> List[WorkerNode]:
-        return [worker for worker in self.workers if not worker.is_byzantine]
-
-    @property
-    def byzantine_workers(self) -> List[WorkerNode]:
-        return [worker for worker in self.workers if worker.is_byzantine]
 
     def global_parameters(self) -> np.ndarray:
         """Coordinate-wise median of the correct servers' models (paper Eq. 1)."""

@@ -85,10 +85,6 @@ class Dataset:
             self.subset(order[cut:], name=f"{self.name}[test]"),
         )
 
-    def class_counts(self) -> np.ndarray:
-        """Number of samples per class."""
-        return np.bincount(self.labels, minlength=self.num_classes)
-
 
 # --------------------------------------------------------------------------- #
 # CIFAR-10 substitute
@@ -154,31 +150,6 @@ class SyntheticImageDataset(Dataset):
         return prototypes
 
 
-class SyntheticMNIST(Dataset):
-    """A small grayscale digit-like dataset (28x28x1, 10 classes).
-
-    Digits are approximated by class-specific blob arrangements; the dataset
-    exists to exercise single-channel convolution paths.
-    """
-
-    def __init__(self, num_samples: int = 1000, num_classes: int = 10,
-                 noise: float = 0.25, seed: int = 0) -> None:
-        rng = np.random.default_rng(seed)
-        size = 28
-        prototypes = np.zeros((num_classes, 1, size, size))
-        ys, xs = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-        for cls in range(num_classes):
-            centers = rng.uniform(4, size - 4, size=(3, 2))
-            widths = rng.uniform(2.0, 5.0, size=3)
-            image = np.zeros((size, size))
-            for (cy, cx), width in zip(centers, widths):
-                image += np.exp(-((ys - cy) ** 2 + (xs - cx) ** 2) / (2 * width ** 2))
-            prototypes[cls, 0] = image / image.max()
-        labels = rng.integers(0, num_classes, size=num_samples)
-        images = prototypes[labels] + rng.normal(0.0, noise, size=(num_samples, 1, size, size))
-        super().__init__(images, labels, num_classes=num_classes, name="synthetic-mnist")
-
-
 # --------------------------------------------------------------------------- #
 # Small vector datasets
 # --------------------------------------------------------------------------- #
@@ -192,37 +163,3 @@ def make_blobs_dataset(num_samples: int = 600, num_classes: int = 3,
     features = centers[labels] + rng.normal(0.0, cluster_std,
                                             size=(num_samples, num_features))
     return Dataset(features, labels, num_classes=num_classes, name="blobs")
-
-
-def make_spirals_dataset(num_samples: int = 600, num_classes: int = 3,
-                         noise: float = 0.15, seed: int = 0) -> Dataset:
-    """Interleaved spirals — a non-linearly separable 2-D task."""
-    rng = np.random.default_rng(seed)
-    samples_per_class = num_samples // num_classes
-    features = []
-    labels = []
-    for cls in range(num_classes):
-        radius = np.linspace(0.1, 1.0, samples_per_class)
-        angle = (np.linspace(cls * 2 * np.pi / num_classes,
-                             cls * 2 * np.pi / num_classes + 2 * np.pi,
-                             samples_per_class)
-                 + rng.normal(0.0, noise, samples_per_class))
-        features.append(np.stack([radius * np.sin(angle), radius * np.cos(angle)], axis=1))
-        labels.append(np.full(samples_per_class, cls))
-    return Dataset(np.concatenate(features), np.concatenate(labels),
-                   num_classes=num_classes, name="spirals")
-
-
-def make_moons_dataset(num_samples: int = 600, noise: float = 0.1,
-                       seed: int = 0) -> Dataset:
-    """Two interleaving half-moons (binary classification)."""
-    rng = np.random.default_rng(seed)
-    half = num_samples // 2
-    outer_angle = rng.uniform(0, np.pi, half)
-    inner_angle = rng.uniform(0, np.pi, num_samples - half)
-    outer = np.stack([np.cos(outer_angle), np.sin(outer_angle)], axis=1)
-    inner = np.stack([1.0 - np.cos(inner_angle), 0.5 - np.sin(inner_angle)], axis=1)
-    features = np.concatenate([outer, inner]) + rng.normal(0.0, noise, (num_samples, 2))
-    labels = np.concatenate([np.zeros(half, dtype=np.int64),
-                             np.ones(num_samples - half, dtype=np.int64)])
-    return Dataset(features, labels, num_classes=2, name="moons")

@@ -60,7 +60,7 @@ from repro.experiments.resilience import (
     schedule_for_crashes,
 )
 from repro.experiments.heterogeneity import run_heterogeneity_study
-from repro.metrics import TrainingHistory
+from repro.obs.history import TrainingHistory
 
 #: what every runner returns: the table's rows and the runs behind them
 Result = Tuple[List[Dict[str, object]], Dict[str, TrainingHistory]]

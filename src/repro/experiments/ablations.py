@@ -24,7 +24,8 @@ from repro.campaign.store import ResultStore
 from repro.core import ClusterConfig
 from repro.experiments.common import workload_attack_kwargs
 from repro.experiments.figure3 import accuracy_summary
-from repro.metrics import TrainingHistory, throughput_updates_per_second
+from repro.metrics import throughput_updates_per_second
+from repro.obs.history import TrainingHistory
 
 Result = Tuple[List[Dict], Dict[str, TrainingHistory]]
 

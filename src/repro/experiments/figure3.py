@@ -23,12 +23,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.campaign.engine import run_campaign
 from repro.campaign.spec import ScenarioSpec
 from repro.campaign.store import ResultStore
-from repro.metrics import (
-    TrainingHistory,
-    throughput_updates_per_second,
-    time_to_accuracy,
-)
+from repro.metrics import throughput_updates_per_second, time_to_accuracy
 from repro.metrics.throughput import steps_to_accuracy
+from repro.obs.history import TrainingHistory
 
 #: the five systems of Figure 3, in the paper's legend order
 FIGURE3_SYSTEMS = (

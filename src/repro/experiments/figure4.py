@@ -17,7 +17,7 @@ from repro.campaign.engine import run_campaign
 from repro.campaign.spec import ScenarioSpec
 from repro.campaign.store import ResultStore
 from repro.experiments.figure3 import accuracy_summary
-from repro.metrics import TrainingHistory
+from repro.obs.history import TrainingHistory
 
 
 def run_figure4(base: Optional[ScenarioSpec] = None,

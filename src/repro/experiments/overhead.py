@@ -21,7 +21,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.campaign.spec import ScenarioSpec
 from repro.campaign.store import ResultStore
 from repro.experiments.figure3 import BATCH_SIZES, reference_accuracy, run_figure3
-from repro.metrics import TrainingHistory, overhead_percent, time_to_accuracy
+from repro.metrics import overhead_percent, time_to_accuracy
+from repro.obs.history import TrainingHistory
 
 #: the Figure 3 systems the two ratios compare
 OVERHEAD_SYSTEMS = ("vanilla_tf", "guanyu_vanilla", "guanyu_f_workers_s1")

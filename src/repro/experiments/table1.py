@@ -6,8 +6,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.campaign.spec import ScenarioSpec
 from repro.campaign.store import ResultStore
-from repro.metrics import TrainingHistory
 from repro.nn.models import PaperCNN
+from repro.obs.history import TrainingHistory
 
 #: the paper's stated parameter count ("roughly 1.75 million")
 PAPER_TOTAL_PARAMETERS = 1_750_000

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.campaign.spec import ScenarioSpec
 from repro.campaign.store import ResultStore
-from repro.metrics import TrainingHistory
+from repro.obs.history import TrainingHistory
 from repro.runtime.facade import build_trainer
 from repro.theory import AlignmentProbe
 

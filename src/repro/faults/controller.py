@@ -277,16 +277,6 @@ class FaultController:
         """Whether an active partition separates ``sender`` and ``recipient``."""
         return self._at(step).blocks(sender, recipient)
 
-    def link_effects(self, sender: str, recipient: str,
-                     step: int) -> Tuple[float, float, float]:
-        """``(delay_factor, extra_delay, drop_rate)`` for one link at a step.
-
-        Factors multiply, extra delays add, drop rates combine as
-        independent losses on top of the schedule's base ``drop_rate``.
-        """
-        return self._at(step).effects(sender, recipient,
-                                      self.schedule.drop_rate)
-
     def on_step(self, step: int) -> List[FaultEvent]:
         """Advance the fault log to ``step``; returns the events firing there.
 

@@ -1,4 +1,4 @@
-"""Model quality metrics (top-1 accuracy and loss on a held-out set)."""
+"""Model quality metrics (top-1 accuracy on a held-out set)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from typing import Optional
 import numpy as np
 
 from repro.data.datasets import Dataset
-from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.tensor import Tensor, no_grad
 
@@ -52,25 +51,3 @@ def plan_accuracy(plan, parameters: np.ndarray, dataset: Dataset,
     return _chunked_accuracy(
         lambda features: plan.forward_logits(flat, features[None])[0],
         dataset, batch_size, max_samples)
-
-
-def evaluate_loss(model: Module, dataset: Dataset, batch_size: int = 256,
-                  max_samples: Optional[int] = None) -> float:
-    """Mean cross-entropy loss of ``model`` on ``dataset``."""
-    model.eval()
-    criterion = CrossEntropyLoss()
-    losses = []
-    weights = []
-    limit = len(dataset) if max_samples is None else min(max_samples, len(dataset))
-    with no_grad():
-        for start in range(0, limit, batch_size):
-            stop = min(start + batch_size, limit)
-            features = dataset.features[start:stop]
-            labels = dataset.labels[start:stop]
-            logits = model(Tensor(features))
-            losses.append(float(criterion(logits, labels).item()))
-            weights.append(stop - start)
-    model.train()
-    if not losses:
-        return float("nan")
-    return float(np.average(losses, weights=weights))

@@ -1,21 +1,15 @@
 """Throughput and time-to-accuracy metrics (the paper's Section 5.2).
 
-All rates here are computed over **simulated** time carried by the
-histories, or — for real wall-clock measurements — over the monotonic
-clocks used by :mod:`repro.obs` and the perf ledger
-(``time.monotonic``/``time.perf_counter``).  ``time.time()`` is never used
-for durations anywhere in the metrics layer: wall-clock jumps (NTP steps,
-manual adjustment) would corrupt rates.
+All rates here are computed over the **simulated** time carried by the
+histories; real wall-clock durations come from the monotonic clocks of
+:mod:`repro.obs` and the perf ledger.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Optional, Tuple, TypeVar
+from typing import Optional
 
 from repro.obs.history import TrainingHistory
-
-T = TypeVar("T")
 
 
 def throughput_updates_per_second(history: TrainingHistory) -> float:
@@ -58,15 +52,3 @@ def overhead_percent(baseline_time: float, system_time: float) -> float:
     if baseline_time <= 0:
         return float("nan")
     return 100.0 * (system_time - baseline_time) / baseline_time
-
-
-def measure_wall_clock(fn: Callable[[], T]) -> Tuple[T, float]:
-    """Run ``fn`` and return ``(result, elapsed_seconds)``.
-
-    Uses :func:`time.monotonic`, which never jumps backwards, so the
-    returned duration is safe to feed into rate computations even across
-    NTP corrections.
-    """
-    start = time.monotonic()
-    result = fn()
-    return result, time.monotonic() - start

@@ -5,10 +5,9 @@ algorithmically relevant properties of that network are (a) unbounded,
 variable message delays and (b) the resulting "first q received" delivery
 order at each node.  This package provides a seeded, discrete-event message
 simulator reproducing exactly those properties, with pluggable delay models
-(constant, uniform, exponential, log-normal, per-link heterogeneity, slow
-nodes, partition bursts) and controller-backed fault injection — message
-loss/duplication plus the timed crashes, partitions and delay spikes of
-:mod:`repro.faults`.
+(constant, uniform, exponential, log-normal) and controller-backed fault
+injection — message loss/duplication plus the timed crashes, partitions,
+slowdowns and delay spikes of :mod:`repro.faults`.
 """
 
 from repro.network.message import Message, MessageKind
@@ -16,9 +15,7 @@ from repro.network.delays import (
     ConstantDelay,
     DelayModel,
     ExponentialDelay,
-    HeterogeneousDelay,
     LogNormalDelay,
-    PartitionDelay,
     UniformDelay,
 )
 from repro.network.simulator import DeliveryRecord, NetworkSimulator, NetworkStats
@@ -31,8 +28,6 @@ __all__ = [
     "UniformDelay",
     "ExponentialDelay",
     "LogNormalDelay",
-    "HeterogeneousDelay",
-    "PartitionDelay",
     "NetworkSimulator",
     "NetworkStats",
     "DeliveryRecord",

@@ -129,8 +129,7 @@ class NetworkSimulator:
         if delay_override is not None:
             delay = max(float(delay_override), 0.0)
         else:
-            delay = self.delay_model.sample(self._rng, sender, recipient,
-                                            message.size_bytes)
+            delay = self.delay_model.sample(self._rng, message.size_bytes)
         if decision is not None:
             delay = decision.apply_to_delay(delay)
         message.deliver_time = send_time + delay

@@ -20,18 +20,9 @@ Highlights
 """
 
 from repro.nn.module import Module, Parameter, Sequential
-from repro.nn.layers import (
-    Conv2D,
-    Dense,
-    Dropout,
-    Flatten,
-    MaxPool2D,
-    ReLU,
-    Sigmoid,
-    Tanh,
-)
+from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.nn.models import MLP, PaperCNN, SmallCNN, SoftmaxRegression, build_model
-from repro.nn.losses import CrossEntropyLoss, MSELoss
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.schedules import (
     ConstantSchedule,
     InverseTimeDecay,
@@ -48,16 +39,12 @@ __all__ = [
     "MaxPool2D",
     "Flatten",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
-    "Dropout",
     "PaperCNN",
     "SmallCNN",
     "MLP",
     "SoftmaxRegression",
     "build_model",
     "CrossEntropyLoss",
-    "MSELoss",
     "LearningRateSchedule",
     "ConstantSchedule",
     "InverseTimeDecay",

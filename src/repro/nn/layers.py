@@ -126,39 +126,3 @@ class ReLU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.relu(x)
-
-
-class Tanh(Module):
-    """Hyperbolic-tangent activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.tanh(x)
-
-
-class Sigmoid(Module):
-    """Logistic-sigmoid activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.sigmoid(x)
-
-
-class Dropout(Module):
-    """Inverted dropout; active only in training mode.
-
-    Each node in a distributed deployment draws its own dropout mask, so the
-    layer takes an optional generator for reproducible experiments.
-    """
-
-    def __init__(self, rate: float = 0.5, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
-        self.rate = rate
-        self._rng = rng if rng is not None else np.random.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.rate == 0.0:
-            return x
-        keep = 1.0 - self.rate
-        mask = (self._rng.random(x.shape) < keep).astype(np.float64) / keep
-        return x * Tensor(mask)

@@ -17,12 +17,3 @@ class CrossEntropyLoss:
 
     def __call__(self, logits: Tensor, targets: np.ndarray) -> Tensor:
         return F.cross_entropy(logits, targets)
-
-
-class MSELoss:
-    """Mean squared error between predictions and targets."""
-
-    def __call__(self, predictions: Tensor, targets) -> Tensor:
-        targets = targets if isinstance(targets, Tensor) else Tensor(np.asarray(targets))
-        diff = predictions - targets
-        return (diff * diff).mean()

@@ -18,7 +18,7 @@ numpy arrays before serialising them into protocol buffers.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -103,10 +103,6 @@ class Module:
     # ------------------------------------------------------------------ #
     # Flat parameter / gradient interface (used by the distributed layer)
     # ------------------------------------------------------------------ #
-    def parameter_shapes(self) -> List[Tuple[int, ...]]:
-        """Shapes of all parameters, in iteration order."""
-        return [param.shape for param in self.parameters()]
-
     def get_flat_parameters(self) -> np.ndarray:
         """Concatenate all parameters into a single 1-D float64 vector."""
         params = self.parameters()
@@ -149,31 +145,6 @@ class Module:
             piece = flat_grad[offset: offset + count].reshape(param.shape)
             param.data -= learning_rate * piece
             offset += count
-
-    # ------------------------------------------------------------------ #
-    # State dict (checkpointing)
-    # ------------------------------------------------------------------ #
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        """Return a copy of all parameters keyed by their qualified name."""
-        return {name: param.data.copy() for name, param in self.named_parameters()}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameters from a :meth:`state_dict` mapping."""
-        own = dict(self.named_parameters())
-        missing = set(own) - set(state)
-        unexpected = set(state) - set(own)
-        if missing or unexpected:
-            raise KeyError(
-                f"state dict mismatch: missing={sorted(missing)}, "
-                f"unexpected={sorted(unexpected)}"
-            )
-        for name, param in own.items():
-            value = np.asarray(state[name], dtype=np.float64)
-            if value.shape != param.shape:
-                raise ValueError(
-                    f"shape mismatch for {name}: {value.shape} vs {param.shape}"
-                )
-            param.data[...] = value
 
 
 class Sequential(Module):

@@ -27,8 +27,6 @@ from repro.theory.contraction import (
 from repro.theory.alignment import AlignmentProbe, AlignmentSample, alignment_cosine
 from repro.theory.bounds import (
     geometric_learning_rate_sum,
-    max_byzantine_servers,
-    max_byzantine_workers,
     optimal_asynchronous_breakdown,
 )
 
@@ -41,6 +39,4 @@ __all__ = [
     "AlignmentSample",
     "geometric_learning_rate_sum",
     "optimal_asynchronous_breakdown",
-    "max_byzantine_servers",
-    "max_byzantine_workers",
 ]

@@ -37,20 +37,6 @@ def optimal_asynchronous_breakdown() -> float:
     return synchronous_breakdown / overprovisioning
 
 
-def max_byzantine_servers(num_servers: int) -> int:
-    """Largest ``f`` with ``n ≥ 3f + 3`` for a given number of servers."""
-    if num_servers < 3:
-        raise ValueError("GuanYu needs at least 3 parameter servers")
-    return (num_servers - 3) // 3
-
-
-def max_byzantine_workers(num_workers: int) -> int:
-    """Largest ``f̄`` with ``n̄ ≥ 3f̄ + 3`` for a given number of workers."""
-    if num_workers < 3:
-        raise ValueError("GuanYu needs at least 3 workers")
-    return (num_workers - 3) // 3
-
-
 def krum_kappa(num_workers: int, num_byzantine: int) -> float:
     """The constant κ of Assumption 9 in the convergence conditions.
 

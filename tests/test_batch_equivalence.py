@@ -26,7 +26,6 @@ from repro.campaign.spec import (
 from repro.campaign.store import ResultStore
 from repro.data import DataLoader
 from repro.faults import FaultEvent, FaultSchedule
-from repro.network.delays import HeterogeneousDelay, PartitionDelay, UniformDelay
 from repro.runtime import resolve_runtime, run
 from repro.testing import sequential_history
 
@@ -251,19 +250,6 @@ class TestEngineRouting:
         assert result.runtime == "batched"
         assert result.history.to_dict() == \
             sequential_history(spec).to_dict()
-
-    @pytest.mark.parametrize("link_dependent", [
-        lambda: HeterogeneousDelay(UniformDelay(), {"ps/0": 3.0}),
-        lambda: PartitionDelay(UniformDelay(), ["ps/0", "worker/1"]),
-    ], ids=["heterogeneous", "partition"])
-    def test_link_dependent_delay_is_unsupported(self, monkeypatch,
-                                                 link_dependent):
-        """No spec names a link-dependent latency, and the engine, which
-        draws a phase's latencies as one stream, refuses one outright."""
-        monkeypatch.setattr(ScenarioSpec, "build_delay_model",
-                            lambda spec: link_dependent())
-        with pytest.raises(BatchingUnsupported, match="draws per link"):
-            BatchedGuanYuTrainer([ScenarioSpec(name="d", **_small())])
 
     def test_campaign_routes_seed_axis_to_batched_runtime(self, tmp_path):
         store = ResultStore(tmp_path / "store")

@@ -86,27 +86,6 @@ class TestScenarioSpec:
         assert isinstance(spec.worker_attack, AttackSpec)
         assert spec.worker_attack.name == "sign_flip"
 
-    def test_from_attack_round_trips_constructor_kwargs(self):
-        attack = RandomGradientAttack(scale=42.0)
-        spec = AttackSpec.from_attack(attack)
-        assert spec.name == "random_gradient"
-        assert spec.kwargs == {"scale": 42.0}
-        rebuilt = spec.build()
-        assert isinstance(rebuilt, RandomGradientAttack)
-        assert rebuilt.scale == 42.0
-
-    def test_from_attack_rejects_unregistered_attacks(self):
-        from repro.adversary.base import WorkerAttack
-
-        class HomebrewAttack(WorkerAttack):
-            name = "homebrew"
-
-            def corrupt_gradient(self, context):
-                return context.honest_value
-
-        with pytest.raises(ValueError, match="not in the Byzantine registry"):
-            AttackSpec.from_attack(HomebrewAttack())
-
     def test_replace_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown scenario fields"):
             tiny_spec().replace(warp_factor=9)

@@ -60,6 +60,16 @@ class TestParser:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["sweep"], ["reproduce", "figure4"]])
+    def test_too_few_workers_names_the_3f_plus_3_rule(self, capsys, command):
+        """Two workers admit no Byzantine one: the error names the node
+        rule, not a negative Byzantine count the user never asked for."""
+        code = cli.main(["--workers-count", "2", "--steps", "1"] + command)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "n_workers >= 3f_workers + 3 (got n=2, f=0)" in err
+        assert "non-negative" not in err
+
 
 class TestSubcommands:
     def test_table1(self, capsys):

@@ -131,14 +131,15 @@ class TestFaultController:
         assert not controller.link_blocked("ps/1", "ps/5", 3)      # ungrouped
         assert not controller.link_blocked("ps/1", "ps/2", 6)      # healed
 
-    def test_link_effects_combine(self):
+    def test_link_state_effects_combine(self):
         controller = self._controller()
-        factor, extra, _ = controller.link_effects("worker/1", "ps/2", 2)
-        assert factor == pytest.approx(4.0)
-        factor, _, _ = controller.link_effects("worker/1", "ps/2", 5)
-        assert factor == pytest.approx(1.0)  # cleared
-        _, extra, _ = controller.link_effects("ps/2", "ps/1", 0)
-        assert extra == pytest.approx(0.25)  # link pair matches both ways
+        state = controller.link_state("worker/1", "ps/2", 2)
+        assert state.blocked_by is None
+        assert state.delay_factor == pytest.approx(4.0)
+        state = controller.link_state("worker/1", "ps/2", 5)
+        assert state.delay_factor == pytest.approx(1.0)  # cleared
+        state = controller.link_state("ps/2", "ps/1", 0)
+        assert state.extra_delay == pytest.approx(0.25)  # link pair matches both ways
 
     def test_attack_gating_window(self):
         controller = self._controller()

@@ -8,16 +8,14 @@ import pytest
 
 from repro.data import make_blobs_dataset
 from repro.metrics import (
-    StepRecord,
-    TrainingHistory,
     evaluate_accuracy,
-    evaluate_loss,
     overhead_percent,
     throughput_updates_per_second,
     time_to_accuracy,
 )
 from repro.metrics.throughput import steps_to_accuracy
 from repro.nn import build_model
+from repro.obs.history import StepRecord, TrainingHistory
 from repro.runtime.cost import GRID5000_LIKE, INSTANT
 
 
@@ -45,11 +43,6 @@ class TestAccuracyAndLoss:
         model = build_model("softmax", in_features=4, num_classes=3)
         accuracy = evaluate_accuracy(model, data, max_samples=50)
         assert 0.0 <= accuracy <= 1.0
-
-    def test_loss_positive_for_untrained_model(self):
-        data = make_blobs_dataset(num_samples=100, num_classes=3, num_features=4, seed=0)
-        model = build_model("softmax", in_features=4, num_classes=3)
-        assert evaluate_loss(model, data) > 0.0
 
 
 class TestTrainingHistory:

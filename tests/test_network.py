@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.campaign import ScenarioSpec, available_delay_models
 from repro.faults import FaultController, FaultSchedule
 from repro.network import (
     ConstantDelay,
     ExponentialDelay,
-    HeterogeneousDelay,
     LogNormalDelay,
     Message,
     MessageKind,
     NetworkSimulator,
-    PartitionDelay,
     UniformDelay,
 )
 
@@ -21,42 +20,25 @@ class TestDelayModels:
     def test_constant_delay_includes_bandwidth_term(self):
         model = ConstantDelay(delay=0.01, bandwidth_bytes_per_second=1e6)
         rng = np.random.default_rng(0)
-        assert model.sample(rng, "a", "b", size_bytes=1_000_000) == pytest.approx(1.01)
+        assert model.sample(rng, size_bytes=1_000_000) == pytest.approx(1.01)
 
     def test_uniform_delay_within_bounds(self):
         model = UniformDelay(low=0.001, high=0.002, bandwidth_bytes_per_second=1e12)
         rng = np.random.default_rng(0)
-        samples = [model.latency(rng, "a", "b") for _ in range(200)]
+        samples = [model.latency(rng) for _ in range(200)]
         assert min(samples) >= 0.001
         assert max(samples) <= 0.002
 
     def test_exponential_delay_positive_with_minimum(self):
         model = ExponentialDelay(mean=0.001, minimum=0.0005)
         rng = np.random.default_rng(0)
-        assert all(model.latency(rng, "a", "b") >= 0.0005 for _ in range(100))
+        assert all(model.latency(rng) >= 0.0005 for _ in range(100))
 
     def test_lognormal_delay_has_heavy_tail(self):
         model = LogNormalDelay(median=0.001, sigma=1.0)
         rng = np.random.default_rng(0)
-        samples = np.array([model.latency(rng, "a", "b") for _ in range(2000)])
+        samples = np.array([model.latency(rng) for _ in range(2000)])
         assert samples.max() > 5 * np.median(samples)
-
-    def test_heterogeneous_delay_slows_down_straggler(self):
-        base = ConstantDelay(delay=0.001)
-        model = HeterogeneousDelay(base, node_factors={"slow": 10.0})
-        rng = np.random.default_rng(0)
-        assert model.latency(rng, "slow", "b") == pytest.approx(0.01)
-        assert model.latency(rng, "a", "b") == pytest.approx(0.001)
-
-    def test_partition_delay_penalises_cross_partition_messages(self):
-        base = ConstantDelay(delay=0.001)
-        model = PartitionDelay(base, partitioned_nodes={"a"}, period=1.0,
-                               partition_duration=0.5, partition_penalty=1.0)
-        rng = np.random.default_rng(0)
-        model.set_clock(0.1)  # inside the partition window
-        assert model.latency(rng, "a", "b") == pytest.approx(1.001)
-        model.set_clock(0.7)  # outside the window
-        assert model.latency(rng, "a", "b") == pytest.approx(0.001)
 
     def test_invalid_configurations(self):
         with pytest.raises(ValueError):
@@ -69,6 +51,38 @@ class TestDelayModels:
             LogNormalDelay(median=0.0)
 
 
+class TestDelayModelBatchContract:
+    """The batched engine draws a phase's latencies as one ``sample_batch``
+    request per lane; that stream must be the simulator's per-send
+    ``sample`` stream, bit for bit, with the generator left where the
+    per-send draws leave it."""
+
+    @pytest.mark.parametrize("name", available_delay_models())
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_sample_batch_equals_consecutive_samples(self, name, count):
+        model = ScenarioSpec(delay_model=name).build_delay_model()
+        size = 4_064
+        batch_rng = np.random.default_rng(11)
+        loop_rng = np.random.default_rng(11)
+        batch = model.sample_batch(batch_rng, size, count)
+        loop = np.array([model.sample(loop_rng, size) for _ in range(count)],
+                        dtype=np.float64)
+        assert batch.shape == (count,)
+        assert batch.tobytes() == loop.tobytes()
+        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    @pytest.mark.parametrize("name", available_delay_models())
+    def test_latency_batch_equals_consecutive_latencies(self, name):
+        model = ScenarioSpec(delay_model=name).build_delay_model()
+        batch_rng = np.random.default_rng(5)
+        loop_rng = np.random.default_rng(5)
+        batch = model.latency_batch(batch_rng, 9)
+        loop = np.array([model.latency(loop_rng) for _ in range(9)],
+                        dtype=np.float64)
+        assert batch.tobytes() == loop.tobytes()
+        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
 class TestDelayModelStatistics:
     """Statistical sanity: the sampled distributions match their parameters."""
 
@@ -76,7 +90,7 @@ class TestDelayModelStatistics:
 
     def _samples(self, model, seed=0):
         rng = np.random.default_rng(seed)
-        return np.array([model.latency(rng, "a", "b")
+        return np.array([model.latency(rng)
                          for _ in range(self.NUM_SAMPLES)])
 
     def test_exponential_mean_within_tolerance(self):
@@ -107,8 +121,8 @@ class TestDelayModelStatistics:
     def test_bandwidth_term_is_additive(self, model):
         """sample() == latency() + size/bandwidth for identical rng states."""
         size = 500_000  # 0.5 s transfer at 1 MB/s
-        latency = model.latency(np.random.default_rng(7), "a", "b")
-        total = model.sample(np.random.default_rng(7), "a", "b", size)
+        latency = model.latency(np.random.default_rng(7))
+        total = model.sample(np.random.default_rng(7), size)
         assert total == pytest.approx(latency + size / 1e6)
 
 
@@ -220,6 +234,29 @@ class TestNetworkSimulator:
         message = sim.send("byz", "w", MessageKind.MODEL_TO_WORKER, 0, np.zeros(1),
                            send_time=3.0, delay_override=0.0)
         assert message.deliver_time == pytest.approx(3.0)
+
+    def test_send_delays_follow_the_model_stream(self):
+        model = LogNormalDelay(median=0.002, sigma=0.7)
+        sim = NetworkSimulator(delay_model=model, seed=4)
+        sent = [sim.send("s", "w", MessageKind.MODEL_TO_WORKER, 0, np.ones(5),
+                         send_time=2.0) for _ in range(6)]
+        rng = np.random.default_rng(4)
+        expected = [2.0 + model.sample(rng, sent[0].size_bytes) for _ in range(6)]
+        assert [message.deliver_time for message in sent] == expected
+
+    def test_delay_override_leaves_the_model_stream_untouched(self):
+        """A Byzantine fast-channel send draws nothing, so honest delays
+        after it are the ones a run without it would see."""
+        model = UniformDelay(low=0.001, high=0.004)
+        with_override = NetworkSimulator(delay_model=model, seed=8)
+        without = NetworkSimulator(delay_model=model, seed=8)
+        with_override.send("byz", "w", MessageKind.MODEL_TO_WORKER, 0,
+                           np.zeros(1), send_time=0.0, delay_override=0.0)
+        honest = with_override.send("s", "w", MessageKind.MODEL_TO_WORKER, 0,
+                                    np.ones(2), send_time=1.0)
+        reference = without.send("s", "w", MessageKind.MODEL_TO_WORKER, 0,
+                                 np.ones(2), send_time=1.0)
+        assert honest.deliver_time == reference.deliver_time
 
     def test_drop_probability_loses_messages(self):
         sim = NetworkSimulator(

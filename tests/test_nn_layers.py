@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU, Sigmoid, Tanh
+from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.nn.init import INITIALIZERS, get_initializer, glorot_uniform, he_normal
 from repro.tensor import Tensor
 
@@ -49,37 +49,6 @@ class TestConvAndPoolLayers:
 class TestActivationLayers:
     def test_relu_layer(self):
         assert np.allclose(ReLU()(Tensor(np.array([-2.0, 3.0]))).data, [0.0, 3.0])
-
-    def test_tanh_layer_range(self):
-        out = Tanh()(Tensor(np.array([-100.0, 100.0]))).data
-        assert np.allclose(out, [-1.0, 1.0])
-
-    def test_sigmoid_layer_midpoint(self):
-        assert Sigmoid()(Tensor(np.zeros(3))).data == pytest.approx(0.5)
-
-
-class TestDropout:
-    def test_identity_in_eval_mode(self):
-        layer = Dropout(0.5, rng=np.random.default_rng(0))
-        layer.eval()
-        x = np.random.default_rng(0).normal(size=(10, 10))
-        assert np.allclose(layer(Tensor(x)).data, x)
-
-    def test_zero_rate_is_identity_in_training(self):
-        layer = Dropout(0.0)
-        x = np.ones((5, 5))
-        assert np.allclose(layer(Tensor(x)).data, x)
-
-    def test_training_mode_zeroes_some_entries(self):
-        layer = Dropout(0.5, rng=np.random.default_rng(0))
-        out = layer(Tensor(np.ones((20, 20)))).data
-        assert np.any(out == 0.0)
-        # Inverted dropout preserves the expectation.
-        assert out.mean() == pytest.approx(1.0, abs=0.15)
-
-    def test_invalid_rate_raises(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
 
 
 class TestInitializers:

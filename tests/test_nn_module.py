@@ -90,35 +90,6 @@ class TestFlatVectorInterface:
         assert not np.allclose(a.get_flat_parameters(), b.get_flat_parameters())
 
 
-class TestStateDict:
-    def test_state_dict_roundtrip(self):
-        a = TinyModule()
-        b = TinyModule()
-        b.set_flat_parameters(b.get_flat_parameters() + 1.0)
-        b.load_state_dict(a.state_dict())
-        assert np.allclose(a.get_flat_parameters(), b.get_flat_parameters())
-
-    def test_state_dict_returns_copies(self):
-        module = TinyModule()
-        state = module.state_dict()
-        state["weight"][...] = 42.0
-        assert not np.allclose(module.get_flat_parameters(), 42.0)
-
-    def test_load_state_dict_missing_key_raises(self):
-        module = TinyModule()
-        state = module.state_dict()
-        del state["weight"]
-        with pytest.raises(KeyError):
-            module.load_state_dict(state)
-
-    def test_load_state_dict_shape_mismatch_raises(self):
-        module = TinyModule()
-        state = module.state_dict()
-        state["weight"] = np.zeros((1, 1))
-        with pytest.raises(ValueError):
-            module.load_state_dict(state)
-
-
 class TestSequential:
     def test_forward_composes_in_order(self):
         model = Sequential(Dense(2, 4, rng=np.random.default_rng(0)), ReLU(),

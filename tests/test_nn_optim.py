@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.losses import CrossEntropyLoss, MSELoss
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.schedules import (
     ConstantSchedule,
     InverseTimeDecay,
@@ -14,14 +14,6 @@ from repro.tensor import Tensor
 
 
 class TestLosses:
-    def test_mse_loss_zero_for_equal_inputs(self):
-        loss = MSELoss()(Tensor(np.ones((2, 3))), np.ones((2, 3)))
-        assert loss.item() == pytest.approx(0.0)
-
-    def test_mse_loss_value(self):
-        loss = MSELoss()(Tensor(np.zeros(4)), np.full(4, 2.0))
-        assert loss.item() == pytest.approx(4.0)
-
     def test_cross_entropy_loss_callable(self):
         logits = Tensor(np.zeros((2, 3)), requires_grad=True)
         loss = CrossEntropyLoss()(logits, np.array([0, 2]))

@@ -74,11 +74,11 @@ class TestDelayModelProperties:
     def test_uniform_delay_never_negative(self, low, span, size, seed):
         model = UniformDelay(low=low, high=low + span)
         rng = np.random.default_rng(seed)
-        assert model.sample(rng, "a", "b", size) >= 0.0
+        assert model.sample(rng, size) >= 0.0
 
     @given(mean=st.floats(1e-5, 1e-2), seed=st.integers(0, 2 ** 16))
     @settings(max_examples=30, deadline=None)
     def test_exponential_and_lognormal_never_negative(self, mean, seed):
         rng = np.random.default_rng(seed)
-        assert ExponentialDelay(mean=mean).sample(rng, "a", "b", 1000) >= 0.0
-        assert LogNormalDelay(median=mean).sample(rng, "a", "b", 1000) >= 0.0
+        assert ExponentialDelay(mean=mean).sample(rng, 1000) >= 0.0
+        assert LogNormalDelay(median=mean).sample(rng, 1000) >= 0.0

@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import ClusterConfig
 from repro.nn.schedules import InverseTimeDecay
 from repro.theory import (
     AlignmentProbe,
     alignment_cosine,
     estimate_contraction,
     geometric_learning_rate_sum,
-    max_byzantine_servers,
-    max_byzantine_workers,
     median_contraction_coefficient,
     multi_krum_deviation_ratio,
     optimal_asynchronous_breakdown,
 )
 from repro.theory.bounds import krum_kappa
+
+max_admissible_byzantine = ClusterConfig.max_admissible_byzantine
 
 
 class TestMedianContraction:
@@ -133,18 +134,25 @@ class TestBounds:
         assert optimal_asynchronous_breakdown() == pytest.approx(1.0 / 3.0)
 
     def test_max_byzantine_counts_match_3f_plus_3(self):
-        assert max_byzantine_servers(6) == 1
-        assert max_byzantine_servers(8) == 1
-        assert max_byzantine_servers(9) == 2
-        assert max_byzantine_workers(18) == 5
+        assert max_admissible_byzantine(6) == 1
+        assert max_admissible_byzantine(8) == 1
+        assert max_admissible_byzantine(9) == 2
+        assert max_admissible_byzantine(18) == 5
 
-    def test_max_byzantine_requires_three_nodes(self):
-        with pytest.raises(ValueError):
-            max_byzantine_servers(2)
+    def test_max_byzantine_is_zero_below_three_nodes(self):
+        """A pool too small for any Byzantine node admits f = 0, never a
+        negative count."""
+        assert [max_admissible_byzantine(n) for n in range(4)] == [0, 0, 0, 0]
+
+    def test_max_byzantine_is_the_largest_admissible_count(self):
+        for n in range(3, 64):
+            f = max_admissible_byzantine(n)
+            assert n >= 3 * f + 3
+            assert n < 3 * (f + 1) + 3
 
     def test_paper_deployment_respects_one_third_bound(self):
-        assert max_byzantine_workers(18) / 18 < optimal_asynchronous_breakdown() + 1e-9
-        assert max_byzantine_servers(6) / 6 < optimal_asynchronous_breakdown() + 1e-9
+        assert max_admissible_byzantine(18) / 18 < optimal_asynchronous_breakdown() + 1e-9
+        assert max_admissible_byzantine(6) / 6 < optimal_asynchronous_breakdown() + 1e-9
 
     def test_krum_kappa_increases_with_f(self):
         assert krum_kappa(18, 5) > krum_kappa(18, 1)
