@@ -72,7 +72,7 @@ from repro.nn.plan import (
 from repro.obs.history import StepRecord, TrainingHistory
 from repro.obs.telemetry import get_registry, phase
 from repro.obs.tracer import get_tracer
-from repro.network.message import MessageKind
+from repro.network.message import ROUTES, MessageKind
 from repro.runtime.facade import TRAINERS
 
 
@@ -316,25 +316,15 @@ class BatchedGuanYuTrainer:
         self._serialization = self.cost_model.serialization_time(
             self.billed_parameters)
         self.has_faults = base.faults is not None
-        #: (senders, recipients) of each phase's messages
-        self._endpoints = {
-            MessageKind.MODEL_TO_WORKER: (self.server_ids, self.worker_ids),
-            MessageKind.GRADIENT_TO_SERVER: (self.worker_ids,
-                                             self.server_ids),
-            MessageKind.MODEL_TO_SERVER: (self.server_ids, self.server_ids),
-        }
-
-        num_workers = len(self.worker_ids)
-        num_servers = len(self.server_ids)
-        self._buffer1 = _PhaseBuffer(num_workers, num_servers,
-                                     self.num_replicas, self.num_parameters,
-                                     len(self.attacking_servers))
-        self._buffer2 = _PhaseBuffer(num_servers, num_workers,
-                                     self.num_replicas, self.num_parameters,
-                                     len(self.attacking_workers))
-        self._buffer3 = _PhaseBuffer(num_servers, num_servers,
-                                     self.num_replicas, self.num_parameters,
-                                     len(self.attacking_servers))
+        #: (sender ids, recipient ids) and mailboxes of each kind's route
+        self._endpoints = {kind: route.of(self.worker_ids, self.server_ids)
+                           for kind, route in ROUTES.items()}
+        self._buffers = {
+            kind: _PhaseBuffer(len(recipients), len(senders),
+                               self.num_replicas, self.num_parameters,
+                               len(ROUTES[kind].of(self.attacking_workers,
+                                                   self.attacking_servers)[0]))
+            for kind, (senders, recipients) in self._endpoints.items()}
 
         # θ stack: server axis × replica axis × parameter axis.  Every
         # replica starts all of its servers from that replica's θ0.
@@ -428,38 +418,68 @@ class BatchedGuanYuTrainer:
                     step, rate)
         return delivered
 
-    def _links(self, kind: MessageKind, step: int) -> Optional[LinkTable]:
-        """The phase's compiled fault verdicts (``None`` without faults)."""
-        if not self.has_faults:
-            return None
-        senders, recipients = self._endpoints[kind]
-        return self.lanes[0].fault_controller.link_table(senders, recipients,
-                                                         step)
+    def _scatter(self, kind: MessageKind, step: int, active, payloads,
+                 clock: np.ndarray, phase_start: np.ndarray, corrupt,
+                 peers: Sequence[np.ndarray] = ()) -> _PhaseBuffer:
+        """``kind``'s buffer, filled with the step's sends of every sender
+        of its route (:data:`~repro.network.message.ROUTES`) in ``active``.
 
-    def _broadcast_times(self, s_index: int, kind: MessageKind, step: int,
-                         send_time: np.ndarray
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """Delivery masks and times ``(J, R)`` of Byzantine sender
-        ``s_index``'s covert-channel sends to every recipient of the phase.
-
-        The covert channel has zero base delay and consumes no randomness,
-        like the simulator's ``delay_override=0.0``; a fault's extra delay
-        still applies.
+        An honest sender ``s`` sends ``payloads[s]`` ``(R, D)`` at
+        ``clock[s]`` (:meth:`_flush_merged`).  A Byzantine one sends on the
+        covert channel at ``phase_start``: no base delay and no draw, like
+        the simulator's ``delay_override=0.0``, though a fault's extra
+        delay still applies.  A pure attack (only worker attacks declare
+        it) answers once, at ``payloads[s]`` and ``peers``, for every
+        recipient and lane; any other is asked ``corrupt(s, r,
+        recipient)`` recipient by recipient, lane by lane — the order the
+        sequential trainer drives its generators in.
         """
-        count = len(self._endpoints[kind][1])
-        links = self._links(kind, step)
-        if links is None:
-            return (np.ones((count, self.num_replicas), dtype=bool),
-                    np.broadcast_to(send_time, (count, self.num_replicas)))
-        delivered = np.broadcast_to(
-            self._delivered(links, [s_index], kind, step),
-            (self.num_replicas, 1, count))[:, 0].T
-        return (delivered,
-                send_time[None, :] + links.extra_delay[s_index][:, None])
+        buffer = self._buffers[kind]
+        buffer.reset()
+        sender_ids, recipient_ids = self._endpoints[kind]
+        links = (self.lanes[0].fault_controller.link_table(
+            sender_ids, recipient_ids, step) if self.has_faults else None)
+        attacks = ROUTES[kind].of(self.lanes[0].worker_attacks,
+                                  self.lanes[0].server_attacks)[0]
+        shape = (len(recipient_ids), self.num_replicas)
+        honest: List[int] = []
+        for s_index, sender_id in enumerate(sender_ids):
+            if sender_id not in active:
+                continue
+            attack = attacks[sender_id]
+            if attack is None:
+                honest.append(s_index)
+                continue
+            delivered = np.ones(shape, dtype=bool)
+            times = np.broadcast_to(phase_start, shape)
+            if links is not None:
+                delivered = np.broadcast_to(
+                    self._delivered(links, [s_index], kind, step),
+                    (self.num_replicas, 1, shape[0]))[:, 0].T
+                times = phase_start + links.extra_delay[s_index][:, None]
+            if getattr(attack, "pure", False):
+                value = attack.corrupt_gradient(AttackContext(
+                    step=step, honest_value=payloads[s_index],
+                    peer_values=peers, rng=None))
+                present = value is not None
+                buffer.add_broadcast(s_index, value if present else 0.0,
+                                     delivered & present, times)
+                continue
+            for j, recipient_id in enumerate(recipient_ids):
+                rows = np.zeros((self.num_replicas, self.num_parameters))
+                present = np.zeros(self.num_replicas, dtype=bool)
+                for r in range(self.num_replicas):
+                    value = corrupt(s_index, r, recipient_id)
+                    if value is not None:
+                        rows[r], present[r] = value, True
+                buffer.add_directed(j, s_index, rows, present & delivered[j],
+                                    times[j])
+        self._flush_merged(buffer, kind, step, honest, payloads, clock, links)
+        return buffer
 
     def _flush_merged(self, buffer: _PhaseBuffer, kind: MessageKind,
                       step: int, senders: List[int], payloads,
-                      clock: np.ndarray) -> None:
+                      clock: np.ndarray, links: Optional[LinkTable]) -> None:
         """Record a phase's honest broadcasts with one delay draw per lane.
 
         ``senders`` are the honest senders' indices in send order; sender
@@ -471,8 +491,8 @@ class BatchedGuanYuTrainer:
         so those draws are one ``sample_batch`` request per lane (the
         ``latency_batch`` contract), scattered into the drawn slots; a
         delivered message then arrives at ``send_time + delay·factor +
-        extra``, the simulator's ops in its order.  Without faults the
-        factor and extra are skipped and every slot delivers.
+        extra``, the simulator's ops in its order.  Without faults (no
+        ``links``) the factor and extra are skipped and all slots deliver.
         """
         if not senders:
             return
@@ -481,9 +501,8 @@ class BatchedGuanYuTrainer:
         shape = (self.num_replicas, len(senders),
                  len(self._endpoints[kind][1]))
         drawn = np.ones(shape[1:], dtype=bool)
-        if kind is MessageKind.MODEL_TO_SERVER:
+        if ROUTES[kind].senders == ROUTES[kind].recipients:
             drawn[np.arange(len(senders)), senders] = False
-        links = self._links(kind, step)
         if links is not None:
             delivered = self._delivered(links, senders, kind, step)
             drawn = drawn & delivered
@@ -648,22 +667,6 @@ class BatchedGuanYuTrainer:
                               labels.shape[2])
         return results
 
-    def _corrupt_models(self, server_index: int, step: int,
-                        recipient: str) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-lane Byzantine model payloads ``(R, D)`` + presence mask."""
-        server_id = self.server_ids[server_index]
-        payloads = np.zeros((self.num_replicas, self.num_parameters))
-        present = np.zeros(self.num_replicas, dtype=bool)
-        for r, lane in enumerate(self.lanes):
-            value = apply_server_attack(lane.server_attacks[server_id],
-                                        lane.server_rngs[server_index],
-                                        self.theta[server_index, r], step,
-                                        recipient=recipient)
-            if value is not None:
-                payloads[r] = value
-                present[r] = True
-        return payloads, present
-
     # ------------------------------------------------------------------ #
     def step(self, step_index: int) -> List[StepRecord]:
         """One three-phase GuanYu step across all replicas.
@@ -699,30 +702,20 @@ class BatchedGuanYuTrainer:
                 f"{step_index}; the protocol cannot make progress")
         phase_start = self.server_clock[alive_correct_idx].min(axis=0)
 
+        def corrupt_model(s_index: int, r: int, recipient: str):
+            lane = self.lanes[r]
+            return apply_server_attack(
+                lane.server_attacks[self.server_ids[s_index]],
+                lane.server_rngs[s_index], self.theta[s_index, r], step_index,
+                recipient=recipient)
+
         # ------------------------- Phase 1 ------------------------------ #
         with phase("batch.step.broadcast", runtime="batch", step=step_index,
                    replicas=replicas):
-            buffer1 = self._buffer1
-            buffer1.reset()
-            honest: List[int] = []
-            for s_index, server_id in enumerate(self.server_ids):
-                if server_id not in active_servers:
-                    continue
-                if server_id in self.attacking_servers:
-                    delivered, times = self._broadcast_times(
-                        s_index, MessageKind.MODEL_TO_WORKER, step_index,
-                        phase_start)
-                    for w_index, worker_id in enumerate(self.worker_ids):
-                        payloads, present = self._corrupt_models(
-                            s_index, step_index, recipient=worker_id)
-                        buffer1.add_directed(w_index, s_index, payloads,
-                                             present & delivered[w_index],
-                                             times[w_index])
-                else:
-                    honest.append(s_index)
-            self._flush_merged(buffer1, MessageKind.MODEL_TO_WORKER,
-                               step_index, honest, self.theta,
-                               self.server_clock)
+            buffer = self._scatter(MessageKind.MODEL_TO_WORKER, step_index,
+                                   active_servers, self.theta,
+                                   self.server_clock, phase_start,
+                                   corrupt_model)
 
         with phase("batch.step.compute", runtime="batch", step=step_index,
                    replicas=replicas):
@@ -737,7 +730,7 @@ class BatchedGuanYuTrainer:
                                      if worker_id in active_workers]
             for fold in self._folds(active_worker_indices,
                                     config.model_quorum):
-                stacked, completion, _ = buffer1.collect(
+                stacked, completion, _ = buffer.collect(
                     fold, self.worker_ids, config.model_quorum,
                     not_before=self.worker_clock[fold],
                     kind=MessageKind.MODEL_TO_WORKER, step=step_index)
@@ -766,59 +759,25 @@ class BatchedGuanYuTrainer:
         # ------------------------- Phase 2 ------------------------------ #
         with phase("batch.step.gather", runtime="batch", step=step_index,
                    replicas=replicas):
-            peer_gradients = [
-                [gradient_stack[index][r]
-                 for index in alive_correct_worker_idx]
-                for r in range(replicas)]
-            buffer2 = self._buffer2
-            buffer2.reset()
-            honest = []
-            for w_index in active_worker_indices:
-                worker_id = self.worker_ids[w_index]
-                attack = self.lanes[0].worker_attacks[worker_id]
-                if attack is not None and attack.pure:
-                    # One call over the lane axis stands for every
-                    # (server, lane) query; the covert sends draw nothing.
-                    value = attack.corrupt_gradient(AttackContext(
-                        step=step_index, honest_value=gradient_stack[w_index],
-                        peer_values=[gradient_stack[index] for index
-                                     in alive_correct_worker_idx],
-                        rng=None))
-                    delivered, times = self._broadcast_times(
-                        w_index, MessageKind.GRADIENT_TO_SERVER, step_index,
-                        phase_start)
-                    present = value is not None
-                    buffer2.add_broadcast(w_index, value if present else 0.0,
-                                          delivered & present, times)
-                elif worker_id in self.attacking_workers:
-                    delivered, times = self._broadcast_times(
-                        w_index, MessageKind.GRADIENT_TO_SERVER, step_index,
-                        phase_start)
-                    for s_index, server_id in enumerate(self.server_ids):
-                        payloads = np.zeros((replicas, self.num_parameters))
-                        present = np.zeros(replicas, dtype=bool)
-                        for r, lane in enumerate(self.lanes):
-                            result = GradientResult(
-                                gradient=gradient_stack[w_index][r],
-                                loss=float(loss_stack[w_index][r]),
-                                batch_size=batch_sizes[w_index])
-                            value = apply_worker_attack(
-                                lane.worker_attacks[worker_id],
-                                lane.worker_rngs[w_index], result, step_index,
-                                peer_gradients=peer_gradients[r],
-                                recipient=server_id,
-                                model=model_stack[w_index][r])
-                            if value is not None:
-                                payloads[r] = value
-                                present[r] = True
-                        buffer2.add_directed(s_index, w_index, payloads,
-                                             present & delivered[s_index],
-                                             times[s_index])
-                else:
-                    honest.append(w_index)
-            self._flush_merged(buffer2, MessageKind.GRADIENT_TO_SERVER,
-                               step_index, honest, gradient_stack,
-                               self.worker_clock)
+            peers = [gradient_stack[index]
+                     for index in alive_correct_worker_idx]
+
+            def corrupt_gradient(w_index: int, r: int, recipient: str):
+                lane = self.lanes[r]
+                result = GradientResult(
+                    gradient=gradient_stack[w_index][r],
+                    loss=float(loss_stack[w_index][r]),
+                    batch_size=batch_sizes[w_index])
+                return apply_worker_attack(
+                    lane.worker_attacks[self.worker_ids[w_index]],
+                    lane.worker_rngs[w_index], result, step_index,
+                    peer_gradients=[peer[r] for peer in peers],
+                    recipient=recipient, model=model_stack[w_index][r])
+
+            buffer = self._scatter(
+                MessageKind.GRADIENT_TO_SERVER, step_index, active_workers,
+                gradient_stack, self.worker_clock, phase_start,
+                corrupt_gradient, peers)
 
         with phase("batch.step.aggregate", runtime="batch", step=step_index,
                    replicas=replicas):
@@ -831,7 +790,7 @@ class BatchedGuanYuTrainer:
                             + cost.update_time(d))
             for fold in self._folds(active_correct_server_idx,
                                     config.gradient_quorum):
-                stacked, completion, senders = buffer2.collect(
+                stacked, completion, senders = buffer.collect(
                     fold, self.server_ids, config.gradient_quorum,
                     not_before=self.server_clock[fold],
                     kind=MessageKind.GRADIENT_TO_SERVER, step=step_index)
@@ -855,31 +814,14 @@ class BatchedGuanYuTrainer:
         # ------------------------- Phase 3 ------------------------------ #
         with phase("batch.step.apply", runtime="batch", step=step_index,
                    replicas=replicas):
-            buffer3 = self._buffer3
-            buffer3.reset()
-            honest = []
-            for s_index, server_id in enumerate(self.server_ids):
-                if server_id not in active_servers:
-                    continue
-                if server_id in self.attacking_servers:
-                    delivered, times = self._broadcast_times(
-                        s_index, MessageKind.MODEL_TO_SERVER, step_index,
-                        phase_start)
-                    for peer_index, peer_id in enumerate(self.server_ids):
-                        payloads, present = self._corrupt_models(
-                            s_index, step_index, recipient=peer_id)
-                        buffer3.add_directed(peer_index, s_index, payloads,
-                                             present & delivered[peer_index],
-                                             times[peer_index])
-                else:
-                    honest.append(s_index)
-            self._flush_merged(buffer3, MessageKind.MODEL_TO_SERVER,
-                               step_index, honest, self.theta,
-                               self.server_clock)
+            buffer = self._scatter(MessageKind.MODEL_TO_SERVER, step_index,
+                                   active_servers, self.theta,
+                                   self.server_clock, phase_start,
+                                   corrupt_model)
 
             for fold in self._folds(active_correct_server_idx,
                                     config.model_quorum):
-                stacked, completion, _ = buffer3.collect(
+                stacked, completion, _ = buffer.collect(
                     fold, self.server_ids, config.model_quorum,
                     not_before=self.server_clock[fold],
                     kind=MessageKind.MODEL_TO_SERVER, step=step_index)

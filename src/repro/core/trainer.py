@@ -39,7 +39,7 @@ from repro.obs.history import StepRecord, TrainingHistory
 from repro.obs.telemetry import phase
 from repro.obs.tracer import get_tracer
 from repro.network.delays import DelayModel, UniformDelay
-from repro.network.message import MessageKind
+from repro.network.message import ROUTES, MessageKind
 from repro.network.simulator import NetworkSimulator
 from repro.nn.module import Module
 from repro.nn.plan import dense_plan
@@ -291,6 +291,38 @@ class GuanYuTrainer(DistributedTrainer):
         return (self.fault_controller is None
                 or self.fault_controller.node_alive(node_id, step_index))
 
+    def _scatter(self, senders: List, kind: MessageKind, step: int,
+                 clock: Dict[str, float], phase_start: float, payload) -> None:
+        """Every node of ``senders`` sends ``kind`` to every recipient of
+        its route (:data:`~repro.network.message.ROUTES`).
+
+        ``payload(sender, step, recipient=...)`` is what ``sender`` sends
+        (e.g. :meth:`ServerNode.outgoing_model`).  A Byzantine sender is
+        asked per recipient and races honest traffic on the adversary's
+        covert channel: sent at ``phase_start``, no delay.  An honest
+        sender is asked once (``recipient=None``) and sends at its
+        ``clock`` plus the serialisation time; its message to itself
+        (phase 3 only) is available to it immediately.
+        """
+        recipients = ROUTES[kind].of(self.wiring.worker_ids,
+                                     self.wiring.server_ids)[1]
+        for sender in senders:
+            if sender.is_byzantine:
+                for recipient in recipients:
+                    self.network.send(sender.node_id, recipient, kind, step,
+                                      payload(sender, step,
+                                              recipient=recipient),
+                                      send_time=phase_start,
+                                      delay_override=0.0)
+                continue
+            value = payload(sender, step, recipient=None)
+            send_time = clock[sender.node_id] + self._serialization()
+            for recipient in recipients:
+                self.network.send(
+                    sender.node_id, recipient, kind, step, value,
+                    send_time=send_time,
+                    delay_override=0.0 if recipient == sender.node_id else None)
+
     def step(self, step_index: int) -> StepRecord:
         """One full GuanYu step (the three phases of Figure 2).
 
@@ -304,7 +336,6 @@ class GuanYuTrainer(DistributedTrainer):
         config = self.config
         cost = self.cost_model
         d = self.billed_parameters
-        serialization = self._serialization()
         tracer = get_tracer()
         if self.fault_controller is not None:
             self.fault_controller.on_step(step_index)
@@ -330,27 +361,12 @@ class GuanYuTrainer(DistributedTrainer):
         # ------------------------- Phase 1 ------------------------------ #
         # Every participating parameter server broadcasts its model to
         # every worker.
-        worker_ids = [worker.node_id for worker in self.workers]
+        sending_servers = [s for s in self.servers
+                           if s.node_id in active_server_ids]
         with phase("seq.step.broadcast", runtime="seq", step=step_index):
-            for server in self.servers:
-                if server.node_id not in active_server_ids:
-                    continue
-                if server.is_byzantine:
-                    # The adversary sends (possibly different) corrupted
-                    # models, racing honest traffic on its covert channel.
-                    for worker_id in worker_ids:
-                        payload = server.outgoing_model(step_index,
-                                                        recipient=worker_id)
-                        self.network.send(server.node_id, worker_id,
-                                          MessageKind.MODEL_TO_WORKER, step_index,
-                                          payload, send_time=phase_start,
-                                          delay_override=0.0)
-                else:
-                    send_time = self._server_clock[server.node_id] + serialization
-                    self.network.broadcast(server.node_id, worker_ids,
-                                           MessageKind.MODEL_TO_WORKER, step_index,
-                                           server.outgoing_model(step_index),
-                                           send_time=send_time)
+            self._scatter(sending_servers, MessageKind.MODEL_TO_WORKER,
+                          step_index, self._server_clock, phase_start,
+                          ServerNode.outgoing_model)
 
         # Every participating worker waits for the first q models,
         # aggregates them with the coordinate-wise median and computes a
@@ -383,36 +399,20 @@ class GuanYuTrainer(DistributedTrainer):
         # ------------------------- Phase 2 ------------------------------ #
         # Every participating worker broadcasts its gradient to every
         # parameter server.
-        server_ids = [server.node_id for server in self.servers]
         with phase("seq.step.gather", runtime="seq", step=step_index):
-            for worker in alive_workers:
-                result = results[worker.node_id]
-                if worker.is_byzantine:
-                    for server_id in server_ids:
-                        payload = worker.outgoing_gradient(
-                            result, step_index, peer_gradients=correct_gradients,
-                            recipient=server_id)
-                        self.network.send(worker.node_id, server_id,
-                                          MessageKind.GRADIENT_TO_SERVER,
-                                          step_index, payload,
-                                          send_time=phase_start,
-                                          delay_override=0.0)
-                else:
-                    send_time = self._worker_clock[worker.node_id] + serialization
-                    self.network.broadcast(worker.node_id, server_ids,
-                                           MessageKind.GRADIENT_TO_SERVER,
-                                           step_index,
-                                           worker.outgoing_gradient(result,
-                                                                    step_index),
-                                           send_time=send_time)
+            self._scatter(alive_workers, MessageKind.GRADIENT_TO_SERVER,
+                          step_index, self._worker_clock, phase_start,
+                          lambda worker, step, recipient:
+                          worker.outgoing_gradient(
+                              results[worker.node_id], step,
+                              peer_gradients=correct_gradients,
+                              recipient=recipient))
 
         # Every participating correct server waits for the first q̄
         # gradients, aggregates them with Multi-Krum and applies the local
         # SGD update.
         active_servers = [s for s in alive_correct_servers
                           if s.node_id in active_server_ids]
-        byzantine_worker_ids = {w.node_id for w in self.workers
-                                if w.is_byzantine}
         with phase("seq.step.aggregate", runtime="seq", step=step_index,
                    servers=len(active_servers)):
             for server in active_servers:
@@ -420,10 +420,10 @@ class GuanYuTrainer(DistributedTrainer):
                     server.node_id, MessageKind.GRADIENT_TO_SERVER, step_index,
                     quorum=config.gradient_quorum,
                     not_before=self._server_clock[server.node_id])
-                record_decision(
-                    "seq.gar.decision", server.gradient_aggregator,
-                    record.payloads, record.senders, byzantine_worker_ids,
-                    step=step_index, node=server.node_id)
+                record_decision("seq.gar.decision", server.gradient_aggregator,
+                                record.payloads, record.senders,
+                                self.wiring.attacking_workers,
+                                step=step_index, node=server.node_id)
                 server.apply_gradients(record.payloads, step_index)
                 compute_time = (cost.aggregation_time(self.gradient_rule_name,
                                                       config.gradient_quorum, d)
@@ -438,29 +438,9 @@ class GuanYuTrainer(DistributedTrainer):
         # others and installs the coordinate-wise median of the first q
         # received.
         with phase("seq.step.apply", runtime="seq", step=step_index):
-            for server in self.servers:
-                if server.node_id not in active_server_ids:
-                    continue
-                if server.is_byzantine:
-                    for server_id in server_ids:
-                        payload = server.outgoing_model(step_index,
-                                                        recipient=server_id)
-                        self.network.send(server.node_id, server_id,
-                                          MessageKind.MODEL_TO_SERVER, step_index,
-                                          payload, send_time=phase_start,
-                                          delay_override=0.0)
-                else:
-                    send_time = self._server_clock[server.node_id] + serialization
-                    payload = server.outgoing_model(step_index)
-                    for server_id in server_ids:
-                        # A server's own model is available to it immediately.
-                        delay_override = 0.0 if server_id == server.node_id \
-                            else None
-                        self.network.send(server.node_id, server_id,
-                                          MessageKind.MODEL_TO_SERVER, step_index,
-                                          payload, send_time=send_time,
-                                          delay_override=delay_override)
-
+            self._scatter(sending_servers, MessageKind.MODEL_TO_SERVER,
+                          step_index, self._server_clock, phase_start,
+                          ServerNode.outgoing_model)
             for server in active_servers:
                 record = self.network.collect_quorum(
                     server.node_id, MessageKind.MODEL_TO_SERVER, step_index,

@@ -32,12 +32,9 @@ def evaluate_accuracy(model: Module, dataset: Dataset, batch_size: int = 256,
     This is the paper's "top-1 cross-accuracy": the fraction of correct
     predictions on the testing dataset.
     """
-    model.eval()
     with no_grad():
-        accuracy = _chunked_accuracy(lambda features: model(Tensor(features)).data,
-                                     dataset, batch_size, max_samples)
-    model.train()
-    return accuracy
+        return _chunked_accuracy(lambda features: model(Tensor(features)).data,
+                                 dataset, batch_size, max_samples)
 
 
 def plan_accuracy(plan, parameters: np.ndarray, dataset: Dataset,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -19,11 +19,36 @@ class MessageKind(str, enum.Enum):
     ``GRADIENT_TO_SERVER`` — phase 2: worker → parameter server, carries g_t.
     ``MODEL_TO_SERVER``   — phase 3: parameter server → parameter server,
     carries the locally updated model before the inter-server median.
+
+    Who sends each kind to whom is :data:`ROUTES`.
     """
 
     MODEL_TO_WORKER = "model_to_worker"
     GRADIENT_TO_SERVER = "gradient_to_server"
     MODEL_TO_SERVER = "model_to_server"
+
+
+class Route(NamedTuple):
+    """The sending and receiving role (``"server"``/``"worker"``) of one
+    kind: every sender scatters to every recipient, and each recipient
+    keeps the first ``q`` (the kind's quorum in
+    :class:`~repro.core.config.ClusterConfig`)."""
+
+    senders: str
+    recipients: str
+
+    def of(self, workers, servers) -> tuple:
+        """``(senders', recipients')`` picked from two per-role values."""
+        roles = {"worker": workers, "server": servers}
+        return roles[self.senders], roles[self.recipients]
+
+
+#: who sends which kind to whom
+ROUTES = {
+    MessageKind.MODEL_TO_WORKER: Route("server", "worker"),
+    MessageKind.GRADIENT_TO_SERVER: Route("worker", "server"),
+    MessageKind.MODEL_TO_SERVER: Route("server", "server"),
+}
 
 
 @dataclass

@@ -42,7 +42,6 @@ class Module:
     def __init__(self) -> None:
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
-        self.training: bool = True
 
     # ------------------------------------------------------------------ #
     # Attribute registration
@@ -85,20 +84,6 @@ class Module:
         """Reset gradients of every parameter."""
         for param in self.parameters():
             param.zero_grad()
-
-    # ------------------------------------------------------------------ #
-    # Train / eval switches
-    # ------------------------------------------------------------------ #
-    def train(self, mode: bool = True) -> "Module":
-        """Set the module (and children) to training mode."""
-        self.training = mode
-        for module in self._modules.values():
-            module.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        """Set the module (and children) to evaluation mode."""
-        return self.train(False)
 
     # ------------------------------------------------------------------ #
     # Flat parameter / gradient interface (used by the distributed layer)

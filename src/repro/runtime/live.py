@@ -19,6 +19,7 @@ come from the same lines.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import defaultdict
@@ -29,7 +30,7 @@ import numpy as np
 from repro.core.nodes import ServerNode, WorkerNode
 from repro.core.wiring import ClusterWiring
 from repro.faults import FaultController
-from repro.network.message import MessageKind
+from repro.network.message import ROUTES, MessageKind
 from repro.obs.telemetry import phase
 
 
@@ -42,11 +43,11 @@ class Endpoint:
 
     Receiving: per-``(kind, step)`` buckets keyed by sender.  A frame counts
     once per sender, and only if the sender is one of the wiring's node ids
-    *and* its role may send that kind (models come from servers, gradients
-    from workers) — anything else is dropped and counted in
-    ``messages_suppressed``, so neither a worker nor a stranger can stand in
-    for a parameter server in a quorum.  The id lists are known at
-    construction: a fast peer's honest frame may precede any address map.
+    *and* its role sends that kind (:data:`~repro.network.message.ROUTES`)
+    — anything else is dropped and counted in ``messages_suppressed``, so
+    neither a worker nor a stranger can stand in for a parameter server in
+    a quorum.  The id lists are known at construction: a fast peer's
+    honest frame may precede any address map.
 
     Sending: ``None`` is Byzantine silence; otherwise one jitter draw, then
     the optional :class:`~repro.faults.FaultController` is consulted once
@@ -65,9 +66,8 @@ class Endpoint:
         self.faults = fault_controller
         #: who may send each kind of frame (kinds travel as their values)
         self._senders = {
-            MessageKind.MODEL_TO_WORKER.value: frozenset(server_ids),
-            MessageKind.MODEL_TO_SERVER.value: frozenset(server_ids),
-            MessageKind.GRADIENT_TO_SERVER.value: frozenset(worker_ids)}
+            kind.value: frozenset(route.of(worker_ids, server_ids)[0])
+            for kind, route in ROUTES.items()}
         self._node_ids = frozenset(worker_ids) | frozenset(server_ids)
         self._rng = np.random.default_rng(seed)
         self._lock = threading.Lock()  # counters and the generator
@@ -266,6 +266,17 @@ class LiveNode:
         if self.straggle > 0:
             time.sleep(self.straggle)
 
+    def _send_all(self, kind: MessageKind, step: int, payload) -> None:
+        """Send ``payload(step, recipient=...)`` to every recipient of
+        ``kind``'s :data:`~repro.network.message.ROUTES` entry; a server's
+        model to itself is its current parameters, no attack asked."""
+        for recipient in ROUTES[kind].of(self.wiring.worker_ids,
+                                         self.wiring.server_ids)[1]:
+            self.endpoint.send(recipient, kind, step,
+                               self.node.current_parameters()
+                               if recipient == self.node_id
+                               else payload(step, recipient=recipient))
+
     # ------------------------------------------------------------------ #
     def _worker_step(self, step: int) -> None:
         worker: WorkerNode = self.node
@@ -288,11 +299,8 @@ class LiveNode:
                 self.publish_observation(step, result.gradient)
             self.report_loss(step, result.loss)
         self._maybe_straggle()
-        for server_id in self.wiring.server_ids:
-            payload = worker.outgoing_gradient(result, step,
-                                               recipient=server_id)
-            self.endpoint.send(server_id, MessageKind.GRADIENT_TO_SERVER,
-                               step, payload)
+        self._send_all(MessageKind.GRADIENT_TO_SERVER, step,
+                       functools.partial(worker.outgoing_gradient, result))
 
     def _server_step(self, step: int) -> None:
         server: ServerNode = self.node
@@ -301,10 +309,8 @@ class LiveNode:
         # Phase 1: broadcast the current model to the workers.
         with phase(self._span_stem + "broadcast", runtime=self.runtime_label,
                    step=step, node=self.node_id):
-            for worker_id in self.wiring.worker_ids:
-                payload = server.outgoing_model(step, recipient=worker_id)
-                self.endpoint.send(worker_id, MessageKind.MODEL_TO_WORKER,
-                                   step, payload)
+            self._send_all(MessageKind.MODEL_TO_WORKER, step,
+                           server.outgoing_model)
         # Phase 2: gather gradients and update (Byzantine servers skip the
         # honest computation — whatever they hold is corrupted on send).
         with phase(self._span_stem + "gather", runtime=self.runtime_label,
@@ -318,12 +324,8 @@ class LiveNode:
         # Phase 3: exchange models between servers and take the median.
         with phase(self._span_stem + "apply", runtime=self.runtime_label,
                    step=step, node=self.node_id):
-            for server_id in self.wiring.server_ids:
-                payload = server.outgoing_model(step, recipient=server_id) \
-                    if server_id != self.node_id \
-                    else server.current_parameters()
-                self.endpoint.send(server_id, MessageKind.MODEL_TO_SERVER,
-                                   step, payload)
+            self._send_all(MessageKind.MODEL_TO_SERVER, step,
+                           server.outgoing_model)
             models = self.endpoint.wait_quorum(
                 MessageKind.MODEL_TO_SERVER, step,
                 quorum=config.model_quorum, timeout=self.quorum_timeout)

@@ -28,9 +28,7 @@ from repro.tensor.functional import (
     max_pool2d,
     nll_loss,
     relu,
-    sigmoid,
     softmax,
-    tanh,
 )
 from repro.tensor.gradcheck import gradient_check
 
@@ -38,8 +36,6 @@ __all__ = [
     "Tensor",
     "no_grad",
     "relu",
-    "sigmoid",
-    "tanh",
     "softmax",
     "log_softmax",
     "cross_entropy",

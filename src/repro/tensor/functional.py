@@ -31,16 +31,6 @@ def relu(x: Tensor) -> Tensor:
     return x.relu()
 
 
-def tanh(x: Tensor) -> Tensor:
-    """Hyperbolic tangent."""
-    return x.tanh()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    """Logistic sigmoid."""
-    return x.sigmoid()
-
-
 # --------------------------------------------------------------------------- #
 # Softmax / cross-entropy
 # --------------------------------------------------------------------------- #

@@ -416,24 +416,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - data ** 2))
-
-        return Tensor._make(data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * data * (1.0 - data))
-
-        return Tensor._make(data, (self,), backward)
-
     def clip(self, low: float, high: float) -> "Tensor":
         data = np.clip(self.data, low, high)
         mask = ((self.data >= low) & (self.data <= high)).astype(self.data.dtype)

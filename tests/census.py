@@ -2,9 +2,10 @@
 
 Lists every module-level and class-level ``def``/``class`` under
 ``src/repro`` whose name no file under ``src/``, ``bench/`` or ``examples/``
-references (a name load or an attribute access; imports, ``__all__`` and
-the definition's own body do not count), largest first, with its line
-count.  A definition under any decorator but a plain descriptor or
+references (a name load or an attribute access; imports, ``__all__``,
+the definition's own body and attributes read off a name a non-``repro``
+import bound, such as ``np.tanh``, do not count), largest first, with its
+line count.  A definition under any decorator but a plain descriptor or
 ``dataclass`` counts as reached, since the decorator may register it.
 The last line is the total.  It is a report, not a gate:
 dynamic dispatch (``getattr`` on a built string, a framework hook such as
@@ -48,13 +49,33 @@ def definitions(tree: ast.Module):
                 scopes.append(node.body)
 
 
+def foreign_names(tree: ast.Module) -> set:
+    """Names bound by imports of anything but ``repro`` (``np``, ``math``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names
+                         if alias.name.split(".")[0] != "repro")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and (node.module or "").split(".")[0] != "repro":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
 def references(tree: ast.Module):
-    """``(name, line)`` of every name load and attribute access."""
+    """``(name, line)`` of every name load and attribute access, except
+    attributes of a chain rooted in a :func:`foreign_names` name."""
+    foreign = foreign_names(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in foreign):
+                yield node.attr, node.lineno
 
 
 def main() -> int:

@@ -75,6 +75,32 @@ def test_imports_and_own_body_do_not_count_as_references(run_census):
     assert reported(lines) == {"recursive", "imported"}
 
 
+def test_attributes_of_foreign_imports_do_not_reach_a_definition(run_census):
+    lines = run_census({
+        "src/repro/mod.py": """\
+            def tanh(x):
+                return x
+
+            def exp(x):
+                return x
+
+            def norm(x):
+                return x
+
+            def kept(x):
+                return x
+            """,
+        "src/repro/other.py": """\
+            import math
+            import numpy as np
+            from repro import mod
+
+            np.tanh(1.0) + math.exp(1.0) + np.linalg.norm(1.0) + mod.kept(1.0)
+            """,
+    })
+    assert reported(lines) == {"tanh", "exp", "norm"}
+
+
 def test_tests_are_not_readers(run_census):
     lines = run_census({
         "src/repro/mod.py": "def tested_only():\n    return 1\n",

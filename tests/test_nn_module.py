@@ -36,14 +36,6 @@ class TestParameterRegistration:
         module.zero_grad()
         assert all(p.grad is None for p in module.parameters())
 
-    def test_train_eval_propagates(self):
-        model = Sequential(Dense(2, 2), ReLU())
-        model.eval()
-        assert not model.training
-        assert not model[0].training
-        model.train()
-        assert model[0].training
-
 
 class TestFlatVectorInterface:
     def test_flat_roundtrip(self):

@@ -164,7 +164,7 @@ class TestReductionsAndShapes:
 
 
 class TestElementwiseOps:
-    @pytest.mark.parametrize("op", ["relu", "tanh", "sigmoid", "exp"])
+    @pytest.mark.parametrize("op", ["relu", "exp"])
     def test_elementwise_gradcheck(self, op):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(4, 3)) + 0.1, requires_grad=True)

@@ -11,7 +11,7 @@ from repro.adversary import (
     SilentServer,
     SilentWorker,
 )
-from repro.network.delays import LogNormalDelay
+from repro.network.delays import ConstantDelay, LogNormalDelay
 from repro.runtime.cost import INSTANT
 
 
@@ -70,6 +70,20 @@ class TestBasicProtocol:
         hb = b.run(num_steps=4, eval_every=4)
         assert np.allclose(a.global_parameters(), b.global_parameters())
         assert np.allclose(ha.times(), hb.times())
+
+    def test_one_step_sends_three_scatters(self, blobs_split, softmax_model_fn,
+                                           fast_schedule):
+        # Servers scatter to the n̄ workers and to the n servers, workers to
+        # the n servers; a server's phase-3 message to itself has no delay.
+        delay = 0.25
+        trainer = _guanyu(blobs_split, softmax_model_fn, fast_schedule,
+                          delay_model=ConstantDelay(
+                              delay, bandwidth_bytes_per_second=float("inf")))
+        trainer.step(0)
+        n, n_bar = 6, 9
+        sent = n * n_bar + n_bar * n + n * n
+        assert trainer.network.stats.messages_sent == sent
+        assert trainer.network.stats.total_delay == delay * (sent - n)
 
 
 class TestConvergence:
