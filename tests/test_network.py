@@ -14,6 +14,7 @@ from repro.network import (
     NetworkSimulator,
     UniformDelay,
 )
+from repro.network.message import ROUTES, Route
 
 
 class TestDelayModels:
@@ -141,6 +142,26 @@ class TestMessage:
         late = Message("a", "b", MessageKind.MODEL_TO_WORKER, 0, np.zeros(1),
                        deliver_time=2.0)
         assert early < late
+
+
+class TestRoutes:
+    def test_each_kind_routes_its_phase(self):
+        assert set(ROUTES) == set(MessageKind)
+        assert ROUTES[MessageKind.MODEL_TO_WORKER] == Route("server", "worker")
+        assert ROUTES[MessageKind.GRADIENT_TO_SERVER] == Route("worker", "server")
+        assert ROUTES[MessageKind.MODEL_TO_SERVER] == Route("server", "server")
+
+    def test_of_picks_senders_then_recipients(self):
+        workers, servers = ["worker/0", "worker/1"], ["ps/0"]
+        assert Route("worker", "server").of(workers, servers) == (workers, servers)
+        assert Route("server", "worker").of(workers, servers) == (servers, workers)
+        assert Route("server", "server").of(workers, servers) == (servers, servers)
+
+    def test_only_the_server_exchange_sends_to_its_own_role(self):
+        # the scatters' delay-free self-message can only arise on this route
+        same_role = [kind for kind, route in ROUTES.items()
+                     if route.senders == route.recipients]
+        assert same_role == [MessageKind.MODEL_TO_SERVER]
 
 
 class TestNetworkSimulator:
