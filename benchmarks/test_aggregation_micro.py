@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.aggregation import Bulyan, GeometricMedian, Krum
-from repro.aggregation.krum import pairwise_squared_distances
+from repro.aggregation.krum import pairwise_squared_distances_batched
 from repro.core.nodes import max_pairwise_distance
 from repro.kernels import get_backend
 
@@ -46,7 +46,7 @@ def test_geometric_median_converges_at_paper_dimension(gradient_cloud):
 def test_geometric_median_converges_at_the_folded_grid_shape():
     """``seq_grid``'s server fold: six servers' gradient quorums of seven
     at D = 266 in one Weiszfeld run, every slice converged and each row
-    the per-slice loop's, bit for bit."""
+    its slice's own (R = 1) call, bit for bit."""
     stack = np.random.default_rng(2).normal(size=(6, 7, 266))
     rule = GeometricMedian(num_byzantine=1)
     out = rule.aggregate_batched(stack)
@@ -69,7 +69,7 @@ def _naive_max_pairwise_distance(cloud: np.ndarray) -> float:
 
 
 def test_pairwise_squared_distances_match_direct_norms(gradient_cloud):
-    squared = pairwise_squared_distances(gradient_cloud)
+    squared = pairwise_squared_distances_batched(gradient_cloud[None])[0]
     assert squared.shape == (NUM_INPUTS, NUM_INPUTS)
     assert np.allclose(squared, squared.T)
     assert np.all(np.diag(squared) == 0.0)

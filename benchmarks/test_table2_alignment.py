@@ -3,6 +3,12 @@
 The paper records, every 20 steps late in training, the two largest norms of
 parameter-difference vectors between correct servers and cos(φ) between
 those two difference vectors, finding values close to 1.
+
+The measurement runs over the *distinct* server vectors.  Under the default
+uniform delays every correct server sees the same quorums and the median
+collapses them to one or two distinct vectors, so there is no pair of
+differences to measure (``docs/paper.md`` records this).  The alignment
+claim is checked where servers see different quorums: exponential delays.
 """
 
 import numpy as np
@@ -12,15 +18,16 @@ from repro.experiments import run_table2
 
 def _print_rows(samples):
     print("\nTable 2 — parameter-vector alignment")
-    print("  step   cos(phi)   max diff1   max diff2")
+    print("  step   cos(phi)   max diff1   max diff2   distinct")
     for sample in samples:
         print("  {step:5d}   {cos_phi:8.4f}   {max_diff1:9.5f}   "
-              "{max_diff2:9.5f}".format(**sample))
+              "{max_diff2:9.5f}   {distinct:8d}".format(**sample))
 
 
 def test_table2_alignment_close_to_one(bench_base):
     """cos(φ) between the two largest difference vectors stays close to 1."""
-    samples, _ = run_table2(base=bench_base, interval=10)
+    samples, _ = run_table2(base=bench_base.replace(
+        delay_model="exponential"), interval=10)
     _print_rows(samples)
     assert len(samples) >= 3
     cosines = np.array([s["cos_phi"] for s in samples

@@ -23,7 +23,6 @@ from repro.aggregation.median import CoordinateWiseMedian, MarginalMedian
 from repro.aggregation.krum import (
     Krum,
     MultiKrum,
-    krum_scores,
     krum_scores_batched,
     pairwise_squared_distances_batched,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "MarginalMedian",
     "Krum",
     "MultiKrum",
-    "krum_scores",
     "krum_scores_batched",
     "pairwise_squared_distances_batched",
     "Bulyan",

@@ -64,7 +64,11 @@ def check_vectors(vectors: VectorList) -> np.ndarray:
 class GradientAggregationRule:
     """Abstract gradient aggregation rule (GAR).
 
-    Subclasses implement :meth:`_aggregate` on a validated ``(n, d)`` array.
+    A rule has one implementation: :meth:`_aggregate_batched`, a reduction
+    of a validated ``(R, n, d)`` replica stack to ``(R, d)``.  The single
+    call is R = 1 — :meth:`aggregate` stacks its ``n`` vectors as one
+    replica and returns row 0 — so the simulator, the live runtimes and
+    the batched engine all run the same code.
 
     Parameters
     ----------
@@ -89,37 +93,34 @@ class GradientAggregationRule:
         """Smallest number of input vectors the rule accepts."""
         return 1
 
-    def _aggregate(self, stacked: np.ndarray) -> np.ndarray:
+    def _check_count(self, num_inputs: int) -> None:
+        if num_inputs < self.minimum_inputs():
+            raise ValueError(
+                f"{self.name} with f={self.num_byzantine} requires at least "
+                f"{self.minimum_inputs()} inputs, got {num_inputs}"
+            )
+
+    def _aggregate_batched(self, stacked: np.ndarray) -> np.ndarray:
+        """Aggregate a validated ``(R, n, d)`` stack into ``(R, d)``.
+
+        Row ``r`` must depend on ``stacked[r]`` alone, bit for bit: the
+        batched runtime's equivalence with the sequential simulator rests
+        on row ``r`` of an ``R``-replica call equalling the R = 1 call on
+        that replica, and ``tests/test_aggregation_batched.py`` holds every
+        registered rule to it and to the per-replica oracle in
+        ``tests/gar_oracle.py``.
+        """
         raise NotImplementedError
 
     def __call__(self, vectors: VectorList) -> np.ndarray:
-        """Aggregate ``vectors`` into a single vector."""
+        """Aggregate ``vectors`` into a single vector: the rule at R = 1."""
         stacked = check_vectors(vectors)
-        if stacked.shape[0] < self.minimum_inputs():
-            raise ValueError(
-                f"{self.name} with f={self.num_byzantine} requires at least "
-                f"{self.minimum_inputs()} inputs, got {stacked.shape[0]}"
-            )
-        return self._aggregate(stacked)
+        self._check_count(stacked.shape[0])
+        return self._aggregate_batched(stacked[None])[0]
 
     def aggregate(self, vectors: VectorList) -> np.ndarray:
         """Alias of :meth:`__call__` for readability at call sites."""
         return self(vectors)
-
-    # ------------------------------------------------------------------ #
-    # Batched (multi-replica) code path
-    # ------------------------------------------------------------------ #
-    def _aggregate_batched(self, stacked: np.ndarray) -> np.ndarray:
-        """Aggregate a validated ``(R, n, d)`` stack into ``(R, d)``.
-
-        The default runs the sequential rule once per replica, which is
-        always correct; rules with a vectorised formulation override this.
-        Every override must be **bit-identical** to the per-replica loop —
-        the batched runtime's equivalence guarantee rests on it, and
-        ``tests/test_aggregation_batched.py`` enforces it for every
-        registered rule.
-        """
-        return np.stack([self._aggregate(replica) for replica in stacked])
 
     def aggregate_batched(self, stacked: np.ndarray) -> np.ndarray:
         """Aggregate ``R`` independent replicas in one call.
@@ -128,16 +129,11 @@ class GradientAggregationRule:
         ----------
         stacked:
             Array of shape ``(R, n, d)``: for each of ``R`` replicas, the
-            ``n`` vectors to aggregate.  Equivalent to ``R`` calls of
-            :meth:`aggregate` on the ``(n, d)`` slices, but vectorised over
-            the leading replica axis where the rule supports it.
+            ``n`` vectors to aggregate.  Row ``r`` of the result is
+            :meth:`aggregate` of ``stacked[r]``.
         """
         stacked = check_vectors_batched(stacked)
-        if stacked.shape[1] < self.minimum_inputs():
-            raise ValueError(
-                f"{self.name} with f={self.num_byzantine} requires at least "
-                f"{self.minimum_inputs()} inputs, got {stacked.shape[1]}"
-            )
+        self._check_count(stacked.shape[1])
         return self._aggregate_batched(stacked)
 
     # ------------------------------------------------------------------ #

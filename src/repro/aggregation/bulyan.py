@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from repro.aggregation.base import GradientAggregationRule
-from repro.aggregation.krum import Krum, pairwise_squared_distances
+from repro.aggregation.krum import Krum, pairwise_squared_distances_batched
 from repro.kernels import active_backend
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
@@ -51,8 +51,8 @@ def certified_krum_choice(distances: np.ndarray, norms: np.ndarray,
     """
     if not np.all(norms[pool] <= _NO_OVERFLOW):
         return None
-    scores = active_backend().krum_neighbor_sums(
-        distances[np.ix_(pool, pool)], num_neighbors)
+    scores = active_backend().krum_neighbor_sums_batched(
+        distances[np.ix_(pool, pool)][None], num_neighbors)[0]
     best = int(np.argmin(scores))
     epsilon = 2 * _gamma(dimension) + 4 * _UNIT_ROUNDOFF
     tolerance = 4 * ((2 * epsilon + _gamma(num_neighbors)) * scores
@@ -91,7 +91,8 @@ class Bulyan(GradientAggregationRule):
         f = self.num_byzantine
         n, dimension = stacked.shape
         # A copy: the backend may hand back scratch that Krum.select reuses.
-        distances = np.array(pairwise_squared_distances(stacked))
+        distances = np.array(
+            pairwise_squared_distances_batched(stacked[None])[0])
         np.fill_diagonal(distances, np.inf)
         norms = np.einsum("ij,ij->i", stacked, stacked)
         remaining = list(range(n))
@@ -113,26 +114,6 @@ class Bulyan(GradientAggregationRule):
             selected.append(remaining.pop(choice_local))
         return selected
 
-    @staticmethod
-    def _trimmed_coordinate_mean(chosen: np.ndarray, beta: int) -> np.ndarray:
-        """Per coordinate, average the ``beta`` values closest to the median."""
-        backend = active_backend()
-        median = backend.median(chosen, axis=0)
-        distances = np.abs(chosen - median)
-        closest = np.argsort(distances, axis=0, kind="stable")[:beta]
-        columns = np.arange(chosen.shape[1])
-        return backend.mean(chosen[closest, columns], axis=0)
-
-    def _beta(self, selection_size: int) -> int:
-        return max(selection_size - 2 * self.num_byzantine, 1)
-
-    def _aggregate(self, stacked: np.ndarray) -> np.ndarray:
-        f = self.num_byzantine
-        if f == 0:
-            return active_backend().mean(stacked, axis=0)
-        chosen = stacked[self._select(stacked)]
-        return self._trimmed_coordinate_mean(chosen, self._beta(chosen.shape[0]))
-
     def selected_input_indices(self, stacked: np.ndarray):
         if self.num_byzantine == 0:
             return None  # degenerates to the mean: every input contributes
@@ -147,7 +128,7 @@ class Bulyan(GradientAggregationRule):
         # the final per-coordinate trim is vectorised over the replica axis.
         backend = active_backend()
         chosen = np.stack([replica[self._select(replica)] for replica in stacked])
-        beta = self._beta(chosen.shape[1])
+        beta = max(chosen.shape[1] - 2 * f, 1)
         median = backend.median(chosen, axis=1)
         distances = np.abs(chosen - median[:, None, :])
         closest = np.argsort(distances, axis=1, kind="stable")[:, :beta]

@@ -30,15 +30,13 @@ class GeometricMedian(GradientAggregationRule):
     Attributes
     ----------
     converged, iterations:
-        Diagnostics of the most recent call.  After :meth:`aggregate`:
-        whether the fixed-point iteration met ``tolerance`` and how many
-        iterations it ran.  After :meth:`aggregate_batched`: whether
-        **every** slice of the stack converged, and the **largest**
-        iteration count any slice ran.  A call that exhausts
-        ``max_iterations`` without converging also emits one
-        ``RuntimeWarning`` (a batched call says how many of its slices did
-        not converge) — the returned point is then only an approximation of
-        the geometric median, which matters for benchmarks comparing
+        Diagnostics of the most recent call: whether **every** slice of
+        the stack met ``tolerance``, and the **largest** iteration count
+        any slice ran (a single :meth:`aggregate` call is one slice).  A
+        call in which some slice exhausts ``max_iterations`` without
+        converging emits one ``RuntimeWarning`` saying on how many of its
+        slices — the returned point is then only an approximation of the
+        geometric median, which matters for benchmarks comparing
         aggregation-rule overheads at equal accuracy.
     """
 
@@ -57,43 +55,16 @@ class GeometricMedian(GradientAggregationRule):
     def minimum_inputs(self) -> int:
         return 2 * self.num_byzantine + 1
 
-    def _aggregate(self, stacked: np.ndarray) -> np.ndarray:
-        estimate = active_backend().median(stacked, axis=0)
-        self.converged = False
-        self.iterations = 0
-        for iteration in range(self.max_iterations):
-            self.iterations = iteration + 1
-            distances = np.linalg.norm(stacked - estimate, axis=1)
-            # Avoid division by zero when the estimate coincides with a point.
-            mask = distances > 1e-12
-            if not np.any(mask):
-                self.converged = True
-                return estimate
-            weights = np.zeros_like(distances)
-            weights[mask] = 1.0 / distances[mask]
-            new_estimate = (weights[:, None] * stacked).sum(axis=0) / weights.sum()
-            shift = float(np.linalg.norm(new_estimate - estimate))
-            estimate = new_estimate
-            if shift < self.tolerance:
-                self.converged = True
-                break
-        if not self.converged:
-            warnings.warn(
-                f"geometric median did not converge within "
-                f"{self.max_iterations} Weiszfeld iterations "
-                f"(tolerance={self.tolerance}); returning the last iterate",
-                RuntimeWarning, stacklevel=3)
-        return estimate
-
     def _aggregate_batched(self, stacked: np.ndarray) -> np.ndarray:
         """Weiszfeld over the whole ``(S, n, D)`` stack with an active set.
 
-        Every slice sees the arithmetic of :meth:`_aggregate` on the same
-        reduction axes — distances reduce over the contiguous last axis,
-        the weighted sum adds the inputs in order, the shift is the 1-D
-        ``dot`` that ``np.linalg.norm`` takes — so the rows are
-        bit-identical to the per-slice loop.  A slice that stops leaves the
-        active set; the rest iterate on.
+        Every slice sees the arithmetic of the scalar per-slice loop
+        (``tests/gar_oracle.py``) on the same reduction axes — distances
+        reduce over the contiguous last axis, the weighted sum adds the
+        inputs in order, the shift is the 1-D ``dot`` that
+        ``np.linalg.norm`` takes — so each row is bit-identical to that
+        loop on its slice.  A slice that stops leaves the active set; the
+        rest iterate on.
         """
         estimate = active_backend().median(stacked, axis=1)
         result = np.empty_like(estimate)

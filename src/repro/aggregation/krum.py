@@ -22,51 +22,27 @@ from repro.aggregation.base import GradientAggregationRule
 from repro.kernels import active_backend
 
 
-def pairwise_squared_distances(stacked: np.ndarray) -> np.ndarray:
-    """Return the ``(n, n)`` matrix of squared Euclidean distances.
+def pairwise_squared_distances_batched(stacked: np.ndarray) -> np.ndarray:
+    """Gram kernel: ``(R, n, d)`` stack → ``(R, n, n)`` squared distances.
 
-    One Gram-matrix product plus broadcasting — ``||x_i − x_j||² =
+    One stacked Gram product plus broadcasting — ``||x_i − x_j||² =
     ||x_i||² + ||x_j||² − 2⟨x_i, x_j⟩`` — instead of an ``O(n²)``
     Python-level loop.  Shared by Krum/Multi-Krum/Bulyan scoring and by the
-    server-spread metric (:func:`repro.core.nodes.max_pairwise_distance`).
-    Computed by the active kernel backend (:mod:`repro.kernels`); the
-    result may be a view into backend scratch storage, valid until the
-    backend's next same-shape call.
-    """
-    return active_backend().pairwise_squared_distances(stacked)
-
-
-def pairwise_squared_distances_batched(stacked: np.ndarray) -> np.ndarray:
-    """Batched Gram kernel: ``(R, n, d)`` stack → ``(R, n, n)`` distances.
-
-    Replica slice ``r`` is bit-identical to
-    ``pairwise_squared_distances(stacked[r])``: the stacked matmul runs the
-    same GEMM per slice and the broadcasting arithmetic is elementwise.
-    Backend-computed; the same scratch-storage caveat applies.
+    server-spread metric (:func:`repro.core.nodes.max_pairwise_distance`),
+    which pass one ``(n, d)`` stack as ``stacked[None]``.  Computed by the
+    active kernel backend (:mod:`repro.kernels`); the result may be a view
+    into backend scratch storage, valid until the backend's next
+    same-shape call.
     """
     return active_backend().pairwise_squared_distances_batched(stacked)
 
 
-def krum_scores(stacked: np.ndarray, num_byzantine: int) -> np.ndarray:
-    """Compute the Krum score of every input vector.
+def krum_scores_batched(stacked: np.ndarray, num_byzantine: int) -> np.ndarray:
+    """Krum scores of an ``(R, n, d)`` replica stack, shape ``(R, n)``.
 
     The score of ``x_i`` is the sum of squared distances from ``x_i`` to its
     ``n − f − 2`` nearest neighbours among the other inputs.
     """
-    n = stacked.shape[0]
-    num_neighbors = n - num_byzantine - 2
-    if num_neighbors < 1:
-        raise ValueError(
-            f"Krum requires n - f - 2 >= 1 (got n={n}, f={num_byzantine})"
-        )
-    squared = pairwise_squared_distances(stacked)
-    # Exclude the vector itself (distance 0 on the diagonal) from neighbours.
-    np.fill_diagonal(squared, np.inf)
-    return active_backend().krum_neighbor_sums(squared, num_neighbors)
-
-
-def krum_scores_batched(stacked: np.ndarray, num_byzantine: int) -> np.ndarray:
-    """Krum scores of an ``(R, n, d)`` replica stack, shape ``(R, n)``."""
     n = stacked.shape[1]
     num_neighbors = n - num_byzantine - 2
     if num_neighbors < 1:
@@ -74,9 +50,16 @@ def krum_scores_batched(stacked: np.ndarray, num_byzantine: int) -> np.ndarray:
             f"Krum requires n - f - 2 >= 1 (got n={n}, f={num_byzantine})"
         )
     squared = pairwise_squared_distances_batched(stacked)
+    # Exclude the vector itself (distance 0 on the diagonal) from neighbours.
     diagonal = np.arange(n)
     squared[:, diagonal, diagonal] = np.inf
     return active_backend().krum_neighbor_sums_batched(squared, num_neighbors)
+
+
+def _scores(stacked: np.ndarray, num_byzantine: int) -> np.ndarray:
+    """Krum scores of one ``(n, d)`` stack: the batched scores at R = 1."""
+    return krum_scores_batched(np.asarray(stacked, dtype=np.float64)[None],
+                               num_byzantine)[0]
 
 
 class Krum(GradientAggregationRule):
@@ -88,26 +71,20 @@ class Krum(GradientAggregationRule):
     def minimum_inputs(self) -> int:
         return 2 * self.num_byzantine + 3
 
-    def _aggregate(self, stacked: np.ndarray) -> np.ndarray:
-        scores = krum_scores(stacked, self.num_byzantine)
-        return stacked[int(np.argmin(scores))].copy()
-
     def _aggregate_batched(self, stacked: np.ndarray) -> np.ndarray:
         scores = krum_scores_batched(stacked, self.num_byzantine)
         winners = np.argmin(scores, axis=1)
-        return stacked[np.arange(stacked.shape[0]), winners].copy()
+        return stacked[np.arange(stacked.shape[0]), winners]
 
     def select(self, stacked: np.ndarray) -> int:
         """Return the index of the selected input (used by Bulyan)."""
-        scores = krum_scores(np.asarray(stacked, dtype=np.float64), self.num_byzantine)
-        return int(np.argmin(scores))
+        return int(np.argmin(_scores(stacked, self.num_byzantine)))
 
     def selected_input_indices(self, stacked: np.ndarray) -> np.ndarray:
         return np.array([self.select(stacked)])
 
     def input_scores(self, stacked: np.ndarray) -> np.ndarray:
-        return krum_scores(np.asarray(stacked, dtype=np.float64),
-                           self.num_byzantine)
+        return _scores(stacked, self.num_byzantine)
 
 
 class MultiKrum(GradientAggregationRule):
@@ -140,27 +117,25 @@ class MultiKrum(GradientAggregationRule):
             return default
         return max(1, min(self.num_selected, default))
 
+    def _selected_batched(self, scores: np.ndarray) -> np.ndarray:
+        """``(R, m)`` indices of each replica's ``m`` best-scoring inputs."""
+        size = self.selection_size(scores.shape[1])
+        return np.argsort(scores, axis=1, kind="stable")[:, :size]
+
     def selected_indices(self, stacked: np.ndarray) -> np.ndarray:
         """Indices of the inputs that enter the final average."""
-        stacked = np.asarray(stacked, dtype=np.float64)
-        scores = krum_scores(stacked, self.num_byzantine)
-        size = self.selection_size(stacked.shape[0])
-        return np.argsort(scores, kind="stable")[:size]
-
-    def _aggregate(self, stacked: np.ndarray) -> np.ndarray:
-        indices = self.selected_indices(stacked)
-        return active_backend().mean(stacked[indices], axis=0)
+        return self._selected_batched(self.input_scores(stacked)[None])[0]
 
     def selected_input_indices(self, stacked: np.ndarray) -> np.ndarray:
         return self.selected_indices(stacked)
 
     def input_scores(self, stacked: np.ndarray) -> np.ndarray:
-        return krum_scores(np.asarray(stacked, dtype=np.float64),
-                           self.num_byzantine)
+        return _scores(stacked, self.num_byzantine)
 
     def _aggregate_batched(self, stacked: np.ndarray) -> np.ndarray:
-        scores = krum_scores_batched(stacked, self.num_byzantine)
-        size = self.selection_size(stacked.shape[1])
-        indices = np.argsort(scores, axis=1, kind="stable")[:, :size]
-        chosen = np.take_along_axis(stacked, indices[:, :, None], axis=1)
+        indices = self._selected_batched(
+            krum_scores_batched(stacked, self.num_byzantine))
+        # A plain fancy index: ``take_along_axis`` would build an index of
+        # size m·d to gather the same m rows.
+        chosen = stacked[np.arange(stacked.shape[0])[:, None], indices]
         return active_backend().mean(chosen, axis=1)

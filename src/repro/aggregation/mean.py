@@ -20,9 +20,6 @@ class ArithmeticMean(GradientAggregationRule):
     name = "mean"
     byzantine_resilient = False
 
-    def _aggregate(self, stacked: np.ndarray) -> np.ndarray:
-        return active_backend().mean(stacked, axis=0)
-
     def _aggregate_batched(self, stacked: np.ndarray) -> np.ndarray:
         return active_backend().mean(stacked, axis=1)
 
@@ -39,10 +36,6 @@ class TrimmedMean(GradientAggregationRule):
 
     def minimum_inputs(self) -> int:
         return 2 * self.num_byzantine + 1
-
-    def _aggregate(self, stacked: np.ndarray) -> np.ndarray:
-        return active_backend().trimmed_mean(stacked, self.num_byzantine,
-                                             axis=0)
 
     def _aggregate_batched(self, stacked: np.ndarray) -> np.ndarray:
         return active_backend().trimmed_mean(stacked, self.num_byzantine,

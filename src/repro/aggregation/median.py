@@ -32,9 +32,6 @@ class CoordinateWiseMedian(GradientAggregationRule):
     def minimum_inputs(self) -> int:
         return 2 * self.num_byzantine + 1
 
-    def _aggregate(self, stacked: np.ndarray) -> np.ndarray:
-        return active_backend().median(stacked, axis=0)
-
     def _aggregate_batched(self, stacked: np.ndarray) -> np.ndarray:
         return active_backend().median(stacked, axis=1)
 
@@ -53,17 +50,10 @@ class MarginalMedian(GradientAggregationRule):
     def minimum_inputs(self) -> int:
         return 2 * self.num_byzantine + 2
 
-    def _aggregate(self, stacked: np.ndarray) -> np.ndarray:
-        if self.num_byzantine == 0:
-            return active_backend().median(stacked, axis=0)
-        norms = np.linalg.norm(stacked, axis=1)
-        keep = np.argsort(norms)[: stacked.shape[0] - self.num_byzantine]
-        return active_backend().median(stacked[keep], axis=0)
-
     def _aggregate_batched(self, stacked: np.ndarray) -> np.ndarray:
-        if self.num_byzantine == 0:
-            return active_backend().median(stacked, axis=1)
-        norms = np.linalg.norm(stacked, axis=2)
-        keep = np.argsort(norms, axis=1)[:, : stacked.shape[1] - self.num_byzantine]
-        kept = np.take_along_axis(stacked, keep[:, :, None], axis=1)
-        return active_backend().median(kept, axis=1)
+        if self.num_byzantine:
+            norms = np.linalg.norm(stacked, axis=2)
+            keep = np.argsort(norms, axis=1)[
+                :, : stacked.shape[1] - self.num_byzantine]
+            stacked = stacked[np.arange(stacked.shape[0])[:, None], keep]
+        return active_backend().median(stacked, axis=1)

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.adversary.base import AttackContext, ServerAttack, WorkerAttack
 from repro.aggregation.base import GradientAggregationRule
-from repro.aggregation.krum import pairwise_squared_distances
+from repro.aggregation.krum import pairwise_squared_distances_batched
 from repro.data.loader import DataLoader
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module
@@ -319,7 +319,7 @@ def max_pairwise_distance(vectors: Sequence[np.ndarray]) -> float:
     if len(vectors) < 2:
         return 0.0
     stacked = np.stack(vectors)
-    squared = pairwise_squared_distances(stacked)
+    squared = pairwise_squared_distances_batched(stacked[None])[0]
     # The Gram trick finds the extreme pair in one matmul, but its
     # cancellation error (~1e-8 on unit-scale vectors) would report a noise
     # floor where servers agree exactly — and exact agreement after the

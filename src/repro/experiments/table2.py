@@ -41,7 +41,8 @@ def run_table2(base: Optional[ScenarioSpec] = None,
         is only expected to hold "after some large step number".
 
     Returns one row per sample (``step``, ``cos_phi``, ``max_diff1``,
-    ``max_diff2``) and no histories.
+    ``max_diff2``, and ``distinct``: how many of the correct servers' vectors
+    differ, over which the other columns are measured) and no histories.
     """
     spec = (base if base is not None else ScenarioSpec()).replace(
         name="table2", trainer="guanyu")
@@ -55,5 +56,6 @@ def run_table2(base: Optional[ScenarioSpec] = None,
             probe.maybe_record(step, [server.current_parameters()
                                       for server in trainer.correct_servers])
     return [{"step": sample.step, "cos_phi": sample.cos_phi,
-             "max_diff1": sample.max_diff_1, "max_diff2": sample.max_diff_2}
+             "max_diff1": sample.max_diff_1, "max_diff2": sample.max_diff_2,
+             "distinct": sample.distinct}
             for sample in probe.samples], {}

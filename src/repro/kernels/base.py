@@ -5,7 +5,9 @@ the Gram/pairwise squared-distance kernel behind Krum/Multi-Krum/Bulyan,
 the mean/trimmed-mean/median reductions every GAR is built from, and the
 replica-batched dense forward/backward of :mod:`repro.nn.plan` — so
 that an optimised implementation can be swapped in without touching the
-protocol or aggregation layers.
+protocol or aggregation layers.  Each kernel is written once, over an
+``(R, ...)`` replica stack: the single call is R = 1 (a ``[None]`` in,
+a ``[0]`` out), as it is for the aggregation rules built on them.
 
 The contract is strict: **every backend must be bit-identical to the
 ``reference`` backend on every input** (same IEEE-754 doubles, not merely
@@ -144,35 +146,30 @@ class KernelBackend:
     # ------------------------------------------------------------------ #
     # Pairwise squared distances (Krum / Multi-Krum / Bulyan / spread)
     # ------------------------------------------------------------------ #
-    def pairwise_squared_distances(self, stacked: np.ndarray) -> np.ndarray:
-        """``(n, d)`` stack → ``(n, n)`` squared Euclidean distances.
-
-        Zero diagonal, clamped at 0 (the Gram identity can go slightly
-        negative through cancellation).
-        """
-        raise NotImplementedError
-
     def pairwise_squared_distances_batched(self,
                                            stacked: np.ndarray) -> np.ndarray:
-        """``(R, n, d)`` stack → ``(R, n, n)``; slice ``r`` must be
-        bit-identical to :meth:`pairwise_squared_distances` on
-        ``stacked[r]``."""
-        raise NotImplementedError
+        """``(R, n, d)`` stack → ``(R, n, n)`` squared Euclidean distances.
 
-    def krum_neighbor_sums(self, squared: np.ndarray,
-                           num_neighbors: int) -> np.ndarray:
-        """Sum of each row's ``num_neighbors`` smallest entries, ascending.
-
-        ``squared`` is a pairwise matrix with the diagonal already set to
-        ``inf`` (so a vector is never its own neighbour); the reduction
-        must sum the selected values in ascending order, exactly like
-        ``np.sort(...)[..., :k].sum(-1)``.
+        Zero diagonal, clamped at 0 (the Gram identity can go slightly
+        negative through cancellation).  Slice ``r`` depends on
+        ``stacked[r]`` alone, bit for bit; one ``(n, d)`` stack is R = 1.
         """
         raise NotImplementedError
+
+    def pairwise_squared_distances(self, stacked: np.ndarray) -> np.ndarray:
+        """One ``(n, d)`` stack: :meth:`pairwise_squared_distances_batched`
+        at R = 1."""
+        return self.pairwise_squared_distances_batched(stacked[None])[0]
 
     def krum_neighbor_sums_batched(self, squared: np.ndarray,
                                    num_neighbors: int) -> np.ndarray:
-        """Batched :meth:`krum_neighbor_sums` over a ``(R, n, n)`` stack."""
+        """Sum of each row's ``num_neighbors`` smallest entries, ascending.
+
+        ``squared`` is an ``(R, n, n)`` stack of pairwise matrices with the
+        diagonals already set to ``inf`` (so a vector is never its own
+        neighbour); the reduction must sum the selected values in
+        ascending order, exactly like ``np.sort(...)[..., :k].sum(-1)``.
+        """
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #

@@ -2,7 +2,9 @@
 
 Same bits, different memory traffic: every method is bit-identical to the
 ``reference`` backend (the property suite in ``tests/test_kernels.py``
-enforces this for all registered GARs).  It overrides two things:
+enforces this for all registered GARs).  Like the reference, it has one
+body per kernel, over the ``(R, ...)`` replica stack — the single call is
+R = 1.  It overrides two things:
 
 * **Krum neighbour sums via a single-``kth`` ``np.partition``** — only the
   k smallest are needed, in order.  Partitioning to the boundary and
@@ -72,21 +74,6 @@ class NumpyOptBackend(KernelBackend):
     # ------------------------------------------------------------------ #
     # Pairwise squared distances
     # ------------------------------------------------------------------ #
-    def pairwise_squared_distances(self, stacked: np.ndarray) -> np.ndarray:
-        stacked = np.asarray(stacked, dtype=np.float64)
-        n = stacked.shape[0]
-        norms = np.einsum("ij,ij->i", stacked, stacked)
-        gram = self._scratch("gram", (n, n))
-        np.matmul(stacked, stacked.T, out=gram)
-        squared = self._scratch("pairwise", (n, n))
-        # (a + b) - 2*g, exactly the reference association
-        np.add(norms[:, None], norms[None, :], out=squared)
-        np.multiply(gram, 2.0, out=gram)
-        np.subtract(squared, gram, out=squared)
-        np.fill_diagonal(squared, 0.0)
-        np.maximum(squared, 0.0, out=squared)
-        return squared
-
     def pairwise_squared_distances_batched(self,
                                            stacked: np.ndarray) -> np.ndarray:
         stacked = np.asarray(stacked, dtype=np.float64)
@@ -103,28 +90,14 @@ class NumpyOptBackend(KernelBackend):
         np.maximum(squared, 0.0, out=squared)
         return squared
 
-    def krum_neighbor_sums(self, squared: np.ndarray,
-                           num_neighbors: int) -> np.ndarray:
-        return self._neighbor_sums(squared, num_neighbors, axis=1)
-
     def krum_neighbor_sums_batched(self, squared: np.ndarray,
                                    num_neighbors: int) -> np.ndarray:
-        return self._neighbor_sums(squared, num_neighbors, axis=2)
-
-    @staticmethod
-    def _neighbor_sums(squared: np.ndarray, num_neighbors: int,
-                       axis: int) -> np.ndarray:
-        length = squared.shape[axis]
-        if num_neighbors < 1 or num_neighbors >= length:
-            window = [slice(None)] * squared.ndim
-            window[axis] = slice(None, num_neighbors)
-            return np.sort(squared, axis=axis)[tuple(window)].sum(axis=axis)
-        window = [slice(None)] * squared.ndim
-        window[axis] = slice(None, num_neighbors)
+        if num_neighbors < 1 or num_neighbors >= squared.shape[2]:
+            return np.sort(squared, axis=2)[:, :, :num_neighbors].sum(axis=2)
         nearest = np.partition(squared, num_neighbors - 1,
-                               axis=axis)[tuple(window)]
-        nearest.sort(axis=axis)  # ascending, like the reference's full sort
-        return nearest.sum(axis=axis)
+                               axis=2)[:, :, :num_neighbors]
+        nearest.sort(axis=2)  # ascending, like the reference's full sort
+        return nearest.sum(axis=2)
 
     # ------------------------------------------------------------------ #
     # Replica-batched dense forward/backward

@@ -11,6 +11,11 @@ mean / trimmed-mean / median reductions are those of
 sort, or on wide rows a pruned comparator network that selects the same
 values.
 
+Every kernel here takes a replica stack; a single ``(n, d)`` stack is
+R = 1.  The single-stack Gram kernel and neighbour sums it once carried
+beside the batched ones are gone (the per-replica GAR oracle in
+``tests/gar_oracle.py`` keeps their bodies).
+
 Keep this backend boring.  Optimisations belong in ``numpy-opt`` (or a
 future backend); the reference exists so the bitwise property suite has a
 fixed point to compare against.
@@ -33,14 +38,6 @@ class ReferenceBackend(KernelBackend):
     # ------------------------------------------------------------------ #
     # Pairwise squared distances
     # ------------------------------------------------------------------ #
-    def pairwise_squared_distances(self, stacked: np.ndarray) -> np.ndarray:
-        stacked = np.asarray(stacked, dtype=np.float64)
-        norms = np.einsum("ij,ij->i", stacked, stacked)
-        squared = (norms[:, None] + norms[None, :]
-                   - 2.0 * (stacked @ stacked.T))
-        np.fill_diagonal(squared, 0.0)
-        return np.maximum(squared, 0.0)
-
     def pairwise_squared_distances_batched(self,
                                            stacked: np.ndarray) -> np.ndarray:
         stacked = np.asarray(stacked, dtype=np.float64)
@@ -50,11 +47,6 @@ class ReferenceBackend(KernelBackend):
         diagonal = np.arange(stacked.shape[1])
         squared[:, diagonal, diagonal] = 0.0
         return np.maximum(squared, 0.0)
-
-    def krum_neighbor_sums(self, squared: np.ndarray,
-                           num_neighbors: int) -> np.ndarray:
-        nearest = np.sort(squared, axis=1)[:, :num_neighbors]
-        return nearest.sum(axis=1)
 
     def krum_neighbor_sums_batched(self, squared: np.ndarray,
                                    num_neighbors: int) -> np.ndarray:

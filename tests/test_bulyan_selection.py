@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro import run
 from repro.aggregation import Bulyan, Krum
 from repro.aggregation.bulyan import certified_krum_choice
-from repro.aggregation.krum import pairwise_squared_distances
+from repro.aggregation.krum import pairwise_squared_distances_batched
 from repro.campaign import ScenarioSpec
 from repro.kernels import available_backends, use_backend
 
@@ -204,7 +204,7 @@ class TestOneMatrixSelection:
         # own Gram product can say which of them it picks.
         stack = np.random.default_rng(1).normal(size=(7, 36))
         stack[3] = stack[4] = stack.mean(axis=0)
-        distances = np.array(pairwise_squared_distances(stack))
+        distances = np.array(pairwise_squared_distances_batched(stack[None])[0])
         np.fill_diagonal(distances, np.inf)
         norms = np.einsum("ij,ij->i", stack, stack)
         assert certified_krum_choice(distances, norms, np.arange(7), 4,
@@ -227,7 +227,7 @@ class TestOneMatrixSelection:
     def test_overflow_is_never_certified(self, scale):
         stack = np.random.default_rng(2).normal(size=(7, 36)) * scale
         with np.errstate(all="ignore"):
-            distances = np.array(pairwise_squared_distances(stack))
+            distances = np.array(pairwise_squared_distances_batched(stack[None])[0])
             np.fill_diagonal(distances, np.inf)
             norms = np.einsum("ij,ij->i", stack, stack)
             assert certified_krum_choice(distances, norms, np.arange(7), 4,

@@ -239,21 +239,24 @@ class TestPinnedOutputs:
         },
     }
 
-    #: attack_servers → (step, cos_phi, max_diff_1, max_diff_2) per sample
+    #: attack_servers → (step, cos_phi, max_diff_1, max_diff_2, distinct)
+    #: per sample, NaN written as None; measured over the distinct server
+    #: vectors (counting duplicated servers read cos φ = 1.0 here)
     TABLE2 = {
         False: [
-            (6, 1.0, 0.0059179091002511675, 0.0059179091002511675),
-            (8, 1.0, 0.012285807979935469, 0.012285807979935469),
-            (10, 1.0000000000000002, 0.007552448101721046,
-             0.007552448101721046),
+            (6, 0.8226878162178043, 0.0059179091002511675,
+             0.0059179091002511675, 4),
+            (8, 0.9956941151051406, 0.012285807979935469,
+             0.012255491863210835, 4),
+            (10, None, 0.007552448101721046, None, 2),
         ],
         True: [
             (6, 0.5577367982580833, 0.014733875517428092,
-             0.01418667257890285),
+             0.01418667257890285, 5),
             (8, 0.6376963923464354, 0.07465076027058394,
-             0.06786235264733788),
+             0.06786235264733788, 5),
             (10, 0.9890156238229221, 0.02700575334363218,
-             0.026634689194973048),
+             0.026634689194973048, 5),
         ],
     }
 
@@ -302,8 +305,9 @@ class TestPinnedOutputs:
             base = base.replace(server_attack={
                 "name": "corrupted_model", "kwargs": {"noise_scale": 50.0}})
         rows, _ = run_table2(base=base, interval=2, warmup_fraction=0.5)
-        assert [(row["step"], row["cos_phi"], row["max_diff1"],
-                 row["max_diff2"]) for row in rows] \
+        assert [tuple(None if value != value else value for value in (
+                    row["step"], row["cos_phi"], row["max_diff1"],
+                    row["max_diff2"], row["distinct"])) for row in rows] \
             == self.TABLE2[attack_servers]
 
     def test_store_keys(self, tiny_base, tmp_path):

@@ -181,9 +181,12 @@ class TestMedianKernel:
         assert np.array_equal(stacked, before)
 
     def test_backends_share_the_reductions(self):
+        # ... and the single-stack Gram kernel, which is the batched one
+        # at R = 1.
         for name in ("reference", "numpy-opt"):
             backend_type = type(get_backend(name))
-            for method in ("mean", "trimmed_mean", "median"):
+            for method in ("mean", "trimmed_mean", "median",
+                           "pairwise_squared_distances"):
                 assert getattr(backend_type, method) \
                     is getattr(KernelBackend, method), (name, method)
 
@@ -350,17 +353,16 @@ class TestOrderStatisticNetwork:
 # numpy-opt's scratch buffers belong to the calling thread
 # --------------------------------------------------------------------------- #
 class TestScratchPerThread:
-    @pytest.mark.parametrize("method", ["pairwise_squared_distances",
-                                        "pairwise_squared_distances_batched"])
-    def test_another_threads_call_leaves_held_results_alone(self, method):
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_another_threads_call_leaves_held_results_alone(self, replicas):
         # The threaded runtime's servers share the backend singleton: a
         # same-shape call on another thread between a Gram kernel and the
-        # Krum sums that read it must not overwrite it.
-        optimised = getattr(get_backend("numpy-opt"), method)
-        reference = getattr(get_backend("reference"), method)
+        # Krum sums that read it must not overwrite it.  A live server's
+        # call is the R = 1 one.
+        optimised = get_backend("numpy-opt").pairwise_squared_distances_batched
+        reference = get_backend("reference").pairwise_squared_distances_batched
         rng = np.random.default_rng(6)
-        shape = (7, 40) if method.endswith("distances") else (3, 7, 40)
-        mine, theirs = rng.normal(size=(2,) + shape)
+        mine, theirs = rng.normal(size=(2, replicas, 7, 40))
         held = optimised(mine)
         other = threading.Thread(target=optimised, args=(theirs,))
         other.start()

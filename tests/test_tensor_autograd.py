@@ -33,9 +33,8 @@ class TestBasics:
         c.data[0] = 99.0
         assert t.data[0] == 1.0
 
-    def test_zeros_ones_randn_constructors(self):
+    def test_zeros_and_randn_constructors(self):
         assert np.all(Tensor.zeros((2, 3)).data == 0)
-        assert np.all(Tensor.ones((2, 3)).data == 1)
         r = Tensor.randn(4, 5, rng=np.random.default_rng(0))
         assert r.shape == (4, 5)
 
@@ -153,14 +152,11 @@ class TestReductionsAndShapes:
         x[1:3].sum().backward()
         assert np.allclose(x.grad, [0.0, 1.0, 1.0, 0.0, 0.0])
 
-    def test_stack_and_concatenate_backward(self):
+    def test_stack_backward(self):
         a = Tensor(np.ones(3), requires_grad=True)
         b = Tensor(np.ones(3), requires_grad=True)
         Tensor.stack([a, b]).sum().backward()
         assert np.allclose(a.grad, np.ones(3))
-        a.zero_grad(), b.zero_grad()
-        Tensor.concatenate([a, b]).sum().backward()
-        assert np.allclose(b.grad, np.ones(3))
 
 
 class TestElementwiseOps:
@@ -174,11 +170,6 @@ class TestElementwiseOps:
         rng = np.random.default_rng(3)
         x = Tensor(rng.uniform(0.5, 2.0, size=(4, 3)), requires_grad=True)
         assert gradient_check(lambda t: t.log(), [x])
-
-    def test_clip_gradient_masks_out_of_range(self):
-        x = Tensor(np.array([-2.0, 0.5, 2.0]), requires_grad=True)
-        x.clip(-1.0, 1.0).sum().backward()
-        assert np.allclose(x.grad, [0.0, 1.0, 0.0])
 
     def test_relu_zero_at_negative(self):
         x = Tensor(np.array([-1.0, 2.0]))

@@ -103,6 +103,20 @@ class TestAlignment:
         assert np.isnan(cos_phi)
         assert len(norms) == 1
 
+    def test_duplicated_servers_count_once(self):
+        # Two servers holding one vector made the two largest differences
+        # one difference counted twice: cos φ = 1 with nothing aligned.
+        e0 = np.zeros(4); e0[0] = 1.0
+        e1 = np.zeros(4); e1[1] = 1.0
+        cos_phi, norms = alignment_cosine([np.zeros(4), e0, e0.copy()])
+        assert np.isnan(cos_phi) and norms == [1.0]
+        cos_phi, _ = alignment_cosine([np.zeros(4), e0, e0.copy(), 3 * e1])
+        assert cos_phi == pytest.approx(
+            alignment_cosine([np.zeros(4), e0, 3 * e1])[0])
+        probe = AlignmentProbe(interval=1)
+        probe.maybe_record(0, [np.zeros(4), e0, e0.copy(), 3 * e1])
+        assert probe.samples[0].distinct == 3
+
     def test_probe_records_on_interval(self):
         probe = AlignmentProbe(interval=20)
         vectors = [np.zeros(5), np.ones(5), np.full(5, 2.0)]
