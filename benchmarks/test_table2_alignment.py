@@ -5,13 +5,14 @@ parameter-difference vectors between correct servers and cos(φ) between
 those two difference vectors, finding values close to 1.
 
 The measurement runs over the *distinct* server vectors.  Under the default
-uniform delays every correct server sees the same quorums and the median
-collapses them to one or two distinct vectors, so there is no pair of
-differences to measure (``docs/paper.md`` records this).  The alignment
-claim is checked where servers see different quorums: exponential delays.
+uniform delays the median collapses the correct servers to one or two
+distinct vectors, so no cosine is defined and the claim fails as stated
+(``docs/paper.md`` records the finding).  Under exponential delays the
+servers see different quorums and the same bounds are checked again.
 """
 
 import numpy as np
+import pytest
 
 from repro.experiments import run_table2
 
@@ -24,11 +25,7 @@ def _print_rows(samples):
               "{max_diff2:9.5f}   {distinct:8d}".format(**sample))
 
 
-def test_table2_alignment_close_to_one(bench_base):
-    """cos(φ) between the two largest difference vectors stays close to 1."""
-    samples, _ = run_table2(base=bench_base.replace(
-        delay_model="exponential"), interval=10)
-    _print_rows(samples)
+def _assert_close_to_one(samples):
     assert len(samples) >= 3
     cosines = np.array([s["cos_phi"] for s in samples
                         if not np.isnan(s["cos_phi"])])
@@ -36,6 +33,24 @@ def test_table2_alignment_close_to_one(bench_base):
     # The paper's Table 2 reports values around 0.98-0.99.
     assert np.median(cosines) > 0.8
     assert cosines[-1] > 0.8
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "finding (docs/paper.md): under uniform delays the correct servers "
+    "hold at most two distinct vectors, so no cosine is defined"))
+def test_table2_alignment_close_to_one(bench_base):
+    """cos(φ) between the two largest difference vectors stays close to 1."""
+    samples, _ = run_table2(base=bench_base, interval=10)
+    _print_rows(samples)
+    _assert_close_to_one(samples)
+
+
+def test_table2_alignment_close_to_one_under_exponential_delays(bench_base):
+    """The same bounds where the correct servers see different quorums."""
+    samples, _ = run_table2(base=bench_base.replace(
+        delay_model="exponential"), interval=10)
+    _print_rows(samples)
+    _assert_close_to_one(samples)
 
 
 def test_table2_alignment_survives_server_attack(bench_base):

@@ -105,7 +105,7 @@ def decide(rule: GradientAggregationRule, vectors: VectorList,
     raw_scores = rule.input_scores(stacked)
     scores = None if raw_scores is None else [float(s) for s in raw_scores]
 
-    output = rule.aggregate_batched(stacked[None])[0]
+    output = rule(stacked)
     honest = [i for i in range(n) if i not in set(attackers)]
     reference = stacked[honest] if honest else stacked
     distance = float(np.linalg.norm(output - reference.mean(axis=0)))

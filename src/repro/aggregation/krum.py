@@ -56,12 +56,6 @@ def krum_scores_batched(stacked: np.ndarray, num_byzantine: int) -> np.ndarray:
     return active_backend().krum_neighbor_sums_batched(squared, num_neighbors)
 
 
-def _scores(stacked: np.ndarray, num_byzantine: int) -> np.ndarray:
-    """Krum scores of one ``(n, d)`` stack: the batched scores at R = 1."""
-    return krum_scores_batched(np.asarray(stacked, dtype=np.float64)[None],
-                               num_byzantine)[0]
-
-
 class Krum(GradientAggregationRule):
     """Krum: output the single input with the smallest score."""
 
@@ -78,13 +72,15 @@ class Krum(GradientAggregationRule):
 
     def select(self, stacked: np.ndarray) -> int:
         """Return the index of the selected input (used by Bulyan)."""
-        return int(np.argmin(_scores(stacked, self.num_byzantine)))
+        return int(np.argmin(self.input_scores(stacked)))
 
     def selected_input_indices(self, stacked: np.ndarray) -> np.ndarray:
         return np.array([self.select(stacked)])
 
     def input_scores(self, stacked: np.ndarray) -> np.ndarray:
-        return _scores(stacked, self.num_byzantine)
+        """Krum scores of one ``(n, d)`` stack: the batched scores at R = 1."""
+        return krum_scores_batched(np.asarray(stacked, dtype=np.float64)[None],
+                                   self.num_byzantine)[0]
 
 
 class MultiKrum(GradientAggregationRule):
@@ -129,8 +125,7 @@ class MultiKrum(GradientAggregationRule):
     def selected_input_indices(self, stacked: np.ndarray) -> np.ndarray:
         return self.selected_indices(stacked)
 
-    def input_scores(self, stacked: np.ndarray) -> np.ndarray:
-        return _scores(stacked, self.num_byzantine)
+    input_scores = Krum.input_scores
 
     def _aggregate_batched(self, stacked: np.ndarray) -> np.ndarray:
         indices = self._selected_batched(

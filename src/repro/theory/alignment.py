@@ -37,7 +37,7 @@ def distinct_vectors(parameter_vectors: Sequence[np.ndarray]
 
 
 def alignment_cosine(parameter_vectors: Sequence[np.ndarray],
-                     top_k: int = 2) -> Tuple[float, List[float]]:
+                     top_k: int = 2) -> Tuple[float, List[float], int]:
     """Cosine between the two largest parameter-difference vectors.
 
     Parameters
@@ -51,12 +51,12 @@ def alignment_cosine(parameter_vectors: Sequence[np.ndarray],
 
     Returns
     -------
-    (cos_phi, norms):
+    (cos_phi, norms, distinct):
         ``cos_phi`` is ``a·b / (||a|| ||b||)`` for the two largest-norm
         difference vectors ``a`` and ``b`` (``nan`` when fewer than three
         distinct vectors, hence two differences, exist); ``norms`` lists
         the ``top_k`` largest difference norms, matching Table 2's "max
-        diff" columns.
+        diff" columns; ``distinct`` counts the distinct vectors.
     """
     vectors = distinct_vectors(parameter_vectors)
     differences = []
@@ -68,13 +68,13 @@ def alignment_cosine(parameter_vectors: Sequence[np.ndarray],
     top_norms = [float(norms[k]) for k in order[:top_k]]
 
     if len(order) < 2 or norms[order[0]] <= 0 or norms[order[1]] <= 0:
-        return float("nan"), top_norms
+        return float("nan"), top_norms, len(vectors)
     a = differences[order[0]]
     b = differences[order[1]]
     cos_phi = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
     # Difference vectors are defined up to sign (θ_i − θ_j vs θ_j − θ_i);
     # alignment is about the spanned direction, so report |cos|.
-    return abs(cos_phi), top_norms
+    return abs(cos_phi), top_norms, len(vectors)
 
 
 @dataclass
@@ -102,12 +102,11 @@ class AlignmentProbe:
         """Record a sample when ``step`` falls on the probe's interval."""
         if step % self.interval != 0:
             return
-        vectors = distinct_vectors(parameter_vectors)
-        cos_phi, norms = alignment_cosine(vectors, top_k=2)
+        cos_phi, norms, distinct = alignment_cosine(parameter_vectors, top_k=2)
         norms = norms + [float("nan")] * (2 - len(norms))
         self.samples.append(AlignmentSample(step=step, cos_phi=cos_phi,
                                             max_diff_1=norms[0], max_diff_2=norms[1],
-                                            distinct=len(vectors)))
+                                            distinct=distinct))
 
     def as_rows(self) -> List[Tuple[int, float, float, float]]:
         """Rows ``(step, cos_phi, max_diff1, max_diff2)`` — Table 2's format."""

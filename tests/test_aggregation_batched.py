@@ -27,7 +27,10 @@ from repro.kernels import available_backends, use_backend
 
 
 def _attack_stacks(rng, replicas, n, dim, num_byzantine):
-    """Replica stacks shaped like the attacks the trainers produce."""
+    """Replica stacks shaped like the attacks the trainers produce, and
+    stacks built to tie: duplicated rows (equal Krum scores, a Weiszfeld
+    estimate on an input) and a small integer lattice (exact ties in every
+    coordinate and distance)."""
     honest = rng.normal(size=(replicas, n, dim))
 
     large_outliers = honest.copy()
@@ -44,74 +47,43 @@ def _attack_stacks(rng, replicas, n, dim, num_byzantine):
     little[:, -num_byzantine:] = mean - 1.5 * std
 
     identical_rows = np.repeat(rng.normal(size=(replicas, 1, dim)), n, axis=1)
-    return {"honest": honest, "large_outliers": large_outliers,
-            "sign_flipped": sign_flipped, "little_is_enough": little,
-            "identical_rows": identical_rows}
 
-
-@pytest.mark.parametrize("rule_name", available_rules())
-@pytest.mark.parametrize("num_byzantine", [0, 2])
-def test_batched_equals_sequential_for_every_rule(rule_name, num_byzantine):
-    rng = np.random.default_rng(hash(rule_name) % (2 ** 32))
-    replicas, dim = 6, 23
-    rule = get_rule(rule_name, num_byzantine=num_byzantine)
-    n = max(rule.minimum_inputs(), 2 * num_byzantine + 4)
-    byzantine_rows = max(num_byzantine, 1)
-    for label, stack in _attack_stacks(rng, replicas, n, dim,
-                                       byzantine_rows).items():
-        batched = rule.aggregate_batched(stack)
-        sequential = gar_oracle.aggregate_per_replica(rule, stack)
-        assert batched.shape == (replicas, dim), (rule_name, label)
-        assert np.array_equal(batched, sequential), (rule_name, label)
-
-
-def test_batched_single_replica_matches_plain_aggregate():
-    rng = np.random.default_rng(0)
-    stack = rng.normal(size=(1, 9, 11))
-    for rule_name in available_rules():
-        rule = get_rule(rule_name, num_byzantine=1)
-        if stack.shape[1] < rule.minimum_inputs():
-            continue
-        assert np.array_equal(rule.aggregate_batched(stack)[0],
-                              rule.aggregate(stack[0])), rule_name
-
-
-def _tie_stacks(rng, replicas, n, dim):
-    """Seeded stacks built to tie: plain draws, duplicated rows (equal
-    Krum scores, a Weiszfeld estimate on an input) and a small integer
-    lattice (exact ties in every coordinate and distance)."""
-    plain = rng.normal(size=(replicas, n, dim))
-    duplicated = plain.copy()
+    duplicated = honest.copy()
     copies = rng.choice(n, size=n // 2 + 1, replace=False)
     duplicated[:, copies] = duplicated[:, copies[:1]]
     lattice = rng.integers(-2, 3, size=(replicas, n, dim)).astype(np.float64)
-    return {"plain": plain, "duplicate_rows": duplicated, "lattice": lattice}
+    return {"honest": honest, "large_outliers": large_outliers,
+            "sign_flipped": sign_flipped, "little_is_enough": little,
+            "identical_rows": identical_rows, "duplicate_rows": duplicated,
+            "lattice": lattice}
 
 
 @pytest.mark.parametrize("backend_name", available_backends())
+@pytest.mark.parametrize("replicas", [1, 3, 16])
+@pytest.mark.parametrize("num_byzantine", [0, 1, 2])
 @pytest.mark.parametrize("rule_name", available_rules())
-def test_each_row_is_its_replicas_r1_call_and_the_oracle(rule_name,
-                                                         backend_name):
+def test_batched_equals_sequential_for_every_rule(rule_name, num_byzantine,
+                                                  replicas, backend_name):
     """Row ``r`` of ``aggregate_batched(X)`` is ``aggregate_batched(
     X[r:r+1])[0]`` and the per-replica oracle on ``X[r]``, bit for bit."""
-    rng = np.random.default_rng(sorted(available_rules()).index(rule_name))
+    rng = np.random.default_rng(
+        [available_rules().index(rule_name), num_byzantine, replicas])
+    rule = get_rule(rule_name, num_byzantine=num_byzantine)
+    n = max(rule.minimum_inputs(), 2 * num_byzantine + 4)
+    byzantine_rows = max(num_byzantine, 1)
     with use_backend(backend_name), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for replicas in (1, 3, 16):
-            for num_byzantine in (0, 1, 2):
-                rule = get_rule(rule_name, num_byzantine=num_byzantine)
-                n = rule.minimum_inputs() + int(rng.integers(0, 3))
-                dim = int(rng.choice([1, 5, 23]))
-                for label, stack in _tie_stacks(rng, replicas, n,
-                                                dim).items():
-                    where = (replicas, num_byzantine, label)
-                    batched = rule.aggregate_batched(stack)
-                    for r in range(replicas):
-                        alone = rule.aggregate_batched(stack[r:r + 1])[0]
-                        assert np.array_equal(batched[r], alone), where
-                    assert np.array_equal(
-                        batched, gar_oracle.aggregate_per_replica(
-                            rule, stack)), where
+        for dim in (1, 23):
+            for label, stack in _attack_stacks(rng, replicas, n, dim,
+                                               byzantine_rows).items():
+                where = (dim, label)
+                batched = rule.aggregate_batched(stack)
+                assert batched.shape == (replicas, dim), where
+                for r in range(replicas):
+                    alone = rule.aggregate_batched(stack[r:r + 1])[0]
+                    assert np.array_equal(batched[r], alone), where
+                assert np.array_equal(batched, gar_oracle.aggregate_per_replica(
+                    rule, stack)), where
 
 
 def test_batched_validation_errors():

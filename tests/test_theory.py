@@ -88,18 +88,18 @@ class TestAlignment:
         base = np.zeros(10)
         direction = np.ones(10)
         vectors = [base, base + direction, base + 2 * direction]
-        cos_phi, norms = alignment_cosine(vectors)
+        cos_phi, norms, _ = alignment_cosine(vectors)
         assert cos_phi == pytest.approx(1.0)
         assert norms[0] >= norms[1]
 
     def test_orthogonal_difference_vectors(self):
         e0 = np.zeros(4); e0[0] = 1.0
         e1 = np.zeros(4); e1[1] = 1.0
-        cos_phi, _ = alignment_cosine([np.zeros(4), 2 * e0, 2 * e1])
+        cos_phi, _, _ = alignment_cosine([np.zeros(4), 2 * e0, 2 * e1])
         assert cos_phi == pytest.approx(0.5, abs=0.51)  # dominated pairs include e0-e1
 
     def test_single_pair_returns_nan(self):
-        cos_phi, norms = alignment_cosine([np.zeros(3), np.ones(3)])
+        cos_phi, norms, _ = alignment_cosine([np.zeros(3), np.ones(3)])
         assert np.isnan(cos_phi)
         assert len(norms) == 1
 
@@ -108,9 +108,10 @@ class TestAlignment:
         # one difference counted twice: cos φ = 1 with nothing aligned.
         e0 = np.zeros(4); e0[0] = 1.0
         e1 = np.zeros(4); e1[1] = 1.0
-        cos_phi, norms = alignment_cosine([np.zeros(4), e0, e0.copy()])
-        assert np.isnan(cos_phi) and norms == [1.0]
-        cos_phi, _ = alignment_cosine([np.zeros(4), e0, e0.copy(), 3 * e1])
+        cos_phi, norms, distinct = alignment_cosine(
+            [np.zeros(4), e0, e0.copy()])
+        assert np.isnan(cos_phi) and norms == [1.0] and distinct == 2
+        cos_phi, _, _ = alignment_cosine([np.zeros(4), e0, e0.copy(), 3 * e1])
         assert cos_phi == pytest.approx(
             alignment_cosine([np.zeros(4), e0, 3 * e1])[0])
         probe = AlignmentProbe(interval=1)
