@@ -79,6 +79,14 @@ class AttackContext:
     model: Optional[np.ndarray] = None
 
 
+def _declare_poisons(cls: type) -> None:
+    """A class that defines ``poison_batch`` poisons unless it says itself
+    whether it does: a forwarding adapter sets ``poisons`` from what it
+    wraps.  A class that does not define the hook inherits the answer."""
+    if "poison_batch" in vars(cls) and "poisons" not in vars(cls):
+        cls.poisons = True
+
+
 class WorkerAttack:
     """A Byzantine worker behaviour.
 
@@ -98,6 +106,13 @@ class WorkerAttack:
     #: stack of its per-row answers bit for bit (``None`` if all are silent),
     #: so the batched runtime asks it once per (worker, step).
     pure = False
+    #: whether :meth:`poison_batch` may change a batch; the runtimes skip
+    #: the hook where it is false (see :func:`_declare_poisons`)
+    poisons = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        _declare_poisons(cls)
 
     def corrupt_gradient(self, context: AttackContext) -> Optional[np.ndarray]:
         raise NotImplementedError
@@ -240,6 +255,13 @@ class Adversary:
     #: whether this adversary corrupts worker gradients / server models
     attacks_workers: bool = True
     attacks_servers: bool = False
+    #: whether :meth:`poison_batch` may change a batch
+    #: (:attr:`WorkerAttack.poisons`, :func:`_declare_poisons`)
+    poisons: bool = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        _declare_poisons(cls)
 
     def __init__(self) -> None:
         self.binding: Optional[RunBinding] = None
@@ -322,6 +344,7 @@ class StatelessAdversary(Adversary):
                              if attack is not None) or "honest"
         self.attacks_workers = worker is not None
         self.attacks_servers = server is not None
+        self.poisons = worker is not None and worker.poisons
 
     # A side without an attack controls no node, so its hook is never
     # reached: ``attacks_workers`` / ``attacks_servers`` decide who gets an

@@ -281,6 +281,7 @@ class AdversaryWorkerAttack(WorkerAttack):
         self.name = adversary.name
         self.pure = (type(adversary) is StatelessAdversary
                      and adversary.worker.pure)
+        self.poisons = adversary.poisons
 
     def corrupt_gradient(self, context: AttackContext) -> Optional[np.ndarray]:
         return self.coordinator.worker_gradient(self.node_id, context)

@@ -222,6 +222,7 @@ class _GatedAdversary(Adversary):
         self.requires_observation = self._inner.requires_observation
         self.attacks_workers = self._inner.attacks_workers
         self.attacks_servers = self._inner.attacks_servers
+        self.poisons = self._inner.poisons
 
     def bind(self, binding: RunBinding) -> None:
         super().bind(binding)

@@ -15,6 +15,8 @@ import numpy as np
 from repro.aggregation.base import GradientAggregationRule
 from repro.aggregation.krum import Krum, pairwise_squared_distances_batched
 from repro.kernels import active_backend
+from repro.kernels.base import scratch
+from repro.obs.tracer import get_tracer
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _TINY = np.finfo(np.float64).tiny
@@ -126,11 +128,141 @@ class Bulyan(GradientAggregationRule):
         # The iterated selection is inherently sequential per replica (each
         # round's pool depends on the previous choice), so it stays a loop;
         # the final per-coordinate trim is vectorised over the replica axis.
-        backend = active_backend()
         chosen = np.stack([replica[self._select(replica)] for replica in stacked])
-        beta = max(chosen.shape[1] - 2 * f, 1)
-        median = backend.median(chosen, axis=1)
-        distances = np.abs(chosen - median[:, None, :])
-        closest = np.argsort(distances, axis=1, kind="stable")[:, :beta]
-        gathered = np.take_along_axis(chosen, closest, axis=1)
-        return backend.mean(gathered, axis=1)
+        return trimmed_coordinate_mean(chosen, max(chosen.shape[1] - 2 * f, 1))
+
+
+def trimmed_coordinate_mean(chosen: np.ndarray, beta: int) -> np.ndarray:
+    """Per replica and coordinate of ``chosen`` ``(R, θ, D)``, the mean of
+    the ``beta`` values nearest the median, reduced nearest first.
+
+    Ties in distance go to the lower row, as a stable ``argsort`` orders
+    them (:func:`_trim_by_argsort`, the definition).  The window walk
+    (:func:`_trim_by_window`) computes the same picks from one sort and
+    proves it did; a stack it cannot prove goes to the ``argsort``, and the
+    tracer counts ``bulyan.trim_fallback``.
+    """
+    trimmed = _trim_by_window(chosen, beta)
+    if trimmed is None:
+        get_tracer().count("bulyan.trim_fallback")
+        trimmed = _trim_by_argsort(chosen, beta)
+    return trimmed
+
+
+def _trim_by_argsort(chosen: np.ndarray, beta: int) -> np.ndarray:
+    backend = active_backend()
+    median = backend.median(chosen, axis=1)
+    distances = np.abs(chosen - median[:, None, :])
+    closest = np.argsort(distances, axis=1, kind="stable")[:, :beta]
+    return backend.mean(np.take_along_axis(chosen, closest, axis=1), axis=1)
+
+
+def _clash(distance, bits, other_distance, other_bits) -> bool:
+    """Whether two candidates tie in distance but differ in bits: the
+    ``argsort`` would order them by row, which the sort has lost."""
+    tied = distance == other_distance
+    return bool(tied.any() and np.any(bits[tied] != other_bits[tied]))
+
+
+def _trim_by_window(chosen: np.ndarray, beta: int) -> Optional[np.ndarray]:
+    """The ``argsort`` trim from one sort along the quorum axis, or ``None``.
+
+    Distances ``|x − m|`` are monotone in ``x`` on each side of the median
+    ``m``, so the ``beta`` nearest values are a window of the sorted order
+    around it.  The walk grows that window one pick at a time, taking the
+    nearer of the two frontier values, and writes the picks into a
+    C-contiguous ``(R, β, D)`` stack in pick order — the order, and so the
+    summation order, of the ``argsort``'s gathered stack.
+
+    The picks are the ``argsort``'s wherever equal distances carry equal
+    bits, since rows are then interchangeable.  Every pair whose order the
+    walk decides is checked: each pick against the frontier on either side
+    after it (one of them the value it was chosen over), and at the end
+    the last pick against every candidate past the window at its distance.
+    One pair at equal distance with different bits — a mirror tie, a
+    rounding tie, ±0 — returns ``None``.  So does a NaN or infinite median,
+    and so does an even θ before any work: its median ``(a + b) / 2`` is
+    usually exact, so the two middle values tie at the first step.
+    """
+    replicas, length, dimension = chosen.shape
+    if length % 2 == 0:
+        return None
+    shape = (replicas, dimension)
+    ordered = np.sort(chosen, axis=1)
+    if np.isnan(ordered[:, -1]).any():
+        return None
+    half = length // 2
+    median = ordered[:, half]
+    if not np.isfinite(median).all():
+        return None
+    bits = ordered.reshape(-1).view(np.int64)
+    # The walk's (R, D) state lives in this thread's scratch: fresh pages
+    # for it cost about as much as the walk itself.
+    walk = scratch("bulyan.walk", (10,) + shape, np.int64)
+    base, low, high, mask = walk[:4]  # flat positions; base is rank 0
+    below, above, last = ((walk[row].view(np.float64), walk[row + 1])
+                          for row in (4, 6, 8))  # (distance, bits) each
+    take_low = scratch("bulyan.take_low", shape, bool)
+    picks = np.empty((replicas, beta, dimension))
+    np.add(np.arange(0, bits.size, length * dimension)[:, None],
+           np.arange(dimension), out=base)
+
+    def candidate(position, clipped, out=None):
+        """Distance and bits at each column's ``position`` (into ``out``, a
+        pair of buffers, if given); one past either end of its column is
+        at distance ``inf`` (with an end's bits)."""
+        if clipped:
+            rank = (position - base) // dimension
+            outside = (rank < 0) | (rank >= length)
+            position = base + np.clip(rank, 0, length - 1) * dimension
+        distances, found = out or (np.empty(shape), np.empty(shape, np.int64))
+        bits.take(position, out=found, mode="clip")  # in range: unbuffered
+        np.subtract(found.view(np.float64), median, out=distances)
+        np.abs(distances, out=distances)
+        if clipped:
+            distances[outside] = np.inf
+        return distances, found
+
+    np.add(base, (half - 1) * dimension, out=low)
+    np.add(base, (half + 1) * dimension, out=high)
+    picks[:, 0] = median
+    last[0].fill(0.0)
+    np.copyto(last[1], median.view(np.int64))
+    for k in range(1, beta + 1):
+        # past either end only once k picks can have used up a side
+        clipped = half - k < 0
+        candidate(low, clipped, below)
+        candidate(high, clipped, above)
+        if _clash(*last, *below) or _clash(*last, *above):
+            return None
+        if k == beta:
+            break
+        np.less(below[0], above[0], out=take_low)
+        # A branch-free select: mask is -1 (every bit set) where the lower
+        # frontier is nearer, else 0.
+        np.copyto(mask, take_low)
+        np.negative(mask, out=mask)
+        np.bitwise_xor(below[1], above[1], out=last[1])
+        np.bitwise_and(last[1], mask, out=last[1])
+        np.bitwise_xor(last[1], above[1], out=last[1])
+        np.minimum(below[0], above[0], out=last[0])
+        picks[:, k] = last[1].view(np.float64)
+        # now -D where the lower frontier was taken, else 0: the taken
+        # side's frontier moves out one rank
+        mask *= dimension
+        low += mask
+        high += mask
+        high += dimension
+    # Candidates past the window that tie the last pick with its bits are
+    # duplicates of it; one past them must not tie with other bits.
+    for position, frontier, step in ((low, below, -1), (high, above, 1)):
+        duplicate = frontier[0] == last[0]
+        while duplicate.any():
+            position = position + step * dimension * duplicate
+            frontier = candidate(position, True)
+            if _clash(*last, *frontier):
+                return None
+            rank = (position - base) // dimension
+            duplicate = ((frontier[0] == last[0]) & (rank >= 0)
+                         & (rank < length))
+    return active_backend().mean(picks, axis=1)

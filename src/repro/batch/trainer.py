@@ -599,7 +599,7 @@ class BatchedGuanYuTrainer:
         worker_id = self.worker_ids[w_index]
         for r, lane in enumerate(self.lanes):
             attack = lane.worker_attacks[worker_id]
-            if attack is not None:
+            if attack is not None and attack.poisons:
                 features[r], labels[r] = poison_worker_batch(
                     attack, lane.worker_rngs[w_index], theta[r], step_index,
                     features[r], labels[r])

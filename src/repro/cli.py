@@ -233,7 +233,8 @@ def _base_from_args(args: argparse.Namespace) -> ScenarioSpec:
     """The base scenario of a command: the preset plus the global flags."""
     base = ScenarioSpec() if args.preset == "small" else paper_like()
     flags = {"num_steps": args.steps, "num_workers": args.workers_count,
-             "num_servers": args.servers_count, "seed": args.seed}
+             "num_servers": args.servers_count, "seed": args.seed,
+             "delay_model": args.delay_model}
     base = base.replace(**{field: value for field, value in flags.items()
                            if value is not None})
     # Keep the declared Byzantine counts admissible (n >= 3f + 3) after any
@@ -946,6 +947,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--servers-count", type=int, default=None,
                         help="override the number of parameter servers")
     parser.add_argument("--seed", type=int, default=None, help="override the seed")
+    parser.add_argument("--delay-model", choices=available_delay_models(),
+                        default=None, metavar="NAME",
+                        help="override the network delay model "
+                             f"({', '.join(available_delay_models())})")
     parser.add_argument("--log-level",
                         choices=("debug", "info", "warning", "error"),
                         default="warning",

@@ -64,9 +64,11 @@ def poison_worker_batch(attack: Optional[WorkerAttack],
     """Run a worker attack's data-poisoning hook on one mini-batch.
 
     Shared by :meth:`WorkerNode.compute_gradient` and the batched runtime;
-    honest workers pass through unchanged.
+    honest workers and attacks that do not declare
+    :attr:`~repro.adversary.base.WorkerAttack.poisons` pass through
+    unchanged.
     """
-    if attack is None:
+    if attack is None or not attack.poisons:
         return features, labels
     context = AttackContext(step=step, honest_value=aggregated, rng=rng)
     return attack.poison_batch(features, labels, context)

@@ -374,13 +374,14 @@ class FaultController:
         A node left short of a quorum *stalls* for the step (state frozen,
         no sends) instead of waiting for messages that active faults — or
         other stalled nodes — guarantee will never arrive.  Stalling is
-        transitive, so participation is the greatest fixpoint of:
-
-        * a worker participates iff ≥ ``model_quorum`` participating
-          servers can reach it (phase 1);
-        * a server participates iff ≥ ``gradient_quorum`` participating
-          workers can reach it (phase 2) **and** ≥ ``model_quorum``
-          participating servers (itself included) can reach it (phase 3).
+        transitive, so participation is the greatest fixpoint of: a node
+        participates iff, for every kind it receives
+        (:data:`~repro.network.message.ROUTES`), at least that kind's
+        quorum (:meth:`~repro.network.message.Route.quorum`) of
+        participating senders can reach it.  A worker so needs
+        ``model_quorum`` servers (phase 1); a server needs
+        ``gradient_quorum`` workers (phase 2) **and** ``model_quorum``
+        servers, itself included (phase 3).
 
         Both runtimes consult this same function — it is a pure function
         of ``(schedule, step)``, so every thread computes the same sets and
@@ -392,23 +393,22 @@ class FaultController:
         cached = self._participation_cache.get(key)
         if cached is not None:
             return cached
-        workers = [w for w in worker_ids if self.node_alive(w, step)]
-        servers = [s for s in server_ids if self.node_alive(s, step)]
+        from repro.network.message import ROUTES  # it imports this module
+
+        alive = {role: [node for node in nodes if self.node_alive(node, step)]
+                 for role, nodes in (("worker", worker_ids),
+                                     ("server", server_ids))}
         while True:
-            kept_workers = [
-                w for w in workers
-                if len(self.reachable_senders(w, servers, step))
-                >= model_quorum]
-            kept_servers = [
-                s for s in servers
-                if len(self.reachable_senders(s, kept_workers, step))
-                >= gradient_quorum
-                and len(self.reachable_senders(s, servers, step))
-                >= model_quorum]
-            if kept_workers == workers and kept_servers == servers:
+            kept = {role: [node for node in nodes if all(
+                len(self.reachable_senders(node, alive[route.senders], step))
+                >= route.quorum(model_quorum, gradient_quorum)
+                for route in ROUTES.values() if route.recipients == role)]
+                for role, nodes in alive.items()}
+            if kept == alive:
                 break
-            workers, servers = kept_workers, kept_servers
-        result = self._participation_cache[key] = (workers, servers)
+            alive = kept
+        result = self._participation_cache[key] = (alive["worker"],
+                                                   alive["server"])
         return result
 
     def gate_attack(self, node_id: str, attack):
@@ -453,6 +453,10 @@ class _GatedAttack:
 
 class GatedWorkerAttack(_GatedAttack, WorkerAttack):
     """A worker attack active only inside its scheduled window."""
+
+    @property
+    def poisons(self) -> bool:
+        return self.inner.poisons
 
     def corrupt_gradient(self, context: AttackContext) -> Optional[np.ndarray]:
         if not self._active(context.step):

@@ -25,36 +25,27 @@ were deleted; both backends now share the order-statistic reductions of
 network on wide rows).  See ``docs/kernels.md`` for the numbers.
 
 Buffer-lifetime caveat: arrays returned by the pairwise-distance methods
-are views into reusable scratch storage and are only valid until the same
-thread's next call of this backend with the same shape.  Each thread has
-its own buffers — the threaded runtime's node threads share this
-singleton — so a call on another thread never overwrites them.  Every
-in-repo caller consumes them immediately (Krum scores, spread
+are views into reusable scratch storage (:func:`repro.kernels.base.scratch`)
+and are only valid until the same thread's next call of the same kernel.
+Each thread has its own buffers — the threaded runtime's node threads
+share this singleton — so a call on another thread never overwrites them.
+Every in-repo caller consumes them immediately (Krum scores, spread
 diagnostics); hold a ``.copy()`` if you need one to survive.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.kernels.base import DensePlan, KernelBackend
-
-
-class _ThreadBuffers(threading.local):
-    def __init__(self) -> None:
-        self.by_key: Dict[Tuple, np.ndarray] = {}
+from repro.kernels.base import DensePlan, KernelBackend, scratch
 
 
 class NumpyOptBackend(KernelBackend):
     """Partition-based Krum sums and buffer-reusing Gram/dense kernels."""
 
     name = "numpy-opt"
-
-    def __init__(self) -> None:
-        self._buffers = _ThreadBuffers()
 
     def _scratch(self, key, shape: Tuple[int, ...]) -> np.ndarray:
         """The calling thread's reusable float64 buffer for ``key`` at
@@ -64,12 +55,7 @@ class NumpyOptBackend(KernelBackend):
         activations are cached for the backward pass), so two live
         tensors never share storage within one call.
         """
-        buffers = self._buffers.by_key
-        buf = buffers.get((key, shape))
-        if buf is None:
-            buf = np.empty(shape, dtype=np.float64)
-            buffers[(key, shape)] = buf
-        return buf
+        return scratch(("numpy-opt", key), shape)
 
     # ------------------------------------------------------------------ #
     # Pairwise squared distances

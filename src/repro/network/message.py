@@ -31,8 +31,8 @@ class MessageKind(str, enum.Enum):
 class Route(NamedTuple):
     """The sending and receiving role (``"server"``/``"worker"``) of one
     kind: every sender scatters to every recipient, and each recipient
-    keeps the first ``q`` (the kind's quorum in
-    :class:`~repro.core.config.ClusterConfig`)."""
+    keeps the first :meth:`quorum` of them (a
+    :class:`~repro.core.config.ClusterConfig` field)."""
 
     senders: str
     recipients: str
@@ -41,6 +41,12 @@ class Route(NamedTuple):
         """``(senders', recipients')`` picked from two per-role values."""
         roles = {"worker": workers, "server": servers}
         return roles[self.senders], roles[self.recipients]
+
+    def quorum(self, model_quorum: int, gradient_quorum: int) -> int:
+        """How many messages of this kind a recipient keeps: its senders'
+        quorum, ``gradient_quorum`` gradients from workers or
+        ``model_quorum`` models from servers."""
+        return self.of(gradient_quorum, model_quorum)[0]
 
 
 #: who sends which kind to whom

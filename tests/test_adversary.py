@@ -21,6 +21,7 @@ from repro.adversary import (
     SignFlipAttack,
     SleeperAdversary,
     StatelessAdversary,
+    WorkerAttack,
     available,
     get,
     lift,
@@ -288,6 +289,41 @@ class TestPureAttacks:
         assert adapter.pure is pure
         # a fault-gated adapter answers per step: never pure
         assert GatedWorkerAttack(adapter, None, "worker/5").pure is False
+
+    def test_an_attack_poisons_iff_it_overrides_the_hook(self):
+        # nothing to declare: a new poisoning attack cannot forget to
+        for name in available("worker-attack"):
+            attack = get(name)
+            assert attack.poisons is (
+                type(attack).poison_batch is not WorkerAttack.poison_batch)
+        assert [name for name in available("worker-attack")
+                if get(name).poisons] == ["label_flip"]
+
+        class Poisoning(SignFlipAttack):
+            def poison_batch(self, features, labels, context):
+                return features, labels[::-1]
+
+        class Inheriting(Poisoning):
+            pass
+
+        assert Poisoning().poisons and Inheriting().poisons
+        assert lift(Inheriting()).poisons
+
+    @pytest.mark.parametrize("adversary, poisons", [
+        (lift(get("label_flip")), True),
+        (SleeperAdversary(inner="label_flip"), True),
+        (lift(get("sign_flip")), False),
+        (CollusionAdversary(attack="sign_flip"), False),
+        (SleeperAdversary(inner="sign_flip"), False),
+    ], ids=["label_flip", "sleeper-label_flip", "sign_flip", "collusion",
+            "sleeper-sign_flip"])
+    def test_adapters_poison_only_if_their_adversary_does(self, adversary,
+                                                          poisons):
+        coordinator = AdversaryCoordinator(adversary, _binding(adversary))
+        adapter = AdversaryWorkerAttack(coordinator, "worker/5")
+        assert adapter.poisons is poisons
+        # a fault-gated adapter poisons inside its window
+        assert GatedWorkerAttack(adapter, None, "worker/5").poisons is poisons
 
 
 class TestCoordinator:

@@ -23,6 +23,8 @@ from repro.aggregation import (
     krum_scores_batched,
     pairwise_squared_distances_batched,
 )
+from repro.aggregation import geometric_median
+from repro.aggregation.geometric_median import CHUNK_ELEMENTS
 from repro.kernels import available_backends, use_backend
 
 
@@ -152,11 +154,14 @@ def weiszfeld_stacks(draw):
     the coordinate-wise median the iteration starts from coincides with an
     input (a masked weight); slice 2 is a wide cloud, which a small
     ``max_iterations`` exhausts; the other ``replicas`` slices are shaped
-    like the attacks the trainers produce.
+    like the attacks the trainers produce.  The widest ``dim`` puts every
+    stack past the kernel's chunk budget (``CHUNK_ELEMENTS``): the weighted
+    sum runs in column blocks, and from ``n = 9`` the distances in row
+    blocks.
     """
     replicas = draw(st.integers(1, 5))
     n = draw(st.integers(3, 12))
-    dim = draw(st.sampled_from([1, 2, 7, 23, 266]))
+    dim = draw(st.sampled_from([1, 2, 7, 23, 266, CHUNK_ELEMENTS // 8 + 1]))
     scale = draw(st.sampled_from([1e-6, 1.0, 1e4]))
     max_iterations = draw(st.sampled_from([1, 2, 3, 8, 100]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -215,3 +220,21 @@ class TestBatchedWeiszfeld:
 
         out, caught = _batched_call(GeometricMedian(), stack)
         assert not caught
+
+
+@pytest.mark.parametrize("budget", [2, 5, 64, 1000])
+def test_weiszfeld_chunks_change_no_bit(monkeypatch, budget):
+    """Row and column blocks of every width the budget allows, down to
+    two columns, give the unchunked kernel's bits and diagnostics."""
+    rng = np.random.default_rng(budget)
+    shaped = _attack_stacks(rng, 3, 9, 37, num_byzantine=2)
+    stack = np.concatenate([shaped["honest"], shaped["little_is_enough"],
+                            shaped["duplicate_rows"]])
+    whole = GeometricMedian(num_byzantine=2, max_iterations=20)
+    want, _ = _batched_call(whole, stack)
+    monkeypatch.setattr(geometric_median, "CHUNK_ELEMENTS", budget)
+    chunked = GeometricMedian(num_byzantine=2, max_iterations=20)
+    out, _ = _batched_call(chunked, stack)
+    assert out.tobytes() == want.tobytes()
+    assert (chunked.iterations, chunked.converged) == (whole.iterations,
+                                                       whole.converged)

@@ -11,6 +11,8 @@ config metadata.  Nothing is compared with a tolerance; ``==`` on the
 import numpy as np
 import pytest
 
+from repro.adversary.attacks import LabelFlipPoisoning
+from repro.adversary.engine import AdversaryWorkerAttack
 from repro.batch import (
     BatchedGuanYuTrainer,
     BatchingUnsupported,
@@ -188,6 +190,50 @@ class TestMixedFolds:
                          **_small()) for seed in range(16)])
         trainer.step(0)
         trainer.step(1)
+
+
+class TestPoisonHook:
+    """Only attacks that declare ``WorkerAttack.poisons`` reach the
+    data-poisoning hook, on either engine."""
+
+    @staticmethod
+    def _hook_calls(monkeypatch, attack, engine):
+        calls = []
+
+        def recording(cls):
+            original = cls.poison_batch
+
+            def poison_batch(self, features, labels, context):
+                calls.append((cls.__name__, context.step))
+                return original(self, features, labels, context)
+            monkeypatch.setattr(cls, "poison_batch", poison_batch)
+
+        recording(AdversaryWorkerAttack)
+        recording(LabelFlipPoisoning)
+        specs = [ScenarioSpec(name=f"p{seed}", seed=seed,
+                              worker_attack=attack, **_small(num_steps=2))
+                 for seed in SEEDS]
+        if engine == "batched":
+            trainer = BatchedGuanYuTrainer(specs)
+            trainer.step(0)
+            expected = len(trainer.attacking_workers) * len(specs)
+        else:
+            sequential_history(specs[0])
+            expected = 2 * specs[0].resolved_num_attacking_workers()
+        return calls, expected
+
+    @pytest.mark.parametrize("engine", ["batched", "sequential"])
+    def test_label_flip_still_poisons(self, monkeypatch, engine):
+        calls, expected = self._hook_calls(
+            monkeypatch, AttackSpec("label_flip", {"num_classes": 4}), engine)
+        assert expected > 0
+        assert [name for name, _ in calls].count(
+            "LabelFlipPoisoning") == expected
+
+    @pytest.mark.parametrize("engine", ["batched", "sequential"])
+    def test_sign_flip_makes_no_hook_call(self, monkeypatch, engine):
+        calls, expected = self._hook_calls(monkeypatch, "sign_flip", engine)
+        assert expected > 0 and calls == []
 
 
 class TestFailureParity:

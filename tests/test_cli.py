@@ -46,6 +46,31 @@ class TestParser:
         help_text = commands.choices["reproduce"].format_help()
         assert all(name in help_text for name in EXPERIMENTS)
 
+    def test_delay_model_flag_reaches_the_base_spec(self):
+        parser = cli.build_parser()
+        default = cli._base_from_args(parser.parse_args(["reproduce"]))
+        chosen = cli._base_from_args(parser.parse_args(
+            ["--delay-model", "exponential", "reproduce"]))
+        assert chosen.delay_model == "exponential"
+        assert chosen == default.replace(delay_model="exponential")
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--delay-model", "bogus", "reproduce"])
+
+    @pytest.mark.parametrize("argv, spec_hash", [
+        (["reproduce"],
+         "6a80685acac1bb9938b9e7ddb77b7b0344305a8cecee78e743408e8539941434"),
+        (BASE_ARGS + ["--seed", "4", "reproduce"],
+         "a95a76f390193218a17300ce06e6f4c010b9f85224effbaa4f2192faf9041901"),
+        (["--preset", "paper", "reproduce"],
+         "2bcb4f8e9f678bf15b959b74b391bc74121d8540541de1519c96635a2f80922f"),
+    ])
+    def test_leaving_the_delay_model_out_keeps_the_spec_hash(self, argv,
+                                                              spec_hash):
+        # The base specs' hashes from before the flag existed.
+        base = cli._base_from_args(cli.build_parser().parse_args(argv))
+        assert base.delay_model == "uniform"
+        assert base.spec_hash() == spec_hash
+
     def test_version_flag(self, capsys):
         from repro import __version__
         with pytest.raises(SystemExit) as excinfo:

@@ -8,6 +8,7 @@ batched path must produce identical aggregates under every backend.
 compare raw bytes via ``==`` on full arrays.
 """
 
+import os
 import threading
 import warnings
 from unittest import mock
@@ -369,6 +370,28 @@ class TestScratchPerThread:
         other.join(timeout=30)
         assert not other.is_alive()
         assert _identical(held, reference(mine))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_never_writes_its_parents_block(self):
+        # Campaign and lane pools fork the caller: a child that writes the
+        # scratch it inherited must write its own copy of the pages.
+        held = kernel_base.scratch("test.fork", (64,))
+        held.fill(1.0)
+        child = os.fork()
+        if child == 0:  # pragma: no cover - runs in the child
+            status = 0
+            try:
+                held.fill(2.0)
+                fresh = kernel_base.scratch("test.fork", (64,))
+                fresh.fill(3.0)
+                status = int(np.shares_memory(fresh, held))
+            except BaseException:
+                status = 2
+            os._exit(status)
+        _, status = os.waitpid(child, 0)
+        assert os.WEXITSTATUS(status) == 0  # the child got a fresh block
+        assert np.all(held == 1.0)
+        assert np.shares_memory(held, kernel_base.scratch("test.fork", (64,)))
 
 
 # --------------------------------------------------------------------------- #

@@ -157,6 +157,15 @@ class TestRoutes:
         assert Route("server", "worker").of(workers, servers) == (servers, workers)
         assert Route("server", "server").of(workers, servers) == (servers, servers)
 
+    def test_each_kind_waits_for_its_senders_quorum(self):
+        # a worker keeps model_quorum models, a server gradient_quorum
+        # gradients and model_quorum models
+        quorums = {kind: route.quorum(model_quorum=5, gradient_quorum=7)
+                   for kind, route in ROUTES.items()}
+        assert quorums == {MessageKind.MODEL_TO_WORKER: 5,
+                           MessageKind.GRADIENT_TO_SERVER: 7,
+                           MessageKind.MODEL_TO_SERVER: 5}
+
     def test_only_the_server_exchange_sends_to_its_own_role(self):
         # the scatters' delay-free self-message can only arise on this route
         same_role = [kind for kind, route in ROUTES.items()
