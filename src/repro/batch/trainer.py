@@ -69,7 +69,7 @@ from repro.nn.plan import (
     BatchedDenseStack,
     BatchingUnsupported,
 )
-from repro.obs.history import StepRecord, TrainingHistory
+from repro.obs.history import StepRecord, TrainingHistory, phase_durations
 from repro.obs.telemetry import get_registry, phase
 from repro.obs.tracer import get_tracer
 from repro.network.message import ROUTES, MessageKind
@@ -264,8 +264,6 @@ class BatchedGuanYuTrainer:
 
         self.worker_ids = self.config.worker_ids()
         self.server_ids = self.config.server_ids()
-        num_attacking_workers = base.resolved_num_attacking_workers()
-        num_attacking_servers = base.resolved_num_attacking_servers()
 
         self.gradient_rule = get_rule(
             self.gradient_rule_name,
@@ -344,23 +342,13 @@ class BatchedGuanYuTrainer:
             index for index, worker_id in enumerate(self.worker_ids)
             if worker_id in self.attacking_workers}
 
-        shared_config = {
-            **self.config.as_dict(),
-            "batch_size": base.batch_size,
-            "gradient_rule": self.gradient_rule_name,
-            "model_rule": self.model_rule_name,
-            "num_attacking_workers": num_attacking_workers,
-            "num_attacking_servers": num_attacking_servers,
-            "worker_attack": (base.worker_attack.name
-                              if base.worker_attack else None),
-            "server_attack": (base.server_attack.name
-                              if base.server_attack else None),
-            "adversary": base.adversary.name if base.adversary else None,
-            "faults": base.faults.to_dict() if base.faults else None,
-            "hetero": base.hetero.to_dict() if base.hetero else None,
-        }
+        self._delay_multipliers = np.array([profile.delay_multiplier
+                                            for profile in self.profiles])
+        #: worker index → its step's (losses (R,), gradients (R, D), samples,
+        #: aggregated model (R, D) if it attacks, else None)
+        self._computed: Dict[int, tuple] = {}
         for lane in self.lanes:
-            lane.history.config = dict(shared_config)
+            lane.history.config = dict(self._wiring.history_config)
 
     # ------------------------------------------------------------------ #
     def _build_lane(self, spec) -> Tuple[_Lane, ClusterWiring]:
@@ -419,8 +407,8 @@ class BatchedGuanYuTrainer:
         return delivered
 
     def _scatter(self, kind: MessageKind, step: int, active, payloads,
-                 clock: np.ndarray, phase_start: np.ndarray, corrupt,
-                 peers: Sequence[np.ndarray] = ()) -> _PhaseBuffer:
+                 corrupt, peers: Sequence[np.ndarray], *, clock: np.ndarray,
+                 phase_start: np.ndarray) -> _PhaseBuffer:
         """``kind``'s buffer, filled with the step's sends of every sender
         of its route (:data:`~repro.network.message.ROUTES`) in ``active``.
 
@@ -667,40 +655,96 @@ class BatchedGuanYuTrainer:
                               labels.shape[2])
         return results
 
+    def _receive(self, kind: MessageKind, fold: List[int],
+                 aggregated: np.ndarray, step_index: int) -> np.ndarray | int:
+        """What ``fold``'s recipients do with their aggregated quorums of
+        ``kind`` ``(J, R, D)`` — :meth:`WorkerNode.receive` and
+        :meth:`ServerNode.receive` op for op.  Workers compute gradients
+        there (into :attr:`_computed`), servers take the gradient step
+        (phase 2) or install the models (phase 3).  Returns the samples
+        each worker computed on, ``(J,)``, or 0 for servers."""
+        if kind is MessageKind.MODEL_TO_WORKER:
+            results = self._worker_gradients(fold, aggregated, step_index)
+            for j, w_index in enumerate(fold):
+                # an attacking worker's model is observable by adversaries
+                self._computed[w_index] = results[j] + (
+                    aggregated[j] if w_index in self._attacking_worker_idx
+                    else None,)
+            return np.array([samples for _, _, samples in results])
+        if kind is MessageKind.GRADIENT_TO_SERVER:
+            self.theta[fold] -= self.schedule(step_index) * aggregated
+        else:
+            self.theta[fold] = aggregated
+        return 0
+
+    def _collect(self, buffer: _PhaseBuffer, kind: MessageKind,
+                 recipients: List[int], clock: np.ndarray,
+                 step_index: int) -> None:
+        """Every node of ``recipients`` reduces its first quorum of ``kind``
+        from ``buffer``, fold by fold (:meth:`_folds`): the route's senders'
+        rule aggregates it, :meth:`_receive` uses the aggregate, and the
+        node's clock moves to the quorum's completion plus the cost model's
+        :meth:`~repro.runtime.cost.CostModel.receive_time`, scaled by a
+        worker's straggler factor (one vectorised call per fold)."""
+        route = ROUTES[kind]
+        replicas = self.num_replicas
+        quorum = route.quorum(self.config.model_quorum,
+                              self.config.gradient_quorum)
+        rule = route.of(self.gradient_rule, self.model_rule)[0]
+        recipient_ids = route.of(self.worker_ids, self.server_ids)[1]
+        record_decisions = route.senders == "worker" \
+            and get_tracer().record_decisions
+        for fold in self._folds(recipients, quorum):
+            stacked, completion, senders = buffer.collect(
+                fold, recipient_ids, quorum, not_before=clock[fold],
+                kind=kind, step=step_index)
+            if record_decisions:
+                for j, index in enumerate(fold):
+                    for r, lane in enumerate(self.lanes):
+                        record_decision(
+                            "batch.gar.decision", rule,
+                            stacked[j * replicas + r],
+                            senders[j, :, r].tolist(),
+                            self._attacking_worker_idx, step=step_index,
+                            node=recipient_ids[index], replica=r,
+                            scenario=lane.spec.name)
+            samples = self._receive(
+                kind, fold, rule.aggregate_batched(stacked).reshape(
+                    len(fold), replicas, -1), step_index)
+            compute = self.cost_model.receive_time(
+                kind, quorum, self.billed_parameters,
+                self.gradient_rule_name, samples)
+            if route.recipients == "worker":  # one straggler factor a row
+                compute = (self._delay_multipliers[fold] * compute)[:, None]
+            clock[fold] = completion + compute
+
     # ------------------------------------------------------------------ #
     def step(self, step_index: int) -> List[StepRecord]:
-        """One three-phase GuanYu step across all replicas.
+        """One GuanYu step across all replicas: one walk over
+        :data:`~repro.network.message.ROUTES`, like
+        :meth:`GuanYuTrainer.step <repro.core.trainer.GuanYuTrainer.step>`.
 
         Returns one :class:`StepRecord` per replica, bit-identical to the
         record the sequential trainer produces for that replica's seed.
         """
-        config = self.config
-        cost = self.cost_model
-        d = self.billed_parameters
         replicas = self.num_replicas
-        tracer = get_tracer()
-
-        active_workers, active_servers = self._wiring.participants(step_index)
-        if tracer.enabled:
-            stalled = [node_id for node_id in self.worker_ids
-                       if node_id not in active_workers] \
-                + [node_id for node_id in self.server_ids
-                   if node_id not in active_servers]
-            if stalled:
-                tracer.event("batch.fault.stalled", step=step_index,
-                             nodes=stalled)
-        if self.has_faults:
-            server_alive = self.lanes[0].fault_controller.alive_mask(
-                self.server_ids, step_index)
-        else:
-            server_alive = np.ones(len(self.server_ids), dtype=bool)
-        alive_correct_idx = [index for index in self._correct_server_idx
-                             if server_alive[index]]
-        if not alive_correct_idx:
-            raise RuntimeError(
-                f"fault schedule leaves no correct server alive at step "
-                f"{step_index}; the protocol cannot make progress")
-        phase_start = self.server_clock[alive_correct_idx].min(axis=0)
+        active_workers, active_servers, alive = \
+            self._wiring.simulated_step(step_index, "batch")
+        alive_idx = [self.server_ids.index(node_id) for node_id in alive]
+        workers = [index for index, node_id in enumerate(self.worker_ids)
+                   if node_id in active_workers]
+        correct_workers = [index for index in workers
+                           if index not in self._attacking_worker_idx]
+        receivers = (workers, [index for index in alive_idx
+                               if self.server_ids[index] in active_servers])
+        # a phase ends when, on average, the correct participating workers
+        # or the live correct servers (stalled ones included) finish it
+        observed = (correct_workers, alive_idx)
+        clocks = (self.worker_clock, self.server_clock)
+        phase_start = self.server_clock[alive_idx].min(axis=0)
+        self._computed = {}
+        gradients: Dict[int, np.ndarray] = {}
+        peers: List[np.ndarray] = []  # the honest gradients, once computed
 
         def corrupt_model(s_index: int, r: int, recipient: str):
             lane = self.lanes[r]
@@ -709,155 +753,56 @@ class BatchedGuanYuTrainer:
                 lane.server_rngs[s_index], self.theta[s_index, r], step_index,
                 recipient=recipient)
 
-        # ------------------------- Phase 1 ------------------------------ #
-        with phase("batch.step.broadcast", runtime="batch", step=step_index,
-                   replicas=replicas):
-            buffer = self._scatter(MessageKind.MODEL_TO_WORKER, step_index,
-                                   active_servers, self.theta,
-                                   self.server_clock, phase_start,
-                                   corrupt_model)
+        def corrupt_gradient(w_index: int, r: int, recipient: str):
+            lane = self.lanes[r]
+            losses, _, samples, model = self._computed[w_index]
+            result = GradientResult(gradient=gradients[w_index][r],
+                                    loss=float(losses[r]),
+                                    batch_size=samples)
+            return apply_worker_attack(
+                lane.worker_attacks[self.worker_ids[w_index]],
+                lane.worker_rngs[w_index], result, step_index,
+                peer_gradients=[peer[r] for peer in peers],
+                recipient=recipient, model=model[r])
 
-        with phase("batch.step.compute", runtime="batch", step=step_index,
-                   replicas=replicas):
-            gradient_stack: Dict[int, np.ndarray] = {}
-            loss_stack: Dict[int, np.ndarray] = {}
-            batch_sizes: Dict[int, int] = {}
-            #: per-attacking-worker aggregated models (observable by
-            #: adversaries)
-            model_stack: Dict[int, np.ndarray] = {}
-            active_worker_indices = [index for index, worker_id
-                                     in enumerate(self.worker_ids)
-                                     if worker_id in active_workers]
-            for fold in self._folds(active_worker_indices,
-                                    config.model_quorum):
-                stacked, completion, _ = buffer.collect(
-                    fold, self.worker_ids, config.model_quorum,
-                    not_before=self.worker_clock[fold],
-                    kind=MessageKind.MODEL_TO_WORKER, step=step_index)
-                aggregated = self.model_rule.aggregate_batched(
-                    stacked).reshape(len(fold), replicas, -1)
-                results = self._worker_gradients(fold, aggregated, step_index)
-                for j, w_index in enumerate(fold):
-                    loss_stack[w_index], gradient_stack[w_index], \
-                        batch_sizes[w_index] = results[j]
-                    if self.worker_ids[w_index] in self.attacking_workers:
-                        model_stack[w_index] = aggregated[j]
-                    compute_time = self.profiles[w_index].delay_multiplier * (
-                        cost.median_time(config.model_quorum, d)
-                        + cost.gradient_time(batch_sizes[w_index], d))
-                    self.worker_clock[w_index] = completion[j] + compute_time
+        phase_ends: Dict[str, np.ndarray] = {}
+        for kind, route in ROUTES.items():
+            recipients = route.of(*receivers)[1]
+            sender_clock, clock = route.of(*clocks)
+            with phase(f"batch.step.{route.scatter}", runtime="batch",
+                       step=step_index, replicas=replicas):
+                buffer = self._scatter(
+                    kind, step_index, route.of(active_workers,
+                                               active_servers)[0],
+                    *route.of((gradients, corrupt_gradient, peers),
+                              (self.theta, corrupt_model, ()))[0],
+                    clock=sender_clock, phase_start=phase_start)
+                if route.collect == route.scatter:  # the servers' exchange
+                    self._collect(buffer, kind, recipients, clock, step_index)
+            if route.collect != route.scatter:
+                with phase(f"batch.step.{route.collect}", runtime="batch",
+                           step=step_index, replicas=replicas):
+                    self._collect(buffer, kind, recipients, clock, step_index)
+            ends = route.of(*observed)[1]
+            phase_ends[route.phase] = self._mean_over_nodes(clock, ends) \
+                if ends else phase_start
+            gradients = {index: computed[1]
+                         for index, computed in self._computed.items()}
+            peers = [gradients[index] for index in correct_workers]
 
-        alive_correct_worker_idx = [
-            index for index in active_worker_indices
-            if self.worker_ids[index] not in self.attacking_workers]
-        if alive_correct_worker_idx:
-            phase1_end = self._mean_over_nodes(self.worker_clock,
-                                               alive_correct_worker_idx)
-        else:
-            phase1_end = phase_start
-
-        # ------------------------- Phase 2 ------------------------------ #
-        with phase("batch.step.gather", runtime="batch", step=step_index,
-                   replicas=replicas):
-            peers = [gradient_stack[index]
-                     for index in alive_correct_worker_idx]
-
-            def corrupt_gradient(w_index: int, r: int, recipient: str):
-                lane = self.lanes[r]
-                result = GradientResult(
-                    gradient=gradient_stack[w_index][r],
-                    loss=float(loss_stack[w_index][r]),
-                    batch_size=batch_sizes[w_index])
-                return apply_worker_attack(
-                    lane.worker_attacks[self.worker_ids[w_index]],
-                    lane.worker_rngs[w_index], result, step_index,
-                    peer_gradients=[peer[r] for peer in peers],
-                    recipient=recipient, model=model_stack[w_index][r])
-
-            buffer = self._scatter(
-                MessageKind.GRADIENT_TO_SERVER, step_index, active_workers,
-                gradient_stack, self.worker_clock, phase_start,
-                corrupt_gradient, peers)
-
-        with phase("batch.step.aggregate", runtime="batch", step=step_index,
-                   replicas=replicas):
-            active_correct_server_idx = [
-                index for index in alive_correct_idx
-                if self.server_ids[index] in active_servers]
-            learning_rate = self.schedule(step_index)
-            compute_time = (cost.aggregation_time(self.gradient_rule_name,
-                                                  config.gradient_quorum, d)
-                            + cost.update_time(d))
-            for fold in self._folds(active_correct_server_idx,
-                                    config.gradient_quorum):
-                stacked, completion, senders = buffer.collect(
-                    fold, self.server_ids, config.gradient_quorum,
-                    not_before=self.server_clock[fold],
-                    kind=MessageKind.GRADIENT_TO_SERVER, step=step_index)
-                if tracer.record_decisions:
-                    for j, s_index in enumerate(fold):
-                        for r, lane in enumerate(self.lanes):
-                            record_decision(
-                                "batch.gar.decision", self.gradient_rule,
-                                stacked[j * replicas + r],
-                                senders[j, :, r].tolist(),
-                                self._attacking_worker_idx, step=step_index,
-                                node=self.server_ids[s_index], replica=r,
-                                scenario=lane.spec.name)
-                aggregated = self.gradient_rule.aggregate_batched(stacked)
-                self.theta[fold] -= learning_rate * aggregated.reshape(
-                    len(fold), replicas, -1)
-                self.server_clock[fold] = completion + compute_time
-            phase2_end = self._mean_over_nodes(self.server_clock,
-                                               alive_correct_idx)
-
-        # ------------------------- Phase 3 ------------------------------ #
-        with phase("batch.step.apply", runtime="batch", step=step_index,
-                   replicas=replicas):
-            buffer = self._scatter(MessageKind.MODEL_TO_SERVER, step_index,
-                                   active_servers, self.theta,
-                                   self.server_clock, phase_start,
-                                   corrupt_model)
-
-            for fold in self._folds(active_correct_server_idx,
-                                    config.model_quorum):
-                stacked, completion, _ = buffer.collect(
-                    fold, self.server_ids, config.model_quorum,
-                    not_before=self.server_clock[fold],
-                    kind=MessageKind.MODEL_TO_SERVER, step=step_index)
-                self.theta[fold] = self.model_rule.aggregate_batched(
-                    stacked).reshape(len(fold), replicas, -1)
-                self.server_clock[fold] = completion \
-                    + cost.median_time(config.model_quorum, d)
-            phase3_end = self._mean_over_nodes(self.server_clock,
-                                               alive_correct_idx)
-
-        # ------------------------- Records ------------------------------ #
-        simulated_time = self.server_clock[alive_correct_idx].max(axis=0)
+        simulated_time = self.server_clock[alive_idx].max(axis=0)
         spreads = self._server_spreads()
+        durations = phase_durations(phase_start, phase_ends)
         records = []
         for r in range(replicas):
-            if alive_correct_worker_idx:
-                train_loss = float(np.mean(
-                    [loss_stack[index][r]
-                     for index in alive_correct_worker_idx]))
-            else:
-                train_loss = None
-            spread = float(spreads[r])
+            losses = [self._computed[index][0][r] for index in correct_workers]
             records.append(StepRecord(
                 step=step_index,
                 simulated_time=float(simulated_time[r]),
-                train_loss=train_loss,
-                max_server_spread=spread,
+                train_loss=float(np.mean(losses)) if losses else None,
+                max_server_spread=float(spreads[r]),
                 learning_rate=self.schedule(step_index),
-                phase_durations={
-                    "phase1_models_and_gradients":
-                        float(phase1_end[r] - phase_start[r]),
-                    "phase2_server_update":
-                        float(phase2_end[r] - phase1_end[r]),
-                    "phase3_server_exchange":
-                        float(phase3_end[r] - phase2_end[r]),
-                },
+                phase_durations=durations[r],
             ))
         return records
 

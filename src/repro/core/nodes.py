@@ -18,6 +18,7 @@ from repro.adversary.base import AttackContext, ServerAttack, WorkerAttack
 from repro.aggregation.base import GradientAggregationRule
 from repro.aggregation.krum import pairwise_squared_distances_batched
 from repro.data.loader import DataLoader
+from repro.network.message import MessageKind
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.nn.plan import dense_plan
@@ -42,7 +43,7 @@ def apply_worker_attack(attack: Optional[WorkerAttack],
     """The gradient a (possibly Byzantine) worker actually sends.
 
     The per-recipient attack path, shared by
-    :meth:`WorkerNode.outgoing_gradient` and the batched multi-replica
+    :meth:`WorkerNode.outgoing` and the batched multi-replica
     runtime (:mod:`repro.batch`, lane by lane), so both produce
     bit-identical corruption for the same attack state and generator; the
     batched runtime asks a :attr:`~repro.adversary.base.WorkerAttack.pure`
@@ -80,7 +81,7 @@ def apply_server_attack(attack: Optional[ServerAttack],
                         recipient: Optional[str] = None) -> Optional[np.ndarray]:
     """The model a (possibly Byzantine) server actually sends.
 
-    Shared by :meth:`ServerNode.outgoing_model` and the batched runtime;
+    Shared by :meth:`ServerNode.outgoing` and the batched runtime;
     see :func:`apply_worker_attack`.
     """
     if attack is None:
@@ -165,7 +166,7 @@ class WorkerNode:
 
         This is the worker side of phase 1: ``g = ∇̂L(M(θ^(a) ... θ^(b)))``.
         Byzantine corruption, if any, is applied afterwards by
-        :meth:`outgoing_gradient` so that data-poisoning attacks (which act
+        :meth:`outgoing` so that data-poisoning attacks (which act
         on the batch, not the message) are still routed through here.
         """
         aggregated = self.aggregate_models(parameter_vectors)
@@ -222,18 +223,23 @@ class WorkerNode:
         loss.backward()
         return self._model.get_flat_gradient(), float(loss.item())
 
-    def outgoing_gradient(self, result: GradientResult, step: int,
-                          peer_gradients: Sequence[np.ndarray] = (),
-                          recipient: Optional[str] = None) -> Optional[np.ndarray]:
-        """Gradient actually sent to a parameter server.
+    def receive(self, kind: MessageKind, payloads: Sequence[np.ndarray],
+                step: int) -> GradientResult:
+        """Reduce a quorum of models, the one kind a worker receives: a
+        gradient at their aggregate (:meth:`compute_gradient`)."""
+        return self.compute_gradient(payloads, step)
+
+    def outgoing(self, step: int, recipient: Optional[str] = None,
+                 peers: Sequence[np.ndarray] = ()) -> Optional[np.ndarray]:
+        """The step's gradient (:attr:`last_result`) as sent to a server.
 
         Honest workers send the computed gradient unchanged; Byzantine
-        workers route it through their attack (which may return ``None`` for
-        silence).
+        workers route it through their attack, which may read the honest
+        ``peers`` gradients and may return ``None`` for silence.
         """
         model = self._last_aggregated if self.attack is not None else None
-        return apply_worker_attack(self.attack, self._rng, result, step,
-                                   peer_gradients=peer_gradients,
+        return apply_worker_attack(self.attack, self._rng, self.last_result,
+                                   step, peer_gradients=peers,
                                    recipient=recipient, model=model)
 
 
@@ -282,16 +288,32 @@ class ServerNode:
         """The server's current flat parameter vector θ_t^(i)."""
         return self.parameters
 
-    def outgoing_model(self, step: int, recipient: Optional[str] = None) -> Optional[np.ndarray]:
+    def outgoing(self, step: int, recipient: Optional[str] = None,
+                 peers: Sequence[np.ndarray] = ()) -> Optional[np.ndarray]:
         """Model sent to a recipient (worker or fellow server).
 
         Honest servers always send their true parameters; Byzantine servers
         route them through their attack (possibly per-recipient equivocation
-        or silence).
+        or silence), which reads no ``peers``.
         """
         return apply_server_attack(self.attack, self._rng,
                                    self.current_parameters(), step,
                                    recipient=recipient)
+
+    def receive(self, kind: MessageKind, payloads: Sequence[np.ndarray],
+                step: int) -> None:
+        """Reduce a quorum of ``kind``: gradients are aggregated and applied
+        (phase 2), models merged (phase 3).
+
+        A Byzantine server installs nothing — its attack always perturbs
+        θ0 — whichever engine runs it (``docs/adversaries.md``).
+        """
+        if self.is_byzantine:
+            return
+        if kind is MessageKind.GRADIENT_TO_SERVER:
+            self.apply_gradients(payloads, step)
+        else:
+            self.merge_models(payloads)
 
     def apply_gradients(self, gradients: Sequence[np.ndarray], step: int) -> np.ndarray:
         """Phase 2: aggregate gradients with ``F`` and apply the SGD update.

@@ -35,9 +35,8 @@ from repro.hetero import HeteroSpec
 from repro.kernels import active_backend
 from repro.aggregation.decision import record_decision
 from repro.metrics.accuracy import evaluate_accuracy, plan_accuracy
-from repro.obs.history import StepRecord, TrainingHistory
+from repro.obs.history import StepRecord, TrainingHistory, phase_durations
 from repro.obs.telemetry import phase
-from repro.obs.tracer import get_tracer
 from repro.network.delays import DelayModel, UniformDelay
 from repro.network.message import ROUTES, MessageKind
 from repro.network.simulator import NetworkSimulator
@@ -129,14 +128,13 @@ class DistributedTrainer:
     # Helpers shared by subclasses
     # ------------------------------------------------------------------ #
     def _wire(self, config: ClusterConfig, **attacks) -> ClusterWiring:
-        """Derive the fault controller, the network and the workers from
-        the one shared scenario wiring (:mod:`repro.core.wiring`)."""
+        """Derive the network and the workers from the one shared scenario
+        wiring (:mod:`repro.core.wiring`)."""
         wiring = ClusterWiring(
             config, self.train_dataset, seed=self.seed,
             batch_size=self.batch_size, sharding=self.sharding,
             hetero=self.hetero, schedule=self.schedule,
             fault_schedule=self.fault_schedule, **attacks)
-        self.fault_controller = wiring.faults
         self.network = NetworkSimulator(delay_model=self.delay_model,
                                         seed=self.seed,
                                         fault_controller=wiring.faults)
@@ -256,20 +254,7 @@ class GuanYuTrainer(DistributedTrainer):
 
         self._server_clock = {server.node_id: 0.0 for server in self.servers}
         self._worker_clock = {worker.node_id: 0.0 for worker in self.workers}
-        self.history.config = {
-            **config.as_dict(),
-            "batch_size": self.batch_size,
-            "gradient_rule": gradient_rule_name,
-            "model_rule": model_rule_name,
-            "num_attacking_workers": num_attacking_workers,
-            "num_attacking_servers": num_attacking_servers,
-            "worker_attack": getattr(worker_attack, "name", None),
-            "server_attack": getattr(server_attack, "name", None),
-            "adversary": getattr(adversary, "name", None),
-            "faults": (self.fault_schedule.to_dict()
-                       if self.fault_schedule else None),
-            "hetero": self.hetero.to_dict() if self.hetero else None,
-        }
+        self.history.config = dict(self.wiring.history_config)
 
     # ------------------------------------------------------------------ #
     @property
@@ -287,22 +272,18 @@ class GuanYuTrainer(DistributedTrainer):
             [server.current_parameters() for server in self.correct_servers])
 
     # ------------------------------------------------------------------ #
-    def _alive(self, node_id: str, step_index: int) -> bool:
-        return (self.fault_controller is None
-                or self.fault_controller.node_alive(node_id, step_index))
-
     def _scatter(self, senders: List, kind: MessageKind, step: int,
-                 clock: Dict[str, float], phase_start: float, payload) -> None:
+                 clock: Dict[str, float], phase_start: float,
+                 peers: List[np.ndarray]) -> None:
         """Every node of ``senders`` sends ``kind`` to every recipient of
         its route (:data:`~repro.network.message.ROUTES`).
 
-        ``payload(sender, step, recipient=...)`` is what ``sender`` sends
-        (e.g. :meth:`ServerNode.outgoing_model`).  A Byzantine sender is
-        asked per recipient and races honest traffic on the adversary's
-        covert channel: sent at ``phase_start``, no delay.  An honest
-        sender is asked once (``recipient=None``) and sends at its
-        ``clock`` plus the serialisation time; its message to itself
-        (phase 3 only) is available to it immediately.
+        What a sender sends is its ``outgoing(step, recipient, peers)``.
+        A Byzantine sender is asked per recipient and races honest traffic
+        on the adversary's covert channel: sent at ``phase_start``, no
+        delay.  An honest sender is asked once (``recipient=None``) and
+        sends at its ``clock`` plus the serialisation time; its message to
+        itself (phase 3 only) is available to it immediately.
         """
         recipients = ROUTES[kind].of(self.wiring.worker_ids,
                                      self.wiring.server_ids)[1]
@@ -310,12 +291,11 @@ class GuanYuTrainer(DistributedTrainer):
             if sender.is_byzantine:
                 for recipient in recipients:
                     self.network.send(sender.node_id, recipient, kind, step,
-                                      payload(sender, step,
-                                              recipient=recipient),
+                                      sender.outgoing(step, recipient, peers),
                                       send_time=phase_start,
                                       delay_override=0.0)
                 continue
-            value = payload(sender, step, recipient=None)
+            value = sender.outgoing(step, None, peers)
             send_time = clock[sender.node_id] + self._serialization()
             for recipient in recipients:
                 self.network.send(
@@ -323,153 +303,91 @@ class GuanYuTrainer(DistributedTrainer):
                     send_time=send_time,
                     delay_override=0.0 if recipient == sender.node_id else None)
 
-    def step(self, step_index: int) -> StepRecord:
-        """One full GuanYu step (the three phases of Figure 2).
+    def _collect(self, recipients: List, kind: MessageKind, step: int,
+                 clock: Dict[str, float]) -> None:
+        """Every node of ``recipients`` reduces its first quorum of
+        ``kind`` (its ``receive``), and its clock moves to the quorum's
+        completion plus the cost model's ``receive_time``, scaled by a
+        worker's straggler factor."""
+        route = ROUTES[kind]
+        quorum = route.quorum(self.config.model_quorum,
+                              self.config.gradient_quorum)
+        for node in recipients:
+            record = self.network.collect_quorum(
+                node.node_id, kind, step, quorum=quorum,
+                not_before=clock[node.node_id])
+            if route.senders == "worker":
+                record_decision("seq.gar.decision", node.gradient_aggregator,
+                                record.payloads, record.senders,
+                                self.wiring.attacking_workers,
+                                step=step, node=node.node_id)
+            result = node.receive(kind, record.payloads, step)
+            clock[node.node_id] = record.completion_time \
+                + self._delay_multipliers.get(node.node_id, 1.0) \
+                * self.cost_model.receive_time(
+                    kind, quorum, self.billed_parameters,
+                    self.gradient_rule_name,
+                    result.batch_size if result is not None else 0)
 
+    def step(self, step_index: int) -> StepRecord:
+        """One full GuanYu step: one walk over
+        :data:`~repro.network.message.ROUTES`, the three phases of Figure 2.
+
+        On each route the participating senders scatter, then every
+        participating recipient collects its first quorum and reduces it.
         Under a fault schedule, crashed nodes neither compute nor send nor
         collect for the step, and nodes left short of a quorum (e.g.
         partitioned away) stall with frozen state until reachability
         returns; everyone else proceeds on quorums alone.  A schedule that
         starves *everyone* freezes learning for the step — visible as
         ``train_loss=None`` — and training resumes when the faults lift.
+        A Byzantine server collects nothing: it sends on the covert
+        channel, never on its own clock, and installs nothing.
         """
-        config = self.config
-        cost = self.cost_model
-        d = self.billed_parameters
-        tracer = get_tracer()
-        if self.fault_controller is not None:
-            self.fault_controller.on_step(step_index)
-        active_worker_ids, active_server_ids = \
-            self.wiring.participants(step_index)
-        if tracer.enabled:
-            stalled = ([w.node_id for w in self.workers
-                        if w.node_id not in active_worker_ids]
-                       + [s.node_id for s in self.servers
-                          if s.node_id not in active_server_ids])
-            if stalled:
-                tracer.event("seq.fault.stalled", step=step_index,
-                             nodes=stalled)
-        alive_correct_servers = [s for s in self.correct_servers
-                                 if self._alive(s.node_id, step_index)]
-        if not alive_correct_servers:
-            raise RuntimeError(
-                f"fault schedule leaves no correct server alive at step "
-                f"{step_index}; the protocol cannot make progress")
-        phase_start = min(self._server_clock[s.node_id]
-                          for s in alive_correct_servers)
+        active_workers, active_servers, alive = \
+            self.wiring.simulated_step(step_index, "seq")
+        workers = [w for w in self.workers if w.node_id in active_workers]
+        servers = [s for s in self.servers if s.node_id in active_servers]
+        correct_workers = [w for w in workers if not w.is_byzantine]
+        receivers = (workers, [s for s in servers if not s.is_byzantine])
+        # a phase ends when, on average, the correct participating workers
+        # or the live correct servers (stalled ones included) finish it
+        observed = ([w.node_id for w in correct_workers], alive)
+        clocks = (self._worker_clock, self._server_clock)
+        phase_start = min(self._server_clock[node_id] for node_id in alive)
 
-        # ------------------------- Phase 1 ------------------------------ #
-        # Every participating parameter server broadcasts its model to
-        # every worker.
-        sending_servers = [s for s in self.servers
-                           if s.node_id in active_server_ids]
-        with phase("seq.step.broadcast", runtime="seq", step=step_index):
-            self._scatter(sending_servers, MessageKind.MODEL_TO_WORKER,
-                          step_index, self._server_clock, phase_start,
-                          ServerNode.outgoing_model)
-
-        # Every participating worker waits for the first q models,
-        # aggregates them with the coordinate-wise median and computes a
-        # gradient there.
-        results: Dict[str, GradientResult] = {}
-        alive_workers = [w for w in self.workers
-                         if w.node_id in active_worker_ids]
-        with phase("seq.step.compute", runtime="seq", step=step_index,
-                   workers=len(alive_workers)):
-            for worker in alive_workers:
-                record = self.network.collect_quorum(
-                    worker.node_id, MessageKind.MODEL_TO_WORKER, step_index,
-                    quorum=config.model_quorum,
-                    not_before=self._worker_clock[worker.node_id])
-                result = worker.compute_gradient(record.payloads, step_index)
-                results[worker.node_id] = result
-                compute_time = self._delay_multipliers[worker.node_id] * (
-                    cost.median_time(config.model_quorum, d)
-                    + cost.gradient_time(result.batch_size, d))
-                self._worker_clock[worker.node_id] = \
-                    record.completion_time + compute_time
-
-        alive_correct_workers = [w for w in alive_workers if not w.is_byzantine]
-        correct_gradients = [results[w.node_id].gradient
-                             for w in alive_correct_workers]
-        phase1_end = (float(np.mean([self._worker_clock[w.node_id]
-                                     for w in alive_correct_workers]))
-                      if alive_correct_workers else phase_start)
-
-        # ------------------------- Phase 2 ------------------------------ #
-        # Every participating worker broadcasts its gradient to every
-        # parameter server.
-        with phase("seq.step.gather", runtime="seq", step=step_index):
-            self._scatter(alive_workers, MessageKind.GRADIENT_TO_SERVER,
-                          step_index, self._worker_clock, phase_start,
-                          lambda worker, step, recipient:
-                          worker.outgoing_gradient(
-                              results[worker.node_id], step,
-                              peer_gradients=correct_gradients,
-                              recipient=recipient))
-
-        # Every participating correct server waits for the first q̄
-        # gradients, aggregates them with Multi-Krum and applies the local
-        # SGD update.
-        active_servers = [s for s in alive_correct_servers
-                          if s.node_id in active_server_ids]
-        with phase("seq.step.aggregate", runtime="seq", step=step_index,
-                   servers=len(active_servers)):
-            for server in active_servers:
-                record = self.network.collect_quorum(
-                    server.node_id, MessageKind.GRADIENT_TO_SERVER, step_index,
-                    quorum=config.gradient_quorum,
-                    not_before=self._server_clock[server.node_id])
-                record_decision("seq.gar.decision", server.gradient_aggregator,
-                                record.payloads, record.senders,
-                                self.wiring.attacking_workers,
-                                step=step_index, node=server.node_id)
-                server.apply_gradients(record.payloads, step_index)
-                compute_time = (cost.aggregation_time(self.gradient_rule_name,
-                                                      config.gradient_quorum, d)
-                                + cost.update_time(d))
-                self._server_clock[server.node_id] = \
-                    record.completion_time + compute_time
-        phase2_end = float(np.mean([self._server_clock[s.node_id]
-                                    for s in alive_correct_servers]))
-
-        # ------------------------- Phase 3 ------------------------------ #
-        # Every live parameter server broadcasts its updated model to the
-        # others and installs the coordinate-wise median of the first q
-        # received.
-        with phase("seq.step.apply", runtime="seq", step=step_index):
-            self._scatter(sending_servers, MessageKind.MODEL_TO_SERVER,
-                          step_index, self._server_clock, phase_start,
-                          ServerNode.outgoing_model)
-            for server in active_servers:
-                record = self.network.collect_quorum(
-                    server.node_id, MessageKind.MODEL_TO_SERVER, step_index,
-                    quorum=config.model_quorum,
-                    not_before=self._server_clock[server.node_id])
-                server.merge_models(record.payloads)
-                compute_time = cost.median_time(config.model_quorum, d)
-                self._server_clock[server.node_id] = \
-                    record.completion_time + compute_time
+        phase_ends: Dict[str, float] = {}
+        peers: List[np.ndarray] = []  # the honest gradients, once computed
+        for kind, route in ROUTES.items():
+            recipients = route.of(*receivers)[1]
+            sender_clock, clock = route.of(*clocks)
+            with phase(f"seq.step.{route.scatter}", runtime="seq",
+                       step=step_index):
+                self._scatter(route.of(workers, servers)[0], kind, step_index,
+                              sender_clock, phase_start, peers)
+                if route.collect == route.scatter:  # the servers' exchange
+                    self._collect(recipients, kind, step_index, clock)
+            if route.collect != route.scatter:
+                with phase(f"seq.step.{route.collect}", runtime="seq",
+                           step=step_index,
+                           **{f"{route.recipients}s": len(recipients)}):
+                    self._collect(recipients, kind, step_index, clock)
+            ends = [clock[node_id] for node_id in route.of(*observed)[1]]
+            phase_ends[route.phase] = \
+                float(np.mean(ends)) if ends else phase_start
+            peers = [w.last_result.gradient for w in correct_workers]
 
         # Drop anything left over from this step (late messages are discarded).
         self.network.purge_step(step_index)
-        phase3_end = float(np.mean([self._server_clock[s.node_id]
-                                    for s in alive_correct_servers]))
-
-        correct_losses = [results[w.node_id].loss
-                          for w in alive_correct_workers]
+        correct_losses = [w.last_result.loss for w in correct_workers]
         return StepRecord(
             step=step_index,
-            simulated_time=max(self._server_clock[s.node_id]
-                               for s in alive_correct_servers),
+            simulated_time=max(self._server_clock[node_id]
+                               for node_id in alive),
             train_loss=float(np.mean(correct_losses)) if correct_losses else None,
             max_server_spread=self.server_spread(),
             learning_rate=self.schedule(step_index),
-            phase_durations={
-                "phase1_models_and_gradients": phase1_end - phase_start,
-                "phase2_server_update": phase2_end - phase1_end,
-                "phase3_server_exchange": phase3_end - phase2_end,
-            },
+            phase_durations=phase_durations(phase_start, phase_ends)[0],
         )
 
 
@@ -560,7 +478,7 @@ class VanillaTrainer(DistributedTrainer):
         # Server broadcasts the current model to every worker.
         self.network.broadcast(self.SERVER_ID, worker_ids,
                                MessageKind.MODEL_TO_WORKER, step_index,
-                               self.server.outgoing_model(step_index),
+                               self.server.outgoing(step_index),
                                send_time=self._server_clock + overhead)
 
         # Workers compute gradients at the received model.
@@ -583,10 +501,8 @@ class VanillaTrainer(DistributedTrainer):
         # stay silent); the trusted server averages what it receives.
         responding = 0
         for worker in self.workers:
-            result = results[worker.node_id]
-            payload = worker.outgoing_gradient(result, step_index,
-                                               peer_gradients=correct_gradients,
-                                               recipient=self.SERVER_ID)
+            payload = worker.outgoing(step_index, self.SERVER_ID,
+                                      correct_gradients)
             if payload is not None:
                 responding += 1
             self.network.send(worker.node_id, self.SERVER_ID,

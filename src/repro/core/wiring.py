@@ -44,6 +44,7 @@ from repro.faults import FaultController, FaultSchedule
 from repro.hetero import DEFAULT_PROFILE, HeteroSpec, WorkerProfile
 from repro.nn.module import Module
 from repro.nn.schedules import LearningRateSchedule
+from repro.obs.tracer import get_tracer
 
 #: wall-clock seconds one unit of profile ``delay_multiplier`` excess adds
 #: to a worker's step in the live (threaded, cluster) runtimes
@@ -149,7 +150,8 @@ class ClusterWiring:
                  num_attacking_servers: int = 0,
                  adversary: Optional[Adversary] = None,
                  fault_schedule: Optional[FaultSchedule] = None) -> None:
-        if adversary is None:
+        legacy = adversary is None
+        if legacy:
             adversary = StatelessAdversary(worker_attack, server_attack)
         elif worker_attack is not None or server_attack is not None:
             raise ValueError("give either an adversary or legacy per-node "
@@ -178,6 +180,21 @@ class ClusterWiring:
         self.worker_attacks: Dict[str, Optional[WorkerAttack]] = worker_attacks
         self.server_attacks: Dict[str, Optional[ServerAttack]] = server_attacks
 
+        #: ``history.config`` of a simulated run: the sequential and the
+        #: batched engine write this one dict
+        self.history_config: Dict[str, object] = {
+            **config.as_dict(),
+            "batch_size": batch_size,
+            "gradient_rule": gradient_rule_name,
+            "model_rule": model_rule_name,
+            "num_attacking_workers": num_attacking_workers,
+            "num_attacking_servers": num_attacking_servers,
+            "worker_attack": getattr(worker_attack, "name", None),
+            "server_attack": getattr(server_attack, "name", None),
+            "adversary": None if legacy else adversary.name,
+            "faults": fault_schedule.to_dict() if fault_schedule else None,
+            "hetero": hetero.to_dict() if hetero else None,
+        }
         self.seed = seed
         self.batch_size = batch_size
         self.schedule = schedule
@@ -284,11 +301,40 @@ class ClusterWiring:
             self.config.gradient_quorum, step)
         return set(workers), set(servers)
 
+    def simulated_step(self, step: int, runtime: str
+                       ) -> Tuple[Set[str], Set[str], List[str]]:
+        """``(workers, servers, live correct servers)`` of ``step`` on the
+        simulated clock: :meth:`participants`, plus the correct servers the
+        schedule has not crashed, in id order.
+
+        Emits ``{runtime}.fault.stalled`` naming the nodes that sit the
+        step out, and raises when no correct server is alive — the step
+        would have no model to read.
+        """
+        workers, servers = self.participants(step)
+        tracer = get_tracer()
+        if tracer.enabled:
+            stalled = [node_id for node_id in self.worker_ids
+                       if node_id not in workers] + [
+                node_id for node_id in self.server_ids
+                if node_id not in servers]
+            if stalled:
+                tracer.event(f"{runtime}.fault.stalled", step=step,
+                             nodes=stalled)
+        alive = [node_id for node_id in self.server_ids
+                 if node_id not in self.attacking_servers
+                 and (self.faults is None
+                      or self.faults.node_alive(node_id, step))]
+        if not alive:
+            raise RuntimeError(
+                f"fault schedule leaves no correct server alive at step "
+                f"{step}; the protocol cannot make progress")
+        return workers, servers, alive
+
     def sits_out(self, node_id: str, step: int) -> bool:
         """Whether faults force ``node_id`` to sit out ``step``."""
         if self.faults is None:
             return False
-        self.faults.on_step(step)
         workers, servers = self.participants(step)
         return node_id not in workers and node_id not in servers
 

@@ -253,18 +253,6 @@ class FaultController:
         """Whether ``node_id`` participates in the protocol at ``step``."""
         return node_id not in self._at(step).crashed
 
-    def alive_mask(self, node_ids: Sequence[str], step: int) -> np.ndarray:
-        """Boolean :meth:`node_alive` mask over ``node_ids`` at ``step``.
-
-        Crash windows are a pure function of ``(schedule, step)`` — never of
-        the sampling seed — so the batched multi-replica runtime
-        (:meth:`repro.batch.BatchedGuanYuTrainer.step`) computes this mask
-        on one replica's controller and shares it across all replicas.
-        """
-        crashed = self._at(step).crashed
-        return np.array([node_id not in crashed for node_id in node_ids],
-                        dtype=bool)
-
     def attack_active(self, node_id: str, step: int) -> bool:
         """Whether the attack installed on ``node_id`` is live at ``step``.
 

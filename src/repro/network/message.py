@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -28,19 +28,30 @@ class MessageKind(str, enum.Enum):
     MODEL_TO_SERVER = "model_to_server"
 
 
-class Route(NamedTuple):
+@dataclass(frozen=True)
+class Route:
     """The sending and receiving role (``"server"``/``"worker"``) of one
     kind: every sender scatters to every recipient, and each recipient
     keeps the first :meth:`quorum` of them (a
-    :class:`~repro.core.config.ClusterConfig` field)."""
+    :class:`~repro.core.config.ClusterConfig` field).
+
+    The names say how a step reports the route, so they take no part in
+    equality: ``scatter`` is the span of the senders' scatter, ``collect``
+    the span of the recipients' quorums (the servers' exchange has one
+    name for both: one span), and ``phase`` the route's key in
+    :attr:`~repro.obs.history.StepRecord.phase_durations`.
+    """
 
     senders: str
     recipients: str
+    scatter: Optional[str] = field(default=None, compare=False)
+    collect: Optional[str] = field(default=None, compare=False)
+    phase: Optional[str] = field(default=None, compare=False)
 
     def of(self, workers, servers) -> tuple:
         """``(senders', recipients')`` picked from two per-role values."""
-        roles = {"worker": workers, "server": servers}
-        return roles[self.senders], roles[self.recipients]
+        return (workers if self.senders == "worker" else servers,
+                workers if self.recipients == "worker" else servers)
 
     def quorum(self, model_quorum: int, gradient_quorum: int) -> int:
         """How many messages of this kind a recipient keeps: its senders'
@@ -49,11 +60,16 @@ class Route(NamedTuple):
         return self.of(gradient_quorum, model_quorum)[0]
 
 
-#: who sends which kind to whom
+#: who sends which kind to whom, in the order of one protocol step: every
+#: engine's step is one walk over this table
 ROUTES = {
-    MessageKind.MODEL_TO_WORKER: Route("server", "worker"),
-    MessageKind.GRADIENT_TO_SERVER: Route("worker", "server"),
-    MessageKind.MODEL_TO_SERVER: Route("server", "server"),
+    MessageKind.MODEL_TO_WORKER: Route(
+        "server", "worker", "broadcast", "compute",
+        "phase1_models_and_gradients"),
+    MessageKind.GRADIENT_TO_SERVER: Route(
+        "worker", "server", "gather", "aggregate", "phase2_server_update"),
+    MessageKind.MODEL_TO_SERVER: Route(
+        "server", "server", "apply", "apply", "phase3_server_exchange"),
 }
 
 

@@ -13,7 +13,18 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-__all__ = ["DeferredHistory", "StepRecord", "TrainingHistory"]
+__all__ = ["DeferredHistory", "StepRecord", "TrainingHistory",
+           "phase_durations"]
+
+
+def phase_durations(start, ends: Dict[str, object]) -> List[Dict[str, float]]:
+    """Each phase's duration, from the step's start and each phase's end
+    (phase name → end, in phase order), one dict per replica: ``start``
+    and the ends are scalars (one replica) or ``(R,)`` arrays."""
+    begins = [start, *ends.values()]
+    columns = [np.subtract(end, begin).reshape(-1).tolist()
+               for end, begin in zip(ends.values(), begins)]
+    return [dict(zip(ends, row)) for row in zip(*columns)]
 
 
 @dataclass

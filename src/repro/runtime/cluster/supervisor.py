@@ -20,11 +20,12 @@ shipped (stale state, exactly like the other runtimes' recovering
 replicas).  Partitions are enforced at the socket layer by both endpoints'
 transports.
 
-The returned :class:`~repro.obs.history.TrainingHistory` is assembled the
-same way the threaded runtime assembles its own — per-step mean worker
-loss in canonical worker order, server wall-clock watermarks, final
-honest-server spread — which is what the tier-1 cluster↔threaded
-loss-trajectory equivalence test checks.
+The returned :class:`~repro.obs.history.TrainingHistory` is assembled by
+the function the threaded runtime assembles its own with
+(:func:`repro.runtime.live.live_history`) — per-step mean worker loss in
+canonical worker order, server wall-clock watermarks, final honest-server
+spread — which is what the tier-1 cluster↔threaded loss-trajectory
+equivalence test checks.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 from repro.campaign.spec import ScenarioSpec
 from repro.core.nodes import max_pairwise_distance
 from repro.core.wiring import ClusterWiring
-from repro.obs.history import StepRecord, TrainingHistory
+from repro.obs.history import TrainingHistory
 from repro.obs.telemetry import get_registry
 from repro.obs.tracer import TraceEvent, get_tracer
 from repro.runtime.cluster.protocol import Frame, FrameError, recv_frame, send_frame
@@ -57,6 +58,7 @@ from repro.runtime.cluster.transport import (
     unix_sockets_available,
 )
 from repro.runtime.facade import check_runtime
+from repro.runtime.live import live_history
 
 __all__ = [
     "ClusterOptions",
@@ -673,13 +675,6 @@ class Supervisor:
 
         _, _, _, schedule = build_scale_bundle(self.spec)
         spec = self.spec
-        history = TrainingHistory(
-            label="guanyu-cluster",
-            config={**self.config.as_dict(),
-                    "adversary": (spec.adversary.name
-                                  if spec.adversary else None),
-                    "faults": spec.faults.to_dict() if spec.faults else None,
-                    "hetero": spec.hetero.to_dict() if spec.hetero else None})
         vectors = []
         for server_id in self.config.server_ids():
             if server_id in self.attacking_servers:
@@ -688,21 +683,12 @@ class Supervisor:
                 server_id, self._snapshots.get(server_id))
             if params is not None:
                 vectors.append(params)
-        spread = max_pairwise_distance(vectors) if len(vectors) >= 2 else 0.0
-        worker_order = self.config.worker_ids()
-        for step in range(self.num_steps):
-            by_worker = self._step_losses.get(step, {})
-            losses = [by_worker[worker_id] for worker_id in worker_order
-                      if worker_id in by_worker]
-            history.add(StepRecord(
-                step=step,
-                simulated_time=self._step_times.get(step, 0.0),
-                train_loss=float(np.mean(losses)) if losses else None,
-                max_server_spread=(spread if step == self.num_steps - 1
-                                   else None),
-                learning_rate=schedule(step),
-            ))
-        return history
+        return live_history(
+            "guanyu-cluster", self.config, adversary=spec.adversary,
+            faults=spec.faults, hetero=spec.hetero, schedule=schedule,
+            num_steps=self.num_steps, step_losses=self._step_losses,
+            step_times=self._step_times,
+            spread=max_pairwise_distance(vectors))
 
     def report(self) -> Dict:
         """Structured lifecycle record (the observability/test surface)."""

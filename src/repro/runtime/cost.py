@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.network.message import MessageKind
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -82,6 +84,25 @@ class CostModel:
     def update_time(self, num_parameters: int) -> float:
         """Time for a parameter server to apply one SGD update."""
         return self.update_seconds_per_mparam * num_parameters / 1e6
+
+    def receive_time(self, kind: MessageKind, quorum: int,
+                     num_parameters: int, gradient_rule: str,
+                     samples=0):
+        """Seconds a recipient of ``kind`` computes once its quorum is in:
+        a worker takes the median of the models and a gradient on
+        ``samples`` samples, a server aggregates the gradients with
+        ``gradient_rule`` and updates, or takes the median of the models.
+
+        ``samples`` may be an array of per-worker counts; the result is
+        then the array of their times, element for element the scalars."""
+        if kind is MessageKind.MODEL_TO_WORKER:
+            return (self.median_time(quorum, num_parameters)
+                    + self.gradient_time(samples, num_parameters))
+        if kind is MessageKind.GRADIENT_TO_SERVER:
+            return (self.aggregation_time(gradient_rule, quorum,
+                                          num_parameters)
+                    + self.update_time(num_parameters))
+        return self.median_time(quorum, num_parameters)
 
     def serialization_time(self, num_parameters: int) -> float:
         """Per-message tensor→numpy→protobuf serialisation overhead."""

@@ -19,19 +19,24 @@ come from the same lines.
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from collections import defaultdict
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.nodes import ServerNode, WorkerNode
+from repro.core.config import ClusterConfig
+from repro.core.nodes import WorkerNode
 from repro.core.wiring import ClusterWiring
 from repro.faults import FaultController
 from repro.network.message import ROUTES, MessageKind
+from repro.obs.history import StepRecord, TrainingHistory
 from repro.obs.telemetry import phase
+
+#: the span of a part of a step that is not timed on its own
+_UNTIMED = nullcontext()
 
 
 class QuorumTimeout(RuntimeError):
@@ -214,9 +219,11 @@ class LiveNode:
         self.wiring = wiring
         self.node = node
         self.node_id: str = node.node_id
+        self.role = "worker" if isinstance(node, WorkerNode) else "server"
         self.endpoint = endpoint
         self.quorum_timeout = quorum_timeout
         self.straggle = straggle
+        self._walk = self._route_walk()
 
     # ------------------------------------------------------------------ #
     # Hooks: what differs between threads and processes
@@ -250,9 +257,6 @@ class LiveNode:
         discarded and skipping costs no wall-clock, since the next
         ``wait_quorum`` simply blocks until the peers reach that step.
         """
-        role = "worker" if isinstance(self.node, WorkerNode) else "server"
-        step_fn = self._worker_step if role == "worker" else self._server_step
-        self._span_stem = f"{self.span_prefix}.{role}."
         faults = self.wiring.faults
         for step in range(first_step, num_steps):
             if self.wiring.sits_out(self.node_id, step):
@@ -260,74 +264,115 @@ class LiveNode:
                     self.on_scheduled_crash(step)
                 self.endpoint.abandon_step(step)
                 continue
-            step_fn(step)
+            self._step(step)
 
-    def _maybe_straggle(self) -> None:
-        if self.straggle > 0:
-            time.sleep(self.straggle)
+    def _route_walk(self) -> Tuple:
+        """This node's part of :data:`~repro.network.message.ROUTES`, in
+        step order, worked out once: per route it sends or collects on,
+        ``(kind, recipients, quorum, spans)`` — the ids it sends to (none
+        if it only collects), the quorum it collects (0 if it only sends)
+        and the span names of the send, the wait and the reduction.
 
-    def _send_all(self, kind: MessageKind, step: int, payload) -> None:
-        """Send ``payload(step, recipient=...)`` to every recipient of
-        ``kind``'s :data:`~repro.network.message.ROUTES` entry; a server's
-        model to itself is its current parameters, no attack asked."""
-        for recipient in ROUTES[kind].of(self.wiring.worker_ids,
-                                         self.wiring.server_ids)[1]:
-            self.endpoint.send(recipient, kind, step,
-                               self.node.current_parameters()
-                               if recipient == self.node_id
-                               else payload(step, recipient=recipient))
+        A server times its sends under the route's scatter name, and its
+        exchange with the other servers (send, wait, merge) is that one
+        span; a worker's send is not timed.  A recipient times its wait as
+        ``gather`` and its reduction under the route's collect name.
+        """
+        wiring, role = self.wiring, self.role
+        stem = f"{self.span_prefix}.{role}."
+        walk = []
+        for kind, route in ROUTES.items():
+            sends, collects = route.senders == role, route.recipients == role
+            if not (sends or collects):
+                continue
+            recipients = tuple(route.of(wiring.worker_ids,
+                                        wiring.server_ids)[1]) if sends else ()
+            quorum = route.quorum(wiring.config.model_quorum,
+                                  wiring.config.gradient_quorum) \
+                if collects else 0
+            spans = ((stem + route.scatter if role == "server" else None,
+                      None, None) if sends
+                     else (None, stem + "gather", stem + route.collect))
+            walk.append((kind, recipients, quorum, spans))
+        return tuple(walk)
 
-    # ------------------------------------------------------------------ #
-    def _worker_step(self, step: int) -> None:
-        worker: WorkerNode = self.node
-        config = self.wiring.config
-        with phase(self._span_stem + "gather", runtime=self.runtime_label,
-                   step=step, node=self.node_id):
-            models = self.endpoint.wait_quorum(
-                MessageKind.MODEL_TO_WORKER, step,
-                quorum=config.model_quorum, timeout=self.quorum_timeout)
-        with phase(self._span_stem + "compute", runtime=self.runtime_label,
-                   step=step, node=self.node_id):
-            result = worker.compute_gradient(models, step)
-        if not worker.is_byzantine:
-            if self.wiring.needs_observation_board \
-                    and self.wiring.adversary.observation_needed(step):
-                # The omniscient adversary reads this worker's memory
-                # (skipped on rounds whose plan ignores the observation,
-                # e.g. a sleeper's dormant window — no point copying
-                # gradients nobody will read).
-                self.publish_observation(step, result.gradient)
-            self.report_loss(step, result.loss)
-        self._maybe_straggle()
-        self._send_all(MessageKind.GRADIENT_TO_SERVER, step,
-                       functools.partial(worker.outgoing_gradient, result))
+    def _span(self, name: Optional[str], step: int):
+        """The span ``name`` of this node at ``step``; ``None`` times
+        nothing."""
+        if name is None:
+            return _UNTIMED
+        return phase(name, runtime=self.runtime_label, step=step,
+                     node=self.node_id)
 
-    def _server_step(self, step: int) -> None:
-        server: ServerNode = self.node
-        config = self.wiring.config
-        self._maybe_straggle()
-        # Phase 1: broadcast the current model to the workers.
-        with phase(self._span_stem + "broadcast", runtime=self.runtime_label,
-                   step=step, node=self.node_id):
-            self._send_all(MessageKind.MODEL_TO_WORKER, step,
-                           server.outgoing_model)
-        # Phase 2: gather gradients and update (Byzantine servers skip the
-        # honest computation — whatever they hold is corrupted on send).
-        with phase(self._span_stem + "gather", runtime=self.runtime_label,
-                   step=step, node=self.node_id):
-            gradients = self.endpoint.wait_quorum(
-                MessageKind.GRADIENT_TO_SERVER, step,
-                quorum=config.gradient_quorum, timeout=self.quorum_timeout)
-        with phase(self._span_stem + "aggregate", runtime=self.runtime_label,
-                   step=step, node=self.node_id):
-            server.apply_gradients(gradients, step)
-        # Phase 3: exchange models between servers and take the median.
-        with phase(self._span_stem + "apply", runtime=self.runtime_label,
-                   step=step, node=self.node_id):
-            self._send_all(MessageKind.MODEL_TO_SERVER, step,
-                           server.outgoing_model)
-            models = self.endpoint.wait_quorum(
-                MessageKind.MODEL_TO_SERVER, step,
-                quorum=config.model_quorum, timeout=self.quorum_timeout)
-            server.merge_models(models)
-        self.report_step(step)
+    def _step(self, step: int) -> None:
+        """One protocol step: one walk over this node's part of
+        :data:`~repro.network.message.ROUTES` (:meth:`_route_walk`).
+
+        On each route the node sends its ``outgoing`` to the recipients (a
+        server's model to itself is its current parameters, no attack
+        asked), then waits for its quorum and reduces it (its
+        ``receive``).  It straggles once, before its first send.  A
+        Byzantine server waits for its quorums like any other, which keeps
+        its pace and empties its mailbox, but installs nothing
+        (:meth:`~repro.core.nodes.ServerNode.receive`).
+        """
+        node, endpoint, straggle = self.node, self.endpoint, self.straggle
+        for kind, recipients, quorum, (send, wait, reduce) in self._walk:
+            if recipients and straggle > 0:
+                time.sleep(straggle)
+                straggle = 0.0
+            with self._span(send, step):
+                for recipient in recipients:
+                    endpoint.send(recipient, kind, step,
+                                  node.current_parameters()
+                                  if recipient == self.node_id
+                                  else node.outgoing(step, recipient))
+                if not quorum:
+                    continue
+                with self._span(wait, step):
+                    payloads = endpoint.wait_quorum(kind, step, quorum,
+                                                    self.quorum_timeout)
+                with self._span(reduce, step):
+                    result = node.receive(kind, payloads, step)
+            if self.role == "worker" and not node.is_byzantine:
+                if self.wiring.needs_observation_board \
+                        and self.wiring.adversary.observation_needed(step):
+                    # The omniscient adversary reads this worker's memory
+                    # (skipped on rounds whose plan ignores the observation,
+                    # e.g. a sleeper's dormant window — no point copying
+                    # gradients nobody will read).
+                    self.publish_observation(step, result.gradient)
+                self.report_loss(step, result.loss)
+        if self.role == "server":
+            self.report_step(step)
+
+def live_history(label: str, config: ClusterConfig, *, adversary, faults,
+                 hetero, schedule, num_steps: int,
+                 step_losses: Dict[int, Dict[str, float]],
+                 step_times: Dict[int, float],
+                 spread: float) -> TrainingHistory:
+    """The history of a live run from what its nodes reported.
+
+    A step's loss is the mean over the honest workers that reported one,
+    taken in worker-id order whatever order they finished in; its time is
+    the last server's wall-clock report.  The server spread is measured
+    once, after the run, and lands on the last step.  ``adversary``,
+    ``faults`` and ``hetero`` are built objects or spec fields.
+    """
+    history = TrainingHistory(label=label, config={
+        **config.as_dict(),
+        "adversary": getattr(adversary, "name", None),
+        "faults": faults.to_dict() if faults else None,
+        "hetero": hetero.to_dict() if hetero else None})
+    for step in range(num_steps):
+        by_worker = step_losses.get(step, {})
+        losses = [by_worker[worker_id] for worker_id in config.worker_ids()
+                  if worker_id in by_worker]
+        history.add(StepRecord(
+            step=step,
+            simulated_time=step_times.get(step, 0.0),
+            train_loss=float(np.mean(losses)) if losses else None,
+            max_server_spread=spread if step == num_steps - 1 else None,
+            learning_rate=schedule(step),
+        ))
+    return history

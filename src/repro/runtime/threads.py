@@ -34,10 +34,10 @@ from repro.data.datasets import Dataset
 from repro.faults import FaultSchedule
 from repro.hetero import HeteroSpec
 from repro.kernels import active_backend
-from repro.obs.history import StepRecord, TrainingHistory
+from repro.obs.history import TrainingHistory
 from repro.nn.module import Module
 from repro.nn.schedules import ConstantSchedule, LearningRateSchedule
-from repro.runtime.live import Endpoint, LiveNode, QuorumTimeout
+from repro.runtime.live import Endpoint, LiveNode, QuorumTimeout, live_history
 
 
 class ThreadEndpoint(Endpoint):
@@ -195,16 +195,9 @@ class ThreadedClusterRuntime:
         self.servers = [wiring.server(index, template)
                         for index in range(len(wiring.server_ids))]
 
-        self._history = TrainingHistory(label="guanyu-threaded",
-                                        config={**config.as_dict(),
-                                                "adversary": getattr(adversary,
-                                                                     "name", None),
-                                                "faults": (fault_schedule.to_dict()
-                                                           if fault_schedule
-                                                           else None),
-                                                "hetero": (hetero.to_dict()
-                                                           if hetero
-                                                           else None)})
+        #: what the history's config names besides the cluster arithmetic
+        self._labels = {"adversary": adversary, "faults": fault_schedule,
+                        "hetero": hetero}
         self._record_lock = threading.Lock()
         self._step_times: Dict[int, float] = {}
         #: step → worker_id → loss; keyed (not appended) so the per-step
@@ -273,18 +266,9 @@ class ThreadedClusterRuntime:
             if handle.thread.is_alive():
                 raise QuorumTimeout(f"node {handle.node_id} did not terminate")
 
-        spread = max_pairwise_distance(
-            [server.current_parameters() for server in self.correct_servers])
-        worker_order = [worker.node_id for worker in self.workers]
-        for step in range(num_steps):
-            by_worker = self._step_losses.get(step, {})
-            losses = [by_worker[worker_id] for worker_id in worker_order
-                      if worker_id in by_worker]
-            self._history.add(StepRecord(
-                step=step,
-                simulated_time=self._step_times.get(step, 0.0),
-                train_loss=float(np.mean(losses)) if losses else None,
-                max_server_spread=spread if step == num_steps - 1 else None,
-                learning_rate=self.schedule(step),
-            ))
-        return self._history
+        return live_history(
+            "guanyu-threaded", self.config, **self._labels,
+            schedule=self.schedule, num_steps=num_steps,
+            step_losses=self._step_losses, step_times=self._step_times,
+            spread=max_pairwise_distance([server.current_parameters()
+                                          for server in self.correct_servers]))

@@ -1,0 +1,66 @@
+"""One sha256 per scenario of the benchmark's 64-cell grid, per engine.
+
+The grid is ``seq_grid``'s shape: 4 GARs x 4 threats x 2 delay models x
+2 environments (``bench/workloads.py``, ``SeqGrid``).  Each cell runs
+twice, through the default dispatch (:func:`repro.run`, the batched
+engine for these dense models) and through the sequential oracle
+(:func:`repro.testing.sequential_history`), and each history prints as
+the sha256 of its canonical JSON::
+
+    PYTHONPATH=src python tests/digests.py > before.txt
+    # ... change the engines ...
+    PYTHONPATH=src python tests/digests.py > after.txt
+    diff before.txt after.txt
+
+An empty diff means the change left every history of the grid as it was.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import json
+import sys
+from pathlib import Path
+
+from repro import ScenarioSpec, run
+from repro.testing import sequential_history
+
+# the grid is the benchmark's own, read from bench/workloads.py
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import GARS, SeqGrid
+
+THREATS, DELAYS, ENVIRONMENTS = \
+    SeqGrid.THREATS, SeqGrid.DELAYS, SeqGrid.ENVIRONMENTS
+
+
+def grid(steps: int, seed: int):
+    """The 64 cells, GAR-major."""
+    for rule, threat, delay, environment in itertools.product(
+            GARS, range(len(THREATS)), range(len(DELAYS)),
+            range(len(ENVIRONMENTS))):
+        yield ScenarioSpec(
+            name=f"{rule}-t{threat}-d{delay}-e{environment}",
+            gradient_rule=rule, num_steps=steps, seed=seed,
+            **THREATS[threat], **DELAYS[delay], **ENVIRONMENTS[environment])
+
+
+def digest(history) -> str:
+    text = json.dumps(history.to_dict(), sort_keys=True, default=str)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--steps", type=int, default=20)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+    for spec in grid(args.steps, args.seed):
+        print(spec.name, "default", digest(run(spec).history), flush=True)
+        print(spec.name, "sequential", digest(sequential_history(spec)),
+              flush=True)
+
+
+if __name__ == "__main__":
+    main()

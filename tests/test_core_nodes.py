@@ -72,13 +72,13 @@ class TestWorkerNode:
         worker = _make_worker()
         theta = _theta0()
         result = worker.compute_gradient([theta], step=0)
-        assert worker.outgoing_gradient(result, step=0) is result.gradient
+        assert worker.outgoing(step=0) is result.gradient
 
     def test_byzantine_worker_corrupts_outgoing_gradient(self):
         worker = _make_worker(attack=SignFlipAttack())
         theta = _theta0()
         result = worker.compute_gradient([theta], step=0)
-        outgoing = worker.outgoing_gradient(result, step=0)
+        outgoing = worker.outgoing(step=0)
         assert np.allclose(outgoing, -result.gradient)
 
     def test_is_byzantine_flag(self):
@@ -107,7 +107,7 @@ class TestServerNode:
         # updates must rebind it, never write into it.
         server = _make_server(lr=0.5)
         d = server.current_parameters().size
-        sent = server.outgoing_model(0)
+        sent = server.outgoing(0)
         before = sent.copy()
         server.apply_gradients([np.ones(d)] * 5, step=0)
         server.merge_models([np.zeros(d), np.full(d, 4.0), np.full(d, 2.0)])
@@ -121,11 +121,11 @@ class TestServerNode:
 
     def test_honest_server_sends_true_parameters(self):
         server = _make_server()
-        assert np.allclose(server.outgoing_model(0), server.current_parameters())
+        assert np.allclose(server.outgoing(0), server.current_parameters())
 
     def test_byzantine_server_can_be_silent(self):
         server = _make_server(attack=SilentServer())
-        assert server.outgoing_model(0) is None
+        assert server.outgoing(0) is None
         assert server.is_byzantine
 
     def test_uses_multi_krum_to_filter_outlier_gradients(self):

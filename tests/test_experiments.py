@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import run
 from repro.campaign import ResultStore, ScenarioSpec
 from repro.experiments import (
     EXPERIMENTS,
@@ -29,6 +30,8 @@ from repro.experiments import (
     run_table2,
 )
 from repro.experiments.figure3 import FIGURE3_SYSTEMS
+from repro.obs.tracer import Tracer, use_tracer
+from repro.testing import sequential_history
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +291,53 @@ class TestPinnedOutputs:
         "e5108a4e619ff1ed2239b51027166bbf2017a519a42627d0f782f3cac5728181",
         "f3660108e2879443e3513f1aba8613cd841f8cb25af83048adf4df1ee8847b2b",
     ]
+
+    #: exponential delays, ps/5 crashed on [2, 5), worker/0 slowed from
+    #: step 1, a Dirichlet split, and a partition that cuts ps/0 and
+    #: worker/8 off on [7, 10): both are alive and stall three steps
+    FAULTY = ScenarioSpec(
+        name="faulty-pin", num_steps=12, eval_every=4, dataset_size=600,
+        seed=11, delay_model="exponential",
+        hetero={"partition": "dirichlet", "alpha": 0.5},
+        faults={"events": [
+            {"step": 2, "kind": "crash", "nodes": ["ps/5"]},
+            {"step": 5, "kind": "recover", "nodes": ["ps/5"]},
+            {"step": 1, "kind": "slowdown", "nodes": ["worker/0"],
+             "factor": 3.0},
+            {"step": 7, "kind": "partition", "label": "cut",
+             "groups": [["ps/0", "worker/8"],
+                        ["ps/1", "ps/2", "ps/3", "ps/4", "ps/5"]
+                        + [f"worker/{i}" for i in range(8)]]},
+            {"step": 10, "kind": "heal", "label": "cut"}]})
+    #: a Byzantine server and two Byzantine workers
+    BYZANTINE = ScenarioSpec(
+        name="byzantine-pin", num_steps=12, eval_every=4, dataset_size=600,
+        seed=12, worker_attack="little_is_enough",
+        server_attack="corrupted_model")
+    #: cell → sha256 of the canonical history JSON, on both engines
+    CELLS = {
+        "faulty": "218d530bf8d578588b2a04aa0c5ac1dc"
+                  "70329393514375481ddd39638d761f9a",
+        "byzantine": "261266e7264fef7211d045186e5c231e"
+                     "e65ee709f4fdecdb87d0c98595bfcbc3",
+    }
+
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    def test_cell_histories(self, cell):
+        spec = {"faulty": self.FAULTY, "byzantine": self.BYZANTINE}[cell]
+        tracer = Tracer()
+        with use_tracer(tracer):
+            sequential = sequential_history(spec)
+        assert history_digest(sequential) == self.CELLS[cell]
+        assert history_digest(run(spec).history) == self.CELLS[cell]
+        stalled = [(event.step, sorted(event.attrs["nodes"]))
+                   for event in tracer.events()
+                   if event.name == "seq.fault.stalled"]
+        if cell == "faulty":
+            assert stalled == [(step, ["ps/5"]) for step in (2, 3, 4)] \
+                + [(step, ["ps/0", "worker/8"]) for step in (7, 8, 9)]
+        else:
+            assert stalled == []
 
     @pytest.mark.parametrize("batch_size", [16, 8])
     def test_figure3_histories(self, tiny_base, batch_size):

@@ -4,6 +4,7 @@ The mailbox its node threads run on is tested in ``tests/test_mailbox.py``,
 once for both wires.
 """
 
+import numpy as np
 import pytest
 
 from repro.adversary import CorruptedModelAttack, RandomGradientAttack
@@ -52,6 +53,21 @@ class TestThreadedClusterRuntime:
         model = softmax_model_fn()
         model.set_flat_parameters(runtime.global_parameters())
         assert evaluate_accuracy(model, test) > 0.8
+
+    def test_byzantine_server_keeps_theta0(self, blobs_split,
+                                          softmax_model_fn):
+        """The simulated engines' rule: a Byzantine server waits for its
+        quorums but installs nothing, so its attack perturbs θ0."""
+        config = ClusterConfig(num_servers=6, num_workers=9,
+                               num_byzantine_servers=1, num_byzantine_workers=2)
+        runtime = self._runtime(
+            blobs_split, softmax_model_fn, config=config,
+            server_attack=CorruptedModelAttack(), num_attacking_servers=1)
+        runtime.run(num_steps=3)
+        byzantine = runtime.servers[-1]
+        assert byzantine.node_id == "ps/5" and byzantine.is_byzantine
+        np.testing.assert_array_equal(byzantine.current_parameters(),
+                                      softmax_model_fn().get_flat_parameters())
 
     def test_straggler_does_not_block_progress(self, blobs_split, softmax_model_fn):
         config = ClusterConfig(num_servers=3, num_workers=6)
