@@ -14,6 +14,7 @@ the ablation benchmarks can swap the rules at each aggregation point.
 """
 
 from repro.aggregation.base import (
+    Aggregate,
     GradientAggregationRule,
     check_vectors,
     check_vectors_batched,
@@ -38,6 +39,7 @@ from repro.aggregation.registry import available_rules, get_rule, register_rule
 from repro.aggregation.resilience import byzantine_resilience_report
 
 __all__ = [
+    "Aggregate",
     "GradientAggregationRule",
     "check_vectors",
     "check_vectors_batched",

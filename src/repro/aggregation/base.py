@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 VectorList = Union[Sequence[np.ndarray], np.ndarray]
+
+
+class Aggregate(NamedTuple):
+    """One call of a rule on an ``(R, n, d)`` stack: the ``(R, d)``
+    ``output``, the ``(R, m)`` indices ``selected`` of the inputs entering
+    it (``None``: every input), and the ``(R, n)`` per-input ``scores``
+    (Krum family, lower is better; else ``None``).  Training reads
+    ``output``; decision records (:mod:`repro.aggregation.decision`) read
+    the rest."""
+
+    output: np.ndarray
+    selected: Optional[np.ndarray] = None
+    scores: Optional[np.ndarray] = None
 
 
 def check_vectors_batched(stacked: np.ndarray) -> np.ndarray:
@@ -65,10 +78,12 @@ class GradientAggregationRule:
     """Abstract gradient aggregation rule (GAR).
 
     A rule has one implementation: :meth:`_aggregate_batched`, a reduction
-    of a validated ``(R, n, d)`` replica stack to ``(R, d)``.  The single
-    call is R = 1 — :meth:`aggregate` stacks its ``n`` vectors as one
-    replica and returns row 0 — so the simulator, the live runtimes and
-    the batched engine all run the same code.
+    of a validated ``(R, n, d)`` replica stack to an :class:`Aggregate` —
+    the ``(R, d)`` output and the selection and scores computed on the way.
+    The single call is R = 1 — :meth:`aggregate` stacks its ``n`` vectors
+    as one replica and returns row 0 of the output — so the simulator, the
+    live runtimes and the batched engine all run the same code, and a
+    decision record (:meth:`decide_batched`) is what that code selected.
 
     Parameters
     ----------
@@ -100,15 +115,16 @@ class GradientAggregationRule:
                 f"{self.minimum_inputs()} inputs, got {num_inputs}"
             )
 
-    def _aggregate_batched(self, stacked: np.ndarray) -> np.ndarray:
-        """Aggregate a validated ``(R, n, d)`` stack into ``(R, d)``.
+    def _aggregate_batched(self, stacked: np.ndarray) -> Aggregate:
+        """Aggregate a validated ``(R, n, d)`` stack into ``(R, d)``, with
+        the selection and scores that took.
 
-        Row ``r`` must depend on ``stacked[r]`` alone, bit for bit: the
-        batched runtime's equivalence with the sequential simulator rests
-        on row ``r`` of an ``R``-replica call equalling the R = 1 call on
-        that replica, and ``tests/test_aggregation_batched.py`` holds every
-        registered rule to it and to the per-replica oracle in
-        ``tests/gar_oracle.py``.
+        Row ``r`` of each field must depend on ``stacked[r]`` alone, bit
+        for bit: the batched runtime's equivalence with the sequential
+        simulator rests on row ``r`` of an ``R``-replica call equalling the
+        R = 1 call on that replica, and
+        ``tests/test_aggregation_batched.py`` holds every registered rule
+        to it and to the per-replica oracle in ``tests/gar_oracle.py``.
         """
         raise NotImplementedError
 
@@ -116,11 +132,10 @@ class GradientAggregationRule:
         """Aggregate ``vectors`` into a single vector: the rule at R = 1."""
         stacked = check_vectors(vectors)
         self._check_count(stacked.shape[0])
-        return self._aggregate_batched(stacked[None])[0]
+        return self._aggregate_batched(stacked[None]).output[0]
 
-    def aggregate(self, vectors: VectorList) -> np.ndarray:
-        """Alias of :meth:`__call__` for readability at call sites."""
-        return self(vectors)
+    #: alias of :meth:`__call__` for readability at call sites
+    aggregate = __call__
 
     def aggregate_batched(self, stacked: np.ndarray) -> np.ndarray:
         """Aggregate ``R`` independent replicas in one call.
@@ -132,30 +147,17 @@ class GradientAggregationRule:
             ``n`` vectors to aggregate.  Row ``r`` of the result is
             :meth:`aggregate` of ``stacked[r]``.
         """
+        return self._aggregate_batched(self._validated(stacked)).output
+
+    def decide_batched(self, stacked: np.ndarray) -> Aggregate:
+        """:meth:`aggregate_batched` with what the rule computed on the
+        way: the whole :class:`Aggregate` of the ``(R, n, d)`` stack."""
+        return self._aggregate_batched(self._validated(stacked))
+
+    def _validated(self, stacked: np.ndarray) -> np.ndarray:
         stacked = check_vectors_batched(stacked)
         self._check_count(stacked.shape[1])
-        return self._aggregate_batched(stacked)
-
-    # ------------------------------------------------------------------ #
-    # Decision provenance (observability only — see aggregation.decision)
-    # ------------------------------------------------------------------ #
-    def selected_input_indices(self, stacked: np.ndarray):
-        """Indices of the inputs that contribute to the output.
-
-        ``None`` (the default) means "all of them" — appropriate for rules
-        like the mean or coordinate-wise median where no input is formally
-        discarded.  Selection-based rules (Krum family, Bulyan) override
-        this; it exists purely for decision records and must never be used
-        on the training path.
-        """
-        return None
-
-    def input_scores(self, stacked: np.ndarray):
-        """Per-input scores when the rule computes any (lower = better).
-
-        ``None`` (the default) for score-free rules.  Observability only.
-        """
-        return None
+        return stacked
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(num_byzantine={self.num_byzantine})"

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.aggregation.base import GradientAggregationRule
+from repro.aggregation.base import Aggregate, GradientAggregationRule
 from repro.aggregation.krum import Krum, pairwise_squared_distances_batched
 from repro.kernels import active_backend
 from repro.kernels.base import scratch
@@ -92,7 +92,7 @@ class Bulyan(GradientAggregationRule):
         """
         f = self.num_byzantine
         n, dimension = stacked.shape
-        # A copy: the backend may hand back scratch that Krum.select reuses.
+        # A copy: the backend may hand back scratch that Krum's body reuses.
         distances = np.array(
             pairwise_squared_distances_batched(stacked[None])[0])
         np.fill_diagonal(distances, np.inf)
@@ -109,27 +109,29 @@ class Bulyan(GradientAggregationRule):
                     distances, norms, np.array(remaining), num_neighbors,
                     dimension)
                 if choice_local is None:
-                    choice_local = krum.select(stacked[remaining])
+                    choice_local = int(krum._aggregate_batched(
+                        stacked[remaining][None]).selected[0, 0])
             else:
                 choice_local = int(np.argmin(
                     np.linalg.norm(stacked[remaining], axis=1)))
             selected.append(remaining.pop(choice_local))
         return selected
 
-    def selected_input_indices(self, stacked: np.ndarray):
-        if self.num_byzantine == 0:
-            return None  # degenerates to the mean: every input contributes
-        return np.array(sorted(self._select(np.asarray(stacked, dtype=np.float64))))
-
-    def _aggregate_batched(self, stacked: np.ndarray) -> np.ndarray:
+    def _aggregate_batched(self, stacked: np.ndarray) -> Aggregate:
         f = self.num_byzantine
-        if f == 0:
-            return active_backend().mean(stacked, axis=1)
+        if f == 0:  # the mean: every input contributes
+            return Aggregate(active_backend().mean(stacked, axis=1))
         # The iterated selection is inherently sequential per replica (each
         # round's pool depends on the previous choice), so it stays a loop;
         # the final per-coordinate trim is vectorised over the replica axis.
-        chosen = np.stack([replica[self._select(replica)] for replica in stacked])
-        return trimmed_coordinate_mean(chosen, max(chosen.shape[1] - 2 * f, 1))
+        # The rows are trimmed in pick order, their summation order; only
+        # the recorded selection is sorted.
+        picks = [self._select(replica) for replica in stacked]
+        chosen = np.stack([replica[rows]
+                           for replica, rows in zip(stacked, picks)])
+        return Aggregate(
+            trimmed_coordinate_mean(chosen, max(chosen.shape[1] - 2 * f, 1)),
+            np.sort(picks, axis=1))
 
 
 def trimmed_coordinate_mean(chosen: np.ndarray, beta: int) -> np.ndarray:

@@ -3,15 +3,17 @@
 The paper's resilience claims are about selection behaviour — Multi-Krum
 discarding the Byzantine gradients, Bulyan's trimmed mean neutralising the
 survivors — yet an aggregated vector alone says nothing about which inputs
-produced it.  :func:`decide` recomputes a rule's selection on a given input
-stack and packages it as a :class:`GarDecision`: selected indices, per-input
-scores, the output's distance to the honest mean, and how many known
+produced it.  :func:`decide` and :func:`record_decision` package what a
+rule's one call selected and scored on the way (its
+:class:`~repro.aggregation.base.Aggregate`) as a :class:`GarDecision`,
+with the output's distance to the honest mean and how many known
 attacker inputs made it into the selection.
 
-Decision records are **derived observability data**: they re-run the rule's
-selection logic on the side and never feed back into training, so emitting
-them cannot perturb a run (they are gated behind
-``Tracer.record_decisions`` because the recomputation is not free).
+Records only read the aggregation that trained, so emitting them cannot
+perturb a run.  They stay gated behind ``Tracer.record_decisions``: every
+campaign scenario runs under a scenario-local tracer
+(:mod:`repro.campaign.engine`), which an ungated record would bill an
+``O(n·d)`` honest-mean distance and an event per server, step and replica.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from typing import Any, Container, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.aggregation.base import GradientAggregationRule, VectorList, check_vectors
+from repro.aggregation.base import (
+    Aggregate, GradientAggregationRule, VectorList, check_vectors)
 from repro.obs.telemetry import get_registry
 from repro.obs.tracer import get_tracer
 
@@ -86,36 +89,35 @@ class GarDecision:
 
 def decide(rule: GradientAggregationRule, vectors: VectorList,
            attacker_indices: Optional[Sequence[int]] = None) -> GarDecision:
-    """Reconstruct the decision ``rule`` makes on ``vectors``.
-
-    The rule's output and selection are recomputed here — call sites must
-    never substitute the returned data back into the training path, which
-    keeps the tracing layer's zero-perturbation guarantee trivially true.
-    """
+    """The decision ``rule`` makes on ``vectors``: one call of the rule."""
     stacked = check_vectors(vectors)
+    return _decision(rule, stacked, rule.decide_batched(stacked[None]), 0,
+                     attacker_indices)
+
+
+def _decision(rule: GradientAggregationRule, stacked: np.ndarray,
+              aggregate: Aggregate, row: int,
+              attacker_indices: Optional[Sequence[int]]) -> GarDecision:
+    """The record of row ``row`` of ``aggregate``, the rule's call on a
+    stack whose row ``row`` is ``stacked`` ``(n, d)``."""
     n = stacked.shape[0]
     attackers = sorted(int(i) for i in (attacker_indices or []))
+    selected = list(range(n)) if aggregate.selected is None \
+        else aggregate.selected[row].tolist()
+    scores = None if aggregate.scores is None \
+        else aggregate.scores[row].tolist()
 
-    selected = rule.selected_input_indices(stacked)
-    if selected is None:
-        selected_list = list(range(n))
-    else:
-        selected_list = [int(i) for i in selected]
-
-    raw_scores = rule.input_scores(stacked)
-    scores = None if raw_scores is None else [float(s) for s in raw_scores]
-
-    output = rule(stacked)
     honest = [i for i in range(n) if i not in set(attackers)]
     reference = stacked[honest] if honest else stacked
-    distance = float(np.linalg.norm(output - reference.mean(axis=0)))
+    distance = float(np.linalg.norm(aggregate.output[row]
+                                    - reference.mean(axis=0)))
 
-    attackers_selected = len(set(attackers) & set(selected_list))
+    attackers_selected = len(set(attackers) & set(selected))
     acceptance = (attackers_selected / len(attackers)) if attackers else None
 
     return GarDecision(rule=rule.name, num_inputs=n,
                        num_byzantine=rule.num_byzantine,
-                       selected=selected_list, scores=scores,
+                       selected=selected, scores=scores,
                        distance_to_honest_mean=distance,
                        attacker_indices=attackers,
                        attackers_selected=attackers_selected,
@@ -123,25 +125,25 @@ def decide(rule: GradientAggregationRule, vectors: VectorList,
 
 
 def record_decision(event: str, rule: GradientAggregationRule,
-                    vectors: VectorList, senders: Sequence,
-                    attackers: Container, **attrs: Any) -> None:
+                    vectors: VectorList, aggregate: Aggregate,
+                    senders: Sequence, attackers: Container, *,
+                    row: int = 0, **attrs: Any) -> None:
     """Emit one decision record, if the ambient tracer asks for them.
 
     The one instrumentation point both simulated engines call from their
     aggregate phase: ``event`` is the trace event name
-    (``"seq.gar.decision"`` / ``"batch.gar.decision"``), ``senders`` names
-    the sender of each vector in quorum order, ``attackers`` holds the
-    actually-Byzantine senders, and ``attrs`` carry the step, node and
-    (batched) replica the record belongs to.  The selection is
-    recomputed on the side from the payloads the server aggregates —
-    nothing here feeds back into the update — and the recomputation stays
-    gated behind ``Tracer.record_decisions``; the metrics registry only
-    folds the result into its per-rule ``repro_gar_*`` acceptance series.
+    (``"seq.gar.decision"`` / ``"batch.gar.decision"``), ``vectors`` the
+    quorum the server aggregated as row ``row`` of the rule's call
+    ``aggregate``, whose selection and scores the record reads; ``senders``
+    names the sender of each vector in quorum order, ``attackers`` holds
+    the actually-Byzantine senders, and ``attrs`` carry the step, node and
+    (batched) replica the record belongs to.  The metrics registry folds
+    the record into its per-rule ``repro_gar_*`` acceptance series.
     """
     tracer = get_tracer()
     if not (tracer.enabled and tracer.record_decisions):
         return
-    decision = decide(rule, vectors, attacker_indices=[
+    decision = _decision(rule, check_vectors(vectors), aggregate, row, [
         index for index, sender in enumerate(senders) if sender in attackers])
     tracer.event(event, **attrs, **decision.to_dict())
     registry = get_registry()

@@ -14,7 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.aggregation.base import GradientAggregationRule
+from repro.aggregation.base import Aggregate, GradientAggregationRule
 from repro.kernels import active_backend
 from repro.kernels.base import scratch
 
@@ -64,7 +64,7 @@ class GeometricMedian(GradientAggregationRule):
     def minimum_inputs(self) -> int:
         return 2 * self.num_byzantine + 1
 
-    def _aggregate_batched(self, stacked: np.ndarray) -> np.ndarray:
+    def _aggregate_batched(self, stacked: np.ndarray) -> Aggregate:
         """Weiszfeld over the whole ``(S, n, D)`` stack with an active set.
 
         Every slice sees the arithmetic of the scalar per-slice loop
@@ -121,7 +121,7 @@ class GeometricMedian(GradientAggregationRule):
                 f"(tolerance={self.tolerance}) on {active.size} of "
                 f"{result.shape[0]} slices; returning their last iterates",
                 RuntimeWarning, stacklevel=3)
-        return result
+        return Aggregate(result)
 
 
 @functools.lru_cache(maxsize=256)

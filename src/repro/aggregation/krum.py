@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.aggregation.base import GradientAggregationRule
+from repro.aggregation.base import Aggregate, GradientAggregationRule
 from repro.kernels import active_backend
 
 
@@ -65,22 +65,11 @@ class Krum(GradientAggregationRule):
     def minimum_inputs(self) -> int:
         return 2 * self.num_byzantine + 3
 
-    def _aggregate_batched(self, stacked: np.ndarray) -> np.ndarray:
+    def _aggregate_batched(self, stacked: np.ndarray) -> Aggregate:
         scores = krum_scores_batched(stacked, self.num_byzantine)
         winners = np.argmin(scores, axis=1)
-        return stacked[np.arange(stacked.shape[0]), winners]
-
-    def select(self, stacked: np.ndarray) -> int:
-        """Return the index of the selected input (used by Bulyan)."""
-        return int(np.argmin(self.input_scores(stacked)))
-
-    def selected_input_indices(self, stacked: np.ndarray) -> np.ndarray:
-        return np.array([self.select(stacked)])
-
-    def input_scores(self, stacked: np.ndarray) -> np.ndarray:
-        """Krum scores of one ``(n, d)`` stack: the batched scores at R = 1."""
-        return krum_scores_batched(np.asarray(stacked, dtype=np.float64)[None],
-                                   self.num_byzantine)[0]
+        return Aggregate(stacked[np.arange(stacked.shape[0]), winners],
+                         winners[:, None], scores)
 
 
 class MultiKrum(GradientAggregationRule):
@@ -113,24 +102,13 @@ class MultiKrum(GradientAggregationRule):
             return default
         return max(1, min(self.num_selected, default))
 
-    def _selected_batched(self, scores: np.ndarray) -> np.ndarray:
-        """``(R, m)`` indices of each replica's ``m`` best-scoring inputs."""
-        size = self.selection_size(scores.shape[1])
-        return np.argsort(scores, axis=1, kind="stable")[:, :size]
-
-    def selected_indices(self, stacked: np.ndarray) -> np.ndarray:
-        """Indices of the inputs that enter the final average."""
-        return self._selected_batched(self.input_scores(stacked)[None])[0]
-
-    def selected_input_indices(self, stacked: np.ndarray) -> np.ndarray:
-        return self.selected_indices(stacked)
-
-    input_scores = Krum.input_scores
-
-    def _aggregate_batched(self, stacked: np.ndarray) -> np.ndarray:
-        indices = self._selected_batched(
-            krum_scores_batched(stacked, self.num_byzantine))
+    def _aggregate_batched(self, stacked: np.ndarray) -> Aggregate:
+        scores = krum_scores_batched(stacked, self.num_byzantine)
+        # each replica's m best-scoring inputs, best first
+        indices = np.argsort(scores, axis=1, kind="stable")[
+            :, :self.selection_size(stacked.shape[1])]
         # A plain fancy index: ``take_along_axis`` would build an index of
         # size m·d to gather the same m rows.
         chosen = stacked[np.arange(stacked.shape[0])[:, None], indices]
-        return active_backend().mean(chosen, axis=1)
+        return Aggregate(active_backend().mean(chosen, axis=1), indices,
+                         scores)

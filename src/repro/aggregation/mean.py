@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.aggregation.base import GradientAggregationRule
+from repro.aggregation.base import Aggregate, GradientAggregationRule
 from repro.kernels import active_backend
 
 
@@ -20,8 +20,8 @@ class ArithmeticMean(GradientAggregationRule):
     name = "mean"
     byzantine_resilient = False
 
-    def _aggregate_batched(self, stacked: np.ndarray) -> np.ndarray:
-        return active_backend().mean(stacked, axis=1)
+    def _aggregate_batched(self, stacked: np.ndarray) -> Aggregate:
+        return Aggregate(active_backend().mean(stacked, axis=1))
 
 
 class TrimmedMean(GradientAggregationRule):
@@ -37,6 +37,6 @@ class TrimmedMean(GradientAggregationRule):
     def minimum_inputs(self) -> int:
         return 2 * self.num_byzantine + 1
 
-    def _aggregate_batched(self, stacked: np.ndarray) -> np.ndarray:
-        return active_backend().trimmed_mean(stacked, self.num_byzantine,
-                                             axis=1)
+    def _aggregate_batched(self, stacked: np.ndarray) -> Aggregate:
+        return Aggregate(active_backend().trimmed_mean(
+            stacked, self.num_byzantine, axis=1))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.aggregation.base import GradientAggregationRule
+from repro.aggregation.base import Aggregate, GradientAggregationRule
 from repro.kernels import active_backend
 
 
@@ -32,8 +32,8 @@ class CoordinateWiseMedian(GradientAggregationRule):
     def minimum_inputs(self) -> int:
         return 2 * self.num_byzantine + 1
 
-    def _aggregate_batched(self, stacked: np.ndarray) -> np.ndarray:
-        return active_backend().median(stacked, axis=1)
+    def _aggregate_batched(self, stacked: np.ndarray) -> Aggregate:
+        return Aggregate(active_backend().median(stacked, axis=1))
 
 
 class MarginalMedian(GradientAggregationRule):
@@ -50,10 +50,10 @@ class MarginalMedian(GradientAggregationRule):
     def minimum_inputs(self) -> int:
         return 2 * self.num_byzantine + 2
 
-    def _aggregate_batched(self, stacked: np.ndarray) -> np.ndarray:
+    def _aggregate_batched(self, stacked: np.ndarray) -> Aggregate:
         if self.num_byzantine:
             norms = np.linalg.norm(stacked, axis=2)
             keep = np.argsort(norms, axis=1)[
                 :, : stacked.shape[1] - self.num_byzantine]
             stacked = stacked[np.arange(stacked.shape[0])[:, None], keep]
-        return active_backend().median(stacked, axis=1)
+        return Aggregate(active_backend().median(stacked, axis=1))

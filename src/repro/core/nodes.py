@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.adversary.base import AttackContext, ServerAttack, WorkerAttack
-from repro.aggregation.base import GradientAggregationRule
+from repro.aggregation.base import Aggregate, GradientAggregationRule
 from repro.aggregation.krum import pairwise_squared_distances_batched
 from repro.data.loader import DataLoader
 from repro.network.message import MessageKind
@@ -278,6 +278,9 @@ class ServerNode:
         self.schedule = schedule if schedule is not None else ConstantSchedule(0.001)
         self.attack = attack
         self._rng = np.random.default_rng(seed)
+        #: the rule's call on the last gradient quorum applied, which a
+        #: decision record reads (never set on a Byzantine server)
+        self.last_aggregate: Optional[Aggregate] = None
 
     @property
     def is_byzantine(self) -> bool:
@@ -321,9 +324,11 @@ class ServerNode:
         Returns the locally updated parameter vector (before the
         inter-server median of phase 3).
         """
-        aggregated = self.gradient_aggregator(gradients)
+        self.last_aggregate = self.gradient_aggregator.decide_batched(
+            np.stack(gradients)[None])
         learning_rate = self.schedule(step)
-        self.parameters = self.parameters - learning_rate * aggregated
+        self.parameters = self.parameters \
+            - learning_rate * self.last_aggregate.output[0]
         return self.parameters
 
     def merge_models(self, parameter_vectors: Sequence[np.ndarray]) -> np.ndarray:

@@ -37,6 +37,7 @@ from repro.aggregation.decision import record_decision
 from repro.metrics.accuracy import evaluate_accuracy, plan_accuracy
 from repro.obs.history import StepRecord, TrainingHistory, phase_durations
 from repro.obs.telemetry import phase
+from repro.obs.tracer import get_tracer
 from repro.network.delays import DelayModel, UniformDelay
 from repro.network.message import ROUTES, MessageKind
 from repro.network.simulator import NetworkSimulator
@@ -312,16 +313,22 @@ class GuanYuTrainer(DistributedTrainer):
         route = ROUTES[kind]
         quorum = route.quorum(self.config.model_quorum,
                               self.config.gradient_quorum)
+        record_decisions = route.senders == "worker" \
+            and get_tracer().record_decisions
         for node in recipients:
             record = self.network.collect_quorum(
                 node.node_id, kind, step, quorum=quorum,
                 not_before=clock[node.node_id])
-            if route.senders == "worker":
-                record_decision("seq.gar.decision", node.gradient_aggregator,
-                                record.payloads, record.senders,
+            result = node.receive(kind, record.payloads, step)
+            if record_decisions:
+                rule = node.gradient_aggregator
+                # a Byzantine server applies nothing: one call on the side
+                aggregate = node.last_aggregate if not node.is_byzantine \
+                    else rule.decide_batched(np.stack(record.payloads)[None])
+                record_decision("seq.gar.decision", rule, record.payloads,
+                                aggregate, record.senders,
                                 self.wiring.attacking_workers,
                                 step=step, node=node.node_id)
-            result = node.receive(kind, record.payloads, step)
             clock[node.node_id] = record.completion_time \
                 + self._delay_multipliers.get(node.node_id, 1.0) \
                 * self.cost_model.receive_time(

@@ -7,7 +7,7 @@ JSON-serialisable list of timed :class:`FaultEvent` entries — node crashes
 and recoveries, network partitions that heal, per-link delay spikes / drop
 rates / straggler slowdowns, and step-gated activation of the registered
 Byzantine attacks — interpreted by a :class:`FaultController` whose small
-hook API (``on_send``, ``on_step``, ``node_alive``) is consulted by the
+hook API (``on_send``, ``node_alive``) is consulted by the
 simulated :class:`~repro.network.simulator.NetworkSimulator` and the
 real-time :class:`~repro.runtime.live.Endpoint` alike.
 

@@ -6,9 +6,7 @@ The controller is the single decision point both runtimes consult:
   delivered (crash / partition / probabilistic drop), how much extra delay
   it suffers (slowdown factor, delay spikes) and whether it is duplicated;
 * :meth:`node_alive` — whether a node participates at a given step (the
-  trainers skip the local computation of crashed nodes);
-* :meth:`on_step` — bookkeeping hook advancing the fault log; returns the
-  events that fire at that step so runtimes can trace them.
+  trainers skip the local computation of crashed nodes).
 
 Design notes
 ------------
@@ -150,7 +148,6 @@ class FaultController:
         self.schedule.validate()
         self.seed = int(seed)
         self._lock = threading.Lock()
-        self._fired_steps: set = set()
         self.stats: Dict[str, int] = {
             "blocked_crash": 0, "blocked_partition": 0,
             "dropped": 0, "duplicated": 0, "delayed": 0,
@@ -264,22 +261,6 @@ class FaultController:
     def link_blocked(self, sender: str, recipient: str, step: int) -> bool:
         """Whether an active partition separates ``sender`` and ``recipient``."""
         return self._at(step).blocks(sender, recipient)
-
-    def on_step(self, step: int) -> List[FaultEvent]:
-        """Advance the fault log to ``step``; returns the events firing there.
-
-        Purely observational — queries never depend on it having been
-        called — but it gives runtimes a single place to trace fault
-        activity, and it is idempotent per step.
-        """
-        events = self._events_by_step.get(step)
-        if events is None:
-            return []
-        with self._lock:
-            if step in self._fired_steps:
-                return []
-            self._fired_steps.add(step)
-        return list(events)
 
     def link_state(self, sender: str, recipient: str,
                    step: int) -> LinkState:

@@ -155,9 +155,11 @@ class Tracer:
         first (``dropped`` in :meth:`summary` counts the loss, so
         truncation is observable rather than silent).
     record_decisions:
-        Opt-in gate for *expensive* records — per-step GAR decision
-        provenance recomputes selection indices and honest-mean distances,
-        so it is off unless explicitly requested (e.g. by ``repro --trace``).
+        Opt-in gate for per-step GAR decision records.  A record reads the
+        rule's own selection, yet costs an ``O(n·d)`` honest-mean distance
+        and one event per server, step and replica, which every campaign
+        scenario's local tracer would pay; so it is off unless explicitly
+        requested (e.g. by ``repro --trace``).
 
     A tracer always records; to turn tracing off, install a
     :class:`NullTracer` (the default).

@@ -1,18 +1,23 @@
-"""One sha256 per scenario of the benchmark's 64-cell grid, per engine.
+"""Two sha256 per scenario of the benchmark's 64-cell grid, per engine.
 
 The grid is ``seq_grid``'s shape: 4 GARs x 4 threats x 2 delay models x
 2 environments (``bench/workloads.py``, ``SeqGrid``).  Each cell runs
 twice, through the default dispatch (:func:`repro.run`, the batched
 engine for these dense models) and through the sequential oracle
-(:func:`repro.testing.sequential_history`), and each history prints as
-the sha256 of its canonical JSON::
+(:func:`repro.testing.sequential_history`), under a tracer that records
+GAR decisions.  Each run prints the sha256 of its history's canonical
+JSON, and then that of its ``*.gar.decision`` events in order, with the
+wall-clock ``ts``/``dur`` dropped and the engine's ``seq.``/``batch.``
+prefix cut off::
 
     PYTHONPATH=src python tests/digests.py > before.txt
     # ... change the engines ...
     PYTHONPATH=src python tests/digests.py > after.txt
     diff before.txt after.txt
 
-An empty diff means the change left every history of the grid as it was.
+An empty diff means the change left every history and every decision
+record of the grid as it was.  To compare against another checkout, run
+this file with ``PYTHONPATH=<checkout>/src``.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import sys
 from pathlib import Path
 
 from repro import ScenarioSpec, run
+from repro.obs import Tracer, use_tracer
 from repro.testing import sequential_history
 
 # the grid is the benchmark's own, read from bench/workloads.py
@@ -46,9 +52,22 @@ def grid(steps: int, seed: int):
             **THREATS[threat], **DELAYS[delay], **ENVIRONMENTS[environment])
 
 
-def digest(history) -> str:
-    text = json.dumps(history.to_dict(), sort_keys=True, default=str)
+def digest(payload) -> str:
+    text = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def decisions(tracer: Tracer) -> list:
+    """The run's decision records, without clock readings or engine."""
+    records = []
+    for event in tracer.events():
+        if event.name.endswith(".gar.decision"):
+            record = event.to_dict()
+            record.pop("ts")
+            record.pop("dur", None)
+            record["name"] = "gar.decision"
+            records.append(record)
+    return records
 
 
 def main() -> None:
@@ -56,10 +75,14 @@ def main() -> None:
     parser.add_argument("--steps", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    engines = (("default", lambda spec: run(spec).history),
+               ("sequential", sequential_history))
     for spec in grid(args.steps, args.seed):
-        print(spec.name, "default", digest(run(spec).history), flush=True)
-        print(spec.name, "sequential", digest(sequential_history(spec)),
-              flush=True)
+        for engine, execute in engines:
+            with use_tracer(Tracer(record_decisions=True)) as tracer:
+                history = execute(spec)
+            print(spec.name, engine, digest(history.to_dict()),
+                  digest(decisions(tracer)), flush=True)
 
 
 if __name__ == "__main__":

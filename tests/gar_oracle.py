@@ -14,7 +14,7 @@ stack; ``aggregate_per_replica(rule, stack)`` loops it over the replicas
 of an ``(R, n, d)`` stack.  The mean / trimmed-mean / median reductions are
 the active backend's, which both backends share; Bulyan's iterated
 selection is the product's ``_select``, whose own oracle is
-``tests/test_bulyan_selection.py``.
+:func:`per_round_selection` (``tests/test_bulyan_selection.py``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from repro.aggregation import check_vectors
+from repro.aggregation import check_vectors, krum_scores_batched
 from repro.kernels import active_backend
 
 
@@ -115,6 +115,23 @@ def _trimmed_coordinate_mean(chosen: np.ndarray, beta: int) -> np.ndarray:
     return backend.mean(chosen[closest, columns], axis=0)
 
 
+def per_round_selection(stacked, num_byzantine):
+    """Bulyan's selection before the one matrix: Krum, by the active
+    backend's kernel, on each round's pool (the oracle of ``_select``)."""
+    f = num_byzantine
+    remaining = list(range(stacked.shape[0]))
+    selected = []
+    while len(selected) < stacked.shape[0] - 2 * f:
+        subset = stacked[remaining]
+        if subset.shape[0] - f - 2 >= 1:
+            choice_local = int(np.argmin(krum_scores_batched(subset[None],
+                                                             f)[0]))
+        else:
+            choice_local = int(np.argmin(np.linalg.norm(subset, axis=1)))
+        selected.append(remaining.pop(choice_local))
+    return selected
+
+
 def _bulyan(self, stacked: np.ndarray) -> np.ndarray:
     f = self.num_byzantine
     if f == 0:
@@ -178,3 +195,20 @@ def aggregate(rule, vectors) -> np.ndarray:
 def aggregate_per_replica(rule, stack: np.ndarray) -> np.ndarray:
     """``rule`` on each replica of an ``(R, n, d)`` stack, stacked."""
     return np.stack([aggregate(rule, replica) for replica in stack])
+
+
+def selection(rule, stacked: np.ndarray) -> tuple:
+    """``(selected, scores)`` that ``rule`` computes on one ``(n, d)``
+    stack, each ``None`` where it computes none: Krum's argmin, Multi-Krum's
+    best-first picks with their Krum scores, Bulyan's sorted per-round
+    selection (none at f = 0, where it is the mean)."""
+    f = rule.num_byzantine
+    if rule.name == "krum":
+        scores = krum_scores(stacked, f)
+        return np.array([np.argmin(scores)]), scores
+    if rule.name == "multi_krum":
+        return (_multi_krum_selected_indices(rule, stacked),
+                krum_scores(stacked, f))
+    if rule.name == "bulyan" and f:
+        return np.sort(per_round_selection(stacked, f)), None
+    return None, None

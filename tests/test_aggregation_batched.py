@@ -67,7 +67,9 @@ def _attack_stacks(rng, replicas, n, dim, num_byzantine):
 def test_batched_equals_sequential_for_every_rule(rule_name, num_byzantine,
                                                   replicas, backend_name):
     """Row ``r`` of ``aggregate_batched(X)`` is ``aggregate_batched(
-    X[r:r+1])[0]`` and the per-replica oracle on ``X[r]``, bit for bit."""
+    X[r:r+1])[0]`` and the per-replica oracle on ``X[r]``, bit for bit; the
+    selection and scores ``decide_batched`` returns with it are the
+    oracle's (:func:`gar_oracle.selection`)."""
     rng = np.random.default_rng(
         [available_rules().index(rule_name), num_byzantine, replicas])
     rule = get_rule(rule_name, num_byzantine=num_byzantine)
@@ -81,9 +83,16 @@ def test_batched_equals_sequential_for_every_rule(rule_name, num_byzantine,
                 where = (dim, label)
                 batched = rule.aggregate_batched(stack)
                 assert batched.shape == (replicas, dim), where
+                decided = rule.decide_batched(stack)
+                assert np.array_equal(decided.output, batched), where
                 for r in range(replicas):
                     alone = rule.aggregate_batched(stack[r:r + 1])[0]
                     assert np.array_equal(batched[r], alone), where
+                    for got, want in zip(decided[1:], gar_oracle.selection(
+                            rule, stack[r])):
+                        assert (got is None) == (want is None), where
+                        if want is not None:
+                            assert np.array_equal(got[r], want), where
                 assert np.array_equal(batched, gar_oracle.aggregate_per_replica(
                     rule, stack)), where
 

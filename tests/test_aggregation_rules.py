@@ -107,8 +107,8 @@ class TestKrumFamily:
         scores = krum_scores_batched(cloud[None], num_byzantine=1)
         assert scores.shape == (1, 9)
         assert scores[0].argmax() == 8  # the far-away vector scores worst
-        assert np.array_equal(Krum(num_byzantine=1).input_scores(cloud),
-                              scores[0])
+        assert np.array_equal(
+            Krum(num_byzantine=1).decide_batched(cloud[None]).scores, scores)
 
     def test_krum_outputs_one_of_the_inputs(self):
         rng = np.random.default_rng(3)
@@ -142,7 +142,8 @@ class TestKrumFamily:
         correct = _cloud(rng, n=10, d=6, spread=0.5)
         byzantine = np.full((2, 6), 1e4)
         rule = MultiKrum(num_byzantine=2)
-        indices = rule.selected_indices(np.concatenate([correct, byzantine]))
+        indices = rule.decide_batched(
+            np.concatenate([correct, byzantine])[None]).selected[0]
         assert all(index < 10 for index in indices)
 
     def test_multi_krum_with_f_zero_close_to_mean(self):

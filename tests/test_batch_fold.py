@@ -175,11 +175,11 @@ def count_kernel_calls(trainer, monkeypatch):
             return function(*args)
         return wrapper
 
-    monkeypatch.setattr(trainer.model_rule, "aggregate_batched", counting(
-        "model_rule", trainer.model_rule.aggregate_batched,
+    monkeypatch.setattr(trainer.model_rule, "decide_batched", counting(
+        "model_rule", trainer.model_rule.decide_batched,
         lambda stacked: stacked.shape))
-    monkeypatch.setattr(trainer.gradient_rule, "aggregate_batched", counting(
-        "gradient_rule", trainer.gradient_rule.aggregate_batched,
+    monkeypatch.setattr(trainer.gradient_rule, "decide_batched", counting(
+        "gradient_rule", trainer.gradient_rule.decide_batched,
         lambda stacked: stacked.shape))
     monkeypatch.setattr(trainer.dense_stack, "forward_backward", counting(
         "forward_backward", trainer.dense_stack.forward_backward,

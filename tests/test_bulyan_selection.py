@@ -16,28 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gar_oracle import per_round_selection
 from repro import run
 from repro.aggregation import Bulyan, Krum
 from repro.aggregation.bulyan import certified_krum_choice
 from repro.aggregation.krum import pairwise_squared_distances_batched
 from repro.campaign import ScenarioSpec
 from repro.kernels import available_backends, use_backend
-
-
-def per_round_selection(stacked, num_byzantine):
-    """The selection before the one matrix: Krum on each round's pool."""
-    f = num_byzantine
-    remaining = list(range(stacked.shape[0]))
-    selected = []
-    krum = Krum(num_byzantine=f)
-    while len(selected) < stacked.shape[0] - 2 * f:
-        subset = stacked[remaining]
-        if subset.shape[0] - f - 2 >= 1:
-            choice_local = krum.select(subset)
-        else:
-            choice_local = int(np.argmin(np.linalg.norm(subset, axis=1)))
-        selected.append(remaining.pop(choice_local))
-    return selected
 
 
 def shaped_stacks(seed, replicas, n, dim, f):
@@ -193,9 +178,9 @@ class TestOneMatrixSelection:
         stack = np.random.default_rng(0).normal(size=(25, 266))
         want = per_round_selection(stack, 5)
 
-        def refuse(self, subset):
+        def refuse(self, stacked):
             raise AssertionError("ran Krum on the pool")
-        monkeypatch.setattr(Krum, "select", refuse)
+        monkeypatch.setattr(Krum, "_aggregate_batched", refuse)
         assert Bulyan(num_byzantine=5)._select(stack) == want
 
     def test_a_tie_runs_krum_on_the_pool(self, monkeypatch):
@@ -211,12 +196,12 @@ class TestOneMatrixSelection:
                                      36) is None
 
         pools = []
-        select = Krum.select
+        body = Krum._aggregate_batched
 
-        def record(self, subset):
-            pools.append(subset.shape[0])
-            return select(self, subset)
-        monkeypatch.setattr(Krum, "select", record)
+        def record(self, stacked):
+            pools.append(stacked.shape[1])
+            return body(self, stacked)
+        monkeypatch.setattr(Krum, "_aggregate_batched", record)
         assert Bulyan(num_byzantine=1)._select(stack) == \
             per_round_selection(stack, 1)
         assert pools and pools[0] == 7

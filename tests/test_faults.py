@@ -234,12 +234,6 @@ class TestFaultController:
                     assert (table.delay_factor[i, j], table.extra_delay[i, j],
                             table.drop_rate[i, j]) == state[1:]
 
-    def test_on_step_reports_each_step_once(self):
-        controller = self._controller()
-        fired = controller.on_step(3)
-        assert [event.kind for event in fired] == ["crash"]
-        assert controller.on_step(3) == []
-
     def test_gate_attack_wraps_only_gated_nodes(self):
         controller = self._controller()
         attack = SignFlipAttack()

@@ -4,16 +4,20 @@ Recording a trace must not change what the traced computation computes:
 the equivalence guarantees of the runtimes (sequential↔batched
 bit-identity, sequential↔threaded loss-trajectory identity) and plain
 traced-vs-untraced runs are re-asserted here with a live tracer — GAR
-decision records included, since those recompute selection on the side.
+decision records included, which read the selection off the rule's own
+call.
 Everything is compared with ``==`` on the serialised histories; nothing
 uses a tolerance.  The untraced side of every comparison is the
 sequential reference trainer (:func:`repro.testing.sequential_history`),
 never the engine under test.
 """
 
+import pytest
+
 from repro.batch import run_batched_scenarios
 from repro.campaign.engine import run_campaign
 from repro.campaign.spec import ScenarioSpec
+from repro.kernels import active_backend
 from repro.obs import MetricsRegistry, Tracer, use_registry, use_tracer
 from repro.runtime import run
 from repro.testing import sequential_history
@@ -89,6 +93,35 @@ class TestSequentialUnperturbed:
         history, tracer = traced(lambda: run(spec).history, capacity=8)
         assert history.to_dict() == baseline.to_dict()
         assert tracer.dropped > 0
+
+
+class TestDecisionsCostNoGarCall:
+    """A decision record reads the rule's own call: a run with records on
+    computes exactly the distance matrices an untraced run computes."""
+
+    @pytest.mark.parametrize("spec", [
+        tiny_spec(gradient_rule="multi_krum", num_steps=5,
+                  worker_attack="sign_flip"),
+        tiny_spec(gradient_rule="bulyan", num_workers=9, gradient_quorum=7,
+                  num_steps=5, worker_attack="sign_flip"),
+    ], ids=["multi_krum", "bulyan"])
+    def test_records_add_no_distance_kernel_call(self, spec, monkeypatch):
+        backend = active_backend()
+        kernel = backend.pairwise_squared_distances_batched
+        calls = []
+
+        def counting(stacked):
+            calls.append(stacked.shape)
+            return kernel(stacked)
+        monkeypatch.setattr(backend, "pairwise_squared_distances_batched",
+                            counting)
+        baseline = run(spec).history
+        untraced = len(calls)
+        history, tracer = traced(lambda: run(spec).history)
+        assert untraced and len(calls) == 2 * untraced
+        assert history.to_dict() == baseline.to_dict()
+        assert any(record.name == "batch.gar.decision"
+                   for record in tracer.events())
 
 
 class TestBatchedBitIdentityTraced:
