@@ -8,8 +8,8 @@ the inter-server spread grows; the moment it heals, the phase-3
 coordinate-wise median pulls the stale replica back — the contraction the
 paper's safety argument rests on, now visible step by step.
 
-The same declarative schedule drives the simulated runtime here; swap the
-trainer for ``guanyu_threaded`` in a campaign spec to replay it under real
+The same declarative schedule drives the simulated runtime here; set
+``"runtime": "threaded"`` in a campaign spec to replay it under real
 threads (see docs/faults.md).
 
 Run with::

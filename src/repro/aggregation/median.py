@@ -51,9 +51,8 @@ class MarginalMedian(GradientAggregationRule):
         return 2 * self.num_byzantine + 2
 
     def _aggregate_batched(self, stacked: np.ndarray) -> Aggregate:
-        if self.num_byzantine:
-            norms = np.linalg.norm(stacked, axis=2)
-            keep = np.argsort(norms, axis=1)[
-                :, : stacked.shape[1] - self.num_byzantine]
-            stacked = stacked[np.arange(stacked.shape[0])[:, None], keep]
-        return Aggregate(active_backend().median(stacked, axis=1))
+        if not self.num_byzantine:
+            return Aggregate(active_backend().median(stacked, axis=1))
+        keep = np.argsort(np.linalg.norm(stacked, axis=2), axis=1)[:, : -self.num_byzantine]
+        kept = stacked[np.arange(stacked.shape[0])[:, None], keep]
+        return Aggregate(active_backend().median(kept, axis=1), np.sort(keep, axis=1))

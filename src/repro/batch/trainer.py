@@ -73,7 +73,7 @@ from repro.obs.history import StepRecord, TrainingHistory, phase_durations
 from repro.obs.telemetry import get_registry, phase
 from repro.obs.tracer import get_tracer
 from repro.network.message import ROUTES, MessageKind
-from repro.runtime.facade import TRAINERS
+from repro.runtime.facade import CLOCKS, TRAINERS
 
 
 #: float64 elements a folded ``(J·R, q, D)`` quorum stack may hold: 2 MiB, an
@@ -92,9 +92,10 @@ class BatchedExecutionError(RuntimeError):
 
 def spec_supports_batching(spec) -> bool:
     """Whether a :class:`ScenarioSpec` can run on the batched runtime: its
-    trainer's row of :data:`repro.runtime.facade.TRAINERS` lists it, and
-    its model is a dense stack."""
-    return ("batched" in TRAINERS[spec.trainer].runtimes
+    protocol (:data:`repro.runtime.facade.TRAINERS`) has replicated
+    servers, its runtime keeps the simulated clock, and its model is a
+    dense stack."""
+    return (TRAINERS[spec.trainer].replicated and CLOCKS[spec.runtime] == "simulated"
             and spec.model in BATCHABLE_MODELS)
 
 
@@ -103,8 +104,8 @@ def _check_group(specs: Sequence) -> None:
     runtime can express."""
     if specs and not spec_supports_batching(specs[0]):
         raise BatchingUnsupported(
-            f"trainer '{specs[0].trainer}' / model '{specs[0].model}' has "
-            f"no batched formulation")
+            f"trainer '{specs[0].trainer}' / runtime '{specs[0].runtime}' / model "
+            f"'{specs[0].model}' has no batched formulation")
     payloads = [{key: value for key, value in spec.to_dict().items()
                  if key not in ("name", "seed")} for spec in specs]
     if any(payload != payloads[0] for payload in payloads[1:]):
@@ -872,8 +873,7 @@ def _run_lane_chunk(task: Tuple[List[Dict], str]
     return histories, time.perf_counter() - started
 
 
-def run_batched_scenarios(specs: Sequence, lanes: Optional[int] = None,
-                          lane_chunk: Optional[int] = None
+def run_batched_scenarios(specs: Sequence, lanes: Optional[int] = None
                           ) -> List[TrainingHistory]:
     """Execute seed-replica scenarios on the batched runtime.
 
@@ -883,14 +883,14 @@ def run_batched_scenarios(specs: Sequence, lanes: Optional[int] = None,
     :class:`~repro.core.trainer.GuanYuTrainer` run of that spec.
 
     With ``lanes > 1`` the replica lanes are split into contiguous chunks
-    of ``lane_chunk`` specs (default ``ceil(len(specs) / lanes)``), each
-    executed as its own :class:`BatchedGuanYuTrainer` in a process pool of
-    ``lanes`` workers.  Lane→chunk assignment is deterministic (chunk ``i``
-    holds ``specs[i * lane_chunk : (i + 1) * lane_chunk]``) and every lane
-    is fully independent of the others, so the merged histories are
-    bit-identical to the single-process batched run — and therefore to the
-    sequential trainer — per seed.  The active kernel backend propagates
-    to the chunk workers.  Exceptions raised inside a chunk (including
+    of ``c = ceil(len(specs) / lanes)`` specs, each executed as its own
+    :class:`BatchedGuanYuTrainer` in a process pool of ``lanes`` workers.
+    Lane→chunk assignment is deterministic (chunk ``i`` holds
+    ``specs[i * c : (i + 1) * c]``) and every lane is fully independent of
+    the others, so the merged histories are bit-identical to the
+    single-process batched run — and therefore to the sequential trainer —
+    per seed.  The active kernel backend propagates to the chunk workers.
+    Exceptions raised inside a chunk (including
     :class:`BatchedExecutionError`) propagate to the caller, where the
     campaign engine's per-scenario re-run applies as usual.
     """
@@ -906,17 +906,14 @@ def run_batched_scenarios(specs: Sequence, lanes: Optional[int] = None,
         lanes = 1
     if lanes < 1:
         raise ValueError("lanes must be a positive integer")
-    if lane_chunk is not None and lane_chunk < 1:
-        raise ValueError("lane_chunk must be a positive integer")
     if multiprocessing.current_process().daemon:
         # Daemonic pool workers (the campaign engine's scenario pool)
         # cannot fork children of their own.
         lanes = 1
-    chunk_size = lane_chunk if lane_chunk is not None \
-        else -(-len(specs) // max(lanes, 1))
-    if lanes <= 1 or not specs or chunk_size >= len(specs):
+    if lanes == 1 or len(specs) <= 1:
         return _run_single_process(specs)
 
+    chunk_size = -(-len(specs) // lanes)
     backend = active_backend().name
     chunks = [specs[start: start + chunk_size]
               for start in range(0, len(specs), chunk_size)]

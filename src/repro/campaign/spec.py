@@ -35,7 +35,7 @@ from repro.network.delays import (
     UniformDelay,
 )
 from repro.runtime.cost import GRID5000_LIKE, INSTANT, CostModel
-from repro.runtime.facade import TRAINERS, check_runtime
+from repro.runtime import facade
 
 _DELAY_MODELS = {
     "constant": ConstantDelay,
@@ -49,8 +49,8 @@ _MODELS = ("softmax", "mlp", "small_cnn", "paper_cnn")
 
 
 def available_trainers() -> List[str]:
-    """Trainer kinds a scenario can request."""
-    return list(TRAINERS)
+    """Protocols a scenario can request (``ScenarioSpec.trainer``)."""
+    return list(facade.TRAINERS)
 
 
 def available_delay_models() -> List[str]:
@@ -150,7 +150,7 @@ class ScenarioSpec:
     """
 
     name: str = "scenario"
-    #: ``guanyu`` | ``vanilla`` | ``single_server_krum`` | ``guanyu_threaded``
+    #: protocol: ``guanyu`` | ``vanilla`` | ``single_server_krum`` (or a facade.READ_SPELLINGS key)
     trainer: str = "guanyu"
 
     # -- cluster shape (paper notation: n̄, n, f̄, f, q̄, q) ----------------- #
@@ -180,18 +180,14 @@ class ScenarioSpec:
     delay_model: str = "uniform"
     delay_kwargs: Dict[str, float] = field(default_factory=dict)
     cost_model: str = "grid5000"
-    #: threaded runtime only: delivery jitter bound and per-quorum deadline
+    #: real clock only: delivery jitter bound and per-quorum deadline
     jitter: float = 0.0
     quorum_timeout: float = 60.0
-    #: explicit execution runtime.  ``None`` lets
-    #: :func:`repro.runtime.resolve_runtime` choose from the trainer and
-    #: model (node threads for ``guanyu_threaded``, the vectorised engine
-    #: for dense-model ``guanyu``, the simulated event loop otherwise —
-    #: histories are bit-identical either way).  ``"batched"`` (trainer
-    #: ``guanyu`` only) names the vectorised runtime explicitly;
-    #: ``"cluster"`` (trainer ``guanyu_threaded`` only) runs one OS
-    #: process per node over real sockets, under a supervisor.  Absent ≡
-    #: legacy for content addressing, so pre-cluster stores stay valid.
+    #: the engine.  ``None`` lets :func:`repro.runtime.resolve_runtime` choose on the simulated
+    #: clock (the vectorised engine for dense-model ``guanyu``, the sequential simulator
+    #: otherwise — histories are bit-identical either way); ``"batched"`` names the vectorised
+    #: engine; ``"threaded"`` (node threads) and ``"cluster"`` (node processes over real
+    #: sockets) run on the real clock.  Absent ≡ legacy for content addressing.
     runtime: Optional[str] = None
     #: kernel backend (:mod:`repro.kernels`) the run should select, e.g.
     #: ``"numpy-opt"``.  Every backend is bit-identical by contract, so
@@ -232,6 +228,8 @@ class ScenarioSpec:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        self.trainer, self.runtime = facade.READ_SPELLINGS.get(
+            (self.trainer, self.runtime), (self.trainer, self.runtime))
         self.worker_attack = _coerce_attack(self.worker_attack)
         self.server_attack = _coerce_attack(self.server_attack)
         self.adversary = _coerce_attack(self.adversary)
@@ -310,14 +308,15 @@ class ScenarioSpec:
     def validate(self) -> "ScenarioSpec":
         """Check admissibility; raises ``ValueError`` on an invalid spec.
 
-        What depends on the trainer — the fields it ignores, the runtimes
-        it admits, whether it has replicated servers — is read from
-        :data:`repro.runtime.facade.TRAINERS`.
+        What depends on the trainer or the runtime — the fields each ignores, whether it
+        has replicated servers — is read from :mod:`repro.runtime.facade`'s tables.
         """
-        trainer = TRAINERS.get(self.trainer)
+        trainer = facade.TRAINERS.get(self.trainer)
         if trainer is None:
-            raise ValueError(f"unknown trainer '{self.trainer}'; "
+            raise ValueError(f"unknown trainer '{self.trainer}' on runtime {self.runtime!r}; "
                              f"available: {available_trainers()}")
+        if self.runtime is not None:
+            facade.check_runtime(self, self.runtime)
         for rule in (self.gradient_rule, self.model_rule):
             if rule not in available_rules():
                 raise ValueError(f"unknown aggregation rule '{rule}'; "
@@ -337,7 +336,8 @@ class ScenarioSpec:
                                            or self.server_attack is not None):
             raise ValueError("give either an adversary or legacy per-node "
                              "attacks, not both")
-        for name, reason in trainer.ignores.items():
+        clock = facade.CLOCKS[self.runtime]
+        for name, reason in {**facade.CLOCK_IGNORES[clock], **trainer.ignores}.items():
             default = _DEFAULTS[name]
             if getattr(self, name) != default:
                 raise ValueError(f"trainer '{self.trainer}' {reason}; leave "
@@ -383,8 +383,6 @@ class ScenarioSpec:
                 raise ValueError(
                     f"unknown kernel backend '{self.kernels}'; available: "
                     f"{list(available_backends())}")
-        if self.runtime is not None:
-            check_runtime(self, self.runtime)
 
         if trainer.replicated:
             config = self.cluster_config()  # raises on n < 3f + 3 etc.
@@ -429,21 +427,26 @@ class ScenarioSpec:
     # Serialisation and hashing
     # ------------------------------------------------------------------ #
     def replace(self, **overrides) -> "ScenarioSpec":
-        """A copy with ``overrides`` applied (attack fields are coerced)."""
+        """A copy with ``overrides`` applied (attack fields are coerced); a ``runtime``
+        without a ``trainer`` applies to the stored spelling (:meth:`to_dict`)."""
         unknown = set(overrides).difference(SCENARIO_FIELDS)
         if unknown:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)} "
                              f"(check grid axis names)")
+        if "runtime" in overrides and "trainer" not in overrides:
+            overrides["trainer"] = self.to_dict()["trainer"]
         return dataclasses.replace(self, **overrides)
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form, equal under ``==`` to ``dataclasses.asdict``.
+        """Plain-data form in the stored spelling, else equal to ``dataclasses.asdict``.
 
         Built field by field: ``asdict`` deep-copies every value, and
         ``spec_hash()`` (every put, resume lookup and dedupe) pays for it.
         Nested containers are still copies, never the spec's own.
         """
         payload = {name: getattr(self, name) for name in SCENARIO_FIELDS}
+        payload["trainer"], payload["runtime"] = facade.STORED_SPELLINGS.get(
+            (self.trainer, self.runtime), (self.trainer, self.runtime))
         for name in _THREAT_FIELDS:
             threat = payload[name]
             if threat is not None:

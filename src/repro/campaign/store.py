@@ -50,6 +50,7 @@ from repro.campaign.spec import SCENARIO_FIELDS, ScenarioSpec
 from repro.obs.history import DeferredHistory, TrainingHistory
 from repro.obs.telemetry import get_registry
 from repro.obs.tracer import get_tracer
+from repro.runtime.facade import STORED_SPELLINGS
 
 STORE_VERSION = 1
 
@@ -105,7 +106,7 @@ class StoredResult:
             sim_time = self.history.total_time()
         return {
             "scenario": spec.name,
-            "trainer": spec.trainer,
+            "trainer": STORED_SPELLINGS.get((spec.trainer, spec.runtime), (spec.trainer,))[0],
             "gradient_rule": spec.gradient_rule,
             "worker_attack": spec.worker_attack.name if spec.worker_attack else None,
             "server_attack": spec.server_attack.name if spec.server_attack else None,

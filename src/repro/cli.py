@@ -10,7 +10,7 @@ Usage (after ``pip install -e .``)::
         --attacks random_gradient sign_flip --seeds 0 1 --store results/
     python -m repro.cli sweep --adversaries omniscient_descent collusion
     python -m repro.cli sweep --hetero iid dirichlet=0.1 shards=2
-    python -m repro.cli sweep --trainer guanyu_threaded --runtime cluster
+    python -m repro.cli sweep --runtime cluster --gars median
     python -m repro.cli cluster --servers-count 3 --workers-count 4 --steps 3
     python -m repro.cli --trace trace.jsonl reproduce figure4
     python -m repro.cli trace trace.jsonl
@@ -46,7 +46,8 @@ non-i.i.d. data partitions (``dirichlet=ALPHA``, ``shards=K``,
 registries sweep specs draw from.  ``cluster`` runs one scenario on the
 **process cluster runtime** — every parameter server and worker as a
 separate OS process over real sockets under a supervising daemon (see
-``docs/cluster.md``); ``sweep --runtime cluster`` puts whole grids on it.
+``docs/cluster.md``); ``sweep --runtime cluster`` puts whole grids on it,
+``--runtime threaded`` on node threads (``--trainer`` names the protocol).
 ``sweep`` and ``cluster`` handle SIGINT/SIGTERM gracefully: completed
 scenario results are already flushed to the ``--store`` and the command
 exits with the distinct code 3 so callers can tell "interrupted" from
@@ -129,6 +130,7 @@ from repro.plotting import (
     render_span_timeline,
     scenarios_completed,
 )
+from repro.runtime.facade import CLOCKS, READ_SPELLINGS
 
 
 #: exit code of ``sweep``/``cluster`` runs cut short by SIGINT/SIGTERM —
@@ -362,6 +364,7 @@ def cmd_list(args: argparse.Namespace) -> int:
     from repro.hetero import available_partitions
 
     print(f"\nTrainers:         {', '.join(available_trainers())}")
+    print(f"Runtimes:         {', '.join(map(str, CLOCKS))} (None: batched or sequential)")
     print(f"Delay models:     {', '.join(available_delay_models())}")
     print(f"Cost models:      {', '.join(available_cost_models())}")
     print(f"Hetero partitions: {', '.join(available_partitions())} "
@@ -404,9 +407,8 @@ def _campaign_from_args(args: argparse.Namespace) -> CampaignSpec:
                 "file carries the runtime in its scenarios' own 'runtime' "
                 "fields")
         return CampaignSpec.from_json_file(args.spec)
-    base = _base_from_args(args).replace(trainer=args.trainer, name=args.name)
-    if args.runtime:
-        base = base.replace(runtime=args.runtime)
+    base = _base_from_args(args).replace(trainer=args.trainer, name=args.name,
+                                         runtime=args.runtime)
     if args.faults:
         with open(args.faults, "r", encoding="utf-8") as handle:
             base = base.replace(faults=FaultSchedule.from_json(handle.read()))
@@ -583,8 +585,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     )
 
     try:
-        spec = _base_from_args(args).replace(
-            trainer="guanyu_threaded", name=args.name, runtime="cluster")
+        spec = _base_from_args(args).replace(name=args.name,
+                                             runtime="cluster")
         if args.gar:
             spec = spec.replace(gradient_rule=args.gar)
         if args.faults:
@@ -599,7 +601,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     if not cluster_available():
         print("error: this host cannot bind sockets, so the process cluster "
               "runtime is unavailable; run the scenario on the threaded "
-              "runtime instead (repro sweep --trainer guanyu_threaded)",
+              "runtime instead (repro sweep --runtime threaded)",
               file=sys.stderr)
         return 1
     supervisor = Supervisor(spec,
@@ -1004,8 +1006,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--spec", default=None,
                        help="campaign spec JSON file (overrides grid flags)")
     sweep.add_argument("--name", default="sweep", help="campaign name")
-    sweep.add_argument("--trainer", choices=tuple(available_trainers()),
-                       default="guanyu", help="trainer kind for grid sweeps")
+    sweep.add_argument("--trainer", default="guanyu", help="protocol for grid sweeps",
+                       choices=available_trainers() + sorted({t for t, _ in READ_SPELLINGS}))
     sweep.add_argument("--gars", nargs="+", default=None, metavar="RULE",
                        help="gradient aggregation rules to sweep over")
     sweep.add_argument("--attacks", nargs="+", default=None, metavar="ATTACK",
@@ -1037,14 +1039,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "drift=SIGMA)")
     sweep.add_argument("--faults", default=None, metavar="FILE",
                        help="fault-schedule JSON applied to every grid cell")
-    sweep.add_argument("--runtime", choices=("batched", "cluster"),
+    sweep.add_argument("--runtime", choices=[kind for kind in CLOCKS if kind],
                        default=None,
-                       help="execution runtime for every grid cell: "
-                            "'batched' runs each scenario as a one-replica "
-                            "lane on the vectorised runtime (trainer "
-                            "guanyu); 'cluster' runs each scenario as real "
-                            "OS processes over sockets (requires --trainer "
-                            "guanyu_threaded; see docs/cluster.md)")
+                       help="engine for every grid cell: 'batched' runs each scenario as a "
+                            "one-replica lane on the vectorised runtime; 'threaded' runs "
+                            "one thread and 'cluster' one OS process over sockets per "
+                            "node, on the real clock (replicated protocols only)")
     sweep.add_argument("--skip-invalid", action="store_true",
                        help="drop inadmissible grid cells instead of failing")
     sweep.add_argument("--metrics-port", type=int, default=None, metavar="PORT",

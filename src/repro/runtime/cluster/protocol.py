@@ -111,23 +111,25 @@ class Frame:
 
     @classmethod
     def decode(cls, header: bytes, payload: bytes) -> "Frame":
+        """``FrameError`` unless the header's fields have their defaults' types below."""
         try:
             fields = json.loads(header.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # incl. bad UTF-8
             raise FrameError(f"undecodable frame header: {exc}") from exc
+        if not isinstance(fields, dict):
+            raise FrameError(f"malformed frame header: {header[:80]!r}")
+        values = {"kind": "", "sender": "", "recipient": "", "step": -1, "meta": {}}
+        for name, default in list(values.items()):
+            value = values[name] = fields.get(name, default)
+            if type(value) is not type(default):  # exact: no bool step
+                raise FrameError(f"malformed frame header: '{name}' is {value!r}")
         vector = None
         if payload:
             if len(payload) % 8:
                 raise FrameError(f"payload of {len(payload)} bytes is not "
                                  f"a whole float64 vector")
             vector = np.frombuffer(payload, dtype=np.float64).copy()
-        try:
-            return cls(kind=fields["kind"], sender=fields.get("sender", ""),
-                       recipient=fields.get("recipient", ""),
-                       step=int(fields.get("step", -1)), payload=vector,
-                       meta=fields.get("meta") or {})
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FrameError(f"malformed frame header: {exc}") from exc
+        return cls(payload=vector, **values)
 
 
 # --------------------------------------------------------------------------- #

@@ -5,23 +5,22 @@
     result.history                     # TrainingHistory
     result.runtime                     # "sequential" | "batched" | ...
 
-This is the one module that knows which trainer runs on which runtime.  Two
-tables hold that knowledge: :data:`TRAINERS`, one row per
-``ScenarioSpec.trainer`` (replicated servers or not, the runtimes it runs
-on, the fields it ignores, how to build it), and :data:`EXECUTORS`, one
-``spec -> TrainingHistory`` function per runtime kind.
+This is the one module that knows which protocol runs on which engine:
+``ScenarioSpec.trainer`` names a row of :data:`TRAINERS` (the protocol),
+``ScenarioSpec.runtime`` a key of :data:`CLOCKS` (the engine), and
+:data:`EXECUTORS` holds one ``spec -> TrainingHistory`` per runtime kind.
 
 Dispatch is driven entirely by the spec: ``ScenarioSpec.runtime`` when
-explicit (``"batched"``, ``"cluster"``); otherwise a ``guanyu`` scenario
-over a dense model is a one-lane (R = 1) group of the vectorised engine
-and every other scenario runs on its trainer's first runtime.  A
-``"cluster"`` spec on a host that cannot bind sockets resolves to
-``"threaded"``, and :attr:`ScenarioResult.runtime` says so.  Whatever the
-engine raises is the scenario's outcome — a quorum-starved lane's
-``BatchedExecutionError`` is the simulator's sentence, word for word — and
-nothing is re-run elsewhere.  Tracer and registry state never enter the
-choice.  The run executes under the spec's kernel backend and, given a
-store, is served from cache / persisted under the spec's content address.
+explicit; otherwise a ``guanyu`` scenario over a dense model is a one-lane
+(R = 1) group of the vectorised engine and every other scenario runs on
+the sequential simulator.  A ``"cluster"`` spec on a host that cannot bind
+sockets resolves to ``"threaded"``, and :attr:`ScenarioResult.runtime`
+says so.  Whatever the engine raises is the scenario's outcome — a
+quorum-starved lane's ``BatchedExecutionError`` is the simulator's
+sentence, word for word — and nothing is re-run elsewhere.  Tracer and
+registry state never enter the choice.  The run executes under the spec's
+kernel backend and, given a store, is served from cache / persisted under
+the spec's content address.
 
 This module must not import :mod:`repro.campaign` (or anything that
 imports it) at module level: campaign specs read :data:`TRAINERS`.
@@ -32,7 +31,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.kernels import use_backend
 from repro.obs.telemetry import get_registry
@@ -106,11 +105,8 @@ def _single_server_krum(spec, *wiring):
 class TrainerKind:
     """One row of :data:`TRAINERS`: what a ``ScenarioSpec.trainer`` means."""
 
-    #: replicated parameter servers (GuanYu) rather than one trusted server
+    #: replicated servers (GuanYu: every runtime), not one trusted server (sequential only)
     replicated: bool
-    #: runtime kinds it runs on: the first when the spec names none (unless
-    #: the batched engine takes it), the others by ``ScenarioSpec.runtime``
-    runtimes: Tuple[str, ...]
     #: field → why the trainer ignores it.  ``ScenarioSpec.validate`` keeps
     #: such a field at its default, or the store would record (and hash) a
     #: knob the run never used.
@@ -118,15 +114,13 @@ class TrainerKind:
     build: Callable[..., Any]
 
 
-_SIMULATED_CLOCK = ("runs on a simulated clock and takes a delay_model "
-                    "instead (the wall-clock knobs apply only to trainer "
-                    "'guanyu_threaded')")
+_SIMULATED_CLOCK = ("runs on a simulated clock and takes a delay_model instead (the "
+                    "wall-clock knobs apply only to runtimes 'threaded' and 'cluster')")
 _REAL_CLOCK = ("runs on the real clock and ignores delay/cost models (its "
                "knobs are 'jitter' and 'quorum_timeout')")
 _NOT_VANILLA = ("is not the 'vanilla GuanYu' baseline, which "
                 "external_communication models (trainer 'vanilla')")
 _SINGLE_SERVER = {
-    "jitter": _SIMULATED_CLOCK, "quorum_timeout": _SIMULATED_CLOCK,
     "adversary": "is a single-server baseline, and adversaries model the "
                  "paper's full threat model (take a worker_attack instead)",
     "faults": "assumes a live trusted server; fault schedules require "
@@ -140,65 +134,67 @@ _SINGLE_SERVER = {
 #: :func:`repro.campaign.available_trainers` order
 TRAINERS: Dict[str, TrainerKind] = {
     "guanyu": TrainerKind(
-        replicated=True, runtimes=("sequential", "batched"),
-        ignores={"jitter": _SIMULATED_CLOCK,
-                 "quorum_timeout": _SIMULATED_CLOCK,
-                 "external_communication": _NOT_VANILLA},
+        replicated=True, ignores={"external_communication": _NOT_VANILLA},
         build=_guanyu),
     "vanilla": TrainerKind(
-        replicated=False, runtimes=("sequential",),
-        ignores=_SINGLE_SERVER, build=_vanilla),
+        replicated=False, ignores=_SINGLE_SERVER, build=_vanilla),
     "single_server_krum": TrainerKind(
-        replicated=False, runtimes=("sequential",),
+        replicated=False,
         ignores={**_SINGLE_SERVER, "external_communication": _NOT_VANILLA,
                  "gradient_rule": "always aggregates with multi_krum (use "
                                   "trainer 'vanilla' to choose a gradient "
                                   "rule)"},
         build=_single_server_krum),
-    "guanyu_threaded": TrainerKind(
-        replicated=True, runtimes=("threaded", "cluster"),
-        ignores={"delay_model": _REAL_CLOCK, "delay_kwargs": _REAL_CLOCK,
-                 "cost_model": _REAL_CLOCK,
-                 "external_communication": _NOT_VANILLA},
-        build=_threaded),
 }
+
+#: ``ScenarioSpec.runtime`` → its engine's clock (``None``: the default
+#: dispatch), and clock → field → why a run on that clock ignores it
+CLOCKS = {None: "simulated", "batched": "simulated", "threaded": "real", "cluster": "real"}
+CLOCK_IGNORES = {"simulated": dict.fromkeys(("jitter", "quorum_timeout"), _SIMULATED_CLOCK),
+                 "real": dict.fromkeys(("delay_model", "delay_kwargs", "cost_model"), _REAL_CLOCK)}
+
+#: ``(trainer, runtime)`` → its stored spelling (``ScenarioSpec.to_dict``) and back (on
+#: construction).  GuanYu on the real clock was the trainer ``guanyu_threaded``; stores and
+#: scripts hold it, so it is read for good and written back, and no content address moves.
+STORED_SPELLINGS = {("guanyu", "threaded"): ("guanyu_threaded", None),
+                    ("guanyu", "cluster"): ("guanyu_threaded", "cluster")}
+READ_SPELLINGS = {stored: pair for pair, stored in STORED_SPELLINGS.items()}
+READ_SPELLINGS[("guanyu_threaded", "threaded")] = ("guanyu", "threaded")
 
 
 def build_trainer(spec: "ScenarioSpec"):
     """Construct the trainer a scenario describes (not yet run).
 
-    The cluster runtime has no trainer object (:data:`EXECUTORS` hands a
-    ``"cluster"`` spec to :class:`~repro.runtime.cluster.Supervisor`), so
-    a ``guanyu_threaded`` spec always builds the threaded runtime.
+    The cluster runtime has no trainer object (:data:`EXECUTORS` hands a ``"cluster"`` spec to
+    :class:`~repro.runtime.cluster.Supervisor`), so a real-clock spec builds the threaded one.
     """
     from repro.core.wiring import scenario_arguments
 
-    return TRAINERS[spec.trainer].build(spec, *scenario_arguments(spec))
+    build = _threaded if CLOCKS[spec.runtime] == "real" else TRAINERS[spec.trainer].build
+    return build(spec, *scenario_arguments(spec))
 
 
 def check_runtime(spec: "ScenarioSpec", kind: str) -> None:
-    """Raise ``ValueError`` unless ``spec`` may run on the named runtime."""
+    """Raise ``ValueError`` unless ``spec`` may run on the named runtime, which must keep the
+    clock of the spec's own."""
     from repro.batch import spec_supports_batching  # lazy: import cycle
 
+    if kind not in CLOCKS:
+        raise ValueError(f"unknown runtime '{kind}'; available: {list(CLOCKS)}")
+    if CLOCKS[kind] != CLOCKS[spec.runtime]:
+        raise ValueError(f"runtime '{kind}' keeps the {CLOCKS[kind]} clock, not the "
+                         f"{CLOCKS[spec.runtime]} clock of runtime {spec.runtime!r}")
+    if not TRAINERS[spec.trainer].replicated:
+        raise ValueError(f"trainer '{spec.trainer}' is a single-server baseline and takes "
+                         f"no runtime (got '{kind}')")
     if kind == "batched" and not spec_supports_batching(spec):
-        raise ValueError(
-            f"runtime 'batched' requires trainer 'guanyu' and a "
-            f"replica-batchable dense model (got trainer '{spec.trainer}', "
-            f"model '{spec.model}')")
-    if kind == "cluster" and kind not in TRAINERS[spec.trainer].runtimes:
-        raise ValueError(
-            "runtime 'cluster' runs the wall-clock cluster protocol as real "
-            "OS processes and requires trainer 'guanyu_threaded' (got "
-            f"'{spec.trainer}')")
+        raise ValueError(f"runtime 'batched' requires a replica-batchable dense model "
+                         f"(got model '{spec.model}')")
     if kind == "cluster" and spec.kernels is not None:
         raise ValueError(
             "runtime 'cluster' spawns one OS process per node and does not "
             "propagate an in-process kernel selection; set the "
             "REPRO_KERNEL_BACKEND environment variable instead")
-    if kind not in ("batched", "cluster"):
-        raise ValueError(f"unknown runtime '{kind}'; the explicit runtimes "
-                         f"are 'batched' and 'cluster' (absent means the "
-                         f"trainer's legacy default)")
 
 
 # --------------------------------------------------------------------------- #
@@ -262,8 +258,7 @@ def resolve_runtime(spec: "ScenarioSpec") -> str:
 
     kind = spec.runtime
     if kind is None:
-        kind = ("batched" if spec_supports_batching(spec)
-                else TRAINERS[spec.trainer].runtimes[0])
+        kind = "batched" if spec_supports_batching(spec) else "sequential"
     elif kind == "cluster":
         from repro.runtime.cluster.supervisor import cluster_available
 

@@ -27,8 +27,8 @@ def sequential_history(spec: "ScenarioSpec") -> "TrainingHistory":
     """Run ``spec`` on the sequential reference trainer, whatever
     :func:`repro.runtime.resolve_runtime` would have chosen for it.
 
-    Raises :class:`TypeError` for a spec whose trainer is not ``guanyu`` —
-    the oracle would silently be something else.
+    Raises :class:`TypeError` for a spec that is not ``guanyu`` on the
+    simulated clock — the oracle would silently be something else.
     """
     from repro.core.trainer import GuanYuTrainer  # lazy: import-light
 
@@ -37,7 +37,7 @@ def sequential_history(spec: "ScenarioSpec") -> "TrainingHistory":
         trainer = build_trainer(spec)
         if not isinstance(trainer, GuanYuTrainer):
             raise TypeError(
-                f"sequential_history needs a 'guanyu' scenario, got trainer "
-                f"'{spec.trainer}' ({type(trainer).__name__})")
+                f"sequential_history needs a 'guanyu' scenario on the simulated clock, got "
+                f"'{spec.trainer}' on runtime {spec.runtime!r} ({type(trainer).__name__})")
         return trainer.run(spec.num_steps, eval_every=spec.eval_every,
                            max_eval_samples=spec.max_eval_samples)

@@ -201,7 +201,8 @@ def selection(rule, stacked: np.ndarray) -> tuple:
     """``(selected, scores)`` that ``rule`` computes on one ``(n, d)``
     stack, each ``None`` where it computes none: Krum's argmin, Multi-Krum's
     best-first picks with their Krum scores, Bulyan's sorted per-round
-    selection (none at f = 0, where it is the mean)."""
+    selection (none at f = 0, where it is the mean), the marginal median's
+    sorted n − f smallest-norm inputs (none at f = 0)."""
     f = rule.num_byzantine
     if rule.name == "krum":
         scores = krum_scores(stacked, f)
@@ -211,4 +212,7 @@ def selection(rule, stacked: np.ndarray) -> tuple:
                 krum_scores(stacked, f))
     if rule.name == "bulyan" and f:
         return np.sort(per_round_selection(stacked, f)), None
+    if rule.name == "marginal_median" and f:
+        norms = np.linalg.norm(stacked, axis=1)
+        return np.sort(np.argsort(norms)[: stacked.shape[0] - f]), None
     return None, None

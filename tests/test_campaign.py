@@ -27,7 +27,7 @@ from repro.experiments.common import (
 from repro.faults import FaultEvent, FaultSchedule
 from repro.hetero import HeteroSpec, WorkerProfile
 from repro.runtime import run
-from repro.runtime.facade import TRAINERS
+from repro.runtime.facade import CLOCK_IGNORES, CLOCKS, TRAINERS
 
 
 def tiny_spec(**overrides) -> ScenarioSpec:
@@ -268,6 +268,19 @@ class TestScenarioValidation:
             spec.replace(**{name: IGNORED_VALUES[name]}).validate()
         assert f"trainer '{trainer}'" in str(raised.value)
         assert f"'{name}'" in str(raised.value)
+
+    @pytest.mark.parametrize("runtime, name", [
+        pytest.param(runtime, name, id=f"{runtime}-{name}")
+        for runtime, clock in CLOCKS.items()
+        for name in CLOCK_IGNORES[clock]])
+    def test_every_field_the_clock_ignores_is_rejected_by_name(
+            self, runtime, name):
+        spec = tiny_spec(runtime=runtime)
+        assert spec.validate()
+        with pytest.raises(ValueError) as raised:
+            spec.replace(**{name: IGNORED_VALUES[name]}).validate()
+        assert f"'{name}'" in str(raised.value)
+        assert f"{CLOCKS[runtime]} clock" in str(raised.value)
 
 
 #: a non-default value for every field some trainer ignores

@@ -184,7 +184,9 @@ class TestSubcommands:
         assert "multi_krum" in out
         assert "random_gradient" in out
         assert "equivocation" in out
-        assert "guanyu_threaded" in out
+        runtimes = next(line for line in out.splitlines()
+                        if line.startswith("Runtimes:"))
+        assert "threaded" in runtimes and "cluster" in runtimes
         assert "lognormal" in out
         assert "omniscient_descent" in out  # adversary registry included
 

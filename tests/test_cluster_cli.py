@@ -59,12 +59,13 @@ class TestClusterCommand:
         assert "error:" in err
 
     def test_sweep_runtime_demands_threaded_trainer(self, capsys):
-        # default --trainer is the sequential simulator: spec validation
-        # must reject the pairing before anything runs
-        code, _, err = _run(capsys, BASE + ["sweep", "--runtime", "cluster",
+        # a single-server baseline runs only on the sequential simulator:
+        # spec validation must reject the pairing before anything runs
+        code, _, err = _run(capsys, BASE + ["sweep", "--trainer", "vanilla",
+                                            "--runtime", "cluster",
                                             "--gars", "median"])
         assert code == 2
-        assert "guanyu_threaded" in err
+        assert "vanilla" in err
 
     def test_sweep_spec_file_rejects_runtime_flag(self, capsys, tmp_path):
         spec_file = tmp_path / "campaign.json"

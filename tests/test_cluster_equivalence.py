@@ -186,8 +186,10 @@ class TestContentAddressCompatibility:
         assert clone.spec_hash() == spec.spec_hash()
 
     def test_runtime_requires_threaded_trainer(self):
-        with pytest.raises(ValueError, match="guanyu_threaded"):
-            ScenarioSpec(name="bad", trainer="guanyu",
+        # every replicated protocol runs on the cluster; a single-server
+        # baseline runs only on the sequential simulator
+        with pytest.raises(ValueError, match="single-server"):
+            ScenarioSpec(name="bad", trainer="vanilla", gradient_rule="mean",
                          runtime="cluster").validate()
 
     def test_unknown_runtime_rejected(self):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.message import MessageKind
 from repro.runtime.cluster.protocol import (
@@ -124,6 +127,46 @@ class TestRecvFrame:
         with pytest.raises(FrameError, match="whole float64"):
             Frame.decode(header, b"\x00" * 7)
 
-    def test_undecodable_header_rejected(self):
-        with pytest.raises(FrameError, match="undecodable"):
-            Frame.decode(b"\xff\xfe not json", b"")
+    @pytest.mark.parametrize("header", [
+        b"\xff\xfe not json",
+        b'{"kind":"ping","step":Infinity}',
+        b'{"kind":"ping","step":NaN}',
+        b'{"kind":"ping","step":"7"}',
+        b'{"kind":"ping","step":true}',
+        b'{"kind":"ping","step":7.0}',
+        b'{"kind":"ping","meta":5}',
+        b'{"kind":"ping","meta":null}',
+        b'{"kind":"ping","sender":[1]}',
+        b'{"kind":"ping","recipient":2}',
+        b'{"kind":["ping"]}',
+        b'{"step":0}',
+        b'["ping"]',
+        b"7",
+        b"[" * 100_000,
+    ])
+    def test_undecodable_header_rejected(self, header):
+        with pytest.raises(FrameError, match="undecodable|malformed|kind"):
+            Frame.decode(header, b"")
+
+    @settings(deadline=None)
+    @given(header=st.one_of(
+        st.binary(max_size=64),
+        st.dictionaries(
+            st.sampled_from(["kind", "sender", "recipient", "step", "meta"]),
+            st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                      st.text(max_size=8), st.sampled_from(["ping", "loss"]),
+                      st.lists(st.integers(), max_size=2),
+                      st.dictionaries(st.text(max_size=4), st.integers(),
+                                      max_size=2)))
+        .map(lambda fields: json.dumps(fields).encode("utf-8"))),
+        payload=st.binary(max_size=32))
+    def test_decode_returns_a_well_typed_frame_or_raises_frame_error(
+            self, header, payload):
+        try:
+            frame = Frame.decode(header, payload)
+        except FrameError:
+            return
+        assert all(isinstance(value, str) for value in
+                   (frame.kind, frame.sender, frame.recipient))
+        assert type(frame.step) is int and isinstance(frame.meta, dict)
+        assert frame.payload is None or frame.payload.dtype == np.float64

@@ -55,7 +55,7 @@ def small_spec(**overrides) -> ScenarioSpec:
 
 class TestConstruction:
     def test_rejects_non_threaded_trainers(self):
-        with pytest.raises(ValueError, match="guanyu_threaded"):
+        with pytest.raises(ValueError, match="simulated clock"):
             Supervisor(small_spec(trainer="guanyu", runtime=None))
 
     def test_rejects_unknown_transport(self):

@@ -205,9 +205,68 @@ class TestDispatchOracle:
         assert run(spec).runtime == "threaded"
 
 
+#: ``ScenarioSpec(trainer="guanyu_threaded").to_dict()`` recorded while the
+#: real clock was a trainer of its own
+LEGACY_THREADED = {
+    "name": "scenario", "trainer": "guanyu_threaded", "num_workers": 9,
+    "num_servers": 6, "declared_byzantine_workers": 2,
+    "declared_byzantine_servers": 1, "model_quorum": None,
+    "gradient_quorum": None, "gradient_rule": "multi_krum",
+    "model_rule": "median", "worker_attack": None,
+    "num_attacking_workers": None, "server_attack": None,
+    "num_attacking_servers": None, "adversary": None,
+    "delay_model": "uniform", "delay_kwargs": {}, "cost_model": "grid5000",
+    "jitter": 0.0, "quorum_timeout": 60.0, "runtime": None, "kernels": None,
+    "faults": None, "hetero": None, "dataset": "blobs", "dataset_size": 800,
+    "image_size": 8, "model": "softmax", "batch_size": 16,
+    "learning_rate": 0.05, "sharding": "iid",
+    "external_communication": False, "num_steps": 60, "eval_every": 10,
+    "max_eval_samples": 256, "billed_parameters": 1756426, "seed": 42}
+#: (fields of the legacy spelling, the same spec in protocol + engine,
+#: ``to_dict()``, ``spec_hash()``) recorded at the same commit
+LEGACY_ADDRESSES = [
+    ({}, {"runtime": "threaded"}, LEGACY_THREADED,
+     "cb42d2d6dcdcb8511cdeaaed1245e3a2db44855fbac8711979ab84d00fc7acfa"),
+    ({"runtime": "cluster"}, {"runtime": "cluster"},
+     {**LEGACY_THREADED, "runtime": "cluster"},
+     "4fd6ee10b62390fa08d69fc0645257b0ac2fffcf34e854df058134ffd13afd32"),
+    ({"jitter": 0.01, "quorum_timeout": 5.0},
+     {"runtime": "threaded", "jitter": 0.01, "quorum_timeout": 5.0},
+     {**LEGACY_THREADED, "jitter": 0.01, "quorum_timeout": 5.0},
+     "a143d1cbb484c41f982b23ab8d1cfae91f8ce4c9b99fc65287c1ea6f3a7821a0"),
+]
+
+
 class TestStoreAddress:
     def test_default_spec_hash_is_the_parents(self):
         assert ScenarioSpec().spec_hash() == PARENT_DEFAULT_HASH
+
+    @pytest.mark.parametrize("legacy, split, payload, address",
+                             LEGACY_ADDRESSES)
+    def test_real_clock_specs_keep_the_legacy_address(
+            self, legacy, split, payload, address):
+        stored = ScenarioSpec(trainer="guanyu_threaded", **legacy)
+        spelled = ScenarioSpec(trainer="guanyu", **split)
+        assert stored == spelled
+        assert (stored.trainer, stored.runtime) == ("guanyu", split["runtime"])
+        for spec in (stored, spelled):
+            assert spec.validate() is spec
+            assert spec.to_dict() == payload
+            assert spec.spec_hash() == address
+            assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+
+    def test_the_legacy_spelling_stays_off_the_simulated_clock(self):
+        with pytest.raises(ValueError, match="guanyu_threaded"):
+            ScenarioSpec(trainer="guanyu_threaded",
+                         runtime="batched").validate()
+        threaded = ScenarioSpec(trainer="guanyu_threaded", **SHAPE)
+        assert not spec_supports_batching(threaded)
+        assert threaded.replace(runtime=None) == threaded
+        assert threaded.replace(trainer="guanyu") == threaded
+        assert threaded.replace(trainer="guanyu", runtime=None).runtime \
+            is None
+        with pytest.raises(TypeError, match="simulated clock"):
+            sequential_history(threaded)
 
     def test_engine_results_resume_under_the_same_address(self, tmp_path):
         # An entry the sequential simulator wrote (a store from before the

@@ -50,12 +50,23 @@ class TestKrumFamilyDecisions:
         # The selection stays close to the honest mean.
         assert decision.distance_to_honest_mean < 1.0
 
-    def test_bulyan_rejects_crafted_outliers(self):
-        vectors, attackers = honest_and_attackers(num_honest=10)
-        decision = decide(get_rule("bulyan", num_byzantine=1), vectors,
-                          attacker_indices=[10, 11])
+    @pytest.mark.parametrize("rule, num_honest, attacker_rows", [
+        ("bulyan", 10, None),
+        # the marginal median drops the f largest-norm inputs: a row of
+        # 100s is the one it drops
+        ("marginal_median", 8, [np.full(5, 100.0)]),
+    ])
+    def test_trimming_rules_reject_crafted_outliers(self, rule, num_honest,
+                                                    attacker_rows):
+        vectors, attackers = honest_and_attackers(num_honest=num_honest)
+        if attacker_rows is not None:
+            vectors = vectors[:num_honest] + attacker_rows
+            attackers = [num_honest]
+        decision = decide(get_rule(rule, num_byzantine=1), vectors,
+                          attacker_indices=attackers)
         assert decision.attackers_selected == 0
         assert decision.acceptance_rate == 0.0
+        assert set(decision.selected) <= set(range(num_honest))
 
     def test_bulyan_without_byzantine_degenerates_to_all(self):
         vectors, _ = honest_and_attackers(num_attackers=0)

@@ -9,7 +9,6 @@ deliberately span the hard axes: attacks with per-lane RNG, fault
 schedules with probabilistic drops, and non-i.i.d. hetero partitions.
 """
 
-import numpy as np
 import pytest
 
 from repro.batch import (
@@ -36,10 +35,10 @@ def _specs(tag, **fields):
             for seed in SEEDS]
 
 
-def assert_sharded_identical(specs, lanes=2, lane_chunk=None):
+def assert_sharded_identical(specs, lanes=2):
     single = run_batched_scenarios([spec.replace() for spec in specs])
     sharded = run_batched_scenarios([spec.replace() for spec in specs],
-                                    lanes=lanes, lane_chunk=lane_chunk)
+                                    lanes=lanes)
     assert len(single) == len(sharded) == len(specs)
     for lone, merged in zip(single, sharded):
         assert lone.to_dict() == merged.to_dict()
@@ -53,9 +52,6 @@ class TestBitIdentity:
     def test_uneven_chunks(self):
         # 5 specs over 3 lanes → chunks of 2/2/1; order must be preserved.
         assert_sharded_identical(_specs("u"), lanes=3)
-
-    def test_explicit_lane_chunk(self):
-        assert_sharded_identical(_specs("c"), lanes=2, lane_chunk=2)
 
     def test_worker_attack_with_rng(self):
         assert_sharded_identical(
@@ -88,21 +84,17 @@ class TestBitIdentity:
 
 class TestValidation:
     def test_mixed_group_rejected_in_parent(self):
-        # The specs differ in more than seed/name; with lane_chunk=1 each
-        # chunk would be internally consistent, so only a parent-side
-        # cross-check can catch the mix.
+        # The specs differ in more than seed/name; over two lanes each
+        # chunk of one would be internally consistent, so only a
+        # parent-side cross-check can catch the mix.
         specs = [ScenarioSpec(name="a", seed=1, **_small()),
                  ScenarioSpec(name="b", seed=2, **_small(batch_size=8))]
         with pytest.raises(ValueError, match="differ only"):
-            run_batched_scenarios(specs, lanes=2, lane_chunk=1)
+            run_batched_scenarios(specs, lanes=2)
 
     def test_non_positive_lanes_rejected(self):
         with pytest.raises(ValueError, match="lanes"):
             run_batched_scenarios(_specs("n"), lanes=0)
-
-    def test_non_positive_lane_chunk_rejected(self):
-        with pytest.raises(ValueError, match="lane_chunk"):
-            run_batched_scenarios(_specs("n"), lanes=2, lane_chunk=0)
 
     def test_unbatchable_spec_raises_batching_unsupported(self):
         spec = ScenarioSpec(name="t", trainer="guanyu_threaded",
@@ -110,12 +102,14 @@ class TestValidation:
         with pytest.raises(BatchingUnsupported):
             run_batched_scenarios([spec], lanes=2)
 
-    def test_chunk_size_covering_all_specs_stays_single_process(self):
-        # lane_chunk >= len(specs) means one chunk: no pool is spawned and
-        # the call degenerates to the single-process path.
-        specs = _specs("s")[:2]
-        histories = run_batched_scenarios(specs, lanes=4, lane_chunk=8)
-        assert len(histories) == 2
+    def test_chunk_size_covering_all_specs_stays_single_process(
+            self, monkeypatch):
+        # a lone spec is one chunk whatever the lanes: no pool is spawned
+        # and the call degenerates to the single-process path.
+        monkeypatch.setattr("repro.batch.trainer.multiprocessing.get_context",
+                            lambda: pytest.fail("a pool was spawned"))
+        histories = run_batched_scenarios(_specs("s")[:1], lanes=4)
+        assert len(histories) == 1
 
 
 class TestEnginePlumbing:
