@@ -1,12 +1,14 @@
 """Vectorised multi-replica GuanYu runtime.
 
-:class:`BatchedGuanYuTrainer` executes ``R`` seeds of **one** scenario in a
-single process by stacking every per-replica quantity along a leading
-replica axis:
+:class:`BatchedGuanYuTrainer` executes ``R`` lanes of **one** scenario —
+its seeds and its aggregation rules, :data:`LANE_FIELDS` — in a single
+process by stacking every per-replica quantity along a leading replica
+axis:
 
 * server parameters are ``(R, D)`` arrays (one row per replica),
 * the vectors entering an aggregation are ``(R, n, D)`` stacks routed
-  through :meth:`GradientAggregationRule.aggregate_batched`,
+  through :meth:`GradientAggregationRule.decide_batched`, one call per
+  distinct rule over the rows of the lanes running it,
 * worker gradients come from the replica-batched dense plan
   (:mod:`repro.nn.plan`),
 * the nodes of a protocol phase all run the same operation, so they fold
@@ -18,11 +20,13 @@ replica axis:
   (worker, step) for every lane and recipient.
 
 Everything that must differ per replica stays per replica: each lane owns
-the delay generator the sequential :class:`NetworkSimulator` would have
-used (seeded with the replica's seed and consumed in the identical order),
-its own data loaders, attack instances and attack generators, and its own
+its gradient and model rules (and so its simulated aggregation cost and
+its history's ``config``), the delay generator the sequential
+:class:`NetworkSimulator` would have used (seeded with the replica's seed
+and consumed in the identical order), its own data loaders, attack
+instances and attack generators, and its own
 :class:`~repro.faults.FaultController` for probabilistic drop decisions.
-The result is **bit-identical per seed** to running the scenario through
+The result is **bit-identical per lane** to running its scenario through
 :class:`~repro.core.trainer.GuanYuTrainer` — the tier-1 equivalence test
 (``tests/test_batch_equivalence.py``) compares full histories.
 
@@ -99,18 +103,37 @@ def spec_supports_batching(spec) -> bool:
             and spec.model in BATCHABLE_MODELS)
 
 
+#: the :class:`ScenarioSpec` fields a lane sets for itself: scenarios equal
+#: in every other field run as one group (:func:`batch_group_key`)
+LANE_FIELDS = ("name", "seed", "gradient_rule", "model_rule")
+
+
+def batch_group_key(spec) -> str:
+    """The content hash of ``spec`` without :data:`LANE_FIELDS`: scenarios
+    sharing it can run as lanes of one :class:`BatchedGuanYuTrainer`."""
+    return spec.content_hash(*LANE_FIELDS)
+
+
 def _check_group(specs: Sequence) -> None:
-    """Raise unless ``specs`` are seeds of one configuration the batched
+    """Raise unless ``specs`` are lanes of one configuration the batched
     runtime can express."""
     if specs and not spec_supports_batching(specs[0]):
         raise BatchingUnsupported(
             f"trainer '{specs[0].trainer}' / runtime '{specs[0].runtime}' / model "
             f"'{specs[0].model}' has no batched formulation")
-    payloads = [{key: value for key, value in spec.to_dict().items()
-                 if key not in ("name", "seed")} for spec in specs]
-    if any(payload != payloads[0] for payload in payloads[1:]):
+    if len({batch_group_key(spec) for spec in specs}) > 1:
         raise ValueError("batched execution requires scenarios that differ "
-                         "only in seed (and name)")
+                         "only in seed, name, gradient_rule and model_rule")
+
+
+def _rule_lanes(names: Sequence[str], num_byzantine: int
+                ) -> List[Tuple[object, np.ndarray]]:
+    """``(rule, lanes)`` for each distinct rule name in ``names`` (one per
+    lane), in first-lane order; ``lanes`` are the indices running it."""
+    names = np.array(names)
+    return [(get_rule(name, num_byzantine=num_byzantine),
+             np.flatnonzero(names == name))
+            for name in dict.fromkeys(names.tolist())]
 
 
 # --------------------------------------------------------------------------- #
@@ -229,15 +252,16 @@ class _PhaseBuffer:
 # The batched trainer
 # --------------------------------------------------------------------------- #
 class BatchedGuanYuTrainer:
-    """Run ``R`` seeds of one GuanYu scenario in lock-step, vectorised.
+    """Run ``R`` lanes of one GuanYu scenario in lock-step, vectorised.
 
     Parameters
     ----------
     specs:
         Validated :class:`~repro.campaign.spec.ScenarioSpec` instances that
-        are identical except for ``name`` and ``seed`` — one per replica.
-        Replica ``r`` reproduces, bit for bit, the history the sequential
-        trainer produces for ``specs[r]``.
+        are identical except for :data:`LANE_FIELDS` (name, seed and the
+        two aggregation rules) — one per replica.  Replica ``r``
+        reproduces, bit for bit, the history the sequential trainer
+        produces for ``specs[r]``.
 
     Raises
     ------
@@ -245,7 +269,7 @@ class BatchedGuanYuTrainer:
         For scenarios outside the batched envelope (non-``guanyu`` trainer,
         convolutional model).
     ValueError
-        For specs that differ in anything but name/seed, or fail the same
+        For specs that differ beyond :data:`LANE_FIELDS`, or fail the same
         admissibility checks the sequential trainer applies.
     """
 
@@ -258,27 +282,31 @@ class BatchedGuanYuTrainer:
         self.specs = specs
         self.num_replicas = len(specs)
         self.config = base.cluster_config()
-        self.gradient_rule_name = base.gradient_rule
-        self.model_rule_name = base.model_rule
         self.cost_model = base.build_cost_model()
         self.delay_model = base.build_delay_model()
 
         self.worker_ids = self.config.worker_ids()
         self.server_ids = self.config.server_ids()
 
-        self.gradient_rule = get_rule(
-            self.gradient_rule_name,
-            num_byzantine=self.config.num_byzantine_workers)
-        self.model_rule = get_rule(
-            self.model_rule_name,
-            num_byzantine=self.config.num_byzantine_servers)
+        #: the rules that aggregate what workers and what servers send:
+        #: ``(rule, lanes)`` pairs (:func:`_rule_lanes`), one per distinct
+        #: rule, so a seed group makes one call over its whole stack
+        self._gradient_rules = _rule_lanes(
+            [spec.gradient_rule for spec in specs],
+            self.config.num_byzantine_workers)
+        self._model_rules = _rule_lanes(
+            [spec.model_rule for spec in specs],
+            self.config.num_byzantine_servers)
+        #: lane 0's rules (every lane's, in a seed group)
+        self.gradient_rule = self._gradient_rules[0][0]
+        self.model_rule = self._model_rules[0][0]
 
         self.lanes: List[_Lane] = []
         for spec in specs:
             lane, wiring = self._build_lane(spec)
             if not self.lanes:
                 # Placement, profiles, schedule and fault participation
-                # are seed-independent: lane 0's wiring speaks for the
+                # depend on no lane field: lane 0's wiring speaks for the
                 # group.
                 self._wiring = wiring
                 self.attacking_workers = wiring.attacking_workers
@@ -348,8 +376,6 @@ class BatchedGuanYuTrainer:
         #: worker index → its step's (losses (R,), gradients (R, D), samples,
         #: aggregated model (R, D) if it attacks, else None)
         self._computed: Dict[int, tuple] = {}
-        for lane in self.lanes:
-            lane.history.config = dict(self._wiring.history_config)
 
     # ------------------------------------------------------------------ #
     def _build_lane(self, spec) -> Tuple[_Lane, ClusterWiring]:
@@ -379,6 +405,7 @@ class BatchedGuanYuTrainer:
         lane.worker_attacks = wiring.worker_attacks
         lane.server_attacks = wiring.server_attacks
         lane.history = TrainingHistory(label=spec.name)
+        lane.history.config = dict(wiring.history_config)
         return lane, wiring
 
     # ------------------------------------------------------------------ #
@@ -682,17 +709,19 @@ class BatchedGuanYuTrainer:
                  recipients: List[int], clock: np.ndarray,
                  step_index: int) -> None:
         """Every node of ``recipients`` reduces its first quorum of ``kind``
-        from ``buffer``, fold by fold (:meth:`_folds`): the route's senders'
-        rule aggregates it, a traced decision record reads that same call,
-        :meth:`_receive` uses the aggregate, and the
-        node's clock moves to the quorum's completion plus the cost model's
-        :meth:`~repro.runtime.cost.CostModel.receive_time`, scaled by a
-        worker's straggler factor (one vectorised call per fold)."""
+        from ``buffer``, fold by fold (:meth:`_folds`): each lane's rule for
+        the route's senders aggregates it (:meth:`_decide`), a traced
+        decision record reads that same call, :meth:`_receive` uses the
+        aggregate, and the node's clock moves to the quorum's completion
+        plus the cost model's
+        :meth:`~repro.runtime.cost.CostModel.receive_time` — a worker's
+        scaled by its straggler factor, a server's priced at its lane's
+        gradient rule."""
         route = ROUTES[kind]
         replicas = self.num_replicas
         quorum = route.quorum(self.config.model_quorum,
                               self.config.gradient_quorum)
-        rule = route.of(self.gradient_rule, self.model_rule)[0]
+        rules = route.of(self._gradient_rules, self._model_rules)[0]
         recipient_ids = route.of(self.worker_ids, self.server_ids)[1]
         record_decisions = route.senders == "worker" \
             and get_tracer().record_decisions
@@ -700,29 +729,62 @@ class BatchedGuanYuTrainer:
             stacked, completion, senders = buffer.collect(
                 fold, recipient_ids, quorum, not_before=clock[fold],
                 kind=kind, step=step_index)
-            aggregate = rule.decide_batched(stacked)
+            output, calls = self._decide(rules, stacked, len(fold))
             if record_decisions:
-                for j, index in enumerate(fold):
-                    for r, lane in enumerate(self.lanes):
-                        row = j * replicas + r
+                for rule, rows, aggregate in calls:
+                    for position, row in enumerate(rows.tolist()):
+                        j, r = divmod(row, replicas)
                         record_decision(
                             "batch.gar.decision", rule, stacked[row],
                             aggregate, senders[j, :, r].tolist(),
-                            self._attacking_worker_idx, row=row,
-                            step=step_index, node=recipient_ids[index],
-                            replica=r, scenario=lane.spec.name)
+                            self._attacking_worker_idx, row=position,
+                            step=step_index, node=recipient_ids[fold[j]],
+                            replica=r, scenario=self.lanes[r].spec.name)
             samples = self._receive(
-                kind, fold, aggregate.output.reshape(
-                    len(fold), replicas, -1), step_index)
+                kind, fold, output.reshape(len(fold), replicas, -1),
+                step_index)
             # freed before the next fold's call: held over, it raised the
             # peak RSS of a D = 30,730 Bulyan run by 3 MB
-            del aggregate
-            compute = self.cost_model.receive_time(
-                kind, quorum, self.billed_parameters,
-                self.gradient_rule_name, samples)
+            del output, calls
+            if route.senders == "worker":  # each lane's own gradient rule
+                compute = np.empty(replicas)
+                for rule, lanes in rules:
+                    compute[lanes] = self.cost_model.receive_time(
+                        kind, quorum, self.billed_parameters, rule.name)
+            else:
+                compute = self.cost_model.receive_time(
+                    kind, quorum, self.billed_parameters,
+                    self.gradient_rule.name, samples)
             if route.recipients == "worker":  # one straggler factor a row
                 compute = (self._delay_multipliers[fold] * compute)[:, None]
             clock[fold] = completion + compute
+
+    def _decide(self, rules: List[Tuple[object, np.ndarray]],
+                stacked: np.ndarray, nodes: int
+                ) -> Tuple[np.ndarray, List[tuple]]:
+        """The ``(J·R, D)`` aggregates of a fold's ``(J·R, q, D)`` stack of
+        ``nodes`` nodes, and each rule's call as ``(rule, rows,
+        aggregate)``: row ``i`` of ``aggregate`` is stack row ``rows[i]``.
+
+        A rule reduces the rows of its lanes in one call — the whole stack
+        when every lane shares it.  Row ``r`` of a call depends on its own
+        slice alone (the :class:`~repro.aggregation.base.Aggregate`
+        contract), so splitting the stack by rule changes no bit.
+        """
+        if len(rules) == 1:
+            rule = rules[0][0]
+            aggregate = rule.decide_batched(stacked)
+            return aggregate.output, [(rule, np.arange(len(stacked)),
+                                       aggregate)]
+        output = np.empty((len(stacked), stacked.shape[2]))
+        calls = []
+        for rule, lanes in rules:
+            rows = (np.arange(nodes)[:, None] * self.num_replicas
+                    + lanes).ravel()
+            aggregate = rule.decide_batched(stacked[rows])
+            output[rows] = aggregate.output
+            calls.append((rule, rows, aggregate))
+        return output, calls
 
     # ------------------------------------------------------------------ #
     def step(self, step_index: int) -> List[StepRecord]:
@@ -875,10 +937,10 @@ def _run_lane_chunk(task: Tuple[List[Dict], str]
 
 def run_batched_scenarios(specs: Sequence, lanes: Optional[int] = None
                           ) -> List[TrainingHistory]:
-    """Execute seed-replica scenarios on the batched runtime.
+    """Execute the lanes of one scenario on the batched runtime.
 
     ``specs`` must be :class:`~repro.campaign.spec.ScenarioSpec` instances
-    identical except for ``name``/``seed``.  Returns one history per spec,
+    identical except for :data:`LANE_FIELDS`.  Returns one history per spec,
     in order, each bit-identical to the sequential
     :class:`~repro.core.trainer.GuanYuTrainer` run of that spec.
 

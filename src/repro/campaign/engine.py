@@ -24,7 +24,11 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.batch import run_batched_scenarios, spec_supports_batching
+from repro.batch import (
+    batch_group_key,
+    run_batched_scenarios,
+    spec_supports_batching,
+)
 from repro.campaign.spec import CampaignSpec, ScenarioSpec, ensure_unique_names
 from repro.campaign.store import ResultStore
 from repro.obs.history import TrainingHistory
@@ -53,7 +57,7 @@ class ScenarioOutcome:
     traceback: Optional[str] = None
     duration_seconds: float = 0.0
     store_key: Optional[str] = None
-    #: whether the scenario ran as one lane of a multi-replica seed group
+    #: whether the scenario ran as one lane of a multi-replica group
     #: (``batch_seeds``); a lone scenario's own R = 1 lane does not count
     batched: bool = False
 
@@ -138,15 +142,15 @@ def _forward_trace(outer, local: Tracer) -> None:
 
 def _run_batched_payloads(payloads: List[Dict],
                           lanes: Optional[int] = None) -> List[Dict]:
-    """Run a seed-replica group on the batched runtime; one dict per spec.
+    """Run a group of lanes on the batched runtime; one dict per spec.
 
     ``lanes > 1`` shards the group's replica lanes over a process pool
     (:func:`repro.batch.run_batched_scenarios`); the merged histories stay
     bit-identical, but per-step traces produced inside chunk workers do
     not cross the pool boundary.  A group that raises is re-run scenario
     by scenario through :func:`repro.runtime.run` — per-seed failure
-    isolation, not a second engine: each seed runs as a one-lane group, so
-    the seed that starved a quorum reports the engine's own
+    isolation, not a second engine: each scenario runs as a one-lane group,
+    so the one that starved a quorum reports the engine's own
     ``BatchedExecutionError`` and the others complete.
     """
     started = time.perf_counter()
@@ -219,16 +223,17 @@ def run_campaign(campaign: Union[CampaignSpec, Iterable[ScenarioSpec]],
         Result name for plain scenario lists (a :class:`CampaignSpec` brings
         its own).
     batch_seeds:
-        Detect **seed-only axes**: pending scenarios that are identical
-        except for their seed (equal :meth:`ScenarioSpec.batch_group_hash`)
-        and within the batched runtime's envelope run as *one* vectorised
-        multi-replica execution (:mod:`repro.batch`) instead of N separate
-        simulations.  Results are bit-identical per seed and are stored
-        under each scenario's unchanged content address, so existing stores
-        stay valid; a group that fails re-runs scenario by scenario, so one
-        seed's failure stays its own.
+        Detect **seed and rule axes**: pending scenarios that are identical
+        except for their seed and gradient/model rules (equal
+        :func:`repro.batch.batch_group_key`) and within the batched
+        runtime's envelope run as *one* vectorised multi-replica execution
+        (:mod:`repro.batch`) instead of N separate simulations.  Results
+        are bit-identical per scenario and are stored under each
+        scenario's unchanged content address, so existing stores stay
+        valid; a group that fails re-runs scenario by scenario, so one
+        lane's failure stays its own.
     lanes:
-        ``> 1`` shards each batched seed group's replica lanes over a
+        ``> 1`` shards each batched group's replica lanes over a
         process pool of that many workers
         (:func:`repro.batch.run_batched_scenarios`).  Because a pool
         worker cannot fork workers of its own, lane-sharded groups execute
@@ -340,15 +345,15 @@ def run_campaign(campaign: Union[CampaignSpec, Iterable[ScenarioSpec]],
                                    traceback=payload.get("traceback"),
                                    store_key=outcome.store_key))
 
-    # One task = one unit of pool work: a lone scenario, or a seed-replica
-    # group destined for the batched runtime.
+    # One task = one unit of pool work: a lone scenario, or a group of
+    # lanes (seeds, rules) destined for the batched runtime.
     tasks: List[Tuple[str, List[Tuple[ScenarioSpec, str]]]] = []
     if batch_seeds:
         seed_groups: Dict[str, List[Tuple[ScenarioSpec, str]]] = {}
         singles: List[Tuple[ScenarioSpec, str]] = []
         for spec, key in pending:
             if spec_supports_batching(spec):
-                seed_groups.setdefault(spec.batch_group_hash(),
+                seed_groups.setdefault(batch_group_key(spec),
                                        []).append((spec, key))
             else:
                 singles.append((spec, key))

@@ -473,7 +473,7 @@ class ScenarioSpec:
     def from_json(cls, text: str) -> "ScenarioSpec":
         return cls.from_dict(json.loads(text))
 
-    def _content_hash(self, *excluded: str) -> str:
+    def content_hash(self, *excluded: str) -> str:
         """SHA-256 over the canonical JSON of the spec minus ``excluded``.
 
         The one statement of the absent≡legacy rule: an absent ``faults``
@@ -497,9 +497,9 @@ class ScenarioSpec:
         The ``name`` is a pure label and is excluded, so equal
         configurations share one cache entry regardless of how a campaign
         or harness chose to name them.  Optional fields follow the
-        absent≡legacy rule of :meth:`_content_hash`.
+        absent≡legacy rule of :meth:`content_hash`.
         """
-        return self._content_hash("name")
+        return self.content_hash("name")
 
     def batch_group_hash(self) -> str:
         """Content address ignoring ``name`` *and* ``seed``.
@@ -510,7 +510,7 @@ class ScenarioSpec:
         campaign engine groups pending scenarios by this hash when
         ``batch_seeds`` is requested.
         """
-        return self._content_hash("name", "seed")
+        return self.content_hash("name", "seed")
 
     def to_scale(self) -> "ScenarioSpec":
         """The spec itself.

@@ -50,7 +50,7 @@ from repro.campaign.spec import SCENARIO_FIELDS, ScenarioSpec
 from repro.obs.history import DeferredHistory, TrainingHistory
 from repro.obs.telemetry import get_registry
 from repro.obs.tracer import get_tracer
-from repro.runtime.facade import STORED_SPELLINGS
+from repro.runtime.facade import READ_SPELLINGS, STORED_SPELLINGS
 
 STORE_VERSION = 1
 
@@ -59,6 +59,19 @@ STORE_VERSION = 1
 META_FIELDS = ("status", "duration_seconds", "created_at")
 
 _MISSING = object()
+
+
+def _read_spelling(fields: Dict[str, Any]) -> Dict[str, Any]:
+    """``fields`` with a stored ``(trainer, runtime)`` spelling read as the
+    protocol and engine it names (:data:`~repro.runtime.facade.READ_SPELLINGS`):
+    ``guanyu_threaded`` is ``guanyu`` on the ``threaded`` or ``cluster``
+    runtime."""
+    pair = (fields.get("trainer"), fields.get("runtime"))
+    if pair not in READ_SPELLINGS:
+        return fields
+    fields = dict(fields)
+    fields["trainer"], fields["runtime"] = READ_SPELLINGS[pair]
+    return fields
 
 
 class StoredResult:
@@ -354,10 +367,18 @@ class ResultStore:
           a path absent from an entry simply doesn't match (no error);
         * meta fields — ``query(status="ran")`` (see :data:`META_FIELDS`).
 
+        ``trainer`` and ``runtime`` match on the protocol and the engine,
+        in entries and filters alike: ``query(trainer="guanyu")`` finds the
+        entries stored as ``guanyu_threaded`` too, ``query(runtime=
+        "threaded")`` finds them, and ``trainer="guanyu_threaded"`` reads
+        as a spec would (``guanyu`` on ``threaded`` unless a ``runtime``
+        filter says otherwise).
+
         Unknown field names raise :class:`KeyError` naming the nearest
         valid fields.
         """
         self._validate_filter_names(filters)
+        filters = _read_spelling(filters)
         matches = []
         for row in self.index.iter_entries():
             if self._row_matches(row, filters):
@@ -387,7 +408,7 @@ class ResultStore:
 
     @staticmethod
     def _row_matches(row: Dict, filters: Dict[str, Any]) -> bool:
-        spec_dict = row.get("spec") or {}
+        spec_dict = _read_spelling(row.get("spec") or {})
         meta = row.get("meta") or {}
         for name, wanted in filters.items():
             if "." in name:

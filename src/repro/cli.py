@@ -1025,9 +1025,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--processes", type=int, default=None,
                        help="pool size (default: min(cpu_count, 8); 1 = serial)")
     sweep.add_argument("--batch-seeds", action="store_true",
-                       help="run scenarios that differ only in seed as one "
-                            "vectorised multi-replica execution (bit-"
-                            "identical per seed; see docs/performance.md)")
+                       help="run scenarios that differ only in seed and "
+                            "gradient/model rule as one vectorised multi-"
+                            "replica execution (bit-identical per scenario; "
+                            "see docs/performance.md)")
     sweep.add_argument("--lanes", type=int, default=None,
                        help="with --batch-seeds: shard each group's replica "
                             "lanes over this many worker processes (merged "
@@ -1155,11 +1156,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--processes", type=int, default=None,
                        help="pool size per job (default: serial)")
     serve.add_argument("--lanes", type=int, default=None,
-                       help="shard batched seed groups across this many "
+                       help="shard batched seed/rule groups across this many "
                             "lanes (as sweep --lanes)")
     serve.add_argument("--no-batch-seeds", action="store_true",
-                       help="disable vectorised seed batching for "
-                            "submitted jobs")
+                       help="disable vectorised seed and rule batching "
+                            "for submitted jobs")
     serve.set_defaults(func=cmd_serve)
 
     store_parser = subparsers.add_parser(

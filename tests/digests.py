@@ -2,13 +2,20 @@
 
 The grid is ``seq_grid``'s shape: 4 GARs x 4 threats x 2 delay models x
 2 environments (``bench/workloads.py``, ``SeqGrid``).  Each cell runs
-twice, through the default dispatch (:func:`repro.run`, the batched
-engine for these dense models) and through the sequential oracle
-(:func:`repro.testing.sequential_history`), under a tracer that records
-GAR decisions.  Each run prints the sha256 of its history's canonical
-JSON, and then that of its ``*.gar.decision`` events in order, with the
-wall-clock ``ts``/``dur`` dropped and the engine's ``seq.``/``batch.``
-prefix cut off::
+through three engines, under a tracer that records GAR decisions:
+
+* ``default`` — :func:`repro.run`, the batched engine for these dense
+  models, as a one-lane group;
+* ``sequential`` — the oracle, :func:`repro.testing.sequential_history`;
+* ``grouped`` — :func:`repro.batch.run_batched_scenarios` on the four GAR
+  cells of the cell's (threat, delay, environment) combination as one
+  group of four lanes.
+
+Each run prints the sha256 of its history's canonical JSON, and then that
+of its ``*.gar.decision`` events in order, with the wall-clock
+``ts``/``dur`` dropped and the engine's ``seq.``/``batch.`` prefix cut
+off; a grouped lane's records are the ones naming its scenario, with the
+lane index the one-lane run would report (0)::
 
     PYTHONPATH=src python tests/digests.py > before.txt
     # ... change the engines ...
@@ -17,7 +24,12 @@ prefix cut off::
 
 An empty diff means the change left every history and every decision
 record of the grid as it was.  To compare against another checkout, run
-this file with ``PYTHONPATH=<checkout>/src``.
+this file with ``PYTHONPATH=<checkout>/src`` (a checkout without rule
+groups lacks the ``grouped`` column: compare ``grep -v grouped``).
+Grouping is exact when the ``grouped`` column equals ``default``::
+
+    diff <(grep ' default ' after.txt | sed 's/ default / x /') \\
+         <(grep ' grouped ' after.txt | sed 's/ grouped / x /')
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ import sys
 from pathlib import Path
 
 from repro import ScenarioSpec, run
+from repro.batch import run_batched_scenarios
 from repro.obs import Tracer, use_tracer
 from repro.testing import sequential_history
 
@@ -57,17 +70,38 @@ def digest(payload) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def decisions(tracer: Tracer) -> list:
-    """The run's decision records, without clock readings or engine."""
+def decisions(tracer: Tracer, lane=None) -> list:
+    """The run's decision records, without clock readings or engine; with
+    ``lane``, those of that scenario's lane, numbered as a lone run's."""
     records = []
     for event in tracer.events():
         if event.name.endswith(".gar.decision"):
             record = event.to_dict()
+            if lane is not None:
+                if record["attrs"]["scenario"] != lane:
+                    continue
+                record["attrs"]["replica"] = 0
             record.pop("ts")
             record.pop("dur", None)
             record["name"] = "gar.decision"
             records.append(record)
     return records
+
+
+def grouped(specs) -> dict:
+    """Name → (history digest, decision digest) of every lane, the grid's
+    GAR cells run four lanes to a group."""
+    groups = {}
+    for spec in specs:
+        groups.setdefault(spec.name.split("-", 1)[1], []).append(spec)
+    digests = {}
+    for group in groups.values():
+        with use_tracer(Tracer(record_decisions=True)) as tracer:
+            histories = run_batched_scenarios(group)
+        for spec, history in zip(group, histories):
+            digests[spec.name] = (digest(history.to_dict()),
+                                  digest(decisions(tracer, spec.name)))
+    return digests
 
 
 def main() -> None:
@@ -77,12 +111,15 @@ def main() -> None:
     args = parser.parse_args()
     engines = (("default", lambda spec: run(spec).history),
                ("sequential", sequential_history))
-    for spec in grid(args.steps, args.seed):
+    specs = list(grid(args.steps, args.seed))
+    lanes = grouped(specs)
+    for spec in specs:
         for engine, execute in engines:
             with use_tracer(Tracer(record_decisions=True)) as tracer:
                 history = execute(spec)
             print(spec.name, engine, digest(history.to_dict()),
                   digest(decisions(tracer)), flush=True)
+        print(spec.name, "grouped", *lanes[spec.name], flush=True)
 
 
 if __name__ == "__main__":

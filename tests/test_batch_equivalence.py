@@ -16,6 +16,7 @@ from repro.adversary.engine import AdversaryWorkerAttack
 from repro.batch import (
     BatchedGuanYuTrainer,
     BatchingUnsupported,
+    batch_group_key,
     run_batched_scenarios,
     spec_supports_batching,
 )
@@ -319,13 +320,28 @@ class TestEngineRouting:
 
     def test_mixed_campaign_batches_only_seed_groups(self):
         specs = self._seed_specs(count=2)
-        specs.append(ScenarioSpec(name="loner", seed=5, gradient_rule="mean",
+        specs.append(ScenarioSpec(name="loner", seed=5, batch_size=8,
                                   **_small()))
         result = run_campaign(specs, batch_seeds=True)
         by_name = {outcome.spec.name: outcome for outcome in result.outcomes}
         assert by_name["seed0"].batched and by_name["seed1"].batched
         assert not by_name["loner"].batched
         assert result.counts()["failed"] == 0
+
+    def test_scenarios_differing_only_in_rules_join_the_group(self):
+        specs = self._seed_specs(count=2)
+        specs += [ScenarioSpec(name="mean", seed=5, gradient_rule="mean",
+                               **_small()),
+                  ScenarioSpec(name="both", seed=0, gradient_rule="median",
+                               model_rule="mean", **_small())]
+        assert len({batch_group_key(spec) for spec in specs}) == 1
+        assert len({spec.batch_group_hash() for spec in specs}) == 3
+        result = run_campaign(specs, batch_seeds=True)
+        assert result.counts() == {"ran": 4, "cached": 0, "failed": 0}
+        for outcome in result.outcomes:
+            assert outcome.batched
+            assert outcome.history.to_dict() == \
+                sequential_history(outcome.spec).to_dict()
 
     def test_unbatchable_scenarios_fall_back_to_sequential(self):
         specs = [ScenarioSpec(name=f"v{seed}", seed=seed, trainer="vanilla",

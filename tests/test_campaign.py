@@ -1,6 +1,7 @@
 """Tests for the scenario campaign engine (spec, store, engine, resume)."""
 
 import dataclasses
+import json
 import time
 
 import pytest
@@ -409,6 +410,30 @@ class TestResultStore:
         assert len(store.query(trainer="guanyu")) == 2
         with pytest.raises(KeyError):
             store.query(nonexistent_field=1)
+
+    def test_query_reads_the_real_clock_spelling(self, tmp_path):
+        # Both entries are stored with trainer "guanyu_threaded"; a filter
+        # names the protocol and the engine.
+        store = ResultStore(tmp_path)
+        history = run(tiny_spec()).history
+        store.put(tiny_spec(name="thr", runtime="threaded"), history)
+        store.put(tiny_spec(name="clu", runtime="cluster"), history)
+        store.put(tiny_spec(name="sim"), history)
+
+        def names(**filters):
+            return sorted(result.spec.name
+                          for result in store.query(**filters))
+        assert names(trainer="guanyu") == ["clu", "sim", "thr"]
+        assert names(runtime="threaded") == ["thr"]
+        assert names(runtime="cluster") == ["clu"]
+        assert names(runtime=None) == ["sim"]
+        assert names(trainer="guanyu", runtime="threaded") == ["thr"]
+        assert names(trainer="guanyu_threaded") == ["thr"]
+        assert names(trainer="guanyu_threaded", runtime="cluster") == ["clu"]
+        _, _, body = CampaignScheduler(store).handle_route(
+            "GET", "/results", "trainer=guanyu&runtime=threaded", b"")
+        assert [row["scenario"] for row in json.loads(body)["rows"]] \
+            == ["thr"]
 
     def test_query_rejects_unknown_fields_even_when_empty(self, tmp_path):
         with pytest.raises(KeyError, match="unknown scenario fields"):

@@ -166,7 +166,8 @@ def admissible(spec: ScenarioSpec) -> bool:
 def dispatch_specs(draw) -> ScenarioSpec:
     return ScenarioSpec(
         name="drawn", trainer=draw(st.sampled_from(available_trainers())),
-        runtime=draw(st.sampled_from([None, None, "batched", "cluster"])),
+        runtime=draw(st.sampled_from(
+            [None, None, "batched", "threaded", "cluster"])),
         # half the draws keep the one rule single_server_krum admits
         gradient_rule=draw(st.just("multi_krum") | st.sampled_from(
             ["median", "mean", "geometric_median"])),

@@ -9,6 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.adversary import RandomGradientAttack, SignFlipAttack
+from repro.aggregation import available_rules
 from repro.batch import run_batched_scenarios
 from repro.campaign import ScenarioSpec
 from repro.campaign.spec import available_delay_models
@@ -731,6 +732,32 @@ def fault_scenarios(draw) -> List[ScenarioSpec]:
             for lane in range(draw(st.sampled_from([1, 3])))]
 
 
+@st.composite
+def mixed_rule_groups(draw) -> List[ScenarioSpec]:
+    """A GAR ablation as one group: a drawn schedule × delay model ×
+    worker and server attack, one lane per admissible gradient rule ×
+    model rule ``median`` / ``mean``, at one seed or at a seed each."""
+    events = [event for group in draw(st.lists(_fault_events(), max_size=4))
+              for event in group]
+    base = ScenarioSpec(
+        name="mixed", num_steps=draw(st.integers(2, ORACLE_HORIZON)),
+        faults={"events": events,
+                "drop_rate": draw(st.sampled_from([0.0, 0.0, 0.02]))},
+        delay_model=draw(st.sampled_from(available_delay_models())),
+        worker_attack=draw(st.sampled_from(
+            ["sign_flip", "random_gradient", "little_is_enough"])),
+        server_attack=draw(st.sampled_from(
+            ["corrupted_model", "equivocation", "random_model"])),
+        **ORACLE_SHAPE)
+    seed, seed_step = draw(st.integers(0, 2 ** 16)), draw(st.sampled_from([0, 1]))
+    lanes = [base.replace(gradient_rule=gradient, model_rule=model)
+             for gradient in available_rules() for model in ("median", "mean")]
+    return [spec.replace(name=f"mixed-{spec.gradient_rule}-{spec.model_rule}",
+                         seed=seed + lane * seed_step)
+            for lane, spec in enumerate(
+                spec for spec in lanes if admissible([spec]))]
+
+
 def _outcome(run_scenario):
     try:
         return run_scenario()
@@ -766,6 +793,22 @@ class TestGeneratedFaultOracle:
             assert isinstance(batched, RuntimeError)
             if len(specs) == 1:
                 assert str(batched) == str(sequential[0])
+            return
+        assert not isinstance(batched, RuntimeError), batched
+        for got, expected in zip(batched, sequential):
+            assert got.to_dict() == expected.to_dict()
+
+    # Fourteen lanes and as many simulator runs an example: a pinned budget.
+    @settings(max_examples=15, deadline=None)
+    @given(mixed_rule_groups().filter(bool))  # an invalid schedule: none
+    def test_mixed_rule_lanes_equal_the_simulator(self, specs):
+        assert len({spec.gradient_rule for spec in specs}) > 1
+        sequential = [_outcome(lambda spec=spec: sequential_history(spec))
+                      for spec in specs]
+        batched = _outcome(lambda: run_batched_scenarios(specs))
+        if any(isinstance(outcome, RuntimeError) for outcome in sequential):
+            event("a lane fails")
+            assert isinstance(batched, RuntimeError)
             return
         assert not isinstance(batched, RuntimeError), batched
         for got, expected in zip(batched, sequential):

@@ -42,6 +42,20 @@ def traced(fn, **tracer_kwargs):
     return result, tracer
 
 
+def decision_rows(tracer, name, scenario=None):
+    """``(step, node, attrs)`` of the ``name`` records (of ``scenario``'s
+    lane only, if given), without the batched engine's lane attributes."""
+    rows = []
+    for record in tracer.events():
+        if record.name == name and scenario in (
+                None, record.attrs.get("scenario")):
+            attrs = dict(record.attrs)
+            attrs.pop("replica", None)
+            attrs.pop("scenario", None)
+            rows.append((record.step, record.node, attrs))
+    return rows
+
+
 class TestSequentialUnperturbed:
     def test_traced_history_equals_untraced(self):
         spec = tiny_spec(worker_attack="random_gradient")
@@ -138,6 +152,28 @@ class TestBatchedBitIdentityTraced:
         assert {"batch.step.broadcast", "batch.step.compute",
                 "batch.step.gather", "batch.step.aggregate",
                 "batch.step.apply"} <= spans
+
+    def test_mixed_rule_group_records_each_lanes_own_decisions(self):
+        # One group, one seed, four rule pairs: every lane's history and
+        # decision records are its own sequential run's.
+        specs = [tiny_spec(name=f"{gradient}-{model}", seed=3,
+                           gradient_rule=gradient, model_rule=model,
+                           worker_attack="sign_flip")
+                 for gradient, model in (("multi_krum", "median"),
+                                         ("median", "median"),
+                                         ("multi_krum", "mean"),
+                                         ("trimmed_mean", "mean"))]
+        baseline = run_batched_scenarios(specs)
+        histories, tracer = traced(lambda: run_batched_scenarios(specs))
+        for spec, history, untraced in zip(specs, histories, baseline):
+            expected, reference = traced(lambda: sequential_history(spec))
+            assert history.to_dict() == untraced.to_dict() \
+                == expected.to_dict()
+            lane = decision_rows(tracer, "batch.gar.decision", spec.name)
+            assert lane and lane == decision_rows(reference,
+                                                  "seq.gar.decision")
+            assert {attrs["rule"] for _, _, attrs in lane} \
+                == {spec.gradient_rule}
 
     def test_traced_batched_equals_untraced_batched(self):
         specs = [ScenarioSpec(name=f"b{seed}", seed=seed, num_steps=6,
