@@ -21,11 +21,14 @@ axis:
 
 Everything that must differ per replica stays per replica: each lane owns
 its gradient and model rules (and so its simulated aggregation cost and
-its history's ``config``), the delay generator the sequential
-:class:`NetworkSimulator` would have used (seeded with the replica's seed
-and consumed in the identical order), its own data loaders, attack
-instances and attack generators, and its own
-:class:`~repro.faults.FaultController` for probabilistic drop decisions.
+its history's ``config``), its attack instances and the node generators
+they consume.  What a seed determines is built once per distinct seed of
+the group and read by every lane with that seed: the dataset, partition
+and test set, θ0, the workers' mini-batch streams, the delay generator
+the sequential :class:`NetworkSimulator` would have used (seeded with the
+seed and consumed in the identical order) and the
+:class:`~repro.faults.FaultController` whose hash decides lossy drops —
+so a GAR ablation at one seed draws its mini-batches and delays once.
 The result is **bit-identical per lane** to running its scenario through
 :class:`~repro.core.trainer.GuanYuTrainer` — the tier-1 equivalence test
 (``tests/test_batch_equivalence.py``) compares full histories.
@@ -64,8 +67,7 @@ from repro.core.nodes import (
     apply_worker_attack,
     poison_worker_batch,
 )
-from repro.core.wiring import ClusterWiring
-from repro.faults import FaultController
+from repro.core.wiring import ClusterWiring, SeedWiring, lane_arguments
 from repro.faults.controller import LinkTable
 from repro.metrics.accuracy import plan_accuracy
 from repro.nn.plan import (
@@ -84,6 +86,12 @@ from repro.runtime.facade import CLOCKS, TRAINERS
 #: L2-sized working set.  A larger stack leaves the cache and folding stops
 #: paying, so at D = 30,730 a fold is a single node.
 _FOLD_BUDGET = 1 << 18
+
+
+#: what becomes of a group a :class:`BatchedExecutionError` fails
+#: (``repro.campaign.engine._run_batched_payloads``)
+_RERUN = ("the campaign engine re-runs the group scenario by scenario, "
+          "one lane each")
 
 
 class BatchedExecutionError(RuntimeError):
@@ -139,15 +147,26 @@ def _rule_lanes(names: Sequence[str], num_byzantine: int
 # --------------------------------------------------------------------------- #
 # Per-replica state
 # --------------------------------------------------------------------------- #
+class _Seed:
+    """What every lane with one seed reads, built once per distinct seed:
+    its :class:`~repro.core.wiring.SeedWiring` (partition, fault
+    controller), test set and θ0 model, its workers' mini-batch streams and
+    the delay generator the sequential :class:`NetworkSimulator` would have
+    used (seeded with the seed).  Lanes differ from each other only in
+    :data:`LANE_FIELDS`, none of which but ``seed`` reaches any of this, so
+    lanes with one seed would consume these streams identically: one draw
+    serves them all."""
+
+    __slots__ = ("wiring", "test_dataset", "model", "loaders", "delay_rng")
+
+
 class _Lane:
-    """Everything that is private to one replica."""
+    """Everything that is private to one replica: its spec and history, its
+    rules' attack wiring and the node generators those attacks consume
+    (``None`` for an honest node, whose generator nothing draws from)."""
 
-    __slots__ = ("spec", "seed", "test_dataset", "model", "loaders",
-                 "worker_rngs", "server_rngs", "worker_attacks",
-                 "server_attacks", "delay_rng", "fault_controller", "history")
-
-    def __init__(self) -> None:
-        self.fault_controller: Optional[FaultController] = None
+    __slots__ = ("spec", "worker_rngs", "server_rngs", "worker_attacks",
+                 "server_attacks", "history")
 
 
 class _PhaseBuffer:
@@ -239,8 +258,7 @@ class _PhaseBuffer:
                     f"senders delivered")
             raise BatchedExecutionError(
                 f"replica(s) {np.nonzero(starved[first])[0].tolist()}: "
-                f"{needed} but fewer senders delivered; falling back to "
-                f"sequential execution")
+                f"{needed} but fewer senders delivered; {_RERUN}")
         rows = self._rows[recipient_indices[:, None, None], selected]
         stacked = self.payloads[rows.transpose(0, 2, 1),
                                 self._lanes[None, :, None]]  # (J, R, q, D)
@@ -301,9 +319,17 @@ class BatchedGuanYuTrainer:
         self.gradient_rule = self._gradient_rules[0][0]
         self.model_rule = self._model_rules[0][0]
 
+        #: one :class:`_Seed` per distinct seed, in first-lane order
+        #: (``_lane_seed[r]`` is lane ``r``'s)
+        self._seeds: List[_Seed] = []
+        seed_index: Dict[int, int] = {}
         self.lanes: List[_Lane] = []
         for spec in specs:
-            lane, wiring = self._build_lane(spec)
+            if spec.seed not in seed_index:
+                seed_index[spec.seed] = len(self._seeds)
+                self._seeds.append(self._build_seed(spec))
+            lane, wiring = self._build_lane(
+                spec, self._seeds[seed_index[spec.seed]].wiring)
             if not self.lanes:
                 # Placement, profiles, schedule and fault participation
                 # depend on no lane field: lane 0's wiring speaks for the
@@ -313,27 +339,28 @@ class BatchedGuanYuTrainer:
                 self.attacking_servers = wiring.attacking_servers
                 self.profiles = wiring.profiles
                 self.schedule = wiring.schedule
-                template = lane.model
             self.lanes.append(lane)
+        self._lane_seed = np.array([seed_index[spec.seed] for spec in specs])
 
         # Hetero partitions vary per seed, and a shard smaller than the
-        # requested batch size clamps its loader — per-lane batch shapes
+        # requested batch size clamps its loader — per-seed batch shapes
         # would then disagree and the (R, B, ...) stacks could not form.
         for index in range(len(self.worker_ids)):
-            lane_batch_sizes = {lane.loaders[index].batch_size
-                                for lane in self.lanes}
-            if len(lane_batch_sizes) > 1:
+            batch_sizes = {seeded.loaders[index].batch_size
+                           for seeded in self._seeds}
+            if len(batch_sizes) > 1:
                 raise BatchedExecutionError(
                     f"worker {self.worker_ids[index]}: per-seed hetero "
                     f"partitions clamp the batch size differently across "
-                    f"replicas ({sorted(lane_batch_sizes)}); falling back "
-                    f"to sequential execution")
+                    f"seeds ({sorted(batch_sizes)}); {_RERUN}")
 
-        # each lane's shards are row views of one block (partition_dataset)
-        self._blocks = [lane.loaders[0].dataset.block for lane in self.lanes]
+        # each seed's shards are row views of one block (partition_dataset)
+        self._blocks = [seeded.loaders[0].dataset.block
+                        for seeded in self._seeds]
         self._starts = np.array([[loader.dataset.start
-                                  for loader in lane.loaders]
-                                 for lane in self.lanes])
+                                  for loader in seeded.loaders]
+                                 for seeded in self._seeds])
+        template = self._seeds[0].model
         self.dense_stack = BatchedDenseStack(template)
         self.num_parameters = template.num_parameters()
         self.billed_parameters = (base.billed_parameters
@@ -342,7 +369,6 @@ class BatchedGuanYuTrainer:
         self._message_bytes = 64 + 4 * self.num_parameters
         self._serialization = self.cost_model.serialization_time(
             self.billed_parameters)
-        self.has_faults = base.faults is not None
         #: (sender ids, recipient ids) and mailboxes of each kind's route
         self._endpoints = {kind: route.of(self.worker_ids, self.server_ids)
                            for kind, route in ROUTES.items()}
@@ -354,9 +380,9 @@ class BatchedGuanYuTrainer:
             for kind, (senders, recipients) in self._endpoints.items()}
 
         # θ stack: server axis × replica axis × parameter axis.  Every
-        # replica starts all of its servers from that replica's θ0.
-        theta0 = np.stack([lane.model.get_flat_parameters()
-                           for lane in self.lanes])  # (R, D)
+        # replica starts all of its servers from its seed's θ0.
+        theta0 = np.stack([self._seeds[k].model.get_flat_parameters()
+                           for k in self._lane_seed])  # (R, D)
         self.theta = np.broadcast_to(
             theta0, (len(self.server_ids),) + theta0.shape).copy()
         self.worker_clock = np.zeros((len(self.worker_ids),
@@ -378,30 +404,38 @@ class BatchedGuanYuTrainer:
         self._computed: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------ #
-    def _build_lane(self, spec) -> Tuple[_Lane, ClusterWiring]:
-        """One replica's private state from the scenario wiring: loaders,
-        rng streams and (fault-gated) attack maps — no node objects.
+    def _build_seed(self, spec) -> _Seed:
+        """What every lane with ``spec``'s seed reads (:class:`_Seed`)."""
+        seeded = _Seed()
+        seeded.wiring, seeded.test_dataset, model_fn = \
+            SeedWiring.from_spec(spec)
+        seeded.model = model_fn()
+        seeded.loaders = [seeded.wiring.loader(index)
+                          for index in range(len(self.worker_ids))]
+        seeded.delay_rng = np.random.default_rng(spec.seed)
+        return seeded
+
+    def _build_lane(self, spec, seed_wiring: SeedWiring
+                    ) -> Tuple[_Lane, ClusterWiring]:
+        """One replica's private state from its rules' wiring over its
+        seed's: rng streams and (fault-gated) attack maps — no node objects.
 
         Each replica owns a full, independent attack/adversary set (state
         and derived randomness keyed by the lane's own seed), replayed in
         the same order the sequential trainer would have driven it.
         """
-        wiring, test, model_fn = ClusterWiring.from_spec(spec)
+        wiring = ClusterWiring(seed_wiring, **lane_arguments(spec))
         lane = _Lane()
         lane.spec = spec
-        lane.seed = spec.seed
-        lane.test_dataset = test
-        lane.model = model_fn()
-        lane.delay_rng = np.random.default_rng(spec.seed)
-        lane.fault_controller = wiring.faults
-        lane.loaders = [wiring.loader(index)
-                        for index in range(len(self.worker_ids))]
+        # only an attack draws from a node's generator: honest nodes get none
         lane.worker_rngs = [
             np.random.default_rng(wiring.worker_rng_seed(index))
-            for index in range(len(self.worker_ids))]
+            if wiring.worker_attacks[node_id] is not None else None
+            for index, node_id in enumerate(self.worker_ids)]
         lane.server_rngs = [
             np.random.default_rng(wiring.server_rng_seed(index))
-            for index in range(len(self.server_ids))]
+            if wiring.server_attacks[node_id] is not None else None
+            for index, node_id in enumerate(self.server_ids)]
         lane.worker_attacks = wiring.worker_attacks
         lane.server_attacks = wiring.server_attacks
         lane.history = TrainingHistory(label=spec.name)
@@ -414,25 +448,33 @@ class BatchedGuanYuTrainer:
     def _delivered(self, links: LinkTable, senders: List[int],
                    kind: MessageKind, step: int) -> np.ndarray:
         """Delivery masks of ``senders``' messages to every recipient of
-        the phase: ``(S, J)`` when every lane agrees, else ``(R, S, J)``.
+        the phase: ``(1, S, J)`` when every lane agrees, else ``(K, S, J)``,
+        one per distinct seed (:meth:`_per_lane`).
 
         Crash, partition and delay verdicts are the same in every lane
         (lane 0's compiled table speaks for all); only a lossy link's drop
-        is sampled per lane, from that lane's own controller hash.
+        is sampled per seed, from that seed's controller hash.
         """
         deliver = links.deliver[senders]
         lossy = deliver & (links.drop_rate[senders] > 0)
         if not lossy.any():
-            return deliver
-        delivered = np.repeat(deliver[None], self.num_replicas, axis=0)
+            return deliver[None]
+        delivered = np.repeat(deliver[None], len(self._seeds), axis=0)
         sender_ids, recipient_ids = self._endpoints[kind]
         for s, j in zip(*np.nonzero(lossy)):
             rate = links.drop_rate[senders[s], j]
-            for r, lane in enumerate(self.lanes):
-                delivered[r, s, j] = not lane.fault_controller.dropped(
+            for k, seeded in enumerate(self._seeds):
+                delivered[k, s, j] = not seeded.wiring.faults.dropped(
                     sender_ids[senders[s]], recipient_ids[j], kind.value,
                     step, rate)
         return delivered
+
+    def _per_lane(self, per_seed: np.ndarray) -> np.ndarray:
+        """A ``(K, …)`` array, one row per distinct seed, as one row per
+        lane ``(R, …)``; a single row is returned as is, to broadcast."""
+        if len(per_seed) in (1, self.num_replicas):
+            return per_seed
+        return per_seed[self._lane_seed]
 
     def _scatter(self, kind: MessageKind, step: int, active, payloads,
                  corrupt, peers: Sequence[np.ndarray], *, clock: np.ndarray,
@@ -453,8 +495,9 @@ class BatchedGuanYuTrainer:
         buffer = self._buffers[kind]
         buffer.reset()
         sender_ids, recipient_ids = self._endpoints[kind]
-        links = (self.lanes[0].fault_controller.link_table(
-            sender_ids, recipient_ids, step) if self.has_faults else None)
+        faults = self._wiring.faults
+        links = (faults.link_table(sender_ids, recipient_ids, step)
+                 if faults is not None else None)
         attacks = ROUTES[kind].of(self.lanes[0].worker_attacks,
                                   self.lanes[0].server_attacks)[0]
         shape = (len(recipient_ids), self.num_replicas)
@@ -470,7 +513,8 @@ class BatchedGuanYuTrainer:
             times = np.broadcast_to(phase_start, shape)
             if links is not None:
                 delivered = np.broadcast_to(
-                    self._delivered(links, [s_index], kind, step),
+                    self._per_lane(self._delivered(links, [s_index], kind,
+                                                   step)),
                     (self.num_replicas, 1, shape[0]))[:, 0].T
                 times = phase_start + links.extra_delay[s_index][:, None]
             if getattr(attack, "pure", False):
@@ -496,7 +540,7 @@ class BatchedGuanYuTrainer:
     def _flush_merged(self, buffer: _PhaseBuffer, kind: MessageKind,
                       step: int, senders: List[int], payloads,
                       clock: np.ndarray, links: Optional[LinkTable]) -> None:
-        """Record a phase's honest broadcasts with one delay draw per lane.
+        """Record a phase's honest broadcasts with one delay draw per seed.
 
         ``senders`` are the honest senders' indices in send order; sender
         ``s`` sends ``payloads[s]`` ``(R, D)`` at ``clock[s]`` plus the
@@ -504,42 +548,44 @@ class BatchedGuanYuTrainer:
         message, sender by sender and recipient by recipient, from one
         generator per lane; a server's message to itself and a blocked or
         dropped message draw nothing.  Every latency is link-independent,
-        so those draws are one ``sample_batch`` request per lane (the
-        ``latency_batch`` contract), scattered into the drawn slots; a
-        delivered message then arrives at ``send_time + delay·factor +
-        extra``, the simulator's ops in its order.  Without faults (no
-        ``links``) the factor and extra are skipped and all slots deliver.
+        so those draws are one ``sample_batch`` request per seed (the
+        ``latency_batch`` contract; lanes with one seed drop the same
+        messages and so draw the same latencies), scattered into the drawn
+        slots; a delivered message then arrives at ``send_time +
+        delay·factor + extra``, the simulator's ops in its order.  Without
+        faults (no ``links``) the factor and extra are skipped and all
+        slots deliver.
         """
         if not senders:
             return
         for s_index in senders:
             buffer.payloads[s_index] = payloads[s_index]
-        shape = (self.num_replicas, len(senders),
-                 len(self._endpoints[kind][1]))
-        drawn = np.ones(shape[1:], dtype=bool)
+        drawn = np.ones((1, len(senders), len(self._endpoints[kind][1])),
+                        dtype=bool)
         if ROUTES[kind].senders == ROUTES[kind].recipients:
-            drawn[np.arange(len(senders)), senders] = False
+            drawn[0, np.arange(len(senders)), senders] = False
         if links is not None:
             delivered = self._delivered(links, senders, kind, step)
             drawn = drawn & delivered
-        delays = np.zeros(shape)
-        if drawn.ndim == 2:  # every lane draws into the same slots
-            draws = np.empty((self.num_replicas, int(drawn.sum())))
-            for r, lane in enumerate(self.lanes):
-                draws[r] = self.delay_model.sample_batch(
-                    lane.delay_rng, self._message_bytes, draws.shape[1])
-            delays[:, drawn] = draws
+        delays = np.zeros((len(self._seeds),) + drawn.shape[1:])
+        if len(drawn) == 1:  # every seed draws into the same slots
+            draws = np.empty((len(self._seeds), int(drawn.sum())))
+            for k, seeded in enumerate(self._seeds):
+                draws[k] = self.delay_model.sample_batch(
+                    seeded.delay_rng, self._message_bytes, draws.shape[1])
+            delays[:, drawn[0]] = draws
         else:
-            for r, lane in enumerate(self.lanes):
-                delays[r][drawn[r]] = self.delay_model.sample_batch(
-                    lane.delay_rng, self._message_bytes, int(drawn[r].sum()))
+            for k, seeded in enumerate(self._seeds):
+                delays[k][drawn[k]] = self.delay_model.sample_batch(
+                    seeded.delay_rng, self._message_bytes,
+                    int(drawn[k].sum()))
         if links is not None:
             delays = delays * links.delay_factor[senders] \
                 + links.extra_delay[senders]
         send_time = clock[senders] + self._serialization  # (S, R)
-        times = send_time.T[:, :, None] + delays
+        times = send_time.T[:, :, None] + self._per_lane(delays)
         if links is not None:
-            times = np.where(delivered, times, np.inf)
+            times = np.where(self._per_lane(delivered), times, np.inf)
         buffer.times[:, senders, :] = times.transpose(2, 1, 0)
 
     def _server_spreads(self) -> np.ndarray:
@@ -565,16 +611,17 @@ class BatchedGuanYuTrainer:
     # Protocol helpers
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _mean_over_nodes(clock: np.ndarray, indices: List[int]) -> np.ndarray:
-        """Per-replica mean of ``clock[indices]`` — sequential-identical.
+    def _mean_over_nodes(values: np.ndarray) -> np.ndarray:
+        """Per-replica mean of ``values`` ``(N, R)`` over its node axis —
+        sequential-identical.
 
         The sequential trainer means a 1-D list per replica, which NumPy
         reduces with its pairwise base case; reducing the *outer* axis of a
-        2-D slice uses a different accumulation order once more than eight
+        2-D array uses a different accumulation order once more than eight
         nodes are involved.  Transposing to a contiguous last-axis
         reduction restores the 1-D order bit for bit.
         """
-        return np.mean(np.ascontiguousarray(clock[indices].T), axis=1)
+        return np.mean(np.ascontiguousarray(values.T), axis=1)
 
     def _folds(self, indices: List[int], quorum: int) -> List[List[int]]:
         """``indices`` cut into runs of nodes whose shared ``(J·R, q, D)``
@@ -588,23 +635,26 @@ class BatchedGuanYuTrainer:
         """The next mini-batch of each of ``workers`` (one batch size) in
         every lane: ``(J, R, B, …)`` features and ``(J, R, B)`` labels.
 
-        Each (worker, lane) index row is the next row of that loader's own
-        stream, offset by the shard's start in its lane's block; each
-        lane's rows are then one gather from the block.
+        Each (worker, seed) index row is the next row of that seed's loader,
+        offset by the shard's start in the seed's block; each seed's rows
+        are then one gather from its block, copied to each of its lanes.
         """
-        loader = self.lanes[0].loaders[workers[0]]
-        shape = (len(workers), self.num_replicas, loader.batch_size)
+        loader = self._seeds[0].loaders[workers[0]]
+        seeds = len(self._seeds)
+        shape = (len(workers), seeds, loader.batch_size)
         rows = np.concatenate([
-            lane.loaders[w].next_indices()
-            for lane in self.lanes for w in workers]).reshape(
-                self.num_replicas, len(workers), -1) \
+            seeded.loaders[w].next_indices()
+            for seeded in self._seeds for w in workers]).reshape(
+                seeds, len(workers), -1) \
             + self._starts[:, workers, None]
         features = np.empty(shape + loader.dataset.feature_shape)
         labels = np.empty(shape, dtype=np.int64)
-        for r, block in enumerate(self._blocks):
-            features[:, r] = block.features.take(rows[r], axis=0)
-            labels[:, r] = block.labels.take(rows[r], axis=0)
-        return features, labels
+        for k, block in enumerate(self._blocks):
+            features[:, k] = block.features.take(rows[k], axis=0)
+            labels[:, k] = block.labels.take(rows[k], axis=0)
+        if seeds == self.num_replicas:
+            return features, labels
+        return features[:, self._lane_seed], labels[:, self._lane_seed]
 
     def _poison(self, w_index: int, theta: np.ndarray, step_index: int,
                 features: np.ndarray, labels: np.ndarray) -> None:
@@ -638,7 +688,7 @@ class BatchedGuanYuTrainer:
         folds: Dict[int, List[int]] = {}
         for j, w_index in enumerate(workers):
             if self.profiles[w_index].local_steps == 1:
-                batch_size = self.lanes[0].loaders[w_index].batch_size
+                batch_size = self._seeds[0].loaders[w_index].batch_size
                 folds.setdefault(batch_size, []).append(j)
         stacks = [self._draw_fold([workers[j] for j in rows])
                   for rows in folds.values()]
@@ -852,7 +902,7 @@ class BatchedGuanYuTrainer:
                            step=step_index, replicas=replicas):
                     self._collect(buffer, kind, recipients, clock, step_index)
             ends = route.of(*observed)[1]
-            phase_ends[route.phase] = self._mean_over_nodes(clock, ends) \
+            phase_ends[route.phase] = self._mean_over_nodes(clock[ends]) \
                 if ends else phase_start
             gradients = {index: computed[1]
                          for index, computed in self._computed.items()}
@@ -861,13 +911,15 @@ class BatchedGuanYuTrainer:
         simulated_time = self.server_clock[alive_idx].max(axis=0)
         spreads = self._server_spreads()
         durations = phase_durations(phase_start, phase_ends)
+        losses = [self._computed[index][0] for index in correct_workers]
+        train_losses = (self._mean_over_nodes(np.array(losses)).tolist()
+                        if losses else [None] * replicas)
         records = []
         for r in range(replicas):
-            losses = [self._computed[index][0][r] for index in correct_workers]
             records.append(StepRecord(
                 step=step_index,
                 simulated_time=float(simulated_time[r]),
-                train_loss=float(np.mean(losses)) if losses else None,
+                train_loss=train_losses[r],
                 max_server_spread=float(spreads[r]),
                 learning_rate=self.schedule(step_index),
                 phase_durations=durations[r],
@@ -880,10 +932,6 @@ class BatchedGuanYuTrainer:
         return active_backend().median(
             self.theta[self._correct_server_idx], axis=0)
 
-    def _evaluate(self, lane: _Lane, parameters: np.ndarray,
-                  max_samples: Optional[int]) -> float:
-        return plan_accuracy(self.dense_stack, parameters, lane.test_dataset,
-                             max_samples=max_samples)
 
     def run(self, num_steps: int, eval_every: int = 10,
             max_eval_samples: Optional[int] = 512) -> List[TrainingHistory]:
@@ -896,10 +944,12 @@ class BatchedGuanYuTrainer:
                 or (step_index == num_steps - 1)
             if is_eval_step:
                 observer = self.global_parameters()
-                for r, lane in enumerate(self.lanes):
-                    if lane.test_dataset is not None:
-                        records[r].test_accuracy = self._evaluate(
-                            lane, observer[r], max_eval_samples)
+                for r, k in enumerate(self._lane_seed):
+                    test = self._seeds[k].test_dataset
+                    if test is not None:
+                        records[r].test_accuracy = plan_accuracy(
+                            self.dense_stack, observer[r], test,
+                            max_samples=max_eval_samples)
             for r, lane in enumerate(self.lanes):
                 lane.history.add(records[r])
         return [lane.history for lane in self.lanes]

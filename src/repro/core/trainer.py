@@ -28,7 +28,7 @@ from repro.adversary.base import ServerAttack, WorkerAttack
 from repro.aggregation import ArithmeticMean, CoordinateWiseMedian, MultiKrum
 from repro.core.config import ClusterConfig
 from repro.core.nodes import GradientResult, ServerNode, WorkerNode, max_pairwise_distance
-from repro.core.wiring import ClusterWiring
+from repro.core.wiring import ClusterWiring, SeedWiring
 from repro.data.datasets import Dataset
 from repro.faults import FaultSchedule
 from repro.hetero import HeteroSpec
@@ -131,11 +131,11 @@ class DistributedTrainer:
     def _wire(self, config: ClusterConfig, **attacks) -> ClusterWiring:
         """Derive the network and the workers from the one shared scenario
         wiring (:mod:`repro.core.wiring`)."""
-        wiring = ClusterWiring(
+        wiring = ClusterWiring(SeedWiring(
             config, self.train_dataset, seed=self.seed,
             batch_size=self.batch_size, sharding=self.sharding,
             hetero=self.hetero, schedule=self.schedule,
-            fault_schedule=self.fault_schedule, **attacks)
+            fault_schedule=self.fault_schedule), **attacks)
         self.network = NetworkSimulator(delay_model=self.delay_model,
                                         seed=self.seed,
                                         fault_controller=wiring.faults)

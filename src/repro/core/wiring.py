@@ -4,7 +4,8 @@ A scenario *means the same cluster* — same shard, same mini-batch stream,
 same attack noise, same fault gating per node — under the simulator, the
 batched engine, the threaded runtime and the process cluster because every
 one of them derives its nodes from a :class:`ClusterWiring` and from
-nothing else:
+nothing else.  What the seed determines is a :class:`SeedWiring` of its
+own, so lanes of a batched group that share a seed share one:
 
 * the run's one :class:`~repro.adversary.Adversary` (stateless
   ``worker_attack`` / ``server_attack`` arguments are lifted into one at
@@ -20,11 +21,14 @@ nothing else:
   worker rng ``seed + 2000 + i``, server rng ``seed + 3000 + i``.  Stored
   results were computed with these offsets; they live here and only here.
 
-The simulator builds node objects from it (:meth:`ClusterWiring.worker` /
+The first item and the gating are the lane part (:class:`ClusterWiring`),
+the rest the seed part (:class:`SeedWiring`; the rng seeds are arithmetic
+on its seed).  The
+simulator builds node objects from it (:meth:`ClusterWiring.worker` /
 :meth:`~ClusterWiring.server`), the live runtimes build theirs the same way
 and run them on :mod:`repro.runtime.live`, a cluster node process builds
-only its own node, and the batched engine takes the loaders, rng seeds and
-gated attack maps without any node object.
+only its own node, and the batched engine takes each seed's loaders and
+each lane's rng seeds and gated attack maps without any node object.
 """
 
 from __future__ import annotations
@@ -75,14 +79,10 @@ def validate_attack_counts(config: ClusterConfig, adversary: Adversary,
         )
 
 
-def scenario_arguments(spec) -> Tuple[Dict, Optional[Dataset], object]:
-    """Unpack a ``ScenarioSpec`` into the trainers' constructor vocabulary.
-
-    Returns ``(arguments, test_dataset, model_fn)``: ``arguments`` are the
-    keyword arguments :class:`ClusterWiring`, ``GuanYuTrainer`` and
-    ``ThreadedClusterRuntime`` share, minus ``config`` (the single-server
-    baselines have no quorum arithmetic to build one from).
-    """
+def seed_arguments(spec) -> Tuple[Dict, Optional[Dataset], object]:
+    """The seed part of :func:`scenario_arguments`: ``(arguments,
+    test_dataset, model_fn)``, ``arguments`` being :class:`SeedWiring`'s
+    keyword arguments minus ``config``.  The scale bundle is built here."""
     from repro.experiments.common import (  # lazy: avoids an import cycle
         build_scale_bundle,
     )
@@ -95,6 +95,14 @@ def scenario_arguments(spec) -> Tuple[Dict, Optional[Dataset], object]:
         "sharding": spec.sharding,
         "hetero": spec.hetero,
         "schedule": schedule,
+        "fault_schedule": spec.faults,
+    }, test, model_fn
+
+
+def lane_arguments(spec) -> Dict:
+    """The lane part of :func:`scenario_arguments`: :class:`ClusterWiring`'s
+    keyword arguments — the rules and the threats, freshly built."""
+    return {
         "gradient_rule_name": spec.gradient_rule,
         "model_rule_name": spec.model_rule,
         "worker_attack": (spec.worker_attack.build()
@@ -105,12 +113,97 @@ def scenario_arguments(spec) -> Tuple[Dict, Optional[Dataset], object]:
         "num_attacking_servers": spec.resolved_num_attacking_servers(),
         "adversary": (lift(spec.adversary.build())
                       if spec.adversary else None),
-        "fault_schedule": spec.faults,
-    }, test, model_fn
+    }
+
+
+def scenario_arguments(spec) -> Tuple[Dict, Optional[Dataset], object]:
+    """Unpack a ``ScenarioSpec`` into the trainers' constructor vocabulary.
+
+    Returns ``(arguments, test_dataset, model_fn)``: ``arguments`` are the
+    keyword arguments ``GuanYuTrainer`` and ``ThreadedClusterRuntime``
+    share, minus ``config`` (the single-server baselines have no quorum
+    arithmetic to build one from) — :func:`seed_arguments` and
+    :func:`lane_arguments` together.
+    """
+    arguments, test, model_fn = seed_arguments(spec)
+    return {**arguments, **lane_arguments(spec)}, test, model_fn
+
+
+class SeedWiring:
+    """What one seed of a scenario determines, whatever rules and threats
+    run over it: the node ids and per-worker profiles, the fault controller
+    (its drops are a hash of the seed), the data partition and every
+    loader's stream.
+
+    A :class:`ClusterWiring` adds one lane's rules and threats on top.
+    Every runtime builds one of each per scenario; the batched engine
+    builds one of these per distinct seed of its group and hands it to
+    every lane with that seed.
+
+    Attributes
+    ----------
+    worker_ids, server_ids:
+        Node ids in canonical order.
+    faults:
+        The scenario's :class:`~repro.faults.FaultController` or ``None``.
+    profiles:
+        Per-worker :class:`~repro.hetero.WorkerProfile` (seed-independent).
+    """
+
+    def __init__(self, config: ClusterConfig, train_dataset: Dataset, *,
+                 seed: int = 0, batch_size: int = 32, sharding: str = "iid",
+                 hetero: Optional[HeteroSpec] = None,
+                 schedule: Optional[LearningRateSchedule] = None,
+                 fault_schedule: Optional[FaultSchedule] = None) -> None:
+        self.config = config
+        self.worker_ids: List[str] = config.worker_ids()
+        self.server_ids: List[str] = config.server_ids()
+        self.faults: Optional[FaultController] = None
+        if fault_schedule:
+            fault_schedule.validate(
+                known_nodes=self.worker_ids + self.server_ids)
+            self.faults = FaultController(fault_schedule, seed=seed)
+        self.seed = seed
+        self.batch_size = batch_size
+        self.hetero = hetero
+        self.schedule = schedule
+        self.profiles: List[WorkerProfile] = [
+            hetero.profile_for(index) if hetero else DEFAULT_PROFILE
+            for index in range(len(self.worker_ids))]
+        self._partition_arguments = (train_dataset, sharding)
+
+    @classmethod
+    def from_spec(cls, spec) -> Tuple["SeedWiring", Optional[Dataset],
+                                      object]:
+        """``(seed wiring, test_dataset, model_fn)`` of a GuanYu scenario."""
+        arguments, test, model_fn = seed_arguments(spec)
+        return cls(spec.cluster_config(), **arguments), test, model_fn
+
+    @cached_property
+    def shards(self) -> List[Dataset]:
+        """Per-worker datasets — a pure function of ``(seed, n̄, hetero)``.
+
+        Partitioned once; the wiring then lets the full dataset go (the
+        shards are row views of one block gathered from it, and 30,730
+        images would otherwise sit in every long-lived consumer twice).
+        """
+        train_dataset, sharding = self._partition_arguments
+        del self._partition_arguments
+        return partition_dataset(train_dataset, len(self.worker_ids),
+                                 sharding=sharding, hetero=self.hetero,
+                                 seed=self.seed)
+
+    def loader(self, index: int) -> DataLoader:
+        """A fresh mini-batch stream over worker ``index``'s shard."""
+        return DataLoader(
+            self.shards[index],
+            batch_size=self.profiles[index].batch_size or self.batch_size,
+            seed=self.seed + 1000 + index)
 
 
 class ClusterWiring:
-    """Who the nodes of one scenario are and what each of them is given.
+    """Who the nodes of one scenario are and what each of them is given:
+    a :class:`SeedWiring` and the threats wired at one lane's rules.
 
     Nothing rebinds its attributes after construction; the attacks and the
     fault controller it hands out are the stateful objects they always
@@ -118,8 +211,10 @@ class ClusterWiring:
 
     Attributes
     ----------
-    worker_ids, server_ids:
-        Node ids in canonical order.
+    seeded:
+        The :class:`SeedWiring` it reads its data, profiles and faults from.
+    worker_ids, server_ids, config, faults, profiles, schedule, seed:
+        ``seeded``'s.
     adversary:
         The one :class:`~repro.adversary.Adversary` of the run: the caller's,
         or the :class:`~repro.adversary.StatelessAdversary` its
@@ -132,24 +227,17 @@ class ClusterWiring:
         Node id → adapter attack (``None`` for honest nodes), fault-gated.
     attacking_workers, attacking_servers:
         Id sets of the actually-attacking nodes (the last ids).
-    faults:
-        The scenario's :class:`~repro.faults.FaultController` or ``None``.
-    profiles:
-        Per-worker :class:`~repro.hetero.WorkerProfile` (seed-independent).
     """
 
-    def __init__(self, config: ClusterConfig, train_dataset: Dataset, *,
-                 seed: int = 0, batch_size: int = 32, sharding: str = "iid",
-                 hetero: Optional[HeteroSpec] = None,
-                 schedule: Optional[LearningRateSchedule] = None,
+    def __init__(self, seeded: SeedWiring, *,
                  gradient_rule_name: str = "multi_krum",
                  model_rule_name: str = "median",
                  worker_attack: Optional[WorkerAttack] = None,
                  num_attacking_workers: int = 0,
                  server_attack: Optional[ServerAttack] = None,
                  num_attacking_servers: int = 0,
-                 adversary: Optional[Adversary] = None,
-                 fault_schedule: Optional[FaultSchedule] = None) -> None:
+                 adversary: Optional[Adversary] = None) -> None:
+        config = seeded.config
         legacy = adversary is None
         if legacy:
             adversary = StatelessAdversary(worker_attack, server_attack)
@@ -160,20 +248,17 @@ class ClusterWiring:
                                num_attacking_servers)
         (self.coordinator, worker_attacks, server_attacks,
          self.attacking_workers, self.attacking_servers) = wire_attacks(
-            config=config, seed=seed, adversary=adversary,
+            config=config, seed=seeded.seed, adversary=adversary,
             num_attacking_workers=num_attacking_workers,
             num_attacking_servers=num_attacking_servers,
             gradient_rule_name=gradient_rule_name)
-        self.config = config
+        self.seeded = seeded
         self.adversary = adversary
-        self.worker_ids: List[str] = config.worker_ids()
-        self.server_ids: List[str] = config.server_ids()
-
-        self.faults: Optional[FaultController] = None
-        if fault_schedule:
-            fault_schedule.validate(
-                known_nodes=self.worker_ids + self.server_ids)
-            self.faults = FaultController(fault_schedule, seed=seed)
+        (self.config, self.worker_ids, self.server_ids, self.faults,
+         self.profiles, self.schedule, self.seed) = (
+            config, seeded.worker_ids, seeded.server_ids, seeded.faults,
+            seeded.profiles, seeded.schedule, seeded.seed)
+        if self.faults is not None:
             for attacks in (worker_attacks, server_attacks):
                 for node_id, attack in attacks.items():
                     attacks[node_id] = self.faults.gate_attack(node_id, attack)
@@ -184,7 +269,7 @@ class ClusterWiring:
         #: batched engine write this one dict
         self.history_config: Dict[str, object] = {
             **config.as_dict(),
-            "batch_size": batch_size,
+            "batch_size": seeded.batch_size,
             "gradient_rule": gradient_rule_name,
             "model_rule": model_rule_name,
             "num_attacking_workers": num_attacking_workers,
@@ -192,50 +277,23 @@ class ClusterWiring:
             "worker_attack": getattr(worker_attack, "name", None),
             "server_attack": getattr(server_attack, "name", None),
             "adversary": None if legacy else adversary.name,
-            "faults": fault_schedule.to_dict() if fault_schedule else None,
-            "hetero": hetero.to_dict() if hetero else None,
+            "faults": (self.faults.schedule.to_dict() if self.faults
+                       else None),
+            "hetero": seeded.hetero.to_dict() if seeded.hetero else None,
         }
-        self.seed = seed
-        self.batch_size = batch_size
-        self.schedule = schedule
         self.gradient_rule_name = gradient_rule_name
         self.model_rule_name = model_rule_name
-        self.profiles: List[WorkerProfile] = [
-            hetero.profile_for(index) if hetero else DEFAULT_PROFILE
-            for index in range(len(self.worker_ids))]
-        self._partition_arguments = (train_dataset, sharding, hetero)
 
     @classmethod
     def from_spec(cls, spec) -> Tuple["ClusterWiring", Optional[Dataset],
                                       object]:
         """``(wiring, test_dataset, model_fn)`` of a GuanYu scenario."""
-        arguments, test, model_fn = scenario_arguments(spec)
-        return cls(spec.cluster_config(), **arguments), test, model_fn
+        seeded, test, model_fn = SeedWiring.from_spec(spec)
+        return cls(seeded, **lane_arguments(spec)), test, model_fn
 
     # ------------------------------------------------------------------ #
-    # Data and random streams
+    # Random streams
     # ------------------------------------------------------------------ #
-    @cached_property
-    def shards(self) -> List[Dataset]:
-        """Per-worker datasets — a pure function of ``(seed, n̄, hetero)``.
-
-        Partitioned once; the wiring then lets the full dataset go (the
-        shards are row views of one block gathered from it, and 30,730
-        images would otherwise sit in every long-lived consumer twice).
-        """
-        train_dataset, sharding, hetero = self._partition_arguments
-        del self._partition_arguments
-        return partition_dataset(train_dataset, len(self.worker_ids),
-                                 sharding=sharding, hetero=hetero,
-                                 seed=self.seed)
-
-    def loader(self, index: int) -> DataLoader:
-        """A fresh mini-batch stream over worker ``index``'s shard."""
-        return DataLoader(
-            self.shards[index],
-            batch_size=self.profiles[index].batch_size or self.batch_size,
-            seed=self.seed + 1000 + index)
-
     def worker_rng_seed(self, index: int) -> int:
         return self.seed + 2000 + index
 
@@ -260,7 +318,7 @@ class ClusterWiring:
         own copy (see :class:`~repro.core.nodes.WorkerNode`)."""
         node_id = self.worker_ids[index]
         return WorkerNode(
-            node_id=node_id, model=model, loader=self.loader(index),
+            node_id=node_id, model=model, loader=self.seeded.loader(index),
             model_aggregator=self._model_rule(),
             attack=self.worker_attacks[node_id],
             seed=self.worker_rng_seed(index),

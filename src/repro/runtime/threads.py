@@ -29,7 +29,7 @@ import numpy as np
 from repro.adversary.base import ServerAttack, WorkerAttack
 from repro.core.config import ClusterConfig
 from repro.core.nodes import ServerNode, max_pairwise_distance
-from repro.core.wiring import ClusterWiring
+from repro.core.wiring import ClusterWiring, SeedWiring
 from repro.data.datasets import Dataset
 from repro.faults import FaultSchedule
 from repro.hetero import HeteroSpec
@@ -161,15 +161,17 @@ class ThreadedClusterRuntime:
         # Wiring first: validation and mutual-exclusion errors must surface
         # before any dataset/transport work happens.
         self.wiring = wiring = ClusterWiring(
-            config, train_dataset, seed=seed, batch_size=batch_size,
-            sharding=sharding, hetero=hetero, schedule=self.schedule,
+            SeedWiring(config, train_dataset, seed=seed,
+                       batch_size=batch_size, sharding=sharding,
+                       hetero=hetero, schedule=self.schedule,
+                       fault_schedule=fault_schedule),
             gradient_rule_name=gradient_rule_name,
             model_rule_name=model_rule_name,
             worker_attack=worker_attack,
             num_attacking_workers=num_attacking_workers,
             server_attack=server_attack,
             num_attacking_servers=num_attacking_servers,
-            adversary=adversary, fault_schedule=fault_schedule)
+            adversary=adversary)
         self.config = config
         self.quorum_timeout = quorum_timeout
         self.straggler_sleep = dict(straggler_sleep or {})

@@ -8,6 +8,8 @@ config metadata.  Nothing is compared with a tolerance; ``==`` on the
 ``to_dict()`` forms is the whole assertion.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -27,8 +29,12 @@ from repro.campaign.spec import (
     available_delay_models,
 )
 from repro.campaign.store import ResultStore
+from repro.core import wiring as wiring_module
 from repro.data import DataLoader
+from repro.experiments import common
 from repro.faults import FaultEvent, FaultSchedule
+from repro.network.delays import DelayModel
+from repro.network.message import ROUTES
 from repro.runtime import resolve_runtime, run
 from repro.testing import sequential_history
 
@@ -392,3 +398,49 @@ class TestBatchedInternals:
         observer = trainer.global_parameters()
         assert observer.shape == (2, trainer.num_parameters)
         assert np.all(np.isfinite(observer))
+
+
+class TestSharedSeedsBuildOnce:
+    """Lanes that share a seed share what it determines: its dataset,
+    partition and θ0 are built once, and each step draws one index row per
+    (seed, worker) and one delay batch per (seed, route) — the lossy
+    per-lane-mask branch included."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+        for owner, name in ((common, "build_scale_bundle"),
+                            (wiring_module, "partition_dataset"),
+                            (DataLoader, "next_indices"),
+                            (DelayModel, "sample_batch")):
+            def counting(*args, _original=getattr(owner, name), _name=name,
+                         **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counting)
+        return counts
+
+    def test_one_seed_four_rules_build_once(self, counts):
+        specs = [ScenarioSpec(name=rule, seed=3, gradient_rule=rule,
+                              **_small())
+                 for rule in ("multi_krum", "median", "trimmed_mean", "mean")]
+        histories = run_batched_scenarios(specs)
+        assert (counts["build_scale_bundle"],
+                counts["partition_dataset"]) == (1, 1)
+        for spec, history in zip(specs, histories):
+            assert history.to_dict() == sequential_history(spec).to_dict()
+
+    @pytest.mark.parametrize("faults", [None, {"drop_rate": 0.02}],
+                             ids=["lossless", "lossy"])
+    def test_two_seeds_two_rules_draw_once_per_seed(self, counts, faults):
+        specs = [ScenarioSpec(name=f"{rule}-{seed}", seed=seed,
+                              gradient_rule=rule, faults=faults, **_small())
+                 for rule in ("multi_krum", "median") for seed in (0, 1)]
+        histories = run_batched_scenarios(specs)
+        steps, workers = specs[0].num_steps, specs[0].num_workers
+        assert (counts["build_scale_bundle"],
+                counts["partition_dataset"]) == (2, 2)
+        assert counts["next_indices"] == 2 * workers * steps
+        assert counts["sample_batch"] == 2 * len(ROUTES) * steps
+        for spec, history in zip(specs, histories):
+            assert history.to_dict() == sequential_history(spec).to_dict()

@@ -148,7 +148,8 @@ class TestStarvation:
         assert str(raised.value) == (
             "replica(s) [0, 2]: worker/1 needed a quorum of 3 "
             "'model_to_worker' messages for step 7 but fewer senders "
-            "delivered; falling back to sequential execution")
+            "delivered; the campaign engine re-runs the group scenario by "
+            "scenario, one lane each")
 
     def test_a_lone_lane_fails_in_the_simulators_words(self):
         buffer = _PhaseBuffer(2, 4, 1, DIMENSION, 0)

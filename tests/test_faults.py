@@ -736,7 +736,9 @@ def fault_scenarios(draw) -> List[ScenarioSpec]:
 def mixed_rule_groups(draw) -> List[ScenarioSpec]:
     """A GAR ablation as one group: a drawn schedule × delay model ×
     worker and server attack, one lane per admissible gradient rule ×
-    model rule ``median`` / ``mean``, at one seed or at a seed each."""
+    model rule ``median`` / ``mean``, lane ``i`` at seed ``seed + i % k``
+    for k ∈ {1, 2, lanes}: one seed, two seeds that repeat across the
+    lanes as ``seed_sweep``'s do, or a seed each."""
     events = [event for group in draw(st.lists(_fault_events(), max_size=4))
               for event in group]
     base = ScenarioSpec(
@@ -749,13 +751,14 @@ def mixed_rule_groups(draw) -> List[ScenarioSpec]:
         server_attack=draw(st.sampled_from(
             ["corrupted_model", "equivocation", "random_model"])),
         **ORACLE_SHAPE)
-    seed, seed_step = draw(st.integers(0, 2 ** 16)), draw(st.sampled_from([0, 1]))
-    lanes = [base.replace(gradient_rule=gradient, model_rule=model)
-             for gradient in available_rules() for model in ("median", "mean")]
+    seed, seeds = draw(st.integers(0, 2 ** 16)), draw(st.sampled_from([1, 2, None]))
+    lanes = [spec for spec in (base.replace(gradient_rule=gradient, model_rule=model)
+                               for gradient in available_rules()
+                               for model in ("median", "mean"))
+             if admissible([spec])]
     return [spec.replace(name=f"mixed-{spec.gradient_rule}-{spec.model_rule}",
-                         seed=seed + lane * seed_step)
-            for lane, spec in enumerate(
-                spec for spec in lanes if admissible([spec]))]
+                         seed=seed + lane % (seeds or len(lanes)))
+            for lane, spec in enumerate(lanes)]
 
 
 def _outcome(run_scenario):
@@ -776,7 +779,7 @@ def admissible(specs: List[ScenarioSpec]) -> bool:
 class TestGeneratedFaultOracle:
     """Generated schedules × delay model × threat × R ∈ {1, 3}: the
     batched engine (compiled per-epoch link tables, one delay draw per
-    phase and lane) equals the simulator lane by lane, and the compiled
+    phase and seed) equals the simulator lane by lane, and the compiled
     controller equals the per-message replay above."""
 
     # No max_examples here: the weekly workflow runs this class under the
@@ -803,6 +806,8 @@ class TestGeneratedFaultOracle:
     @given(mixed_rule_groups().filter(bool))  # an invalid schedule: none
     def test_mixed_rule_lanes_equal_the_simulator(self, specs):
         assert len({spec.gradient_rule for spec in specs}) > 1
+        seeds = len({spec.seed for spec in specs})
+        event("a seed each" if seeds == len(specs) else f"{seeds} seed(s)")
         sequential = [_outcome(lambda spec=spec: sequential_history(spec))
                       for spec in specs]
         batched = _outcome(lambda: run_batched_scenarios(specs))

@@ -36,7 +36,7 @@ from repro.batch import BatchedGuanYuTrainer, spec_supports_batching
 from repro.campaign import ScenarioSpec, build_trainer
 from repro.core import ClusterConfig, GuanYuTrainer
 from repro.core import wiring as wiring_module
-from repro.core.wiring import ClusterWiring
+from repro.core.wiring import ClusterWiring, SeedWiring
 from repro.faults import (
     FaultEvent,
     FaultSchedule,
@@ -63,8 +63,9 @@ def threaded_runtime(blobs_split, model_fn, **kwargs):
                                   train_dataset=blobs_split[0], **kwargs)
 
 
-def bare_wiring(blobs_split, model_fn, **kwargs):
-    return ClusterWiring(CONFIG, blobs_split[0], **kwargs)
+def bare_wiring(blobs_split, model_fn, fault_schedule=None, **kwargs):
+    return ClusterWiring(SeedWiring(CONFIG, blobs_split[0],
+                                    fault_schedule=fault_schedule), **kwargs)
 
 
 CONSTRUCTORS = [guanyu_trainer, threaded_runtime]
@@ -152,10 +153,10 @@ class TestPinnedStreams:
     @pytest.mark.parametrize("index", [0, 3])
     def test_shard_and_first_two_mini_batches(self, wired, index):
         wiring, train = wired
-        shard = wiring.shards[index]
+        shard = wiring.seeded.shards[index]
         assert len(shard) == 76
         assert shard_rows(train, shard.features[:6]) == self.SHARD_HEADS[index]
-        loader = wiring.loader(index)
+        loader = wiring.seeded.loader(index)
         drawn = [shard_rows(shard, loader.next_batch()[0]) for _ in range(2)]
         assert drawn == self.BATCHES[index]
 
