@@ -57,13 +57,7 @@ Quickstart
 True
 """
 
-from repro.core import (
-    ClusterConfig,
-    DistributedTrainer,
-    GuanYuTrainer,
-    SingleServerKrumTrainer,
-    VanillaTrainer,
-)
+from repro.core import ClusterConfig, GuanYuTrainer
 
 __version__ = "1.0.0"
 
@@ -84,10 +78,7 @@ _API_EXPORTS = (
 
 __all__ = [
     "ClusterConfig",
-    "DistributedTrainer",
     "GuanYuTrainer",
-    "VanillaTrainer",
-    "SingleServerKrumTrainer",
     "__version__",
     *_API_EXPORTS,
 ]

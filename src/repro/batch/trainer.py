@@ -78,7 +78,7 @@ from repro.nn.plan import (
 from repro.obs.history import StepRecord, TrainingHistory, phase_durations
 from repro.obs.telemetry import get_registry, phase
 from repro.obs.tracer import get_tracer
-from repro.network.message import ROUTES, MessageKind
+from repro.network.message import ROUTES, MessageKind, one_trusted_server
 from repro.runtime.facade import CLOCKS, TRAINERS
 
 
@@ -104,11 +104,11 @@ class BatchedExecutionError(RuntimeError):
 
 def spec_supports_batching(spec) -> bool:
     """Whether a :class:`ScenarioSpec` can run on the batched runtime: its
-    protocol (:data:`repro.runtime.facade.TRAINERS`) has replicated
-    servers, its runtime keeps the simulated clock, and its model is a
-    dense stack."""
-    return (TRAINERS[spec.trainer].replicated and CLOCKS[spec.runtime] == "simulated"
-            and spec.model in BATCHABLE_MODELS)
+    protocol (:data:`repro.runtime.facade.TRAINERS`) walks the servers'
+    exchange (replicated servers), its runtime keeps the simulated clock,
+    and its model is a dense stack."""
+    return (not one_trusted_server(TRAINERS[spec.trainer].routes)
+            and CLOCKS[spec.runtime] == "simulated" and spec.model in BATCHABLE_MODELS)
 
 
 #: the :class:`ScenarioSpec` fields a lane sets for itself: scenarios equal

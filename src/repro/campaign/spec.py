@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.adversary import registry
 from repro.aggregation import available_rules, get_rule
-from repro.core.config import ClusterConfig
+from repro.core.config import ClusterConfig, TrustedServerConfig
 from repro.faults import FaultSchedule
 from repro.hetero import HeteroSpec
 from repro.network.delays import (
@@ -34,6 +34,7 @@ from repro.network.delays import (
     LogNormalDelay,
     UniformDelay,
 )
+from repro.network.message import one_trusted_server
 from repro.runtime.cost import GRID5000_LIKE, INSTANT, CostModel
 from repro.runtime import facade
 
@@ -273,7 +274,12 @@ class ScenarioSpec:
         return self.declared_byzantine_servers
 
     def cluster_config(self) -> ClusterConfig:
-        """The validated ``(n, f, n̄, f̄, q, q̄)`` arithmetic of this scenario."""
+        """The validated ``(n, f, n̄, f̄, q, q̄)`` arithmetic of this scenario;
+        a single-server baseline's is its :class:`TrustedServerConfig`."""
+        if one_trusted_server(facade.TRAINERS[self.trainer].routes):
+            return TrustedServerConfig(
+                num_servers=1, num_workers=self.num_workers,
+                num_byzantine_workers=self.declared_byzantine_workers)
         return ClusterConfig(
             num_servers=self.num_servers,
             num_workers=self.num_workers,
@@ -308,8 +314,8 @@ class ScenarioSpec:
     def validate(self) -> "ScenarioSpec":
         """Check admissibility; raises ``ValueError`` on an invalid spec.
 
-        What depends on the trainer or the runtime — the fields each ignores, whether it
-        has replicated servers — is read from :mod:`repro.runtime.facade`'s tables.
+        What depends on the trainer or the runtime — the fields each ignores, the routes
+        it walks — is read from :mod:`repro.runtime.facade`'s tables.
         """
         trainer = facade.TRAINERS.get(self.trainer)
         if trainer is None:
@@ -384,7 +390,7 @@ class ScenarioSpec:
                     f"unknown kernel backend '{self.kernels}'; available: "
                     f"{list(available_backends())}")
 
-        if trainer.replicated:
+        if not one_trusted_server(trainer.routes):
             config = self.cluster_config()  # raises on n < 3f + 3 etc.
             if self.resolved_num_attacking_workers() > config.num_byzantine_workers:
                 raise ValueError("more attacking workers than declared "
@@ -413,14 +419,17 @@ class ScenarioSpec:
                 raise ValueError("num_workers must be positive")
             if self.resolved_num_attacking_workers() > self.num_workers:
                 raise ValueError("cannot have more attacking workers than workers")
+            # the trusted server hears from whoever sends: only the honest
+            # workers are sure to
+            honest = self.num_workers - self.resolved_num_attacking_workers()
             gradient_rule = get_rule(self.gradient_rule,
                                      num_byzantine=self.declared_byzantine_workers)
-            if gradient_rule.minimum_inputs() > self.num_workers:
+            if gradient_rule.minimum_inputs() > honest:
                 raise ValueError(
                     f"gradient rule '{self.gradient_rule}' with "
                     f"f̄={self.declared_byzantine_workers} needs at least "
                     f"{gradient_rule.minimum_inputs()} inputs but only "
-                    f"{self.num_workers} workers respond")
+                    f"{honest} honest workers are sure to respond")
         return self
 
     # ------------------------------------------------------------------ #

@@ -7,29 +7,20 @@ This package contains the paper's primary contribution:
 * :class:`WorkerNode` / :class:`ServerNode` — the per-node state machines
   (model aggregation with the coordinate-wise median, gradient computation,
   Multi-Krum aggregation, local SGD update, inter-server model exchange);
-* :class:`GuanYuTrainer` — the three-phase protocol of Section 3.3 driven
-  over the asynchronous network simulator;
-* :class:`VanillaTrainer` — the single-trusted-server baselines
-  ("vanilla TF" and "vanilla GuanYu" of Section 5.3);
-* :class:`SingleServerKrumTrainer` — the prior-work baseline (Byzantine
-  workers only, trusted server).
+* :class:`GuanYuTrainer` — the sequential simulator: the three-phase
+  protocol of Section 3.3 over the asynchronous network simulator, and the
+  single-trusted-server baselines of Section 5.3 ("vanilla TF", "vanilla
+  GuanYu", single-server Multi-Krum) as its first two phases, reached
+  through ``repro.run(ScenarioSpec(trainer=...))``.
 """
 
 from repro.core.config import ClusterConfig
 from repro.core.nodes import ServerNode, WorkerNode
-from repro.core.trainer import (
-    DistributedTrainer,
-    GuanYuTrainer,
-    SingleServerKrumTrainer,
-    VanillaTrainer,
-)
+from repro.core.trainer import GuanYuTrainer
 
 __all__ = [
     "ClusterConfig",
     "WorkerNode",
     "ServerNode",
-    "DistributedTrainer",
     "GuanYuTrainer",
-    "VanillaTrainer",
-    "SingleServerKrumTrainer",
 ]

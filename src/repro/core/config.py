@@ -130,3 +130,16 @@ class ClusterConfig:
             "model_quorum": self.model_quorum,
             "gradient_quorum": self.gradient_quorum,
         }
+
+
+class TrustedServerConfig(ClusterConfig):
+    """The cluster of a protocol without the servers' exchange: one trusted
+    server, which waits for every worker that sends.
+
+    None of the ``3f + 3`` / quorum arithmetic applies:
+    ``num_byzantine_workers`` only sizes the gradient rule (the declared
+    f̄), and any worker may attack.
+    """
+
+    def __post_init__(self) -> None:
+        self.model_quorum, self.gradient_quorum = 1, self.num_workers

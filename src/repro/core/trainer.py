@@ -1,33 +1,31 @@
-"""Distributed trainers: GuanYu and its single-server baselines.
+"""The sequential simulator: one protocol step for GuanYu and its baselines.
 
-Three trainers are provided, all sharing the same constructor vocabulary
-(model factory, dataset, batch size, learning-rate schedule, delay and cost
-models, seeds) and the same output (:class:`repro.obs.history.TrainingHistory`):
+:class:`GuanYuTrainer` runs a protocol over the asynchronous network
+simulator, one walk over :data:`~repro.network.message.ROUTES` per step.
+Which routes it walks is the protocol (``repro.runtime.facade.TRAINERS``):
 
-* :class:`GuanYuTrainer` — the full three-phase protocol of Section 3.3 with
-  ``n`` replicated, possibly Byzantine parameter servers and ``n̄`` possibly
-  Byzantine workers, run over the asynchronous network simulator.
-* :class:`VanillaTrainer` — a single *trusted* parameter server averaging
-  worker gradients.  With ``external_communication=False`` it models the
-  paper's "vanilla TF" baseline (optimised in-runtime communication); with
-  ``external_communication=True`` it models "vanilla GuanYu" (same graph,
-  communication handled outside the framework, paying the serialisation
-  overhead of Section 4).
-* :class:`SingleServerKrumTrainer` — the prior-work baseline: Byzantine
-  workers tolerated through Multi-Krum, but the single parameter server is
-  still assumed honest.
+* GuanYu walks all three — the three-phase protocol of Section 3.3 with
+  ``n`` replicated, possibly Byzantine parameter servers and ``n̄``
+  possibly Byzantine workers;
+* the single-server baselines walk the first two with one *trusted*
+  server (:class:`~repro.core.config.TrustedServerConfig`): "vanilla TF"
+  and "vanilla GuanYu" (the same computation paying the serialisation
+  overhead of Section 4, ``external_communication``) aggregate with the
+  rule they are given, single-server Multi-Krum (Blanchard et al., 2017)
+  with Multi-Krum.
+
+Every run writes a :class:`repro.obs.history.TrainingHistory`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.adversary.base import ServerAttack, WorkerAttack
-from repro.aggregation import ArithmeticMean, CoordinateWiseMedian, MultiKrum
 from repro.core.config import ClusterConfig
-from repro.core.nodes import GradientResult, ServerNode, WorkerNode, max_pairwise_distance
+from repro.core.nodes import ServerNode, WorkerNode, max_pairwise_distance
 from repro.core.wiring import ClusterWiring, SeedWiring
 from repro.data.datasets import Dataset
 from repro.faults import FaultSchedule
@@ -39,7 +37,7 @@ from repro.obs.history import StepRecord, TrainingHistory, phase_durations
 from repro.obs.telemetry import phase
 from repro.obs.tracer import get_tracer
 from repro.network.delays import DelayModel, UniformDelay
-from repro.network.message import ROUTES, MessageKind
+from repro.network.message import ROUTES, MessageKind, one_trusted_server
 from repro.network.simulator import NetworkSimulator
 from repro.nn.module import Module
 from repro.nn.plan import dense_plan
@@ -48,12 +46,24 @@ from repro.runtime.cost import GRID5000_LIKE, CostModel
 
 ModelFactory = Callable[[], Module]
 
+#: the ``history.config`` keys of a protocol with one trusted server
+TRUSTED_SERVER_KEYS = ("num_workers", "batch_size", "external_communication",
+                       "gradient_rule", "num_attacking_workers",
+                       "worker_attack", "hetero")
 
-class DistributedTrainer:
-    """Shared infrastructure for the distributed trainers.
+
+class GuanYuTrainer:
+    """A protocol (paper Section 3.3, or a baseline) over the simulated network.
 
     Parameters
     ----------
+    config:
+        Cluster arithmetic ``(n, f, n̄, f̄, q, q̄)``.  The Byzantine counts in
+        the config are the *declared* numbers (they size the quorums and the
+        aggregation rules); the *actual* number of attacking nodes is given
+        separately so that, as in the paper's Figure 3, a deployment can
+        declare ``f̄ = 5`` while running in a non-Byzantine environment.
+        A baseline's is a :class:`~repro.core.config.TrustedServerConfig`.
     model_fn:
         Zero-argument factory returning a *fresh but identically initialised*
         model: every worker calls it, and one more model is every server's
@@ -61,6 +71,29 @@ class DistributedTrainer:
         θ_0.
     train_dataset, test_dataset:
         Training data (sharded across workers) and held-out evaluation data.
+    worker_attack, num_attacking_workers:
+        Behaviour and count of actually-Byzantine workers (last worker ids).
+    server_attack, num_attacking_servers:
+        Behaviour and count of actually-Byzantine servers (last server ids).
+    gradient_rule_name, model_rule_name:
+        GARs used for phase 2 (default Multi-Krum) and phases 1/3 (default
+        coordinate-wise median); exposed for the ablation benchmarks.
+    adversary:
+        Optional :class:`~repro.adversary.Adversary` controlling *all*
+        actually-Byzantine nodes as one colluding entity (mutually
+        exclusive with ``worker_attack`` / ``server_attack``, which the
+        wiring lifts into a :class:`~repro.adversary.StatelessAdversary`
+        itself).  The attacking counts still come from
+        ``num_attacking_workers`` / ``num_attacking_servers``.
+    routes:
+        The :data:`~repro.network.message.ROUTES` kinds a step walks, in
+        order: all three for GuanYu; without ``MODEL_TO_SERVER`` the one
+        server is trusted — it waits for every worker that sends, and
+        Byzantine workers send on the honest channel.
+    external_communication:
+        Whether a protocol without the servers' exchange bills each
+        message's serialisation (communication outside the framework,
+        Section 4).  GuanYu always does.
     batch_size:
         Per-worker mini-batch size (the paper uses 128 and 32).
     schedule:
@@ -80,10 +113,11 @@ class DistributedTrainer:
         paper's 1.75 M-parameter CNN were being exchanged, which preserves
         the time-axis shape of Figure 3.  Defaults to the actual model size.
     fault_schedule:
-        Optional declarative :class:`~repro.faults.FaultSchedule` (crashes,
-        partitions, delay spikes, gated attacks) injected at the network
-        and protocol layer.  Only :class:`GuanYuTrainer` supports it — the
-        single-server baselines assume a live trusted server.
+        Optional time-varying faults (see :mod:`repro.faults`).  Crashed
+        nodes skip their local computation and all traffic; quorums keep the
+        protocol live as long as every receiver can still hear from a full
+        quorum (e.g. ≤ ``f`` crashed servers with the default quorums), and
+        an infeasible schedule fails loudly with a quorum error.
     hetero:
         Optional :class:`~repro.hetero.HeteroSpec`: non-i.i.d. data
         partitions (Dirichlet label skew, shard splits, sample imbalance,
@@ -91,138 +125,6 @@ class DistributedTrainer:
         size, local steps, delay multiplier).  Partitions are a pure
         function of ``(seed, num_workers, hetero)``, identical across all
         runtimes; absent means the legacy homogeneous ``sharding`` split.
-    """
-
-    def __init__(self, model_fn: ModelFactory, train_dataset: Dataset,
-                 test_dataset: Optional[Dataset] = None, batch_size: int = 32,
-                 schedule: Optional[LearningRateSchedule] = None,
-                 delay_model: Optional[DelayModel] = None,
-                 cost_model: CostModel = GRID5000_LIKE,
-                 sharding: str = "iid", seed: int = 0,
-                 cost_num_parameters: Optional[int] = None,
-                 fault_schedule: Optional[FaultSchedule] = None,
-                 hetero: Optional[HeteroSpec] = None,
-                 label: str = "experiment") -> None:
-        self.model_fn = model_fn
-        self.train_dataset = train_dataset
-        self.test_dataset = test_dataset
-        self.batch_size = batch_size
-        self.hetero = hetero
-        self.schedule = schedule if schedule is not None else ConstantSchedule(0.001)
-        self.delay_model = delay_model if delay_model is not None else UniformDelay()
-        self.cost_model = cost_model
-        self.sharding = sharding
-        self.seed = seed
-        self.label = label
-        self.fault_schedule = fault_schedule
-
-        #: θ_0 for every server, and the evaluated model: through its
-        #: dense plan when it has one, else through the tape
-        self._eval_model = model_fn()
-        self._eval_plan = dense_plan(self._eval_model)
-        self.num_parameters = self._eval_model.num_parameters()
-        self.billed_parameters = (cost_num_parameters if cost_num_parameters
-                                  else self.num_parameters)
-        self.history = TrainingHistory(label=label)
-
-    # ------------------------------------------------------------------ #
-    # Helpers shared by subclasses
-    # ------------------------------------------------------------------ #
-    def _wire(self, config: ClusterConfig, **attacks) -> ClusterWiring:
-        """Derive the network and the workers from the one shared scenario
-        wiring (:mod:`repro.core.wiring`)."""
-        wiring = ClusterWiring(SeedWiring(
-            config, self.train_dataset, seed=self.seed,
-            batch_size=self.batch_size, sharding=self.sharding,
-            hetero=self.hetero, schedule=self.schedule,
-            fault_schedule=self.fault_schedule), **attacks)
-        self.network = NetworkSimulator(delay_model=self.delay_model,
-                                        seed=self.seed,
-                                        fault_controller=wiring.faults)
-        self.workers: List[WorkerNode] = [
-            wiring.worker(index, self.model_fn())
-            for index in range(len(wiring.worker_ids))]
-        #: straggler factor each worker's profile applies to its compute time
-        self._delay_multipliers: Dict[str, float] = {
-            worker_id: profile.delay_multiplier
-            for worker_id, profile in zip(wiring.worker_ids, wiring.profiles)}
-        return wiring
-
-    def _evaluate(self, parameters: np.ndarray, max_samples: Optional[int]) -> float:
-        if self.test_dataset is None:
-            return float("nan")
-        if self._eval_plan is not None:
-            return plan_accuracy(self._eval_plan, parameters,
-                                 self.test_dataset, max_samples=max_samples)
-        self._eval_model.set_flat_parameters(parameters)
-        return evaluate_accuracy(self._eval_model, self.test_dataset,
-                                 max_samples=max_samples)
-
-    def _serialization(self) -> float:
-        return self.cost_model.serialization_time(self.billed_parameters)
-
-    # ------------------------------------------------------------------ #
-    def global_parameters(self) -> np.ndarray:
-        """Parameter vector an external observer would read (trainer-specific)."""
-        raise NotImplementedError
-
-    def step(self, step_index: int) -> StepRecord:
-        """Execute one learning step and return its record."""
-        raise NotImplementedError
-
-    def run(self, num_steps: int, eval_every: int = 10,
-            max_eval_samples: Optional[int] = 512) -> TrainingHistory:
-        """Run ``num_steps`` model updates.
-
-        Accuracy is evaluated every ``eval_every`` steps (and on the final
-        step) on at most ``max_eval_samples`` held-out samples.
-        """
-        if num_steps <= 0:
-            raise ValueError("num_steps must be positive")
-        for step_index in range(num_steps):
-            record = self.step(step_index)
-            is_eval_step = (step_index % eval_every == 0) or (step_index == num_steps - 1)
-            if is_eval_step and self.test_dataset is not None:
-                record.test_accuracy = self._evaluate(self.global_parameters(),
-                                                      max_eval_samples)
-            self.history.add(record)
-        return self.history
-
-
-# --------------------------------------------------------------------------- #
-# GuanYu
-# --------------------------------------------------------------------------- #
-class GuanYuTrainer(DistributedTrainer):
-    """The GuanYu protocol (paper Section 3.3) over the simulated network.
-
-    Parameters
-    ----------
-    config:
-        Cluster arithmetic ``(n, f, n̄, f̄, q, q̄)``.  The Byzantine counts in
-        the config are the *declared* numbers (they size the quorums and the
-        aggregation rules); the *actual* number of attacking nodes is given
-        separately so that, as in the paper's Figure 3, a deployment can
-        declare ``f̄ = 5`` while running in a non-Byzantine environment.
-    worker_attack, num_attacking_workers:
-        Behaviour and count of actually-Byzantine workers (last worker ids).
-    server_attack, num_attacking_servers:
-        Behaviour and count of actually-Byzantine servers (last server ids).
-    gradient_rule_name, model_rule_name:
-        GARs used for phase 2 (default Multi-Krum) and phases 1/3 (default
-        coordinate-wise median); exposed for the ablation benchmarks.
-    adversary:
-        Optional :class:`~repro.adversary.Adversary` controlling *all*
-        actually-Byzantine nodes as one colluding entity (mutually
-        exclusive with ``worker_attack`` / ``server_attack``, which the
-        wiring lifts into a :class:`~repro.adversary.StatelessAdversary`
-        itself).  The attacking counts still come from
-        ``num_attacking_workers`` / ``num_attacking_servers``.
-    fault_schedule:
-        Optional time-varying faults (see :mod:`repro.faults`).  Crashed
-        nodes skip their local computation and all traffic; quorums keep the
-        protocol live as long as every receiver can still hear from a full
-        quorum (e.g. ≤ ``f`` crashed servers with the default quorums), and
-        an infeasible schedule fails loudly with a quorum error.
     """
 
     def __init__(self, config: ClusterConfig, model_fn: ModelFactory,
@@ -234,28 +136,76 @@ class GuanYuTrainer(DistributedTrainer):
                  gradient_rule_name: str = "multi_krum",
                  model_rule_name: str = "median",
                  adversary=None,
-                 label: str = "guanyu", **kwargs) -> None:
-        super().__init__(model_fn=model_fn, train_dataset=train_dataset,
-                         test_dataset=test_dataset, label=label, **kwargs)
+                 routes: Sequence[MessageKind] = tuple(ROUTES),
+                 external_communication: bool = False,
+                 batch_size: int = 32,
+                 schedule: Optional[LearningRateSchedule] = None,
+                 delay_model: Optional[DelayModel] = None,
+                 cost_model: CostModel = GRID5000_LIKE,
+                 sharding: str = "iid", seed: int = 0,
+                 cost_num_parameters: Optional[int] = None,
+                 fault_schedule: Optional[FaultSchedule] = None,
+                 hetero: Optional[HeteroSpec] = None,
+                 label: str = "guanyu") -> None:
         self.config = config
-        self.adversary = adversary
+        self.test_dataset = test_dataset
+        self.batch_size = batch_size
+        self.schedule = schedule if schedule is not None else ConstantSchedule(0.001)
+        self.cost_model = cost_model
         self.gradient_rule_name = gradient_rule_name
         self.model_rule_name = model_rule_name
-        self.wiring = self._wire(
-            config, worker_attack=worker_attack,
+        self.routes = {kind: ROUTES[kind] for kind in routes}
+        #: one trusted server, no servers' exchange: it waits for every
+        #: worker that sends, so a Byzantine worker gains nothing from the
+        #: adversary's covert channel and sends on the honest one
+        self._trusted = one_trusted_server(self.routes)
+
+        #: θ_0 for every server, and the evaluated model: through its
+        #: dense plan when it has one, else through the tape
+        self._eval_model = model_fn()
+        self._eval_plan = dense_plan(self._eval_model)
+        self.num_parameters = self._eval_model.num_parameters()
+        self.billed_parameters = (cost_num_parameters if cost_num_parameters
+                                  else self.num_parameters)
+        #: seconds a sender spends serialising each message
+        self._overhead = (self.cost_model.serialization_time(
+            self.billed_parameters)
+            if external_communication or not self._trusted else 0.0)
+
+        self.wiring = ClusterWiring(SeedWiring(
+            config, train_dataset, seed=seed, batch_size=batch_size,
+            sharding=sharding, hetero=hetero, schedule=self.schedule,
+            fault_schedule=fault_schedule),
+            worker_attack=worker_attack,
             num_attacking_workers=num_attacking_workers,
             server_attack=server_attack,
             num_attacking_servers=num_attacking_servers,
             gradient_rule_name=gradient_rule_name,
             model_rule_name=model_rule_name, adversary=adversary)
         self.adversary_coordinator = self.wiring.coordinator
+        self.network = NetworkSimulator(delay_model=delay_model or UniformDelay(),
+                                        seed=seed,
+                                        fault_controller=self.wiring.faults)
+        self.workers: List[WorkerNode] = [
+            self.wiring.worker(index, model_fn())
+            for index in range(len(self.wiring.worker_ids))]
         self.servers: List[ServerNode] = [
             self.wiring.server(index, self._eval_model)
             for index in range(len(self.wiring.server_ids))]
+        #: straggler factor each worker's profile applies to its compute time
+        self._delay_multipliers: Dict[str, float] = {
+            worker_id: profile.delay_multiplier
+            for worker_id, profile in zip(self.wiring.worker_ids,
+                                          self.wiring.profiles)}
 
         self._server_clock = {server.node_id: 0.0 for server in self.servers}
         self._worker_clock = {worker.node_id: 0.0 for worker in self.workers}
-        self.history.config = dict(self.wiring.history_config)
+        self.history = TrainingHistory(label=label)
+        recorded = {**self.wiring.history_config,
+                    "external_communication": external_communication}
+        self.history.config = \
+            {key: recorded[key] for key in TRUSTED_SERVER_KEYS} \
+            if self._trusted else dict(self.wiring.history_config)
 
     # ------------------------------------------------------------------ #
     @property
@@ -272,47 +222,64 @@ class GuanYuTrainer(DistributedTrainer):
         return max_pairwise_distance(
             [server.current_parameters() for server in self.correct_servers])
 
+    def _evaluate(self, parameters: np.ndarray, max_samples: Optional[int]) -> float:
+        if self._eval_plan is not None:
+            return plan_accuracy(self._eval_plan, parameters,
+                                 self.test_dataset, max_samples=max_samples)
+        self._eval_model.set_flat_parameters(parameters)
+        return evaluate_accuracy(self._eval_model, self.test_dataset,
+                                 max_samples=max_samples)
+
     # ------------------------------------------------------------------ #
     def _scatter(self, senders: List, kind: MessageKind, step: int,
                  clock: Dict[str, float], phase_start: float,
-                 peers: List[np.ndarray]) -> None:
+                 peers: List[np.ndarray]) -> int:
         """Every node of ``senders`` sends ``kind`` to every recipient of
-        its route (:data:`~repro.network.message.ROUTES`).
+        its route (:data:`~repro.network.message.ROUTES`); returns how many
+        of them sent anything.
 
         What a sender sends is its ``outgoing(step, recipient, peers)``.
-        A Byzantine sender is asked per recipient and races honest traffic
-        on the adversary's covert channel: sent at ``phase_start``, no
-        delay.  An honest sender is asked once (``recipient=None``) and
-        sends at its ``clock`` plus the serialisation time; its message to
+        A Byzantine sender is asked per recipient, and under GuanYu races
+        honest traffic on the adversary's covert channel: sent at
+        ``phase_start``, no delay.  An honest sender is asked once
+        (``recipient=None``).  Every other message leaves at its sender's
+        ``clock`` plus the serialisation overhead; a node's message to
         itself (phase 3 only) is available to it immediately.
         """
         recipients = ROUTES[kind].of(self.wiring.worker_ids,
                                      self.wiring.server_ids)[1]
+        sent = 0
         for sender in senders:
-            if sender.is_byzantine:
-                for recipient in recipients:
-                    self.network.send(sender.node_id, recipient, kind, step,
-                                      sender.outgoing(step, recipient, peers),
-                                      send_time=phase_start,
-                                      delay_override=0.0)
-                continue
-            value = sender.outgoing(step, None, peers)
-            send_time = clock[sender.node_id] + self._serialization()
+            byzantine = sender.is_byzantine
+            send_time, delay = (phase_start, 0.0) \
+                if byzantine and not self._trusted \
+                else (clock[sender.node_id] + self._overhead, None)
+            value = None if byzantine else sender.outgoing(step, None, peers)
+            spoke = False
             for recipient in recipients:
+                if byzantine:
+                    value = sender.outgoing(step, recipient, peers)
+                spoke |= value is not None
                 self.network.send(
                     sender.node_id, recipient, kind, step, value,
                     send_time=send_time,
-                    delay_override=0.0 if recipient == sender.node_id else None)
+                    delay_override=0.0 if recipient == sender.node_id else delay)
+            sent += spoke
+        return sent
 
     def _collect(self, recipients: List, kind: MessageKind, step: int,
-                 clock: Dict[str, float]) -> None:
+                 clock: Dict[str, float], sent: int) -> None:
         """Every node of ``recipients`` reduces its first quorum of
         ``kind`` (its ``receive``), and its clock moves to the quorum's
         completion plus the cost model's ``receive_time``, scaled by a
-        worker's straggler factor."""
+        worker's straggler factor.
+
+        The quorum is the config's.  Under one trusted server it is every
+        one of the ``sent`` senders, at least one: with none, the quorum
+        error stands."""
         route = ROUTES[kind]
-        quorum = route.quorum(self.config.model_quorum,
-                              self.config.gradient_quorum)
+        quorum = max(sent, 1) if self._trusted else route.quorum(
+            self.config.model_quorum, self.config.gradient_quorum)
         record_decisions = route.senders == "worker" \
             and get_tracer().record_decisions
         for node in recipients:
@@ -337,8 +304,8 @@ class GuanYuTrainer(DistributedTrainer):
                     result.batch_size if result is not None else 0)
 
     def step(self, step_index: int) -> StepRecord:
-        """One full GuanYu step: one walk over
-        :data:`~repro.network.message.ROUTES`, the three phases of Figure 2.
+        """One protocol step: one walk over the trainer's :attr:`routes`,
+        for GuanYu the three phases of Figure 2.
 
         On each route the participating senders scatter, then every
         participating recipient collects its first quorum and reduces it.
@@ -365,20 +332,21 @@ class GuanYuTrainer(DistributedTrainer):
 
         phase_ends: Dict[str, float] = {}
         peers: List[np.ndarray] = []  # the honest gradients, once computed
-        for kind, route in ROUTES.items():
+        for kind, route in self.routes.items():
             recipients = route.of(*receivers)[1]
             sender_clock, clock = route.of(*clocks)
             with phase(f"seq.step.{route.scatter}", runtime="seq",
                        step=step_index):
-                self._scatter(route.of(workers, servers)[0], kind, step_index,
-                              sender_clock, phase_start, peers)
+                sent = self._scatter(route.of(workers, servers)[0], kind,
+                                     step_index, sender_clock, phase_start,
+                                     peers)
                 if route.collect == route.scatter:  # the servers' exchange
-                    self._collect(recipients, kind, step_index, clock)
+                    self._collect(recipients, kind, step_index, clock, sent)
             if route.collect != route.scatter:
                 with phase(f"seq.step.{route.collect}", runtime="seq",
                            step=step_index,
                            **{f"{route.recipients}s": len(recipients)}):
-                    self._collect(recipients, kind, step_index, clock)
+                    self._collect(recipients, kind, step_index, clock, sent)
             ends = [clock[node_id] for node_id in route.of(*observed)[1]]
             phase_ends[route.phase] = \
                 float(np.mean(ends)) if ends else phase_start
@@ -397,164 +365,20 @@ class GuanYuTrainer(DistributedTrainer):
             phase_durations=phase_durations(phase_start, phase_ends)[0],
         )
 
+    def run(self, num_steps: int, eval_every: int = 10,
+            max_eval_samples: Optional[int] = 512) -> TrainingHistory:
+        """Run ``num_steps`` model updates.
 
-# --------------------------------------------------------------------------- #
-# Single-server baselines
-# --------------------------------------------------------------------------- #
-class _TrustedServerConfig(ClusterConfig):
-    """The baselines' degenerate cluster: one trusted server, so none of the
-    ``3f + 3`` / quorum arithmetic applies and any worker may attack."""
-
-    def __post_init__(self) -> None:
-        self.model_quorum, self.gradient_quorum = 1, self.num_workers
-
-
-class VanillaTrainer(DistributedTrainer):
-    """Single trusted parameter server averaging worker gradients.
-
-    ``external_communication=False`` models the paper's **vanilla TF**
-    baseline (communication inside the optimised framework runtime);
-    ``external_communication=True`` models **vanilla GuanYu** (identical
-    computation graph, communication handled outside the framework and thus
-    paying the tensor→numpy→protobuf serialisation cost of Section 4).
-    """
-
-    SERVER_ID = "ps/0"
-
-    def __init__(self, model_fn: ModelFactory, train_dataset: Dataset,
-                 test_dataset: Optional[Dataset] = None, num_workers: int = 4,
-                 worker_attack: Optional[WorkerAttack] = None,
-                 num_attacking_workers: int = 0,
-                 external_communication: bool = False,
-                 gradient_rule=None, label: str = "vanilla", **kwargs) -> None:
-        super().__init__(model_fn=model_fn, train_dataset=train_dataset,
-                         test_dataset=test_dataset, label=label, **kwargs)
-        if self.fault_schedule is not None:
-            raise ValueError(
-                "fault schedules require replicated parameter servers; the "
-                "single-server trainers assume a live trusted server — use "
-                "GuanYuTrainer or the threaded runtime")
-        if num_workers <= 0:
-            raise ValueError("num_workers must be positive")
-        if num_attacking_workers > num_workers:
-            raise ValueError("cannot have more attacking workers than workers")
-        self.num_workers = num_workers
-        self.external_communication = external_communication
-        self.gradient_rule = gradient_rule if gradient_rule is not None else ArithmeticMean()
-
-        # With a single trusted server there is no model aggregation at the
-        # workers: the "median of one" is the identity.
-        wiring = self._wire(
-            _TrustedServerConfig(num_servers=1, num_workers=num_workers,
-                                 num_byzantine_workers=num_attacking_workers),
-            worker_attack=worker_attack,
-            num_attacking_workers=num_attacking_workers)
-        self.server = ServerNode(
-            node_id=self.SERVER_ID,
-            parameters=self._eval_model.get_flat_parameters(),
-            gradient_aggregator=self.gradient_rule,
-            model_aggregator=CoordinateWiseMedian(num_byzantine=0),
-            schedule=self.schedule,
-            seed=wiring.server_rng_seed(0),
-        )
-        self._server_clock = 0.0
-        self._worker_clock = {worker.node_id: 0.0 for worker in self.workers}
-        self.history.config = {
-            "num_workers": num_workers,
-            "batch_size": self.batch_size,
-            "external_communication": external_communication,
-            "gradient_rule": getattr(self.gradient_rule, "name", "mean"),
-            "num_attacking_workers": num_attacking_workers,
-            "worker_attack": getattr(worker_attack, "name", None),
-            "hetero": self.hetero.to_dict() if self.hetero else None,
-        }
-
-    # ------------------------------------------------------------------ #
-    def global_parameters(self) -> np.ndarray:
-        return self.server.current_parameters()
-
-    def _overhead(self) -> float:
-        return self._serialization() if self.external_communication else 0.0
-
-    def step(self, step_index: int) -> StepRecord:
-        cost = self.cost_model
-        d = self.billed_parameters
-        overhead = self._overhead()
-        worker_ids = [worker.node_id for worker in self.workers]
-
-        # Server broadcasts the current model to every worker.
-        self.network.broadcast(self.SERVER_ID, worker_ids,
-                               MessageKind.MODEL_TO_WORKER, step_index,
-                               self.server.outgoing(step_index),
-                               send_time=self._server_clock + overhead)
-
-        # Workers compute gradients at the received model.
-        results: Dict[str, GradientResult] = {}
-        correct_gradients: List[np.ndarray] = []
-        for worker in self.workers:
-            record = self.network.collect_quorum(
-                worker.node_id, MessageKind.MODEL_TO_WORKER, step_index,
-                quorum=1, not_before=self._worker_clock[worker.node_id])
-            result = worker.compute_gradient(record.payloads, step_index)
-            results[worker.node_id] = result
-            self._worker_clock[worker.node_id] = (
-                record.completion_time
-                + self._delay_multipliers[worker.node_id]
-                * cost.gradient_time(result.batch_size, d))
-            if not worker.is_byzantine:
-                correct_gradients.append(result.gradient)
-
-        # Workers send their gradients back (Byzantine ones may corrupt or
-        # stay silent); the trusted server averages what it receives.
-        responding = 0
-        for worker in self.workers:
-            payload = worker.outgoing(step_index, self.SERVER_ID,
-                                      correct_gradients)
-            if payload is not None:
-                responding += 1
-            self.network.send(worker.node_id, self.SERVER_ID,
-                              MessageKind.GRADIENT_TO_SERVER, step_index, payload,
-                              send_time=self._worker_clock[worker.node_id] + overhead)
-
-        record = self.network.collect_quorum(
-            self.SERVER_ID, MessageKind.GRADIENT_TO_SERVER, step_index,
-            quorum=max(responding, 1), not_before=self._server_clock)
-        self.server.apply_gradients(record.payloads, step_index)
-        rule_name = getattr(self.gradient_rule, "name", "mean")
-        self._server_clock = (record.completion_time
-                              + cost.aggregation_time(rule_name, responding, d)
-                              + cost.update_time(d))
-        self.network.purge_step(step_index)
-
-        correct_losses = [results[w.node_id].loss for w in self.workers
-                          if not w.is_byzantine]
-        return StepRecord(
-            step=step_index,
-            simulated_time=self._server_clock,
-            train_loss=float(np.mean(correct_losses)) if correct_losses else None,
-            max_server_spread=0.0,
-            learning_rate=self.schedule(step_index),
-        )
-
-
-class SingleServerKrumTrainer(VanillaTrainer):
-    """Prior-work baseline: Multi-Krum at a single *trusted* parameter server.
-
-    Tolerates Byzantine workers (Blanchard et al., 2017) but offers no
-    protection whatsoever against a Byzantine parameter server — the gap
-    GuanYu closes.
-    """
-
-    def __init__(self, model_fn: ModelFactory, train_dataset: Dataset,
-                 num_byzantine_workers: int = 0, num_workers: int = 4,
-                 label: str = "single_server_krum", **kwargs) -> None:
-        rule = MultiKrum(num_byzantine=num_byzantine_workers)
-        if num_workers < rule.minimum_inputs():
-            raise ValueError(
-                f"Multi-Krum with f={num_byzantine_workers} needs at least "
-                f"{rule.minimum_inputs()} workers"
-            )
-        super().__init__(model_fn=model_fn, train_dataset=train_dataset,
-                         num_workers=num_workers, gradient_rule=rule,
-                         label=label, **kwargs)
-        self.history.config["declared_byzantine_workers"] = num_byzantine_workers
+        Accuracy is evaluated every ``eval_every`` steps (and on the final
+        step) on at most ``max_eval_samples`` held-out samples.
+        """
+        if num_steps <= 0:
+            raise ValueError("num_steps must be positive")
+        for step_index in range(num_steps):
+            record = self.step(step_index)
+            is_eval_step = (step_index % eval_every == 0) or (step_index == num_steps - 1)
+            if is_eval_step and self.test_dataset is not None:
+                record.test_accuracy = self._evaluate(self.global_parameters(),
+                                                      max_eval_samples)
+            self.history.add(record)
+        return self.history

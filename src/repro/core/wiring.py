@@ -40,7 +40,7 @@ from repro.adversary.base import Adversary, ServerAttack, StatelessAdversary, Wo
 from repro.adversary.engine import wire_attacks
 from repro.adversary.registry import lift
 from repro.aggregation import get_rule
-from repro.core.config import ClusterConfig
+from repro.core.config import ClusterConfig, TrustedServerConfig
 from repro.core.nodes import ServerNode, WorkerNode
 from repro.data.datasets import Dataset
 from repro.data.loader import DataLoader, partition_dataset
@@ -61,13 +61,16 @@ def validate_attack_counts(config: ClusterConfig, adversary: Adversary,
     """Check attack counts against a cluster's declared Byzantine budget.
 
     One rule per side: a positive count needs an adversary that attacks
-    that side.
+    that side.  One trusted server (:class:`TrustedServerConfig`) carries
+    no guarantee, so any of its workers may attack.
     """
     if num_attacking_workers > 0 and not adversary.attacks_workers:
         raise ValueError("num_attacking_workers > 0 requires a worker_attack")
     if num_attacking_servers > 0 and not adversary.attacks_servers:
         raise ValueError("num_attacking_servers > 0 requires a server_attack")
-    if num_attacking_workers > config.num_byzantine_workers:
+    if num_attacking_workers > (config.num_workers
+                                if isinstance(config, TrustedServerConfig)
+                                else config.num_byzantine_workers):
         raise ValueError(
             "more attacking workers than the declared Byzantine count; "
             "GuanYu's guarantees only cover f̄ declared Byzantine workers"
@@ -121,9 +124,8 @@ def scenario_arguments(spec) -> Tuple[Dict, Optional[Dataset], object]:
 
     Returns ``(arguments, test_dataset, model_fn)``: ``arguments`` are the
     keyword arguments ``GuanYuTrainer`` and ``ThreadedClusterRuntime``
-    share, minus ``config`` (the single-server baselines have no quorum
-    arithmetic to build one from) — :func:`seed_arguments` and
-    :func:`lane_arguments` together.
+    share, minus ``config`` (``spec.cluster_config()``) —
+    :func:`seed_arguments` and :func:`lane_arguments` together.
     """
     arguments, test, model_fn = seed_arguments(spec)
     return {**arguments, **lane_arguments(spec)}, test, model_fn

@@ -73,6 +73,12 @@ ROUTES = {
 }
 
 
+def one_trusted_server(kinds) -> bool:
+    """Whether a protocol walking the routes of ``kinds`` has one trusted
+    server rather than replicated ones: it skips the servers' exchange."""
+    return MessageKind.MODEL_TO_SERVER not in kinds
+
+
 @dataclass
 class Message:
     """A single message in flight.

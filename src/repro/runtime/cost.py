@@ -89,15 +89,17 @@ class CostModel:
                      num_parameters: int, gradient_rule: str,
                      samples=0):
         """Seconds a recipient of ``kind`` computes once its quorum is in:
-        a worker takes the median of the models and a gradient on
-        ``samples`` samples, a server aggregates the gradients with
-        ``gradient_rule`` and updates, or takes the median of the models.
+        a worker takes the median of the models (free for the one model of
+        a trusted server) and a gradient on ``samples`` samples, a server
+        aggregates the gradients with ``gradient_rule`` and updates, or
+        takes the median of the models.
 
         ``samples`` may be an array of per-worker counts; the result is
         then the array of their times, element for element the scalars."""
         if kind is MessageKind.MODEL_TO_WORKER:
-            return (self.median_time(quorum, num_parameters)
-                    + self.gradient_time(samples, num_parameters))
+            gradient = self.gradient_time(samples, num_parameters)
+            return gradient if quorum == 1 \
+                else self.median_time(quorum, num_parameters) + gradient
         if kind is MessageKind.GRADIENT_TO_SERVER:
             return (self.aggregation_time(gradient_rule, quorum,
                                           num_parameters)

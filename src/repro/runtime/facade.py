@@ -31,9 +31,10 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.kernels import use_backend
+from repro.network.message import ROUTES, MessageKind, one_trusted_server
 from repro.obs.telemetry import get_registry
 from repro.obs.tracer import use_tracer
 
@@ -49,18 +50,20 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports (cycles otherwise)
 # vocabulary (:func:`repro.core.wiring.scenario_arguments`); imports are
 # lazy, see the module docstring
 # --------------------------------------------------------------------------- #
-def _simulated(spec, test, model_fn) -> Dict[str, Any]:
-    return dict(model_fn=model_fn, test_dataset=test,
-                delay_model=spec.build_delay_model(),
-                cost_model=spec.build_cost_model(),
-                cost_num_parameters=spec.billed_parameters, label=spec.name)
-
-
-def _guanyu(spec, arguments, test, model_fn):
+def _simulated(spec, arguments, test, model_fn):
     from repro.core.trainer import GuanYuTrainer
 
-    return GuanYuTrainer(config=spec.cluster_config(), **arguments,
-                         **_simulated(spec, test, model_fn))
+    kind = TRAINERS[spec.trainer]
+    trainer = GuanYuTrainer(
+        config=spec.cluster_config(), routes=kind.routes,
+        external_communication=spec.external_communication, **arguments,
+        model_fn=model_fn, test_dataset=test,
+        delay_model=spec.build_delay_model(),
+        cost_model=spec.build_cost_model(),
+        cost_num_parameters=spec.billed_parameters, label=spec.name)
+    trainer.history.config.update(
+        (name, getattr(spec, name)) for name in kind.records)
+    return trainer
 
 
 def _threaded(spec, arguments, _test, model_fn):
@@ -71,47 +74,21 @@ def _threaded(spec, arguments, _test, model_fn):
         quorum_timeout=spec.quorum_timeout, **arguments)
 
 
-def _single_server(spec, arguments, test, model_fn) -> Dict[str, Any]:
-    """The single-server baselines take the worker side of the vocabulary."""
-    keywords = _simulated(spec, test, model_fn)
-    keywords.update(
-        (key, arguments[key]) for key in (
-            "train_dataset", "seed", "batch_size", "sharding", "hetero",
-            "schedule", "worker_attack", "num_attacking_workers"))
-    return keywords
-
-
-def _vanilla(spec, *wiring):
-    from repro.aggregation import get_rule
-    from repro.core.trainer import VanillaTrainer
-
-    return VanillaTrainer(
-        num_workers=spec.num_workers,
-        external_communication=spec.external_communication,
-        gradient_rule=get_rule(spec.gradient_rule,
-                               num_byzantine=spec.declared_byzantine_workers),
-        **_single_server(spec, *wiring))
-
-
-def _single_server_krum(spec, *wiring):
-    from repro.core.trainer import SingleServerKrumTrainer
-
-    return SingleServerKrumTrainer(
-        num_byzantine_workers=spec.declared_byzantine_workers,
-        num_workers=spec.num_workers, **_single_server(spec, *wiring))
-
-
 @dataclass(frozen=True)
 class TrainerKind:
     """One row of :data:`TRAINERS`: what a ``ScenarioSpec.trainer`` means."""
 
-    #: replicated servers (GuanYu: every runtime), not one trusted server (sequential only)
-    replicated: bool
+    #: the :data:`~repro.network.message.ROUTES` kinds one step walks.  With
+    #: the servers' exchange the servers are replicated (GuanYu: every
+    #: runtime); without it there is one trusted server (the sequential
+    #: simulator only, :func:`~repro.network.message.one_trusted_server`)
+    routes: Tuple[MessageKind, ...]
     #: field → why the trainer ignores it.  ``ScenarioSpec.validate`` keeps
     #: such a field at its default, or the store would record (and hash) a
     #: knob the run never used.
     ignores: Dict[str, str]
-    build: Callable[..., Any]
+    #: spec fields ``history.config`` records besides the trainer's own
+    records: Tuple[str, ...] = ()
 
 
 _SIMULATED_CLOCK = ("runs on a simulated clock and takes a delay_model instead (the "
@@ -120,6 +97,8 @@ _REAL_CLOCK = ("runs on the real clock and ignores delay/cost models (its "
                "knobs are 'jitter' and 'quorum_timeout')")
 _NOT_VANILLA = ("is not the 'vanilla GuanYu' baseline, which "
                 "external_communication models (trainer 'vanilla')")
+#: the routes of a protocol with one trusted server: GuanYu's first two
+_TRUSTED_SERVER = tuple(ROUTES)[:2]
 _SINGLE_SERVER = {
     "adversary": "is a single-server baseline, and adversaries model the "
                  "paper's full threat model (take a worker_attack instead)",
@@ -134,17 +113,15 @@ _SINGLE_SERVER = {
 #: :func:`repro.campaign.available_trainers` order
 TRAINERS: Dict[str, TrainerKind] = {
     "guanyu": TrainerKind(
-        replicated=True, ignores={"external_communication": _NOT_VANILLA},
-        build=_guanyu),
-    "vanilla": TrainerKind(
-        replicated=False, ignores=_SINGLE_SERVER, build=_vanilla),
+        routes=tuple(ROUTES), ignores={"external_communication": _NOT_VANILLA}),
+    "vanilla": TrainerKind(routes=_TRUSTED_SERVER, ignores=_SINGLE_SERVER),
     "single_server_krum": TrainerKind(
-        replicated=False,
+        routes=_TRUSTED_SERVER,
         ignores={**_SINGLE_SERVER, "external_communication": _NOT_VANILLA,
                  "gradient_rule": "always aggregates with multi_krum (use "
                                   "trainer 'vanilla' to choose a gradient "
                                   "rule)"},
-        build=_single_server_krum),
+        records=("declared_byzantine_workers",)),
 }
 
 #: ``ScenarioSpec.runtime`` → its engine's clock (``None``: the default
@@ -170,7 +147,7 @@ def build_trainer(spec: "ScenarioSpec"):
     """
     from repro.core.wiring import scenario_arguments
 
-    build = _threaded if CLOCKS[spec.runtime] == "real" else TRAINERS[spec.trainer].build
+    build = _threaded if CLOCKS[spec.runtime] == "real" else _simulated
     return build(spec, *scenario_arguments(spec))
 
 
@@ -184,7 +161,7 @@ def check_runtime(spec: "ScenarioSpec", kind: str) -> None:
     if CLOCKS[kind] != CLOCKS[spec.runtime]:
         raise ValueError(f"runtime '{kind}' keeps the {CLOCKS[kind]} clock, not the "
                          f"{CLOCKS[spec.runtime]} clock of runtime {spec.runtime!r}")
-    if not TRAINERS[spec.trainer].replicated:
+    if one_trusted_server(TRAINERS[spec.trainer].routes):
         raise ValueError(f"trainer '{spec.trainer}' is a single-server baseline and takes "
                          f"no runtime (got '{kind}')")
     if kind == "batched" and not spec_supports_batching(spec):

@@ -6,7 +6,8 @@ would compare that engine with itself.  :func:`sequential_history` is the
 other side of every such comparison: the per-message
 :class:`~repro.core.trainer.GuanYuTrainer` over the
 :class:`~repro.network.NetworkSimulator` and the autograd tape, built
-directly and never dispatched.
+directly and never dispatched.  It runs every protocol on the simulated
+clock: GuanYu, and the single-server baselines as its first two routes.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ def sequential_history(spec: "ScenarioSpec") -> "TrainingHistory":
     """Run ``spec`` on the sequential reference trainer, whatever
     :func:`repro.runtime.resolve_runtime` would have chosen for it.
 
-    Raises :class:`TypeError` for a spec that is not ``guanyu`` on the
-    simulated clock — the oracle would silently be something else.
+    Raises :class:`TypeError` for a spec on the real clock — the oracle
+    would silently be something else.
     """
     from repro.core.trainer import GuanYuTrainer  # lazy: import-light
 
@@ -37,7 +38,7 @@ def sequential_history(spec: "ScenarioSpec") -> "TrainingHistory":
         trainer = build_trainer(spec)
         if not isinstance(trainer, GuanYuTrainer):
             raise TypeError(
-                f"sequential_history needs a 'guanyu' scenario on the simulated clock, got "
+                f"sequential_history needs a scenario on the simulated clock, got "
                 f"'{spec.trainer}' on runtime {spec.runtime!r} ({type(trainer).__name__})")
         return trainer.run(spec.num_steps, eval_every=spec.eval_every,
                            max_eval_samples=spec.max_eval_samples)

@@ -19,7 +19,6 @@ from repro.campaign import (
 from repro.campaign.scheduler import CampaignScheduler
 from repro.adversary import RandomGradientAttack
 from repro.core import ClusterConfig, GuanYuTrainer
-from repro.core.trainer import VanillaTrainer
 from repro.experiments.common import (
     build_workload,
     make_model_factory,
@@ -27,6 +26,7 @@ from repro.experiments.common import (
 )
 from repro.faults import FaultEvent, FaultSchedule
 from repro.hetero import HeteroSpec, WorkerProfile
+from repro.network.message import MessageKind
 from repro.runtime import run
 from repro.runtime.facade import CLOCK_IGNORES, CLOCKS, TRAINERS
 
@@ -241,10 +241,23 @@ class TestScenarioValidation:
         assert tiny_spec(trainer="guanyu_threaded", jitter=0.01,
                          quorum_timeout=5.0).validate()
 
-    def test_vanilla_gradient_rule_needs_enough_workers(self):
-        # Multi-Krum with f̄=2 needs 2f+3 = 7 inputs but only 6 workers reply.
-        with pytest.raises(ValueError, match="at least 7 inputs"):
-            tiny_spec(trainer="vanilla", declared_byzantine_workers=2).validate()
+    @pytest.mark.parametrize("overrides, message", [
+        # Multi-Krum with f̄=2 needs 2f+3 = 7 inputs but only 6 workers reply
+        (dict(trainer="vanilla", declared_byzantine_workers=2),
+         "at least 7 inputs"),
+        # the trusted server is sure to hear from the 6 honest workers only
+        (dict(trainer="single_server_krum", num_workers=9,
+              declared_byzantine_workers=2, worker_attack="silent_worker",
+              num_attacking_workers=3), "at least 7 inputs but only 6"),
+        # with every worker silent it is sure to hear from nobody
+        (dict(trainer="vanilla", gradient_rule="mean", num_workers=9,
+              worker_attack="silent_worker", num_attacking_workers=9),
+         "at least 1 inputs but only 0"),
+    ])
+    def test_vanilla_gradient_rule_needs_enough_workers(self, overrides,
+                                                        message):
+        with pytest.raises(ValueError, match=message):
+            tiny_spec(**overrides).validate()
 
     def test_knobs_ignored_by_the_trainer_are_rejected(self):
         with pytest.raises(ValueError, match="always"):
@@ -519,14 +532,16 @@ class TestEngine:
 
     def test_build_trainer_dispatch(self):
         assert isinstance(build_trainer(tiny_spec()), GuanYuTrainer)
-        assert isinstance(build_trainer(tiny_spec(trainer="vanilla",
-                                                  gradient_rule="mean")),
-                          VanillaTrainer)
+        vanilla = build_trainer(tiny_spec(trainer="vanilla", gradient_rule="mean"))
+        assert isinstance(vanilla, GuanYuTrainer)
+        assert list(vanilla.routes) == [MessageKind.MODEL_TO_WORKER,
+                                        MessageKind.GRADIENT_TO_SERVER]
+        assert [server.node_id for server in vanilla.servers] == ["ps/0"]
 
     def test_vanilla_robust_rule_is_sized_for_declared_byzantine(self):
-        trainer = build_trainer(tiny_spec(trainer="vanilla"))
-        assert trainer.gradient_rule.name == "multi_krum"
-        assert trainer.gradient_rule.num_byzantine == 1
+        [server] = build_trainer(tiny_spec(trainer="vanilla")).servers
+        assert server.gradient_aggregator.name == "multi_krum"
+        assert server.gradient_aggregator.num_byzantine == 1
 
     def test_serial_and_parallel_results_agree(self):
         campaign = CampaignSpec(name="c", base=tiny_spec(),

@@ -217,10 +217,10 @@ class TestPinnedOutputs:
     #: batch size → system → sha256 of the canonical history JSON
     FIGURE3 = {
         16: {
-            "vanilla_tf": "8c93220c4578f264c83b82eddcf48151"
-                          "b63e7a8c1c2556ee692c32a2a63cf2f6",
-            "guanyu_vanilla": "6ebedd342cb18590c58717f7a8ee681d"
-                              "0eb1099a21b9b92b0a532386561b5542",
+            "vanilla_tf": "20dc72f3ad4d30d8407ef13db73a28b1"
+                          "6b59891fb42fbc1677a83dcaa4675db8",
+            "guanyu_vanilla": "a0492a2ad3ee64fdb611364d56df7844"
+                              "d31d2d132b549e9fd5d76c8b7f0e5b1d",
             "guanyu_f0_s0": "90b917935a42a9fe59ea8c05a11f5844"
                             "aa3c45b9f376ff06dd94abfc7b2f73c0",
             "guanyu_f_workers_s0": "84ac045b8846db08298b30e0563c65ba"
@@ -229,10 +229,10 @@ class TestPinnedOutputs:
                                    "b0f64acef404e7b0d742b42ce7851913",
         },
         8: {
-            "vanilla_tf": "2e5ad7fd04741376d2f66e18fb0c02fc"
-                          "106244241de3c53b50196805fa7f59e5",
-            "guanyu_vanilla": "b5bf0b8c588b69f46e5a7306634d77f6"
-                              "1d84483c2effbd87aeb3b9cc333fc3d6",
+            "vanilla_tf": "e17ccf7a01cfe63d29486f2ba08527a4"
+                          "88c79d0d10e5f1ca148877a7a5987099",
+            "guanyu_vanilla": "e536e56874a9e4c5371025a45f930e4f"
+                              "742f1ede7bd3c7f3752bc71b7d9ca17d",
             "guanyu_f0_s0": "bc96a7d90fd894e1f19cbcbc04a12981"
                             "40c566bf180d00ddfde91e444db33ce7",
             "guanyu_f_workers_s0": "9ff3b6b16b18ee3e5a0d7fb7626d1e24"

@@ -13,7 +13,7 @@ from repro.aggregation import available_rules
 from repro.batch import run_batched_scenarios
 from repro.campaign import ScenarioSpec
 from repro.campaign.spec import available_delay_models
-from repro.core import ClusterConfig, GuanYuTrainer, VanillaTrainer
+from repro.core import ClusterConfig, GuanYuTrainer
 from repro.faults import (
     FaultController,
     FaultEvent,
@@ -431,15 +431,6 @@ class TestGuanYuTrainerFaults:
         schedule = FaultSchedule.crash_window(["ps/99"], 2, 4)
         with pytest.raises(ValueError, match="unknown nodes"):
             self._trainer(blobs_split, softmax_model_fn, schedule)
-
-    def test_single_server_trainers_reject_faults(self, blobs_split,
-                                                  softmax_model_fn):
-        train, _ = blobs_split
-        with pytest.raises(ValueError, match="trusted server"):
-            VanillaTrainer(model_fn=softmax_model_fn, train_dataset=train,
-                           num_workers=4,
-                           fault_schedule=FaultSchedule.crash_window(
-                               ["worker/0"], 1, 2))
 
 
 # --------------------------------------------------------------------------- #

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ClusterConfig, GuanYuTrainer, VanillaTrainer
+from repro import ClusterConfig, GuanYuTrainer, ScenarioSpec, run
 from repro.data import SyntheticImageDataset
 from repro.faults import FaultController, FaultSchedule
 from repro.network.delays import ConstantDelay
@@ -78,14 +78,13 @@ class TestImageWorkload:
         history = trainer.run(num_steps=50, eval_every=25)
         assert history.final_accuracy() > 0.5  # 10 classes, chance is 0.1
 
-    def test_small_cnn_end_to_end_single_server(self, fast_schedule):
-        data = SyntheticImageDataset(num_samples=300, image_size=16, noise=0.2, seed=4)
-        train, test = data.split(0.85, seed=4)
-        model_fn = lambda: build_model("small_cnn", image_size=16, channels=4, seed=4)
-        trainer = VanillaTrainer(model_fn=model_fn, train_dataset=train,
-                                 test_dataset=test, num_workers=3, batch_size=16,
-                                 schedule=fast_schedule, seed=4)
-        history = trainer.run(num_steps=15, eval_every=15)
+    def test_small_cnn_end_to_end_single_server(self):
+        spec = ScenarioSpec(name="cnn", trainer="vanilla", gradient_rule="mean",
+                            dataset="images", dataset_size=300, image_size=16,
+                            model="small_cnn", num_workers=3, batch_size=16,
+                            learning_rate=0.05, seed=4, num_steps=15,
+                            eval_every=15)
+        history = run(spec).history
         assert len(history) == 15
         assert history.final_accuracy() > 0.1
 

@@ -14,6 +14,7 @@ from repro.metrics import (
     time_to_accuracy,
 )
 from repro.metrics.throughput import steps_to_accuracy
+from repro.network.message import MessageKind
 from repro.nn import build_model
 from repro.obs.history import StepRecord, TrainingHistory
 from repro.runtime.cost import GRID5000_LIKE, INSTANT
@@ -171,6 +172,15 @@ class TestCostModel:
     def test_serialization_grows_with_model_size(self):
         cost = GRID5000_LIKE
         assert cost.serialization_time(1_750_000) > cost.serialization_time(10_000)
+
+    def test_median_of_one_model_is_free(self):
+        # a trusted server's one model; every GuanYu quorum is at least 3
+        cost = GRID5000_LIKE
+        kind = MessageKind.MODEL_TO_WORKER
+        assert cost.receive_time(kind, 1, 1_750_000, "mean", 32) \
+            == cost.gradient_time(32, 1_750_000)
+        assert cost.receive_time(kind, 3, 1_750_000, "mean", 32) \
+            == cost.median_time(3, 1_750_000) + cost.gradient_time(32, 1_750_000)
 
     def test_instant_model_is_all_zero(self):
         assert INSTANT.gradient_time(128, 1_750_000) == 0.0

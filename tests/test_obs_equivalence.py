@@ -79,6 +79,23 @@ class TestSequentialUnperturbed:
         names = {record.name for record in tracer.events()}
         assert {"seq.step.aggregate", "seq.gar.decision"} <= names
 
+    @pytest.mark.parametrize("spec", [
+        tiny_spec(name="vanilla", trainer="vanilla", gradient_rule="mean",
+                  worker_attack="random_gradient", num_attacking_workers=1),
+        tiny_spec(name="krum", trainer="single_server_krum", num_workers=9,
+                  declared_byzantine_workers=2),
+    ], ids=["vanilla", "single_server_krum"])
+    def test_traced_baseline_equals_untraced(self, spec):
+        # the baselines walk GuanYu's first two routes on the same step
+        baseline = run(spec).history
+        history, tracer = traced(lambda: run(spec).history)
+        assert history.to_dict() == baseline.to_dict()
+        spans = {record.name for record in tracer.events()
+                 if record.kind == "span"}
+        assert {f"seq.step.{name}" for name in (
+            "broadcast", "compute", "gather", "aggregate")} <= spans
+        assert "seq.step.apply" not in spans
+
     def test_both_engines_record_the_same_decisions(self):
         # One helper emits the records for both engines: same selections,
         # same attacker positions, same scores, per step and server.

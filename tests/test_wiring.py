@@ -547,8 +547,7 @@ class TestOneCopy:
     def test_trainers_are_built_by_the_dispatch_table(self):
         # every trainer construction goes through repro.runtime.facade's
         # TRAINERS rows; class definitions and docstrings are not calls
-        built = {"GuanYuTrainer", "VanillaTrainer", "SingleServerKrumTrainer",
-                 "ThreadedClusterRuntime"}
+        built = {"GuanYuTrainer", "ThreadedClusterRuntime"}
 
         def constructs(path):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
