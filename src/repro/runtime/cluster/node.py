@@ -8,9 +8,10 @@ GuanYu node, one parameter server or one worker, as a real OS process.
 The protocol loop and the mailbox are the threaded runtime's
 (:class:`repro.runtime.live.LiveNode` over an
 :class:`~repro.runtime.live.Endpoint`); only the wire and the four hooks
-differ: frames over sockets instead of in-process hand-over, reports as
-control frames to the supervising process over a persistent connection,
-and a scheduled crash that really kills the process.
+differ: frames over sockets instead of in-process hand-over, reports
+buffered and shipped to the supervising process on the node's last control
+frame (``done``, or ``crashed``), and a scheduled crash that really kills
+the process.  While the run steps, only protocol frames leave the node.
 
 Every node derives the scenario's :class:`~repro.core.wiring.ClusterWiring`
 from the spec it receives — the same derivation every other runtime uses,
@@ -35,7 +36,7 @@ import sys
 import threading
 import time
 import traceback
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -99,6 +100,9 @@ class ClusterNodeProcess(LiveNode):
         self._shutdown = threading.Event()
         self._addresses: Dict[str, Dict] = {}
         self._start_time = 0.0
+        #: ``(step, value)`` reports, shipped on the last control frame
+        self._losses: List[Tuple[int, float]] = []
+        self._step_times: List[Tuple[int, float]] = []
 
         wiring, _test, model_fn = ClusterWiring.from_spec(self.spec)
         build = wiring.worker if self.role == "worker" else wiring.server
@@ -194,19 +198,25 @@ class ClusterNodeProcess(LiveNode):
             self.endpoint.send_observation(target, step, gradient)
 
     def report_loss(self, step: int, loss: float) -> None:
-        self.control.send("loss", step=step, loss=float(loss))
+        self._losses.append((step, float(loss)))
 
     def report_step(self, step: int) -> None:
-        self.control.send("step_time", step=step,
-                          elapsed=time.perf_counter() - self._start_time)
-        if self.send_snapshots:
-            self.control.send("snapshot", step=step,
-                              payload=self.node.current_parameters())
+        self._step_times.append(
+            (step, time.perf_counter() - self._start_time))
+
+    def _reports(self) -> Dict:
+        """What this incarnation reported, as the meta of its last frame."""
+        return {"losses": self._losses, "step_times": self._step_times}
 
     def on_scheduled_crash(self, step: int) -> None:
         """Report the scheduled crash, then wait for the supervisor's
         SIGKILL — the process really dies; a later recover event makes the
         supervisor respawn a fresh incarnation from this step's state.
+
+        The report carries the incarnation's losses and step times, and —
+        where the schedule recovers anyone — a server's parameters: the
+        snapshot a respawned incarnation resumes from.  They have not
+        changed since the last step this server finished.
 
         The data plane — listener *and* accepted connections — closes
         *before* the report: between the report and the SIGKILL this
@@ -216,7 +226,10 @@ class ClusterNodeProcess(LiveNode):
         connection and being retried into the respawned incarnation's
         re-bound listener."""
         self.endpoint.close()
-        self.control.send("crashed", step=step)
+        self.control.send("crashed", step=step,
+                          payload=(self.node.current_parameters()
+                                   if self.send_snapshots else None),
+                          **self._reports())
         while True:
             time.sleep(3600)
 
@@ -274,7 +287,8 @@ class ClusterNodeProcess(LiveNode):
     def _finish(self) -> None:
         self.control.send("done", connects=dict(self.endpoint.connects),
                           payload=(self.node.current_parameters()
-                                   if self.role == "server" else None))
+                                   if self.role == "server" else None),
+                          **self._reports())
 
 
 # --------------------------------------------------------------------------- #

@@ -52,20 +52,22 @@ _PAYLOAD_LEN = struct.Struct("!Q")
 DATA_KINDS = frozenset(kind.value for kind in MessageKind)
 
 #: lifecycle / metric frames (node ⇄ supervisor, plus OBSERVE on the data
-#: plane: honest gradients copied to the adversary's controlled nodes)
+#: plane: honest gradients copied to the adversary's controlled nodes).
+#: Nothing here is sent per step to the supervisor: a node's per-step
+#: losses and wall-clock watermarks ride its ``done`` or ``crashed`` frame.
 CONTROL_KINDS = frozenset({
     "ready",      # node → supervisor: listener bound, address in meta
     "start",      # supervisor → node: full address map, begin the run
     "ping",       # supervisor → node: health probe
     "pong",       # node → supervisor: probe reply
-    "loss",       # worker → supervisor: per-step training loss
-    "step_time",  # server → supervisor: per-step wall-clock watermark
-    "snapshot",   # server → supervisor: current parameters (respawn seed)
     "crashed",    # node → supervisor: fault schedule says I crash now
+                  # (its reports so far; a server's parameters when the
+                  # schedule recovers anyone)
     "observe",    # honest worker → Byzantine worker: gradient copy
     "trace",      # node → supervisor: buffered trace records
     "metrics",    # node → supervisor: telemetry registry snapshot
-    "done",       # node → supervisor: run finished (servers attach params)
+    "done",       # node → supervisor: run finished (its reports; servers
+                  # attach params)
     "error",      # node → supervisor: unrecoverable node failure
     "shutdown",   # supervisor → node: exit cleanly
 })

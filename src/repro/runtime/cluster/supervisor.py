@@ -15,10 +15,11 @@ a fault-schedule crash event makes the node report CRASHED and park, and
 the supervisor SIGKILLs the real process — the PID is observably dead.  A
 matching recover event makes the supervisor respawn a fresh incarnation on
 the same address: workers fast-forward their deterministic data stream,
-servers restart from the last parameter snapshot the dead incarnation
-shipped (stale state, exactly like the other runtimes' recovering
+servers restart from the parameter snapshot the dead incarnation's crash
+report carried (stale state, exactly like the other runtimes' recovering
 replicas).  Partitions are enforced at the socket layer by both endpoints'
-transports.
+transports.  While the run steps, the supervisor handles only PING/PONG:
+each node's per-step reports ride its last frame (DONE, or CRASHED).
 
 The returned :class:`~repro.obs.history.TrainingHistory` is assembled by
 the function the threaded runtime assembles its own with
@@ -468,17 +469,12 @@ class Supervisor:
                 registry.observe("repro_cluster_probe_rtt_seconds",
                                  max(now - handle.last_ping, 0.0),
                                  node=handle.node_id)
-        elif kind == "loss":
-            self._step_losses[frame.step][handle.node_id] = \
-                float(frame.meta["loss"])
-        elif kind == "step_time":
-            elapsed = float(frame.meta["elapsed"])
-            self._step_times[frame.step] = max(
-                self._step_times.get(frame.step, 0.0), elapsed)
-        elif kind == "snapshot":
+        elif kind == "crashed":
+            # Filed before any respawn: the new incarnation starts from
+            # the snapshot this frame carries.
+            self._file_reports(handle, frame)
             if frame.payload is not None:
                 self._snapshots[handle.node_id] = frame.payload
-        elif kind == "crashed":
             self._handle_crash(handle, frame.step)
         elif kind == "trace":
             self._collect_trace(handle, frame)
@@ -492,6 +488,7 @@ class Supervisor:
                 registry.merge(snapshot,
                                extra_labels={"node": handle.node_id})
         elif kind == "done":
+            self._file_reports(handle, frame)
             if handle.role == "server" and frame.payload is not None:
                 self._final_params[handle.node_id] = frame.payload
             handle.connects = frame.meta.get("connects") or {}
@@ -506,6 +503,16 @@ class Supervisor:
             handle.error = frame.meta.get("error", "unknown node error")
             self._fail(f"node {handle.node_id} failed: {handle.error}\n"
                        f"{frame.meta.get('traceback', '')}", handle)
+
+    def _file_reports(self, handle: NodeHandle, frame: Frame) -> None:
+        """File an incarnation's ``(step, value)`` reports from its last
+        frame: an honest worker's losses, a server's wall-clock watermarks
+        (the step's time is the last server's)."""
+        for step, loss in frame.meta.get("losses", ()):
+            self._step_losses[step][handle.node_id] = float(loss)
+        for step, elapsed in frame.meta.get("step_times", ()):
+            self._step_times[step] = max(self._step_times.get(step, 0.0),
+                                         float(elapsed))
 
     def _collect_trace(self, handle: NodeHandle, frame: Frame) -> None:
         events = []
@@ -671,9 +678,8 @@ class Supervisor:
                 attrs={"trace_summary": self._node_summaries[node_id]})])
 
     def _assemble_history(self) -> TrainingHistory:
-        from repro.experiments.common import build_scale_bundle
+        from repro.experiments.common import make_schedule
 
-        _, _, _, schedule = build_scale_bundle(self.spec)
         spec = self.spec
         vectors = []
         for server_id in self.config.server_ids():
@@ -685,7 +691,8 @@ class Supervisor:
                 vectors.append(params)
         return live_history(
             "guanyu-cluster", self.config, adversary=spec.adversary,
-            faults=spec.faults, hetero=spec.hetero, schedule=schedule,
+            faults=spec.faults, hetero=spec.hetero,
+            schedule=make_schedule(spec),
             num_steps=self.num_steps, step_losses=self._step_losses,
             step_times=self._step_times,
             spread=max_pairwise_distance(vectors))

@@ -4,7 +4,9 @@ Each node process owns one listening socket and a :class:`SocketTransport`
 around it.  The data plane keeps **one connection per (sender, recipient)
 pair**: the first send to a peer connects to its listener, every later
 frame is written to that connection, and the recipient reads each accepted
-connection on one thread.  A peer that died (SIGKILL, or ``close()`` before
+connection on one thread.  A frame a node addresses to itself (a server's
+model to itself) never touches a socket: it goes straight into the node's
+own mailbox.  A peer that died (SIGKILL, or ``close()`` before
 a scheduled crash) fails the sender's next write; the sender drops the
 connection and reconnects, retrying while nothing listens — which lands the
 frame in a respawned incarnation's re-bound listener — and treats the peer
@@ -216,7 +218,13 @@ class SocketTransport(Endpoint):
         A recipient that stays unreachable past the deadline is treated as
         dead and the frame is dropped — exactly what a crashed peer looks
         like, and quorums are what make that survivable.
+
+        A frame to this node itself is filed in its own mailbox (a copy,
+        as the socket would have handed over), like the in-process wire.
         """
+        if recipient == self.node_id:
+            self.deliver(recipient, kind, step, payload.copy())
+            return
         frame = Frame(kind=kind, sender=self.node_id, recipient=recipient,
                       step=step, payload=payload)
         deadline = time.monotonic() + self.send_deadline

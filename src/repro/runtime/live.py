@@ -52,7 +52,9 @@ class Endpoint:
     — anything else is dropped and counted in ``messages_suppressed``, so
     neither a worker nor a stranger can stand in for a parameter server in
     a quorum.  The id lists are known at construction: a fast peer's
-    honest frame may precede any address map.
+    honest frame may precede any address map.  The node's one waiter is
+    woken once per quorum — by the frame that completes the bucket it
+    waits on — not once per frame.
 
     Sending: ``None`` is Byzantine silence; otherwise one jitter draw, then
     the optional :class:`~repro.faults.FaultController` is consulted once
@@ -80,6 +82,8 @@ class Endpoint:
         self._buffers: Dict[Tuple[str, int], Dict[str, np.ndarray]] = \
             defaultdict(dict)
         self._abandoned: set = set()
+        #: the ``((kind, step), quorum)`` the node is blocked on, if any
+        self._awaited: Optional[Tuple[Tuple[str, int], int]] = None
         #: kind → the last step a quorum of it was collected for.  Steps
         #: are collected in order, so any later frame for that step or an
         #: earlier one is late and dropped on arrival.
@@ -105,8 +109,12 @@ class Endpoint:
                     or step <= self._collected.get(kind, -1):
                 return  # sat out or already collected: discard late mail
             # Keep only the first frame per sender (deduplication).
-            self._buffers[(kind, step)].setdefault(sender, payload)
-            self._condition.notify_all()
+            bucket = self._buffers[(kind, step)]
+            bucket.setdefault(sender, payload)
+            awaited = self._awaited
+            if awaited is not None and awaited[0] == (kind, step) \
+                    and len(bucket) >= awaited[1]:
+                self._condition.notify_all()
 
     def abandon_step(self, step: int) -> None:
         """Drop (and keep dropping) this node's mail for a sat-out step.
@@ -127,14 +135,15 @@ class Endpoint:
         payloads in canonical sender order — the one order that means the
         same thing in every process."""
         deadline = time.monotonic() + timeout
+        key = (kind.value, step)
         with self._condition:
             while True:
-                bucket = self._buffers[(kind.value, step)]
+                bucket = self._buffers[key]
                 if len(bucket) >= quorum:
                     payloads = [bucket[sender]
                                 for sender in sorted(bucket)[:quorum]]
                     # Late frames for this (kind, step) are discarded.
-                    del self._buffers[(kind.value, step)]
+                    del self._buffers[key]
                     self._collected[kind.value] = max(
                         step, self._collected.get(kind.value, -1))
                     return payloads
@@ -144,7 +153,11 @@ class Endpoint:
                         f"{self.node_id} timed out waiting for {quorum} "
                         f"'{kind.value}' messages at step {step} "
                         f"(got {len(bucket)})")
+                # ``deliver`` sees this only while the lock is released:
+                # during the wait.
+                self._awaited = (key, quorum)
                 self._condition.wait(timeout=remaining)
+                self._awaited = None
 
     # ------------------------------------------------------------------ #
     # Sending

@@ -59,7 +59,7 @@ class TestFrame:
         assert frame.payload is None
 
     def test_payload_coerced_to_contiguous_float64(self):
-        frame = Frame(kind="loss", payload=[1, 2, 3])
+        frame = Frame(kind="done", payload=[1, 2, 3])
         assert frame.payload.dtype == np.float64
         assert frame.payload.flags["C_CONTIGUOUS"]
 
@@ -72,6 +72,14 @@ class TestFrame:
         # simulator / threaded runtimes — MessageKind values verbatim
         assert DATA_KINDS == frozenset(kind.value for kind in MessageKind)
         assert not DATA_KINDS & CONTROL_KINDS
+
+    def test_no_kind_reports_a_step_to_the_supervisor(self):
+        # per-step losses, watermarks and snapshots ride a node's last
+        # frame (``done`` / ``crashed``); they are no frame kinds of their own
+        for kind in ("loss", "step_time", "snapshot"):
+            assert kind not in CONTROL_KINDS
+            with pytest.raises(FrameError, match="unknown frame kind"):
+                Frame(kind=kind)
 
     def test_oversized_frame_rejected_on_encode(self, monkeypatch):
         import repro.runtime.cluster.protocol as protocol
@@ -104,7 +112,7 @@ class TestRecvFrame:
     def test_truncation_inside_payload_raises(self):
         left, right = socket.socketpair()
         try:
-            encoded = Frame(kind="loss", payload=np.ones(16)).encode()
+            encoded = Frame(kind="crashed", payload=np.ones(16)).encode()
             left.sendall(encoded[:-8])  # drop the last float64
             left.close()
             with pytest.raises(FrameError, match="closed"):
@@ -123,7 +131,7 @@ class TestRecvFrame:
             right.close()
 
     def test_misaligned_payload_rejected(self):
-        header = b'{"kind":"loss","sender":"","recipient":"","step":0,"meta":{}}'
+        header = b'{"kind":"done","sender":"","recipient":"","step":0,"meta":{}}'
         with pytest.raises(FrameError, match="whole float64"):
             Frame.decode(header, b"\x00" * 7)
 
@@ -154,7 +162,7 @@ class TestRecvFrame:
         st.dictionaries(
             st.sampled_from(["kind", "sender", "recipient", "step", "meta"]),
             st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
-                      st.text(max_size=8), st.sampled_from(["ping", "loss"]),
+                      st.text(max_size=8), st.sampled_from(["ping", "done"]),
                       st.lists(st.integers(), max_size=2),
                       st.dictionaries(st.text(max_size=4), st.integers(),
                                       max_size=2)))

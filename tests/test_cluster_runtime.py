@@ -21,9 +21,12 @@ import tempfile
 import threading
 import time
 
+import numpy as np
 import pytest
 
+from repro.campaign.engine import build_trainer
 from repro.campaign.spec import ScenarioSpec
+from repro.core.wiring import ClusterWiring
 from repro.faults import FaultEvent, FaultSchedule
 from repro.kernels.registry import ENV_VAR
 from repro.obs.telemetry import MetricsRegistry, use_registry
@@ -189,15 +192,26 @@ class TestEdgePaths:
                    for node in report["nodes"].values())
 
 
+def supervisor_frames_in(registry):
+    """kind → frames the supervisor read (the nodes' own series, merged in
+    at the end, carry a ``node`` label)."""
+    counter = registry.counter("repro_cluster_frames_total")
+    return {dict(key)["kind"]: value
+            for key, value in counter.series.items()
+            if dict(key).keys() == {"direction", "kind"}
+            and dict(key)["direction"] == "in"}
+
+
 @needs_sockets
 @pytest.mark.timeout(180)
 class TestDataPlaneConnects:
     @pytest.mark.parametrize("num_steps", [5, 50])
     def test_connects_do_not_grow_with_the_run(self, num_steps):
         # One kept connection per (sender, recipient) pair: a server sends
-        # to 4 workers and 3 servers (itself included), a worker to 3
-        # servers — 33 connects however long the run is (it was one per
-        # frame: 33 a step).  The count repeats exactly.
+        # to 4 workers and the 2 other servers — its model to itself stays
+        # in memory — a worker to 3 servers: 30 connects however long the
+        # run is (it was one per frame: 33 a step).  The count repeats
+        # exactly.
         registry = MetricsRegistry()
         supervisor = Supervisor(small_spec(num_steps=num_steps))
         with use_registry(registry):
@@ -205,13 +219,92 @@ class TestDataPlaneConnects:
         nodes = supervisor.report()["nodes"]
         assert {node_id: node["connects"]
                 for node_id, node in nodes.items()} == {
-            "ps/0": 7, "ps/1": 7, "ps/2": 7,
+            "ps/0": 6, "ps/1": 6, "ps/2": 6,
             "worker/0": 3, "worker/1": 3, "worker/2": 3, "worker/3": 3}
+        assert all(node_id not in supervisor.handles[node_id].connects
+                   for node_id in nodes)
         assert sum(node["connects"] for node in nodes.values()) <= 7 * 7
         assert all(node["reconnects"] == {} for node in nodes.values())
         counter = registry.counter("repro_cluster_connects_total")
         for node_id, node in nodes.items():
             assert counter.value(node=node_id) == node["connects"]
+        # Nor do the supervisor's control frames: per-step reports ride
+        # each node's ``done`` frame, and PONGs answer the clock's PINGs.
+        frames = supervisor_frames_in(registry)
+        frames.pop("pong", None)
+        assert frames == {"ready": 7, "metrics": 7, "done": 7}
+
+
+def losses_of(history):
+    return [record.train_loss for record in history.records]
+
+
+@needs_sockets
+@pytest.mark.timeout(180)
+class TestCrashFrames:
+    """A node that crashes on schedule ships what it reported so far, and
+    a server its parameters, on its ``crashed`` frame: nothing else
+    carries them to the supervisor."""
+
+    def test_respawned_servers_resume_from_their_crash_frames(self):
+        # ps/1 and ps/2 are down for steps 1-2; with full quorums every
+        # node sits those steps out, and step 3 needs both servers'
+        # parameters as they were after step 0.  Two of three, because the
+        # median would outvote one server restarted from θ0.
+        crashed = ["ps/1", "ps/2"]
+        faults = FaultSchedule(events=[
+            FaultEvent(step=1, kind="crash", nodes=crashed),
+            FaultEvent(step=3, kind="recover", nodes=crashed)])
+        spec = small_spec(num_steps=5, faults=faults)
+        expected = losses_of(build_trainer(spec).run(spec.num_steps))
+        assert expected[1] is None and None not in expected[3:]
+
+        crash_payloads, snapshots = {}, {}
+
+        class Watching(Supervisor):
+            def _on_frame(self, handle, frame):
+                if frame.kind == "crashed":
+                    crash_payloads[handle.node_id] = frame.payload
+                super()._on_frame(handle, frame)
+
+            def _node_config(self, handle, resume_step):
+                config = super()._node_config(handle, resume_step)
+                if resume_step:
+                    snapshots[handle.node_id] = config["snapshot"]
+                return config
+
+        registry = MetricsRegistry()
+        supervisor = Watching(spec.replace(runtime="cluster"))
+        with use_registry(registry):
+            assert losses_of(supervisor.run()) == expected
+        assert snapshots == {node_id: payload.tolist()
+                             for node_id, payload in crash_payloads.items()}
+        theta0 = ClusterWiring.from_spec(spec)[2]().get_flat_parameters()
+        assert sorted(crash_payloads) == crashed
+        assert not any(np.array_equal(payload, theta0)  # they had trained
+                       for payload in crash_payloads.values())
+        assert "snapshot" not in supervisor_frames_in(registry)
+        nodes = supervisor.report()["nodes"]
+        assert all(nodes[node_id]["exit_codes"] == [-9, 0]
+                   and nodes[node_id]["crashed_steps"] == [1]
+                   for node_id in crashed)
+
+    def test_crashed_worker_keeps_its_losses(self):
+        # worker/1 crashes for good at step 2: steps 0-1 are means over
+        # all four workers, worker/1's losses included — they reached the
+        # supervisor on its crash frame — and steps 2-3 stall
+        faults = FaultSchedule(events=[
+            FaultEvent(step=2, kind="crash", nodes=["worker/1"])])
+        spec = small_spec(num_steps=4, faults=faults)
+        expected = losses_of(build_trainer(spec).run(spec.num_steps))
+        assert None not in expected[:2] and expected[2:] == [None, None]
+
+        supervisor = Supervisor(spec.replace(runtime="cluster"))
+        assert losses_of(supervisor.run()) == expected
+        assert all("worker/1" in supervisor._step_losses[step]
+                   for step in (0, 1))
+        node = supervisor.report()["nodes"]["worker/1"]
+        assert node["state"] == "killed" and node["exit_codes"] == [-9]
 
 
 @needs_sockets

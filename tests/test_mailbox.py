@@ -11,7 +11,9 @@ crash and respawn) lives in ``tests/test_cluster_transport.py``.
 from __future__ import annotations
 
 import shutil
+import sys
 import tempfile
+import threading
 import time
 
 import numpy as np
@@ -90,8 +92,12 @@ def wire(request):
 
 
 def has_mail(endpoint, kind, step) -> bool:
+    return mail_count(endpoint, kind, step) > 0
+
+
+def mail_count(endpoint, kind, step) -> int:
     with endpoint._condition:
-        return bool(endpoint._buffers.get((kind.value, step)))
+        return len(endpoint._buffers.get((kind.value, step), ()))
 
 
 @pytest.mark.timeout(60)
@@ -200,6 +206,88 @@ class TestMailbox:
         for step in range(19):
             with pytest.raises(QuorumTimeout, match=r"\(got 1\)"):
                 w0.wait_quorum(TO_WORKER, step, 2, timeout=0.0)
+
+
+class CountingCondition(threading.Condition):
+    """A condition that counts how often its waiter woke up, and how often
+    because its wait ran out."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.blocked = threading.Event()
+        self.wakeups = self.timeouts = 0
+
+    def wait(self, timeout=None):
+        self.blocked.set()
+        woken = super().wait(timeout)
+        self.wakeups += 1
+        self.timeouts += not woken
+        return woken
+
+
+@pytest.mark.timeout(60)
+class TestWakeups:
+    """A node blocked on a quorum wakes when the frame that completes it
+    arrives — not once per frame, and not for another step's mail."""
+
+    @pytest.mark.parametrize("quorum", [2, 3])
+    def test_a_quorum_wakes_its_waiter_once(self, wire, quorum):
+        w0 = wire("worker/0")
+        servers = [wire(server_id) for server_id in SERVERS]
+        w0._condition = condition = CountingCondition()
+        collected = []
+        waiter = threading.Thread(target=lambda: collected.append(
+            w0.wait_quorum(TO_WORKER, 0, quorum, timeout=10.0)))
+        waiter.start()
+        assert condition.blocked.wait(timeout=10.0)
+        servers[0].send("worker/0", TO_WORKER, 1, np.ones(1))
+        assert wait_until(lambda: has_mail(w0, TO_WORKER, 1))
+        for count, server in enumerate(servers, start=1):
+            server.send("worker/0", TO_WORKER, 0, np.full(1, float(count)))
+            # one frame at a time: each is filed, and a waiter it woke has
+            # had time to run, before the next is sent
+            assert wait_until(lambda: collected or mail_count(
+                w0, TO_WORKER, 0) == count)
+            time.sleep(0.02)
+        waiter.join(timeout=10.0)
+        assert not waiter.is_alive()
+        assert [payload[0] for payload in collected[0]] == \
+            [float(count) for count in range(1, quorum + 1)]
+        assert condition.wakeups == 1
+
+    def test_no_wakeup_is_lost_under_racing_senders(self):
+        # Three honest senders and two forgers race a waiter through 300
+        # steps with a tiny switch interval.  A quorum completed while the
+        # waiter is not yet blocked must be seen on its next check, one
+        # completed while it is blocked must wake it: no wait may run into
+        # its timeout.
+        endpoint = Endpoint("worker/0", WORKERS, SERVERS)
+        endpoint._condition = condition = CountingCondition()
+        steps = 300
+
+        def send(sender, kind):
+            for step in range(steps):
+                endpoint.deliver(sender, kind.value, step, np.ones(1))
+                time.sleep(0.0002)  # let the waiter catch up and block
+
+        senders = [threading.Thread(target=send, args=(server, TO_WORKER))
+                   for server in SERVERS]
+        senders += [threading.Thread(target=send, args=("ghost", TO_WORKER)),
+                    threading.Thread(target=send, args=("ps/0", GRADIENT))]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in senders:
+                thread.start()
+            for step in range(steps):
+                assert len(endpoint.wait_quorum(TO_WORKER, step, 2,
+                                                timeout=2.0)) == 2
+            for thread in senders:
+                thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in senders)
+        assert condition.wakeups > 0 and condition.timeouts == 0
 
 
 @pytest.mark.timeout(60)

@@ -43,7 +43,6 @@ from repro.faults import (
     GatedServerAttack,
     GatedWorkerAttack,
 )
-from repro.network.message import MessageKind
 from repro.runtime.cluster.node import ClusterNodeProcess
 from repro.runtime.cluster.supervisor import Supervisor
 from repro.runtime.live import LiveNode
