@@ -71,11 +71,12 @@ class GeometricMedian(GradientAggregationRule):
         (``tests/gar_oracle.py``) on the same reduction axes — distances
         reduce over the contiguous last axis, the weighted sum adds the
         inputs in order, the shift is the 1-D ``dot`` that
-        ``np.linalg.norm`` takes — so each row is bit-identical to that
-        loop on its slice.  Both passes run in blocks of one scratch buffer
-        of about :data:`CHUNK_ELEMENTS` (:func:`_chunks`), which changes
-        neither reduction.  A slice that stops leaves the active set; the
-        rest iterate on.
+        ``np.linalg.norm`` takes (one stacked vector·vector ``np.matmul``,
+        which NumPy computes with that ``dot`` per slice) — so each row is
+        bit-identical to that loop on its slice.  Both passes run in
+        blocks of one scratch buffer of about :data:`CHUNK_ELEMENTS`
+        (:func:`_chunks`), which changes neither reduction.  A slice that
+        stops leaves the active set; the rest iterate on.
         """
         estimate = active_backend().median(stacked, axis=1)
         result = np.empty_like(estimate)
@@ -84,7 +85,7 @@ class GeometricMedian(GradientAggregationRule):
         while active.size and self.iterations < self.max_iterations:
             self.iterations += 1
             distances = _distances(stacked, estimate)
-            if distances.min() > 1e-12:
+            if np.minimum.reduce(distances, axis=None) > 1e-12:
                 weights = np.divide(1.0, distances, out=distances)
             else:
                 # Avoid division by zero when an estimate coincides with a
@@ -92,8 +93,8 @@ class GeometricMedian(GradientAggregationRule):
                 mask = distances > 1e-12
                 weights = np.divide(1.0, distances,
                                     out=np.zeros_like(distances), where=mask)
-                moving = mask.any(axis=1)
-                if not moving.all():
+                moving = np.logical_or.reduce(mask, axis=1)
+                if not np.logical_and.reduce(moving):
                     # Coincides with every point: the estimate stands.
                     result[active[~moving]] = estimate[~moving]
                     active, stacked, estimate, weights = (
@@ -105,10 +106,11 @@ class GeometricMedian(GradientAggregationRule):
             np.divide(new_estimate, np.add.reduce(weights, axis=1)[:, None],
                       out=new_estimate)
             step = np.subtract(new_estimate, estimate, out=estimate)
-            shifts = np.sqrt([row.dot(row) for row in step])
+            shifts = np.sqrt(np.matmul(step[:, None, :],
+                                       step[:, :, None])[:, 0, 0])
             estimate = new_estimate
             settled = shifts < self.tolerance
-            if settled.any():
+            if np.logical_or.reduce(settled):
                 result[active[settled]] = estimate[settled]
                 active, stacked, estimate = (
                     array[~settled] for array in (active, stacked, estimate))

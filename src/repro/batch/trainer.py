@@ -69,7 +69,7 @@ from repro.core.nodes import (
 )
 from repro.core.wiring import ClusterWiring, SeedWiring, lane_arguments
 from repro.faults.controller import LinkTable
-from repro.metrics.accuracy import plan_accuracy
+from repro.metrics.accuracy import EVAL_BATCH
 from repro.nn.plan import (
     BATCHABLE_MODELS,
     BatchedDenseStack,
@@ -396,6 +396,11 @@ class BatchedGuanYuTrainer:
         self._attacking_worker_idx = {
             index for index, worker_id in enumerate(self.worker_ids)
             if worker_id in self.attacking_workers}
+        #: workers whose attack poisons batches in some lane
+        self._poisoning_workers = {
+            index for index, worker_id in enumerate(self.worker_ids)
+            if any(getattr(lane.worker_attacks[worker_id], "poisons", False)
+                   for lane in self.lanes)}
 
         self._delay_multipliers = np.array([profile.delay_multiplier
                                             for profile in self.profiles])
@@ -593,7 +598,9 @@ class BatchedGuanYuTrainer:
 
         One batched Gram kernel replaces R sequential calls; like the
         sequential helper, the winning pair's norm is re-evaluated directly
-        so exact agreement reports exactly zero.
+        so exact agreement reports exactly zero — ``np.linalg.norm``'s
+        ``sqrt(dot)``, as one stacked vector·vector ``np.matmul``, which
+        NumPy computes with that same ``dot`` per row.
         """
         if len(self._correct_server_idx) < 2:
             return np.zeros(self.num_replicas)
@@ -603,9 +610,10 @@ class BatchedGuanYuTrainer:
         n = stacked.shape[1]
         winners = squared.reshape(self.num_replicas, -1).argmax(axis=1)
         rows, cols = np.unravel_index(winners, (n, n))
-        return np.array([
-            float(np.linalg.norm(stacked[r, rows[r]] - stacked[r, cols[r]]))
-            for r in range(self.num_replicas)])
+        lanes = np.arange(self.num_replicas)
+        difference = stacked[lanes, rows] - stacked[lanes, cols]  # (R, D)
+        return np.sqrt(np.matmul(difference[:, None, :],
+                                 difference[:, :, None])[:, 0, 0])
 
     # ------------------------------------------------------------------ #
     # Protocol helpers
@@ -619,9 +627,11 @@ class BatchedGuanYuTrainer:
         reduces with its pairwise base case; reducing the *outer* axis of a
         2-D array uses a different accumulation order once more than eight
         nodes are involved.  Transposing to a contiguous last-axis
-        reduction restores the 1-D order bit for bit.
+        reduction restores the 1-D order bit for bit; the sum over the
+        count is what ``np.mean`` computes, without its wrapper.
         """
-        return np.mean(np.ascontiguousarray(values.T), axis=1)
+        return np.add.reduce(np.ascontiguousarray(values.T), axis=1) \
+            / values.shape[0]
 
     def _folds(self, indices: List[int], quorum: int) -> List[List[int]]:
         """``indices`` cut into runs of nodes whose shared ``(J·R, q, D)``
@@ -661,7 +671,10 @@ class BatchedGuanYuTrainer:
         """Run worker ``w_index``'s data-poisoning hook lane by lane on its
         ``(R, B, …)`` batch, in place, at ``theta`` ``(R, D)`` — the
         parameters the gradient is computed at, exactly like
-        :meth:`WorkerNode.compute_gradient`."""
+        :meth:`WorkerNode.compute_gradient`.  A worker no lane's attack
+        poisons (:attr:`_poisoning_workers`) returns at once."""
+        if w_index not in self._poisoning_workers:
+            return
         worker_id = self.worker_ids[w_index]
         for r, lane in enumerate(self.lanes):
             attack = lane.worker_attacks[worker_id]
@@ -932,6 +945,40 @@ class BatchedGuanYuTrainer:
         return active_backend().median(
             self.theta[self._correct_server_idx], axis=0)
 
+    def _accuracies(self, observer: np.ndarray,
+                    max_samples: Optional[int]) -> np.ndarray:
+        """Each lane's test accuracy at its row of ``observer`` ``(R, D)``:
+        :func:`~repro.metrics.accuracy.plan_accuracy`'s chunks and integer
+        counts, one forward per chunk over a block of lanes, lane ``r``
+        reading its seed's test rows (one configuration: every seed's test
+        set has one size).  A block's feature stack stays within
+        :data:`_FOLD_BUDGET`; lanes of one seed read one view of its rows.
+        """
+        tests = [seeded.test_dataset for seeded in self._seeds]
+        size = len(tests[0])
+        limit = size if max_samples is None else min(max_samples, size)
+        block = max(1, _FOLD_BUDGET // (EVAL_BATCH * tests[0].features[0].size))
+        lane_seeds = self._lane_seed.tolist()
+        correct = np.zeros(self.num_replicas, dtype=np.int64)
+        for start in range(0, limit, EVAL_BATCH):
+            stop = min(start + EVAL_BATCH, limit)
+            for first in range(0, self.num_replicas, block):
+                lanes = slice(first, first + block)
+                seeds = lane_seeds[lanes]
+                if seeds.count(seeds[0]) == len(seeds):
+                    rows = tests[seeds[0]].features[start:stop]
+                    features = (rows[None] if len(seeds) == 1 else
+                                np.broadcast_to(rows, (len(seeds),) + rows.shape))
+                    labels = tests[seeds[0]].labels[start:stop]
+                else:
+                    features = np.stack([tests[k].features[start:stop]
+                                         for k in seeds])
+                    labels = np.stack([tests[k].labels[start:stop]
+                                       for k in seeds])
+                predictions = np.argmax(self.dense_stack.forward_logits(
+                    observer[lanes], features), axis=-1)
+                correct[lanes] += np.add.reduce(predictions == labels, axis=1)
+        return correct / limit if limit else np.zeros(self.num_replicas)
 
     def run(self, num_steps: int, eval_every: int = 10,
             max_eval_samples: Optional[int] = 512) -> List[TrainingHistory]:
@@ -942,14 +989,11 @@ class BatchedGuanYuTrainer:
             records = self.step(step_index)
             is_eval_step = (step_index % eval_every == 0) \
                 or (step_index == num_steps - 1)
-            if is_eval_step:
-                observer = self.global_parameters()
-                for r, k in enumerate(self._lane_seed):
-                    test = self._seeds[k].test_dataset
-                    if test is not None:
-                        records[r].test_accuracy = plan_accuracy(
-                            self.dense_stack, observer[r], test,
-                            max_samples=max_eval_samples)
+            if is_eval_step and self._seeds[0].test_dataset is not None:
+                accuracies = self._accuracies(self.global_parameters(),
+                                              max_eval_samples)
+                for record, accuracy in zip(records, accuracies.tolist()):
+                    record.test_accuracy = accuracy
             for r, lane in enumerate(self.lanes):
                 lane.history.add(records[r])
         return [lane.history for lane in self.lanes]

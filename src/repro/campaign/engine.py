@@ -13,7 +13,10 @@ Turns expanded :class:`~repro.campaign.spec.ScenarioSpec` lists into
   ``multiprocessing`` pool, each with the deterministic seed carried by
   its spec;
 * a failing scenario never takes the campaign down: its traceback is
-  captured into a ``failed`` outcome and the remaining scenarios proceed.
+  captured into a ``failed`` outcome and the remaining scenarios proceed;
+* a scenario gets sinks of its own — a tracer, a metrics registry — only
+  when the caller traces resp. meters, and its stored entry a
+  ``trace_summary`` only when the caller traces.
 """
 
 from __future__ import annotations
@@ -33,8 +36,13 @@ from repro.campaign.spec import CampaignSpec, ScenarioSpec, ensure_unique_names
 from repro.campaign.store import ResultStore
 from repro.obs.history import TrainingHistory
 from repro.kernels import use_backend
-from repro.obs.telemetry import MetricsRegistry, get_registry, use_registry
-from repro.obs.tracer import Tracer, get_tracer, use_tracer
+from repro.obs.telemetry import (
+    MetricsRegistry,
+    NullRegistry,
+    get_registry,
+    use_registry,
+)
+from repro.obs.tracer import NullTracer, Tracer, get_tracer, use_tracer
 from repro.runtime.facade import build_trainer  # noqa: F401 - re-exported
 from repro.runtime.facade import run as run_scenario
 
@@ -95,43 +103,63 @@ class CampaignResult:
         return self
 
 
-def _run_payload(payload: Dict) -> Dict:
+#: what a scenario's caller records: ``(traced, metered, record_decisions)``
+#: — a pool task carries its parent's, because a pool worker's own ambient
+#: sinks say nothing about what the campaign's caller records
+Sinks = Tuple[bool, bool, bool]
+
+
+def _local_sinks(sinks: Sinks) -> Tuple[Union[Tracer, NullTracer],
+                                        Union[MetricsRegistry, NullRegistry]]:
+    """A scenario's own tracer and registry: a :class:`Tracer` only when the
+    caller traces, a :class:`MetricsRegistry` only when it meters, else the
+    null sink — so an untraced, unmetered scenario runs under the no-op
+    :func:`~repro.obs.phase` and pays nothing for either."""
+    traced, metered, record_decisions = sinks
+    return (Tracer(capacity=50_000, record_decisions=record_decisions)
+            if traced else NullTracer(),
+            MetricsRegistry() if metered else NullRegistry())
+
+
+def _sink_fields(tracer, metrics) -> Dict:
+    """The outcome fields a scenario's local sinks contribute: its compact
+    trace summary (it must cross a pool boundary, so raw events stay local)
+    and its metrics snapshot (the parent merges it in ``finish_payload``),
+    each only when that sink was built."""
+    fields = {}
+    if tracer.enabled:
+        fields["trace_summary"] = tracer.summary()
+    if metrics.enabled:
+        fields["metrics_snapshot"] = metrics.snapshot()
+    return fields
+
+
+def _run_payload(payload: Dict, sinks: Sinks) -> Dict:
     """Pool-friendly wrapper: dict spec in, dict outcome out, never raises.
 
-    Every scenario executes under a scenario-local :class:`Tracer` whose
-    compact :meth:`~Tracer.summary` travels back in the outcome dict (it
-    must cross a pool boundary, so raw events stay local).  When an outer
-    tracer is active — serial in-process execution under ``repro --trace``
-    — the raw events are forwarded to it as well.
+    The scenario runs under the local sinks ``sinks`` asks for
+    (:func:`_local_sinks`).  When the ambient tracer is active — serial
+    in-process execution under ``repro --trace`` — the raw events are
+    forwarded to it as well.
     """
     started = time.perf_counter()
-    outer = get_tracer()
-    local = Tracer(capacity=50_000,
-                   record_decisions=getattr(outer, "record_decisions", False))
-    # Like the trace, metrics recorded inside a pool worker cannot reach
-    # the parent's registry directly — a scenario-local registry rides back
-    # in the payload and the parent merges it (see ``finish_payload``).
-    metrics = MetricsRegistry()
+    tracer, metrics = _local_sinks(sinks)
     try:
-        with use_tracer(local), use_registry(metrics):
+        with use_tracer(tracer), use_registry(metrics):
             history = run_scenario(ScenarioSpec.from_dict(payload)).history
-        _forward_trace(outer, local)
-        return {"status": "ran", "history": history.to_dict(), "error": None,
-                "traceback": None,
-                "duration": time.perf_counter() - started,
-                "trace_summary": local.summary(),
-                "metrics_snapshot": metrics.snapshot()}
+        outcome = {"status": "ran", "history": history.to_dict(),
+                   "error": None, "traceback": None}
     except Exception as exc:  # noqa: BLE001 - per-scenario failure isolation
-        _forward_trace(outer, local)
-        return {"status": "failed", "history": None,
-                "error": f"{type(exc).__name__}: {exc}",
-                "traceback": traceback.format_exc(),
-                "duration": time.perf_counter() - started,
-                "trace_summary": local.summary(),
-                "metrics_snapshot": metrics.snapshot()}
+        outcome = {"status": "failed", "history": None,
+                   "error": f"{type(exc).__name__}: {exc}",
+                   "traceback": traceback.format_exc()}
+    _forward_trace(get_tracer(), tracer)
+    outcome["duration"] = time.perf_counter() - started
+    outcome.update(_sink_fields(tracer, metrics))
+    return outcome
 
 
-def _forward_trace(outer, local: Tracer) -> None:
+def _forward_trace(outer, local) -> None:
     """Copy a scenario-local trace into the outer tracer, if one is active."""
     if not outer.enabled:
         return
@@ -140,7 +168,7 @@ def _forward_trace(outer, local: Tracer) -> None:
         outer.count(counter_name, value)
 
 
-def _run_batched_payloads(payloads: List[Dict],
+def _run_batched_payloads(payloads: List[Dict], sinks: Sinks,
                           lanes: Optional[int] = None) -> List[Dict]:
     """Run a group of lanes on the batched runtime; one dict per spec.
 
@@ -154,37 +182,37 @@ def _run_batched_payloads(payloads: List[Dict],
     ``BatchedExecutionError`` and the others complete.
     """
     started = time.perf_counter()
-    outer = get_tracer()
-    local = Tracer(capacity=50_000,
-                   record_decisions=getattr(outer, "record_decisions", False))
-    metrics = MetricsRegistry()
+    tracer, metrics = _local_sinks(sinks)
     try:
         specs = [ScenarioSpec.from_dict(payload) for payload in payloads]
-        with use_tracer(local), use_registry(metrics), \
+        with use_tracer(tracer), use_registry(metrics), \
                 use_backend(specs[0].kernels if specs else None):
             histories = run_batched_scenarios(specs, lanes=lanes)
     except Exception:  # noqa: BLE001 - fall back to per-scenario isolation
-        return [_run_payload(payload) for payload in payloads]
-    _forward_trace(outer, local)
+        return [_run_payload(payload, sinks) for payload in payloads]
+    _forward_trace(get_tracer(), tracer)
     duration = (time.perf_counter() - started) / max(len(payloads), 1)
     # The group ran as one vectorised execution: every member carries the
     # same (shared) trace summary; the metrics snapshot rides on the first
     # member only, so the parent merges the group exactly once.
-    summary = local.summary()
-    snapshot = metrics.snapshot()
-    return [{"status": "ran", "history": history.to_dict(), "error": None,
-             "traceback": None, "duration": duration, "batched": True,
-             "trace_summary": summary,
-             "metrics_snapshot": snapshot if index == 0 else None}
-            for index, history in enumerate(histories)]
+    fields = _sink_fields(tracer, metrics)
+    outcomes = [{"status": "ran", "history": history.to_dict(), "error": None,
+                 "traceback": None, "duration": duration, "batched": True,
+                 **fields} for history in histories]
+    for outcome in outcomes[1:]:
+        outcome.pop("metrics_snapshot", None)
+    return outcomes
 
 
 def _run_indexed_task(item: tuple) -> tuple:
-    """Pool wrapper: ``(index, kind, payloads)`` → ``(index, outcome list)``."""
-    index, kind, payloads = item
-    if kind == "batch":
-        return index, _run_batched_payloads(payloads)
-    return index, [_run_payload(payloads[0])]
+    """Pool wrapper: ``(index, kind, payloads, sinks)`` → ``(index, outcome
+    list)``.  The task runs under null ambient sinks: nothing it recorded
+    there would reach the parent."""
+    index, kind, payloads, sinks = item
+    with use_tracer(NullTracer()), use_registry(NullRegistry()):
+        if kind == "batch":
+            return index, _run_batched_payloads(payloads, sinks)
+        return index, [_run_payload(payloads[0], sinks)]
 
 
 # --------------------------------------------------------------------------- #
@@ -254,6 +282,7 @@ def run_campaign(campaign: Union[CampaignSpec, Iterable[ScenarioSpec]],
     outcomes: Dict[str, ScenarioOutcome] = {}
     tracer = get_tracer()
     registry = get_registry()
+    sinks: Sinks = (tracer.enabled, registry.enabled, tracer.record_decisions)
     campaign_started = time.perf_counter()
     if registry.enabled:
         registry.set_gauge("repro_campaign_scenarios_pending", total)
@@ -385,7 +414,7 @@ def run_campaign(campaign: Union[CampaignSpec, Iterable[ScenarioSpec]],
 
     if processes and processes > 1 and len(pool_tasks) > 1:
         pool_size = min(processes, len(pool_tasks))
-        items = [(index, kind, [spec.to_dict() for spec, _ in bucket])
+        items = [(index, kind, [spec.to_dict() for spec, _ in bucket], sinks)
                  for index, (kind, bucket) in pool_tasks]
         # Under a pool the in-flight count is approximate: the pool is
         # saturated until fewer tasks remain than workers.
@@ -399,7 +428,8 @@ def run_campaign(campaign: Union[CampaignSpec, Iterable[ScenarioSpec]],
             # pool chews through the singles.
             for index, kind, bucket in foreground:
                 payloads = _run_batched_payloads(
-                    [spec.to_dict() for spec, _ in bucket], lanes=lanes)
+                    [spec.to_dict() for spec, _ in bucket], sinks,
+                    lanes=lanes)
                 for (spec, key), payload in zip(bucket, payloads):
                     finish_payload(spec, key, payload)
             done_tasks = 0
@@ -413,10 +443,10 @@ def run_campaign(campaign: Union[CampaignSpec, Iterable[ScenarioSpec]],
             set_running(len(bucket))
             if kind == "batch":
                 payloads = _run_batched_payloads(
-                    [spec.to_dict() for spec, _ in bucket],
+                    [spec.to_dict() for spec, _ in bucket], sinks,
                     lanes=lanes if lane_sharding else None)
             else:
-                payloads = [_run_payload(bucket[0][0].to_dict())]
+                payloads = [_run_payload(bucket[0][0].to_dict(), sinks)]
             set_running(0)
             for (spec, key), payload in zip(bucket, payloads):
                 finish_payload(spec, key, payload)

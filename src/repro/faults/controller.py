@@ -23,7 +23,10 @@ partitions, link overrides, silenced attacks); a link's verdict — crash or
 partition block, delay factor, extra delay, drop rate — is compiled on
 first use once per epoch (:meth:`link_state`, :meth:`link_table`), and so
 is the participation fixpoint.  The caches hold at most one entry per
-(query, epoch), however long the run.
+(query, epoch), however long the run.  A compiled :class:`LinkTable`
+depends on the schedule alone, so controllers of equal schedules — the
+cells of one campaign — share one through a bounded process-level cache
+(:data:`SHARED_TABLES`); stats and drop sampling stay per controller.
 
 Probabilistic decisions (drop / duplicate rates) are sampled by hashing
 ``(seed, sender, recipient, kind, step)`` rather than by drawing from a
@@ -36,7 +39,9 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import json
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -48,6 +53,14 @@ from repro.faults.schedule import (
     FaultEvent,
     FaultSchedule,
 )
+
+#: compiled link tables the process keeps for controllers of equal
+#: schedules, least recently used first evicted
+SHARED_TABLES = 256
+
+_shared_tables: "OrderedDict[tuple, LinkTable]" = OrderedDict()
+_shared_lock = threading.Lock()
+
 
 @dataclass
 class SendDecision:
@@ -157,6 +170,9 @@ class FaultController:
         self._participation_cache: Dict[tuple, Tuple[List[str], List[str]]] = {}
         self._links: Dict[Tuple[str, str, int], LinkState] = {}
         self._tables: Dict[tuple, LinkTable] = {}
+        #: canonical JSON of the schedule: the shared tables' key
+        self._schedule_key = json.dumps(self.schedule.to_dict(),
+                                        sort_keys=True)
         self._events_by_step: Dict[int, List[FaultEvent]] = {}
         self._compile()
 
@@ -277,25 +293,31 @@ class FaultController:
     def link_table(self, senders: Sequence[str], recipients: Sequence[str],
                    step: int) -> LinkTable:
         """:meth:`link_state` of every ``senders × recipients`` link at
-        ``step`` as arrays, compiled once per epoch — what a vectorised
-        runtime judges a whole phase with."""
+        ``step`` as arrays, compiled once per epoch and schedule — what a
+        vectorised runtime judges a whole phase with."""
         epoch = self.epoch(step)
         key = (tuple(senders), tuple(recipients), epoch)
         table = self._tables.get(key)
         if table is None:
-            now, drop_rate = self._epochs[epoch], self.schedule.drop_rate
-            states = [now.link(sender, recipient, drop_rate)
-                      for sender in senders for recipient in recipients]
-            shape = (len(senders), len(recipients))
-            effects = np.array([state[1:] for state in states],
-                               dtype=float).reshape(shape + (3,))
-            table = LinkTable(
-                np.array([state.blocked_by is None for state in states],
-                         dtype=bool).reshape(shape),
-                *np.moveaxis(effects, -1, 0))
-            for array in table:
-                array.flags.writeable = False
-            self._tables[key] = table
+            table = self._tables[key] = _shared_table(
+                (self._schedule_key,) + key,
+                lambda: self._compile_table(senders, recipients, epoch))
+        return table
+
+    def _compile_table(self, senders: Sequence[str],
+                       recipients: Sequence[str], epoch: int) -> LinkTable:
+        now, drop_rate = self._epochs[epoch], self.schedule.drop_rate
+        states = [now.link(sender, recipient, drop_rate)
+                  for sender in senders for recipient in recipients]
+        shape = (len(senders), len(recipients))
+        effects = np.array([state[1:] for state in states],
+                           dtype=float).reshape(shape + (3,))
+        table = LinkTable(
+            np.array([state.blocked_by is None for state in states],
+                     dtype=bool).reshape(shape),
+            *np.moveaxis(effects, -1, 0))
+        for array in table:
+            array.flags.writeable = False
         return table
 
     def dropped(self, sender: str, recipient: str, kind: str, step: int,
@@ -404,6 +426,23 @@ class FaultController:
         material = "|".join([str(self.seed), *map(str, parts)])
         digest = hashlib.sha256(material.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big") / 2.0 ** 64
+
+
+def _shared_table(key: tuple, compile_table) -> LinkTable:
+    """The process's :class:`LinkTable` under ``key``, compiled by
+    ``compile_table()`` on a miss; at most :data:`SHARED_TABLES` are kept.
+    A racing miss compiles the same read-only table twice."""
+    with _shared_lock:
+        table = _shared_tables.get(key)
+        if table is not None:
+            _shared_tables.move_to_end(key)
+            return table
+    table = compile_table()
+    with _shared_lock:
+        _shared_tables[key] = table
+        while len(_shared_tables) > SHARED_TABLES:
+            _shared_tables.popitem(last=False)
+    return table
 
 
 class _GatedAttack:

@@ -179,7 +179,9 @@ def _shard_indices(labels: np.ndarray, num_workers: int,
 def _dirichlet_indices(labels: np.ndarray, num_workers: int,
                        hetero: HeteroSpec, seed: int,
                        rng: np.random.Generator) -> List[np.ndarray]:
-    classes = np.unique(labels)
+    # the sorted classes present, as np.unique would give them, without
+    # the numpy.ma import np.unique pays on its first call
+    classes = np.flatnonzero(np.bincount(labels))
     size_weights = None
     if hetero.imbalance != 0.0:
         size_weights = _size_weights(seed, num_workers, hetero.imbalance)

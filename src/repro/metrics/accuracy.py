@@ -10,6 +10,9 @@ from repro.data.datasets import Dataset
 from repro.nn.module import Module
 from repro.tensor import Tensor, no_grad
 
+#: rows per evaluation chunk
+EVAL_BATCH = 256
+
 
 def _chunked_accuracy(logits_of, dataset: Dataset, batch_size: int,
                       max_samples: Optional[int]) -> float:
@@ -25,7 +28,8 @@ def _chunked_accuracy(logits_of, dataset: Dataset, batch_size: int,
     return correct / total if total else 0.0
 
 
-def evaluate_accuracy(model: Module, dataset: Dataset, batch_size: int = 256,
+def evaluate_accuracy(model: Module, dataset: Dataset,
+                      batch_size: int = EVAL_BATCH,
                       max_samples: Optional[int] = None) -> float:
     """Top-1 accuracy of ``model`` on ``dataset``.
 
@@ -38,7 +42,7 @@ def evaluate_accuracy(model: Module, dataset: Dataset, batch_size: int = 256,
 
 
 def plan_accuracy(plan, parameters: np.ndarray, dataset: Dataset,
-                  batch_size: int = 256,
+                  batch_size: int = EVAL_BATCH,
                   max_samples: Optional[int] = None) -> float:
     """:func:`evaluate_accuracy` of a dense model at flat ``parameters``,
     through its :class:`~repro.nn.plan.BatchedDenseStack` — the same

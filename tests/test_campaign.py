@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import multiprocessing
 import time
 
 import pytest
@@ -16,6 +17,8 @@ from repro.campaign import (
     build_trainer,
     run_campaign,
 )
+from repro.batch import run_batched_scenarios
+from repro.campaign import engine
 from repro.campaign.scheduler import CampaignScheduler
 from repro.adversary import RandomGradientAttack
 from repro.core import ClusterConfig, GuanYuTrainer
@@ -27,6 +30,8 @@ from repro.experiments.common import (
 from repro.faults import FaultEvent, FaultSchedule
 from repro.hetero import HeteroSpec, WorkerProfile
 from repro.network.message import MessageKind
+from repro.obs.telemetry import MetricsRegistry, use_registry
+from repro.obs.tracer import Tracer, use_tracer
 from repro.runtime import run
 from repro.runtime.facade import CLOCK_IGNORES, CLOCKS, TRAINERS
 
@@ -589,6 +594,105 @@ class TestEngine:
         history = run(spec).history
         assert len(history) == 3
         assert history.label == spec.name
+
+
+class TestScenarioSinks:
+    """A scenario gets a tracer and a metrics registry of its own, and its
+    stored entry a ``trace_summary``, only when the campaign's caller
+    traces resp. meters."""
+
+    @staticmethod
+    def _specs():
+        # with batch_seeds: one two-lane group and one lone scenario, so
+        # processes=2 sends both kinds of task to the pool
+        return [tiny_spec(name="a", seed=0), tiny_spec(name="b", seed=1),
+                tiny_spec(name="c", num_steps=3)]
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """``[tracers, registries]`` the engine constructs, counted in
+        shared memory so forked pool workers count too."""
+        counts = multiprocessing.get_context().Array("i", 2)
+        for slot, name in enumerate(("Tracer", "MetricsRegistry")):
+            def counted(*args, _slot=slot, _make=getattr(engine, name),
+                        **kwargs):
+                with counts.get_lock():
+                    counts[_slot] += 1
+                return _make(*args, **kwargs)
+            monkeypatch.setattr(engine, name, counted)
+        return counts
+
+    @staticmethod
+    def _summaries(store, result):
+        """Each outcome's ``trace_summary`` from its entry and its index row
+        (``None`` where absent)."""
+        rows = {stored.key: stored.meta for stored in store.query()}
+        return ([store.get(outcome.store_key).meta.get("trace_summary")
+                 for outcome in result.outcomes],
+                [rows[outcome.store_key].get("trace_summary")
+                 for outcome in result.outcomes])
+
+    @pytest.mark.parametrize("processes", [None, 2])
+    def test_untraced_campaign_builds_no_local_sinks(self, tmp_path, built,
+                                                     processes):
+        store = ResultStore(str(tmp_path))
+        result = run_campaign(self._specs(), store=store, processes=processes,
+                              batch_seeds=True)
+        assert result.counts() == {"ran": 3, "cached": 0, "failed": 0}
+        assert list(built) == [0, 0]
+        entries, rows = self._summaries(store, result)
+        assert entries == rows == [None] * 3
+
+    @pytest.mark.parametrize("processes", [None, 2])
+    def test_traced_campaign_keeps_its_summaries(self, tmp_path, built,
+                                                 processes):
+        store = ResultStore(str(tmp_path))
+        with use_tracer(Tracer()) as tracer:
+            result = run_campaign(self._specs(), store=store,
+                                  processes=processes, batch_seeds=True)
+        assert result.counts()["ran"] == 3
+        assert list(built) == [2, 0]  # one tracer a task, no registry
+        records = tracer.events()
+        raw = {record.name for record in records if record.kind == "span"}
+        scenarios = [record.attrs for record in records
+                     if record.name == "campaign.scenario"]
+        assert len(scenarios) == 3
+        if processes:
+            assert not raw  # raw spans stay in the pool worker
+            assert all("batch.step.gather" in attrs["trace_summary"]["spans"]
+                       for attrs in scenarios)
+        else:
+            assert {"batch.step.broadcast", "batch.step.gather"} <= raw
+            assert all("trace_summary" not in attrs for attrs in scenarios)
+        for summaries in self._summaries(store, result):
+            assert all("batch.step.gather" in summary["spans"]
+                       for summary in summaries)
+
+    @staticmethod
+    def _phase_counts(registry):
+        histogram = registry.snapshot()["metrics"]["repro_step_phase_seconds"]
+        return {series["labels"]["phase"]: series["count"]
+                for series in histogram["series"]}
+
+    @pytest.mark.parametrize("processes", [None, 2])
+    def test_metered_campaign_merges_each_scenario_once(self, built,
+                                                        processes):
+        lone = tiny_spec(name="lone", num_steps=3)
+        group = [tiny_spec(name=f"lane-{seed}", seed=seed)
+                 for seed in range(4)]
+        direct = MetricsRegistry()
+        with use_registry(direct):
+            run(lone)
+            run_batched_scenarios(group)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            result = run_campaign([lone] + group, processes=processes,
+                                  batch_seeds=True)
+        assert result.counts()["ran"] == 5
+        assert list(built) == [0, 2]  # one registry a task, no tracer
+        assert self._phase_counts(registry) == self._phase_counts(direct)
+        assert set(self._phase_counts(direct)) == {
+            "broadcast", "compute", "gather", "aggregate", "apply"}
 
 
 class TestCampaignResume:

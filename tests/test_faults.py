@@ -268,6 +268,94 @@ class TestFaultController:
         assert not np.allclose(inside, honest)
 
 
+class TestSharedLinkTables:
+    """Compiled link tables depend on the schedule alone: controllers of
+    equal schedules share one, through a bounded process-level cache."""
+
+    SENDERS = ("worker/0", "worker/1", "ps/0")
+    RECIPIENTS = ("ps/0", "ps/1")
+
+    @staticmethod
+    def _schedule(step: int = 2, factor: float = 3.0) -> FaultSchedule:
+        return FaultSchedule.from_dict({"events": [
+            {"step": step, "kind": "crash", "nodes": ["ps/1"]},
+            {"step": 1, "kind": "slowdown", "nodes": ["worker/0"],
+             "factor": factor}], "drop_rate": 0.1})
+
+    def _table(self, controller: FaultController, step: int = 3):
+        return controller.link_table(self.SENDERS, self.RECIPIENTS, step)
+
+    def test_equal_schedules_share_one_table(self):
+        first = FaultController(self._schedule(), seed=1)
+        second = FaultController(self._schedule(), seed=2)
+        assert self._table(first) is self._table(second)
+        # one epoch, one table: steps 2 and 5 both follow the last event
+        assert self._table(second, step=5) is self._table(first)
+        other = FaultController(self._schedule(factor=4.0), seed=1)
+        assert self._table(other) is not self._table(first)
+        assert not np.array_equal(self._table(other).delay_factor,
+                                  self._table(first).delay_factor)
+
+    def test_stats_and_drops_stay_per_controller(self):
+        first = FaultController(self._schedule(), seed=1)
+        second = FaultController(self._schedule(), seed=2)
+        self._table(first), self._table(second)
+        first.on_send("ps/1", "ps/0", "model", 3)
+        assert first.stats["blocked_crash"] == 1
+        assert second.stats["blocked_crash"] == 0
+        drops = [[controller.dropped("worker/0", "ps/0", "gradient", step, 0.5)
+                  for step in range(32)] for controller in (first, second)]
+        assert drops[0] != drops[1]
+
+    def test_cache_stays_within_its_bound(self, monkeypatch):
+        from repro.faults import controller as module
+        monkeypatch.setattr(module, "SHARED_TABLES", 4)
+        first = FaultController(self._schedule(step=100), seed=0)
+        oldest = self._table(first)
+        for step in range(101, 110):
+            self._table(FaultController(self._schedule(step=step)))
+            assert len(module._shared_tables) <= 4
+        # evicted from the shared cache: a new controller compiles afresh,
+        # while the first keeps its own
+        assert self._table(FaultController(self._schedule(step=100))) \
+            is not oldest
+        assert self._table(first) is oldest
+
+    def test_threads_share_the_cache_safely(self, monkeypatch):
+        """Eight threads (more than the cores) look up, compile and evict
+        four keys through a two-entry cache at a 1 µs switch interval: no
+        lookup fails, every key gets its own table and the bound holds."""
+        import sys
+        import threading
+
+        from repro.faults import controller as module
+        monkeypatch.setattr(module, "SHARED_TABLES", 2)
+        errors = []
+
+        def hammer(offset: int) -> None:
+            try:
+                for round_ in range(5000):
+                    key = ("stress", (offset + round_) % 4)
+                    assert module._shared_table(key, lambda: key) == key
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(offset,))
+                       for offset in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(module._shared_tables) <= 2
+
+
 # --------------------------------------------------------------------------- #
 # Simulator integration
 # --------------------------------------------------------------------------- #
