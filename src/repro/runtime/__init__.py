@@ -42,7 +42,6 @@ __all__ = [
     "RUNTIME_KINDS",
     "ScenarioResult",
     "ThreadedClusterRuntime",
-    "ThreadedNodeHandle",
     "resolve_runtime",
     "run",
 ]
@@ -50,8 +49,8 @@ __all__ = [
 
 def __getattr__(name: str):
     # Lazy: a cluster node process never loads the threaded runtime.
-    if name in ("ThreadedClusterRuntime", "ThreadedNodeHandle"):
-        from repro.runtime import threads
+    if name == "ThreadedClusterRuntime":
+        from repro.runtime.threads import ThreadedClusterRuntime
 
-        return getattr(threads, name)
+        return ThreadedClusterRuntime
     raise AttributeError(f"module 'repro.runtime' has no attribute {name!r}")

@@ -5,13 +5,15 @@
 import graph once and forks one child per node.  Each child runs
 :func:`run_node` on the configuration its supervisor sent — a single
 GuanYu node, one parameter server or one worker, as a real OS process.
-The protocol loop and the mailbox are the threaded runtime's
-(:class:`repro.runtime.live.LiveNode` over an
-:class:`~repro.runtime.live.Endpoint`); only the wire and the four hooks
-differ: frames over sockets instead of in-process hand-over, reports
-buffered and shipped to the supervising process on the node's last control
-frame (``done``, or ``crashed``), and a scheduled crash that really kills
-the process.  While the run steps, only protocol frames leave the node.
+The protocol loop, the mailbox and the node's report are the threaded
+runtime's (:class:`repro.runtime.live.LiveNode` over an
+:class:`~repro.runtime.live.Endpoint`); only the wire and the two hooks
+differ: frames over sockets instead of in-process hand-over, and a
+scheduled crash that really kills the process.  The report — with the
+node's trace and registry snapshot when those are on — travels to the
+supervising process as the meta and payload of the node's last control
+frame, ``done`` or ``crashed``.  While the run steps, only protocol frames
+leave the node.
 
 Every node derives the scenario's :class:`~repro.core.wiring.ClusterWiring`
 from the spec it receives — the same derivation every other runtime uses,
@@ -36,7 +38,7 @@ import sys
 import threading
 import time
 import traceback
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -82,15 +84,14 @@ class ClusterNodeProcess(LiveNode):
 
     def __init__(self, config: Dict) -> None:
         from repro.campaign.spec import ScenarioSpec
+        from repro.obs.telemetry import MetricsRegistry, NullRegistry
+        from repro.obs.tracer import NullTracer, Tracer
 
         self.role: str = config["role"]
         self.index: int = int(config["index"])
         self.num_steps: int = int(config["num_steps"])
         self.resume_step: int = int(config.get("resume_step", 0))
         self.snapshot = config.get("snapshot")
-        self.trace_enabled: bool = bool(config.get("trace", False))
-        self.metrics_enabled: bool = bool(config.get("metrics", False))
-        self.send_snapshots: bool = bool(config.get("send_snapshots", False))
         self.debug: Dict = config.get("debug") or {}
         self.address = config["address"]
         self.control_address = config["control"]
@@ -99,10 +100,11 @@ class ClusterNodeProcess(LiveNode):
         self._started = threading.Event()
         self._shutdown = threading.Event()
         self._addresses: Dict[str, Dict] = {}
-        self._start_time = 0.0
-        #: ``(step, value)`` reports, shipped on the last control frame
-        self._losses: List[Tuple[int, float]] = []
-        self._step_times: List[Tuple[int, float]] = []
+        #: this incarnation's sinks, when its supervisor traces or meters
+        self._tracer = (Tracer(capacity=20_000) if config.get("trace")
+                        else NullTracer())
+        self._registry = (MetricsRegistry() if config.get("metrics")
+                          else NullRegistry())
 
         wiring, _test, model_fn = ClusterWiring.from_spec(self.spec)
         build = wiring.worker if self.role == "worker" else wiring.server
@@ -168,7 +170,7 @@ class ClusterNodeProcess(LiveNode):
         if not self._started.wait(timeout=120.0):
             raise RuntimeError(f"{self.node_id} never received START")
         self.endpoint.set_addresses(self._addresses)
-        self._start_time = time.perf_counter()
+        self.clock_origin = time.perf_counter()
 
     def _control_loop(self, sock: socket.socket, recv_frame) -> None:
         while True:
@@ -197,26 +199,15 @@ class ClusterNodeProcess(LiveNode):
         for target in self.wiring.attacking_workers:
             self.endpoint.send_observation(target, step, gradient)
 
-    def report_loss(self, step: int, loss: float) -> None:
-        self._losses.append((step, float(loss)))
-
-    def report_step(self, step: int) -> None:
-        self._step_times.append(
-            (step, time.perf_counter() - self._start_time))
-
-    def _reports(self) -> Dict:
-        """What this incarnation reported, as the meta of its last frame."""
-        return {"losses": self._losses, "step_times": self._step_times}
-
     def on_scheduled_crash(self, step: int) -> None:
         """Report the scheduled crash, then wait for the supervisor's
         SIGKILL — the process really dies; a later recover event makes the
         supervisor respawn a fresh incarnation from this step's state.
 
-        The report carries the incarnation's losses and step times, and —
-        where the schedule recovers anyone — a server's parameters: the
-        snapshot a respawned incarnation resumes from.  They have not
-        changed since the last step this server finished.
+        The ``crashed`` frame carries the incarnation's report: a server's
+        parameters in it are the snapshot a respawned incarnation resumes
+        from (they have not changed since the last step this server
+        finished) and the final-spread operand of a server that stays down.
 
         The data plane — listener *and* accepted connections — closes
         *before* the report: between the report and the SIGKILL this
@@ -226,39 +217,34 @@ class ClusterNodeProcess(LiveNode):
         connection and being retried into the respawned incarnation's
         re-bound listener."""
         self.endpoint.close()
-        self.control.send("crashed", step=step,
-                          payload=(self.node.current_parameters()
-                                   if self.send_snapshots else None),
-                          **self._reports())
+        self._send_report("crashed", step=step)
         while True:
             time.sleep(3600)
 
+    def _send_report(self, kind: str, step: int = -1, **meta) -> None:
+        """Ship :meth:`report` — plus this incarnation's trace and registry
+        snapshot when they are on — as the meta and payload of the
+        incarnation's last control frame."""
+        report = self.report()
+        if self._tracer.enabled:
+            meta["trace"] = {
+                "events": [event.to_dict() for event in self._tracer.events()],
+                "counters": self._tracer.counters(),
+                "summary": self._tracer.summary()}
+        if self._registry.enabled:
+            meta["metrics"] = self._registry.snapshot()
+        self.control.send(kind, step=step, payload=report.pop("parameters"),
+                          **report, **meta)
+
     # ------------------------------------------------------------------ #
     def run(self) -> None:
-        from contextlib import ExitStack
-
-        from repro.obs.telemetry import MetricsRegistry, use_registry
-        from repro.obs.tracer import Tracer, use_tracer
+        from repro.obs.telemetry import use_registry
+        from repro.obs.tracer import use_tracer
 
         self._fast_forward()
-        tracer = Tracer(capacity=20_000) if self.trace_enabled else None
-        registry = MetricsRegistry() if self.metrics_enabled else None
-        with ExitStack() as stack:
-            if tracer is not None:
-                stack.enter_context(use_tracer(tracer))
-            if registry is not None:
-                stack.enter_context(use_registry(registry))
+        with use_tracer(self._tracer), use_registry(self._registry):
             self.run_steps(self.resume_step, self.num_steps)
-        if tracer is not None:
-            self.control.send(
-                "trace",
-                events=[event.to_dict() for event in tracer.events()],
-                counters=tracer.counters(), summary=tracer.summary())
-        if registry is not None:
-            # The node-local registry travels to the supervisor, which
-            # merges it into the ambient one tagged with this node's id.
-            self.control.send("metrics", snapshot=registry.snapshot())
-        self._finish()
+        self._send_report("done", connects=dict(self.endpoint.connects))
         self._shutdown.wait(timeout=30.0)
         self.endpoint.close()
 
@@ -283,12 +269,6 @@ class ClusterNodeProcess(LiveNode):
             if self.node_id in self.wiring.participants(step)[0]:
                 for _ in range(self.node.local_steps):
                     self.node.loader.next_indices()
-
-    def _finish(self) -> None:
-        self.control.send("done", connects=dict(self.endpoint.connects),
-                          payload=(self.node.current_parameters()
-                                   if self.role == "server" else None),
-                          **self._reports())
 
 
 # --------------------------------------------------------------------------- #

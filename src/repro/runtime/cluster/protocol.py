@@ -2,7 +2,7 @@
 
 One :class:`Frame` is one unit of communication between cluster processes —
 a protocol payload (model vector, gradient), a lifecycle/control message
-(READY, START, PING), or a metric/trace record travelling back to the
+(READY, START, PING), or a node's report travelling back to the
 supervisor.  The wire layout is deliberately trivial::
 
     [4 bytes  big-endian]  header length H
@@ -21,6 +21,7 @@ threaded runtime.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import struct
 from dataclasses import dataclass, field
@@ -37,6 +38,7 @@ __all__ = [
     "Frame",
     "FrameError",
     "MAX_FRAME_BYTES",
+    "decode_report",
     "recv_frame",
     "send_frame",
 ]
@@ -51,23 +53,21 @@ _PAYLOAD_LEN = struct.Struct("!Q")
 #: protocol payloads — the same vocabulary the other runtimes use
 DATA_KINDS = frozenset(kind.value for kind in MessageKind)
 
-#: lifecycle / metric frames (node ⇄ supervisor, plus OBSERVE on the data
-#: plane: honest gradients copied to the adversary's controlled nodes).
-#: Nothing here is sent per step to the supervisor: a node's per-step
-#: losses and wall-clock watermarks ride its ``done`` or ``crashed`` frame.
+#: lifecycle frames (node ⇄ supervisor, plus OBSERVE on the data plane:
+#: honest gradients copied to the adversary's controlled nodes).  Nothing
+#: here is sent per step to the supervisor: a node's report — its per-step
+#: losses and wall-clock watermarks, a server's parameters as the payload,
+#: its trace and registry snapshot when those are on — rides its last frame,
+#: ``done`` or ``crashed`` (:func:`decode_report` reads it back).
 CONTROL_KINDS = frozenset({
     "ready",      # node → supervisor: listener bound, address in meta
     "start",      # supervisor → node: full address map, begin the run
     "ping",       # supervisor → node: health probe
     "pong",       # node → supervisor: probe reply
     "crashed",    # node → supervisor: fault schedule says I crash now
-                  # (its reports so far; a server's parameters when the
-                  # schedule recovers anyone)
+                  # (the report of this incarnation)
     "observe",    # honest worker → Byzantine worker: gradient copy
-    "trace",      # node → supervisor: buffered trace records
-    "metrics",    # node → supervisor: telemetry registry snapshot
-    "done",       # node → supervisor: run finished (its reports; servers
-                  # attach params)
+    "done",       # node → supervisor: run finished (its report)
     "error",      # node → supervisor: unrecoverable node failure
     "shutdown",   # supervisor → node: exit cleanly
 })
@@ -132,6 +132,42 @@ class Frame:
                                  f"a whole float64 vector")
             vector = np.frombuffer(payload, dtype=np.float64).copy()
         return cls(payload=vector, **values)
+
+
+def decode_report(frame: Frame, num_steps: int,
+                  dimension: Optional[int]) -> Dict[str, Any]:
+    """The node report a ``done`` or ``crashed`` frame carries, checked.
+
+    ``losses`` and ``step_times`` are lists of ``[step, value]`` pairs with
+    an int step in ``[0, num_steps)`` and a finite float value.  A server's
+    ``parameters`` are the frame's payload, ``dimension`` floats long; a
+    worker (``dimension`` is ``None``) sends none.  ``trace`` and
+    ``metrics`` are mappings or absent.  Anything else is a
+    :class:`FrameError`.
+    """
+    meta = frame.meta
+    report: Dict[str, Any] = {}
+    for key in ("losses", "step_times"):
+        pairs = meta.get(key, [])
+        if not isinstance(pairs, list):
+            raise FrameError(f"report '{key}' is {pairs!r}, not a list")
+        for pair in pairs:
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and type(pair[0]) is int and 0 <= pair[0] < num_steps
+                    and type(pair[1]) is float and math.isfinite(pair[1])):
+                raise FrameError(f"report '{key}' holds {pair!r}, not a "
+                                 f"[step < {num_steps}, finite float] pair")
+        report[key] = [tuple(pair) for pair in pairs]
+    for key in ("trace", "metrics"):
+        report[key] = meta.get(key)
+        if not isinstance(report[key], (dict, type(None))):
+            raise FrameError(f"report '{key}' is not a mapping")
+    size = None if frame.payload is None else frame.payload.size
+    if size != dimension:
+        raise FrameError(f"report parameters: {size} floats where "
+                         f"{dimension} belong")
+    report["parameters"] = frame.payload
+    return report
 
 
 # --------------------------------------------------------------------------- #

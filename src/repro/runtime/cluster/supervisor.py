@@ -19,10 +19,14 @@ servers restart from the parameter snapshot the dead incarnation's crash
 report carried (stale state, exactly like the other runtimes' recovering
 replicas).  Partitions are enforced at the socket layer by both endpoints'
 transports.  While the run steps, the supervisor handles only PING/PONG:
-each node's per-step reports ride its last frame (DONE, or CRASHED).
+each node incarnation's report (:meth:`repro.runtime.live.LiveNode.report`,
+plus its trace and registry snapshot when those are on) rides its last
+frame, DONE or CRASHED, and is checked on arrival
+(:func:`~repro.runtime.cluster.protocol.decode_report`).
 
-The returned :class:`~repro.obs.history.TrainingHistory` is assembled by
-the function the threaded runtime assembles its own with
+The supervisor keeps those reports and nothing else of the nodes' results:
+the returned :class:`~repro.obs.history.TrainingHistory` is folded from
+them by the function the threaded runtime folds its own with
 (:func:`repro.runtime.live.live_history`) — per-step mean worker loss in
 canonical worker order, server wall-clock watermarks, final honest-server
 spread — which is what the tier-1 cluster↔threaded loss-trajectory
@@ -39,19 +43,21 @@ import socket
 import tempfile
 import threading
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.campaign.spec import ScenarioSpec
-from repro.core.nodes import max_pairwise_distance
 from repro.core.wiring import ClusterWiring
 from repro.obs.history import TrainingHistory
 from repro.obs.telemetry import get_registry
 from repro.obs.tracer import TraceEvent, get_tracer
-from repro.runtime.cluster.protocol import Frame, FrameError, recv_frame, send_frame
+from repro.runtime.cluster.protocol import (
+    Frame,
+    FrameError,
+    decode_report,
+    recv_frame,
+    send_frame,
+)
 from repro.runtime.cluster.template import TEMPLATE, NodeProcess, TemplateError
 from repro.runtime.cluster.transport import (
     Address,
@@ -159,13 +165,13 @@ class Supervisor:
         self.config = spec.cluster_config()
 
         # The same wiring every node process derives from the spec: the
-        # supervisor reads the fault controller, and the honest server set
-        # for the final-spread metric and to refuse respawning a Byzantine
-        # node (its attack rng state died with the process).
-        wiring, _test, _model_fn = ClusterWiring.from_spec(spec)
+        # supervisor reads the fault controller, the model size a server
+        # report must match, and the honest server set for the final-spread
+        # metric and to refuse respawning a Byzantine node (its attack rng
+        # state died with the process).
+        wiring, _test, model_fn = ClusterWiring.from_spec(spec)
         self.faults = wiring.faults
-        self._has_recover = bool(spec.faults) and any(
-            event.kind == "recover" for event in spec.faults.events)
+        self._dimension = model_fn().num_parameters()
         self.attacking_workers = wiring.attacking_workers
         self.attacking_servers = wiring.attacking_servers
 
@@ -188,13 +194,9 @@ class Supervisor:
         self._stop = threading.Event()
         self._started = False
         self._listener: Optional[socket.socket] = None
-        self._step_losses: Dict[int, Dict[str, float]] = defaultdict(dict)
-        self._step_times: Dict[int, float] = {}
-        self._snapshots: Dict[str, np.ndarray] = {}
-        self._final_params: Dict[str, np.ndarray] = {}
-        self._node_traces: List[TraceEvent] = []
-        self._trace_counters: Dict[str, float] = defaultdict(float)
-        self._node_summaries: Dict[str, Dict] = {}
+        #: node id → the checked report of each incarnation that sent one,
+        #: in order (:func:`~repro.runtime.cluster.protocol.decode_report`)
+        self.reports: Dict[str, List[Dict]] = {}
 
     # ------------------------------------------------------------------ #
     # Addressing and spawning
@@ -225,9 +227,8 @@ class Supervisor:
     def _node_config(self, handle: NodeHandle, resume_step: int) -> Dict:
         snapshot = None
         if handle.role == "server" and resume_step > 0:
-            stored = self._snapshots.get(handle.node_id)
-            if stored is not None:
-                snapshot = stored.tolist()
+            # the parameters the dead incarnation's ``crashed`` frame carried
+            snapshot = self.reports[handle.node_id][-1]["parameters"].tolist()
         return {
             "node_id": handle.node_id,
             "role": handle.role,
@@ -240,7 +241,6 @@ class Supervisor:
             "snapshot": snapshot,
             "trace": bool(get_tracer().enabled),
             "metrics": bool(get_registry().enabled),
-            "send_snapshots": self._has_recover and handle.role == "server",
             "debug": self.options.debug_hooks.get(handle.node_id, {}),
         }
 
@@ -470,27 +470,12 @@ class Supervisor:
                                  max(now - handle.last_ping, 0.0),
                                  node=handle.node_id)
         elif kind == "crashed":
-            # Filed before any respawn: the new incarnation starts from
-            # the snapshot this frame carries.
-            self._file_reports(handle, frame)
-            if frame.payload is not None:
-                self._snapshots[handle.node_id] = frame.payload
+            # Filed before any respawn: a respawned server resumes from
+            # the parameters this report carries.
+            self._file_report(handle, frame)
             self._handle_crash(handle, frame.step)
-        elif kind == "trace":
-            self._collect_trace(handle, frame)
-        elif kind == "metrics":
-            # The node's end-of-run registry snapshot: fold it into the
-            # ambient registry with the node id stamped on every series,
-            # so per-node byte counts and phase histograms stay apart.
-            registry = get_registry()
-            snapshot = frame.meta.get("snapshot")
-            if registry.enabled and snapshot:
-                registry.merge(snapshot,
-                               extra_labels={"node": handle.node_id})
         elif kind == "done":
-            self._file_reports(handle, frame)
-            if handle.role == "server" and frame.payload is not None:
-                self._final_params[handle.node_id] = frame.payload
+            self._file_report(handle, frame)
             handle.connects = frame.meta.get("connects") or {}
             registry = get_registry()
             if registry.enabled:
@@ -504,28 +489,23 @@ class Supervisor:
             self._fail(f"node {handle.node_id} failed: {handle.error}\n"
                        f"{frame.meta.get('traceback', '')}", handle)
 
-    def _file_reports(self, handle: NodeHandle, frame: Frame) -> None:
-        """File an incarnation's ``(step, value)`` reports from its last
-        frame: an honest worker's losses, a server's wall-clock watermarks
-        (the step's time is the last server's)."""
-        for step, loss in frame.meta.get("losses", ()):
-            self._step_losses[step][handle.node_id] = float(loss)
-        for step, elapsed in frame.meta.get("step_times", ()):
-            self._step_times[step] = max(self._step_times.get(step, 0.0),
-                                         float(elapsed))
-
-    def _collect_trace(self, handle: NodeHandle, frame: Frame) -> None:
-        events = []
-        for record in frame.meta.get("events", []):
-            event = TraceEvent.from_dict(record)
-            event.source = handle.node_id
-            events.append(event)
-        self._node_traces.extend(events)
-        for name, value in (frame.meta.get("counters") or {}).items():
-            self._trace_counters[name] += value
-        summary = frame.meta.get("summary")
-        if summary:
-            self._node_summaries[handle.node_id] = summary
+    def _file_report(self, handle: NodeHandle, frame: Frame) -> None:
+        """Check and keep the report an incarnation's last frame carries,
+        and fold its registry snapshot into the ambient registry with the
+        node id stamped on every series, so per-node byte counts and phase
+        histograms stay apart."""
+        try:
+            report = decode_report(
+                frame, self.num_steps,
+                self._dimension if handle.role == "server" else None)
+        except FrameError as exc:
+            self._fail(f"node {handle.node_id} sent a malformed "
+                       f"'{frame.kind}' report: {exc}", handle)
+        self.reports.setdefault(handle.node_id, []).append(report)
+        registry = get_registry()
+        if registry.enabled and report["metrics"]:
+            registry.merge(report["metrics"],
+                           extra_labels={"node": handle.node_id})
 
     def _on_exit(self, handle: NodeHandle, code: int) -> None:
         """An incarnation exited on its own — never expected before the
@@ -663,39 +643,32 @@ class Supervisor:
     # Results
     # ------------------------------------------------------------------ #
     def _merge_traces(self) -> None:
-        """Fold per-node trace frames into the ambient tracer as one
-        multi-source stream (each record tagged with its origin process)."""
+        """Fold the traces the nodes' reports carried into the ambient
+        tracer as one multi-source stream (each record tagged with its
+        origin process, and one ``cluster.node`` summary per incarnation)."""
         tracer = get_tracer()
         if not tracer.enabled:
             return
-        tracer.extend(self._node_traces)
-        for name, value in self._trace_counters.items():
-            tracer.count(name, value)
-        for node_id in sorted(self._node_summaries):
-            tracer.extend([TraceEvent(
-                name="cluster.node", kind="event", source=node_id,
-                node=node_id,
-                attrs={"trace_summary": self._node_summaries[node_id]})])
+        for node_id, reports in sorted(self.reports.items()):
+            for trace in filter(None, (report["trace"] for report in reports)):
+                events = [TraceEvent.from_dict({**record, "source": node_id})
+                          for record in trace.get("events", [])]
+                tracer.extend(events + [TraceEvent(
+                    name="cluster.node", kind="event", source=node_id,
+                    node=node_id,
+                    attrs={"trace_summary": trace.get("summary")})])
+                for name, value in (trace.get("counters") or {}).items():
+                    tracer.count(name, value)
 
     def _assemble_history(self) -> TrainingHistory:
         from repro.experiments.common import make_schedule
 
         spec = self.spec
-        vectors = []
-        for server_id in self.config.server_ids():
-            if server_id in self.attacking_servers:
-                continue
-            params = self._final_params.get(
-                server_id, self._snapshots.get(server_id))
-            if params is not None:
-                vectors.append(params)
         return live_history(
             "guanyu-cluster", self.config, adversary=spec.adversary,
             faults=spec.faults, hetero=spec.hetero,
-            schedule=make_schedule(spec),
-            num_steps=self.num_steps, step_losses=self._step_losses,
-            step_times=self._step_times,
-            spread=max_pairwise_distance(vectors))
+            schedule=make_schedule(spec), num_steps=self.num_steps,
+            reports=self.reports, attacking_servers=self.attacking_servers)
 
     def report(self) -> Dict:
         """Structured lifecycle record (the observability/test surface)."""

@@ -242,10 +242,23 @@ class SocketTransport(Endpoint):
                     stale = self._kept.pop(recipient, None)
                     if stale is not None:
                         stale.close()
-                    if self._closed or time.monotonic() >= deadline:
+                    if self._closed or time.monotonic() >= deadline \
+                            or self._outlived(recipient, step):
                         self._suppress()
                         return
                     time.sleep(_RETRY_SLEEP)
+
+    def _outlived(self, recipient: str, step: int) -> bool:
+        """Whether a refused frame for ``step`` can never be read: the
+        schedule first crashes ``recipient`` after ``step``, so the step is
+        its first incarnation's, bound before the run started, and a
+        refusal means it has reached that crash (a respawn resumes past
+        it).  Retrying would only stall this sender until the deadline."""
+        if self.faults is None:
+            return False
+        return min((event.step for event in self.faults.schedule.events
+                    if event.kind == "crash" and recipient in event.nodes),
+                   default=-1) > step
 
     def _open(self, recipient: str) -> socket.socket:
         conn = connect(self._addresses[recipient], timeout=self.send_deadline)

@@ -9,12 +9,16 @@ mailbox and the send policy exist once, here; a subclass supplies only the
 wire: :class:`~repro.runtime.threads.ThreadEndpoint` hands a payload to the
 peer's :meth:`Endpoint.deliver`,
 :class:`~repro.runtime.cluster.transport.SocketTransport` writes a frame to
-a socket.  What else legitimately differs between the two runtimes is four
-overridable hooks: :meth:`~LiveNode.publish_observation`,
-:meth:`~LiveNode.report_loss`, :meth:`~LiveNode.report_step` and
+a socket.  What else legitimately differs between the two runtimes is two
+overridable hooks, :meth:`~LiveNode.publish_observation` and
 :meth:`~LiveNode.on_scheduled_crash`.  Span names and the metric label are
 data (``thr``/``threads``, ``clu``/``cluster``), so both runtimes' spans
 come from the same lines.
+
+A node keeps its own results, returned by :meth:`LiveNode.report`; the
+threaded runtime reads each node's report in memory after the join, a
+cluster node ships it on its last control frame, and :func:`live_history`
+is the one place reports are folded into a history.
 """
 
 from __future__ import annotations
@@ -23,12 +27,13 @@ import threading
 import time
 from collections import defaultdict
 from contextlib import nullcontext
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Collection, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
 from repro.core.config import ClusterConfig
-from repro.core.nodes import WorkerNode
+from repro.core.nodes import WorkerNode, max_pairwise_distance
 from repro.core.wiring import ClusterWiring
 from repro.faults import FaultController
 from repro.network.message import ROUTES, MessageKind
@@ -237,20 +242,28 @@ class LiveNode:
         self.quorum_timeout = quorum_timeout
         self.straggle = straggle
         self._walk = self._route_walk()
+        #: what a server's step times count from; a cluster node resets it
+        #: when its supervisor starts the run
+        self.clock_origin = time.perf_counter()
+        #: ``(step, loss)`` of an honest worker, ``(step, seconds since
+        #: clock_origin)`` of a server, as each step finishes
+        self._losses: List[Tuple[int, float]] = []
+        self._step_times: List[Tuple[int, float]] = []
+
+    def report(self) -> Dict:
+        """This node's run so far, the record :func:`live_history` folds:
+        an honest worker's ``losses``, a server's ``step_times`` and
+        ``parameters`` (``None`` for a worker)."""
+        return {"losses": list(self._losses),
+                "step_times": list(self._step_times),
+                "parameters": (self.node.current_parameters()
+                               if self.role == "server" else None)}
 
     # ------------------------------------------------------------------ #
     # Hooks: what differs between threads and processes
     # ------------------------------------------------------------------ #
     def publish_observation(self, step: int, gradient: np.ndarray) -> None:
         """Make this honest worker's gradient readable by the adversary."""
-        raise NotImplementedError
-
-    def report_loss(self, step: int, loss: float) -> None:
-        """Record this honest worker's training loss for ``step``."""
-        raise NotImplementedError
-
-    def report_step(self, step: int) -> None:
-        """This server finished ``step`` (wall-clock time, snapshots)."""
         raise NotImplementedError
 
     def on_scheduled_crash(self, step: int) -> None:
@@ -355,36 +368,52 @@ class LiveNode:
                     # e.g. a sleeper's dormant window — no point copying
                     # gradients nobody will read).
                     self.publish_observation(step, result.gradient)
-                self.report_loss(step, result.loss)
+                self._losses.append((step, float(result.loss)))
         if self.role == "server":
-            self.report_step(step)
+            self._step_times.append(
+                (step, time.perf_counter() - self.clock_origin))
+
 
 def live_history(label: str, config: ClusterConfig, *, adversary, faults,
                  hetero, schedule, num_steps: int,
-                 step_losses: Dict[int, Dict[str, float]],
-                 step_times: Dict[int, float],
-                 spread: float) -> TrainingHistory:
-    """The history of a live run from what its nodes reported.
+                 reports: Mapping[str, Sequence[Mapping]],
+                 attacking_servers: Collection[str]) -> TrainingHistory:
+    """The history of a live run, folded from its nodes' reports.
 
-    A step's loss is the mean over the honest workers that reported one,
-    taken in worker-id order whatever order they finished in; its time is
-    the last server's wall-clock report.  The server spread is measured
-    once, after the run, and lands on the last step.  ``adversary``,
-    ``faults`` and ``hetero`` are built objects or spec fields.
+    ``reports`` maps a node id to the :meth:`LiveNode.report` of each of its
+    incarnations, in the order they ran.  A step's loss is the mean over the
+    honest workers that reported one, taken in worker-id order whatever
+    order they finished in; its time is the latest server's.  The server
+    spread is measured once, over every honest server's last reported
+    parameters — a server that crashed for good included — and lands on
+    the last step.  ``adversary``, ``faults`` and ``hetero`` are built
+    objects or spec fields.
     """
+    losses: Dict[int, List[float]] = defaultdict(list)
+    for worker_id in config.worker_ids():
+        for report in reports.get(worker_id, ()):
+            for step, loss in report["losses"]:
+                losses[step].append(loss)
+    times: Dict[int, float] = {}
+    parameters = []
+    for server_id in config.server_ids():
+        incarnations = reports.get(server_id, ())
+        for report in incarnations:
+            for step, elapsed in report["step_times"]:
+                times[step] = max(times.get(step, 0.0), elapsed)
+        if incarnations and server_id not in attacking_servers:
+            parameters.append(incarnations[-1]["parameters"])
+    spread = max_pairwise_distance(parameters)
     history = TrainingHistory(label=label, config={
         **config.as_dict(),
         "adversary": getattr(adversary, "name", None),
         "faults": faults.to_dict() if faults else None,
         "hetero": hetero.to_dict() if hetero else None})
     for step in range(num_steps):
-        by_worker = step_losses.get(step, {})
-        losses = [by_worker[worker_id] for worker_id in config.worker_ids()
-                  if worker_id in by_worker]
         history.add(StepRecord(
             step=step,
-            simulated_time=step_times.get(step, 0.0),
-            train_loss=float(np.mean(losses)) if losses else None,
+            simulated_time=times.get(step, 0.0),
+            train_loss=float(np.mean(losses[step])) if losses[step] else None,
             max_server_spread=spread if step == num_steps - 1 else None,
             learning_rate=schedule(step),
         ))

@@ -19,16 +19,13 @@ process cluster uses too — over the in-process wire
 from __future__ import annotations
 
 import threading
-import time
-from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.adversary.base import ServerAttack, WorkerAttack
 from repro.core.config import ClusterConfig
-from repro.core.nodes import ServerNode, max_pairwise_distance
+from repro.core.nodes import ServerNode
 from repro.core.wiring import ClusterWiring, SeedWiring
 from repro.data.datasets import Dataset
 from repro.faults import FaultSchedule
@@ -57,7 +54,8 @@ class ThreadEndpoint(Endpoint):
 
 
 class _ThreadNode(LiveNode):
-    """A live node whose reports land in its runtime's shared records."""
+    """A live node on its runtime's clock and observation board, run by
+    one thread that keeps the node's error for the runtime to raise."""
 
     span_prefix = "thr"
     runtime_label = "threads"
@@ -68,31 +66,23 @@ class _ThreadNode(LiveNode):
                          runtime.endpoints[node.node_id],
                          runtime.quorum_timeout, straggle)
         self._runtime = runtime
+        self.error: Optional[BaseException] = None
+
+    def start(self, num_steps: int) -> None:
+        """Run steps ``0 .. num_steps - 1`` on a thread of this node's own."""
+        def run() -> None:
+            try:
+                self.run_steps(0, num_steps)
+            except BaseException as exc:  # noqa: BLE001 - surfaced to caller
+                self.error = exc
+
+        self.thread = threading.Thread(target=run, daemon=True,
+                                       name=f"node-{self.node_id}")
+        self.thread.start()
 
     def publish_observation(self, step: int, gradient: np.ndarray) -> None:
         self._runtime.adversary_coordinator.publish(self.node_id, step,
                                                     gradient)
-
-    def report_loss(self, step: int, loss: float) -> None:
-        runtime = self._runtime
-        with runtime._record_lock:
-            runtime._step_losses[step][self.node_id] = loss
-
-    def report_step(self, step: int) -> None:
-        runtime = self._runtime
-        elapsed = time.perf_counter() - runtime._start_time
-        with runtime._record_lock:
-            runtime._step_times[step] = max(
-                runtime._step_times.get(step, 0.0), elapsed)
-
-
-@dataclass
-class ThreadedNodeHandle:
-    """Bookkeeping for one node thread."""
-
-    node_id: str
-    thread: threading.Thread
-    error: List[BaseException] = field(default_factory=list)
 
 
 class ThreadedClusterRuntime:
@@ -200,13 +190,6 @@ class ThreadedClusterRuntime:
         #: what the history's config names besides the cluster arithmetic
         self._labels = {"adversary": adversary, "faults": fault_schedule,
                         "hetero": hetero}
-        self._record_lock = threading.Lock()
-        self._step_times: Dict[int, float] = {}
-        #: step → worker_id → loss; keyed (not appended) so the per-step
-        #: mean can be taken in canonical worker order, independent of the
-        #: order the racing worker threads happened to finish in
-        self._step_losses: Dict[int, Dict[str, float]] = defaultdict(dict)
-        self._start_time = 0.0
 
     # ------------------------------------------------------------------ #
     @property
@@ -235,42 +218,25 @@ class ThreadedClusterRuntime:
         """
         if num_steps <= 0:
             raise ValueError("num_steps must be positive")
-        self._start_time = time.perf_counter()
-        handles: List[ThreadedNodeHandle] = []
-
-        def launch(node, straggle: float) -> None:
-            live = _ThreadNode(self, node, straggle)
-            errors: List[BaseException] = []
-
-            def runner() -> None:
-                try:
-                    live.run_steps(0, num_steps)
-                except BaseException as exc:  # noqa: BLE001 - surfaced to caller
-                    errors.append(exc)
-
-            thread = threading.Thread(target=runner, daemon=True,
-                                      name=f"node-{node.node_id}")
-            handles.append(ThreadedNodeHandle(node_id=node.node_id, thread=thread,
-                                              error=errors))
-            thread.start()
-
-        for index, worker in enumerate(self.workers):
-            launch(worker, self.straggler_sleep.get(worker.node_id, 0.0)
-                   + self.wiring.straggler_excess(index))
-        for server in self.servers:
-            launch(server, self.straggler_sleep.get(server.node_id, 0.0))
-
-        for handle in handles:
-            handle.thread.join(timeout=self.quorum_timeout * (num_steps + 1))
-        for handle in handles:
-            if handle.error:
-                raise handle.error[0]
-            if handle.thread.is_alive():
-                raise QuorumTimeout(f"node {handle.node_id} did not terminate")
+        lives = [_ThreadNode(self, worker,
+                             self.straggler_sleep.get(worker.node_id, 0.0)
+                             + self.wiring.straggler_excess(index))
+                 for index, worker in enumerate(self.workers)] + [
+            _ThreadNode(self, server,
+                        self.straggler_sleep.get(server.node_id, 0.0))
+            for server in self.servers]
+        for live in lives:
+            live.start(num_steps)
+        for live in lives:
+            live.thread.join(timeout=self.quorum_timeout * (num_steps + 1))
+        for live in lives:
+            if live.error is not None:
+                raise live.error
+            if live.thread.is_alive():
+                raise QuorumTimeout(f"node {live.node_id} did not terminate")
 
         return live_history(
             "guanyu-threaded", self.config, **self._labels,
             schedule=self.schedule, num_steps=num_steps,
-            step_losses=self._step_losses, step_times=self._step_times,
-            spread=max_pairwise_distance([server.current_parameters()
-                                          for server in self.correct_servers]))
+            reports={live.node_id: [live.report()] for live in lives},
+            attacking_servers=self.wiring.attacking_servers)

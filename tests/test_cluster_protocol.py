@@ -19,6 +19,7 @@ from repro.runtime.cluster.protocol import (
     MAX_FRAME_BYTES,
     Frame,
     FrameError,
+    decode_report,
     recv_frame,
     send_frame,
 )
@@ -74,9 +75,10 @@ class TestFrame:
         assert not DATA_KINDS & CONTROL_KINDS
 
     def test_no_kind_reports_a_step_to_the_supervisor(self):
-        # per-step losses, watermarks and snapshots ride a node's last
-        # frame (``done`` / ``crashed``); they are no frame kinds of their own
-        for kind in ("loss", "step_time", "snapshot"):
+        # per-step losses, watermarks, snapshots, traces and registry
+        # snapshots ride a node's last frame (``done`` / ``crashed``); they
+        # are no frame kinds of their own
+        for kind in ("loss", "step_time", "snapshot", "trace", "metrics"):
             assert kind not in CONTROL_KINDS
             with pytest.raises(FrameError, match="unknown frame kind"):
                 Frame(kind=kind)
@@ -87,6 +89,58 @@ class TestFrame:
         monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 64)
         with pytest.raises(FrameError, match="exceeds"):
             Frame(kind="model_to_worker", payload=np.ones(32)).encode()
+
+
+class TestDecodeReport:
+    """The one check a node report passes on its way into the supervisor."""
+
+    def test_wire_roundtrip_of_a_server_report(self):
+        parameters = np.arange(5, dtype=np.float64) / 3.0
+        frame = roundtrip(Frame(
+            kind="done", sender="ps/0", recipient="supervisor",
+            payload=parameters, meta={
+                "losses": [], "step_times": [(0, 0.25), (1, 0.5)],
+                "trace": {"events": []}, "connects": {"worker/0": 1}}))
+        report = decode_report(frame, num_steps=2, dimension=5)
+        assert report["step_times"] == [(0, 0.25), (1, 0.5)]
+        assert report["losses"] == [] and report["metrics"] is None
+        assert report["trace"] == {"events": []}
+        np.testing.assert_array_equal(report["parameters"], parameters)
+
+    def test_worker_report_without_parameters(self):
+        frame = Frame(kind="crashed", sender="worker/3",
+                      meta={"losses": [[0, 2.5]]})
+        report = decode_report(frame, num_steps=4, dimension=None)
+        assert report["losses"] == [(0, 2.5)] and report["parameters"] is None
+
+    @pytest.mark.parametrize("meta, payload, complaint", [
+        ({"losses": [["1", 0.5]]}, None, "'losses' holds"),
+        ({"losses": [[True, 0.5]]}, None, "'losses' holds"),
+        ({"losses": [[1.0, 0.5]]}, None, "'losses' holds"),
+        ({"losses": [[-1, 0.5]]}, None, "'losses' holds"),
+        ({"losses": [[4, 0.5]]}, None, "'losses' holds"),
+        ({"losses": [[0, float("nan")]]}, None, "'losses' holds"),
+        ({"losses": [[0, float("inf")]]}, None, "'losses' holds"),
+        ({"losses": [[0, 1]]}, None, "'losses' holds"),
+        ({"losses": [[0, 0.5, 1]]}, None, "'losses' holds"),
+        ({"losses": {"0": 0.5}}, None, "'losses' is"),
+        ({"step_times": [[0, "0.5"]]}, None, "'step_times' holds"),
+        ({"step_times": [0.5]}, None, "'step_times' holds"),
+        ({"trace": ["span"]}, None, "'trace' is not a mapping"),
+        ({"metrics": 7}, None, "'metrics' is not a mapping"),
+        ({}, np.zeros(3), "3 floats where None belong"),
+    ])
+    def test_malformed_worker_reports_raise(self, meta, payload, complaint):
+        frame = Frame(kind="done", sender="worker/0", payload=payload,
+                      meta=meta)
+        with pytest.raises(FrameError, match=complaint):
+            decode_report(frame, num_steps=4, dimension=None)
+
+    @pytest.mark.parametrize("payload", [None, np.zeros(4), np.zeros(6)])
+    def test_server_parameters_must_have_the_model_size(self, payload):
+        frame = Frame(kind="done", sender="ps/1", payload=payload)
+        with pytest.raises(FrameError, match="where 5 belong"):
+            decode_report(frame, num_steps=4, dimension=5)
 
 
 class TestRecvFrame:

@@ -30,6 +30,7 @@ from repro.core.wiring import ClusterWiring
 from repro.faults import FaultEvent, FaultSchedule
 from repro.kernels.registry import ENV_VAR
 from repro.obs.telemetry import MetricsRegistry, use_registry
+from repro.obs.tracer import Tracer, use_tracer
 from repro.runtime.cluster import (
     ClusterOptions,
     Supervisor,
@@ -39,7 +40,9 @@ from repro.runtime.cluster import (
     template as template_module,
     unix_sockets_available,
 )
+from repro.runtime.cluster.protocol import Frame, send_frame
 from repro.runtime.cluster.template import TEMPLATE, Template, TemplateError
+from repro.runtime.cluster.transport import connect
 
 needs_sockets = pytest.mark.skipif(
     not cluster_available(), reason="host cannot bind sockets")
@@ -232,7 +235,7 @@ class TestDataPlaneConnects:
         # each node's ``done`` frame, and PONGs answer the clock's PINGs.
         frames = supervisor_frames_in(registry)
         frames.pop("pong", None)
-        assert frames == {"ready": 7, "metrics": 7, "done": 7}
+        assert frames == {"ready": 7, "done": 7}
 
 
 def losses_of(history):
@@ -301,10 +304,93 @@ class TestCrashFrames:
 
         supervisor = Supervisor(spec.replace(runtime="cluster"))
         assert losses_of(supervisor.run()) == expected
-        assert all("worker/1" in supervisor._step_losses[step]
-                   for step in (0, 1))
+        assert [step for step, _loss
+                in supervisor.reports["worker/1"][0]["losses"]] == [0, 1]
         node = supervisor.report()["nodes"]["worker/1"]
         assert node["state"] == "killed" and node["exit_codes"] == [-9]
+
+
+def forged_frame(kind, sender, payload=None, **meta):
+    """A ``done``/``crashed`` frame as a forger would send it."""
+    return Frame(kind=kind, sender=sender, recipient="supervisor", step=1,
+                 payload=payload, meta=meta)
+
+
+@needs_sockets
+@pytest.mark.timeout(180)
+class TestNodeReports:
+    """Every node incarnation reports once, on its last frame, and the
+    supervisor folds those reports through ``live_history`` like the
+    threaded runtime folds its nodes' in-memory ones."""
+
+    def test_final_spread_counts_a_server_that_crashed_for_good(self):
+        # ps/3 stops at step 2 for good; the three others carry on.  Its
+        # stale parameters are still a correct server's, so the final
+        # spread is measured over all four on every runtime (the cluster
+        # used to drop it: a crashed frame carried parameters only when
+        # the schedule recovered someone).
+        spec = small_spec(
+            num_servers=4, num_steps=4, faults=FaultSchedule(events=[
+                FaultEvent(step=2, kind="crash", nodes=["ps/3"])]))
+        simulated = build_trainer(spec.replace(trainer="guanyu")).run(
+            spec.num_steps)
+        threaded = build_trainer(spec).run(spec.num_steps)
+        cluster = Supervisor(spec.replace(runtime="cluster")).run()
+        spreads = [history.records[-1].max_server_spread
+                   for history in (simulated, threaded, cluster)]
+        assert spreads[0] > 0 and spreads == [spreads[0]] * 3
+        assert losses_of(cluster) == losses_of(simulated)
+
+    @pytest.mark.parametrize("frame, complaint", [
+        (forged_frame("done", "worker/1", losses=[["0", 0.5]]),
+         r"'done' report: report 'losses' holds \['0', 0.5\]"),
+        (forged_frame("done", "worker/1", losses=[[3, 0.5]]),
+         r"'done' report: report 'losses' holds \[3, 0.5\]"),
+        (forged_frame("crashed", "worker/1", losses=[[0, float("nan")]]),
+         r"'crashed' report: report 'losses' holds \[0, nan\]"),
+        (forged_frame("done", "ps/2", payload=np.zeros(3),
+                      step_times=[[0, 0.1]]),
+         r"'done' report: report parameters: 3 floats where \d+ belong"),
+        (forged_frame("crashed", "ps/2", step_times=[[0, "soon"]]),
+         r"'crashed' report: report 'step_times' holds \[0, 'soon'\]"),
+    ])
+    def test_malformed_report_fails_the_run_naming_the_node(
+            self, frame, complaint):
+        # The forger writes on a control connection of its own, before the
+        # nodes are told to start: its frame is read first.
+        class Forged(AtStart):
+            @staticmethod
+            def hook(supervisor, _children):
+                with connect(supervisor.control_address, timeout=5.0) as sock:
+                    send_frame(sock, frame)
+
+        supervisor = Forged(small_spec(num_steps=3),
+                            options=ClusterOptions(shutdown_timeout=2.0))
+        with pytest.raises(SupervisorError, match=(
+                f"node {frame.sender} sent a malformed {complaint}")):
+            supervisor.run()
+        assert supervisor.report()["nodes"][frame.sender]["state"] == "failed"
+
+    def test_crashed_incarnation_spans_and_metrics_reach_the_supervisor(self):
+        # ps/1 dies at step 2 and a new incarnation resumes at step 3: the
+        # dead one's spans (steps 0-1) and series ride its crashed frame.
+        faults = FaultSchedule(events=[
+            FaultEvent(step=2, kind="crash", nodes=["ps/1"]),
+            FaultEvent(step=3, kind="recover", nodes=["ps/1"])])
+        spec = small_spec(num_steps=5, faults=faults, runtime="cluster")
+        tracer, registry = Tracer(), MetricsRegistry()
+        with use_tracer(tracer), use_registry(registry):
+            Supervisor(spec).run()
+        spans = [event for event in tracer.events()
+                 if event.kind == "span" and event.source == "ps/1"]
+        applied = sorted(event.step for event in spans
+                         if event.name == "clu.server.apply")
+        assert applied == [0, 1, 3, 4]
+        phases = registry.histogram("repro_step_phase_seconds")
+        assert phases.stats(node="ps/1", phase="apply",
+                            runtime="cluster")["count"] == 4
+        assert [event.source for event in tracer.events()
+                if event.name == "cluster.node"].count("ps/1") == 2
 
 
 @needs_sockets

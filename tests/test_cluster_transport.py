@@ -162,6 +162,25 @@ class TestCrashAndRespawn:
         assert a.messages_suppressed == 1
         assert dict(a.connects) == {"b": 1}
 
+    def test_frame_for_a_peer_past_its_scheduled_crash_is_dropped_at_once(
+            self, cluster):
+        # b crashes for good at step 3.  A slow sender's frame for step 1
+        # can find b already closed (b needed only a quorum of step 1 and
+        # moved on): its first incarnation will never read it, and no
+        # later one exists — drop it now, not at the deadline, where a
+        # peer waiting on this sender's next frame would have timed out.
+        faults = FaultController(FaultSchedule.from_dict({"events": [
+            {"step": 3, "kind": "crash", "nodes": ["b"]}]}))
+        a = cluster("a", send_deadline=20.0, fault_controller=faults)
+        b = cluster("b")
+        a.send("b", KIND, 0, vector(0))
+        b.wait_quorum(KIND, 0, quorum=1, timeout=10.0)
+        b.close()
+        started = time.monotonic()
+        a.send("b", KIND, 1, vector(1))
+        assert time.monotonic() - started < 5.0
+        assert a.messages_suppressed == 1
+
     def test_killed_peer_without_close(self, cluster):
         # SIGKILL closes every descriptor at once and runs no close():
         # model it by shutting the listener and the accepted connection

@@ -302,12 +302,12 @@ class RecordingNode(LiveNode):
     def publish_observation(self, step, gradient):
         self.log.append(("observe", step))
 
-    def report_loss(self, step, loss):
-        assert np.isfinite(loss)
-        self.log.append(("loss", step))
-
-    def report_step(self, step):
-        self.log.append(("step", step))
+    def reported_steps(self, key):
+        """The steps of this node's report under ``key``, its values
+        checked finite."""
+        pairs = self.report()[key]
+        assert all(np.isfinite(value) for _step, value in pairs)
+        return [step for step, _value in pairs]
 
     def on_scheduled_crash(self, step):
         self.log.append(("crash", step))
@@ -329,22 +329,26 @@ class TestSharedLoops:
         wiring, model_fn = self.wiring()
         theta = model_fn().get_flat_parameters()
         log = []
-        RecordingNode(wiring, wiring.worker(1, model_fn()), log,
-                      lambda kind, step: theta).run_steps(0, 2)
+        node = RecordingNode(wiring, wiring.worker(1, model_fn()), log,
+                             lambda kind, step: theta)
+        node.run_steps(0, 2)
         expected = []
         for step in (0, 1):
-            expected += [("wait", "model_to_worker", 3, step), ("loss", step)]
+            expected += [("wait", "model_to_worker", 3, step)]
             expected += [("send", server, "gradient_to_server", step)
                          for server in self.SERVERS]
         assert log == expected
+        assert node.reported_steps("losses") == [0, 1]
+        assert node.report()["step_times"] == []
+        assert node.report()["parameters"] is None
 
     def test_server_loop_message_sequence(self):
         wiring, model_fn = self.wiring()
         size = model_fn().num_parameters()
         log = []
-        RecordingNode(
-            wiring, wiring.server(2, model_fn()), log,
-            lambda kind, step: np.zeros(size)).run_steps(0, 2)
+        node = RecordingNode(wiring, wiring.server(2, model_fn()), log,
+                             lambda kind, step: np.zeros(size))
+        node.run_steps(0, 2)
         expected = []
         for step in (0, 1):
             expected += [("send", worker, "model_to_worker", step)
@@ -352,9 +356,12 @@ class TestSharedLoops:
             expected += [("wait", "gradient_to_server", 3, step)]
             expected += [("send", server, "model_to_server", step)
                          for server in self.SERVERS]
-            expected += [("wait", "model_to_server", 3, step),
-                         ("step", step)]
+            expected += [("wait", "model_to_server", 3, step)]
         assert log == expected
+        assert node.reported_steps("step_times") == [0, 1]
+        assert node.report()["losses"] == []
+        assert np.array_equal(node.report()["parameters"],
+                              node.node.current_parameters())
 
     def test_sat_out_steps_abandon_their_mail_and_send_nothing(self):
         # worker/0 crashes for step 1; ps/2 is cut off from every worker
@@ -369,18 +376,21 @@ class TestSharedLoops:
         theta = model_fn().get_flat_parameters()
 
         log = []
-        RecordingNode(wiring, wiring.worker(0, model_fn()), log,
-                      lambda kind, step: theta).run_steps(0, 3)
+        worker = RecordingNode(wiring, wiring.worker(0, model_fn()), log,
+                               lambda kind, step: theta)
+        worker.run_steps(0, 3)
         assert [entry for entry in log if entry[-1] == 1] \
             == [("crash", 1), ("abandon", 1)]
         assert [entry[0] for entry in log if entry[-1] == 2] \
-            == ["wait", "loss", "send", "send", "send"]
+            == ["wait", "send", "send", "send"]
+        assert worker.reported_steps("losses") == [0, 2]
 
         log = []
-        RecordingNode(wiring, wiring.server(2, model_fn()), log,
-                      lambda kind, step: np.zeros_like(theta)).run_steps(0, 3)
+        server = RecordingNode(wiring, wiring.server(2, model_fn()), log,
+                               lambda kind, step: np.zeros_like(theta))
+        server.run_steps(0, 3)
         assert [entry for entry in log if entry[-1] == 1] == [("abandon", 1)]
-        assert ("step", 0) in log and ("step", 2) in log
+        assert server.reported_steps("step_times") == [0, 2]
 
     def test_observing_adversary_reads_every_honest_gradient(self):
         wiring, model_fn = self.wiring(
@@ -391,10 +401,11 @@ class TestSharedLoops:
             f"worker/{index}" for index in range(5)]
         theta = model_fn().get_flat_parameters()
         log = []
-        RecordingNode(wiring, wiring.worker(0, model_fn()), log,
-                      lambda kind, step: theta).run_steps(0, 1)
-        assert log[:3] == [("wait", "model_to_worker", 3, 0), ("observe", 0),
-                           ("loss", 0)]
+        node = RecordingNode(wiring, wiring.worker(0, model_fn()), log,
+                             lambda kind, step: theta)
+        node.run_steps(0, 1)
+        assert log[:2] == [("wait", "model_to_worker", 3, 0), ("observe", 0)]
+        assert node.reported_steps("losses") == [0]
 
     def test_spans_carry_the_runtime_prefix(self):
         from repro.obs import MetricsRegistry, Tracer, use_registry
